@@ -88,8 +88,7 @@ fn bench_nlp(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_eval_and_quant(c: &mut Criterion) {
-    use thor_embed::{QuantizedStore, SemanticSpaceBuilder};
+fn bench_eval(c: &mut Criterion) {
     use thor_eval::{evaluate, schema_scores, Annotation};
 
     let mut g = c.benchmark_group("eval");
@@ -113,20 +112,6 @@ fn bench_eval_and_quant(c: &mut Criterion) {
     g.bench_function("schema_scores_300", |b| {
         b.iter(|| schema_scores(black_box(&preds), black_box(&gold)))
     });
-    g.finish();
-
-    let names: Vec<String> = (0..64).map(|i| format!("w{i}")).collect();
-    let store = SemanticSpaceBuilder::new(48, 3)
-        .topic("t")
-        .words("t", names.iter().map(String::as_str))
-        .build()
-        .into_store();
-    let mut g = c.benchmark_group("quant");
-    g.bench_function("quantize_64x48", |b| {
-        b.iter(|| QuantizedStore::from_store(black_box(&store)))
-    });
-    let q = QuantizedStore::from_store(&store);
-    g.bench_function("dequantize_64x48", |b| b.iter(|| q.to_store()));
     g.finish();
 }
 
@@ -162,7 +147,7 @@ criterion_group!(
     bench_text,
     bench_automata,
     bench_nlp,
-    bench_eval_and_quant,
+    bench_eval,
     bench_integration
 );
 criterion_main!(benches);

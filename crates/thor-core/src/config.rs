@@ -158,6 +158,29 @@ impl ThorConfig {
             prune: self.prune,
         }
     }
+
+    /// The fingerprint parts of every field that can change extraction
+    /// output (τ, subphrase/expansion caps, context gate, segmentation,
+    /// chunking, weights), shared by the engine and checkpoint
+    /// fingerprints. Execution knobs (`threads`, `cache_capacity`,
+    /// `early_abandon`, `reference_refine`, `prune`) are deliberately
+    /// absent.
+    pub(crate) fn fingerprint_parts(&self) -> Vec<String> {
+        vec![
+            format!("tau={:016x}", self.tau.to_bits()),
+            format!("subphrase={}", self.max_subphrase_words),
+            format!("expansion={}", self.max_expansion),
+            format!("gate={:?}", self.context_gate.map(f64::to_bits)),
+            format!("seg={:?}", self.segmentation),
+            format!("np={}", self.np_chunking),
+            format!(
+                "weights={:016x},{:016x},{:016x}",
+                self.weights.semantic.to_bits(),
+                self.weights.word.to_bits(),
+                self.weights.char.to_bits()
+            ),
+        ]
+    }
 }
 
 #[cfg(test)]

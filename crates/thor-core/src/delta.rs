@@ -240,7 +240,7 @@ impl PreparedEngine {
             subjects: table.subjects().map(str::to_string).collect(),
             table: Arc::new(table),
             prep: Arc::new(prep),
-            matcher,
+            matcher: Arc::new(matcher),
             dictionary: Arc::new(dictionary),
             store_digest: inner.store_digest,
             table_digest,

@@ -16,9 +16,11 @@
 //!
 //! Every serve entry point — [`PreparedEngine::extract`],
 //! [`PreparedEngine::enrich`], [`PreparedEngine::session`],
-//! [`PreparedEngine::enrich_resilient`] — borrows this immutable bundle;
-//! none re-runs `fine_tune` or deep-copies the store. [`Thor::extract`]
-//! and friends are now thin prepare-then-serve wrappers.
+//! [`PreparedEngine::enrich_resilient`] — borrows this immutable bundle
+//! and drives its documents through the one execution core in
+//! [`crate::resilient`]; none re-runs `fine_tune` or deep-copies the
+//! store. [`Thor::extract`] and friends are thin prepare-then-serve
+//! wrappers.
 //!
 //! The engine also persists: [`PreparedEngine::save`] writes a
 //! versioned binary artifact (magic + format version + FNV-1a checksum,
@@ -29,8 +31,7 @@
 //! fingerprint of store/table/config is verified on load.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use thor_data::Table;
@@ -42,16 +43,11 @@ use thor_fault::{
 use thor_index::DictionaryIndex;
 use thor_match::{MatcherConfig, PreparedMatcher, PruneMode, SimilarityMatcher, TAU_RANGE};
 use thor_obs::PipelineMetrics;
-use thor_text::ScoreScratch;
 
 use crate::config::{ScoreWeights, SegmentationMode, ThorConfig};
 use crate::document::Document;
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_entities_with;
-use crate::pipeline::{dedup_entities, EnrichmentResult, EnrichmentSession, Thor};
-use crate::pool::WorkerPool;
-use crate::segment::segment_metered;
-use crate::slotfill::slot_fill_metered;
+use crate::pipeline::{EnrichmentResult, EnrichmentSession, Thor};
 
 /// Magic bytes opening an engine artifact file (shared with the
 /// sectioned container in `thor_fault::section`).
@@ -106,13 +102,14 @@ pub const ENGINE_LAZY_SECTIONS: &[&str] = &[
     SEC_CAND_SIMS,
 ];
 
+#[derive(Clone)]
 pub(crate) struct EngineInner {
     pub(crate) config: ThorConfig,
     pub(crate) store: Arc<VectorStore>,
     pub(crate) table: Arc<Table>,
     pub(crate) subjects: Vec<String>,
     pub(crate) prep: Arc<PreparedMatcher>,
-    pub(crate) matcher: SimilarityMatcher,
+    pub(crate) matcher: Arc<SimilarityMatcher>,
     pub(crate) dictionary: Arc<DictionaryIndex>,
     /// FNV-1a digests of the store text and table CSV, computed once at
     /// build time and reused by cheap derivations (`with_tau`).
@@ -160,31 +157,16 @@ pub(crate) fn concept_instances(table: &Table) -> Vec<(String, Vec<String>)> {
 }
 
 /// Semantic fingerprint of an engine: every configuration field that
-/// can change serve output (τ, weights, subphrase/expansion caps,
-/// segmentation, chunking, context gate) plus digests of the table and
-/// the vector store. `threads` and `cache_capacity` are deliberately
-/// excluded — both are output-neutral execution knobs.
+/// can change serve output ([`ThorConfig::fingerprint_parts`]) plus
+/// digests of the table and the vector store.
 pub(crate) fn engine_fingerprint(
     config: &ThorConfig,
     table_digest: u64,
     store_digest: u64,
 ) -> String {
-    let parts: Vec<String> = vec![
-        format!("tau={:016x}", config.tau.to_bits()),
-        format!("subphrase={}", config.max_subphrase_words),
-        format!("expansion={}", config.max_expansion),
-        format!("gate={:?}", config.context_gate.map(f64::to_bits)),
-        format!("seg={:?}", config.segmentation),
-        format!("np={}", config.np_chunking),
-        format!(
-            "weights={:016x},{:016x},{:016x}",
-            config.weights.semantic.to_bits(),
-            config.weights.word.to_bits(),
-            config.weights.char.to_bits()
-        ),
-        format!("table={table_digest:016x}"),
-        format!("store={store_digest:016x}"),
-    ];
+    let mut parts = config.fingerprint_parts();
+    parts.push(format!("table={table_digest:016x}"));
+    parts.push(format!("store={store_digest:016x}"));
     thor_fault::fingerprint(parts)
 }
 
@@ -218,7 +200,7 @@ impl Thor {
                 table: Arc::new(table.clone()),
                 subjects: table.subjects().map(str::to_string).collect(),
                 prep: Arc::new(prep),
-                matcher,
+                matcher: Arc::new(matcher),
                 dictionary: Arc::new(dictionary),
                 store_digest,
                 table_digest,
@@ -336,26 +318,22 @@ impl PreparedEngine {
                 .prep
                 .matcher_at(config.matcher_config(), self.inner.metrics.clone())
         });
+        self.derive(|e| {
+            e.fingerprint = engine_fingerprint(&config, e.table_digest, e.store_digest);
+            e.config = config;
+            e.matcher = Arc::new(matcher);
+            e.prepare_time = prepare_time;
+        })
+    }
+
+    /// A sibling engine: this one's parts (refcount bumps for every
+    /// frozen structure) with `edit` applied — the one place the
+    /// derivations below build an [`EngineInner`].
+    fn derive(&self, edit: impl FnOnce(&mut EngineInner)) -> PreparedEngine {
+        let mut inner = (*self.inner).clone();
+        edit(&mut inner);
         PreparedEngine {
-            inner: Arc::new(EngineInner {
-                fingerprint: engine_fingerprint(
-                    &config,
-                    self.inner.table_digest,
-                    self.inner.store_digest,
-                ),
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher,
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                chain_depth: self.inner.chain_depth,
-                prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
+            inner: Arc::new(inner),
         }
     }
 
@@ -363,25 +341,7 @@ impl PreparedEngine {
     /// are an execution knob, not a model parameter: output and
     /// fingerprint are unchanged.
     pub fn with_threads(&self, threads: usize) -> PreparedEngine {
-        let mut config = self.inner.config.clone();
-        config.threads = threads;
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher: self.inner.matcher.clone(),
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
-        }
+        self.derive(|e| e.config.threads = threads)
     }
 
     /// The same engine scoring refinement with the documented reference
@@ -390,25 +350,7 @@ impl PreparedEngine {
     /// `threads` this is an execution knob: output and fingerprint are
     /// unchanged.
     pub fn with_reference_refine(&self, reference: bool) -> PreparedEngine {
-        let mut config = self.inner.config.clone();
-        config.reference_refine = reference;
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher: self.inner.matcher.clone(),
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
-        }
+        self.derive(|e| e.config.reference_refine = reference)
     }
 
     /// The same engine with a different candidate-pruning mode. `Exact`
@@ -423,25 +365,10 @@ impl PreparedEngine {
     /// differ. The matcher's phrase cache is restarted so entries
     /// admitted under one mode never serve another.
     pub fn with_prune(&self, prune: PruneMode) -> PreparedEngine {
-        let mut config = self.inner.config.clone();
-        config.prune = prune;
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                matcher: self.inner.matcher.with_prune_mode(prune),
-                config,
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: self.inner.metrics.clone(),
-            }),
-        }
+        self.derive(|e| {
+            e.config.prune = prune;
+            e.matcher = Arc::new(e.matcher.with_prune_mode(prune));
+        })
     }
 
     /// Attach an observability handle. The matcher is re-derived from
@@ -456,115 +383,35 @@ impl PreparedEngine {
                 .prep
                 .matcher_at(self.inner.config.matcher_config(), Some(metrics.clone()))
         });
-        PreparedEngine {
-            inner: Arc::new(EngineInner {
-                config: self.inner.config.clone(),
-                store: Arc::clone(&self.inner.store),
-                table: Arc::clone(&self.inner.table),
-                subjects: self.inner.subjects.clone(),
-                prep: Arc::clone(&self.inner.prep),
-                matcher,
-                dictionary: Arc::clone(&self.inner.dictionary),
-                store_digest: self.inner.store_digest,
-                table_digest: self.inner.table_digest,
-                fingerprint: self.inner.fingerprint.clone(),
-                chain_depth: self.inner.chain_depth,
-                prepare_time: self.inner.prepare_time,
-                metrics: Some(metrics),
-            }),
-        }
+        self.derive(|e| {
+            e.matcher = Arc::new(matcher);
+            e.metrics = Some(metrics);
+        })
     }
 
     /// Extract entities from `docs`, deduplicated per (document,
     /// concept, phrase). Returns the entities and the inference time.
     /// Document-parallel for `config.threads > 1` via the shared
-    /// [`WorkerPool`]; output is identical for any thread count.
+    /// [`crate::WorkerPool`]; output is identical for any thread count.
     pub fn extract(&self, docs: &[Document]) -> (Vec<ExtractedEntity>, Duration) {
-        let run = self.run_metrics();
-        run.inference.time(|| self.extract_entities(&run, docs))
-    }
-
-    /// Segmentation + extraction + dedup, outside any timing span.
-    pub(crate) fn extract_entities(
-        &self,
-        run: &PipelineMetrics,
-        docs: &[Document],
-    ) -> Vec<ExtractedEntity> {
-        let inner = &*self.inner;
-        // One `ScoreScratch` per worker: refinement's DP buffers and
-        // token spans are reused across every document a worker drains.
-        let per_doc = |doc: &Document, scratch: &mut ScoreScratch| {
-            run.docs.inc();
-            let segments = segment_metered(
-                doc,
-                &inner.subjects,
-                &inner.matcher,
-                inner.config.segmentation,
-                run,
-            );
-            extract_entities_with(
-                &segments,
-                &inner.matcher,
-                &inner.config,
-                &doc.id,
-                Some(run),
-                scratch,
-            )
-        };
-        let mut entities: Vec<ExtractedEntity> = if inner.config.threads <= 1 || docs.len() < 2 {
-            let mut scratch = ScoreScratch::new();
-            docs.iter()
-                .flat_map(|doc| per_doc(doc, &mut scratch))
-                .collect()
-        } else {
-            let workers = inner.config.threads.min(docs.len());
-            let next = AtomicUsize::new(0);
-            let buckets: Mutex<Vec<Vec<ExtractedEntity>>> = Mutex::new(Vec::new());
-            WorkerPool::global().scope(workers, |scope| {
-                for _ in 0..workers {
-                    let (next, buckets, per_doc) = (&next, &buckets, &per_doc);
-                    scope.spawn(move || {
-                        let mut scratch = ScoreScratch::new();
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(doc) = docs.get(i) else { break };
-                            out.extend(per_doc(doc, &mut scratch));
-                        }
-                        buckets.lock().unwrap().push(out);
-                    });
-                }
-            });
-            buckets
-                .into_inner()
-                .unwrap()
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        // Deduplicate, keeping the best-scoring instance of each key —
-        // the total order makes output independent of work partitioning.
-        dedup_entities(&mut entities);
-        entities
+        let docs: Vec<&Document> = docs.iter().collect();
+        let out = self.run_plain(&docs, &self.run_metrics(), None);
+        (out.entities, out.inference_time)
     }
 
     /// Run the serve side of the full pipeline: Entity Extraction and
     /// Slot Filling over the engine's table. One `Table` clone, filled
     /// in place.
     pub fn enrich(&self, docs: &[Document]) -> EnrichmentResult {
-        let run = self.run_metrics();
-        let (entities, mut inference_time) =
-            run.inference.time(|| self.extract_entities(&run, docs));
-        let mut enriched = (*self.inner.table).clone();
-        let t = std::time::Instant::now();
-        let slot_stats = slot_fill_metered(&mut enriched, &entities, &run);
-        inference_time += t.elapsed();
+        let docs: Vec<&Document> = docs.iter().collect();
+        let mut table = (*self.inner.table).clone();
+        let out = self.run_plain(&docs, &self.run_metrics(), Some(&mut table));
         EnrichmentResult {
-            table: enriched,
-            entities,
-            slot_stats,
+            table,
+            entities: out.entities,
+            slot_stats: out.slot_stats,
             prepare_time: self.inner.prepare_time,
-            inference_time,
+            inference_time: out.inference_time,
         }
     }
 
@@ -1034,7 +881,7 @@ impl PreparedEngine {
                 table: Arc::new(table),
                 store,
                 prep: Arc::new(prep),
-                matcher,
+                matcher: Arc::new(matcher),
                 dictionary: Arc::new(automaton),
                 store_digest,
                 table_digest,
@@ -1289,6 +1136,44 @@ mod tests {
             "threads are output-neutral"
         );
         assert_ne!(engine.with_tau(0.9).fingerprint(), engine.fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Golden values: engine artifacts and run checkpoints written by
+        // earlier builds must keep verifying, so neither fingerprint may
+        // drift for a fixed config, table and id list.
+        let plain = ThorConfig::with_tau(0.7);
+        let mut exotic = ThorConfig::with_tau(0.55);
+        exotic.context_gate = Some(0.25);
+        exotic.segmentation = SegmentationMode::SemanticOnly;
+        exotic.np_chunking = false;
+        exotic.max_subphrase_words = 3;
+        exotic.max_expansion = 17;
+        exotic.weights = ScoreWeights {
+            semantic: 0.5,
+            word: 0.25,
+            char: 0.25,
+        };
+        let mut table = Table::new(Schema::new(["Disease", "Anatomy"], "Disease"));
+        table.fill_slot("Tuberculosis", "Anatomy", "lungs");
+        table.fill_slot("Acne", "Anatomy", "skin");
+        let ids = ["d0", "d1", "d2"];
+        let got = [
+            engine_fingerprint(&plain, 0x1234_5678, 0x9abc_def0),
+            engine_fingerprint(&exotic, 0x1234_5678, 0x9abc_def0),
+            crate::resilient::run_fingerprint(&plain, &table, ids),
+            crate::resilient::run_fingerprint(&exotic, &table, ids),
+        ];
+        assert_eq!(
+            got,
+            [
+                "ccda5068c3313956",
+                "e03a8f24fec99d14",
+                "1e407eaffc9c3d94",
+                "ad854185e517e066",
+            ]
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 
 use thor_index::CandidateSource;
 use thor_match::{CandidateEntity, SimilarityMatcher};
-use thor_nlp::{chunk_sentence, chunk_sentence_metered, Lexicon, RuleTagger};
+use thor_nlp::{chunk_sentence, Lexicon, RuleTagger};
 use thor_obs::PipelineMetrics;
 use thor_text::{
     gestalt_bound, gestalt_prepared, gestalt_similarity, jaccard_prepared, jaccard_words, tokenize,
@@ -199,27 +199,28 @@ pub fn refine_candidates(
 }
 
 /// Extract the phrases of one sentence: dependency-parse noun phrases
-/// (the paper's design) or naive n-grams (`abl_np` ablation).
+/// (the paper's design) or naive n-grams (`abl_np` ablation). A
+/// non-empty sentence is chunked under one `stage.chunk` span and
+/// counted in `sentences`, its phrases in `noun_phrases`.
 fn sentence_phrases(
     text: &str,
     config: &ThorConfig,
     tagger: &RuleTagger,
-    metrics: Option<&PipelineMetrics>,
+    run: &PipelineMetrics,
 ) -> Vec<String> {
     let tokens = tokenize(text);
     let words: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
     if words.is_empty() {
         return Vec::new();
     }
-    if config.np_chunking {
-        let phrases = match metrics {
-            Some(m) => chunk_sentence_metered(&words, tagger, m),
-            None => chunk_sentence(&words, tagger),
-        };
-        phrases.into_iter().map(|np| np.text).collect()
+    let _span = run.chunk.start();
+    let phrases: Vec<String> = if config.np_chunking {
+        chunk_sentence(&words, tagger)
+            .into_iter()
+            .map(|np| np.text)
+            .collect()
     } else {
         // Ablation: every contiguous window up to the subphrase cap.
-        let _span = metrics.map(|m| m.chunk.start());
         let max = config.max_subphrase_words.min(words.len());
         let mut out = Vec::new();
         for len in 1..=max {
@@ -231,72 +232,30 @@ fn sentence_phrases(
             }
         }
         out.dedup();
-        if let Some(m) = metrics {
-            m.sentences.inc();
-            m.noun_phrases.add(out.len() as u64);
-        }
         out
-    }
+    };
+    run.sentences.inc();
+    run.noun_phrases.add(phrases.len() as u64);
+    phrases
 }
 
-/// Run entity extraction over segmented sentences (lines 3–15). Returns
-/// one best entity per (sentence, noun phrase) — `e_best` — tagged with
-/// the sentence's subject instance.
+/// Run entity extraction over one document's segmented sentences
+/// (lines 3–15). Returns one best entity per (sentence, noun phrase) —
+/// `e_best` — tagged with the sentence's subject instance.
+///
+/// Metered into `run`: chunking per sentence (see `sentence_phrases`),
+/// one `stage.refine` span and the `refine.scored` / `refine.pruned`
+/// counts per phrase, and one `entities` count per accepted entity.
+/// (The matcher counts its own subphrases and candidates when it holds
+/// a metrics handle.) `scratch` is caller-owned so the execution
+/// core's workers reuse one across every document they drain and
+/// refinement allocates nothing in steady state.
 pub fn extract_entities(
     segments: &[SegmentedSentence],
     matcher: &SimilarityMatcher,
     config: &ThorConfig,
     doc_id: &str,
-) -> Vec<ExtractedEntity> {
-    let mut scratch = ScoreScratch::new();
-    extract_entities_impl(segments, matcher, config, doc_id, None, &mut scratch)
-}
-
-/// [`extract_entities`] with observability: noun-phrase chunking is
-/// counted and timed per sentence, refinement runs under a
-/// `stage.refine` span, and each accepted entity increments the
-/// `entities` counter. (The matcher counts its own subphrases and
-/// candidates when it was fine-tuned with
-/// [`SimilarityMatcher::fine_tune_metered`].)
-pub fn extract_entities_metered(
-    segments: &[SegmentedSentence],
-    matcher: &SimilarityMatcher,
-    config: &ThorConfig,
-    doc_id: &str,
-    metrics: &PipelineMetrics,
-) -> Vec<ExtractedEntity> {
-    let mut scratch = ScoreScratch::new();
-    extract_entities_impl(
-        segments,
-        matcher,
-        config,
-        doc_id,
-        Some(metrics),
-        &mut scratch,
-    )
-}
-
-/// [`extract_entities_metered`] reusing a caller-owned [`ScoreScratch`]
-/// across documents — the long-lived paths (worker loops, enrichment
-/// sessions) thread one scratch per worker so refinement allocates
-/// nothing in steady state.
-pub fn extract_entities_with(
-    segments: &[SegmentedSentence],
-    matcher: &SimilarityMatcher,
-    config: &ThorConfig,
-    doc_id: &str,
-    metrics: Option<&PipelineMetrics>,
-    scratch: &mut ScoreScratch,
-) -> Vec<ExtractedEntity> {
-    extract_entities_impl(segments, matcher, config, doc_id, metrics, scratch)
-}
-
-fn extract_entities_impl(
-    segments: &[SegmentedSentence],
-    matcher: &SimilarityMatcher,
-    config: &ThorConfig,
-    doc_id: &str,
-    metrics: Option<&PipelineMetrics>,
+    run: &PipelineMetrics,
     scratch: &mut ScoreScratch,
 ) -> Vec<ExtractedEntity> {
     let tagger = shared_tagger();
@@ -311,15 +270,13 @@ fn extract_entities_impl(
     let mut out = Vec::new();
 
     for seg in segments {
-        for phrase in sentence_phrases(&seg.sentence.text, config, tagger, metrics) {
+        for phrase in sentence_phrases(&seg.sentence.text, config, tagger, run) {
             let candidates = source.candidates_anchored(&phrase, &anchor);
-            let refine_span = metrics.map(|m| m.refine.start());
+            let refine_span = run.refine.start();
             let outcome = refine_candidates(&candidates, matcher, config, scratch);
             drop(refine_span);
-            if let Some(m) = metrics {
-                m.refine_scored.add(outcome.scored);
-                m.refine_pruned.add(outcome.pruned);
-            }
+            run.refine_scored.add(outcome.scored);
+            run.refine_pruned.add(outcome.pruned);
             if let Some((candidate, score)) = outcome.best {
                 // Optional contextual gate (the paper's future work):
                 // the sentence minus the entity phrase must itself be
@@ -330,9 +287,7 @@ fn extract_entities_impl(
                         continue;
                     }
                 }
-                if let Some(m) = metrics {
-                    m.entities.inc();
-                }
+                run.entities.inc();
                 out.push(ExtractedEntity {
                     subject: seg.subject.clone(),
                     concept: candidate.concept,
@@ -388,6 +343,23 @@ mod tests {
     use thor_embed::SemanticSpaceBuilder;
     use thor_match::MatcherConfig;
     use thor_text::Sentence;
+
+    /// Extraction with a throwaway metrics handle and scratch.
+    fn extract_entities(
+        segments: &[SegmentedSentence],
+        matcher: &SimilarityMatcher,
+        config: &ThorConfig,
+        doc_id: &str,
+    ) -> Vec<ExtractedEntity> {
+        super::extract_entities(
+            segments,
+            matcher,
+            config,
+            doc_id,
+            &PipelineMetrics::new(),
+            &mut ScoreScratch::new(),
+        )
+    }
 
     fn matcher(tau: f64) -> SimilarityMatcher {
         let store = SemanticSpaceBuilder::new(32, 4)
@@ -519,6 +491,46 @@ mod tests {
             !entities.is_empty(),
             "well-supported entities must survive the gate"
         );
+    }
+
+    #[test]
+    fn chunking_is_metered_once_per_sentence() {
+        let m = matcher(0.5);
+        let text = "the brain tumor causes severe deafness";
+        let run = PipelineMetrics::new();
+        super::extract_entities(
+            &[seg("X", text, 0)],
+            &m,
+            &ThorConfig::with_tau(0.5),
+            "d",
+            &run,
+            &mut ScoreScratch::new(),
+        );
+        let tokens = tokenize(text);
+        let words: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
+        let phrases = chunk_sentence(&words, shared_tagger());
+        assert!(!phrases.is_empty());
+        let snap = run.snapshot();
+        assert_eq!(snap.count("sentences"), 1);
+        assert_eq!(snap.count("noun_phrases"), phrases.len() as u64);
+    }
+
+    #[test]
+    fn empty_sentences_are_not_chunked() {
+        let m = matcher(0.5);
+        let run = PipelineMetrics::new();
+        let entities = super::extract_entities(
+            &[seg("X", "", 0)],
+            &m,
+            &ThorConfig::with_tau(0.5),
+            "d",
+            &run,
+            &mut ScoreScratch::new(),
+        );
+        assert!(entities.is_empty());
+        let snap = run.snapshot();
+        assert_eq!(snap.count("sentences"), 0);
+        assert_eq!(snap.count("noun_phrases"), 0);
     }
 
     #[test]

@@ -13,15 +13,12 @@ use thor_data::Table;
 use thor_embed::VectorStore;
 use thor_match::SimilarityMatcher;
 use thor_obs::PipelineMetrics;
-use thor_text::ScoreScratch;
 
 use crate::config::ThorConfig;
 use crate::document::Document;
 use crate::engine::{concept_instances, PreparedEngine};
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_entities_with;
-use crate::segment::segment_metered;
-use crate::slotfill::{slot_fill_metered, SlotFillStats};
+use crate::slotfill::SlotFillStats;
 
 /// Result of one enrichment run.
 #[derive(Debug, Clone)]
@@ -184,7 +181,8 @@ impl Thor {
 
 /// A streaming enrichment session: fine-tuned once, fed documents one at
 /// a time, slot-filling as it goes. Backed by a [`PreparedEngine`] (the
-/// session holds a shared handle, not a copy).
+/// session holds a shared handle, not a copy); each document runs
+/// through the engine's one execution core, exactly as a batch of one.
 ///
 /// ```no_run
 /// # use thor_core::{Document, Thor, ThorConfig};
@@ -205,10 +203,6 @@ pub struct EnrichmentSession {
     table: Table,
     entities: Vec<ExtractedEntity>,
     metrics: PipelineMetrics,
-    /// Refinement scratch reused across every document the session
-    /// processes — the session is the long-lived streaming path, so the
-    /// DP buffers reach steady state after the first few sentences.
-    scratch: ScoreScratch,
 }
 
 impl EnrichmentSession {
@@ -218,7 +212,6 @@ impl EnrichmentSession {
             table: engine.table().clone(),
             entities: Vec::new(),
             engine,
-            scratch: ScoreScratch::new(),
         }
     }
 
@@ -226,33 +219,13 @@ impl EnrichmentSession {
     /// session table immediately. Returns the number of newly inserted
     /// values.
     pub fn process(&mut self, doc: &Document) -> usize {
-        let run = self.metrics.clone();
-        let _span = run.inference.start();
-        run.docs.inc();
-        // Cheap Arc bump so the engine's config/matcher borrows don't
-        // conflict with the `&mut self.scratch` below.
-        let engine = self.engine.clone();
-        let config = engine.config();
-        let segments = segment_metered(
-            doc,
-            engine.subjects(),
-            engine.matcher(),
-            config.segmentation,
-            &run,
-        );
-        let mut extracted = extract_entities_with(
-            &segments,
-            engine.matcher(),
-            config,
-            &doc.id,
-            Some(&run),
-            &mut self.scratch,
-        );
-        // Per-document dedup (matching the batch pipeline's granularity).
-        dedup_entities(&mut extracted);
-        let stats = slot_fill_metered(&mut self.table, &extracted, &run);
-        self.entities.extend(extracted);
-        stats.inserted
+        // Deduplicated per document, matching the batch pipeline's
+        // granularity.
+        let out = self
+            .engine
+            .run_plain(&[doc], &self.metrics, Some(&mut self.table));
+        self.entities.extend(out.entities);
+        out.slot_stats.inserted
     }
 
     /// The session's observability handle (the [`Thor`] instance's

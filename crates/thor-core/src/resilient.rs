@@ -1,14 +1,29 @@
-//! The fault-tolerant run layer: per-document isolation, quarantine,
-//! and checkpointed, resumable enrichment.
+//! The one document-execution core: per-document isolation,
+//! quarantine, and checkpointed, resumable enrichment.
+//!
+//! Every entry point runs documents through this module: the plain
+//! [`PreparedEngine::extract`] / [`PreparedEngine::enrich`], the
+//! streaming [`crate::EnrichmentSession`], the resilient batch and
+//! streaming entry points, and (through them) the CLI and `thor-serve`.
+//! One document is one call of `process_doc` — admission control, then
+//! Algorithm 1's SEGMENT and EXTRACT under `catch_unwind` — scheduled by
+//! `process_pending` on the shared [`crate::WorkerPool`]; `finalize_run`
+//! then deduplicates and slot-fills. Stage metering (spans and counters)
+//! lives here too, around the plain layer functions
+//! ([`crate::segment::segment`], [`crate::slotfill::slot_fill`]).
 //!
 //! [`Thor::enrich_resilient`] is the production entry point for messy
 //! corpora: every document passes admission control
-//! ([`thor_fault::validate_text`]) and runs its segment/extract stages
-//! under `catch_unwind`, so a malformed or even panic-inducing document
-//! costs *one document*, not the run. Failures land in a
-//! [`QuarantineReport`] (doc id, stage, error, byte offset) and bump the
-//! `quarantine.docs` counter; [`RunMode::Strict`] instead aborts on the
-//! first failure (after a best-effort checkpoint save).
+//! ([`thor_fault::validate_text`]), so a malformed or even
+//! panic-inducing document costs *one document*, not the run. Failures
+//! land in a [`QuarantineReport`] (doc id, stage, error, byte offset) and
+//! bump the `quarantine.docs` counter; [`RunMode::Strict`] instead aborts
+//! on the first failure (after a best-effort checkpoint save).
+//!
+//! The plain entry points keep their infallible contract by running the core
+//! in strict mode with an admit-everything policy: every document is
+//! processed, duplicate ids are allowed, and the only possible failure —
+//! a panic caught inside a stage — is raised again as a panic.
 //!
 //! With a checkpoint directory configured, the processed-document set,
 //! all partial slot-fills (extracted entities, scores as exact bit
@@ -19,12 +34,6 @@
 //! produces **byte-identical** output to an uninterrupted run, for any
 //! thread count and cache configuration.
 //!
-//! The run itself is hosted on a [`PreparedEngine`]
-//! ([`PreparedEngine::enrich_resilient`]): Preparation happens once in
-//! [`Thor::prepare`], parallel workers come from the shared
-//! [`crate::WorkerPool`], and the same engine can serve resilient and
-//! plain calls alike.
-//!
 //! Fault-injection seams (`validate`, `segment`, `extract`, `slot_fill`,
 //! plus `checkpoint_save`/`atomic_write` inside thor-fault) are compiled
 //! in via [`thor_fault::fail_point`]; see `thor_fault::failpoint::SITES`.
@@ -32,14 +41,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use thor_data::Table;
 use thor_fault::{
     fail_point, fingerprint, validate_text, CancelToken, Checkpoint, DocumentPolicy, EntityRecord,
     QuarantineEntry, QuarantineReport, ThorError, ThorResult,
 };
-use thor_match::SimilarityMatcher;
 use thor_obs::PipelineMetrics;
 use thor_text::ScoreScratch;
 
@@ -47,11 +56,11 @@ use crate::config::ThorConfig;
 use crate::document::Document;
 use crate::engine::PreparedEngine;
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_entities_with;
+use crate::extract::extract_entities;
 use crate::pipeline::{dedup_entities, EnrichmentResult, Thor};
 use crate::pool::WorkerPool;
-use crate::segment::segment_metered;
-use crate::slotfill::slot_fill_metered;
+use crate::segment::segment;
+use crate::slotfill::{slot_fill, SlotFillStats};
 
 /// Failure policy of a resilient run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,6 +109,14 @@ impl Default for ResilientOptions {
     }
 }
 
+/// The plain entry points' admission policy: no size cap, no emptiness or
+/// garbage check — every document is processed.
+const ADMIT_ALL: DocumentPolicy = DocumentPolicy {
+    max_bytes: usize::MAX,
+    min_chars: 0,
+    max_garbage_ratio: f64::INFINITY,
+};
+
 /// Outcome of a resilient run.
 #[derive(Debug, Clone)]
 pub struct ResilientOutcome {
@@ -127,6 +144,16 @@ enum DocStatus {
     Cancelled(ThorError),
 }
 
+/// What a finished run hands its caller.
+pub(crate) struct RunOutput {
+    /// Deduplicated entities (see `dedup_entities`).
+    pub(crate) entities: Vec<ExtractedEntity>,
+    /// Slot-fill counts; zero when the run filled no table.
+    pub(crate) slot_stats: SlotFillStats,
+    /// Processing + slot-fill wall-clock, the `pipeline.inference` span.
+    pub(crate) inference_time: Duration,
+}
+
 fn to_record(e: &ExtractedEntity) -> EntityRecord {
     EntityRecord {
         doc_id: e.doc_id.clone(),
@@ -151,9 +178,15 @@ fn from_record(r: &EntityRecord) -> ExtractedEntity {
     }
 }
 
-/// Mutable run bookkeeping: the live checkpoint plus save cadence.
+/// Mutable run bookkeeping: the live checkpoint (processed set and
+/// quarantine), the entities extracted so far, plus save cadence.
 struct RunState {
     checkpoint: Checkpoint,
+    /// Entities of every completed document, one batch per document,
+    /// resumed ones first. Batches are kept as the workers produced
+    /// them — no shared vector regrows across threads — flattened once
+    /// at finalize, and converted to checkpoint records only on save.
+    entities: Vec<Vec<ExtractedEntity>>,
     dir: Option<PathBuf>,
     interval: usize,
     since_save: usize,
@@ -175,9 +208,7 @@ impl RunState {
         match status {
             DocStatus::Done(entities) => {
                 self.checkpoint.processed.insert(doc_id);
-                self.checkpoint
-                    .entities
-                    .extend(entities.iter().map(to_record));
+                self.entities.push(entities);
             }
             DocStatus::Quarantined(entry) if self.mode == RunMode::Strict => {
                 let _ = self.save(run);
@@ -216,6 +247,7 @@ impl RunState {
             self.since_save = 0;
             return Ok(());
         };
+        self.checkpoint.entities = self.entities.iter().flatten().map(to_record).collect();
         self.checkpoint.metrics_json = Some(run.render_json());
         let result = self.checkpoint.save(dir);
         if result.is_ok() {
@@ -242,42 +274,43 @@ impl RunState {
 }
 
 /// Process one document through admission control, segmentation, and
-/// extraction, isolating panics to the document.
-#[allow(clippy::too_many_arguments)] // the run's shared context, spelled out
+/// extraction, isolating panics to the document. This is the only
+/// place a document meets the pipeline stages.
 fn process_doc(
-    config: &ThorConfig,
-    matcher: &SimilarityMatcher,
-    subjects: &[String],
+    engine: &PreparedEngine,
     doc: &Document,
-    policy: &DocumentPolicy,
-    cancel: &CancelToken,
+    opts: &ResilientOptions,
     run: &PipelineMetrics,
     scratch: &mut ScoreScratch,
 ) -> DocStatus {
     let quarantined = |stage: &str, err: ThorError| {
         DocStatus::Quarantined(QuarantineEntry::from_error(&doc.id, stage, &err))
     };
+    let config = engine.config();
 
-    if let Err(e) = cancel.check("validate") {
+    if let Err(e) = opts.cancel.check("validate") {
         return DocStatus::Cancelled(e);
     }
-    if let Err(e) = fail_point("validate").and_then(|()| validate_text(&doc.id, &doc.text, policy))
+    if let Err(e) =
+        fail_point("validate").and_then(|()| validate_text(&doc.id, &doc.text, &opts.policy))
     {
         return quarantined("validate", e);
     }
 
-    if let Err(e) = cancel.check("segment") {
+    if let Err(e) = opts.cancel.check("segment") {
         return DocStatus::Cancelled(e);
     }
     let segments = match catch_unwind(AssertUnwindSafe(|| {
         fail_point("segment")?;
-        Ok(segment_metered(
+        let _span = run.segment.start();
+        let segments = segment(
             doc,
-            subjects,
-            matcher,
+            engine.subjects(),
+            engine.matcher(),
             config.segmentation,
-            run,
-        ))
+        );
+        run.segments.add(segments.len() as u64);
+        Ok(segments)
     })) {
         Ok(Ok(segments)) => segments,
         Ok(Err(e)) => return quarantined("segment", e),
@@ -286,17 +319,17 @@ fn process_doc(
         }
     };
 
-    if let Err(e) = cancel.check("extract") {
+    if let Err(e) = opts.cancel.check("extract") {
         return DocStatus::Cancelled(e);
     }
     match catch_unwind(AssertUnwindSafe(|| {
         fail_point("extract")?;
-        Ok(extract_entities_with(
+        Ok(extract_entities(
             &segments,
-            matcher,
+            engine.matcher(),
             config,
             &doc.id,
-            Some(run),
+            run,
             scratch,
         ))
     })) {
@@ -318,21 +351,7 @@ pub(crate) fn run_fingerprint<'a>(
     table: &Table,
     doc_ids: impl IntoIterator<Item = &'a str>,
 ) -> String {
-    let c = config;
-    let mut parts: Vec<String> = vec![
-        format!("tau={:016x}", c.tau.to_bits()),
-        format!("subphrase={}", c.max_subphrase_words),
-        format!("expansion={}", c.max_expansion),
-        format!("gate={:?}", c.context_gate.map(f64::to_bits)),
-        format!("seg={:?}", c.segmentation),
-        format!("np={}", c.np_chunking),
-        format!(
-            "weights={:016x},{:016x},{:016x}",
-            c.weights.semantic.to_bits(),
-            c.weights.word.to_bits(),
-            c.weights.char.to_bits()
-        ),
-    ];
+    let mut parts = config.fingerprint_parts();
     for concept in table.schema().concepts() {
         parts.push(format!("concept={}", concept.name()));
         for value in table.column_values(concept.name()) {
@@ -343,6 +362,20 @@ pub(crate) fn run_fingerprint<'a>(
         parts.push(format!("doc={id}"));
     }
     fingerprint(parts)
+}
+
+/// Refuse duplicate document ids: resume correctness keys the
+/// processed set on them.
+fn require_unique_ids<'a>(ids: impl IntoIterator<Item = &'a str>) -> ThorResult<()> {
+    let mut seen = std::collections::HashSet::new();
+    for id in ids {
+        if !seen.insert(id) {
+            return Err(ThorError::config(format!(
+                "duplicate document id `{id}` (resilient runs require unique ids)"
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl Thor {
@@ -374,17 +407,7 @@ impl PreparedEngine {
         docs: &[Document],
         opts: &ResilientOptions,
     ) -> ThorResult<ResilientOutcome> {
-        // Resume correctness keys the processed-set on document ids.
-        let mut seen = std::collections::HashSet::new();
-        for d in docs {
-            if !seen.insert(&d.id) {
-                return Err(ThorError::config(format!(
-                    "duplicate document id `{}` (resilient runs require unique ids)",
-                    d.id
-                )));
-            }
-        }
-
+        require_unique_ids(docs.iter().map(|d| d.id.as_str()))?;
         let run = self.run_metrics();
         let run_fp = run_fingerprint(
             self.config(),
@@ -400,11 +423,11 @@ impl PreparedEngine {
         let resumed_docs = docs.len() - pending.len();
         let processed_docs = pending.len();
 
-        let inference_t0 = std::time::Instant::now();
+        let inference_t0 = Instant::now();
         self.process_pending(&pending, opts, &run, &mut state)?;
-        self.finalize_run(
+        self.resilient_outcome(
             state,
-            &opts.cancel,
+            opts,
             &run,
             resumed_docs,
             processed_docs,
@@ -418,7 +441,7 @@ impl PreparedEngine {
     /// batch path. Output is **byte-identical** to
     /// [`enrich_resilient`](Self::enrich_resilient) over the same
     /// corpus, for any chunk size, thread count, and cache setting:
-    /// entities accumulate in checkpoint order and final deduplication
+    /// entities accumulate in completion order and final deduplication
     /// imposes a total order, so the chunk boundaries are unobservable.
     ///
     /// `doc_ids` is the complete, ordered id list (known before any
@@ -440,15 +463,7 @@ impl PreparedEngine {
     where
         I: IntoIterator<Item = (String, ThorResult<Document>)>,
     {
-        let mut seen = std::collections::HashSet::new();
-        for id in doc_ids {
-            if !seen.insert(id) {
-                return Err(ThorError::config(format!(
-                    "duplicate document id `{id}` (resilient runs require unique ids)"
-                )));
-            }
-        }
-
+        require_unique_ids(doc_ids.iter().map(String::as_str))?;
         let run = self.run_metrics();
         let run_fp = run_fingerprint(
             self.config(),
@@ -460,7 +475,7 @@ impl PreparedEngine {
         let chunk_size = chunk_size.max(1);
         let mut resumed_docs = 0usize;
         let mut processed_docs = 0usize;
-        let inference_t0 = std::time::Instant::now();
+        let inference_t0 = Instant::now();
         let mut expected = doc_ids.iter();
         let mut docs = docs.into_iter();
         let mut stream_len = 0usize;
@@ -532,14 +547,40 @@ impl PreparedEngine {
                 doc_ids.len()
             )));
         }
-        self.finalize_run(
+        self.resilient_outcome(
             state,
-            &opts.cancel,
+            opts,
             &run,
             resumed_docs,
             processed_docs,
             inference_t0,
         )
+    }
+
+    /// The plain entry points' run — [`PreparedEngine::extract`],
+    /// [`PreparedEngine::enrich`] and [`crate::EnrichmentSession`]: the
+    /// core in strict mode under [`ADMIT_ALL`], with no checkpoint and
+    /// no uniqueness check. Slot-fills `table` when one is given. A
+    /// strict run admitting everything can only fail on a panic caught
+    /// inside a stage; it reaches the caller as a panic.
+    pub(crate) fn run_plain(
+        &self,
+        docs: &[&Document],
+        run: &PipelineMetrics,
+        table: Option<&mut Table>,
+    ) -> RunOutput {
+        let opts = ResilientOptions {
+            policy: ADMIT_ALL,
+            ..ResilientOptions::default()
+        };
+        let output = self
+            .open_run_state(&opts, String::new(), run)
+            .and_then(|mut state| {
+                let t0 = Instant::now();
+                self.process_pending(docs, &opts, run, &mut state)?;
+                self.finalize_run(&mut state, &opts.cancel, run, table, t0)
+            });
+        output.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build this run's [`RunState`], absorbing a resumable checkpoint
@@ -552,6 +593,7 @@ impl PreparedEngine {
     ) -> ThorResult<RunState> {
         let mut state = RunState {
             checkpoint: Checkpoint::new(run_fp.clone()),
+            entities: Vec::new(),
             dir: opts.checkpoint_dir.clone(),
             interval: opts.checkpoint_interval.max(1),
             since_save: 0,
@@ -582,6 +624,7 @@ impl PreparedEngine {
                         }
                     }
                 }
+                state.entities = vec![previous.entities.iter().map(from_record).collect()];
                 state.checkpoint = previous;
                 state.checkpoint.fingerprint = run_fp;
                 state.checkpoint.metrics_json = None;
@@ -590,9 +633,9 @@ impl PreparedEngine {
         Ok(state)
     }
 
-    /// Run `pending` through admission/segment/extract on the shared
+    /// Run `pending` through `process_doc` on the shared
     /// [`WorkerPool`], recording every outcome into `state`. Used once
-    /// by the batch path and once per chunk by the streaming path.
+    /// by the batch entry points and once per chunk by the streaming path.
     fn process_pending(
         &self,
         pending: &[&Document],
@@ -600,92 +643,68 @@ impl PreparedEngine {
         run: &PipelineMetrics,
         state: &mut RunState,
     ) -> ThorResult<()> {
-        let config = self.config();
-        let matcher = self.matcher();
-        let subjects = self.subjects();
-        let workers = config.threads.min(pending.len().max(1));
+        let workers = self.config().threads.min(pending.len().max(1));
         if workers <= 1 {
             let mut scratch = ScoreScratch::new();
             for doc in pending.iter().copied() {
-                let status = process_doc(
-                    config,
-                    matcher,
-                    subjects,
-                    doc,
-                    &opts.policy,
-                    &opts.cancel,
-                    run,
-                    &mut scratch,
-                );
+                let status = process_doc(self, doc, opts, run, &mut scratch);
                 state.record(doc.id.clone(), status, run)?;
             }
             Ok(())
         } else {
+            // Workers record each outcome themselves under one lock,
+            // so no thread has to be woken per document. The first
+            // error stops every worker at its next document.
             let next = AtomicUsize::new(0);
-            let cancel = AtomicBool::new(false);
+            let stop = AtomicBool::new(false);
+            let shared = Mutex::new((state, None));
             WorkerPool::global().scope(workers, |scope| {
-                let (tx, rx) = mpsc::channel::<(String, DocStatus)>();
                 for _ in 0..workers {
-                    let tx = tx.clone();
-                    let (next, cancel) = (&next, &cancel);
-                    let policy = &opts.policy;
-                    let token = &opts.cancel;
-                    scope.spawn(move || {
+                    scope.spawn(|| {
+                        // One scratch per worker: refinement's DP
+                        // buffers are reused across every document the
+                        // worker drains.
                         let mut scratch = ScoreScratch::new();
-                        loop {
-                            if cancel.load(Ordering::Relaxed) || token.is_cancelled() {
-                                break;
-                            }
+                        while !stop.load(Ordering::Relaxed) && !opts.cancel.is_cancelled() {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(doc) = pending.get(i).copied() else {
                                 break;
                             };
-                            let status = process_doc(
-                                config,
-                                matcher,
-                                subjects,
-                                doc,
-                                policy,
-                                token,
-                                run,
-                                &mut scratch,
-                            );
-                            if tx.send((doc.id.clone(), status)).is_err() {
-                                break;
+                            let status = process_doc(self, doc, opts, run, &mut scratch);
+                            let mut guard = shared
+                                .lock()
+                                .expect("run state lock poisoned by a panicking recorder");
+                            let (state, first_err) = &mut *guard;
+                            if let Err(e) = state.record(doc.id.clone(), status, run) {
+                                stop.store(true, Ordering::Relaxed);
+                                first_err.get_or_insert(e);
                             }
                         }
                     });
                 }
-                // The consumer runs on this thread inside the scope: the
-                // senders drop as workers finish, ending the loop.
-                drop(tx);
-                let mut first_err = None;
-                for (doc_id, status) in rx {
-                    if let Err(e) = state.record(doc_id, status, run) {
-                        cancel.store(true, Ordering::Relaxed);
-                        first_err.get_or_insert(e);
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            })
+            });
+            let (_, first_err) = shared
+                .into_inner()
+                .expect("run state lock poisoned by a panicking recorder");
+            match first_err {
+                Some(e) => Err(e),
+                None => Ok(()),
+            }
         }
     }
 
-    /// Final checkpoint save, deduplication, and slot fill — shared by
-    /// the batch and streaming paths, so their outputs are identical by
-    /// construction.
+    /// Final checkpoint save, deduplication, and — given a table — slot
+    /// fill: the tail every entry point shares, so their outputs are
+    /// identical by construction. Records the run's one
+    /// `pipeline.inference` span, measured from `t0`.
     fn finalize_run(
         &self,
-        mut state: RunState,
+        state: &mut RunState,
         cancel: &CancelToken,
         run: &PipelineMetrics,
-        resumed_docs: usize,
-        processed_docs: usize,
-        inference_t0: std::time::Instant,
-    ) -> ThorResult<ResilientOutcome> {
+        table: Option<&mut Table>,
+        t0: Instant,
+    ) -> ThorResult<RunOutput> {
         // Final checkpoint so a crash after this point resumes instantly.
         state.maybe_save(run)?;
 
@@ -693,24 +712,50 @@ impl PreparedEngine {
         // seam turns that into the run-level deadline error (and stops
         // an expired request from paying for slot fill).
         cancel.check("slot_fill")?;
-        fail_point("slot_fill")?;
-        let mut entities: Vec<ExtractedEntity> =
-            state.checkpoint.entities.iter().map(from_record).collect();
+        let batches = std::mem::take(&mut state.entities);
+        let mut entities = Vec::with_capacity(batches.iter().map(Vec::len).sum());
+        for batch in batches {
+            entities.extend(batch);
+        }
         dedup_entities(&mut entities);
-        let mut enriched = self.table().clone();
-        let slot_stats = slot_fill_metered(&mut enriched, &entities, run);
-        let inference_time = inference_t0.elapsed();
+        let mut slot_stats = SlotFillStats::default();
+        if let Some(table) = table {
+            fail_point("slot_fill")?;
+            (slot_stats, _) = run.slot_fill.time(|| slot_fill(table, &entities));
+            run.slots_inserted.add(slot_stats.inserted as u64);
+            run.slots_duplicate.add(slot_stats.duplicates as u64);
+        }
+        let inference_time = t0.elapsed();
         run.inference.record(inference_time);
+        Ok(RunOutput {
+            entities,
+            slot_stats,
+            inference_time,
+        })
+    }
 
+    /// Finalize a resilient run into the enriched copy of the engine's
+    /// table plus the run's quarantine and resume accounting.
+    fn resilient_outcome(
+        &self,
+        mut state: RunState,
+        opts: &ResilientOptions,
+        run: &PipelineMetrics,
+        resumed_docs: usize,
+        processed_docs: usize,
+        t0: Instant,
+    ) -> ThorResult<ResilientOutcome> {
+        let mut enriched = self.table().clone();
+        let out = self.finalize_run(&mut state, &opts.cancel, run, Some(&mut enriched), t0)?;
         Ok(ResilientOutcome {
             result: EnrichmentResult {
                 table: enriched,
-                entities,
-                slot_stats,
+                entities: out.entities,
+                slot_stats: out.slot_stats,
                 prepare_time: self.prepare_time(),
-                inference_time,
+                inference_time: out.inference_time,
             },
-            quarantine: state.checkpoint.quarantine.clone(),
+            quarantine: state.checkpoint.quarantine,
             resumed_docs,
             processed_docs,
             checkpoints_skipped: state.checkpoints_skipped,

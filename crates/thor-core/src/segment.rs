@@ -9,7 +9,6 @@
 //! back to semantic matching against the subject instances.
 
 use thor_match::SimilarityMatcher;
-use thor_obs::PipelineMetrics;
 use thor_text::{normalize_phrase, split_sentences, Sentence};
 
 use crate::config::SegmentationMode;
@@ -43,36 +42,14 @@ fn mentioned_subject<'a>(sentence: &str, subjects: &'a [(String, String)]) -> Op
 ///
 /// `subjects` are the table's subject instances (display form);
 /// `matcher` powers the semantic fallback. Sentences that cannot be
-/// attributed to any subject are dropped.
+/// attributed to any subject are dropped. Unmetered: the execution core
+/// wraps each call in the `stage.segment` span and counts the returned
+/// sentences as `segments`.
 pub fn segment(
     doc: &Document,
     subjects: &[String],
     matcher: &SimilarityMatcher,
     mode: SegmentationMode,
-) -> Vec<SegmentedSentence> {
-    segment_impl(doc, subjects, matcher, mode, None)
-}
-
-/// [`segment`] with observability: the whole call is covered by a
-/// `stage.segment` span and each attributed sentence increments the
-/// `segments` counter.
-pub fn segment_metered(
-    doc: &Document,
-    subjects: &[String],
-    matcher: &SimilarityMatcher,
-    mode: SegmentationMode,
-    metrics: &PipelineMetrics,
-) -> Vec<SegmentedSentence> {
-    let _span = metrics.segment.start();
-    segment_impl(doc, subjects, matcher, mode, Some(metrics))
-}
-
-fn segment_impl(
-    doc: &Document,
-    subjects: &[String],
-    matcher: &SimilarityMatcher,
-    mode: SegmentationMode,
-    metrics: Option<&PipelineMetrics>,
 ) -> Vec<SegmentedSentence> {
     let keyed: Vec<(String, String)> = subjects
         .iter()
@@ -104,9 +81,6 @@ fn segment_impl(
         };
 
         if let Some(subject) = subject {
-            if let Some(m) = metrics {
-                m.segments.inc();
-            }
             out.push(SegmentedSentence {
                 subject,
                 sentence,

@@ -112,6 +112,9 @@ mod tests {
 
     #[test]
     fn epochs_are_monotone_and_start_at_one() {
+        // Every swapping test holds the failpoint lock, so a concurrent
+        // test's armed `swap` failpoint never fires on this one's swap.
+        let _guard = scoped_failpoints("");
         let slot = EngineSlot::new(engine(0.6));
         assert_eq!(slot.epoch(), 1);
         let g2 = slot.swap(engine(0.7)).unwrap();
@@ -122,6 +125,7 @@ mod tests {
 
     #[test]
     fn loads_pin_their_generation_across_swaps() {
+        let _guard = scoped_failpoints("");
         let slot = EngineSlot::new(engine(0.6));
         let pinned = slot.load();
         let old_fp = pinned.engine.fingerprint().to_string();
@@ -151,6 +155,7 @@ mod tests {
 
     #[test]
     fn concurrent_loads_and_swaps_never_tear() {
+        let _guard = scoped_failpoints("");
         let slot = Arc::new(EngineSlot::new(engine(0.6)));
         let a = engine(0.6);
         let b = engine(0.7);

@@ -6,7 +6,6 @@
 //! row r and column e.C with the extracted phrase e.p."
 
 use thor_data::Table;
-use thor_obs::PipelineMetrics;
 
 use crate::entity::ExtractedEntity;
 
@@ -27,7 +26,9 @@ pub struct SlotFillStats {
 /// Fill `table` with `entities`, returning the outcome counts. The
 /// table is mutated in place; rows are created for unseen subjects
 /// (entities always originate from known subjects, but the enriched
-/// test tables start stripped).
+/// test tables start stripped). Unmetered: the execution core wraps the
+/// pass in the `stage.slot_fill` span and feeds the counts to
+/// `slots.inserted` / `slots.duplicate`.
 pub fn slot_fill(table: &mut Table, entities: &[ExtractedEntity]) -> SlotFillStats {
     let mut stats = SlotFillStats::default();
     let subject_key = table.schema().subject().key();
@@ -46,20 +47,6 @@ pub fn slot_fill(table: &mut Table, entities: &[ExtractedEntity]) -> SlotFillSta
             stats.duplicates += 1;
         }
     }
-    stats
-}
-
-/// [`slot_fill`] with observability: the pass runs under a
-/// `stage.slot_fill` span and the insert/duplicate outcomes feed the
-/// `slots.inserted` / `slots.duplicate` counters.
-pub fn slot_fill_metered(
-    table: &mut Table,
-    entities: &[ExtractedEntity],
-    metrics: &PipelineMetrics,
-) -> SlotFillStats {
-    let (stats, _) = metrics.slot_fill.time(|| slot_fill(table, entities));
-    metrics.slots_inserted.add(stats.inserted as u64);
-    metrics.slots_duplicate.add(stats.duplicates as u64);
     stats
 }
 

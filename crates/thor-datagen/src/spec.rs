@@ -155,6 +155,24 @@ impl DatasetSpec {
         }
     }
 
+    /// Check that [`generate()`](crate::generate()) can realize the
+    /// spec: the subject concept's instance universe must hold every
+    /// requested subject. `generate` asserts this; callers holding user
+    /// input check first so the failure has a name instead of a panic.
+    pub fn validate(&self) -> Result<(), String> {
+        let (train, validation, test) = self.subjects;
+        let requested = train + validation + test;
+        let universe = self.concepts.first().map_or(0, |c| c.instance_count);
+        if requested > universe {
+            return Err(format!(
+                "{}: subject concept universe ({universe}) smaller than requested \
+                 subjects ({requested})",
+                self.name
+            ));
+        }
+        Ok(())
+    }
+
     /// The Résumé preset: 12 concepts, 5 CVs per document, lower
     /// embedding coverage (the unseen-domain scenario of Experiment 3).
     pub fn resume(seed: u64, scale: f64) -> Self {
@@ -218,6 +236,15 @@ mod tests {
         assert_eq!(r.concepts[0].name, "Name");
         assert_eq!(r.subjects_per_doc, 5);
         assert!(r.embedding_coverage < DatasetSpec::disease_az(1, 1.0).embedding_coverage);
+    }
+
+    #[test]
+    fn validate_rejects_more_subjects_than_the_universe() {
+        assert!(DatasetSpec::disease_az(1, 1.0).validate().is_ok());
+        assert!(DatasetSpec::resume(1, 1.0).validate().is_ok());
+        let err = DatasetSpec::disease_az(1, 1.5).validate().unwrap_err();
+        assert!(err.contains("universe (320)"), "{err}");
+        assert!(err.contains("requested subjects (472)"), "{err}");
     }
 
     #[test]

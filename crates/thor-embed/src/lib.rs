@@ -16,23 +16,16 @@
 //!   out-of-vocabulary rate);
 //! * [`sgns`] — a from-scratch **skip-gram negative-sampling (word2vec)**
 //!   trainer, demonstrating that the same cluster structure emerges from
-//!   co-occurrence statistics of the generated corpus;
-//! * [`ppmi`] — a count-based alternative: **PPMI co-occurrence matrix +
-//!   truncated SVD** (randomized subspace iteration + Jacobi), the
-//!   pre-neural static-embedding recipe.
+//!   co-occurrence statistics of the generated corpus.
 //!
-//! All fill a [`VectorStore`] (with text (de)serialization for
+//! Both fill a [`VectorStore`] (with text (de)serialization for
 //! artifacts), the only interface the rest of the system sees.
 
-pub mod ppmi;
-pub mod quant;
 pub mod sgns;
 pub mod space;
 pub mod store;
 pub mod vector;
 
-pub use ppmi::{PpmiConfig, PpmiSvdTrainer};
-pub use quant::QuantizedStore;
 pub use sgns::{SgnsConfig, SgnsTrainer};
 pub use space::{SemanticSpace, SemanticSpaceBuilder, TopicSpec};
 pub use store::VectorStore;

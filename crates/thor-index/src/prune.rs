@@ -231,8 +231,7 @@ impl PruneIndex {
             concept_clusters.push((first, clusters.len() - first, seed_clusters));
         }
 
-        // The i8 shadow matrix, mirroring `thor_embed::quant::quantize`
-        // exactly: symmetric linear, one scale per row.
+        // The i8 shadow matrix: symmetric linear, one scale per row.
         let mut quant_codes: Vec<u8> = Vec::with_capacity(rows * dim);
         let mut quant_scales: Vec<f32> = Vec::with_capacity(rows);
         for r in 0..rows {

@@ -1,13 +1,8 @@
-//! Metered sentence analysis: the tag → parse → chunk pipeline as one
-//! call, instrumented with [`PipelineMetrics`].
+//! Sentence analysis: the tag → parse → chunk pipeline as one call.
 //!
-//! The extraction pipeline runs this per segmented sentence; routing it
-//! through one helper keeps the `sentences` / `noun_phrases` counters
-//! and the `stage.chunk` span attached to every caller (batch, parallel
-//! workers, streaming sessions) without each re-implementing the
-//! bookkeeping.
-
-use thor_obs::PipelineMetrics;
+//! The extraction pipeline runs this per segmented sentence; thor-core's
+//! execution core meters each call (`sentences` / `noun_phrases`
+//! counters, `stage.chunk` span) around it.
 
 use crate::chunker::{noun_phrases, NounPhrase};
 use crate::dep::parse_dependencies;
@@ -18,48 +13,4 @@ pub fn chunk_sentence(words: &[&str], tagger: &impl Tagger) -> Vec<NounPhrase> {
     let tags = tagger.tag(words);
     let tree = parse_dependencies(words, &tags);
     noun_phrases(words, &tags, &tree)
-}
-
-/// [`chunk_sentence`] with observability: records one `sentences`
-/// count, the extracted `noun_phrases` count, and a `stage.chunk` span
-/// covering tagging, parsing, and chunking together.
-pub fn chunk_sentence_metered(
-    words: &[&str],
-    tagger: &impl Tagger,
-    metrics: &PipelineMetrics,
-) -> Vec<NounPhrase> {
-    let _span = metrics.chunk.start();
-    metrics.sentences.inc();
-    let phrases = chunk_sentence(words, tagger);
-    metrics.noun_phrases.add(phrases.len() as u64);
-    phrases
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tagger::RuleTagger;
-
-    #[test]
-    fn metered_matches_plain() {
-        let words = ["the", "brain", "tumor", "causes", "severe", "deafness"];
-        let tagger = RuleTagger::default();
-        let metrics = PipelineMetrics::new();
-        let plain = chunk_sentence(&words, &tagger);
-        let metered = chunk_sentence_metered(&words, &tagger, &metrics);
-        assert_eq!(plain, metered);
-        assert!(!metered.is_empty());
-        let snap = metrics.snapshot();
-        assert_eq!(snap.count("sentences"), 1);
-        assert_eq!(snap.count("noun_phrases"), metered.len() as u64);
-    }
-
-    #[test]
-    fn empty_sentence_counts_zero_phrases() {
-        let metrics = PipelineMetrics::new();
-        let phrases = chunk_sentence_metered(&[], &RuleTagger::default(), &metrics);
-        assert!(phrases.is_empty());
-        assert_eq!(metrics.snapshot().count("sentences"), 1);
-        assert_eq!(metrics.snapshot().count("noun_phrases"), 0);
-    }
 }

@@ -26,7 +26,7 @@ pub mod lexicon;
 pub mod pos;
 pub mod tagger;
 
-pub use analyze::{chunk_sentence, chunk_sentence_metered};
+pub use analyze::chunk_sentence;
 pub use chunker::{noun_phrases, NounPhrase};
 pub use dep::{parse_dependencies, DepLabel, DepTree};
 pub use lexicon::Lexicon;

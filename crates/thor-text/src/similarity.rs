@@ -263,6 +263,9 @@ mod tests {
         assert_eq!(levenshtein("", "abc"), 3);
         assert_eq!(levenshtein("abc", "abc"), 0);
         assert_eq!(levenshtein("flaw", "lawn"), 2);
+        assert_eq!(levenshtein("out", "out"), 0);
+        assert_eq!(levenshtein("uot", "out"), 2);
+        assert_eq!(levenshtein("tableau", "table"), 2);
     }
 
     #[test]

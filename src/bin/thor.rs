@@ -29,6 +29,9 @@
 //!                                                    write dataset artifacts
 //! ```
 //!
+//! `thor --help` prints every command's usage, `thor <cmd> --help` (or
+//! `-h`) one command's; both go to stdout and exit 0.
+//!
 //! Build/serve split: `thor build` runs the Preparation phase once and
 //! persists the result as a versioned, checksummed binary artifact
 //! (written atomically); `thor enrich --engine` serves from it without
@@ -91,7 +94,7 @@ use thor_repro::fault::{
 };
 use thor_repro::serve::signal as serve_signal;
 use thor_repro::serve::{ReloadConfig, ServeOptions, Server};
-use thor_repro::text::{normalize_phrase, split_sentences};
+use thor_repro::text::{levenshtein, normalize_phrase, split_sentences};
 
 /// Parsed command line: positional args plus `--key value` / `--key=value`
 /// options. Keys listed in `flags` are boolean switches: they never
@@ -231,22 +234,6 @@ const GENERATE: CommandSpec = CommandSpec {
     flags: &[],
 };
 
-/// Edit distance for the unknown-option hint.
-fn levenshtein(a: &str, b: &str) -> usize {
-    let b_chars: Vec<char> = b.chars().collect();
-    let mut row: Vec<usize> = (0..=b_chars.len()).collect();
-    for (i, ca) in a.chars().enumerate() {
-        let mut prev = row[0];
-        row[0] = i + 1;
-        for (j, cb) in b_chars.iter().enumerate() {
-            let cost = if ca == *cb { prev } else { prev + 1 };
-            prev = row[j + 1];
-            row[j + 1] = cost.min(row[j] + 1).min(prev + 1);
-        }
-    }
-    row[b_chars.len()]
-}
-
 /// Reject options the command does not understand, suggesting the
 /// closest known one when the typo is near enough.
 fn check_options(command: &str, args: &Args, spec: &CommandSpec) -> ThorResult<()> {
@@ -274,30 +261,113 @@ fn check_options(command: &str, args: &Args, spec: &CommandSpec) -> ThorResult<(
     Ok(())
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  thor integrate <src.csv>... [--out R.csv]\n  thor sparsity <table.csv>\n  \
-         thor build --table R.csv --vectors v.txt --engine e.thor [--tau 0.7] \
-         [--context-gate G] [--threads N]\n  \
-         thor enrich --table R.csv [--tau 0.7] [--vectors v.txt] [--context-gate G] \
-         [--threads N] [--refine kernel|reference] [--metrics[=json]] [--cache-stats] \
-         [--strict | --lenient] [--quarantine q.tsv] [--checkpoint DIR [--resume]] \
-         [--stream [--chunk N]] [--out enriched.csv] [--entities e.tsv] \
-         <doc.txt | corpus-dir>...\n  \
-         thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] \
-         [--refine kernel|reference] [--prune exact|approx|off [--prune-margin M]] \
-         ... <doc.txt | corpus-dir>...\n  \
-         thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT] \
-         [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS] \
-         [--refine kernel|reference] [--prune exact|approx|off] [--metrics[=json]]\n  \
-         thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv] \
-         --out d1.eng [--note TEXT] [--engine-mmap on|off]\n  \
-         thor compact --engine dN.eng --out folded.eng\n  \
-         thor inspect --engine e.thor\n  \
-         thor evaluate --gold gold.tsv --pred pred.tsv\n  \
-         thor generate --dataset disease|resume [--scale S] [--seed N] --out DIR"
-    );
-    ExitCode::FAILURE
+/// One `thor` subcommand: the options it understands, its handler, and
+/// its usage line(s) for `--help`.
+struct Command {
+    name: &'static str,
+    spec: &'static CommandSpec,
+    run: fn(&Args) -> ThorResult<()>,
+    usage: &'static str,
+}
+
+/// Every subcommand, in `thor --help` order — the single table that
+/// dispatch, option checking and help text are read from.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "integrate",
+        spec: &INTEGRATE,
+        run: cmd_integrate,
+        usage: "thor integrate <src.csv>... [--out R.csv]",
+    },
+    Command {
+        name: "sparsity",
+        spec: &SPARSITY,
+        run: cmd_sparsity,
+        usage: "thor sparsity <table.csv>",
+    },
+    Command {
+        name: "build",
+        spec: &BUILD,
+        run: cmd_build,
+        usage: "thor build --table R.csv --vectors v.txt --engine e.thor [--tau 0.7] \
+                [--context-gate G] [--threads N]",
+    },
+    Command {
+        name: "enrich",
+        spec: &ENRICH,
+        run: cmd_enrich,
+        usage: "thor enrich --table R.csv [--tau 0.7] [--vectors v.txt] [--context-gate G] \
+                [--threads N] [--refine kernel|reference] [--metrics[=json]] [--cache-stats] \
+                [--strict | --lenient] [--quarantine q.tsv] [--checkpoint DIR [--resume]] \
+                [--stream [--chunk N]] [--out enriched.csv] [--entities e.tsv] \
+                <doc.txt | corpus-dir>...\n  \
+                thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] \
+                [--refine kernel|reference] [--prune exact|approx|off [--prune-margin M]] \
+                ... <doc.txt | corpus-dir>...",
+    },
+    Command {
+        name: "serve",
+        spec: &SERVE,
+        run: cmd_serve,
+        usage: "thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT] \
+                [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS] \
+                [--refine kernel|reference] [--prune exact|approx|off [--prune-margin M]] \
+                [--watch-engine [MS]] [--deadline-ms MS] [--metrics[=json]]",
+    },
+    Command {
+        name: "delta",
+        spec: &DELTA,
+        run: cmd_delta,
+        usage: "thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv] \
+                --out d1.eng [--note TEXT] [--engine-mmap on|off]",
+    },
+    Command {
+        name: "compact",
+        spec: &COMPACT,
+        run: cmd_compact,
+        usage: "thor compact --engine dN.eng --out folded.eng",
+    },
+    Command {
+        name: "inspect",
+        spec: &INSPECT,
+        run: cmd_inspect,
+        usage: "thor inspect --engine e.thor",
+    },
+    Command {
+        name: "evaluate",
+        spec: &EVALUATE,
+        run: cmd_evaluate,
+        usage: "thor evaluate --gold gold.tsv --pred pred.tsv",
+    },
+    Command {
+        name: "generate",
+        spec: &GENERATE,
+        run: cmd_generate,
+        usage: "thor generate --dataset disease|resume [--scale S] [--seed N] --out DIR",
+    },
+];
+
+/// Usage of every command, one block per command.
+fn usage_text() -> String {
+    let mut text = String::from("usage:\n");
+    for command in COMMANDS {
+        text.push_str(&format!("  {}\n", command.usage));
+    }
+    text
+}
+
+/// The usage text `--help` / `-h` asks for, if it does: every command's
+/// after a bare `thor --help`, one command's after `thor <cmd> --help`.
+fn help_request(argv: &[String]) -> Option<String> {
+    let is_help = |a: &String| a == "--help" || a == "-h";
+    let (first, rest) = argv.split_first()?;
+    if is_help(first) {
+        return Some(usage_text());
+    }
+    let command = COMMANDS.iter().find(|c| c.name == first)?;
+    rest.iter()
+        .any(is_help)
+        .then(|| format!("usage:\n  {}\n", command.usage))
 }
 
 fn read_table(path: &str) -> ThorResult<Table> {
@@ -1228,6 +1298,11 @@ fn cmd_generate(args: &Args) -> ThorResult<()> {
         .map(String::as_str)
         .unwrap_or("disease");
     let scale: f64 = parse_option(args, "scale")?.unwrap_or(0.25);
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(ThorError::config(format!(
+            "--scale must be a finite value > 0, got `{scale}`"
+        )));
+    }
     let seed: u64 = parse_option(args, "seed")?.unwrap_or(42);
     let out = PathBuf::from(
         args.options
@@ -1244,6 +1319,8 @@ fn cmd_generate(args: &Args) -> ThorResult<()> {
             )))
         }
     };
+    spec.validate()
+        .map_err(|e| ThorError::config(format!("--scale {scale}: {e}")))?;
     let dataset = generate(&spec);
 
     fs::create_dir_all(&out).map_err(|e| ThorError::io(out.display(), e))?;
@@ -1291,39 +1368,19 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = argv.split_first() else {
-        return usage();
+    if let Some(text) = help_request(&argv) {
+        print!("{text}");
+        return ExitCode::SUCCESS;
+    }
+    let command = argv
+        .split_first()
+        .and_then(|(name, rest)| Some((COMMANDS.iter().find(|c| c.name == name)?, rest)));
+    let Some((command, rest)) = command else {
+        eprint!("{}", usage_text());
+        return ExitCode::FAILURE;
     };
-    let Some(spec) = (match command.as_str() {
-        "integrate" => Some(&INTEGRATE),
-        "sparsity" => Some(&SPARSITY),
-        "build" => Some(&BUILD),
-        "enrich" => Some(&ENRICH),
-        "serve" => Some(&SERVE),
-        "delta" => Some(&DELTA),
-        "compact" => Some(&COMPACT),
-        "inspect" => Some(&INSPECT),
-        "evaluate" => Some(&EVALUATE),
-        "generate" => Some(&GENERATE),
-        _ => None,
-    }) else {
-        return usage();
-    };
-    let args = parse_args(rest, spec.flags);
-    let result = check_options(command, &args, spec).and_then(|()| match command.as_str() {
-        "integrate" => cmd_integrate(&args),
-        "sparsity" => cmd_sparsity(&args),
-        "build" => cmd_build(&args),
-        "enrich" => cmd_enrich(&args),
-        "serve" => cmd_serve(&args),
-        "delta" => cmd_delta(&args),
-        "compact" => cmd_compact(&args),
-        "inspect" => cmd_inspect(&args),
-        "evaluate" => cmd_evaluate(&args),
-        "generate" => cmd_generate(&args),
-        _ => unreachable!("spec lookup covers every command"),
-    });
-    match result {
+    let args = parse_args(rest, command.spec.flags);
+    match check_options(command.name, &args, command.spec).and_then(|()| (command.run)(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1335,6 +1392,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thor_repro::fault::ErrorKind;
 
     fn argv(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
@@ -1402,11 +1460,35 @@ mod tests {
     }
 
     #[test]
-    fn levenshtein_distances() {
-        assert_eq!(levenshtein("out", "out"), 0);
-        assert_eq!(levenshtein("uot", "out"), 2);
-        assert_eq!(levenshtein("tableau", "table"), 2);
-        assert_eq!(levenshtein("", "abc"), 3);
+    fn help_prints_usage_for_every_command() {
+        let full = help_request(&argv(&["--help"])).unwrap();
+        assert_eq!(help_request(&argv(&["-h"])).unwrap(), full);
+        for command in COMMANDS {
+            let prefix = format!("thor {} ", command.name);
+            assert!(full.contains(&prefix), "{full}");
+            for flag in ["--help", "-h"] {
+                for args in [
+                    vec![command.name, flag],
+                    vec![command.name, "--out", "x", flag],
+                ] {
+                    let text = help_request(&argv(&args))
+                        .unwrap_or_else(|| panic!("{args:?} asks for help"));
+                    assert_eq!(text, format!("usage:\n  {}\n", command.usage));
+                    assert!(text.contains(&prefix), "{args:?}: {text}");
+                }
+            }
+            // Every option the command accepts is in its usage line.
+            for key in command.spec.options.iter().chain(command.spec.flags) {
+                assert!(
+                    command.usage.contains(&format!("--{key}")),
+                    "`thor {}` usage lacks --{key}",
+                    command.name
+                );
+            }
+            assert!(help_request(&argv(&[command.name, "--out", "x"])).is_none());
+        }
+        assert!(help_request(&[]).is_none());
+        assert!(help_request(&argv(&["frobnicate", "--help"])).is_none());
     }
 
     #[test]
@@ -1702,6 +1784,35 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(msg.contains("did you mean `--out`?"), "{msg}");
+    }
+
+    #[test]
+    fn generate_rejects_bad_scales_by_name() {
+        let out = std::env::temp_dir().join(format!("thor-gen-reject-{}", std::process::id()));
+        let out = out.to_string_lossy().into_owned();
+        let generate = |dataset: &str, scale: &str| {
+            let a = parse_args(
+                &argv(&["--dataset", dataset, "--scale", scale, "--out", &out]),
+                GENERATE.flags,
+            );
+            cmd_generate(&a).unwrap_err()
+        };
+        for scale in ["0", "-1", "nan", "inf", "-inf"] {
+            let err = generate("disease", scale);
+            assert_eq!(err.kind(), ErrorKind::Config, "{scale}: {err}");
+            assert!(err.to_string().contains("--scale must be"), "{err}");
+        }
+        // A scale past the subject universe fails by name, not by the
+        // generator's assertion.
+        for (dataset, scale) in [("disease", "1.5"), ("resume", "2")] {
+            let err = generate(dataset, scale);
+            assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+            assert!(
+                err.to_string().contains("subject concept universe"),
+                "{err}"
+            );
+        }
+        assert!(!Path::new(&out).exists(), "nothing written");
     }
 
     #[test]
