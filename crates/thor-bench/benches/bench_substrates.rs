@@ -1,12 +1,16 @@
 //! Criterion micro-benches for the substrate crates: string similarity,
-//! tokenization, multi-pattern matching, POS tagging, parsing, and the
-//! integration operators.
+//! tokenization, multi-pattern matching, POS tagging, parsing, the
+//! integration operators, and segmentation against the table's
+//! subjects.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use thor_automata::AhoCorasickBuilder;
+use thor_core::segment::segment;
+use thor_core::{SegmentationMode, Thor, ThorConfig};
 use thor_data::{full_disjunction, Schema, Table};
+use thor_datagen::{generate, DatasetSpec, Split};
 use thor_nlp::{noun_phrases, parse_dependencies, RuleTagger, Tagger};
 use thor_text::{gestalt_similarity, jaccard_words, levenshtein, split_sentences, tokenize};
 
@@ -142,12 +146,41 @@ fn bench_integration(c: &mut Criterion) {
     g.finish();
 }
 
+/// `SEGMENT(D, R.C*)` over the Disease A–Z test documents at scale 0.1
+/// (31 table rows) and 1.0 (314 rows), one document per iteration.
+/// Subjects are looked up in the engine's frozen index, so the cost per
+/// document should not grow with the number of rows.
+fn bench_segment(c: &mut Criterion) {
+    let mut g = c.benchmark_group("segment");
+    for scale in [0.1, 1.0] {
+        let dataset = generate(&DatasetSpec::disease_az(7, scale));
+        let engine = Thor::new(dataset.store.clone(), ThorConfig::with_tau(0.7))
+            .prepare(&dataset.enrichment_table());
+        let docs = dataset.documents(Split::Test);
+        let id = BenchmarkId::new("doc_rows", engine.subjects().names().len());
+        g.bench_with_input(id, &docs, |b, docs| {
+            let mut next = docs.iter().cycle();
+            b.iter(|| {
+                let doc = next.next().expect("the test split has documents");
+                segment(
+                    black_box(doc),
+                    engine.subjects(),
+                    engine.matcher(),
+                    SegmentationMode::MentionCarryForward,
+                )
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_text,
     bench_automata,
     bench_nlp,
     bench_eval,
-    bench_integration
+    bench_integration,
+    bench_segment
 );
 criterion_main!(benches);

@@ -38,6 +38,7 @@ use crate::engine::{
     concept_instances, engine_fingerprint, meta_fingerprint, EngineInner, ENGINE_LAZY_SECTIONS,
     SEC_META,
 };
+use crate::segment::SubjectIndex;
 use crate::PreparedEngine;
 
 /// New seed instances (and, implicitly, new subject rows) to merge into
@@ -237,7 +238,7 @@ impl PreparedEngine {
             fingerprint: engine_fingerprint(&inner.config, table_digest, inner.store_digest),
             config: inner.config.clone(),
             store: Arc::clone(&inner.store),
-            subjects: table.subjects().map(str::to_string).collect(),
+            subjects: Arc::new(SubjectIndex::new(table.subjects(), &inner.store)),
             table: Arc::new(table),
             prep: Arc::new(prep),
             matcher: Arc::new(matcher),
@@ -549,5 +550,72 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.count("delta.applied"), 1);
         assert_eq!(snap.count("engine.chain_depth"), 1);
+    }
+
+    /// The subject index is derived state, rebuilt wherever an engine
+    /// is built: a subject a delta adds segments identically through
+    /// every way of building or loading the evolved engine, and the
+    /// cheap derivations share their parent's index.
+    #[test]
+    fn subject_index_follows_every_engine_lifecycle() {
+        use crate::config::SegmentationMode;
+        use crate::segment::segment;
+
+        let store = space();
+        let thor = Thor::new(Arc::clone(&store), ThorConfig::with_tau(0.6));
+        let base = thor.prepare(&base_table());
+        let evolved = base
+            .apply_delta(&seed_delta("Disease,Anatomy\nStroke,nerve\n"))
+            .unwrap();
+        let doc = Document::new("d", "Stroke damages the nerve. It grows.");
+        let segs = |e: &PreparedEngine| -> Vec<(String, usize)> {
+            segment(
+                &doc,
+                e.subjects(),
+                e.matcher(),
+                SegmentationMode::MentionCarryForward,
+            )
+            .into_iter()
+            .map(|s| (s.subject, s.index))
+            .collect()
+        };
+        let expected = vec![("Stroke".to_string(), 0), ("Stroke".to_string(), 1)];
+        assert_eq!(segs(&evolved), expected);
+        assert!(segs(&base).is_empty(), "the base has no Stroke row");
+
+        let dir = std::env::temp_dir().join(format!("thor-delta-subjects-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (base_path, delta_path) = (dir.join("base.eng"), dir.join("d1.eng"));
+        let (full_path, compact_path) = (dir.join("full.eng"), dir.join("compact.eng"));
+        base.save(&base_path).unwrap();
+        evolved
+            .save_delta(&base_path, &delta_path, "add Stroke")
+            .unwrap();
+        evolved.save(&full_path).unwrap();
+
+        let mut engines = vec![("fresh prepare", thor.prepare(evolved.table()))];
+        for mode in [MapMode::Owned, MapMode::Mapped] {
+            engines.push(("load", PreparedEngine::load_with(&full_path, mode).unwrap()));
+            engines.push((
+                "chain load",
+                PreparedEngine::load_with(&delta_path, mode).unwrap(),
+            ));
+        }
+        engines.push((
+            "compact_chain",
+            compact_chain(&delta_path, &compact_path, None).unwrap(),
+        ));
+        for (how, engine) in &engines {
+            assert_eq!(segs(engine), expected, "{how}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        for derived in [evolved.with_tau(0.8), evolved.with_threads(4)] {
+            assert!(Arc::ptr_eq(
+                &derived.inner.subjects,
+                &evolved.inner.subjects
+            ));
+            assert_eq!(segs(&derived), expected);
+        }
     }
 }

@@ -12,7 +12,8 @@
 //!   τ-expansion candidates, so any τ′ ≥ the build τ derives in
 //!   microseconds instead of re-scanning the vocabulary),
 //! * the dictionary baseline's Aho–Corasick [`DictionaryIndex`],
-//! * the subject list, the table, and the `Arc<VectorStore>`.
+//! * the [`SubjectIndex`] segmentation looks subjects up in, the
+//!   table, and the `Arc<VectorStore>`.
 //!
 //! Every serve entry point — [`PreparedEngine::extract`],
 //! [`PreparedEngine::enrich`], [`PreparedEngine::session`],
@@ -48,6 +49,7 @@ use crate::config::{ScoreWeights, SegmentationMode, ThorConfig};
 use crate::document::Document;
 use crate::entity::ExtractedEntity;
 use crate::pipeline::{EnrichmentResult, EnrichmentSession, Thor};
+use crate::segment::SubjectIndex;
 
 /// Magic bytes opening an engine artifact file (shared with the
 /// sectioned container in `thor_fault::section`).
@@ -107,7 +109,8 @@ pub(crate) struct EngineInner {
     pub(crate) config: ThorConfig,
     pub(crate) store: Arc<VectorStore>,
     pub(crate) table: Arc<Table>,
-    pub(crate) subjects: Vec<String>,
+    /// Derived from the table and the store; never persisted.
+    pub(crate) subjects: Arc<SubjectIndex>,
     pub(crate) prep: Arc<PreparedMatcher>,
     pub(crate) matcher: Arc<SimilarityMatcher>,
     pub(crate) dictionary: Arc<DictionaryIndex>,
@@ -198,7 +201,7 @@ impl Thor {
                 config: self.config().clone(),
                 store: Arc::clone(self.store_arc()),
                 table: Arc::new(table.clone()),
-                subjects: table.subjects().map(str::to_string).collect(),
+                subjects: Arc::new(SubjectIndex::new(table.subjects(), self.store())),
                 prep: Arc::new(prep),
                 matcher: Arc::new(matcher),
                 dictionary: Arc::new(dictionary),
@@ -251,8 +254,9 @@ impl PreparedEngine {
         &self.inner.table
     }
 
-    /// The table's subject instances, in row order.
-    pub fn subjects(&self) -> &[String] {
+    /// The table's subject instances, in row order, frozen for
+    /// segmentation.
+    pub fn subjects(&self) -> &SubjectIndex {
         &self.inner.subjects
     }
 
@@ -877,7 +881,7 @@ impl PreparedEngine {
         Ok(PreparedEngine {
             inner: Arc::new(EngineInner {
                 config,
-                subjects: table.subjects().map(str::to_string).collect(),
+                subjects: Arc::new(SubjectIndex::new(table.subjects(), &store)),
                 table: Arc::new(table),
                 store,
                 prep: Arc::new(prep),

@@ -1,5 +1,7 @@
 //! Conceptualized entities — the pipeline's unit of output.
 
+use std::cmp::Ordering;
+
 /// An entity `e = ⟨p, C⟩` extracted for a subject instance: the phrase,
 /// the assigned concept, and provenance/score metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +33,29 @@ impl ExtractedEntity {
             self.phrase.to_lowercase(),
         )
     }
+
+    /// `self.key().cmp(&other.key())` without building either key: the
+    /// final dedup sort runs this once per comparison.
+    pub(crate) fn cmp_key(&self, other: &Self) -> Ordering {
+        self.doc_id
+            .cmp(&other.doc_id)
+            .then_with(|| cmp_lowercase(&self.concept, &other.concept))
+            .then_with(|| cmp_lowercase(&self.phrase, &other.phrase))
+    }
+}
+
+/// `a.to_lowercase().cmp(&b.to_lowercase())`, allocating only when a
+/// side is not ASCII. Non-ASCII text goes through `str::to_lowercase`
+/// because its context rules (a word-final `Σ` lowercases to `ς`) make
+/// per-character lowercasing inexact.
+fn cmp_lowercase(a: &str, b: &str) -> Ordering {
+    if a.is_ascii() && b.is_ascii() {
+        a.bytes()
+            .map(|c| c.to_ascii_lowercase())
+            .cmp(b.bytes().map(|c| c.to_ascii_lowercase()))
+    } else {
+        a.to_lowercase().cmp(&b.to_lowercase())
+    }
 }
 
 /// Render entities as the canonical TSV the CLI's `--entities` option
@@ -54,6 +79,7 @@ pub fn entities_tsv(entities: &[ExtractedEntity]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entity(doc: &str, concept: &str, phrase: &str) -> ExtractedEntity {
         ExtractedEntity {
@@ -77,5 +103,60 @@ mod tests {
             entity("d1", "Anatomy", "x").key(),
             entity("d2", "Anatomy", "x").key()
         );
+    }
+
+    /// Case-sensitive, multi-byte and context-sensitive lowercasing:
+    /// final sigma (`ΟΔΟΣ` → `οδος`), dotted capital I (`İ` → `i̇`, two
+    /// chars), `ß` (lowercase already, uppercases to two chars) and
+    /// titlecase `ǅ`.
+    const TEXT: &str = "(a|A|b|B|z|Z|ab|AB|ΟΔΟΣ|οδος|οδοσ|Σ|σ|ς|İ|i|I|ß|SS|ǅ|ǆ|Ǆ|é|É| |-){0,4}";
+
+    fn entity_strategy() -> impl Strategy<Value = ExtractedEntity> {
+        ("(d0|d1|D0)", TEXT, TEXT).prop_map(|(doc, concept, phrase)| ExtractedEntity {
+            doc_id: doc,
+            ..entity("", &concept, &phrase)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn cmp_key_orders_like_key(a in entity_strategy(), b in entity_strategy()) {
+            prop_assert_eq!(a.cmp_key(&b), a.key().cmp(&b.key()), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(b.cmp_key(&a), b.key().cmp(&a.key()));
+            prop_assert_eq!(a.cmp_key(&a), Ordering::Equal);
+        }
+
+        #[test]
+        fn dedup_matches_the_key_based_dedup(
+            entities in prop::collection::vec((entity_strategy(), 0usize..3), 0..24),
+        ) {
+            let entities: Vec<ExtractedEntity> = entities
+                .into_iter()
+                .map(|(e, s)| ExtractedEntity { score: s as f64 / 2.0, ..e })
+                .collect();
+            let mut expected = entities.clone();
+            expected.sort_by(|a, b| {
+                a.key()
+                    .cmp(&b.key())
+                    .then_with(|| b.score.total_cmp(&a.score))
+                    .then_with(|| a.phrase.cmp(&b.phrase))
+            });
+            expected.dedup_by(|next, first| next.key() == first.key());
+            let mut got = entities;
+            crate::pipeline::dedup_entities(&mut got);
+            prop_assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn cmp_key_handles_final_sigma() {
+        // Per-character lowercasing would give `οδοσ`, which sorts
+        // after `οδος`; `str::to_lowercase` gives `οδος` itself.
+        let upper = entity("d", "c", "ΟΔΟΣ");
+        let lower = entity("d", "c", "οδος");
+        assert_eq!(upper.cmp_key(&lower), Ordering::Equal);
+        assert_eq!(upper.key(), lower.key());
     }
 }

@@ -339,7 +339,7 @@ mod tests {
     use super::*;
     use crate::config::ThorConfig;
     use crate::document::Document;
-    use crate::segment::{segment, SegmentedSentence};
+    use crate::segment::{segment, SegmentedSentence, SubjectIndex};
     use thor_embed::SemanticSpaceBuilder;
     use thor_match::MatcherConfig;
     use thor_text::Sentence;
@@ -540,7 +540,7 @@ mod tests {
             "doc",
             "Acoustic Neuroma grows on the nerve. It may cause deafness.",
         );
-        let subjects = vec!["Acoustic Neuroma".to_string()];
+        let subjects = SubjectIndex::new(["Acoustic Neuroma"], m.store());
         let segs = segment(&doc, &subjects, &m, Default::default());
         let entities = extract_entities(&segs, &m, &ThorConfig::with_tau(0.55), &doc.id);
         assert!(entities.iter().all(|e| e.subject == "Acoustic Neuroma"));

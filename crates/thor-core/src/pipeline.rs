@@ -49,8 +49,7 @@ impl EnrichmentResult {
 /// so the survivor — and therefore the pipeline output — is identical
 /// no matter how the input was partitioned across worker threads.
 fn dedup_order(a: &ExtractedEntity, b: &ExtractedEntity) -> std::cmp::Ordering {
-    a.key()
-        .cmp(&b.key())
+    a.cmp_key(b)
         .then_with(|| b.score.total_cmp(&a.score))
         .then_with(|| a.phrase.cmp(&b.phrase))
         .then_with(|| a.matched_instance.cmp(&b.matched_instance))
@@ -61,7 +60,7 @@ fn dedup_order(a: &ExtractedEntity, b: &ExtractedEntity) -> std::cmp::Ordering {
 /// Sort by [`dedup_order`] and keep the first (best) entity per key.
 pub(crate) fn dedup_entities(entities: &mut Vec<ExtractedEntity>) {
     entities.sort_by(dedup_order);
-    entities.dedup_by(|next, first| next.key() == first.key());
+    entities.dedup_by(|next, first| next.cmp_key(first).is_eq());
 }
 
 /// The THOR system: word vectors + configuration. One instance can

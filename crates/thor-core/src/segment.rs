@@ -8,11 +8,18 @@
 //! last anchor (carry-forward); when nothing anchors a sentence we fall
 //! back to semantic matching against the subject instances.
 
+use std::collections::HashMap;
+
+use thor_embed::{cosine, Vector, VectorStore};
 use thor_match::SimilarityMatcher;
 use thor_text::{normalize_phrase, split_sentences, Sentence};
 
 use crate::config::SegmentationMode;
 use crate::document::Document;
+
+/// Minimum similarity for the semantic fallback to attribute a
+/// sentence at all.
+const MIN_SIM: f64 = 0.35;
 
 /// A sentence attributed to a subject instance.
 #[derive(Debug, Clone)]
@@ -25,92 +32,139 @@ pub struct SegmentedSentence {
     pub index: usize,
 }
 
-/// Find the subject instance mentioned in `sentence`, if any. Mentions
-/// are whole normalized-substring occurrences; the *longest* mentioned
-/// subject wins (so `acoustic neuroma` beats a hypothetical `neuroma`).
-fn mentioned_subject<'a>(sentence: &str, subjects: &'a [(String, String)]) -> Option<&'a str> {
-    let norm = format!(" {} ", normalize_phrase(sentence));
-    subjects
-        .iter()
-        .filter(|(_, key)| norm.contains(&format!(" {key} ")))
-        .max_by_key(|(_, key)| key.len())
-        .map(|(display, _)| display.as_str())
+/// The table's subject instances, frozen for segmentation.
+///
+/// Built once per engine (prepare, artifact load, delta apply) and
+/// shared by every derivation; it is derived state, so it is never
+/// persisted and plays no part in the fingerprint.
+///
+/// * **Mentions.** Each normalized subject key maps to its subject. A
+///   sentence mentions a subject when the key's words occur
+///   contiguously among the sentence's normalized words, so a sentence
+///   is normalized once and each of its word n-grams up to the longest
+///   key's word count is one hash lookup. When several subjects are
+///   mentioned, the longest normalized key in bytes wins (so
+///   `acoustic neuroma` beats `neuroma`); equal lengths go to the later
+///   subject in table order; a key shared by several subjects maps to
+///   the last of them. A key that normalizes to nothing (`"***"`) is
+///   never mentioned.
+/// * **Semantic fallback.** Each subject's mean word vector, frozen
+///   at build time; out-of-vocabulary subjects have none and are
+///   skipped.
+#[derive(Debug)]
+pub struct SubjectIndex {
+    names: Vec<String>,
+    keys: HashMap<Box<str>, usize>,
+    /// Word count of the longest key.
+    max_words: usize,
+    /// `(subject, mean vector)` for every in-vocabulary subject, in
+    /// table order.
+    vectors: Vec<(usize, Vector)>,
+}
+
+impl SubjectIndex {
+    /// Freeze `subjects` (display form, table order) against `store`,
+    /// the vector store the segmenting matcher embeds sentences with.
+    pub fn new<S: AsRef<str>>(subjects: impl IntoIterator<Item = S>, store: &VectorStore) -> Self {
+        let mut index = SubjectIndex {
+            names: Vec::new(),
+            keys: HashMap::new(),
+            max_words: 0,
+            vectors: Vec::new(),
+        };
+        for (i, name) in subjects.into_iter().enumerate() {
+            let name = name.as_ref();
+            let key = normalize_phrase(name);
+            if let Some(v) = store.embed_phrase(&key) {
+                index.vectors.push((i, v));
+            }
+            if !key.is_empty() {
+                index.max_words = index.max_words.max(key.split(' ').count());
+                index.keys.insert(key.into_boxed_str(), i);
+            }
+            index.names.push(name.to_string());
+        }
+        index
+    }
+
+    /// The subject instances, in table order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The subject mentioned in `sentence`, if any, under the tie rule
+    /// documented on the type.
+    fn mentioned(&self, sentence: &str) -> Option<usize> {
+        let norm = normalize_phrase(sentence);
+        let mut starts = vec![0];
+        starts.extend(norm.match_indices(' ').map(|(at, _)| at + 1));
+        let word_end = |w: usize| starts.get(w + 1).map_or(norm.len(), |&s| s - 1);
+        let mut best: Option<(usize, usize)> = None;
+        for (first, &from) in starts.iter().enumerate() {
+            for last in first..starts.len().min(first + self.max_words) {
+                let gram = &norm[from..word_end(last)];
+                if let Some(&subject) = self.keys.get(gram) {
+                    best = best.max(Some((gram.len(), subject)));
+                }
+            }
+        }
+        best.map(|(_, subject)| subject)
+    }
+
+    /// Semantic fallback: the subject whose mean vector is most similar
+    /// to the sentence's, if that similarity is meaningful at all. An
+    /// out-of-vocabulary sentence carries no evidence.
+    fn nearest(&self, sentence: &str, store: &VectorStore) -> Option<usize> {
+        let query = store.embed_phrase(sentence)?;
+        self.vectors
+            .iter()
+            .map(|(subject, v)| (*subject, cosine(&query, v)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .filter(|(_, sim)| *sim >= MIN_SIM)
+            .map(|(subject, _)| subject)
+    }
 }
 
 /// Segment `doc` into `(subject, sentence)` pairs — `SEGMENT(D, R.C*)`
 /// of Algorithm 1.
 ///
-/// `subjects` are the table's subject instances (display form);
-/// `matcher` powers the semantic fallback. Sentences that cannot be
-/// attributed to any subject are dropped. Unmetered: the execution core
-/// wraps each call in the `stage.segment` span and counts the returned
-/// sentences as `segments`.
+/// `subjects` are the table's subject instances, frozen into a
+/// [`SubjectIndex`] over `matcher`'s vector store, which powers the
+/// semantic fallback. Sentences that cannot be attributed to any
+/// subject are dropped. Unmetered: the execution core wraps each call
+/// in the `stage.segment` span and counts the returned sentences as
+/// `segments`.
 pub fn segment(
     doc: &Document,
-    subjects: &[String],
+    subjects: &SubjectIndex,
     matcher: &SimilarityMatcher,
     mode: SegmentationMode,
 ) -> Vec<SegmentedSentence> {
-    let keyed: Vec<(String, String)> = subjects
-        .iter()
-        .map(|s| (s.clone(), normalize_phrase(s)))
-        .collect();
+    let semantic = |text: &str| subjects.nearest(text, matcher.store());
     let mut out = Vec::new();
-    let mut current: Option<String> = None;
+    let mut current: Option<usize> = None;
 
     for (index, sentence) in split_sentences(&doc.text).into_iter().enumerate() {
-        let mention = if mode == SegmentationMode::SemanticOnly {
-            None
-        } else {
-            mentioned_subject(&sentence.text, &keyed).map(str::to_string)
-        };
-
-        let subject = match mention {
-            Some(s) => {
-                current = Some(s.clone());
-                Some(s)
+        let subject = match mode {
+            SegmentationMode::SemanticOnly => semantic(&sentence.text),
+            SegmentationMode::MentionOnly => subjects.mentioned(&sentence.text),
+            SegmentationMode::MentionCarryForward => {
+                if let Some(s) = subjects.mentioned(&sentence.text) {
+                    current = Some(s);
+                }
+                current.or_else(|| semantic(&sentence.text))
             }
-            None => match mode {
-                SegmentationMode::MentionCarryForward => match &current {
-                    Some(s) => Some(s.clone()),
-                    None => semantic_subject(&sentence.text, &keyed, matcher),
-                },
-                SegmentationMode::MentionOnly => None,
-                SegmentationMode::SemanticOnly => semantic_subject(&sentence.text, &keyed, matcher),
-            },
         };
 
         if let Some(subject) = subject {
             out.push(SegmentedSentence {
-                subject,
+                subject: subjects.names[subject].clone(),
                 sentence,
                 index,
             });
         }
     }
     out
-}
-
-/// Semantic fallback: the subject instance most similar to the sentence
-/// (mean word vectors), if the similarity is meaningful at all.
-/// Out-of-vocabulary pairs carry no evidence and are skipped outright
-/// (`try_similarity`) rather than scored as 0.0.
-fn semantic_subject(
-    sentence: &str,
-    subjects: &[(String, String)],
-    matcher: &SimilarityMatcher,
-) -> Option<String> {
-    const MIN_SIM: f64 = 0.35;
-    subjects
-        .iter()
-        .filter_map(|(display, key)| {
-            matcher
-                .try_similarity(sentence, key)
-                .map(|sim| (display, sim))
-        })
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .filter(|(_, sim)| *sim >= MIN_SIM)
-        .map(|(display, _)| display.clone())
 }
 
 #[cfg(test)]
@@ -133,8 +187,12 @@ mod tests {
         SimilarityMatcher::fine_tune(&concepts, store, MatcherConfig::with_tau(0.8))
     }
 
-    fn subjects() -> Vec<String> {
-        vec!["Acoustic Neuroma".to_string(), "Tuberculosis".to_string()]
+    fn index(subjects: &[&str], matcher: &SimilarityMatcher) -> SubjectIndex {
+        SubjectIndex::new(subjects, matcher.store())
+    }
+
+    fn subjects(matcher: &SimilarityMatcher) -> SubjectIndex {
+        index(&["Acoustic Neuroma", "Tuberculosis"], matcher)
     }
 
     #[test]
@@ -146,10 +204,11 @@ mod tests {
             "Acoustic Neuroma is a slow-growing tumor. It develops on the nerve. \
              Tuberculosis generally damages the lungs.",
         );
+        let m = matcher();
         let segs = segment(
             &doc,
-            &subjects(),
-            &matcher(),
+            &subjects(&m),
+            &m,
             SegmentationMode::MentionCarryForward,
         );
         assert_eq!(segs.len(), 3);
@@ -162,22 +221,25 @@ mod tests {
     #[test]
     fn mention_only_drops_unanchored() {
         let doc = Document::new("d", "Acoustic Neuroma is a tumor. It grows slowly.");
-        let segs = segment(&doc, &subjects(), &matcher(), SegmentationMode::MentionOnly);
+        let m = matcher();
+        let segs = segment(&doc, &subjects(&m), &m, SegmentationMode::MentionOnly);
         assert_eq!(segs.len(), 1);
     }
 
     #[test]
     fn longest_subject_mention_wins() {
-        let subjects = vec!["Neuroma".to_string(), "Acoustic Neuroma".to_string()];
+        let m = matcher();
+        let subjects = index(&["Acoustic Neuroma", "Neuroma"], &m);
         let doc = Document::new("d", "Acoustic Neuroma is a tumor.");
-        let segs = segment(&doc, &subjects, &matcher(), SegmentationMode::MentionOnly);
+        let segs = segment(&doc, &subjects, &m, SegmentationMode::MentionOnly);
         assert_eq!(segs[0].subject, "Acoustic Neuroma");
     }
 
     #[test]
     fn case_insensitive_mentions() {
         let doc = Document::new("d", "TUBERCULOSIS damages the lungs.");
-        let segs = segment(&doc, &subjects(), &matcher(), SegmentationMode::MentionOnly);
+        let m = matcher();
+        let segs = segment(&doc, &subjects(&m), &m, SegmentationMode::MentionOnly);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].subject, "Tuberculosis");
     }
@@ -185,7 +247,8 @@ mod tests {
     #[test]
     fn empty_document() {
         let doc = Document::new("d", "");
-        assert!(segment(&doc, &subjects(), &matcher(), SegmentationMode::default()).is_empty());
+        let m = matcher();
+        assert!(segment(&doc, &subjects(&m), &m, SegmentationMode::default()).is_empty());
     }
 
     #[test]
@@ -195,13 +258,41 @@ mod tests {
         // the vocabulary and equals the subject's embedding).
         let doc = Document::new("d", "Severe tuberculosis cases need treatment.");
         // Note: mention matching would also hit here; force semantic-only.
-        let segs = segment(
-            &doc,
-            &subjects(),
-            &matcher(),
-            SegmentationMode::SemanticOnly,
-        );
+        let m = matcher();
+        let segs = segment(&doc, &subjects(&m), &m, SegmentationMode::SemanticOnly);
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].subject, "Tuberculosis");
+    }
+
+    #[test]
+    fn equal_length_mentions_prefer_the_later_subject() {
+        // `acne` and `gout` are both four bytes: the later subject in
+        // table order wins, whichever the sentence names first.
+        let m = matcher();
+        let doc = Document::new("d", "Acne and gout are both common.");
+        let subjects = index(&["Acne", "Gout"], &m);
+        let segs = segment(&doc, &subjects, &m, SegmentationMode::MentionOnly);
+        assert_eq!(segs[0].subject, "Gout");
+        let subjects = index(&["Gout", "Acne"], &m);
+        let segs = segment(&doc, &subjects, &m, SegmentationMode::MentionOnly);
+        assert_eq!(segs[0].subject, "Acne");
+        // A duplicate normalized key maps to its last subject.
+        let subjects = index(&["Acne", "Gout", "ACNE."], &m);
+        let doc = Document::new("d", "Acne is common.");
+        let segs = segment(&doc, &subjects, &m, SegmentationMode::MentionOnly);
+        assert_eq!(segs[0].subject, "ACNE.");
+    }
+
+    #[test]
+    fn punctuation_only_subject_never_matches() {
+        // "***" normalizes to the empty key, as does a sentence of bare
+        // ASCII punctuation; an empty key is never a mention.
+        let m = matcher();
+        let subjects = index(&["***", "Tuberculosis"], &m);
+        let doc = Document::new("d", "Tuberculosis damages the lungs. *** !!");
+        let segs = segment(&doc, &subjects, &m, SegmentationMode::MentionOnly);
+        assert!(segs.iter().all(|s| s.subject == "Tuberculosis"), "{segs:?}");
+        let doc = Document::new("d", "*** !!");
+        assert!(segment(&doc, &subjects, &m, SegmentationMode::MentionOnly).is_empty());
     }
 }
