@@ -1,14 +1,14 @@
 //! Criterion micro-benches for the substrate crates: string similarity,
 //! tokenization, multi-pattern matching, POS tagging, parsing, the
-//! integration operators, and segmentation against the table's
-//! subjects.
+//! integration operators, segmentation against the table's subjects,
+//! and entity extraction with a cold and a warm phrase memo.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use thor_automata::AhoCorasickBuilder;
 use thor_core::segment::segment;
-use thor_core::{SegmentationMode, Thor, ThorConfig};
+use thor_core::{PruneMode, SegmentationMode, Thor, ThorConfig};
 use thor_data::{full_disjunction, Schema, Table};
 use thor_datagen::{generate, DatasetSpec, Split};
 use thor_nlp::{noun_phrases, parse_dependencies, RuleTagger, Tagger};
@@ -174,6 +174,35 @@ fn bench_segment(c: &mut Criterion) {
     g.finish();
 }
 
+/// `extract` over every Disease A–Z document at scale 0.1 (the
+/// `batch-narrow` corpus: 186 documents, τ 0.5, one thread). `cold`
+/// gives each iteration a fresh phrase memo and subphrase cache — a
+/// `with_prune` derivation, built outside the timing — so every
+/// distinct noun phrase is matched and refined once per iteration;
+/// `warm` reuses one engine, so after the first iteration every phrase
+/// is a memo hit.
+fn bench_extract(c: &mut Criterion) {
+    let mut g = c.benchmark_group("extract");
+    let dataset = generate(&DatasetSpec::disease_az(7, 0.1));
+    let engine = Thor::new(dataset.store.clone(), ThorConfig::with_tau(0.5))
+        .prepare(&dataset.enrichment_table());
+    let docs: Vec<_> = [Split::Train, Split::Validation, Split::Test]
+        .into_iter()
+        .flat_map(|split| dataset.documents(split))
+        .collect();
+    g.bench_function(BenchmarkId::new("cold", docs.len()), |b| {
+        b.iter_batched(
+            || engine.with_prune(PruneMode::Exact),
+            |cold| cold.extract(black_box(&docs)),
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function(BenchmarkId::new("warm", docs.len()), |b| {
+        b.iter(|| engine.extract(black_box(&docs)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_text,
@@ -181,6 +210,7 @@ criterion_group!(
     bench_nlp,
     bench_eval,
     bench_integration,
-    bench_segment
+    bench_segment,
+    bench_extract
 );
 criterion_main!(benches);

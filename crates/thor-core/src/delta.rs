@@ -38,6 +38,7 @@ use crate::engine::{
     concept_instances, engine_fingerprint, meta_fingerprint, EngineInner, ENGINE_LAZY_SECTIONS,
     SEC_META,
 };
+use crate::extract::PhraseMemo;
 use crate::segment::SubjectIndex;
 use crate::PreparedEngine;
 
@@ -242,6 +243,7 @@ impl PreparedEngine {
             table: Arc::new(table),
             prep: Arc::new(prep),
             matcher: Arc::new(matcher),
+            memo: PhraseMemo::new(inner.config.cache_capacity),
             dictionary: Arc::new(dictionary),
             store_digest: inner.store_digest,
             table_digest,

@@ -48,6 +48,7 @@ use thor_obs::PipelineMetrics;
 use crate::config::{ScoreWeights, SegmentationMode, ThorConfig};
 use crate::document::Document;
 use crate::entity::ExtractedEntity;
+use crate::extract::PhraseMemo;
 use crate::pipeline::{EnrichmentResult, EnrichmentSession, Thor};
 use crate::segment::SubjectIndex;
 
@@ -113,6 +114,9 @@ pub(crate) struct EngineInner {
     pub(crate) subjects: Arc<SubjectIndex>,
     pub(crate) prep: Arc<PreparedMatcher>,
     pub(crate) matcher: Arc<SimilarityMatcher>,
+    /// Refined winners per noun phrase, for this matcher and config;
+    /// never persisted. See [`PreparedEngine::phrase_memo`].
+    pub(crate) memo: PhraseMemo,
     pub(crate) dictionary: Arc<DictionaryIndex>,
     /// FNV-1a digests of the store text and table CSV, computed once at
     /// build time and reused by cheap derivations (`with_tau`).
@@ -128,6 +132,15 @@ pub(crate) struct EngineInner {
     pub(crate) chain_depth: usize,
     pub(crate) prepare_time: Duration,
     pub(crate) metrics: Option<PipelineMetrics>,
+}
+
+impl EngineInner {
+    /// Give this engine an empty phrase memo of its own — for a
+    /// derivation whose matcher or configuration differs from its
+    /// source's, so no outcome memoized under one serves the other.
+    pub(crate) fn restart_memo(&mut self) {
+        self.memo = PhraseMemo::new(self.config.cache_capacity);
+    }
 }
 
 impl std::fmt::Debug for EngineInner {
@@ -204,6 +217,7 @@ impl Thor {
                 subjects: Arc::new(SubjectIndex::new(table.subjects(), self.store())),
                 prep: Arc::new(prep),
                 matcher: Arc::new(matcher),
+                memo: PhraseMemo::new(self.config().cache_capacity),
                 dictionary: Arc::new(dictionary),
                 store_digest,
                 table_digest,
@@ -236,6 +250,15 @@ impl PreparedEngine {
     /// The fine-tuned semantic matcher (clusters + index + cache).
     pub fn matcher(&self) -> &SimilarityMatcher {
         &self.inner.matcher
+    }
+
+    /// The memo of refined winners per noun phrase that extraction
+    /// consults before matching and refining. Shared with
+    /// [`PreparedEngine::with_threads`] siblings; every other
+    /// derivation changes the matcher or the configuration and starts
+    /// an empty one.
+    pub fn phrase_memo(&self) -> &PhraseMemo {
+        &self.inner.memo
     }
 
     /// The frozen Preparation output the matcher was derived from.
@@ -326,13 +349,16 @@ impl PreparedEngine {
             e.fingerprint = engine_fingerprint(&config, e.table_digest, e.store_digest);
             e.config = config;
             e.matcher = Arc::new(matcher);
+            e.restart_memo();
             e.prepare_time = prepare_time;
         })
     }
 
     /// A sibling engine: this one's parts (refcount bumps for every
-    /// frozen structure) with `edit` applied — the one place the
-    /// derivations below build an [`EngineInner`].
+    /// frozen structure, the phrase memo shared) with `edit` applied —
+    /// the one place the derivations below build an [`EngineInner`].
+    /// An `edit` that changes the matcher or the configuration calls
+    /// [`EngineInner::restart_memo`].
     fn derive(&self, edit: impl FnOnce(&mut EngineInner)) -> PreparedEngine {
         let mut inner = (*self.inner).clone();
         edit(&mut inner);
@@ -354,7 +380,12 @@ impl PreparedEngine {
     /// `threads` this is an execution knob: output and fingerprint are
     /// unchanged.
     pub fn with_reference_refine(&self, reference: bool) -> PreparedEngine {
-        self.derive(|e| e.config.reference_refine = reference)
+        self.derive(|e| {
+            e.config.reference_refine = reference;
+            // The winners agree, but the two paths count scored and
+            // pruned candidates differently.
+            e.restart_memo();
+        })
     }
 
     /// The same engine with a different candidate-pruning mode. `Exact`
@@ -366,12 +397,14 @@ impl PreparedEngine {
     /// similarity exceeds τ by less than the quantization error the
     /// margin fails to cover; it shares the fingerprint because the
     /// artifact bytes are mode-independent, but serve output may
-    /// differ. The matcher's phrase cache is restarted so entries
-    /// admitted under one mode never serve another.
+    /// differ. The matcher's phrase cache and the phrase memo are
+    /// restarted so entries admitted under one mode never serve
+    /// another.
     pub fn with_prune(&self, prune: PruneMode) -> PreparedEngine {
         self.derive(|e| {
             e.config.prune = prune;
             e.matcher = Arc::new(e.matcher.with_prune_mode(prune));
+            e.restart_memo();
         })
     }
 
@@ -389,6 +422,7 @@ impl PreparedEngine {
         });
         self.derive(|e| {
             e.matcher = Arc::new(matcher);
+            e.restart_memo();
             e.metrics = Some(metrics);
         })
     }
@@ -880,6 +914,7 @@ impl PreparedEngine {
 
         Ok(PreparedEngine {
             inner: Arc::new(EngineInner {
+                memo: PhraseMemo::new(config.cache_capacity),
                 config,
                 subjects: Arc::new(SubjectIndex::new(table.subjects(), &store)),
                 table: Arc::new(table),

@@ -10,11 +10,15 @@
 //! selected entity — and every downstream byte — is identical to the
 //! reference path (`ThorConfig::reference_refine`), which is retained
 //! as ground truth.
+//!
+//! Matching and refining a noun phrase is a pure function of its text
+//! once an engine is built, so each engine keeps a [`PhraseMemo`] of
+//! refined winners: a phrase seen before skips both steps.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use thor_index::CandidateSource;
+use thor_index::{CacheStats, PhraseCache};
 use thor_match::{CandidateEntity, SimilarityMatcher};
 use thor_nlp::{chunk_sentence, Lexicon, RuleTagger};
 use thor_obs::PipelineMetrics;
@@ -53,6 +57,93 @@ pub struct RefineOutcome {
     pub scored: u64,
     /// Candidates skipped by the score-bound early abandon.
     pub pruned: u64,
+}
+
+/// What matching and refining one noun phrase produced: refinement's
+/// outcome, and the matcher's `subphrases` and `candidates` increments,
+/// which a memo hit replays.
+#[derive(Debug)]
+struct PhraseOutcome {
+    refined: RefineOutcome,
+    subphrases: u64,
+    candidates: u64,
+}
+
+/// A bounded, thread-safe memo from noun-phrase text (as the chunker
+/// produced it) to its refined outcome — one per engine. Everything
+/// the outcome depends on besides the text is fixed per engine: the
+/// lexicon anchor, the matcher, and the configuration's weights,
+/// `early_abandon` and `reference_refine`. An engine derivation that
+/// changes any of them starts a fresh memo; clones share one. Built on
+/// [`PhraseCache`] with the engine's `cache_capacity`, so `0` disables
+/// it. The sentence-dependent context gate runs after the lookup.
+#[derive(Debug, Clone)]
+pub struct PhraseMemo {
+    cache: PhraseCache<Arc<PhraseOutcome>>,
+}
+
+impl PhraseMemo {
+    /// An empty memo holding at most `capacity` phrases; 0 disables it.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            cache: PhraseCache::new(capacity),
+        }
+    }
+
+    /// Hit/miss traffic and occupancy, shared by every clone.
+    pub fn stats(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
+    /// The outcome for `phrase`: from the memo, replaying the counts a
+    /// fresh call records (`subphrases` / `candidates` only when the
+    /// matcher is metered, as the matcher itself records them), or by
+    /// matching and refining under one `stage.refine` span.
+    fn outcome(
+        &self,
+        phrase: &str,
+        matcher: &SimilarityMatcher,
+        config: &ThorConfig,
+        run: &PipelineMetrics,
+        scratch: &mut ScoreScratch,
+    ) -> Arc<PhraseOutcome> {
+        let outcome = match self.cache.get(phrase) {
+            Some(outcome) => {
+                run.phrase_memo_hits.inc();
+                if let Some(m) = matcher.metrics() {
+                    m.subphrases.add(outcome.subphrases);
+                    m.candidates.add(outcome.candidates);
+                }
+                outcome
+            }
+            None => {
+                if self.cache.is_enabled() {
+                    run.phrase_memo_misses.inc();
+                }
+                // Entities must contain a nominal word ("entities
+                // typically consist of noun phrases or subsequences
+                // thereof") — a bare adjective is not an entity
+                // candidate.
+                let lexicon = shared_lexicon();
+                let anchor = |w: &str| lexicon.tag_of(w, false).is_nominal();
+                let (candidates, subphrases) = matcher.match_phrase_counted(phrase, anchor);
+                let refined = {
+                    let _span = run.refine.start();
+                    refine_candidates(&candidates, matcher, config, scratch)
+                };
+                let outcome = Arc::new(PhraseOutcome {
+                    refined,
+                    subphrases,
+                    candidates: candidates.len() as u64,
+                });
+                self.cache.put(phrase, Arc::clone(&outcome));
+                outcome
+            }
+        };
+        run.refine_scored.add(outcome.refined.scored);
+        run.refine_pruned.add(outcome.refined.pruned);
+        outcome
+    }
 }
 
 /// Whether early abandon may prune under these weights: the upper bound
@@ -243,46 +334,37 @@ fn sentence_phrases(
 /// (lines 3–15). Returns one best entity per (sentence, noun phrase) —
 /// `e_best` — tagged with the sentence's subject instance.
 ///
-/// Metered into `run`: chunking per sentence (see `sentence_phrases`),
-/// one `stage.refine` span and the `refine.scored` / `refine.pruned`
-/// counts per phrase, and one `entities` count per accepted entity.
-/// (The matcher counts its own subphrases and candidates when it holds
-/// a metrics handle.) `scratch` is caller-owned so the execution
-/// core's workers reuse one across every document they drain and
-/// refinement allocates nothing in steady state.
+/// Each phrase is matched and refined once per `memo`: repeats take the
+/// memoized winner. Metered into `run`: chunking per sentence (see
+/// `sentence_phrases`), one `phrase_memo.hit` or `phrase_memo.miss` per
+/// phrase, one `stage.refine` span per miss, the `refine.scored` /
+/// `refine.pruned` counts per phrase, and one `entities` count per
+/// accepted entity. (The matcher counts its own subphrases and
+/// candidates when it holds a metrics handle.) `scratch` is
+/// caller-owned so the execution core's workers reuse one across every
+/// document they drain and refinement allocates nothing in steady
+/// state.
 pub fn extract_entities(
     segments: &[SegmentedSentence],
     matcher: &SimilarityMatcher,
+    memo: &PhraseMemo,
     config: &ThorConfig,
     doc_id: &str,
     run: &PipelineMetrics,
     scratch: &mut ScoreScratch,
 ) -> Vec<ExtractedEntity> {
     let tagger = shared_tagger();
-    let lexicon = shared_lexicon();
-    // Entities must contain a nominal word ("entities typically consist
-    // of noun phrases or subsequences thereof") — a bare adjective is
-    // not an entity candidate.
-    let anchor = |w: &str| lexicon.tag_of(w, false).is_nominal();
-    // Candidate generation goes through the shared engine trait — the
-    // extraction step is agnostic to which `CandidateSource` backs it.
-    let source: &dyn CandidateSource = matcher;
     let mut out = Vec::new();
 
     for seg in segments {
         for phrase in sentence_phrases(&seg.sentence.text, config, tagger, run) {
-            let candidates = source.candidates_anchored(&phrase, &anchor);
-            let refine_span = run.refine.start();
-            let outcome = refine_candidates(&candidates, matcher, config, scratch);
-            drop(refine_span);
-            run.refine_scored.add(outcome.scored);
-            run.refine_pruned.add(outcome.pruned);
-            if let Some((candidate, score)) = outcome.best {
+            let outcome = memo.outcome(&phrase, matcher, config, run, scratch);
+            if let Some((candidate, score)) = &outcome.refined.best {
                 // Optional contextual gate (the paper's future work):
                 // the sentence minus the entity phrase must itself be
                 // compatible with the assigned concept.
                 if let Some(min_context) = config.context_gate {
-                    let ctx = context_similarity(&seg.sentence.text, &candidate, matcher);
+                    let ctx = context_similarity(&seg.sentence.text, candidate, matcher);
                     if ctx < min_context {
                         continue;
                     }
@@ -290,10 +372,10 @@ pub fn extract_entities(
                 run.entities.inc();
                 out.push(ExtractedEntity {
                     subject: seg.subject.clone(),
-                    concept: candidate.concept,
-                    phrase: candidate.phrase,
-                    score,
-                    matched_instance: candidate.matched_instance,
+                    concept: candidate.concept.clone(),
+                    phrase: candidate.phrase.clone(),
+                    score: *score,
+                    matched_instance: candidate.matched_instance.clone(),
                     doc_id: doc_id.to_string(),
                     sentence_index: seg.index,
                 });
@@ -354,6 +436,7 @@ mod tests {
         super::extract_entities(
             segments,
             matcher,
+            &PhraseMemo::new(config.cache_capacity),
             config,
             doc_id,
             &PipelineMetrics::new(),
@@ -501,6 +584,7 @@ mod tests {
         super::extract_entities(
             &[seg("X", text, 0)],
             &m,
+            &PhraseMemo::new(0),
             &ThorConfig::with_tau(0.5),
             "d",
             &run,
@@ -522,6 +606,7 @@ mod tests {
         let entities = super::extract_entities(
             &[seg("X", "", 0)],
             &m,
+            &PhraseMemo::new(0),
             &ThorConfig::with_tau(0.5),
             "d",
             &run,

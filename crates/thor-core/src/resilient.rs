@@ -327,6 +327,7 @@ fn process_doc(
         Ok(extract_entities(
             &segments,
             engine.matcher(),
+            engine.phrase_memo(),
             config,
             &doc.id,
             run,

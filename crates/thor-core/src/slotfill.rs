@@ -31,9 +31,8 @@ pub struct SlotFillStats {
 /// `slots.inserted` / `slots.duplicate`.
 pub fn slot_fill(table: &mut Table, entities: &[ExtractedEntity]) -> SlotFillStats {
     let mut stats = SlotFillStats::default();
-    let subject_key = table.schema().subject().key();
     for e in entities {
-        if e.concept.to_lowercase() == subject_key {
+        if table.schema().subject().matches(&e.concept) {
             stats.subject_concept_skipped += 1;
             continue;
         }

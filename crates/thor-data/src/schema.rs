@@ -27,6 +27,16 @@ impl Concept {
     pub fn key(&self) -> String {
         self.0.to_lowercase()
     }
+
+    /// Does `name` name this concept — `name.to_lowercase() ==
+    /// self.key()` — without allocating when both are ASCII?
+    pub fn matches(&self, name: &str) -> bool {
+        if self.0.is_ascii() && name.is_ascii() {
+            self.0.eq_ignore_ascii_case(name)
+        } else {
+            name.to_lowercase() == self.key()
+        }
+    }
 }
 
 impl PartialEq for Concept {
@@ -119,8 +129,7 @@ impl Schema {
 
     /// Index of a concept by (case-insensitive) name.
     pub fn index_of(&self, concept: &str) -> Option<usize> {
-        let key = concept.to_lowercase();
-        self.concepts.iter().position(|c| c.key() == key)
+        self.concepts.iter().position(|c| c.matches(concept))
     }
 
     /// The non-subject concepts (the slots THOR can fill).

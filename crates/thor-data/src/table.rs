@@ -7,13 +7,13 @@
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
-use thor_text::normalize_phrase;
+use thor_text::{normalize_phrase, normalized_eq};
 
 use crate::schema::{Concept, Schema};
 
 /// A cell: a set of concept-instance strings. Empty ⇔ labeled null ⊥.
 /// Values are stored in insertion-normalized display form and compared
-/// via [`normalize_phrase`].
+/// with [`normalized_eq`], which equates equal [`normalize_phrase`] forms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cell {
     values: BTreeSet<String>,
@@ -63,8 +63,7 @@ impl Cell {
 
     /// Does the cell contain `value` (normalized comparison)?
     pub fn contains(&self, value: &str) -> bool {
-        let needle = normalize_phrase(value);
-        self.values.iter().any(|v| normalize_phrase(v) == needle)
+        self.values.iter().any(|v| normalized_eq(v, value))
     }
 
     /// Iterate the values in deterministic (sorted) order.

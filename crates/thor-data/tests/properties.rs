@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use thor_data::csv::{from_csv, to_csv};
-use thor_data::{full_disjunction, outer_join, sparsity, Schema, Table};
+use thor_data::{full_disjunction, outer_join, sparsity, Cell, Concept, Schema, Table};
+use thor_text::normalize_phrase;
 
 /// Strategy: a small table over a fixed concept universe.
 fn arb_table(concepts: &'static [&'static str]) -> impl Strategy<Value = Table> {
@@ -34,6 +35,17 @@ fn table_fingerprint(t: &Table) -> Vec<(String, String, String)> {
 }
 
 const CONCEPTS: &[&str] = &["Disease", "Anatomy", "Complication"];
+
+/// Name and value pieces with awkward lowercasing: final sigma,
+/// dotted capital I, sharp s and the Kelvin sign (U+212A → `k`).
+const PIECES: &[&str] = &[
+    "a", "A", "k", "K", "i", "ss", "SS", " ", "\t", ".", ",", "-", "ΟΔΟΣ", "οδος", "İ", "i\u{307}",
+    "ß", "\u{212A}",
+];
+
+fn pieces(idx: &[usize]) -> String {
+    idx.iter().map(|&i| PIECES[i % PIECES.len()]).collect()
+}
 
 proptest! {
     /// Outer join is commutative up to row order.
@@ -93,5 +105,55 @@ proptest! {
         let csv = to_csv(&a);
         let back = from_csv(&csv).expect("parse");
         prop_assert_eq!(table_fingerprint(&back), table_fingerprint(&a));
+    }
+
+    /// `Schema::index_of` (no allocation on ASCII) finds the concept
+    /// whose lowercase key equals the name's lowercase form.
+    #[test]
+    fn index_of_matches_lowercase_keys(
+        names in prop::collection::vec(prop::collection::vec(0usize..18, 1..4), 1..5),
+        query in prop::collection::vec(0usize..18, 0..4),
+        pick in 0usize..8,
+        upper in 0usize..2,
+    ) {
+        let mut concepts: Vec<String> = Vec::new();
+        for name in names.iter().map(|n| pieces(n)) {
+            if !concepts.iter().any(|c| c.to_lowercase() == name.to_lowercase()) {
+                concepts.push(name);
+            }
+        }
+        let schema = Schema::new(concepts.iter().map(String::as_str), &concepts[0]);
+        // Half the queries name an existing concept in another case.
+        let query = match concepts.get(pick) {
+            Some(name) if upper == 1 => name.to_uppercase(),
+            Some(name) => name.to_lowercase(),
+            None => pieces(&query),
+        };
+        let expected = concepts
+            .iter()
+            .position(|c| c.to_lowercase() == query.to_lowercase());
+        prop_assert_eq!(schema.index_of(&query), expected, "query {:?} in {:?}", query, concepts);
+        for (i, c) in concepts.iter().enumerate() {
+            prop_assert_eq!(
+                Concept::new(c.as_str()).matches(&query),
+                c.to_lowercase() == query.to_lowercase(),
+                "concept {} {:?} vs {:?}", i, c, query
+            );
+        }
+    }
+
+    /// `Cell::contains` (no allocation on ASCII) agrees with comparing
+    /// `normalize_phrase` forms.
+    #[test]
+    fn cell_contains_matches_normalized_forms(
+        values in prop::collection::vec(prop::collection::vec(0usize..18, 1..5), 0..5),
+        needle in prop::collection::vec(0usize..18, 0..5),
+    ) {
+        let cell: Cell = values.iter().map(|v| pieces(v)).collect();
+        let needle = pieces(&needle);
+        let expected = cell
+            .values()
+            .any(|v| normalize_phrase(v) == normalize_phrase(&needle));
+        prop_assert_eq!(cell.contains(&needle), expected, "{:?} in {:?}", needle, cell);
     }
 }

@@ -375,14 +375,28 @@ impl SimilarityMatcher {
         phrase: &str,
         anchor: impl Fn(&str) -> bool,
     ) -> Vec<CandidateEntity> {
+        self.match_phrase_counted(phrase, anchor).0
+    }
+
+    /// [`SimilarityMatcher::match_phrase_anchored`], also returning how
+    /// many subphrases the call added to the `subphrases` counter (its
+    /// `candidates` increment is the length of the list). A caller that
+    /// memoizes whole phrases replays these counts on a hit, so metric
+    /// totals match a fresh call whether or not the matcher is metered.
+    pub fn match_phrase_counted(
+        &self,
+        phrase: &str,
+        anchor: impl Fn(&str) -> bool,
+    ) -> (Vec<CandidateEntity>, u64) {
         let _span = self.metrics.as_ref().map(|m| m.match_phrase.start());
         let normalized = normalize_phrase(phrase);
         let words: Vec<&str> = normalized.split_whitespace().collect();
         if words.is_empty() {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         let max_len = self.config.max_subphrase_words.min(words.len());
         let mut out = Vec::new();
+        let mut subphrases = 0u64;
 
         for len in 1..=max_len {
             for start in 0..=(words.len() - len) {
@@ -417,11 +431,13 @@ impl SimilarityMatcher {
                 match scored {
                     CachedMatch::Oov => {}
                     CachedMatch::NoMatch => {
+                        subphrases += 1;
                         if let Some(m) = &self.metrics {
                             m.subphrases.inc();
                         }
                     }
                     CachedMatch::Match(candidate) => {
+                        subphrases += 1;
                         if let Some(m) = &self.metrics {
                             m.subphrases.inc();
                             m.candidates.inc();
@@ -438,7 +454,7 @@ impl SimilarityMatcher {
                 .then_with(|| a.phrase.cmp(&b.phrase))
                 .then_with(|| a.concept.cmp(&b.concept))
         });
-        out
+        (out, subphrases)
     }
 
     /// Score one normalized subphrase against the index: embed, gate
@@ -632,6 +648,10 @@ mod tests {
     use thor_embed::SemanticSpaceBuilder;
 
     fn matcher(tau: f64) -> SimilarityMatcher {
+        matcher_metered(tau, None)
+    }
+
+    fn matcher_metered(tau: f64, metrics: Option<PipelineMetrics>) -> SimilarityMatcher {
         let store = SemanticSpaceBuilder::new(32, 9)
             .topic("anatomy")
             .correlated_topic("complication", "anatomy", 0.3)
@@ -660,7 +680,12 @@ mod tests {
             ),
         ];
         // "skin" is OOV on purpose; "cancer" carries the seed.
-        SimilarityMatcher::fine_tune(&concepts, store, MatcherConfig::with_tau(tau))
+        SimilarityMatcher::fine_tune_impl(
+            &concepts,
+            store.into(),
+            MatcherConfig::with_tau(tau),
+            metrics,
+        )
     }
 
     #[test]
@@ -796,6 +821,31 @@ mod tests {
         let stats = m.cache_stats();
         assert!(stats.hits > 0, "{stats:?}");
         assert!(stats.len > 0);
+    }
+
+    #[test]
+    fn counted_matching_reports_the_metered_increments() {
+        let metrics = PipelineMetrics::new();
+        let m = matcher_metered(0.6, Some(metrics.clone()));
+        let phrases = [
+            "slow-growing brain tumor",
+            "the nervous system",
+            "brain tumor",
+            "green walk",
+            "xyzzy",
+            "",
+        ];
+        // Twice over: cache hits replay the same counts as fresh scans.
+        for phrase in phrases.iter().chain(&phrases) {
+            let before = metrics.snapshot();
+            let (candidates, subphrases) = m.match_phrase_counted(phrase, |_| true);
+            let after = metrics.snapshot();
+            assert_eq!(candidates, m.match_phrase_reference(phrase, |_| true));
+            let delta = |name| after.count(name) - before.count(name);
+            assert_eq!(delta("subphrases"), subphrases, "{phrase:?}");
+            assert_eq!(delta("candidates"), candidates.len() as u64, "{phrase:?}");
+        }
+        assert!(metrics.snapshot().count("subphrases") > 0);
     }
 
     #[test]

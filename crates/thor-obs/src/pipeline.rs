@@ -81,6 +81,11 @@ pub struct PipelineMetrics {
     pub cache_hits: Arc<Counter>,
     /// Phrase-cache misses during candidate generation.
     pub cache_misses: Arc<Counter>,
+    /// Noun phrases answered from the engine's phrase memo (their
+    /// match and refinement already ran for an identical phrase).
+    pub phrase_memo_hits: Arc<Counter>,
+    /// Noun phrases matched and refined afresh, then memoized.
+    pub phrase_memo_misses: Arc<Counter>,
     /// Documents quarantined by the fault-tolerant run layer.
     pub quarantine_docs: Arc<Counter>,
     /// Malformed input rows quarantined by lenient CSV parsing.
@@ -125,6 +130,8 @@ impl PipelineMetrics {
             expansion_words: registry.counter("expansion.words"),
             cache_hits: registry.counter("cache.hit"),
             cache_misses: registry.counter("cache.miss"),
+            phrase_memo_hits: registry.counter("phrase_memo.hit"),
+            phrase_memo_misses: registry.counter("phrase_memo.miss"),
             quarantine_docs: registry.counter("quarantine.docs"),
             quarantine_rows: registry.counter("quarantine.rows"),
             vocab_words: registry.gauge("vocab.words"),
@@ -226,6 +233,8 @@ mod tests {
             "expansion.words",
             "cache.hit",
             "cache.miss",
+            "phrase_memo.hit",
+            "phrase_memo.miss",
             "quarantine.docs",
             "quarantine.rows",
             "vocab.words",

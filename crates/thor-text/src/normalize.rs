@@ -10,9 +10,20 @@
 /// Inner hyphens/apostrophes survive so that `Slow-Growing` folds to
 /// `slow-growing` and `Alzheimer's` to `alzheimer's`.
 pub fn fold_token(token: &str) -> String {
-    token
-        .trim_matches(|c: char| c.is_ascii_punctuation() && c != '-' && c != '\'')
-        .to_lowercase()
+    trim_outer_punctuation(token).to_lowercase()
+}
+
+fn trim_outer_punctuation(token: &str) -> &str {
+    token.trim_matches(|c: char| c.is_ascii_punctuation() && c != '-' && c != '\'')
+}
+
+/// The tokens of `s` that [`fold_token`] keeps, not yet lowercased.
+/// Splits like [`normalize_phrase`], on Unicode whitespace: the
+/// vertical tab is whitespace there but not to `split_ascii_whitespace`.
+fn kept_tokens(s: &str) -> impl Iterator<Item = &str> {
+    s.split_whitespace()
+        .map(trim_outer_punctuation)
+        .filter(|tok| !tok.is_empty())
 }
 
 /// Normalize a multi-word phrase: fold every token, drop empties, join
@@ -35,6 +46,35 @@ pub fn normalize_phrase(phrase: &str) -> String {
         out.push_str(&folded);
     }
     out
+}
+
+/// `normalize_phrase(a) == normalize_phrase(b)`, without allocating
+/// when both sides are ASCII.
+///
+/// On ASCII text [`fold_token`]'s lowercasing is ASCII case folding, so
+/// the folded tokens of `a` and `b` are compared in place, skipping the
+/// ones that fold to nothing. Any non-ASCII side falls back to the
+/// allocating comparison, because Unicode lowercasing can change length
+/// or turn a non-ASCII character into an ASCII one (the Kelvin sign
+/// `K` lowercases to `k`).
+///
+/// ```
+/// use thor_text::normalized_eq;
+/// assert!(normalized_eq("The Nervous  SYSTEM.", "the nervous system"));
+/// assert!(!normalized_eq("nervous system", "nervous systems"));
+/// ```
+pub fn normalized_eq(a: &str, b: &str) -> bool {
+    if !(a.is_ascii() && b.is_ascii()) {
+        return normalize_phrase(a) == normalize_phrase(b);
+    }
+    let (mut xs, mut ys) = (kept_tokens(a), kept_tokens(b));
+    loop {
+        match (xs.next(), ys.next()) {
+            (None, None) => return true,
+            (Some(x), Some(y)) if x.eq_ignore_ascii_case(y) => {}
+            _ => return false,
+        }
+    }
 }
 
 #[cfg(test)]

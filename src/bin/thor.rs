@@ -724,9 +724,10 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         return Err(ThorError::config("--threads must be at least 1"));
     }
     let metrics_mode = metrics_mode(args)?;
-    // `--cache-stats`: one-line summary of the candidate engine (phrase
-    // cache traffic + vector index size/build time). Needs the metrics
-    // handle attached even when `--metrics` wasn't asked for.
+    // `--cache-stats`: two-line summary of the candidate engine (phrase
+    // memo traffic, then subphrase cache traffic + vector index
+    // size/build time). Needs the metrics handle attached even when
+    // `--metrics` wasn't asked for.
     let cache_stats = args.options.contains_key("cache-stats");
     let metrics = PipelineMetrics::new();
     let attach_metrics = metrics_mode.is_some() || cache_stats;
@@ -876,17 +877,26 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         None => {}
     }
     if cache_stats {
-        let hits = metrics.cache_hits.get();
-        let misses = metrics.cache_misses.get();
-        let total = hits + misses;
-        let rate = if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64 * 100.0
+        let rate = |hits: u64, misses: u64| match hits + misses {
+            0 => 0.0,
+            total => hits as f64 / total as f64 * 100.0,
         };
+        // The memo answers repeated noun phrases whole, so the subphrase
+        // cache below it only sees the phrases the memo missed.
+        let (hits, misses) = (
+            metrics.phrase_memo_hits.get(),
+            metrics.phrase_memo_misses.get(),
+        );
         eprintln!(
-            "[cache] hits {hits}  misses {misses}  hit rate {rate:.1}%  \
+            "[memo] hits {hits}  misses {misses}  hit rate {:.1}%  of {} noun phrases",
+            rate(hits, misses),
+            metrics.noun_phrases.get()
+        );
+        let (hits, misses) = (metrics.cache_hits.get(), metrics.cache_misses.get());
+        eprintln!(
+            "[cache] hits {hits}  misses {misses}  hit rate {:.1}%  \
              index {} rows built in {:.2}ms",
+            rate(hits, misses),
             metrics.index_rows.get(),
             metrics.index_build.total().as_secs_f64() * 1e3
         );
