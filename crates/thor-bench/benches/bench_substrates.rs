@@ -1,7 +1,8 @@
 //! Criterion micro-benches for the substrate crates: string similarity,
-//! tokenization, multi-pattern matching, POS tagging, parsing, the
-//! integration operators, segmentation against the table's subjects,
-//! and entity extraction with a cold and a warm phrase memo.
+//! tokenization, multi-pattern matching, POS tagging, parsing, the text
+//! front end per corpus sentence, the integration operators,
+//! segmentation against the table's subjects, and entity extraction
+//! with a cold and a warm phrase memo.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -11,8 +12,10 @@ use thor_core::segment::segment;
 use thor_core::{PruneMode, SegmentationMode, Thor, ThorConfig};
 use thor_data::{full_disjunction, Schema, Table};
 use thor_datagen::{generate, DatasetSpec, Split};
-use thor_nlp::{noun_phrases, parse_dependencies, RuleTagger, Tagger};
-use thor_text::{gestalt_similarity, jaccard_words, levenshtein, split_sentences, tokenize};
+use thor_nlp::{chunk_sentence, noun_phrases, parse_dependencies, RuleTagger, Tagger};
+use thor_text::{
+    gestalt_similarity, jaccard_words, levenshtein, split_sentences, token_spans, tokenize,
+};
 
 const SENTENCE: &str =
     "Acoustic Neuroma is a slow-growing non-cancerous brain tumor that may cause \
@@ -88,6 +91,25 @@ fn bench_nlp(c: &mut Criterion) {
     let tree = parse_dependencies(&words, &tags);
     g.bench_function("noun_phrases", |b| {
         b.iter(|| noun_phrases(black_box(&words), black_box(&tags), black_box(&tree)))
+    });
+    // The whole front end as extraction runs it — tokenize into borrowed
+    // words, tag, parse, noun phrases — over the test-split sentences of
+    // the Disease A–Z corpus at scale 0.1, one sentence per iteration.
+    let dataset = generate(&DatasetSpec::disease_az(7, 0.1));
+    let sentences: Vec<String> = dataset
+        .documents(Split::Test)
+        .iter()
+        .flat_map(|doc| split_sentences(&doc.text))
+        .map(|sentence| sentence.text)
+        .collect();
+    let id = BenchmarkId::new("front_end", sentences.len());
+    g.bench_with_input(id, &sentences, |b, sentences| {
+        let mut next = sentences.iter().cycle();
+        b.iter(|| {
+            let text = next.next().expect("the test split has sentences");
+            let words: Vec<&str> = token_spans(black_box(text)).map(|r| &text[r]).collect();
+            chunk_sentence(&words, &tagger)
+        })
     });
     g.finish();
 }

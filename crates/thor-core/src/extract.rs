@@ -17,18 +17,20 @@
 
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use thor_index::{CacheStats, PhraseCache};
 use thor_match::{CandidateEntity, SimilarityMatcher};
 use thor_nlp::{chunk_sentence, Lexicon, RuleTagger};
 use thor_obs::PipelineMetrics;
 use thor_text::{
-    gestalt_bound, gestalt_prepared, gestalt_similarity, jaccard_prepared, jaccard_words, tokenize,
-    PhraseSyntax, ScoreScratch,
+    gestalt_bound, gestalt_prepared, gestalt_similarity, jaccard_prepared, jaccard_words,
+    token_spans, trim_stopwords, PhraseSyntax, ScoreScratch,
 };
 
 use crate::config::ThorConfig;
 use crate::entity::ExtractedEntity;
+use crate::resilient::DocTally;
 use crate::segment::SegmentedSentence;
 
 /// The process-wide POS tagger. `RuleTagger::default()` builds lexicon
@@ -104,12 +106,12 @@ impl PhraseMemo {
         phrase: &str,
         matcher: &SimilarityMatcher,
         config: &ThorConfig,
-        run: &PipelineMetrics,
+        tally: &mut DocTally,
         scratch: &mut ScoreScratch,
     ) -> Arc<PhraseOutcome> {
         let outcome = match self.cache.get(phrase) {
             Some(outcome) => {
-                run.phrase_memo_hits.inc();
+                tally.memo_hits += 1;
                 if let Some(m) = matcher.metrics() {
                     m.subphrases.add(outcome.subphrases);
                     m.candidates.add(outcome.candidates);
@@ -118,7 +120,7 @@ impl PhraseMemo {
             }
             None => {
                 if self.cache.is_enabled() {
-                    run.phrase_memo_misses.inc();
+                    tally.memo_misses += 1;
                 }
                 // Entities must contain a nominal word ("entities
                 // typically consist of noun phrases or subsequences
@@ -127,10 +129,9 @@ impl PhraseMemo {
                 let lexicon = shared_lexicon();
                 let anchor = |w: &str| lexicon.tag_of(w, false).is_nominal();
                 let (candidates, subphrases) = matcher.match_phrase_counted(phrase, anchor);
-                let refined = {
-                    let _span = run.refine.start();
-                    refine_candidates(&candidates, matcher, config, scratch)
-                };
+                let t0 = Instant::now();
+                let refined = refine_candidates(&candidates, matcher, config, scratch);
+                tally.refine.record(t0.elapsed());
                 let outcome = Arc::new(PhraseOutcome {
                     refined,
                     subphrases,
@@ -140,8 +141,8 @@ impl PhraseMemo {
                 outcome
             }
         };
-        run.refine_scored.add(outcome.refined.scored);
-        run.refine_pruned.add(outcome.refined.pruned);
+        tally.refine_scored += outcome.refined.scored;
+        tally.refine_pruned += outcome.refined.pruned;
         outcome
     }
 }
@@ -291,20 +292,20 @@ pub fn refine_candidates(
 
 /// Extract the phrases of one sentence: dependency-parse noun phrases
 /// (the paper's design) or naive n-grams (`abl_np` ablation). A
-/// non-empty sentence is chunked under one `stage.chunk` span and
-/// counted in `sentences`, its phrases in `noun_phrases`.
+/// non-empty sentence is tokenized and chunked under one `stage.chunk`
+/// span and counted in `sentences`, its phrases in `noun_phrases`.
 fn sentence_phrases(
     text: &str,
     config: &ThorConfig,
     tagger: &RuleTagger,
-    run: &PipelineMetrics,
+    tally: &mut DocTally,
 ) -> Vec<String> {
-    let tokens = tokenize(text);
-    let words: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
-    if words.is_empty() {
+    // A sentence has a token exactly when it has a non-whitespace char.
+    if text.trim_start().is_empty() {
         return Vec::new();
     }
-    let _span = run.chunk.start();
+    let t0 = Instant::now();
+    let words: Vec<&str> = token_spans(text).map(|r| &text[r]).collect();
     let phrases: Vec<String> = if config.np_chunking {
         chunk_sentence(&words, tagger)
             .into_iter()
@@ -316,7 +317,7 @@ fn sentence_phrases(
         let mut out = Vec::new();
         for len in 1..=max {
             for start in 0..=(words.len() - len) {
-                let phrase = thor_text::strip_stopwords(&words[start..start + len].join(" "));
+                let phrase = trim_stopwords(&words[start..start + len]).join(" ");
                 if !phrase.is_empty() {
                     out.push(phrase);
                 }
@@ -325,25 +326,18 @@ fn sentence_phrases(
         out.dedup();
         out
     };
-    run.sentences.inc();
-    run.noun_phrases.add(phrases.len() as u64);
+    tally.chunk.record(t0.elapsed());
+    tally.sentences += 1;
+    tally.noun_phrases += phrases.len() as u64;
     phrases
 }
 
 /// Run entity extraction over one document's segmented sentences
-/// (lines 3–15). Returns one best entity per (sentence, noun phrase) —
-/// `e_best` — tagged with the sentence's subject instance.
-///
-/// Each phrase is matched and refined once per `memo`: repeats take the
-/// memoized winner. Metered into `run`: chunking per sentence (see
-/// `sentence_phrases`), one `phrase_memo.hit` or `phrase_memo.miss` per
-/// phrase, one `stage.refine` span per miss, the `refine.scored` /
-/// `refine.pruned` counts per phrase, and one `entities` count per
-/// accepted entity. (The matcher counts its own subphrases and
-/// candidates when it holds a metrics handle.) `scratch` is
-/// caller-owned so the execution core's workers reuse one across every
-/// document they drain and refinement allocates nothing in steady
-/// state.
+/// (lines 3–15), metered into `run` once the document is done. Returns
+/// one best entity per (sentence, noun phrase) — `e_best` — tagged with
+/// the sentence's subject instance. See [`extract_tallied`] for what
+/// is metered; the execution core calls that directly and commits the
+/// document's metrics only when it marks the document processed.
 pub fn extract_entities(
     segments: &[SegmentedSentence],
     matcher: &SimilarityMatcher,
@@ -353,12 +347,39 @@ pub fn extract_entities(
     run: &PipelineMetrics,
     scratch: &mut ScoreScratch,
 ) -> Vec<ExtractedEntity> {
+    let mut tally = DocTally::default();
+    let entities = extract_tallied(segments, matcher, memo, config, doc_id, &mut tally, scratch);
+    tally.commit(run);
+    entities
+}
+
+/// [`extract_entities`], metering one document into `tally`.
+///
+/// Each phrase is matched and refined once per `memo`: repeats take the
+/// memoized winner. Metered: chunking per sentence (see
+/// `sentence_phrases`), one `phrase_memo.hit` or `phrase_memo.miss` per
+/// phrase, one `stage.refine` span per miss, the `refine.scored` /
+/// `refine.pruned` counts per phrase, and one `entities` count per
+/// accepted entity. (The matcher counts its own subphrases and
+/// candidates when it holds a metrics handle.) `scratch` is
+/// caller-owned so the execution core's workers reuse one across every
+/// document they drain and refinement allocates nothing in steady
+/// state.
+pub(crate) fn extract_tallied(
+    segments: &[SegmentedSentence],
+    matcher: &SimilarityMatcher,
+    memo: &PhraseMemo,
+    config: &ThorConfig,
+    doc_id: &str,
+    tally: &mut DocTally,
+    scratch: &mut ScoreScratch,
+) -> Vec<ExtractedEntity> {
     let tagger = shared_tagger();
     let mut out = Vec::new();
 
     for seg in segments {
-        for phrase in sentence_phrases(&seg.sentence.text, config, tagger, run) {
-            let outcome = memo.outcome(&phrase, matcher, config, run, scratch);
+        for phrase in sentence_phrases(&seg.sentence.text, config, tagger, tally) {
+            let outcome = memo.outcome(&phrase, matcher, config, tally, scratch);
             if let Some((candidate, score)) = &outcome.refined.best {
                 // Optional contextual gate (the paper's future work):
                 // the sentence minus the entity phrase must itself be
@@ -369,7 +390,7 @@ pub fn extract_entities(
                         continue;
                     }
                 }
-                run.entities.inc();
+                tally.entities += 1;
                 out.push(ExtractedEntity {
                     subject: seg.subject.clone(),
                     concept: candidate.concept.clone(),
@@ -424,7 +445,7 @@ mod tests {
     use crate::segment::{segment, SegmentedSentence, SubjectIndex};
     use thor_embed::SemanticSpaceBuilder;
     use thor_match::MatcherConfig;
-    use thor_text::Sentence;
+    use thor_text::{tokenize, Sentence};
 
     /// Extraction with a throwaway metrics handle and scratch.
     fn extract_entities(

@@ -10,7 +10,9 @@
 //! `process_pending` on the shared [`crate::WorkerPool`]; `finalize_run`
 //! then deduplicates and slot-fills. Stage metering (spans and counters)
 //! lives here too, around the plain layer functions
-//! ([`crate::segment::segment`], [`crate::slotfill::slot_fill`]).
+//! ([`crate::segment::segment`], [`crate::slotfill::slot_fill`]): each
+//! worker tallies a document's metrics locally, and the recorder commits
+//! them to the run handle when it marks the document processed.
 //!
 //! [`Thor::enrich_resilient`] is the production entry point for messy
 //! corpora: every document passes admission control
@@ -49,14 +51,14 @@ use thor_fault::{
     fail_point, fingerprint, validate_text, CancelToken, Checkpoint, DocumentPolicy, EntityRecord,
     QuarantineEntry, QuarantineReport, ThorError, ThorResult,
 };
-use thor_obs::PipelineMetrics;
+use thor_obs::{PipelineMetrics, StageTimer};
 use thor_text::ScoreScratch;
 
 use crate::config::ThorConfig;
 use crate::document::Document;
 use crate::engine::PreparedEngine;
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_entities;
+use crate::extract::extract_tallied;
 use crate::pipeline::{dedup_entities, EnrichmentResult, Thor};
 use crate::pool::WorkerPool;
 use crate::segment::segment;
@@ -144,6 +146,67 @@ enum DocStatus {
     Cancelled(ThorError),
 }
 
+/// One stage's spans, timed by the worker running a document.
+#[derive(Debug, Default)]
+pub(crate) struct SpanTally {
+    total: Duration,
+    spans: u64,
+}
+
+impl SpanTally {
+    /// Add one span of `d`.
+    pub(crate) fn record(&mut self, d: Duration) {
+        self.total += d;
+        self.spans += 1;
+    }
+
+    fn commit(&self, timer: &StageTimer) {
+        timer.record_accumulated(self.total, self.spans);
+    }
+}
+
+/// One document's core metrics, accumulated by the worker that runs it
+/// and committed to the run handle by the recorder when it marks the
+/// document processed. A checkpoint therefore never counts a document
+/// that a resumed run will process again: a strict-mode failure, a
+/// cancelled document, or another worker's document still in flight.
+/// The matcher records its own counts (`subphrases`, `candidates`,
+/// `cache.*`, `index.*`) straight into its handle.
+#[derive(Debug, Default)]
+pub(crate) struct DocTally {
+    pub(crate) segments: u64,
+    pub(crate) sentences: u64,
+    pub(crate) noun_phrases: u64,
+    pub(crate) entities: u64,
+    pub(crate) refine_scored: u64,
+    pub(crate) refine_pruned: u64,
+    pub(crate) memo_hits: u64,
+    pub(crate) memo_misses: u64,
+    /// `stage.segment`: one span per segmented document.
+    pub(crate) segment: SpanTally,
+    /// `stage.chunk`: one span per non-empty sentence.
+    pub(crate) chunk: SpanTally,
+    /// `stage.refine`: one span per phrase matched and refined afresh.
+    pub(crate) refine: SpanTally,
+}
+
+impl DocTally {
+    /// Add this document's counts and spans to `run`.
+    pub(crate) fn commit(&self, run: &PipelineMetrics) {
+        run.segments.add(self.segments);
+        run.sentences.add(self.sentences);
+        run.noun_phrases.add(self.noun_phrases);
+        run.entities.add(self.entities);
+        run.refine_scored.add(self.refine_scored);
+        run.refine_pruned.add(self.refine_pruned);
+        run.phrase_memo_hits.add(self.memo_hits);
+        run.phrase_memo_misses.add(self.memo_misses);
+        self.segment.commit(&run.segment);
+        self.chunk.commit(&run.chunk);
+        self.refine.commit(&run.refine);
+    }
+}
+
 /// What a finished run hands its caller.
 pub(crate) struct RunOutput {
     /// Deduplicated entities (see `dedup_entities`).
@@ -195,7 +258,8 @@ struct RunState {
 }
 
 impl RunState {
-    /// Record one finished document. A quarantined document in strict
+    /// Record one finished document, committing its `tally` to `run`
+    /// when it is marked processed. A quarantined document in strict
     /// mode becomes the run's error — it is deliberately *not* marked
     /// processed (strict drops nothing), so a resumed run retries it
     /// after a best-effort save of the completed prefix.
@@ -203,10 +267,13 @@ impl RunState {
         &mut self,
         doc_id: String,
         status: DocStatus,
+        tally: &DocTally,
         run: &PipelineMetrics,
     ) -> ThorResult<()> {
         match status {
             DocStatus::Done(entities) => {
+                run.docs.inc();
+                tally.commit(run);
                 self.checkpoint.processed.insert(doc_id);
                 self.entities.push(entities);
             }
@@ -222,6 +289,7 @@ impl RunState {
             }
             DocStatus::Quarantined(entry) => {
                 run.quarantine_docs.inc();
+                tally.commit(run);
                 self.checkpoint.processed.insert(doc_id);
                 self.checkpoint.quarantine.push(entry);
             }
@@ -275,72 +343,73 @@ impl RunState {
 
 /// Process one document through admission control, segmentation, and
 /// extraction, isolating panics to the document. This is the only
-/// place a document meets the pipeline stages.
+/// place a document meets the pipeline stages. The document's metrics
+/// come back in its [`DocTally`], for the recorder to commit.
 fn process_doc(
     engine: &PreparedEngine,
     doc: &Document,
     opts: &ResilientOptions,
-    run: &PipelineMetrics,
     scratch: &mut ScoreScratch,
-) -> DocStatus {
+) -> (DocStatus, DocTally) {
+    let mut tally = DocTally::default();
     let quarantined = |stage: &str, err: ThorError| {
         DocStatus::Quarantined(QuarantineEntry::from_error(&doc.id, stage, &err))
     };
     let config = engine.config();
 
     if let Err(e) = opts.cancel.check("validate") {
-        return DocStatus::Cancelled(e);
+        return (DocStatus::Cancelled(e), tally);
     }
     if let Err(e) =
         fail_point("validate").and_then(|()| validate_text(&doc.id, &doc.text, &opts.policy))
     {
-        return quarantined("validate", e);
+        return (quarantined("validate", e), tally);
     }
 
     if let Err(e) = opts.cancel.check("segment") {
-        return DocStatus::Cancelled(e);
+        return (DocStatus::Cancelled(e), tally);
     }
     let segments = match catch_unwind(AssertUnwindSafe(|| {
         fail_point("segment")?;
-        let _span = run.segment.start();
+        let t0 = Instant::now();
         let segments = segment(
             doc,
             engine.subjects(),
             engine.matcher(),
             config.segmentation,
         );
-        run.segments.add(segments.len() as u64);
+        tally.segment.record(t0.elapsed());
+        tally.segments += segments.len() as u64;
         Ok(segments)
     })) {
         Ok(Ok(segments)) => segments,
-        Ok(Err(e)) => return quarantined("segment", e),
+        Ok(Err(e)) => return (quarantined("segment", e), tally),
         Err(payload) => {
-            return quarantined("segment", ThorError::panic("segment", payload.as_ref()))
+            let err = ThorError::panic("segment", payload.as_ref());
+            return (quarantined("segment", err), tally);
         }
     };
 
     if let Err(e) = opts.cancel.check("extract") {
-        return DocStatus::Cancelled(e);
+        return (DocStatus::Cancelled(e), tally);
     }
-    match catch_unwind(AssertUnwindSafe(|| {
+    let status = match catch_unwind(AssertUnwindSafe(|| {
         fail_point("extract")?;
-        Ok(extract_entities(
+        Ok(extract_tallied(
             &segments,
             engine.matcher(),
             engine.phrase_memo(),
             config,
             &doc.id,
-            run,
+            &mut tally,
             scratch,
         ))
     })) {
-        Ok(Ok(entities)) => {
-            run.docs.inc();
-            DocStatus::Done(entities)
-        }
+        Ok(Ok(entities)) => DocStatus::Done(entities),
         Ok(Err(e)) => quarantined("extract", e),
         Err(payload) => quarantined("extract", ThorError::panic("extract", payload.as_ref())),
-    }
+    };
+    (status, tally)
 }
 
 /// Fingerprint tying a checkpoint to the inputs and configuration that
@@ -530,6 +599,7 @@ impl PreparedEngine {
                             DocStatus::Quarantined(QuarantineEntry::from_error(
                                 &id, "read_doc", &e,
                             )),
+                            &DocTally::default(),
                             &run,
                         )?;
                     }
@@ -648,8 +718,8 @@ impl PreparedEngine {
         if workers <= 1 {
             let mut scratch = ScoreScratch::new();
             for doc in pending.iter().copied() {
-                let status = process_doc(self, doc, opts, run, &mut scratch);
-                state.record(doc.id.clone(), status, run)?;
+                let (status, tally) = process_doc(self, doc, opts, &mut scratch);
+                state.record(doc.id.clone(), status, &tally, run)?;
             }
             Ok(())
         } else {
@@ -671,12 +741,12 @@ impl PreparedEngine {
                             let Some(doc) = pending.get(i).copied() else {
                                 break;
                             };
-                            let status = process_doc(self, doc, opts, run, &mut scratch);
+                            let (status, tally) = process_doc(self, doc, opts, &mut scratch);
                             let mut guard = shared
                                 .lock()
                                 .expect("run state lock poisoned by a panicking recorder");
                             let (state, first_err) = &mut *guard;
-                            if let Err(e) = state.record(doc.id.clone(), status, run) {
+                            if let Err(e) = state.record(doc.id.clone(), status, &tally, run) {
                                 stop.store(true, Ordering::Relaxed);
                                 first_err.get_or_insert(e);
                             }

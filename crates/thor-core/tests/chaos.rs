@@ -16,6 +16,7 @@ use thor_core::{Document, PipelineMetrics, ResilientOptions, RunMode, Thor, Thor
 use thor_data::{to_csv, Schema, Table};
 use thor_embed::SemanticSpaceBuilder;
 use thor_fault::{scoped_failpoints, DocumentPolicy, ErrorKind};
+use thor_obs::{MetricValue, MetricsSnapshot};
 
 fn setup(cache_capacity: usize, threads: usize) -> (Thor, Table, Vec<Document>) {
     let store = SemanticSpaceBuilder::new(32, 21)
@@ -317,28 +318,76 @@ fn resume_refuses_checkpoint_from_different_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Spans recorded by the timer `name`.
+fn spans(snap: &MetricsSnapshot, name: &str) -> u64 {
+    match snap.get(name) {
+        Some(MetricValue::Timer { spans, .. }) => *spans,
+        other => panic!("`{name}` is not a timer: {other:?}"),
+    }
+}
+
 #[test]
 fn resumed_metrics_span_the_whole_logical_run() {
-    let dir = temp_dir("metrics");
-    {
-        let _guard = scoped_failpoints("extract:err@3");
+    for threads in [1, 4] {
+        let full = {
+            let _guard = scoped_failpoints("");
+            let metrics = PipelineMetrics::new();
+            let (thor, table, docs) = setup(4096, threads);
+            let thor = thor.with_metrics(metrics.clone());
+            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, None, false))
+                .unwrap();
+            metrics.snapshot()
+        };
+        let dir = temp_dir(&format!("metrics-{threads}"));
+        {
+            let _guard = scoped_failpoints("extract:err@3");
+            let metrics = PipelineMetrics::new();
+            let (thor, table, docs) = setup(4096, threads);
+            let thor = thor.with_metrics(metrics);
+            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+                .expect_err("injected fault");
+        }
+        let _guard = scoped_failpoints("");
         let metrics = PipelineMetrics::new();
-        let (thor, table, docs) = setup(4096, 1);
-        let thor = thor.with_metrics(metrics);
-        thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
-            .expect_err("injected fault");
+        let (thor, table, docs) = setup(4096, threads);
+        let thor = thor.with_metrics(metrics.clone());
+        let outcome = thor
+            .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+            .unwrap();
+        assert!(outcome.resumed_docs > 0, "threads={threads}");
+        // Counters absorbed from the checkpoint + this invocation's work
+        // cover every document exactly once: the document that failed
+        // was not counted before the checkpoint was saved.
+        let resumed = metrics.snapshot();
+        assert_eq!(resumed.count("docs") as usize, docs.len());
+        for name in [
+            "docs",
+            "quarantine.docs",
+            "segments",
+            "sentences",
+            "noun_phrases",
+            "entities",
+            "refine.scored",
+            "refine.pruned",
+        ] {
+            assert_eq!(
+                resumed.count(name),
+                full.count(name),
+                "`{name}`, threads={threads}"
+            );
+        }
+        // The memo split differs (the resumed engine starts cold), but
+        // every noun phrase is looked up exactly once.
+        let lookups =
+            |s: &MetricsSnapshot| s.count("phrase_memo.hit") + s.count("phrase_memo.miss");
+        assert_eq!(lookups(&resumed), lookups(&full), "threads={threads}");
+        for name in ["stage.segment", "stage.chunk"] {
+            assert_eq!(
+                spans(&resumed, name),
+                spans(&full, name),
+                "`{name}` spans, threads={threads}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _guard = scoped_failpoints("");
-    let metrics = PipelineMetrics::new();
-    let (thor, table, docs) = setup(4096, 1);
-    let thor = thor.with_metrics(metrics.clone());
-    let outcome = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
-        .unwrap();
-    // Counters absorbed from the checkpoint + this invocation's work
-    // cover every document exactly once.
-    assert_eq!(metrics.snapshot().count("docs") as usize, docs.len());
-    assert_eq!(metrics.snapshot().count("quarantine.docs"), 0);
-    assert!(outcome.resumed_docs > 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }

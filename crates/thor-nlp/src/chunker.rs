@@ -10,7 +10,7 @@
 //! A [`NounPhrase`] records both the stop-word-stripped surface text and
 //! its token span, so downstream spans can be mapped back to the source.
 
-use thor_text::strip_stopwords;
+use thor_text::trim_stopwords;
 
 use crate::dep::{DepLabel, DepTree};
 use crate::pos::Pos;
@@ -36,7 +36,11 @@ pub struct NounPhrase {
 /// `compound`). Spans are contiguous by construction of the parser's
 /// attachment rules. Phrases that are empty after stop-word stripping
 /// (e.g. a bare pronoun `it`) are dropped.
-#[allow(clippy::needless_range_loop)]
+///
+/// `words` are tokens as [`thor_text::tokenize`] produces them: non-empty
+/// and free of whitespace. Spans are found by walking head pointers
+/// once per token and trimmed on the word slice ([`trim_stopwords`]), so
+/// a phrase allocates only its text.
 pub fn noun_phrases(words: &[&str], tags: &[Pos], tree: &DepTree) -> Vec<NounPhrase> {
     assert_eq!(words.len(), tags.len());
     assert_eq!(words.len(), tree.len());
@@ -49,30 +53,36 @@ pub fn noun_phrases(words: &[&str], tags: &[Pos], tree: &DepTree) -> Vec<NounPhr
             DepLabel::Det | DepLabel::Amod | DepLabel::Nummod | DepLabel::Compound
         )
     };
+    // `span[x]` is the first and last token whose head pointers lead to
+    // `x` through NP-internal relations only: `x`'s phrase if `x` heads
+    // one. Each token walks its chain once. A chain in a tree has fewer
+    // than `n` hops, which also stops the walk on a malformed, cyclic one.
+    let mut span: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+    for d in 0..n {
+        let mut cur = d;
+        for _ in 0..n {
+            match tree.heads[cur] {
+                Some(h) if h < n && np_internal(tree.labels[cur]) => {
+                    cur = h;
+                    span[h].0 = span[h].0.min(d);
+                    span[h].1 = span[h].1.max(d);
+                }
+                _ => break,
+            }
+        }
+    }
 
-    for head in 0..n {
-        if !tags[head].is_nominal() {
+    for (head, tag) in tags.iter().enumerate() {
+        if !tag.is_nominal() {
             continue;
         }
         // Skip non-head members of a compound run.
         if tree.labels[head] == DepLabel::Compound {
             continue;
         }
-        // Gather NP-internal dependents transitively.
-        let mut members = vec![head];
-        let mut stack = vec![head];
-        while let Some(h) = stack.pop() {
-            for d in tree.dependents(h) {
-                if np_internal(tree.labels[d]) {
-                    members.push(d);
-                    stack.push(d);
-                }
-            }
-        }
-        let start = *members.iter().min().expect("non-empty");
-        let end = *members.iter().max().expect("non-empty") + 1;
-        let raw = words[start..end].join(" ");
-        let text = strip_stopwords(&raw);
+        let (start, last) = span[head];
+        let end = last + 1;
+        let text = trim_stopwords(&words[start..end]).join(" ");
         if text.is_empty() {
             continue;
         }

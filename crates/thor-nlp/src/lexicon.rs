@@ -9,6 +9,8 @@
 
 use std::collections::HashMap;
 
+use thor_text::with_lowercase;
+
 use crate::pos::Pos;
 
 /// Word → tag lexicon with a morphological guesser.
@@ -217,7 +219,7 @@ impl Lexicon {
 
     /// Exact lookup (case-insensitive).
     pub fn lookup(&self, word: &str) -> Option<Pos> {
-        self.entries.get(&word.to_lowercase()).copied()
+        with_lowercase(word, |lower| self.entries.get(lower).copied())
     }
 
     /// Number of entries.
@@ -235,13 +237,19 @@ impl Lexicon {
     /// `sentence_initial` suppresses the capitalization→PROPN rule at the
     /// start of a sentence, where capitalization is uninformative.
     pub fn guess(&self, word: &str, sentence_initial: bool) -> Pos {
+        with_lowercase(word, |lower| {
+            Self::guess_lowered(word, lower, sentence_initial)
+        })
+    }
+
+    /// [`Lexicon::guess`], given `lower`, the lowercase form of `word`.
+    fn guess_lowered(word: &str, lower: &str, sentence_initial: bool) -> Pos {
         if word.chars().all(|c| c.is_ascii_punctuation()) && !word.is_empty() {
             return Pos::Punct;
         }
         if word.chars().next().is_some_and(|c| c.is_ascii_digit()) {
             return Pos::Num;
         }
-        let lower = word.to_lowercase();
         // Capitalized mid-sentence → proper noun.
         if !sentence_initial && word.chars().next().is_some_and(char::is_uppercase) {
             return Pos::Propn;
@@ -250,7 +258,7 @@ impl Lexicon {
         const NUM_WORDS: &[&str] = &[
             "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten",
         ];
-        if NUM_WORDS.contains(&lower.as_str()) {
+        if NUM_WORDS.contains(&lower) {
             return Pos::Num;
         }
         // Adverbs: -ly.
@@ -283,10 +291,14 @@ impl Lexicon {
         Pos::Noun
     }
 
-    /// Lookup, falling back to the guesser.
+    /// Lookup, falling back to the guesser; lowercases `word` once for both.
     pub fn tag_of(&self, word: &str, sentence_initial: bool) -> Pos {
-        self.lookup(word)
-            .unwrap_or_else(|| self.guess(word, sentence_initial))
+        with_lowercase(word, |lower| {
+            self.entries
+                .get(lower)
+                .copied()
+                .unwrap_or_else(|| Self::guess_lowered(word, lower, sentence_initial))
+        })
     }
 }
 

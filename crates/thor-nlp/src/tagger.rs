@@ -14,6 +14,8 @@
 
 use std::collections::HashMap;
 
+use thor_text::with_lowercase;
+
 use crate::lexicon::Lexicon;
 use crate::pos::Pos;
 
@@ -73,7 +75,7 @@ impl Tagger for RuleTagger {
             if tags[i] == Pos::Noun
                 && i + 1 < tags.len()
                 && matches!(tags[i + 1], Pos::Det | Pos::Pron)
-                && words[i].to_lowercase().ends_with('s')
+                && with_lowercase(words[i], |lower| lower.ends_with('s'))
             {
                 // Previous non-adverb tag must be nominal.
                 let prev_nominal = (0..i)
@@ -155,8 +157,8 @@ impl HmmTagger {
 
     /// Log emission scores of `word` for every tag.
     fn emit(&self, word: &str, sentence_initial: bool) -> [f64; Pos::ALL.len()] {
-        if let Some(row) = self.emission.get(&word.to_lowercase()) {
-            return *row;
+        if let Some(row) = with_lowercase(word, |lower| self.emission.get(lower).copied()) {
+            return row;
         }
         // OOV: concentrate mass on the morphological guess, leave a
         // small floor elsewhere.

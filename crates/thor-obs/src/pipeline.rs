@@ -28,7 +28,8 @@ pub struct PipelineMetrics {
     pub inference: Arc<StageTimer>,
     /// Wall-clock of text segmentation, one span per document.
     pub segment: Arc<StageTimer>,
-    /// Wall-clock of sentence parsing + noun-phrase chunking.
+    /// Wall-clock of the text front end: tokenizing, tagging, parsing
+    /// and noun-phrase chunking, one span per non-empty sentence.
     pub chunk: Arc<StageTimer>,
     /// Wall-clock of anchored phrase matching against the concept store.
     pub match_phrase: Arc<StageTimer>,

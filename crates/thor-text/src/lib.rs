@@ -8,11 +8,14 @@
 //! this crate provides the low-level linguistic machinery the rest of the
 //! workspace builds on:
 //!
-//! * [`token`] — word tokenization with byte-offset spans,
+//! * [`token`] — word tokenization with byte-offset spans: one
+//!   span-based core ([`token_spans`]) that borrows words from the text,
 //! * [`sentence`] — sentence segmentation of documents,
 //! * [`inflect`] — rule-based English singularization (seeds are
 //!   lemma-like, mentions inflect),
-//! * [`normalize`] — case folding, punctuation stripping,
+//! * [`normalize`] — case folding, punctuation stripping, and the
+//!   stack-buffered lowercase key of case-insensitive lookups
+//!   ([`with_lowercase`]),
 //! * [`stopwords`] — the stop-word list used when trimming noun phrases,
 //! * [`similarity`] — the syntactic similarity measures of Algorithm 1:
 //!   word-level Jaccard and character-level gestalt (Ratcliff–Obershelp)
@@ -41,8 +44,8 @@ pub use inflect::{same_lemma, singularize, singularize_phrase};
 pub use kernels::{
     gestalt_bound, gestalt_prepared, jaccard_prepared, PhraseSyntax, ScoreScratch, SeedSyntax,
 };
-pub use normalize::{fold_token, normalize_phrase, normalized_eq};
+pub use normalize::{fold_token, normalize_phrase, normalized_eq, with_lowercase};
 pub use sentence::{split_sentences, Sentence};
 pub use similarity::{gestalt_similarity, jaccard_words, levenshtein, ngram_similarity};
-pub use stopwords::{is_stopword, strip_stopwords};
-pub use token::{tokenize, tokenize_words, Token};
+pub use stopwords::{is_stopword, strip_stopwords, trim_stopwords};
+pub use token::{token_spans, tokenize, tokenize_words, Token, TokenSpans};

@@ -17,6 +17,40 @@ fn trim_outer_punctuation(token: &str) -> &str {
     token.trim_matches(|c: char| c.is_ascii_punctuation() && c != '-' && c != '\'')
 }
 
+/// Longest ASCII word [`with_lowercase`] lowercases on the stack.
+const LOWERCASE_BUF: usize = 32;
+
+/// Call `f` with `word.to_lowercase()`, without allocating for short
+/// ASCII words — the lowercase key of every case-insensitive word lookup
+/// (lexicon, stop-words, HMM emissions).
+///
+/// An ASCII word without uppercase letters is passed through as is, and
+/// one of at most 32 bytes is lowercased into a stack buffer. A longer
+/// or non-ASCII word goes through `str::to_lowercase`, so Unicode rules
+/// hold exactly: word-final `Σ` becomes `ς`, `İ` becomes `i̇`, and the
+/// Kelvin sign `K` becomes the ASCII `k`.
+///
+/// ```
+/// use thor_text::with_lowercase;
+/// assert!(with_lowercase("The", |w| w == "the"));
+/// assert!(with_lowercase("ΟΔΟΣ", |w| w == "οδος"));
+/// ```
+pub fn with_lowercase<R>(word: &str, f: impl FnOnce(&str) -> R) -> R {
+    if word.is_ascii() {
+        if !word.bytes().any(|b| b.is_ascii_uppercase()) {
+            return f(word);
+        }
+        if word.len() <= LOWERCASE_BUF {
+            let mut buf = [0u8; LOWERCASE_BUF];
+            let lower = &mut buf[..word.len()];
+            lower.copy_from_slice(word.as_bytes());
+            lower.make_ascii_lowercase();
+            return f(std::str::from_utf8(lower).expect("lowercased ASCII is UTF-8"));
+        }
+    }
+    f(&word.to_lowercase())
+}
+
 /// The tokens of `s` that [`fold_token`] keeps, not yet lowercased.
 /// Splits like [`normalize_phrase`], on Unicode whitespace: the
 /// vertical tab is whitespace there but not to `split_ascii_whitespace`.
@@ -112,6 +146,28 @@ mod tests {
             normalize_phrase("the lungs , and heart ."),
             "the lungs and heart"
         );
+    }
+
+    #[test]
+    fn with_lowercase_matches_str_to_lowercase() {
+        let long = "A".repeat(LOWERCASE_BUF + 1);
+        for word in [
+            "",
+            "lungs",
+            "The",
+            "MiXeD-Case's",
+            &long[..LOWERCASE_BUF],
+            &long,
+            "ΟΔΟΣ",
+            "İSTANBUL",
+            "STRAẞE",
+            "ǅemal",
+            "\u{212A}NOWS",
+        ] {
+            with_lowercase(word, |lower| {
+                assert_eq!(lower, word.to_lowercase(), "{word:?}")
+            });
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
+use crate::normalize::with_lowercase;
+
 const STOPWORDS: &[&str] = &[
     // determiners / articles
     "a",
@@ -187,8 +189,28 @@ fn set() -> &'static HashSet<&'static str> {
 
 /// Is `word` (any case) a stop-word?
 pub fn is_stopword(word: &str) -> bool {
-    let lower = word.to_lowercase();
-    set().contains(lower.as_str())
+    with_lowercase(word, |lower| set().contains(lower))
+}
+
+/// The words of `words` between its leading and trailing stop-words
+/// and punctuation-only words — the trimming rule of
+/// [`strip_stopwords`], on a phrase that is already split into words.
+///
+/// ```
+/// use thor_text::trim_stopwords;
+/// assert_eq!(trim_stopwords(&["the", "loss", "of", "balance", "."]), ["loss", "of", "balance"]);
+/// ```
+pub fn trim_stopwords<'w, 'a>(words: &'w [&'a str]) -> &'w [&'a str] {
+    let is_strippable = |t: &str| is_stopword(t) || t.chars().all(|c| c.is_ascii_punctuation());
+    let lo = words
+        .iter()
+        .position(|w| !is_strippable(w))
+        .unwrap_or(words.len());
+    let hi = words[lo..]
+        .iter()
+        .rposition(|w| !is_strippable(w))
+        .map_or(lo, |i| lo + i + 1);
+    &words[lo..hi]
 }
 
 /// Strip leading and trailing stop-words (and punctuation-only tokens)
@@ -204,16 +226,7 @@ pub fn is_stopword(word: &str) -> bool {
 /// ```
 pub fn strip_stopwords(phrase: &str) -> String {
     let tokens: Vec<&str> = phrase.split_whitespace().collect();
-    let is_strippable = |t: &str| is_stopword(t) || t.chars().all(|c| c.is_ascii_punctuation());
-    let mut lo = 0usize;
-    let mut hi = tokens.len();
-    while lo < hi && is_strippable(tokens[lo]) {
-        lo += 1;
-    }
-    while hi > lo && is_strippable(tokens[hi - 1]) {
-        hi -= 1;
-    }
-    tokens[lo..hi].join(" ")
+    trim_stopwords(&tokens).join(" ")
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //! (`slow-growing`, `Alzheimer's`) because the paper's noun phrases rely
 //! on them.
 
+use std::ops::Range;
+
 /// A single token with its byte span in the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
@@ -53,6 +55,88 @@ fn is_inner(c: char) -> bool {
     c.is_alphanumeric() || c == '-' || c == '\'' || c == '’' || c == '_'
 }
 
+/// The byte ranges of the tokens of `text`, in source order — the one
+/// tokenizer core. [`tokenize`] builds owned [`Token`]s from it; a caller
+/// that only needs the words slices `&text[range]` and allocates nothing
+/// per token.
+///
+/// ```
+/// use thor_text::token_spans;
+/// let text = "(lungs).";
+/// let words: Vec<&str> = token_spans(text).map(|r| &text[r]).collect();
+/// assert_eq!(words, ["(", "lungs", ")", "."]);
+/// ```
+pub fn token_spans(text: &str) -> TokenSpans<'_> {
+    TokenSpans {
+        text,
+        pos: 0,
+        chunk_end: 0,
+        core_start: 0,
+        core_end: 0,
+    }
+}
+
+/// Iterator returned by [`token_spans`].
+#[derive(Debug, Clone)]
+pub struct TokenSpans<'a> {
+    text: &'a str,
+    /// Start of the next token; equals `chunk_end` between chunks.
+    pos: usize,
+    /// End of the whitespace-delimited chunk being split.
+    chunk_end: usize,
+    /// The chunk's core, from its first inner character to past its
+    /// last; empty when the chunk has no inner character.
+    core_start: usize,
+    core_end: usize,
+}
+
+impl TokenSpans<'_> {
+    /// Move to the next whitespace-delimited chunk and locate its core;
+    /// false when the text is exhausted.
+    fn next_chunk(&mut self) -> bool {
+        let rest = &self.text[self.pos..];
+        let Some(skip) = rest.find(|c: char| !c.is_whitespace()) else {
+            self.pos = self.text.len();
+            self.chunk_end = self.pos;
+            return false;
+        };
+        let chunk = &rest[skip..];
+        let chunk = &chunk[..chunk.find(char::is_whitespace).unwrap_or(chunk.len())];
+        self.pos += skip;
+        self.chunk_end = self.pos + chunk.len();
+        (self.core_start, self.core_end) = match chunk.char_indices().find(|&(_, c)| is_inner(c)) {
+            Some((first, _)) => {
+                let (last, c) = chunk
+                    .char_indices()
+                    .rev()
+                    .find(|&(_, c)| is_inner(c))
+                    .expect("the chunk has an inner character");
+                (self.pos + first, self.pos + last + c.len_utf8())
+            }
+            None => (self.chunk_end, self.chunk_end),
+        };
+        true
+    }
+}
+
+impl Iterator for TokenSpans<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        if self.pos == self.chunk_end && !self.next_chunk() {
+            return None;
+        }
+        let start = self.pos;
+        self.pos = if start == self.core_start && self.core_start < self.core_end {
+            self.core_end
+        } else {
+            let c = self.text[start..].chars().next().expect("inside a chunk");
+            start + c.len_utf8()
+        };
+        Some(start..self.pos)
+    }
+}
+
 /// Tokenize `text` into [`Token`]s with byte spans.
 ///
 /// Splitting rules:
@@ -69,73 +153,9 @@ fn is_inner(c: char) -> bool {
 /// assert_eq!(words, ["Tuberculosis", "damages", "the", "lungs", "."]);
 /// ```
 pub fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut chunk_start = None::<usize>;
-
-    let flush = |tokens: &mut Vec<Token>, text: &str, start: usize, end: usize| {
-        if start >= end {
-            return;
-        }
-        let chunk = &text[start..end];
-        // Find the core: trim leading/trailing non-inner characters,
-        // emitting each as a standalone token.
-        let mut core_start = start;
-        for (i, c) in chunk.char_indices() {
-            if is_inner(c) {
-                core_start = start + i;
-                break;
-            }
-            tokens.push(Token::new(
-                c.to_string(),
-                start + i,
-                start + i + c.len_utf8(),
-            ));
-            core_start = start + i + c.len_utf8();
-        }
-        if core_start >= end {
-            return;
-        }
-        let core_chunk = &text[core_start..end];
-        let mut core_end = end;
-        let mut trailing: Vec<(usize, char)> = Vec::new();
-        for (i, c) in core_chunk
-            .char_indices()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .rev()
-        {
-            if is_inner(c) {
-                core_end = core_start + i + c.len_utf8();
-                break;
-            }
-            trailing.push((core_start + i, c));
-            core_end = core_start + i;
-        }
-        if core_start < core_end {
-            tokens.push(Token::new(
-                &text[core_start..core_end],
-                core_start,
-                core_end,
-            ));
-        }
-        for (pos, c) in trailing.into_iter().rev() {
-            tokens.push(Token::new(c.to_string(), pos, pos + c.len_utf8()));
-        }
-    };
-
-    for (i, c) in text.char_indices() {
-        if c.is_whitespace() {
-            if let Some(s) = chunk_start.take() {
-                flush(&mut tokens, text, s, i);
-            }
-        } else if chunk_start.is_none() {
-            chunk_start = Some(i);
-        }
-    }
-    if let Some(s) = chunk_start {
-        flush(&mut tokens, text, s, text.len());
-    }
-    tokens
+    token_spans(text)
+        .map(|r| Token::new(&text[r.clone()], r.start, r.end))
+        .collect()
 }
 
 /// Tokenize and keep only word-like tokens (drops pure punctuation).
