@@ -1,16 +1,18 @@
 //! Criterion micro-benches for the substrate crates: string similarity,
 //! tokenization, multi-pattern matching, POS tagging, parsing, the text
 //! front end per corpus sentence, the integration operators,
-//! segmentation against the table's subjects, and entity extraction
-//! with a cold and a warm phrase memo.
+//! segmentation against the table's subjects, entity extraction with a
+//! cold and a warm phrase memo, and the per-request table work of
+//! serving one document.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use thor_automata::AhoCorasickBuilder;
 use thor_core::segment::segment;
-use thor_core::{PruneMode, SegmentationMode, Thor, ThorConfig};
-use thor_data::{full_disjunction, Schema, Table};
+use thor_core::slotfill::slot_fill;
+use thor_core::{PruneMode, ResilientOptions, RunMode, SegmentationMode, Thor, ThorConfig};
+use thor_data::{full_disjunction, to_csv, Schema, Table};
 use thor_datagen::{generate, DatasetSpec, Split};
 use thor_nlp::{chunk_sentence, noun_phrases, parse_dependencies, RuleTagger, Tagger};
 use thor_text::{
@@ -225,6 +227,52 @@ fn bench_extract(c: &mut Criterion) {
     g.finish();
 }
 
+/// The table work one served document pays, on the Disease A–Z table
+/// at scale 1.0 (314 rows, τ 0.7) and its test documents:
+/// `clone_fill_drop` clones the engine's table, slot-fills one
+/// document's entities and drops the copy; `to_csv` renders the whole
+/// table; `enrich_resilient_one_doc` is a lenient one-document
+/// `enrich_resilient` (what `/extract` runs) with a warm phrase memo.
+fn bench_table(c: &mut Criterion) {
+    let mut g = c.benchmark_group("table");
+    let dataset = generate(&DatasetSpec::disease_az(7, 1.0));
+    let engine = Thor::new(dataset.store.clone(), ThorConfig::with_tau(0.7))
+        .prepare(&dataset.enrichment_table());
+    let docs = dataset.documents(Split::Test);
+    let per_doc: Vec<_> = docs
+        .iter()
+        .map(|doc| engine.extract(std::slice::from_ref(doc)).0)
+        .collect();
+    let id = BenchmarkId::new("clone_fill_drop", engine.table().len());
+    g.bench_with_input(id, &per_doc, |b, per_doc| {
+        let mut next = per_doc.iter().cycle();
+        b.iter(|| {
+            let entities = next.next().expect("the test split has documents");
+            let mut table = engine.table().clone();
+            let stats = slot_fill(&mut table, black_box(entities));
+            drop(table);
+            stats
+        })
+    });
+    let id = BenchmarkId::new("to_csv", engine.table().len());
+    g.bench_function(id, |b| b.iter(|| to_csv(black_box(engine.table()))));
+    let lenient = ResilientOptions {
+        mode: RunMode::Lenient,
+        ..ResilientOptions::default()
+    };
+    let id = BenchmarkId::new("enrich_resilient_one_doc", engine.table().len());
+    g.bench_with_input(id, &docs, |b, docs| {
+        let mut next = docs.iter().cycle();
+        b.iter(|| {
+            let doc = next.next().expect("the test split has documents");
+            engine
+                .enrich_resilient(std::slice::from_ref(black_box(doc)), &lenient)
+                .expect("lenient runs do not fail")
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_text,
@@ -233,6 +281,7 @@ criterion_group!(
     bench_eval,
     bench_integration,
     bench_segment,
-    bench_extract
+    bench_extract,
+    bench_table
 );
 criterion_main!(benches);

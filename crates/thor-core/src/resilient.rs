@@ -479,11 +479,7 @@ impl PreparedEngine {
     ) -> ThorResult<ResilientOutcome> {
         require_unique_ids(docs.iter().map(|d| d.id.as_str()))?;
         let run = self.run_metrics();
-        let run_fp = run_fingerprint(
-            self.config(),
-            self.table(),
-            docs.iter().map(|d| d.id.as_str()),
-        );
+        let run_fp = self.checkpoint_fingerprint(opts, docs.iter().map(|d| d.id.as_str()));
         let mut state = self.open_run_state(opts, run_fp, &run)?;
 
         let pending: Vec<&Document> = docs
@@ -535,11 +531,7 @@ impl PreparedEngine {
     {
         require_unique_ids(doc_ids.iter().map(String::as_str))?;
         let run = self.run_metrics();
-        let run_fp = run_fingerprint(
-            self.config(),
-            self.table(),
-            doc_ids.iter().map(String::as_str),
-        );
+        let run_fp = self.checkpoint_fingerprint(opts, doc_ids.iter().map(String::as_str));
         let mut state = self.open_run_state(opts, run_fp, &run)?;
 
         let chunk_size = chunk_size.max(1);
@@ -652,6 +644,21 @@ impl PreparedEngine {
                 self.finalize_run(&mut state, &opts.cancel, run, table, t0)
             });
         output.unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The run fingerprint when `opts` names a checkpoint directory, the
+    /// only place it is read; otherwise empty, so a run without one
+    /// pays nothing that grows with the table.
+    fn checkpoint_fingerprint<'a>(
+        &self,
+        opts: &ResilientOptions,
+        doc_ids: impl IntoIterator<Item = &'a str>,
+    ) -> String {
+        if opts.checkpoint_dir.is_some() {
+            run_fingerprint(self.config(), self.table(), doc_ids)
+        } else {
+            String::new()
+        }
     }
 
     /// Build this run's [`RunState`], absorbing a resumable checkpoint

@@ -315,6 +315,14 @@ fn resume_refuses_checkpoint_from_different_run() {
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Checkpoint);
     assert!(err.to_string().contains("refusing to resume"), "{err}");
+    // Same τ over a table differing in one cell value — also a different run.
+    let mut edited = table.clone();
+    assert!(edited.fill_slot("Tuberculosis", "Anatomy", "pleura"));
+    let err = thor
+        .enrich_resilient(&edited, &docs, &opts(RunMode::Strict, Some(&dir), true))
+        .unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Checkpoint);
+    assert!(err.to_string().contains("refusing to resume"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

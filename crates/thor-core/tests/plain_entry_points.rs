@@ -3,13 +3,21 @@
 //! process every document (no admission rejection, duplicate ids
 //! allowed) and a panic inside a stage reaches the caller as a panic.
 //!
+//! They, and the resilient entry point serve uses, share the engine's
+//! table rows copy-on-write: a one-document request copies only the rows
+//! it gives a new value.
+//!
 //! Every test holds a `scoped_failpoints` guard: the plain entry points
 //! evaluate the core's failpoints, so a test arming one must not fire on
 //! another test's run.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-use thor_core::{Document, PipelineMetrics, PreparedEngine, Thor, ThorConfig};
+use thor_core::{
+    Document, PipelineMetrics, PreparedEngine, ResilientOptions, RunMode, Thor, ThorConfig,
+};
 use thor_data::{to_csv, Schema, Table};
 use thor_embed::SemanticSpaceBuilder;
 use thor_fault::scoped_failpoints;
@@ -74,4 +82,40 @@ fn stage_panics_reach_the_caller_as_panics() {
         let payload = catch_unwind(AssertUnwindSafe(|| session.process(&docs[0])));
         assert!(payload.is_err(), "session.process must panic");
     }
+}
+
+#[test]
+fn a_one_document_request_copies_only_the_rows_it_touches() {
+    let _guard = scoped_failpoints("");
+    let (engine, mut docs) = engine();
+    // Its one entity repeats a value the table holds: nothing to copy.
+    docs.push(Document::new("dup", "Tuberculosis damages the lungs."));
+    let lenient = ResilientOptions {
+        mode: RunMode::Lenient,
+        ..ResilientOptions::default()
+    };
+    let mut copied_total = 0;
+    for doc in &docs {
+        let one = std::slice::from_ref(doc);
+        let plain = engine.enrich(one);
+        let served = engine.enrich_resilient(one, &lenient).unwrap().result;
+        for result in [plain, served] {
+            assert_eq!(result.table.len(), engine.table().len());
+            let subjects: HashSet<&str> =
+                result.entities.iter().map(|e| e.subject.as_str()).collect();
+            let mut copied = 0;
+            for (mine, shared) in result.table.rows().iter().zip(engine.table().rows()) {
+                if !Arc::ptr_eq(mine, shared) {
+                    assert_ne!(mine, shared, "{}: row copied without a new value", doc.id);
+                    copied += 1;
+                }
+            }
+            assert!(copied <= subjects.len(), "{}: {copied} rows copied", doc.id);
+            if doc.id == "dup" {
+                assert!(!result.entities.is_empty() && copied == 0);
+            }
+            copied_total += copied;
+        }
+    }
+    assert!(copied_total > 0, "no document filled a slot");
 }

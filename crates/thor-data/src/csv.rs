@@ -3,10 +3,8 @@
 //! Artifacts (generated tables, enriched outputs) are written as RFC-4180
 //! CSV: the header row is the schema, each body row is one subject, and
 //! multi-valued cells join their values with `|`. A labeled null ⊥ is an
-//! empty field. The parser handles quoted fields with embedded commas,
-//! quotes, and newlines.
-
-use std::fmt::Write as _;
+//! empty field. A field holding a comma, quote, `\n` or `\r` is quoted,
+//! and the parser reads such quoted fields back verbatim.
 
 use crate::schema::Schema;
 use crate::table::Table;
@@ -14,34 +12,56 @@ use crate::table::Table;
 /// Multi-value separator inside one CSV field.
 pub const VALUE_SEPARATOR: char = '|';
 
-fn escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Render one CSV record, newline-terminated. Each field is a list of
+/// values joined with [`VALUE_SEPARATOR`]; a field holding a comma,
+/// quote, `\n` or `\r` is quoted, with its quotes doubled.
+pub(crate) fn render_row<'a, V>(fields: impl Iterator<Item = V>) -> String
+where
+    V: Iterator<Item = &'a str> + Clone,
+{
+    let mut line = String::new();
+    for (i, values) in fields.enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        let quoted = values.clone().any(|v| v.contains([',', '"', '\n', '\r']));
+        if quoted {
+            line.push('"');
+        }
+        for (j, value) in values.enumerate() {
+            if j > 0 {
+                line.push(VALUE_SEPARATOR);
+            }
+            if quoted {
+                line.push_str(&value.replace('"', "\"\""));
+            } else {
+                line.push_str(value);
+            }
+        }
+        if quoted {
+            line.push('"');
+        }
     }
+    line.push('\n');
+    line
 }
 
-/// Serialize a table to CSV text.
+/// Serialize a table to CSV text: the header, then each row's memoized
+/// line (rows shared with an already-rendered table are not re-rendered).
 pub fn to_csv(table: &Table) -> String {
-    let mut out = String::new();
-    let header: Vec<String> = table
-        .schema()
-        .concepts()
-        .iter()
-        .map(|c| escape(c.name()))
-        .collect();
-    let _ = writeln!(out, "{}", header.join(","));
-    for row in table.rows() {
-        let fields: Vec<String> = row
-            .cells()
+    let header = render_row(
+        table
+            .schema()
+            .concepts()
             .iter()
-            .map(|cell| {
-                let joined: Vec<&str> = cell.values().collect();
-                escape(&joined.join(&VALUE_SEPARATOR.to_string()))
-            })
-            .collect();
-        let _ = writeln!(out, "{}", fields.join(","));
+            .map(|c| std::iter::once(c.name())),
+    );
+    let rows = table.rows();
+    let len = header.len() + rows.iter().map(|r| r.csv_line().len()).sum::<usize>();
+    let mut out = String::with_capacity(len);
+    out.push_str(&header);
+    for row in rows {
+        out.push_str(row.csv_line());
     }
     out
 }
@@ -342,6 +362,15 @@ mod tests {
             from_csv_lenient("A,B\n\"oops,v\n").unwrap_err(),
             CsvError::UnterminatedQuote
         );
+    }
+
+    #[test]
+    fn carriage_return_in_a_value_round_trips() {
+        let t = from_csv("S,A\nx,\"a\rb\"\n").unwrap();
+        assert_eq!(t.column_values("A"), ["a\rb"]);
+        let csv = to_csv(&t);
+        assert_eq!(csv, "S,A\nx,\"a\rb\"\n");
+        assert_eq!(to_csv(&from_csv(&csv).unwrap()), csv);
     }
 
     #[test]

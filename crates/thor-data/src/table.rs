@@ -6,6 +6,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use thor_text::{normalize_phrase, normalized_eq};
 
@@ -46,6 +47,12 @@ impl Cell {
         self.values.insert(v)
     }
 
+    /// Insert `value`, which the caller has checked is trimmed,
+    /// non-empty and not [`contained`](Cell::contains).
+    fn insert_new(&mut self, value: &str) {
+        self.values.insert(value.to_string());
+    }
+
     /// Is this cell a labeled null?
     pub fn is_null(&self) -> bool {
         self.values.is_empty()
@@ -67,7 +74,7 @@ impl Cell {
     }
 
     /// Iterate the values in deterministic (sorted) order.
-    pub fn values(&self) -> impl Iterator<Item = &str> {
+    pub fn values(&self) -> impl Iterator<Item = &str> + Clone {
         self.values.iter().map(String::as_str)
     }
 
@@ -91,16 +98,40 @@ impl<S: Into<String>> FromIterator<S> for Cell {
 
 /// A row: one cell per schema concept. The subject cell must hold
 /// exactly one value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The row memoizes its rendered CSV line; every cell mutation goes
+/// through [`Row::cell_mut`], which clears it. Equality compares cells.
+#[derive(Debug)]
 pub struct Row {
     cells: Vec<Cell>,
+    line: OnceLock<String>,
 }
+
+/// A row is cloned to be changed, so the clone starts without a memo.
+impl Clone for Row {
+    fn clone(&self) -> Self {
+        Self::from_cells(self.cells.clone())
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells == other.cells
+    }
+}
+
+impl Eq for Row {}
 
 impl Row {
     /// An all-null row of the given arity.
     pub fn empty(arity: usize) -> Self {
+        Self::from_cells(vec![Cell::null(); arity])
+    }
+
+    fn from_cells(cells: Vec<Cell>) -> Self {
         Self {
-            cells: vec![Cell::null(); arity],
+            cells,
+            line: OnceLock::new(),
         }
     }
 
@@ -109,8 +140,9 @@ impl Row {
         &self.cells[i]
     }
 
-    /// Mutable cell access.
+    /// Mutable cell access. Forgets the memoized CSV line.
     pub fn cell_mut(&mut self, i: usize) -> &mut Cell {
+        self.line.take();
         &mut self.cells[i]
     }
 
@@ -123,15 +155,26 @@ impl Row {
     pub fn arity(&self) -> usize {
         self.cells.len()
     }
+
+    /// The row's CSV line (newline-terminated), rendered on first use
+    /// and memoized until a cell changes.
+    pub(crate) fn csv_line(&self) -> &str {
+        self.line
+            .get_or_init(|| crate::csv::render_row(self.cells.iter().map(Cell::values)))
+    }
 }
 
 /// A table `R` adhering to a [`Schema`], keyed by the subject concept.
+///
+/// Rows and the subject index are shared copy-on-write: cloning a table
+/// bumps reference counts, and a mutation copies only the row it
+/// touches (and the index, when a clone gains a subject).
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Vec<Arc<Row>>,
     /// normalized subject value → row index.
-    index: HashMap<String, usize>,
+    index: Arc<HashMap<String, usize>>,
 }
 
 impl Table {
@@ -140,7 +183,7 @@ impl Table {
         Self {
             schema,
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: Arc::default(),
         }
     }
 
@@ -160,14 +203,15 @@ impl Table {
     }
 
     /// The rows in insertion order.
-    pub fn rows(&self) -> &[Row] {
+    pub fn rows(&self) -> &[Arc<Row>] {
         &self.rows
     }
 
-    /// Mutable access to row `i` (crate-internal; used by the
-    /// integration kernel, which upholds the subject-key index).
+    /// Mutable access to row `i`, copied first if shared (crate-internal;
+    /// used by the integration kernel, which upholds the subject-key
+    /// index).
     pub(crate) fn row_mut(&mut self, i: usize) -> &mut Row {
-        &mut self.rows[i]
+        Arc::make_mut(&mut self.rows[i])
     }
 
     /// Get (creating if necessary) the row for subject instance
@@ -180,9 +224,9 @@ impl Table {
         }
         let mut row = Row::empty(self.schema.arity());
         row.cell_mut(self.schema.subject_index()).insert(subject);
-        self.rows.push(row);
+        self.rows.push(Arc::new(row));
         let i = self.rows.len() - 1;
-        self.index.insert(key, i);
+        Arc::make_mut(&mut self.index).insert(key, i);
         i
     }
 
@@ -190,7 +234,7 @@ impl Table {
     pub fn get_row(&self, subject: &str) -> Option<&Row> {
         self.index
             .get(&normalize_phrase(subject))
-            .map(|&i| &self.rows[i])
+            .map(|&i| &*self.rows[i])
     }
 
     /// Subject instance of row `i` (display form).
@@ -208,7 +252,8 @@ impl Table {
     }
 
     /// Insert a value into the cell `(subject, concept)`, creating the
-    /// row if needed. Returns `true` when the value is new.
+    /// row if needed. Returns `true` when the value is new; a duplicate
+    /// leaves a shared row shared.
     ///
     /// # Panics
     /// If `concept` is not in the schema, or is the subject concept.
@@ -223,7 +268,12 @@ impl Table {
             "cannot slot-fill the subject concept"
         );
         let ri = self.row_for_subject(subject);
-        self.rows[ri].cell_mut(ci).insert(value)
+        let value = value.trim();
+        if value.is_empty() || self.rows[ri].cell(ci).contains(value) {
+            return false;
+        }
+        self.row_mut(ri).cell_mut(ci).insert_new(value);
+        true
     }
 
     /// All values appearing in column `concept` (`R.C`), deduplicated,
@@ -272,7 +322,7 @@ impl Table {
             .map(|r| {
                 let mut cells = r.cells().to_vec();
                 cells.push(Cell::null());
-                Row { cells }
+                Arc::new(Row::from_cells(cells))
             })
             .collect();
         Table {

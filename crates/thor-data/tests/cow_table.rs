@@ -1,0 +1,183 @@
+//! Copy-on-write tables and memoized CSV lines.
+//!
+//! A cloned [`Table`] shares its rows with the original; a slot fill
+//! copies only the row it changes, and each row caches its rendered CSV
+//! line until a cell changes. These properties pin what that sharing
+//! must never be observable as:
+//!
+//! - `to_csv` is byte-identical to a plain allocating renderer, before
+//!   and after the line memo is warm, and the bytes read back as the
+//!   same table;
+//! - editing a clone never changes the original's bytes, and the edited
+//!   clone equals a table built from scratch with the same edits;
+//! - a duplicate fill copies nothing.
+//!
+//! Row edits reach `row_mut` through `fill_slot`, its only public caller.
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+
+use thor_data::csv::{from_csv, to_csv, VALUE_SEPARATOR};
+use thor_data::{Schema, Table};
+
+const CONCEPTS: &[&str] = &["Disease", "Anatomy", "Complication"];
+
+/// The awkward lowercasing pieces of `properties.rs`, plus every byte
+/// CSV must quote. The multi-value separator is left out: a value
+/// holding it does not survive a round trip.
+const PIECES: &[&str] = &[
+    "a", "A", "k", "K", "i", "ss", "SS", " ", "\t", ".", ",", "-", "ΟΔΟΣ", "οδος", "İ", "i\u{307}",
+    "ß", "\u{212A}", "\"", "\n", "\r", "\r\n", "x\"y",
+];
+
+fn pieces(idx: &[usize]) -> String {
+    idx.iter().map(|&i| PIECES[i % PIECES.len()]).collect()
+}
+
+/// Subjects get a fixed prefix so no key normalizes to empty.
+fn subject(idx: &[usize]) -> String {
+    format!("s{}", pieces(idx))
+}
+
+/// The allocating renderer `to_csv` replaced, with `\r` quoted.
+fn escape(field: &str) -> String {
+    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
+        format!("\"{}\"", field.replace('"', "\"\""))
+    } else {
+        field.to_string()
+    }
+}
+
+fn reference_csv(table: &Table) -> String {
+    let mut out = String::new();
+    let header: Vec<String> = table
+        .schema()
+        .concepts()
+        .iter()
+        .map(|c| escape(c.name()))
+        .collect();
+    out.push_str(&header.join(","));
+    out.push('\n');
+    for row in table.rows() {
+        let fields: Vec<String> = row
+            .cells()
+            .iter()
+            .map(|cell| {
+                let joined: Vec<&str> = cell.values().collect();
+                escape(&joined.join(&VALUE_SEPARATOR.to_string()))
+            })
+            .collect();
+        out.push_str(&fields.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// One table edit: `(kind, subject pieces, concept, value pieces)`.
+/// Kind 0 fills a slot, kind 1 only creates (or finds) the row.
+type Edit = (usize, Vec<usize>, usize, Vec<usize>);
+
+fn arb_edits(max: usize) -> impl Strategy<Value = Vec<Edit>> {
+    prop::collection::vec(
+        (
+            0usize..2,
+            prop::collection::vec(0usize..PIECES.len(), 0..2),
+            1usize..CONCEPTS.len(),
+            prop::collection::vec(0usize..PIECES.len(), 0..4),
+        ),
+        0..max,
+    )
+}
+
+fn apply(table: &mut Table, edits: &[Edit]) {
+    for (kind, s, c, v) in edits {
+        let s = subject(s);
+        match kind {
+            0 => {
+                table.fill_slot(&s, CONCEPTS[*c], &pieces(v));
+            }
+            _ => {
+                table.row_for_subject(&s);
+            }
+        }
+    }
+}
+
+fn build(edits: &[Edit]) -> Table {
+    let mut t = Table::new(Schema::new(CONCEPTS.iter().copied(), CONCEPTS[0]));
+    apply(&mut t, edits);
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// (a) `to_csv` equals the allocating renderer cold, warm, and after
+    /// edits to a warm table; its bytes read back as the same table.
+    #[test]
+    fn to_csv_matches_the_allocating_renderer(
+        edits in arb_edits(24),
+        more in arb_edits(8),
+    ) {
+        let mut t = build(&edits);
+        let cold = to_csv(&t);
+        prop_assert_eq!(&cold, &reference_csv(&t));
+        prop_assert_eq!(&to_csv(&t), &cold, "warm memo");
+        prop_assert_eq!(&to_csv(&from_csv(&cold).expect("parse")), &cold);
+        apply(&mut t, &more);
+        prop_assert_eq!(to_csv(&t), reference_csv(&t), "after edits");
+    }
+
+    /// (b) Editing a clone leaves the original's bytes alone, copies
+    /// only rows it changes, and matches a from-scratch rebuild.
+    #[test]
+    fn edits_to_a_clone_stay_in_the_clone(
+        base in arb_edits(24),
+        edits in arb_edits(12),
+    ) {
+        let a = build(&base);
+        let before = to_csv(&a);
+        let mut b = a.clone();
+        apply(&mut b, &edits);
+
+        prop_assert_eq!(&to_csv(&a), &before);
+        prop_assert_eq!(a.rows(), build(&base).rows());
+        for s in b.subjects() {
+            prop_assert_eq!(a.get_row(s), build(&base).get_row(s), "{:?}", s);
+        }
+
+        let rebuilt = build(&[base.as_slice(), edits.as_slice()].concat());
+        prop_assert_eq!(b.rows(), rebuilt.rows());
+        prop_assert_eq!(to_csv(&b), to_csv(&rebuilt));
+        for s in rebuilt.subjects() {
+            prop_assert_eq!(b.get_row(s), rebuilt.get_row(s), "{:?}", s);
+        }
+        for (mine, shared) in b.rows().iter().zip(a.rows()) {
+            prop_assert!(Arc::ptr_eq(mine, shared) || mine != shared, "row copied unchanged");
+        }
+    }
+
+    /// (c) Re-filling a value a cell already holds — ASCII-uppercased
+    /// and padded — or a blank value copies no row.
+    #[test]
+    fn a_duplicate_fill_copies_nothing(base in arb_edits(24), pick in 0usize..64) {
+        let a = build(&base);
+        let mut filled = Vec::new();
+        for (i, row) in a.rows().iter().enumerate() {
+            for ci in 1..CONCEPTS.len() {
+                filled.extend(row.cell(ci).values().map(|v| (i, ci, v)));
+            }
+        }
+        if let Some(&(i, ci, value)) = filled.get(pick % filled.len().max(1)) {
+            let mut b = a.clone();
+            let subject = a.subject_of(i).to_ascii_uppercase();
+            let padded = format!(" {}\t", value.to_ascii_uppercase());
+            prop_assert!(!b.fill_slot(&subject, CONCEPTS[ci], &padded));
+            prop_assert!(!b.fill_slot(a.subject_of(i), CONCEPTS[ci], "  "));
+            for (mine, shared) in b.rows().iter().zip(a.rows()) {
+                prop_assert!(Arc::ptr_eq(mine, shared));
+            }
+        }
+    }
+}

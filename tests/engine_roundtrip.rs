@@ -280,6 +280,28 @@ fn mapped_and_owned_engines_are_byte_identical() {
     }
 }
 
+/// A cell value holding `\r` survives save → load in both map modes:
+/// the artifact embeds the table's CSV and checks only its digest, so
+/// that CSV must read back as the table it was rendered from.
+#[test]
+fn carriage_return_values_survive_save_and_load() {
+    let table = thor_data::from_csv("Disease,Anatomy\nAcne,\"skin\rfold\"\n").expect("parse");
+    assert_eq!(table.column_values("Anatomy"), ["skin\rfold"]);
+    let built = Thor::new(fixture_store(), ThorConfig::with_tau(0.6)).prepare(&table);
+    let path = scratch("carriage-return");
+    built.save(&path).expect("save engine");
+    for mode in [MapMode::Owned, MapMode::Mapped] {
+        let loaded = PreparedEngine::load_with(&path, mode).expect("load engine");
+        assert_eq!(
+            thor_data::to_csv(loaded.table()),
+            thor_data::to_csv(built.table()),
+            "{mode:?}"
+        );
+        assert_eq!(loaded.fingerprint(), built.fingerprint(), "{mode:?}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// One loaded engine shared across threads serves concurrently and
 /// identically — the serve path is lock-free over immutable state.
 #[test]
