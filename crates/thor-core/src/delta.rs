@@ -35,8 +35,8 @@ use thor_index::VectorIndexBuilder;
 use thor_obs::PipelineMetrics;
 
 use crate::engine::{
-    concept_instances, engine_fingerprint, meta_fingerprint, EngineInner, ENGINE_LAZY_SECTIONS,
-    SEC_META,
+    concept_instances, engine_fingerprint, meta_fingerprint, record_fine_tune, EngineInner,
+    ENGINE_LAZY_SECTIONS, SEC_META,
 };
 use crate::extract::PhraseMemo;
 use crate::segment::SubjectIndex;
@@ -117,6 +117,7 @@ impl PreparedEngine {
         match result {
             Ok(mut inner) => {
                 inner.prepare_time = elapsed;
+                record_fine_tune(&run, &inner.matcher);
                 run.registry().counter("delta.applied").inc();
                 run.registry()
                     .gauge("engine.chain_depth")
@@ -205,7 +206,7 @@ impl PreparedEngine {
         // block-copied bit-for-bit from the current index; touched and
         // new ones are rebuilt from their (re-derived) clusters.
         let matcher_config = inner.config.matcher_config();
-        let clusters = prep.clusters_at(&matcher_config, None);
+        let clusters = prep.clusters_at(&matcher_config);
         let old_index = inner.matcher.index();
         let touched: HashSet<usize> = touched.into_iter().collect();
         let mut builder = VectorIndexBuilder::new(inner.store.dim());
@@ -224,7 +225,7 @@ impl PreparedEngine {
         }
         let index = builder.build();
         let matcher = prep
-            .matcher_with_index(matcher_config, inner.metrics.clone(), index, None)
+            .matcher_with_index(matcher_config, index, None)
             .map_err(|m| ThorError::validation(format!("delta index extension: {m}")))?;
 
         // 4. Extend the dictionary automaton with the merged patterns.

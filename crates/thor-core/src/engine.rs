@@ -172,6 +172,24 @@ pub(crate) fn concept_instances(table: &Table) -> Vec<(String, Vec<String>)> {
         .collect()
 }
 
+/// Record what fine-tuning `matcher` produced into `metrics`: the
+/// `expansion.words` count, the `vocab.words`, `cluster.representatives`
+/// and `index.rows` gauges, and one `index.build` span when the matcher
+/// froze its own index. Every path that builds or attaches a matcher
+/// records through here.
+pub(crate) fn record_fine_tune(metrics: &PipelineMetrics, matcher: &SimilarityMatcher) {
+    let stats = matcher.fine_tune_stats();
+    metrics.expansion_words.add(stats.expansion_words);
+    metrics.vocab_words.set(stats.vocab_words);
+    metrics
+        .cluster_representatives
+        .set(stats.cluster_representatives);
+    metrics.index_rows.set(stats.index_rows);
+    if let Some(built) = stats.index_build {
+        metrics.index_build.record(built);
+    }
+}
+
 /// Semantic fingerprint of an engine: every configuration field that
 /// can change serve output ([`ThorConfig::fingerprint_parts`]) plus
 /// digests of the table and the vector store.
@@ -204,7 +222,8 @@ impl Thor {
                 Arc::clone(self.store_arc()),
                 matcher_config.clone(),
             );
-            let matcher = prep.matcher_at(matcher_config, self.metrics().cloned());
+            let matcher = prep.matcher_at(matcher_config);
+            record_fine_tune(&run, &matcher);
             let dictionary = DictionaryIndex::from_concepts(concepts);
             let table_csv = thor_data::to_csv(table);
             let store_digest = fnv1a(self.store().to_text().as_bytes());
@@ -340,11 +359,10 @@ impl PreparedEngine {
             return thor.prepare(&self.inner.table);
         }
         let run = self.run_metrics();
-        let (matcher, prepare_time) = run.prepare.time(|| {
-            self.inner
-                .prep
-                .matcher_at(config.matcher_config(), self.inner.metrics.clone())
-        });
+        let (matcher, prepare_time) = run
+            .prepare
+            .time(|| self.inner.prep.matcher_at(config.matcher_config()));
+        record_fine_tune(&run, &matcher);
         self.derive(|e| {
             e.fingerprint = engine_fingerprint(&config, e.table_digest, e.store_digest);
             e.config = config;
@@ -374,20 +392,6 @@ impl PreparedEngine {
         self.derive(|e| e.config.threads = threads)
     }
 
-    /// The same engine scoring refinement with the documented reference
-    /// implementations (`true`) or the allocation-free kernels
-    /// (`false`, the default). The two paths are bit-identical, so like
-    /// `threads` this is an execution knob: output and fingerprint are
-    /// unchanged.
-    pub fn with_reference_refine(&self, reference: bool) -> PreparedEngine {
-        self.derive(|e| {
-            e.config.reference_refine = reference;
-            // The winners agree, but the two paths count scored and
-            // pruned candidates differently.
-            e.restart_memo();
-        })
-    }
-
     /// The same engine with a different candidate-pruning mode. `Exact`
     /// (the default) and `Off` are bit-identical to each other —
     /// bound-based skipping only drops scans that provably cannot win —
@@ -408,20 +412,20 @@ impl PreparedEngine {
         })
     }
 
-    /// Attach an observability handle. The matcher is re-derived from
-    /// the frozen Preparation with the handle installed, so fine-tune
-    /// statistics (vocabulary size, expansion counts, representative
-    /// counts, index rows) are recorded exactly as an in-memory build
-    /// records them — this is what makes a loaded engine's metrics
-    /// match the in-memory path. Output is unaffected.
+    /// Attach an observability handle. Nothing is rebuilt: the frozen
+    /// index and pruning structures (zero-copy views after a mapped
+    /// load) are shared. The handle receives the engine's
+    /// `prepare_time` as its one `pipeline.prepare` span and the
+    /// matcher's fine-tune statistics, exactly as an in-memory build
+    /// records them, so a loaded engine's metrics match the in-memory
+    /// path. The phrase memo and the subphrase cache start empty, so
+    /// the handle's cache and prune counters see every miss. Output is
+    /// unaffected.
     pub fn with_metrics(&self, metrics: PipelineMetrics) -> PreparedEngine {
-        let (matcher, _) = metrics.prepare.time(|| {
-            self.inner
-                .prep
-                .matcher_at(self.inner.config.matcher_config(), Some(metrics.clone()))
-        });
+        metrics.prepare.record(self.inner.prepare_time);
+        record_fine_tune(&metrics, &self.inner.matcher);
         self.derive(|e| {
-            e.matcher = Arc::new(matcher);
+            e.matcher = Arc::new(e.matcher.with_fresh_cache());
             e.restart_memo();
             e.metrics = Some(metrics);
         })
@@ -835,7 +839,7 @@ impl PreparedEngine {
             None => None,
         };
         let matcher = prep
-            .matcher_with_index(config.matcher_config(), None, index, prune)
+            .matcher_with_index(config.matcher_config(), index, prune)
             .map_err(|m| invalid(format!("index sections: {m}")))?;
 
         // Dictionary automaton.
@@ -1072,10 +1076,8 @@ fn read_config(r: &mut ByteReader<'_>) -> ThorResult<ThorConfig> {
         np_chunking,
         context_gate,
         threads,
-        // Execution knobs are not persisted (the artifact format is
-        // unchanged): a loaded engine starts from the defaults.
-        early_abandon: true,
-        reference_refine: false,
+        // The pruning mode is an execution knob, never persisted: a
+        // loaded engine starts from the default.
         prune: thor_match::PruneMode::Exact,
     })
 }

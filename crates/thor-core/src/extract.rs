@@ -2,14 +2,14 @@
 //! syntactic refinement (Algorithm 1 lines 3–15).
 //!
 //! Refinement runs on the allocation-free `thor_text::kernels` fast
-//! paths by default, with a score-bound early abandon: the combined
-//! score is a weighted mean of three terms each ≤ 1, so a candidate
-//! whose upper bound `combine(semantic, 1, 1)` cannot beat the running
-//! best is skipped before any syntactic work. Candidates are visited in
-//! the matcher's deterministic order and ties never prune, so the
-//! selected entity — and every downstream byte — is identical to the
-//! reference path (`ThorConfig::reference_refine`), which is retained
-//! as ground truth.
+//! paths with a score-bound early abandon: the combined score is a
+//! weighted mean of three terms each ≤ 1, so a candidate whose upper
+//! bound `combine(semantic, 1, 1)` cannot beat the running best is
+//! skipped before any syntactic work. Ties never prune, so the selected
+//! entity — and every downstream byte — is identical to the oracle
+//! [`refine_candidates_reference`], which scores every candidate with
+//! the documented reference measures and exists only for tests and
+//! benchmarks to compare against.
 //!
 //! Matching and refining a noun phrase is a pure function of its text
 //! once an engine is built, so each engine keeps a [`PhraseMemo`] of
@@ -28,7 +28,7 @@ use thor_text::{
     token_spans, trim_stopwords, PhraseSyntax, ScoreScratch,
 };
 
-use crate::config::ThorConfig;
+use crate::config::{ScoreWeights, ThorConfig};
 use crate::entity::ExtractedEntity;
 use crate::resilient::DocTally;
 use crate::segment::SegmentedSentence;
@@ -74,9 +74,9 @@ struct PhraseOutcome {
 /// A bounded, thread-safe memo from noun-phrase text (as the chunker
 /// produced it) to its refined outcome — one per engine. Everything
 /// the outcome depends on besides the text is fixed per engine: the
-/// lexicon anchor, the matcher, and the configuration's weights,
-/// `early_abandon` and `reference_refine`. An engine derivation that
-/// changes any of them starts a fresh memo; clones share one. Built on
+/// lexicon anchor, the matcher, and the configuration's weights. An
+/// engine derivation that changes either of the last two starts a
+/// fresh memo; clones share one. Built on
 /// [`PhraseCache`] with the engine's `cache_capacity`, so `0` disables
 /// it. The sentence-dependent context gate runs after the lookup.
 #[derive(Debug, Clone)]
@@ -97,10 +97,11 @@ impl PhraseMemo {
         self.cache.stats()
     }
 
-    /// The outcome for `phrase`: from the memo, replaying the counts a
-    /// fresh call records (`subphrases` / `candidates` only when the
-    /// matcher is metered, as the matcher itself records them), or by
-    /// matching and refining under one `stage.refine` span.
+    /// The outcome for `phrase`: from the memo, replaying the
+    /// `subphrases` / `candidates` / `refine.*` counts a fresh call
+    /// tallies, or by matching (one `stage.match` span, plus the
+    /// matcher's cache and prune counts) and refining (one
+    /// `stage.refine` span).
     fn outcome(
         &self,
         phrase: &str,
@@ -112,10 +113,6 @@ impl PhraseMemo {
         let outcome = match self.cache.get(phrase) {
             Some(outcome) => {
                 tally.memo_hits += 1;
-                if let Some(m) = matcher.metrics() {
-                    m.subphrases.add(outcome.subphrases);
-                    m.candidates.add(outcome.candidates);
-                }
                 outcome
             }
             None => {
@@ -128,26 +125,33 @@ impl PhraseMemo {
                 // candidate.
                 let lexicon = shared_lexicon();
                 let anchor = |w: &str| lexicon.tag_of(w, false).is_nominal();
-                let (candidates, subphrases) = matcher.match_phrase_counted(phrase, anchor);
+                let t0 = Instant::now();
+                let (candidates, counts) = matcher.match_phrase_counted(phrase, anchor);
+                tally.match_phrase.record(t0.elapsed());
+                tally.cache_hits += counts.cache_hits;
+                tally.cache_misses += counts.cache_misses;
+                tally.prune.absorb(&counts.prune);
                 let t0 = Instant::now();
                 let refined = refine_candidates(&candidates, matcher, config, scratch);
                 tally.refine.record(t0.elapsed());
                 let outcome = Arc::new(PhraseOutcome {
                     refined,
-                    subphrases,
+                    subphrases: counts.subphrases,
                     candidates: candidates.len() as u64,
                 });
                 self.cache.put(phrase, Arc::clone(&outcome));
                 outcome
             }
         };
+        tally.subphrases += outcome.subphrases;
+        tally.candidates += outcome.candidates;
         tally.refine_scored += outcome.refined.scored;
         tally.refine_pruned += outcome.refined.pruned;
         outcome
     }
 }
 
-/// Whether early abandon may prune under these weights: the upper bound
+/// Whether the score bound may prune under these weights: the upper bound
 /// `combine(s, 1, 1)` is only monotone in the syntactic scores when the
 /// word/char weights are non-negative, and only meaningful when every
 /// weight is finite. (`ScoreWeights` fields are public, so exotic
@@ -168,20 +172,18 @@ fn bound_is_sound(config: &ThorConfig) -> bool {
 /// character-level gestalt similarity, combined by the configured
 /// weights.
 ///
-/// The kernel path (default) scores through `scratch` and the matcher's
-/// frozen [`SeedSyntax`](thor_text::SeedSyntax), pruning upper-bounded
-/// candidates when `config.early_abandon` holds; the reference path
-/// (`config.reference_refine`) recomputes both syntactic measures from
-/// the raw strings with the documented reference implementations and
-/// never prunes. Both paths return bit-identical winners.
+/// Scores through `scratch` and the matcher's frozen
+/// [`SeedSyntax`](thor_text::SeedSyntax), skipping candidates whose
+/// score upper bound cannot beat the running best whenever the weights
+/// make that bound sound. The winner and its score bits equal
+/// [`refine_candidates_reference`]'s.
 pub fn refine_candidates(
     candidates: &[CandidateEntity],
     matcher: &SimilarityMatcher,
     config: &ThorConfig,
     scratch: &mut ScoreScratch,
 ) -> RefineOutcome {
-    let reference = config.reference_refine;
-    let prunable = !reference && config.early_abandon && bound_is_sound(config);
+    let prunable = bound_is_sound(config);
     let seed_syntax = matcher.seed_syntax();
     let mut best: Option<(usize, f64)> = None;
     let mut scored = 0u64;
@@ -229,43 +231,36 @@ pub fn refine_candidates(
                 }
             }
         }
-        let (score_w, score_c) = if reference {
-            (
-                jaccard_words(&c.phrase, &c.matched_instance),
-                gestalt_similarity(&c.phrase, &c.matched_instance),
-            )
-        } else {
-            // Defensive fallback: every matched_instance of a
-            // SimilarityMatcher is an embedded seed, but other sources
-            // may not uphold that.
-            let fallback;
-            let seed = match seed_syntax.get(&c.matched_instance) {
-                Some(seed) => seed,
-                None => {
-                    fallback = PhraseSyntax::new(&c.matched_instance);
-                    &fallback
-                }
-            };
-            let score_w = jaccard_prepared(scratch, &c.phrase, seed);
-            // Stage-2 bound, with the real Jaccard in hand: the gestalt
-            // is at most `2·min(|a|,|b|)/(|a|+|b|)` (difflib's
-            // `real_quick_ratio`), which costs one chars() pass instead
-            // of the quadratic block search.
-            if prunable {
-                if let Some((_, best_score)) = best {
-                    let bound = config.weights.combine(
-                        c.semantic_score,
-                        score_w,
-                        gestalt_bound(&c.phrase, seed),
-                    );
-                    if bound.total_cmp(&best_score) == Ordering::Less {
-                        pruned += 1;
-                        continue;
-                    }
+        // Defensive fallback: every matched_instance of a
+        // SimilarityMatcher is an embedded seed, but other sources may
+        // not uphold that.
+        let fallback;
+        let seed = match seed_syntax.get(&c.matched_instance) {
+            Some(seed) => seed,
+            None => {
+                fallback = PhraseSyntax::new(&c.matched_instance);
+                &fallback
+            }
+        };
+        let score_w = jaccard_prepared(scratch, &c.phrase, seed);
+        // Stage-2 bound, with the real Jaccard in hand: the gestalt is
+        // at most `2·min(|a|,|b|)/(|a|+|b|)` (difflib's
+        // `real_quick_ratio`), which costs one chars() pass instead of
+        // the quadratic block search.
+        if prunable {
+            if let Some((_, best_score)) = best {
+                let bound = config.weights.combine(
+                    c.semantic_score,
+                    score_w,
+                    gestalt_bound(&c.phrase, seed),
+                );
+                if bound.total_cmp(&best_score) == Ordering::Less {
+                    pruned += 1;
+                    continue;
                 }
             }
-            (score_w, gestalt_prepared(scratch, &c.phrase, seed))
-        };
+        }
+        let score_c = gestalt_prepared(scratch, &c.phrase, seed);
         scored += 1;
         let score = config.weights.combine(c.semantic_score, score_w, score_c);
         // max_by keeps the *last* maximal element: replace unless the
@@ -288,6 +283,29 @@ pub fn refine_candidates(
         scored,
         pruned,
     }
+}
+
+/// The oracle [`refine_candidates`] is proven against: every candidate
+/// scored from the raw strings with the documented reference measures
+/// (`jaccard_words`, `gestalt_similarity`), no bound, no seed table,
+/// and the winner chosen by `max_by` — the last maximal element under
+/// `total_cmp` with the reversed-phrase tie-break.
+pub fn refine_candidates_reference(
+    candidates: &[CandidateEntity],
+    weights: &ScoreWeights,
+) -> Option<(CandidateEntity, f64)> {
+    candidates
+        .iter()
+        .map(|c| {
+            let score_w = jaccard_words(&c.phrase, &c.matched_instance);
+            let score_c = gestalt_similarity(&c.phrase, &c.matched_instance);
+            (c, weights.combine(c.semantic_score, score_w, score_c))
+        })
+        .max_by(|a, b| {
+            a.1.total_cmp(&b.1)
+                .then_with(|| b.0.phrase.cmp(&a.0.phrase))
+        })
+        .map(|(c, score)| (c.clone(), score))
 }
 
 /// Extract the phrases of one sentence: dependency-parse noun phrases
@@ -358,10 +376,10 @@ pub fn extract_entities(
 /// Each phrase is matched and refined once per `memo`: repeats take the
 /// memoized winner. Metered: chunking per sentence (see
 /// `sentence_phrases`), one `phrase_memo.hit` or `phrase_memo.miss` per
-/// phrase, one `stage.refine` span per miss, the `refine.scored` /
-/// `refine.pruned` counts per phrase, and one `entities` count per
-/// accepted entity. (The matcher counts its own subphrases and
-/// candidates when it holds a metrics handle.) `scratch` is
+/// phrase, one `stage.match` and one `stage.refine` span per miss with
+/// the matcher's cache and prune counts, the `subphrases` /
+/// `candidates` / `refine.scored` / `refine.pruned` counts per phrase,
+/// and one `entities` count per accepted entity. `scratch` is
 /// caller-owned so the execution core's workers reuse one across every
 /// document they drain and refinement allocates nothing in steady
 /// state.

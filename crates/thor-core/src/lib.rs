@@ -81,7 +81,7 @@ pub use delta::{compact_chain, ConceptDelta, EngineDelta, SeedDelta};
 pub use document::Document;
 pub use engine::{PreparedEngine, ENGINE_FORMAT_VERSION, ENGINE_LAZY_SECTIONS, ENGINE_MAGIC};
 pub use entity::{entities_tsv, ExtractedEntity};
-pub use extract::{refine_candidates, PhraseMemo, RefineOutcome};
+pub use extract::{refine_candidates, refine_candidates_reference, PhraseMemo, RefineOutcome};
 pub use pipeline::{EnrichmentResult, EnrichmentSession, Thor};
 pub use pool::{PoolScope, WorkerPool};
 pub use resilient::{ResilientOptions, ResilientOutcome, RunMode};

@@ -16,7 +16,7 @@ use thor_obs::PipelineMetrics;
 
 use crate::config::ThorConfig;
 use crate::document::Document;
-use crate::engine::{concept_instances, PreparedEngine};
+use crate::engine::{concept_instances, record_fine_tune, PreparedEngine};
 use crate::entity::ExtractedEntity;
 use crate::slotfill::SlotFillStats;
 
@@ -130,20 +130,16 @@ impl Thor {
     /// Serve paths never call this per call any more — they go through
     /// [`Thor::prepare`] and reuse the engine's matcher; this remains
     /// for callers that want the matcher alone.
+    /// Fine-tune statistics are recorded into the attached handle; the
+    /// matcher itself records nothing.
     pub fn fine_tune(&self, table: &Table) -> SimilarityMatcher {
-        let concepts = concept_instances(table);
-        let matcher_config = self.config.matcher_config();
-        match &self.metrics {
-            Some(m) => SimilarityMatcher::fine_tune_metered(
-                &concepts,
-                Arc::clone(&self.store),
-                matcher_config,
-                m.clone(),
-            ),
-            None => {
-                SimilarityMatcher::fine_tune(&concepts, Arc::clone(&self.store), matcher_config)
-            }
-        }
+        let matcher = SimilarityMatcher::fine_tune(
+            &concept_instances(table),
+            Arc::clone(&self.store),
+            self.config.matcher_config(),
+        );
+        record_fine_tune(&self.run_metrics(), &matcher);
+        matcher
     }
 
     /// Extract entities from `docs` against `table`'s schema and

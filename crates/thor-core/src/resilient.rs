@@ -51,6 +51,7 @@ use thor_fault::{
     fail_point, fingerprint, validate_text, CancelToken, Checkpoint, DocumentPolicy, EntityRecord,
     QuarantineEntry, QuarantineReport, ThorError, ThorResult,
 };
+use thor_match::PruneStats;
 use thor_obs::{PipelineMetrics, StageTimer};
 use thor_text::ScoreScratch;
 
@@ -165,28 +166,36 @@ impl SpanTally {
     }
 }
 
-/// One document's core metrics, accumulated by the worker that runs it
-/// and committed to the run handle by the recorder when it marks the
+/// One document's metrics, accumulated by the worker that runs it and
+/// committed to the run handle by the recorder when it marks the
 /// document processed. A checkpoint therefore never counts a document
 /// that a resumed run will process again: a strict-mode failure, a
 /// cancelled document, or another worker's document still in flight.
-/// The matcher records its own counts (`subphrases`, `candidates`,
-/// `cache.*`, `index.*`) straight into its handle.
+/// The matcher's counts (`subphrases`, `candidates`, `cache.*`,
+/// `index.pruned.*`, `index.rescored`) are tallied here too: the
+/// matcher returns them and records nothing itself.
 #[derive(Debug, Default)]
 pub(crate) struct DocTally {
     pub(crate) segments: u64,
     pub(crate) sentences: u64,
     pub(crate) noun_phrases: u64,
+    pub(crate) subphrases: u64,
+    pub(crate) candidates: u64,
     pub(crate) entities: u64,
     pub(crate) refine_scored: u64,
     pub(crate) refine_pruned: u64,
     pub(crate) memo_hits: u64,
     pub(crate) memo_misses: u64,
+    pub(crate) cache_hits: u64,
+    pub(crate) cache_misses: u64,
+    pub(crate) prune: PruneStats,
     /// `stage.segment`: one span per segmented document.
     pub(crate) segment: SpanTally,
     /// `stage.chunk`: one span per non-empty sentence.
     pub(crate) chunk: SpanTally,
-    /// `stage.refine`: one span per phrase matched and refined afresh.
+    /// `stage.match`: one span per phrase matched afresh.
+    pub(crate) match_phrase: SpanTally,
+    /// `stage.refine`: one span per phrase refined afresh.
     pub(crate) refine: SpanTally,
 }
 
@@ -196,13 +205,22 @@ impl DocTally {
         run.segments.add(self.segments);
         run.sentences.add(self.sentences);
         run.noun_phrases.add(self.noun_phrases);
+        run.subphrases.add(self.subphrases);
+        run.candidates.add(self.candidates);
         run.entities.add(self.entities);
         run.refine_scored.add(self.refine_scored);
         run.refine_pruned.add(self.refine_pruned);
         run.phrase_memo_hits.add(self.memo_hits);
         run.phrase_memo_misses.add(self.memo_misses);
+        run.cache_hits.add(self.cache_hits);
+        run.cache_misses.add(self.cache_misses);
+        run.pruned_concepts.add(self.prune.concepts);
+        run.pruned_clusters.add(self.prune.clusters);
+        run.pruned_rows.add(self.prune.rows);
+        run.rescored_rows.add(self.prune.rescored);
         self.segment.commit(&run.segment);
         self.chunk.commit(&run.chunk);
+        self.match_phrase.commit(&run.match_phrase);
         self.refine.commit(&run.refine);
     }
 }

@@ -365,7 +365,13 @@ fn resumed_metrics_span_the_whole_logical_run() {
         assert!(outcome.resumed_docs > 0, "threads={threads}");
         // Counters absorbed from the checkpoint + this invocation's work
         // cover every document exactly once: the document that failed
-        // was not counted before the checkpoint was saved.
+        // was not counted before the checkpoint was saved. The
+        // matcher's `subphrases` and `candidates` are tallied per
+        // document like the core's own counters. Its `cache.*` and
+        // `index.pruned.*` / `index.rescored` counters are left out on
+        // purpose: they count work actually done, and the resumed
+        // engine starts with a cold cache, so they may legitimately
+        // differ.
         let resumed = metrics.snapshot();
         assert_eq!(resumed.count("docs") as usize, docs.len());
         for name in [
@@ -374,6 +380,8 @@ fn resumed_metrics_span_the_whole_logical_run() {
             "segments",
             "sentences",
             "noun_phrases",
+            "subphrases",
+            "candidates",
             "entities",
             "refine.scored",
             "refine.pruned",
@@ -389,6 +397,17 @@ fn resumed_metrics_span_the_whole_logical_run() {
         let lookups =
             |s: &MetricsSnapshot| s.count("phrase_memo.hit") + s.count("phrase_memo.miss");
         assert_eq!(lookups(&resumed), lookups(&full), "threads={threads}");
+        // `stage.match` opens once per phrase matched afresh, so like
+        // the memo misses it counts work done, which a cold resume (or
+        // two workers missing one phrase at once) may repeat. It is
+        // committed with the document, like the misses it pairs with.
+        for snap in [&full, &resumed] {
+            assert_eq!(
+                spans(snap, "stage.match"),
+                snap.count("phrase_memo.miss"),
+                "threads={threads}"
+            );
+        }
         for name in ["stage.segment", "stage.chunk"] {
             assert_eq!(
                 spans(&resumed, name),

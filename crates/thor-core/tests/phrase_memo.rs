@@ -189,7 +189,6 @@ fn with_threads_shares_the_memo_and_other_derivations_start_empty() {
         ("with_tau", base.with_tau(base.tau())),
         ("with_prune", base.with_prune(PruneMode::Exact)),
         ("with_metrics", base.with_metrics(PipelineMetrics::new())),
-        ("with_reference_refine", base.with_reference_refine(false)),
     ];
     for (name, engine) in derived {
         let stats = engine.phrase_memo().stats();

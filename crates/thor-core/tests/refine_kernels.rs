@@ -1,21 +1,22 @@
-//! The refinement kernels and the early abandon are *performance*
-//! dials, not semantic ones: enriching the same table from the same
-//! documents must produce a byte-identical CSV serialization and
-//! identical entity predictions whether refinement runs on the
-//! allocation-free kernel path or the documented reference
-//! implementations, with the score-bound early abandon on or off, on
-//! one thread or four, cached or uncached. This is the end-to-end
+//! Refinement runs one path — the allocation-free kernels with the
+//! score-bound early abandon — and this suite proves it equal to the
+//! oracle `refine_candidates_reference` (the documented reference
+//! measures, every candidate scored) on every noun phrase the fixture
+//! corpus yields: same winner, same score bits. End to end, the
+//! enriched CSV and the entity predictions are byte-identical on one
+//! thread or four, cached or uncached. This is the pipeline-level
 //! counterpart of the per-function bit-equality proptests in
 //! `thor_text::kernels`.
 
-use thor_core::extract::{refine_candidates, RefineOutcome};
+use thor_core::extract::{refine_candidates, refine_candidates_reference, RefineOutcome};
 use thor_core::{Document, ExtractedEntity, Thor, ThorConfig};
 use thor_data::csv::to_csv;
 use thor_data::{Schema, Table};
 use thor_embed::{SemanticSpaceBuilder, VectorStore};
 use thor_index::CandidateEntity;
+use thor_nlp::{chunk_sentence, Lexicon, RuleTagger};
 use thor_obs::PipelineMetrics;
-use thor_text::ScoreScratch;
+use thor_text::{split_sentences, tokenize, ScoreScratch};
 
 fn store() -> VectorStore {
     SemanticSpaceBuilder::new(32, 55)
@@ -85,20 +86,10 @@ fn docs() -> Vec<Document> {
     .collect()
 }
 
-#[derive(Clone, Copy)]
-struct RefineKnobs {
-    reference: bool,
-    early_abandon: bool,
-    threads: usize,
-    cache_capacity: usize,
-}
-
-fn enrich(tau: f64, knobs: RefineKnobs) -> (String, Vec<ExtractedEntity>) {
+fn enrich(tau: f64, threads: usize, cache_capacity: usize) -> (String, Vec<ExtractedEntity>) {
     let mut config = ThorConfig::with_tau(tau);
-    config.reference_refine = knobs.reference;
-    config.early_abandon = knobs.early_abandon;
-    config.threads = knobs.threads;
-    config.cache_capacity = knobs.cache_capacity;
+    config.threads = threads;
+    config.cache_capacity = cache_capacity;
     let thor = Thor::new(store(), config);
     let result = thor.enrich(&table(), &docs());
     (to_csv(&result.table), result.entities)
@@ -106,116 +97,119 @@ fn enrich(tau: f64, knobs: RefineKnobs) -> (String, Vec<ExtractedEntity>) {
 
 /// Scores compared down to the bit, not just `==`: the whole point of
 /// the kernel path is exact reproduction of the reference arithmetic.
-fn assert_entities_bit_equal(reference: &[ExtractedEntity], got: &[ExtractedEntity], label: &str) {
-    assert_eq!(reference.len(), got.len(), "entity count diverged: {label}");
-    for (r, g) in reference.iter().zip(got) {
-        assert_eq!(r, g, "entity diverged: {label}");
-        assert_eq!(
-            r.score.to_bits(),
-            g.score.to_bits(),
-            "score bits diverged: {label}"
-        );
+fn assert_winners_bit_equal(
+    oracle: &Option<(CandidateEntity, f64)>,
+    kernel: &RefineOutcome,
+    label: &str,
+) {
+    match (oracle, &kernel.best) {
+        (None, None) => {}
+        (Some((oc, os)), Some((kc, ks))) => {
+            assert_eq!(oc, kc, "winner diverged: {label}");
+            assert_eq!(os.to_bits(), ks.to_bits(), "score bits diverged: {label}");
+        }
+        other => panic!("winner presence diverged: {label}: {other:?}"),
+    }
+}
+
+/// Every noun phrase of the fixture corpus, as the pipeline chunks it.
+fn corpus_noun_phrases() -> Vec<String> {
+    let tagger = RuleTagger::default();
+    docs()
+        .iter()
+        .flat_map(|doc| split_sentences(&doc.text))
+        .flat_map(|sentence| {
+            let tokens = tokenize(&sentence.text);
+            let words: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
+            chunk_sentence(&words, &tagger)
+                .into_iter()
+                .map(|np| np.text)
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+#[test]
+fn kernel_winner_equals_the_oracle_on_every_corpus_phrase() {
+    let phrases = corpus_noun_phrases();
+    assert!(phrases.len() > 10, "the corpus should yield noun phrases");
+    let lexicon = Lexicon::english();
+    let anchor = |w: &str| lexicon.tag_of(w, false).is_nominal();
+    let mut scratch = ScoreScratch::new();
+    for tau10 in [5, 7, 9] {
+        let tau = tau10 as f64 / 10.0;
+        let config = ThorConfig::with_tau(tau);
+        let engine = Thor::new(store(), config.clone()).prepare(&table());
+        let matcher = engine.matcher();
+        let (mut lists, mut pruned) = (0, 0);
+        for phrase in &phrases {
+            let candidates = matcher.match_phrase_anchored(phrase, anchor);
+            let kernel = refine_candidates(&candidates, matcher, &config, &mut scratch);
+            let oracle = refine_candidates_reference(&candidates, &config.weights);
+            let label = format!("tau={tau}, phrase={phrase:?}");
+            assert_winners_bit_equal(&oracle, &kernel, &label);
+            // The abandon skips work, never candidates.
+            assert_eq!(
+                kernel.scored + kernel.pruned,
+                candidates.len() as u64,
+                "{label}"
+            );
+            lists += usize::from(!candidates.is_empty());
+            pruned += kernel.pruned;
+        }
+        assert!(lists > 0, "tau={tau}: no phrase matched");
+        if tau10 == 5 {
+            assert!(pruned > 0, "the corpus should exercise the abandon");
+        }
     }
 }
 
 #[test]
-fn kernel_matches_reference_across_execution_knobs() {
+fn pipeline_output_is_identical_across_threads_and_cache() {
     for tau10 in [5, 7, 9] {
         let tau = tau10 as f64 / 10.0;
-        let (reference_csv, reference_entities) = enrich(
-            tau,
-            RefineKnobs {
-                reference: true,
-                early_abandon: false,
-                threads: 1,
-                cache_capacity: 4096,
-            },
-        );
+        let (reference_csv, reference_entities) = enrich(tau, 1, 4096);
         assert!(
             reference_csv.contains("Disease"),
             "reference CSV should serialize the schema"
         );
-        for reference in [false, true] {
-            for early_abandon in [false, true] {
-                for threads in [1, 4] {
-                    for cache_capacity in [0, 4096] {
-                        let knobs = RefineKnobs {
-                            reference,
-                            early_abandon,
-                            threads,
-                            cache_capacity,
-                        };
-                        let (csv, entities) = enrich(tau, knobs);
-                        let label = format!(
-                            "tau={tau}, reference={reference}, \
-                             early_abandon={early_abandon}, threads={threads}, \
-                             cache={cache_capacity}"
-                        );
-                        assert_eq!(reference_csv, csv, "CSV diverged: {label}");
-                        assert_entities_bit_equal(&reference_entities, &entities, &label);
-                    }
+        for threads in [1, 4] {
+            for cache_capacity in [0, 4096] {
+                let (csv, entities) = enrich(tau, threads, cache_capacity);
+                let label = format!("tau={tau}, threads={threads}, cache={cache_capacity}");
+                assert_eq!(reference_csv, csv, "CSV diverged: {label}");
+                assert_eq!(reference_entities.len(), entities.len(), "{label}");
+                for (r, g) in reference_entities.iter().zip(&entities) {
+                    assert_eq!(r, g, "entity diverged: {label}");
+                    assert_eq!(r.score.to_bits(), g.score.to_bits(), "{label}");
                 }
             }
         }
     }
 }
 
-fn metered_counts(knobs: RefineKnobs) -> (u64, u64, usize) {
-    let mut config = ThorConfig::with_tau(0.6);
-    config.reference_refine = knobs.reference;
-    config.early_abandon = knobs.early_abandon;
-    config.threads = knobs.threads;
-    config.cache_capacity = knobs.cache_capacity;
-    let metrics = PipelineMetrics::new();
-    let thor = Thor::new(store(), config).with_metrics(metrics.clone());
-    let result = thor.enrich(&table(), &docs());
-    let snap = metrics.snapshot();
-    (
-        snap.count("refine.scored"),
-        snap.count("refine.pruned"),
-        result.entities.len(),
-    )
-}
-
 #[test]
 fn refine_counters_account_for_every_candidate() {
-    let base = RefineKnobs {
-        reference: false,
-        early_abandon: true,
-        threads: 1,
-        cache_capacity: 4096,
-    };
-    let (scored_fast, pruned_fast, entities_fast) = metered_counts(base);
-    assert!(scored_fast > 0, "the corpus must exercise refinement");
-    assert!(entities_fast > 0, "the corpus must produce entities");
-
-    // Early abandon off: every candidate is scored, none pruned.
-    let (scored_full, pruned_full, entities_full) = metered_counts(RefineKnobs {
-        early_abandon: false,
-        ..base
-    });
-    assert_eq!(pruned_full, 0, "no pruning with early abandon disabled");
-    assert_eq!(entities_full, entities_fast);
-
-    // The reference path never prunes, even with early abandon on.
-    let (scored_ref, pruned_ref, entities_ref) = metered_counts(RefineKnobs {
-        reference: true,
-        ..base
-    });
-    assert_eq!(pruned_ref, 0, "reference path never prunes");
-    assert_eq!(scored_ref, scored_full, "reference scores everything");
-    assert_eq!(entities_ref, entities_fast);
-
-    // scored + pruned is conserved: the abandon skips work, it does not
-    // skip candidates.
-    assert_eq!(scored_fast + pruned_fast, scored_full);
+    let metrics = PipelineMetrics::new();
+    let thor = Thor::new(store(), ThorConfig::with_tau(0.6)).with_metrics(metrics.clone());
+    let result = thor.enrich(&table(), &docs());
+    let snap = metrics.snapshot();
+    let (scored, pruned) = (snap.count("refine.scored"), snap.count("refine.pruned"));
+    assert!(scored > 0, "the corpus must exercise refinement");
+    assert!(
+        !result.entities.is_empty(),
+        "the corpus must produce entities"
+    );
+    // Every matched candidate is either scored or abandoned, memo hits
+    // replaying both sides.
+    assert_eq!(scored + pruned, snap.count("candidates"));
 }
 
 #[test]
 fn refine_candidates_handles_foreign_instances() {
     // A matched_instance that is not one of the matcher's embedded
     // seeds exercises the defensive per-call PhraseSyntax fallback;
-    // its score must equal the reference computation exactly.
+    // its score must equal the oracle's exactly.
     let thor = Thor::new(store(), ThorConfig::with_tau(0.6));
     let engine = thor.prepare(&table());
     let matcher = engine.matcher();
@@ -235,16 +229,9 @@ fn refine_candidates_handles_foreign_instances() {
             cluster_score: 0.8,
         },
     ];
-    let mut scratch = ScoreScratch::new();
     let config = ThorConfig::with_tau(0.6);
-    let mut reference_config = config.clone();
-    reference_config.reference_refine = true;
-    let kernel: RefineOutcome = refine_candidates(&candidates, matcher, &config, &mut scratch);
-    let reference = refine_candidates(&candidates, matcher, &reference_config, &mut scratch);
-    let (kc, ks) = kernel.best.expect("kernel winner");
-    let (rc, rs) = reference.best.expect("reference winner");
-    assert_eq!(kc, rc);
-    assert_eq!(ks.to_bits(), rs.to_bits());
-    assert_eq!(reference.pruned, 0);
-    assert_eq!(reference.scored, 2);
+    let kernel = refine_candidates(&candidates, matcher, &config, &mut ScoreScratch::new());
+    let oracle = refine_candidates_reference(&candidates, &config.weights);
+    assert_winners_bit_equal(&oracle, &kernel, "foreign instance");
+    assert_eq!(kernel.scored + kernel.pruned, 2);
 }

@@ -30,7 +30,9 @@ pub mod matcher;
 pub mod prepared;
 
 pub use cluster::{ClusterScore, ConceptCluster};
-pub use matcher::{CandidateEntity, MatcherConfig, SimilarityMatcher, TAU_RANGE};
+pub use matcher::{
+    CandidateEntity, FineTuneStats, MatchCounts, MatcherConfig, SimilarityMatcher, TAU_RANGE,
+};
 pub use prepared::PreparedMatcher;
 pub use thor_index::{
     CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneMode, PruneStats, VectorIndex,

@@ -2,13 +2,13 @@
 //! `thor-index` candidate-generation engine.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use thor_embed::VectorStore;
 use thor_index::{
     CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneMode, PruneStats, VectorIndex,
     VectorIndexBuilder,
 };
-use thor_obs::PipelineMetrics;
 use thor_text::{is_stopword, normalize_phrase, SeedSyntax};
 
 use crate::cluster::ConceptCluster;
@@ -89,6 +89,41 @@ enum CachedMatch {
     Match(CandidateEntity),
 }
 
+/// What fine-tuning produced, measured once when the matcher is
+/// assembled, for the caller to record into its metrics handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FineTuneStats {
+    /// Expansion words added to the representatives, over all concepts.
+    pub expansion_words: u64,
+    /// Vocabulary size visible to fine-tuning.
+    pub vocab_words: u64,
+    /// Representative vectors (seeds + expansion), over all concepts.
+    pub cluster_representatives: u64,
+    /// Rows of the frozen vector index.
+    pub index_rows: u64,
+    /// Time spent freezing the index and its pruning structures, when
+    /// this matcher built them (`None` when it was handed a prebuilt
+    /// index, as on artifact load and delta apply).
+    pub index_build: Option<Duration>,
+}
+
+/// The work one [`SimilarityMatcher::match_phrase_counted`] call did,
+/// returned for the caller to record: the matcher records nothing
+/// itself. The call's `candidates` count is the length of its list.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MatchCounts {
+    /// Subphrases embedded and scored, cache-hit replays included, so
+    /// the total does not depend on cache state.
+    pub subphrases: u64,
+    /// Subphrase-cache hits.
+    pub cache_hits: u64,
+    /// Subphrase-cache misses (none while the cache is disabled).
+    pub cache_misses: u64,
+    /// Pruning effectiveness of the scans actually run. Like cache
+    /// misses, it counts work done, so cache hits do not replay it.
+    pub prune: PruneStats,
+}
+
 /// The fine-tuned semantic similarity matcher.
 ///
 /// The vector store is `Arc`-shared end to end: fine-tuning, the
@@ -97,7 +132,7 @@ enum CachedMatch {
 #[derive(Debug, Clone)]
 pub struct SimilarityMatcher {
     store: Arc<VectorStore>,
-    clusters: Vec<ConceptCluster>,
+    clusters: Arc<[ConceptCluster]>,
     index: VectorIndex,
     /// The frozen pruning structures (always built — a pure function of
     /// the index — so saved artifacts are identical whatever the
@@ -106,7 +141,7 @@ pub struct SimilarityMatcher {
     cache: PhraseCache<CachedMatch>,
     seed_syntax: Arc<SeedSyntax>,
     config: MatcherConfig,
-    metrics: Option<PipelineMetrics>,
+    stats: FineTuneStats,
 }
 
 impl SimilarityMatcher {
@@ -125,79 +160,39 @@ impl SimilarityMatcher {
     /// the matcher scans at query time, and a fresh [`PhraseCache`] —
     /// re-fine-tuning therefore invalidates all cached candidates by
     /// construction.
-    pub fn fine_tune(
-        concepts: &[(String, Vec<String>)],
-        store: impl Into<Arc<VectorStore>>,
-        config: MatcherConfig,
-    ) -> Self {
-        Self::fine_tune_impl(concepts, store.into(), config, None)
-    }
-
-    /// [`SimilarityMatcher::fine_tune`] with observability: fine-tuning
-    /// statistics (vocabulary size, expansion counts, representative
-    /// counts, index build time) are recorded into `metrics`, and the
-    /// matcher keeps the handle so subsequent matching calls record
-    /// subphrase/candidate/cache counts and per-call timing.
-    pub fn fine_tune_metered(
-        concepts: &[(String, Vec<String>)],
-        store: impl Into<Arc<VectorStore>>,
-        config: MatcherConfig,
-        metrics: PipelineMetrics,
-    ) -> Self {
-        Self::fine_tune_impl(concepts, store.into(), config, Some(metrics))
-    }
-
+    ///
     /// One-shot fine-tuning is prepare-then-derive at the same τ: the
     /// [`PreparedMatcher`] runs the vocabulary scan, `matcher_at`
     /// filters/truncates and assembles the matcher. Sharing this single
     /// construction path with the engine's τ-sweep derivation is what
     /// makes derived matchers bit-identical to fresh ones.
-    fn fine_tune_impl(
+    pub fn fine_tune(
         concepts: &[(String, Vec<String>)],
-        store: Arc<VectorStore>,
+        store: impl Into<Arc<VectorStore>>,
         config: MatcherConfig,
-        metrics: Option<PipelineMetrics>,
     ) -> Self {
-        PreparedMatcher::prepare(concepts, store, config.clone()).matcher_at(config, metrics)
+        PreparedMatcher::prepare(concepts, store, config.clone()).matcher_at(config)
     }
 
     /// Assemble a matcher from already-derived clusters: freeze the
-    /// index (timed under `index.build`), record the fine-tune gauges,
-    /// and open a fresh phrase cache. Crate-internal — the only callers
-    /// are [`PreparedMatcher::matcher_at`] and (through it) fine-tuning.
+    /// index and its pruning structures (timed into
+    /// [`FineTuneStats::index_build`]) and open a fresh phrase cache.
+    /// Crate-internal — the only callers are
+    /// [`PreparedMatcher::matcher_at`] and (through it) fine-tuning.
     pub(crate) fn from_clusters(
         store: Arc<VectorStore>,
         clusters: Vec<ConceptCluster>,
         seed_syntax: Arc<SeedSyntax>,
         config: MatcherConfig,
-        metrics: Option<PipelineMetrics>,
     ) -> Self {
-        let (index, prune) = {
-            let _span = metrics.as_ref().map(|m| m.index_build.start());
-            let index = Self::build_index(&clusters, store.dim());
-            let prune = Arc::new(PruneIndex::build(&index));
-            (index, prune)
-        };
-        if let Some(m) = &metrics {
-            m.vocab_words.set(store.len() as u64);
-            m.cluster_representatives.set(
-                clusters
-                    .iter()
-                    .map(|c| c.representative_count() as u64)
-                    .sum(),
-            );
-            m.index_rows.set(index.row_count() as u64);
-        }
-        Self {
-            store,
-            clusters,
-            index,
-            prune,
-            cache: PhraseCache::new(config.cache_capacity),
-            seed_syntax,
-            config,
-            metrics,
-        }
+        let t0 = Instant::now();
+        let index = Self::build_index(&clusters, store.dim());
+        let prune = Arc::new(PruneIndex::build(&index));
+        let built = t0.elapsed();
+        let mut matcher =
+            Self::from_clusters_prebuilt(store, clusters, index, Some(prune), seed_syntax, config);
+        matcher.stats.index_build = Some(built);
+        matcher
     }
 
     /// [`SimilarityMatcher::from_clusters`] with an already-built
@@ -206,7 +201,9 @@ impl SimilarityMatcher {
     /// for the index matching the clusters —
     /// `PreparedMatcher::matcher_with_index` validates the layout. A
     /// `None` prune structure is rebuilt deterministically from the
-    /// index (the pre-pruning-artifact compatibility path).
+    /// index (the pre-pruning-artifact compatibility path). The one
+    /// place a matcher is put together: it measures the fine-tune
+    /// statistics and opens a fresh phrase cache.
     pub(crate) fn from_clusters_prebuilt(
         store: Arc<VectorStore>,
         clusters: Vec<ConceptCluster>,
@@ -214,28 +211,37 @@ impl SimilarityMatcher {
         prune: Option<Arc<PruneIndex>>,
         seed_syntax: Arc<SeedSyntax>,
         config: MatcherConfig,
-        metrics: Option<PipelineMetrics>,
     ) -> Self {
-        if let Some(m) = &metrics {
-            m.vocab_words.set(store.len() as u64);
-            m.cluster_representatives.set(
-                clusters
-                    .iter()
-                    .map(|c| c.representative_count() as u64)
-                    .sum(),
-            );
-            m.index_rows.set(index.row_count() as u64);
-        }
         let prune = prune.unwrap_or_else(|| Arc::new(PruneIndex::build(&index)));
+        let sum = |count: fn(&ConceptCluster) -> usize| -> u64 {
+            clusters.iter().map(|c| count(c) as u64).sum()
+        };
+        let stats = FineTuneStats {
+            expansion_words: sum(|c| c.representative_count() - c.seed_count()),
+            vocab_words: store.len() as u64,
+            cluster_representatives: sum(ConceptCluster::representative_count),
+            index_rows: index.row_count() as u64,
+            index_build: None,
+        };
         Self {
             store,
-            clusters,
+            clusters: clusters.into(),
             index,
             prune,
             cache: PhraseCache::new(config.cache_capacity),
             seed_syntax,
             config,
-            metrics,
+            stats,
+        }
+    }
+
+    /// A clone of this matcher with an empty phrase cache of its own.
+    /// Every frozen structure (clusters, index, pruning) is shared, not
+    /// rebuilt.
+    pub fn with_fresh_cache(&self) -> Self {
+        Self {
+            cache: PhraseCache::new(self.config.cache_capacity),
+            ..self.clone()
         }
     }
 
@@ -243,18 +249,9 @@ impl SimilarityMatcher {
     /// cache starts fresh: approx-mode results may differ from exact
     /// ones, and cached entries must never leak across modes.
     pub fn with_prune_mode(&self, prune: PruneMode) -> Self {
-        let mut config = self.config.clone();
-        config.prune = prune;
-        Self {
-            store: self.store.clone(),
-            clusters: self.clusters.clone(),
-            index: self.index.clone(),
-            prune: self.prune.clone(),
-            cache: PhraseCache::new(config.cache_capacity),
-            seed_syntax: self.seed_syntax.clone(),
-            config,
-            metrics: self.metrics.clone(),
-        }
+        let mut matcher = self.with_fresh_cache();
+        matcher.config.prune = prune;
+        matcher
     }
 
     /// Freeze the fine-tuned clusters into the structure-of-arrays
@@ -274,9 +271,10 @@ impl SimilarityMatcher {
         builder.build()
     }
 
-    /// The metrics handle recorded at fine-tuning time, if any.
-    pub fn metrics(&self) -> Option<&PipelineMetrics> {
-        self.metrics.as_ref()
+    /// What fine-tuning produced, measured when this matcher was
+    /// assembled.
+    pub fn fine_tune_stats(&self) -> FineTuneStats {
+        self.stats
     }
 
     /// The configured τ.
@@ -378,25 +376,25 @@ impl SimilarityMatcher {
         self.match_phrase_counted(phrase, anchor).0
     }
 
-    /// [`SimilarityMatcher::match_phrase_anchored`], also returning how
-    /// many subphrases the call added to the `subphrases` counter (its
-    /// `candidates` increment is the length of the list). A caller that
-    /// memoizes whole phrases replays these counts on a hit, so metric
-    /// totals match a fresh call whether or not the matcher is metered.
+    /// [`SimilarityMatcher::match_phrase_anchored`], also returning the
+    /// work the call did ([`MatchCounts`]; its `candidates` count is
+    /// the length of the list). The matcher records nothing itself: the
+    /// caller tallies the counts, and a caller that memoizes whole
+    /// phrases replays `subphrases` and `candidates` on a hit, so those
+    /// totals match a fresh call.
     pub fn match_phrase_counted(
         &self,
         phrase: &str,
         anchor: impl Fn(&str) -> bool,
-    ) -> (Vec<CandidateEntity>, u64) {
-        let _span = self.metrics.as_ref().map(|m| m.match_phrase.start());
+    ) -> (Vec<CandidateEntity>, MatchCounts) {
+        let mut counts = MatchCounts::default();
         let normalized = normalize_phrase(phrase);
         let words: Vec<&str> = normalized.split_whitespace().collect();
         if words.is_empty() {
-            return (Vec::new(), 0);
+            return (Vec::new(), counts);
         }
         let max_len = self.config.max_subphrase_words.min(words.len());
         let mut out = Vec::new();
-        let mut subphrases = 0u64;
 
         for len in 1..=max_len {
             for start in 0..=(words.len() - len) {
@@ -410,38 +408,25 @@ impl SimilarityMatcher {
                 let sub = slice.join(" ");
                 let scored = match self.cache.get(&sub) {
                     Some(cached) => {
-                        if let Some(m) = &self.metrics {
-                            m.cache_hits.inc();
-                        }
+                        counts.cache_hits += 1;
                         cached
                     }
                     None => {
                         if self.cache.is_enabled() {
-                            if let Some(m) = &self.metrics {
-                                m.cache_misses.inc();
-                            }
+                            counts.cache_misses += 1;
                         }
-                        let scored = self.score_subphrase(&sub);
+                        let scored = self.score_subphrase(&sub, &mut counts.prune);
                         self.cache.put(&sub, scored.clone());
                         scored
                     }
                 };
-                // Replay the counter increments a fresh scan would have
-                // made, so totals are independent of cache state.
+                // Replay the count a fresh scan would have made, so
+                // totals are independent of cache state.
                 match scored {
                     CachedMatch::Oov => {}
-                    CachedMatch::NoMatch => {
-                        subphrases += 1;
-                        if let Some(m) = &self.metrics {
-                            m.subphrases.inc();
-                        }
-                    }
+                    CachedMatch::NoMatch => counts.subphrases += 1,
                     CachedMatch::Match(candidate) => {
-                        subphrases += 1;
-                        if let Some(m) = &self.metrics {
-                            m.subphrases.inc();
-                            m.candidates.inc();
-                        }
+                        counts.subphrases += 1;
                         out.push(candidate);
                     }
                 }
@@ -454,14 +439,14 @@ impl SimilarityMatcher {
                 .then_with(|| a.phrase.cmp(&b.phrase))
                 .then_with(|| a.concept.cmp(&b.concept))
         });
-        (out, subphrases)
+        (out, counts)
     }
 
     /// Score one normalized subphrase against the index: embed, gate
     /// each concept on its best representative reaching τ, rank the
     /// survivors by mean pairwise similarity, then find `c_m` among the
-    /// winner's seed rows.
-    fn score_subphrase(&self, sub: &str) -> CachedMatch {
+    /// winner's seed rows. Pruning work is added to `stats`.
+    fn score_subphrase(&self, sub: &str, stats: &mut PruneStats) -> CachedMatch {
         let Some(query) = self.store.embed_phrase(sub) else {
             return CachedMatch::Oov;
         };
@@ -471,9 +456,8 @@ impl SimilarityMatcher {
         // queries (all similarities exactly 0.0) take the exhaustive
         // path, which costs nothing extra at that degenerate point.
         let pruned = qn != 0.0 && !matches!(self.config.prune, PruneMode::Off);
-        let mut stats = PruneStats::default();
         let best: Option<(usize, f64)> = if pruned {
-            self.best_gated_concept_pruned(q, qn, &mut stats)
+            self.best_gated_concept_pruned(q, qn, stats)
         } else {
             let mut best: Option<(usize, f64)> = None;
             for scores in self.index.scan(q, qn) {
@@ -493,7 +477,7 @@ impl SimilarityMatcher {
         let scored = (|| {
             let (ci, cluster_score) = best?;
             let seed = if pruned {
-                self.prune.best_seed(&self.index, ci, q, qn, &mut stats)
+                self.prune.best_seed(&self.index, ci, q, qn, stats)
             } else {
                 self.index.best_seed(ci, q, qn)
             };
@@ -506,14 +490,6 @@ impl SimilarityMatcher {
                 cluster_score,
             })
         })();
-        if let Some(m) = &self.metrics {
-            // Effectiveness counters (like cache misses) reflect work
-            // actually done, so cache hits do not replay them.
-            m.pruned_concepts.add(stats.concepts);
-            m.pruned_clusters.add(stats.clusters);
-            m.pruned_rows.add(stats.rows);
-            m.rescored_rows.add(stats.rescored);
-        }
         match scored {
             Some(candidate) => CachedMatch::Match(candidate),
             None => CachedMatch::NoMatch,
@@ -561,7 +537,7 @@ impl SimilarityMatcher {
     /// The retained brute-force reference path: identical semantics to
     /// [`SimilarityMatcher::match_phrase_anchored`], but scanning the
     /// [`ConceptCluster`]s directly with per-pair `Vector` cosines — no
-    /// index, no cache, no metrics. Kept off the hot path as ground
+    /// index, no cache, no counts. Kept off the hot path as ground
     /// truth for the index/cache equivalence property tests and as the
     /// baseline that `bench_matcher` measures the engine against.
     pub fn match_phrase_reference(
@@ -592,7 +568,7 @@ impl SimilarityMatcher {
                 };
                 // Pick the single best-fitting accepted cluster.
                 let mut best: Option<(&ConceptCluster, f64)> = None;
-                for cluster in &self.clusters {
+                for cluster in self.clusters.iter() {
                     let Some(score) = cluster.score(&query) else {
                         continue;
                     };
@@ -648,10 +624,6 @@ mod tests {
     use thor_embed::SemanticSpaceBuilder;
 
     fn matcher(tau: f64) -> SimilarityMatcher {
-        matcher_metered(tau, None)
-    }
-
-    fn matcher_metered(tau: f64, metrics: Option<PipelineMetrics>) -> SimilarityMatcher {
         let store = SemanticSpaceBuilder::new(32, 9)
             .topic("anatomy")
             .correlated_topic("complication", "anatomy", 0.3)
@@ -680,12 +652,7 @@ mod tests {
             ),
         ];
         // "skin" is OOV on purpose; "cancer" carries the seed.
-        SimilarityMatcher::fine_tune_impl(
-            &concepts,
-            store.into(),
-            MatcherConfig::with_tau(tau),
-            metrics,
-        )
+        SimilarityMatcher::fine_tune(&concepts, store, MatcherConfig::with_tau(tau))
     }
 
     #[test]
@@ -824,9 +791,8 @@ mod tests {
     }
 
     #[test]
-    fn counted_matching_reports_the_metered_increments() {
-        let metrics = PipelineMetrics::new();
-        let m = matcher_metered(0.6, Some(metrics.clone()));
+    fn counted_matching_replays_subphrases_and_counts_only_real_work() {
+        let m = matcher(0.6);
         let phrases = [
             "slow-growing brain tumor",
             "the nervous system",
@@ -835,17 +801,26 @@ mod tests {
             "xyzzy",
             "",
         ];
-        // Twice over: cache hits replay the same counts as fresh scans.
-        for phrase in phrases.iter().chain(&phrases) {
-            let before = metrics.snapshot();
-            let (candidates, subphrases) = m.match_phrase_counted(phrase, |_| true);
-            let after = metrics.snapshot();
-            assert_eq!(candidates, m.match_phrase_reference(phrase, |_| true));
-            let delta = |name| after.count(name) - before.count(name);
-            assert_eq!(delta("subphrases"), subphrases, "{phrase:?}");
-            assert_eq!(delta("candidates"), candidates.len() as u64, "{phrase:?}");
+        let pass = || -> Vec<(usize, MatchCounts)> {
+            phrases
+                .iter()
+                .map(|phrase| {
+                    let (candidates, counts) = m.match_phrase_counted(phrase, |_| true);
+                    assert_eq!(candidates, m.match_phrase_reference(phrase, |_| true));
+                    (candidates.len(), counts)
+                })
+                .collect()
+        };
+        let cold = pass();
+        let warm = pass();
+        assert!(cold.iter().map(|(_, c)| c.subphrases).sum::<u64>() > 0);
+        for ((cold_len, cold), (warm_len, warm)) in cold.iter().zip(&warm) {
+            // Cache hits replay candidates and subphrases ...
+            assert_eq!((cold_len, cold.subphrases), (warm_len, warm.subphrases));
+            // ... but the second pass scans nothing: all hits.
+            assert_eq!(warm.cache_hits, cold.cache_hits + cold.cache_misses);
+            assert_eq!((warm.cache_misses, warm.prune), (0, PruneStats::default()));
         }
-        assert!(metrics.snapshot().count("subphrases") > 0);
     }
 
     #[test]

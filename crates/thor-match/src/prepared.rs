@@ -25,7 +25,6 @@ use std::sync::Arc;
 use thor_embed::{slice_norm, Vector, VectorStore};
 use thor_fault::{FrozenPool, FrozenSlice};
 use thor_index::{PruneIndex, PruneStats, VectorIndex, VectorIndexBuilder};
-use thor_obs::PipelineMetrics;
 use thor_text::SeedSyntax;
 
 use crate::cluster::ConceptCluster;
@@ -272,18 +271,13 @@ impl PreparedMatcher {
     /// Panics if `config.tau` is outside [`TAU_RANGE`] or below the τ
     /// this preparation was run at (candidates below the base τ were
     /// never collected).
-    pub fn matcher_at(
-        &self,
-        config: MatcherConfig,
-        metrics: Option<PipelineMetrics>,
-    ) -> SimilarityMatcher {
-        let clusters = self.clusters_at(&config, metrics.as_ref());
+    pub fn matcher_at(&self, config: MatcherConfig) -> SimilarityMatcher {
+        let clusters = self.clusters_at(&config);
         SimilarityMatcher::from_clusters(
             Arc::clone(&self.store),
             clusters,
             Arc::clone(&self.seed_syntax),
             config,
-            metrics,
         )
     }
 
@@ -296,11 +290,7 @@ impl PreparedMatcher {
     ///
     /// Panics if `config.tau` is outside [`TAU_RANGE`] or below the τ
     /// this preparation was run at.
-    pub fn clusters_at(
-        &self,
-        config: &MatcherConfig,
-        metrics: Option<&PipelineMetrics>,
-    ) -> Vec<ConceptCluster> {
+    pub fn clusters_at(&self, config: &MatcherConfig) -> Vec<ConceptCluster> {
         assert!(
             TAU_RANGE.contains(&config.tau),
             "tau must be in [0, 1] (TAU_RANGE)"
@@ -323,9 +313,6 @@ impl PreparedMatcher {
                 } else {
                     self.filtered_words(ci, config.tau, config.max_expansion)
                 };
-                if let Some(m) = metrics {
-                    m.expansion_words.add(words.len() as u64);
-                }
                 ConceptCluster::from_parts(name, seeds.clone(), &words, &self.store)
             })
             .collect()
@@ -407,11 +394,10 @@ impl PreparedMatcher {
     pub fn matcher_with_index(
         &self,
         config: MatcherConfig,
-        metrics: Option<PipelineMetrics>,
         index: VectorIndex,
         prune: Option<Arc<PruneIndex>>,
     ) -> Result<SimilarityMatcher, String> {
-        let clusters = self.clusters_at(&config, None);
+        let clusters = self.clusters_at(&config);
         if index.dim() != self.store.dim() {
             return Err(format!(
                 "persisted index dim {} != store dim {}",
@@ -452,7 +438,6 @@ impl PreparedMatcher {
             prune,
             Arc::clone(&self.seed_syntax),
             config,
-            metrics,
         ))
     }
 
@@ -731,7 +716,7 @@ mod tests {
         let (store, concepts) = space();
         let prep = PreparedMatcher::prepare(&concepts, store.clone(), MatcherConfig::with_tau(0.5));
         for tau in [0.5, 0.6, 0.75, 0.9, 1.0] {
-            let derived = prep.matcher_at(MatcherConfig::with_tau(tau), None);
+            let derived = prep.matcher_at(MatcherConfig::with_tau(tau));
             let fresh = SimilarityMatcher::fine_tune(
                 &concepts,
                 store.clone(),
@@ -774,8 +759,8 @@ mod tests {
         let rebuilt =
             PreparedMatcher::from_parts(&concepts, store, prep.base().clone(), prep.candidates());
         for tau in [0.5, 0.8] {
-            let a = prep.matcher_at(MatcherConfig::with_tau(tau), None);
-            let b = rebuilt.matcher_at(MatcherConfig::with_tau(tau), None);
+            let a = prep.matcher_at(MatcherConfig::with_tau(tau));
+            let b = rebuilt.matcher_at(MatcherConfig::with_tau(tau));
             for phrase in ["brain tumor", "the ear"] {
                 assert_eq!(a.match_phrase(phrase), b.match_phrase(phrase));
             }
@@ -800,8 +785,8 @@ mod tests {
         .expect("valid CSR");
         assert_eq!(prep.candidates(), frozen.candidates());
         for tau in [0.5, 0.7, 1.0] {
-            let a = prep.matcher_at(MatcherConfig::with_tau(tau), None);
-            let b = frozen.matcher_at(MatcherConfig::with_tau(tau), None);
+            let a = prep.matcher_at(MatcherConfig::with_tau(tau));
+            let b = frozen.matcher_at(MatcherConfig::with_tau(tau));
             for phrase in ["brain tumor", "the ear", "stroke risk"] {
                 assert_eq!(a.match_phrase(phrase), b.match_phrase(phrase), "tau {tau}");
             }
@@ -837,7 +822,7 @@ mod tests {
         let (store, concepts) = space();
         let prep = PreparedMatcher::prepare(&concepts, store, MatcherConfig::with_tau(0.5));
         let cfg = MatcherConfig::with_tau(0.6);
-        let derived = prep.matcher_at(cfg.clone(), None);
+        let derived = prep.matcher_at(cfg.clone());
         let ix = derived.index();
         let rebuilt_ix = VectorIndex::from_parts(
             ix.dim(),
@@ -853,7 +838,7 @@ mod tests {
         )
         .expect("valid index parts");
         let via_prebuilt = prep
-            .matcher_with_index(cfg.clone(), None, rebuilt_ix, None)
+            .matcher_with_index(cfg.clone(), rebuilt_ix, None)
             .expect("layout matches");
         for phrase in ["brain tumor", "the ear"] {
             assert_eq!(
@@ -862,9 +847,9 @@ mod tests {
             );
         }
         // An index derived at a different tau has a different layout.
-        let other = prep.matcher_at(MatcherConfig::with_tau(1.0), None);
+        let other = prep.matcher_at(MatcherConfig::with_tau(1.0));
         let other_ix = other.index().clone();
-        assert!(prep.matcher_with_index(cfg, None, other_ix, None).is_err());
+        assert!(prep.matcher_with_index(cfg, other_ix, None).is_err());
     }
 
     #[test]
@@ -894,8 +879,8 @@ mod tests {
             assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched is sorted");
 
             for tau in [base_tau, 0.8_f64.max(base_tau), 1.0] {
-                let a = inc.matcher_at(MatcherConfig::with_tau(tau), None);
-                let b = fresh.matcher_at(MatcherConfig::with_tau(tau), None);
+                let a = inc.matcher_at(MatcherConfig::with_tau(tau));
+                let b = fresh.matcher_at(MatcherConfig::with_tau(tau));
                 for phrase in ["brain tumor", "the ear", "green walk", "stroke risk"] {
                     assert_eq!(
                         a.match_phrase(phrase),
@@ -961,6 +946,6 @@ mod tests {
     fn matcher_below_base_tau_is_rejected() {
         let (store, concepts) = space();
         let prep = PreparedMatcher::prepare(&concepts, store, MatcherConfig::with_tau(0.7));
-        let _ = prep.matcher_at(MatcherConfig::with_tau(0.5), None);
+        let _ = prep.matcher_at(MatcherConfig::with_tau(0.5));
     }
 }

@@ -93,7 +93,7 @@ proptest! {
         let at = MatcherConfig { tau, max_expansion, ..MatcherConfig::default() };
 
         let prep = PreparedMatcher::prepare(&concepts(), std::sync::Arc::clone(&store), base);
-        let derived = prep.matcher_at(at.clone(), None);
+        let derived = prep.matcher_at(at.clone());
         let fresh = SimilarityMatcher::fine_tune(&concepts(), store, at);
         assert_matchers_identical(
             &derived,
@@ -114,7 +114,7 @@ proptest! {
         );
         for t in 5..=10 {
             let tau = t as f64 / 10.0;
-            let derived = prep.matcher_at(MatcherConfig::with_tau(tau), None);
+            let derived = prep.matcher_at(MatcherConfig::with_tau(tau));
             let fresh = SimilarityMatcher::fine_tune(
                 &concepts(),
                 std::sync::Arc::clone(&store),
@@ -143,8 +143,8 @@ proptest! {
             prep.base().clone(),
             prep.candidates().to_vec(),
         );
-        let a = prep.matcher_at(MatcherConfig::with_tau(tau), None);
-        let b = rebuilt.matcher_at(MatcherConfig::with_tau(tau), None);
+        let a = prep.matcher_at(MatcherConfig::with_tau(tau));
+        let b = rebuilt.matcher_at(MatcherConfig::with_tau(tau));
         assert_matchers_identical(&a, &b, &format!("seed={seed} tau={tau}"));
     }
 }
@@ -156,5 +156,5 @@ proptest! {
 fn matcher_at_below_base_tau_panics() {
     let store = space(1, 0.5);
     let prep = PreparedMatcher::prepare(&concepts(), store, MatcherConfig::with_tau(0.7));
-    let _ = prep.matcher_at(MatcherConfig::with_tau(0.5), None);
+    let _ = prep.matcher_at(MatcherConfig::with_tau(0.5));
 }

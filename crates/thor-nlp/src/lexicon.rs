@@ -4,8 +4,7 @@
 //! conjunctions) are a small, stable inventory — we enumerate them. For
 //! open-class words the lexicon falls back to morphology: suffix and
 //! shape heuristics in the style of classic rule-based taggers
-//! (Brill 1992). The [`crate::tagger::HmmTagger`] uses the same guesser
-//! as its out-of-vocabulary emission model.
+//! (Brill 1992).
 
 use std::collections::HashMap;
 

@@ -11,9 +11,8 @@
 //! * [`pos`] — the Universal-POS-style tag set;
 //! * [`lexicon`] — a closed-class English lexicon plus suffix/shape
 //!   heuristics for open-class words;
-//! * [`tagger`] — two interchangeable taggers: a deterministic
-//!   [`tagger::RuleTagger`] and a trainable bigram [`tagger::HmmTagger`]
-//!   decoded with Viterbi (verified against exhaustive search);
+//! * [`tagger`] — the deterministic [`tagger::RuleTagger`] behind the
+//!   [`tagger::Tagger`] trait;
 //! * [`dep`] — a rule-based dependency parser producing the head/label
 //!   tree of Fig. 3 (nsubj/obj/det/amod/compound/...);
 //! * [`chunker`] — noun-phrase extraction over the parse, the direct
@@ -31,4 +30,4 @@ pub use chunker::{noun_phrases, NounPhrase};
 pub use dep::{parse_dependencies, DepLabel, DepTree};
 pub use lexicon::Lexicon;
 pub use pos::Pos;
-pub use tagger::{HmmTagger, RuleTagger, Tagger};
+pub use tagger::{RuleTagger, Tagger};

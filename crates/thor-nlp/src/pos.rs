@@ -57,14 +57,6 @@ impl Pos {
         Pos::X,
     ];
 
-    /// Dense index of the tag in [`Pos::ALL`].
-    pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&t| t == self)
-            .expect("tag in ALL")
-    }
-
     /// Can this tag head a noun phrase? (NOUN, PROPN, PRON.)
     pub fn is_nominal(self) -> bool {
         matches!(self, Pos::Noun | Pos::Propn | Pos::Pron)
@@ -104,13 +96,6 @@ impl fmt::Display for Pos {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn indices_are_dense_and_stable() {
-        for (i, t) in Pos::ALL.iter().enumerate() {
-            assert_eq!(t.index(), i);
-        }
-    }
 
     #[test]
     fn nominal_classes() {

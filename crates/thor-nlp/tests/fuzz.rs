@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use thor_nlp::{noun_phrases, parse_dependencies, HmmTagger, Pos, RuleTagger, Tagger};
+use thor_nlp::{noun_phrases, parse_dependencies, RuleTagger, Tagger};
 use thor_text::tokenize;
 
 proptest! {
@@ -38,23 +38,5 @@ proptest! {
         for w in nps.windows(2) {
             prop_assert!(w[0].end <= w[1].start, "overlap: {:?} vs {:?}", w[0], w[1]);
         }
-    }
-
-    /// An HMM trained on tiny random data still decodes every sentence
-    /// to a full tag sequence.
-    #[test]
-    fn hmm_always_decodes(
-        train_words in prop::collection::vec("[a-c]{1,3}", 1..6),
-        query_words in prop::collection::vec("[a-d]{1,3}", 0..6),
-    ) {
-        let corpus: Vec<Vec<(String, Pos)>> = vec![train_words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), if i % 2 == 0 { Pos::Noun } else { Pos::Verb }))
-            .collect()];
-        let tagger = HmmTagger::train(&corpus);
-        let refs: Vec<&str> = query_words.iter().map(String::as_str).collect();
-        let tags = tagger.tag(&refs);
-        prop_assert_eq!(tags.len(), refs.len());
     }
 }

@@ -35,8 +35,6 @@ pub struct ReloadConfig {
     pub mode: MapMode,
     /// Re-applied `--threads` override, if any.
     pub threads: Option<usize>,
-    /// Re-applied `--refine reference` override.
-    pub reference_refine: bool,
     /// Re-applied `--prune` override.
     pub prune: PruneMode,
     /// `--watch-engine` poll interval; `None` reloads on SIGHUP only.
@@ -160,9 +158,6 @@ fn load_candidate(
     }
     if let Some(threads) = cfg.threads {
         engine = engine.with_threads(threads);
-    }
-    if cfg.reference_refine {
-        engine = engine.with_reference_refine(true);
     }
     if cfg.prune != PruneMode::Exact {
         engine = engine.with_prune(cfg.prune);

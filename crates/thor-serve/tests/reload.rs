@@ -103,7 +103,6 @@ impl LiveServer {
             path: path.to_path_buf(),
             mode: MapMode::Owned,
             threads: None,
-            reference_refine: false,
             prune: thor_core::PruneMode::Exact,
             poll,
         };

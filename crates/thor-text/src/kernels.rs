@@ -26,8 +26,8 @@
 //!   but no longer builds `HashMap` rows).
 //!
 //! Bit-equality with the reference functions is load-bearing — the
-//! pipeline's early-abandon optimization and the kernel/reference CLI
-//! toggle both assert byte-identical output — and is enforced by the
+//! pipeline refines only through these kernels, and its winners must
+//! equal the reference oracle's bit for bit — and is enforced by the
 //! property tests at the bottom of this file. The one subtle case is
 //! Unicode lowercasing: `str::to_lowercase` maps a word-final `'Σ'` to
 //! `'ς'` while the char-wise mapping always yields `'σ'`, so words

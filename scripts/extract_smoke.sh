@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
-# Refinement-kernel smoke test against the real CLI.
+# Refinement smoke test against the real CLI.
 #
-# The kernel scoring path (allocation-free jaccard/gestalt + score-bound
-# early abandon, the default) must be a byte-exact drop-in for the
-# documented reference implementations:
-#   1. `thor enrich` (kernel) and `thor enrich --refine reference`
-#      produce byte-identical enriched CSV and entities TSV at thread
-#      counts 1 and 4;
-#   2. the same equality holds when serving from a frozen engine
-#      artifact (`--engine` + `--refine` compose: the refine path is a
-#      serve-time knob, not part of the frozen model);
-#   3. a bad `--refine` value is rejected with a named error;
-#   4. `--metrics` surfaces the refine.scored / refine.pruned counters,
-#      and the kernel path actually prunes on this workload.
+# Refinement has one path: the allocation-free kernels with the
+# score-bound early abandon (its oracle equivalence is proven by
+# crates/thor-core/tests/refine_kernels.rs). This script checks, at the
+# CLI surface:
+#   1. `thor enrich` writes byte-identical enriched CSV and entities TSV
+#      at thread counts 1 and 4;
+#   2. serving from a frozen engine artifact (`--engine`) writes the
+#      same bytes as the direct `--table` run;
+#   3. `--metrics` surfaces the refine.scored / refine.pruned counters,
+#      and the abandon actually prunes on this workload;
+#   4. a stray `--refine` is rejected as an unknown option, by name.
 #
 # Usage: scripts/extract_smoke.sh  (run from anywhere; builds if needed)
 set -euo pipefail
@@ -38,46 +37,24 @@ TABLE="$DATA/enrichment_table.csv"
 VECS="$DATA/vectors.txt"
 echo "extract smoke: ${#DOCS[@]} documents"
 
-echo "-- kernel vs reference refinement: byte-identical output"
-"$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 --refine reference \
-    --out "$WORK/reference.csv" --entities "$WORK/reference.tsv" "${DOCS[@]}" 2>/dev/null
+echo "-- threads 1 and 4: byte-identical output"
 for threads in 1 4; do
-    "$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 \
-        --refine kernel --threads "$threads" \
-        --out "$WORK/kernel.csv" --entities "$WORK/kernel.tsv" "${DOCS[@]}" 2>/dev/null
-    cmp "$WORK/reference.csv" "$WORK/kernel.csv" \
-        || fail "kernel CSV differs from reference refinement (threads $threads)"
-    cmp "$WORK/reference.tsv" "$WORK/kernel.tsv" \
-        || fail "kernel entities differ from reference refinement (threads $threads)"
-    rm -f "$WORK/kernel.csv" "$WORK/kernel.tsv"
+    "$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 --threads "$threads" \
+        --out "$WORK/t$threads.csv" --entities "$WORK/t$threads.tsv" "${DOCS[@]}" 2>/dev/null
 done
+cmp "$WORK/t1.csv" "$WORK/t4.csv" || fail "enriched CSV differs between threads 1 and 4"
+cmp "$WORK/t1.tsv" "$WORK/t4.tsv" || fail "entities differ between threads 1 and 4"
 echo "   identical output at threads 1 and 4"
 
-echo "-- --refine composes with --engine (serve-time knob)"
+echo "-- --engine serves the same bytes as --table"
 ENGINE="$WORK/disease.thorengine"
 "$THOR" build --table "$TABLE" --vectors "$VECS" --tau 0.7 \
     --engine "$ENGINE" 2>/dev/null
-for refine in kernel reference; do
-    "$THOR" enrich --engine "$ENGINE" --refine "$refine" \
-        --out "$WORK/served.csv" --entities "$WORK/served.tsv" "${DOCS[@]}" 2>/dev/null
-    cmp "$WORK/reference.csv" "$WORK/served.csv" \
-        || fail "engine-served CSV differs under --refine $refine"
-    cmp "$WORK/reference.tsv" "$WORK/served.tsv" \
-        || fail "engine-served entities differ under --refine $refine"
-    rm -f "$WORK/served.csv" "$WORK/served.tsv"
-done
-echo "   engine serving identical under both refine paths"
-
-echo "-- bad --refine value is rejected by name"
-set +e
-"$THOR" enrich --table "$TABLE" --vectors "$VECS" --refine fast \
-    --out "$WORK/x.csv" "${DOCS[@]}" 2>"$WORK/refine.log"
-status=$?
-set -e
-[[ $status -ne 0 ]] || fail "enrich accepted --refine fast"
-grep -q 'kernel.*reference' "$WORK/refine.log" \
-    || fail "refine error is not named: $(cat "$WORK/refine.log")"
-echo "   rejected with a named error"
+"$THOR" enrich --engine "$ENGINE" \
+    --out "$WORK/served.csv" --entities "$WORK/served.tsv" "${DOCS[@]}" 2>/dev/null
+cmp "$WORK/t1.csv" "$WORK/served.csv" || fail "engine-served CSV differs from --table"
+cmp "$WORK/t1.tsv" "$WORK/served.tsv" || fail "engine-served entities differ from --table"
+echo "   engine serving identical"
 
 echo "-- metrics surface the prune accounting"
 "$THOR" enrich --table "$TABLE" --vectors "$VECS" --tau 0.7 --metrics \
@@ -88,5 +65,16 @@ PRUNED=$(awk '$1 == "refine.pruned" { print $3 }' "$WORK/metrics.log")
 [[ "$PRUNED" =~ ^[0-9]+$ ]] || fail "refine.pruned is not a count: $PRUNED"
 [[ "$PRUNED" -gt 0 ]] || fail "early abandon pruned nothing on the smoke workload"
 echo "   refine.pruned = $PRUNED"
+
+echo "-- a stray --refine is rejected by name"
+set +e
+"$THOR" enrich --table "$TABLE" --vectors "$VECS" --refine reference \
+    --out "$WORK/x.csv" "${DOCS[@]}" 2>"$WORK/refine.log"
+status=$?
+set -e
+[[ $status -ne 0 ]] || fail "enrich accepted --refine"
+grep -q 'unknown option `--refine`' "$WORK/refine.log" \
+    || fail "--refine error is not named: $(cat "$WORK/refine.log")"
+echo "   rejected as an unknown option"
 
 echo "extract smoke: OK"

@@ -17,7 +17,7 @@
 //!             <doc.txt | corpus-dir>...              serve from a built engine
 //! thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT]
 //!            [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS]
-//!            [--refine kernel|reference] [--prune exact|approx|off] [--metrics[=json]]
+//!            [--prune exact|approx|off] [--metrics[=json]]
 //!                                                    HTTP front end (see thor-serve)
 //! thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv]
 //!            --out d1.eng [--note TEXT] [--engine-mmap on|off]
@@ -171,7 +171,6 @@ const ENRICH: CommandSpec = CommandSpec {
         "engine-mmap",
         "context-gate",
         "threads",
-        "refine",
         "prune",
         "prune-margin",
         "out",
@@ -198,7 +197,6 @@ const SERVE: CommandSpec = CommandSpec {
         "threads",
         "queue",
         "read-timeout-ms",
-        "refine",
         "prune",
         "prune-margin",
         "watch-engine",
@@ -297,12 +295,12 @@ const COMMANDS: &[Command] = &[
         spec: &ENRICH,
         run: cmd_enrich,
         usage: "thor enrich --table R.csv [--tau 0.7] [--vectors v.txt] [--context-gate G] \
-                [--threads N] [--refine kernel|reference] [--metrics[=json]] [--cache-stats] \
+                [--threads N] [--metrics[=json]] [--cache-stats] \
                 [--strict | --lenient] [--quarantine q.tsv] [--checkpoint DIR [--resume]] \
                 [--stream [--chunk N]] [--out enriched.csv] [--entities e.tsv] \
                 <doc.txt | corpus-dir>...\n  \
                 thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] \
-                [--refine kernel|reference] [--prune exact|approx|off [--prune-margin M]] \
+                [--prune exact|approx|off [--prune-margin M]] \
                 ... <doc.txt | corpus-dir>...",
     },
     Command {
@@ -311,7 +309,7 @@ const COMMANDS: &[Command] = &[
         run: cmd_serve,
         usage: "thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT] \
                 [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS] \
-                [--refine kernel|reference] [--prune exact|approx|off [--prune-margin M]] \
+                [--prune exact|approx|off [--prune-margin M]] \
                 [--watch-engine [MS]] [--deadline-ms MS] [--metrics[=json]]",
     },
     Command {
@@ -658,18 +656,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         }
     }
 
-    // `--refine` selects the refinement implementation — an execution
-    // knob like --threads (both paths are bit-identical), so it stays
-    // adjustable even when serving from a frozen --engine artifact.
-    let reference_refine = match args.options.get("refine").map(String::as_str) {
-        None | Some("kernel") => false,
-        Some("reference") => true,
-        Some(other) => {
-            return Err(ThorError::config(format!(
-                "--refine must be `kernel` or `reference`, got `{other}`"
-            )))
-        }
-    };
     let prune = prune_mode(args)?;
 
     if args.positional.is_empty() {
@@ -726,11 +712,9 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
     let metrics_mode = metrics_mode(args)?;
     // `--cache-stats`: two-line summary of the candidate engine (phrase
     // memo traffic, then subphrase cache traffic + vector index
-    // size/build time). Needs the metrics handle attached even when
-    // `--metrics` wasn't asked for.
+    // size/build time), read from the metrics handle every run carries.
     let cache_stats = args.options.contains_key("cache-stats");
     let metrics = PipelineMetrics::new();
-    let attach_metrics = metrics_mode.is_some() || cache_stats;
     let opts = ResilientOptions {
         mode,
         checkpoint_dir,
@@ -755,15 +739,10 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         if let Some(threads) = threads {
             engine = engine.with_threads(threads);
         }
-        if reference_refine {
-            engine = engine.with_reference_refine(true);
-        }
         if prune != PruneMode::Exact {
             engine = engine.with_prune(prune);
         }
-        if attach_metrics {
-            engine = engine.with_metrics(metrics.clone());
-        }
+        let engine = engine.with_metrics(metrics.clone());
         if stream {
             let reader = corpus
                 .iter()
@@ -824,12 +803,8 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         if let Some(threads) = threads {
             config.threads = threads;
         }
-        config.reference_refine = reference_refine;
         config.prune = prune;
-        let mut thor = Thor::new(store, config);
-        if attach_metrics {
-            thor = thor.with_metrics(metrics.clone());
-        }
+        let thor = Thor::new(store, config).with_metrics(metrics.clone());
         if stream {
             let reader = corpus
                 .iter()
@@ -944,15 +919,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if read_timeout_ms == 0 {
         return Err(ThorError::config("--read-timeout-ms must be at least 1"));
     }
-    let reference_refine = match args.options.get("refine").map(String::as_str) {
-        None | Some("kernel") => false,
-        Some("reference") => true,
-        Some(other) => {
-            return Err(ThorError::config(format!(
-                "--refine must be `kernel` or `reference`, got `{other}`"
-            )))
-        }
-    };
     let prune = prune_mode(args)?;
     let metrics_mode = metrics_mode(args)?;
     // Bare `--watch-engine` (no value) means "poll at the default
@@ -991,9 +957,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if let Some(threads) = threads {
         engine = engine.with_threads(threads);
     }
-    if reference_refine {
-        engine = engine.with_reference_refine(true);
-    }
     if prune != PruneMode::Exact {
         engine = engine.with_prune(prune);
     }
@@ -1009,7 +972,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
         path: PathBuf::from(engine_path),
         mode: map_mode,
         threads,
-        reference_refine,
         prune,
         poll: watch_engine,
     };
@@ -1577,27 +1539,13 @@ mod tests {
     }
 
     #[test]
-    fn refine_option_validated() {
-        let a = parse_args(
-            &argv(&["--table", "t.csv", "--refine", "fast", "d.txt"]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("`kernel` or `reference`"), "{msg}");
-        // Like --threads, --refine stays adjustable alongside --engine:
-        // the error must come from the missing file, not a conflict.
-        let a = parse_args(
-            &argv(&[
-                "--engine",
-                "/nonexistent/e.thor",
-                "--refine",
-                "reference",
-                "d.txt",
-            ]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(!msg.contains("conflicts"), "{msg}");
+    fn refine_option_is_unknown() {
+        // Refinement has one implementation; there is nothing to pick.
+        for (cmd, spec) in [("enrich", &ENRICH), ("serve", &SERVE)] {
+            let a = parse_args(&argv(&["--refine", "reference", "d.txt"]), spec.flags);
+            let msg = check_options(cmd, &a, spec).unwrap_err().to_string();
+            assert!(msg.contains("unknown option `--refine`"), "{cmd}: {msg}");
+        }
     }
 
     #[test]

@@ -154,6 +154,29 @@ fn loaded_engine_count_metrics_match() {
     assert_eq!(built_spans, [1, 1], "one prepare span, one inference span");
 }
 
+/// Attaching a metrics handle rebuilds nothing: a mapped engine keeps
+/// serving its index from the artifact, in place.
+#[test]
+fn observing_a_mapped_engine_keeps_its_index_in_place() {
+    let built = Thor::new(fixture_store(), ThorConfig::with_tau(0.6)).prepare(&fixture_table());
+    let path = scratch("observe-mapped");
+    built.save(&path).expect("save engine");
+    let mapped = PreparedEngine::load_with(&path, MapMode::Mapped).expect("mapped load");
+    std::fs::remove_file(&path).ok();
+
+    let observed = mapped.with_metrics(PipelineMetrics::new());
+    assert_eq!(
+        observed.matcher().index().data().as_ptr(),
+        mapped.matcher().index().data().as_ptr(),
+        "with_metrics re-froze the index"
+    );
+    let docs = fixture_docs();
+    assert_eq!(
+        observed.enrich(&docs).entities,
+        built.enrich(&docs).entities
+    );
+}
+
 /// Saving the same engine twice produces identical files — the artifact
 /// encoder is fully deterministic (sorted store words, no timestamps).
 #[test]

@@ -1,8 +1,8 @@
 //! Serve/batch equivalence contract: the HTTP front end must return
 //! **byte-identical** output to the batch CLI paths for the same frozen
-//! engine — across worker-thread counts, phrase-cache settings, and the
-//! early-abandon scorer — and concurrent clients must never see each
-//! other's responses interleaved.
+//! engine — across worker-thread counts and phrase-cache settings — and
+//! concurrent clients must never see each other's responses
+//! interleaved.
 
 use std::collections::BTreeMap;
 
@@ -86,8 +86,8 @@ fn batch_json(docs: &[Document]) -> Vec<u8> {
 }
 
 /// Serve output is byte-identical to batch output across the execution
-/// knob matrix: threads {1,4} x cache {0,4096} x early-abandon {on,off}.
-/// None of these knobs may change a single output byte.
+/// knob matrix: threads {1,4} x cache {0,4096}. Neither knob may change
+/// a single output byte.
 #[test]
 fn serve_matches_batch_across_execution_knobs() {
     let docs = fixture_docs();
@@ -96,59 +96,56 @@ fn serve_matches_batch_across_execution_knobs() {
 
     for threads in [1usize, 4] {
         for cache in [0usize, 4096] {
-            for early_abandon in [true, false] {
-                let mut config = ThorConfig::with_tau(0.6);
-                config.threads = threads;
-                config.cache_capacity = cache;
-                config.early_abandon = early_abandon;
-                let engine = Thor::new(fixture_store(), config).prepare(&fixture_table());
+            let mut config = ThorConfig::with_tau(0.6);
+            config.threads = threads;
+            config.cache_capacity = cache;
+            let engine = Thor::new(fixture_store(), config).prepare(&fixture_table());
 
-                // Batch answers, straight from the engine.
-                let batch = engine.enrich(&docs);
-                let batch_csv = to_csv(&batch.table);
-                let (entities, _) = engine.extract(&docs);
-                let batch_tsv = entities_tsv(&entities);
+            // Batch answers, straight from the engine.
+            let batch = engine.enrich(&docs);
+            let batch_csv = to_csv(&batch.table);
+            let (entities, _) = engine.extract(&docs);
+            let batch_tsv = entities_tsv(&entities);
 
-                // Serve answers, over a real socket.
-                let server = Server::bind(engine, "127.0.0.1:0", ServeOptions::default())
-                    .expect("bind server");
-                let addr = server.local_addr();
-                let handle = server.shutdown_handle();
-                let join = std::thread::spawn(move || server.run().expect("serve loop"));
+            // Serve answers, over a real socket.
+            let server =
+                Server::bind(engine, "127.0.0.1:0", ServeOptions::default()).expect("bind server");
+            let addr = server.local_addr();
+            let handle = server.shutdown_handle();
+            let join = std::thread::spawn(move || server.run().expect("serve loop"));
 
-                let tag = format!("threads={threads} cache={cache} abandon={early_abandon}");
-                let enriched = request(&addr, "POST", "/enrich", &body).expect("POST /enrich");
-                assert_eq!(enriched.status, 200, "{tag}: {}", enriched.body_str());
-                assert_eq!(
-                    enriched.header("X-Thor-Quarantined").map(str::trim),
-                    Some("0"),
-                    "{tag}: clean batch must not quarantine"
-                );
-                assert_eq!(
-                    enriched.body_str(),
-                    batch_csv,
-                    "{tag}: /enrich differs from batch enrich"
-                );
+            let tag = format!("threads={threads} cache={cache}");
+            let enriched = request(&addr, "POST", "/enrich", &body).expect("POST /enrich");
+            assert_eq!(enriched.status, 200, "{tag}: {}", enriched.body_str());
+            assert_eq!(
+                enriched.header("X-Thor-Quarantined").map(str::trim),
+                Some("0"),
+                "{tag}: clean batch must not quarantine"
+            );
+            assert_eq!(
+                enriched.body_str(),
+                batch_csv,
+                "{tag}: /enrich differs from batch enrich"
+            );
 
-                let extracted = request(&addr, "POST", "/extract", &body).expect("POST /extract");
-                assert_eq!(extracted.status, 200, "{tag}: {}", extracted.body_str());
-                assert_eq!(
-                    extracted.body_str(),
-                    batch_tsv,
-                    "{tag}: /extract differs from batch extract"
-                );
+            let extracted = request(&addr, "POST", "/extract", &body).expect("POST /extract");
+            assert_eq!(extracted.status, 200, "{tag}: {}", extracted.body_str());
+            assert_eq!(
+                extracted.body_str(),
+                batch_tsv,
+                "{tag}: /extract differs from batch extract"
+            );
 
-                handle.shutdown();
-                join.join().expect("server thread");
+            handle.shutdown();
+            join.join().expect("server thread");
 
-                // Every cell in the matrix must also agree with every
-                // other cell — the knobs are execution-only.
-                match &reference {
-                    None => reference = Some((batch_csv, batch_tsv)),
-                    Some((csv, tsv)) => {
-                        assert_eq!(&batch_csv, csv, "{tag}: knob changed enrich bytes");
-                        assert_eq!(&batch_tsv, tsv, "{tag}: knob changed extract bytes");
-                    }
+            // Every cell in the matrix must also agree with every
+            // other cell — the knobs are execution-only.
+            match &reference {
+                None => reference = Some((batch_csv, batch_tsv)),
+                Some((csv, tsv)) => {
+                    assert_eq!(&batch_csv, csv, "{tag}: knob changed enrich bytes");
+                    assert_eq!(&batch_tsv, tsv, "{tag}: knob changed extract bytes");
                 }
             }
         }
