@@ -110,15 +110,25 @@ impl PreparedEngine {
     /// Non-additive changes (removing instances, renaming or reordering
     /// concepts) are rejected with a named [`ThorError`]; counters
     /// `delta.applied` / `delta.rejected` and the `engine.chain_depth`
-    /// gauge are recorded on the engine's metrics handle.
+    /// gauge are recorded on the engine's metrics handle, and
+    /// `delta.seed_scans` counts the applies that first had to compute
+    /// the seed words' competitive argmax (once per loaded engine; see
+    /// [`PreparedMatcher::seed_argmax_ready`]).
+    ///
+    /// [`PreparedMatcher::seed_argmax_ready`]: thor_match::PreparedMatcher::seed_argmax_ready
     pub fn apply_delta(&self, delta: &EngineDelta) -> ThorResult<PreparedEngine> {
         let run = self.run_metrics();
+        let pending = !self.inner.prep.seed_argmax_ready();
         let (result, elapsed) = run.prepare.time(|| self.apply_delta_inner(delta));
         match result {
             Ok(mut inner) => {
                 inner.prepare_time = elapsed;
                 record_fine_tune(&run, &inner.matcher);
                 run.registry().counter("delta.applied").inc();
+                let scanned = pending && self.inner.prep.seed_argmax_ready();
+                run.registry()
+                    .counter("delta.seed_scans")
+                    .add(u64::from(scanned));
                 run.registry()
                     .gauge("engine.chain_depth")
                     .set(inner.chain_depth as u64);
@@ -553,6 +563,38 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.count("delta.applied"), 1);
         assert_eq!(snap.count("engine.chain_depth"), 1);
+    }
+
+    /// The seed words' argmax is computed once per loaded engine, on
+    /// its first delta, and never on an engine `Thor::prepare` built.
+    #[test]
+    fn seed_scans_count_only_a_loaded_engines_first_delta() {
+        let store = space();
+        let thor = Thor::new(Arc::clone(&store), ThorConfig::with_tau(0.6));
+        let d1 = seed_delta("Disease,Anatomy\nTuberculosis,brain\nStroke,nerve\n");
+        let d2 = seed_delta("Disease,Anatomy\nAcne,skin\n");
+        let scans = |engine: PreparedEngine| -> Vec<u64> {
+            let metrics = PipelineMetrics::new();
+            let mut engine = engine.with_metrics(metrics.clone());
+            [&d1, &d2]
+                .into_iter()
+                .map(|d| {
+                    engine = engine.apply_delta(d).unwrap();
+                    metrics.snapshot().count("delta.seed_scans")
+                })
+                .collect()
+        };
+        assert_eq!(scans(thor.prepare(&base_table())), [0, 0]);
+
+        let dir = std::env::temp_dir().join(format!("thor-delta-scans-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("base.eng");
+        thor.prepare(&base_table()).save(&path).unwrap();
+        for mode in [MapMode::Owned, MapMode::Mapped] {
+            let loaded = PreparedEngine::load_with(&path, mode).unwrap();
+            assert_eq!(scans(loaded), [1, 1], "{mode:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The subject index is derived state, rebuilt wherever an engine

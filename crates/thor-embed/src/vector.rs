@@ -37,14 +37,14 @@ impl Vector {
             .sqrt()
     }
 
-    /// Dot product. Panics if dimensions differ.
+    /// Dot product, folded from `+0.0` so a zero dot is never `-0.0`.
+    /// Panics if dimensions differ.
     pub fn dot(&self, other: &Vector) -> f64 {
         assert_eq!(self.dim(), other.dim(), "dimension mismatch");
         self.0
             .iter()
             .zip(&other.0)
-            .map(|(&a, &b)| a as f64 * b as f64)
-            .sum()
+            .fold(0.0, |acc, (&a, &b)| acc + a as f64 * b as f64)
     }
 
     /// Scale in place.
@@ -143,7 +143,10 @@ pub fn slice_cosine(a: &[f32], b: &[f32]) -> f64 {
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    let dot: f64 = a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum();
+    let dot = a
+        .iter()
+        .zip(b)
+        .fold(0.0, |acc, (&x, &y)| acc + x as f64 * y as f64);
     (dot / (na * nb)).clamp(-1.0, 1.0)
 }
 
@@ -183,6 +186,20 @@ mod tests {
         assert_eq!(a.norm(), 5.0);
         let b = Vector(vec![1.0, 2.0]);
         assert_eq!(a.dot(&b), 11.0);
+    }
+
+    #[test]
+    fn zero_dots_are_positive_zero() {
+        let (x, y) = (Vector(vec![1.0, -0.0]), Vector(vec![-0.0, 1.0]));
+        assert_eq!(x.dot(&y).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            slice_cosine(x.as_slice(), y.as_slice()).to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(
+            Vector(vec![]).dot(&Vector(vec![])).to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]

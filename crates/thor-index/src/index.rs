@@ -390,10 +390,14 @@ impl VectorIndex {
 }
 
 /// Dot product of two equal-length slices, accumulated in `f64` in
-/// element order (matches `thor_embed::Vector::dot`).
+/// element order (matches `thor_embed::Vector::dot`). The fold starts
+/// from `+0.0` rather than `Sum`'s toolchain-dependent identity, so a
+/// zero dot is never `-0.0`.
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum()
+    a.iter()
+        .zip(b)
+        .fold(0.0, |acc, (&x, &y)| acc + x as f64 * y as f64)
 }
 
 /// L2 norm of a slice (matches `thor_embed::Vector::norm`).
@@ -414,6 +418,17 @@ mod tests {
             return 0.0;
         }
         (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
+    }
+
+    #[test]
+    fn zero_dots_are_positive_zero() {
+        for (a, b) in [
+            (vec![1.0f32, -0.0], vec![-0.0f32, 1.0]),
+            (vec![-0.0], vec![0.0]),
+            (vec![], vec![]),
+        ] {
+            assert_eq!(dot(&a, &b).to_bits(), 0.0f64.to_bits(), "{a:?}·{b:?}");
+        }
     }
 
     fn sample_index() -> VectorIndex {

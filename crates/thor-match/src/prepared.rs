@@ -20,7 +20,8 @@
 //! on: representative sets at higher τ are similarity-filtered subsets
 //! of the sets at lower τ.
 
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 
 use thor_embed::{slice_norm, Vector, VectorStore};
 use thor_fault::{FrozenPool, FrozenSlice};
@@ -48,8 +49,20 @@ pub struct PreparedMatcher {
     /// filters the *expansion*, so one table serves every derived
     /// matcher.
     seed_syntax: Arc<SeedSyntax>,
+    /// The competitive argmax of every vocabulary word that is a seed
+    /// instance — derived, never persisted. Filled by `prepare` and
+    /// carried forward by `with_additions`; a loaded preparation
+    /// computes it on its first `with_additions`.
+    seed_best: OnceLock<Arc<SeedArgmax>>,
     base: MatcherConfig,
 }
+
+/// Per vocabulary word that is a seed instance of some concept: its
+/// competitive best concept `(concept, sim)` over all seed rows at the
+/// base τ, `None` when the best similarity is below τ. Unlike the
+/// candidate lists it is *not* filtered by seed membership, so it is
+/// exactly the incumbent an additive delta's challengers compete with.
+type SeedArgmax = HashMap<String, Option<(usize, f64)>>;
 
 /// Candidate-list storage: per-concept `Vec`s after a fresh
 /// preparation, or flat artifact views after a (possibly mapped)
@@ -75,6 +88,57 @@ fn build_seed_syntax(seeds: &[Vec<(String, Vector)>]) -> Arc<SeedSyntax> {
     ))
 }
 
+/// Every seed instance string of every concept.
+fn seed_words(seeds: &[Vec<(String, Vector)>]) -> HashSet<&str> {
+    seeds.iter().flatten().map(|(w, _)| w.as_str()).collect()
+}
+
+/// Whether `word` is a seed instance of the concept with these seeds.
+fn seeds_contain(seeds: &[(String, Vector)], word: &str) -> bool {
+    seeds.iter().any(|(s, _)| s == word)
+}
+
+/// The competitive scan of the Preparation phase: every vocabulary
+/// word `wanted` accepts goes to its most similar concept over a
+/// seeds-only index (each word's norm computed once), and `visit`
+/// receives that winner, or `None` below `tau`.
+///
+/// `tau` is passed to the bound-pruned `best_concept` as the argmax
+/// floor: below it the winner is discarded anyway, so pruning those
+/// concept scans cannot change what `visit` sees, and above the floor
+/// `best_concept` is bit-identical to the exhaustive fold.
+fn competitive_scan(
+    names: &[String],
+    seeds: &[Vec<(String, Vector)>],
+    store: &VectorStore,
+    tau: f64,
+    wanted: impl Fn(&str) -> bool,
+    mut visit: impl FnMut(&str, Option<(usize, f64)>),
+) {
+    let mut builder = VectorIndexBuilder::new(store.dim());
+    for (name, cluster_seeds) in names.iter().zip(seeds) {
+        builder.add_concept(
+            name,
+            cluster_seeds.len(),
+            cluster_seeds
+                .iter()
+                .map(|(w, v)| (w.as_str(), v.as_slice())),
+        );
+    }
+    let seed_index = builder.build();
+    let prune = PruneIndex::build(&seed_index);
+    store.for_each_row(|word, row| {
+        if !wanted(word) {
+            return;
+        }
+        let mut stats = PruneStats::default();
+        let best = prune
+            .best_concept(&seed_index, row, slice_norm(row), tau, &mut stats)
+            .filter(|&(_, sim)| sim >= tau);
+        visit(word, best);
+    });
+}
+
 impl PreparedMatcher {
     /// Run the Preparation phase once: embed each concept's seeds and
     /// collect the full competitive τ-expansion candidate lists at
@@ -90,42 +154,32 @@ impl PreparedMatcher {
             .map(|(_, instances)| ConceptCluster::embed_seeds(instances, &store))
             .collect();
 
-        // Competitive expansion: word → its best concept. Seed scoring
-        // runs over a seeds-only index so each vocabulary word's norm is
-        // computed once instead of once per (word, seed) pair.
+        let names: Vec<String> = concepts.iter().map(|(name, _)| name.clone()).collect();
+
+        // Competitive expansion: word → its best concept. A word joins
+        // that concept's candidates unless it is one of its seeds; seed
+        // words keep their unfiltered winner for later deltas.
         let mut candidates: Vec<Vec<(String, f64)>> = vec![Vec::new(); concepts.len()];
+        let mut seed_best = SeedArgmax::new();
         if base.tau < 1.0 {
-            let seed_index = {
-                let mut builder = VectorIndexBuilder::new(store.dim());
-                for ((name, _), cluster_seeds) in concepts.iter().zip(&seeds) {
-                    builder.add_concept(
-                        name,
-                        cluster_seeds.len(),
-                        cluster_seeds
-                            .iter()
-                            .map(|(w, v)| (w.as_str(), v.as_slice())),
-                    );
-                }
-                builder.build()
-            };
-            // Bound-pruned competitive scan. `base.tau` is passed as the
-            // argmax floor: words whose best similarity falls below τ are
-            // discarded by the record filter anyway, so pruning their
-            // concept scans cannot change which candidates are collected,
-            // and above the floor `best_concept` is bit-identical to the
-            // exhaustive fold.
-            let prune = PruneIndex::build(&seed_index);
-            store.for_each_row(|word, row| {
-                let qn = slice_norm(row);
-                let mut stats = PruneStats::default();
-                if let Some((ci, sim)) =
-                    prune.best_concept(&seed_index, row, qn, base.tau, &mut stats)
-                {
-                    if sim >= base.tau && !seeds[ci].iter().any(|(s, _)| s == word) {
-                        candidates[ci].push((word.to_string(), sim));
+            let is_seed = seed_words(&seeds);
+            competitive_scan(
+                &names,
+                &seeds,
+                &store,
+                base.tau,
+                |_| true,
+                |word, best| {
+                    if is_seed.contains(word) {
+                        seed_best.insert(word.to_string(), best);
                     }
-                }
-            });
+                    if let Some((ci, sim)) = best {
+                        if !seeds_contain(&seeds[ci], word) {
+                            candidates[ci].push((word.to_string(), sim));
+                        }
+                    }
+                },
+            );
             // Keep each list in the total order fine-tuning sorts by, so
             // deriving a matcher at τ′ is a pure filter + truncate.
             for list in &mut candidates {
@@ -136,9 +190,10 @@ impl PreparedMatcher {
         Self {
             seed_syntax: build_seed_syntax(&seeds),
             store,
-            names: concepts.iter().map(|(name, _)| name.clone()).collect(),
+            names,
             seeds,
             candidates: CandidateBacking::Owned(candidates),
+            seed_best: OnceLock::from(Arc::new(seed_best)),
             base,
         }
     }
@@ -173,6 +228,7 @@ impl PreparedMatcher {
             names: concepts.iter().map(|(name, _)| name.clone()).collect(),
             seeds,
             candidates: CandidateBacking::Owned(candidates),
+            seed_best: OnceLock::new(),
             base,
         }
     }
@@ -222,6 +278,7 @@ impl PreparedMatcher {
                 words,
                 sims,
             },
+            seed_best: OnceLock::new(),
             base,
         })
     }
@@ -441,6 +498,35 @@ impl PreparedMatcher {
         ))
     }
 
+    /// Whether the seed words' competitive argmax is in memory: always
+    /// after [`PreparedMatcher::prepare`] or an evolution with new
+    /// seeds, and for a loaded preparation only once its first
+    /// [`PreparedMatcher::with_additions`] has computed it.
+    pub fn seed_argmax_ready(&self) -> bool {
+        self.seed_best.get().is_some()
+    }
+
+    /// The seed words' competitive argmax, computed on first use by a
+    /// loaded preparation with the scan `prepare` runs, restricted to
+    /// the seed words.
+    fn seed_argmax(&self) -> &SeedArgmax {
+        self.seed_best.get_or_init(|| {
+            let is_seed = seed_words(&self.seeds);
+            let mut best = SeedArgmax::with_capacity(is_seed.len());
+            competitive_scan(
+                &self.names,
+                &self.seeds,
+                &self.store,
+                self.base.tau,
+                |word| is_seed.contains(word),
+                |word, winner| {
+                    best.insert(word.to_string(), winner);
+                },
+            );
+            Arc::new(best)
+        })
+    }
+
     /// Incrementally evolve the preparation with additional seed
     /// instances and appended concepts — the engine delta-apply path.
     ///
@@ -458,18 +544,17 @@ impl PreparedMatcher {
     /// `(sim desc, word asc)` the per-τ derivation relies on: because
     /// seed vectors are only ever *added*, a vocabulary word's best
     /// concept can only be displaced by a newly added seed vector, so
-    /// each word is re-scored against the small added-seed index
-    /// instead of the full seed set. The exception is words that are
-    /// string-equal to a seed instance of the new state ("shadowed"):
-    /// the candidate record rule consults seed membership of the
-    /// winning concept, so membership flips force a from-scratch
-    /// re-score of those words against the full new seed index.
+    /// each word is re-scored against the small added-seed index only,
+    /// starting from its incumbent. For most words the incumbent is
+    /// their candidate entry. A word that is a seed instance may be
+    /// missing from the lists although it has a winner (the lists drop
+    /// a concept's own seeds), so an old seed word starts from its
+    /// retained unfiltered argmax instead, and the seed-membership
+    /// filter is applied after the challengers.
     pub fn with_additions(
         &self,
         concepts: &[(String, Vec<String>)],
     ) -> Result<(Self, Vec<usize>), String> {
-        use std::collections::{BTreeSet, HashMap, HashSet};
-
         if concepts.len() < self.names.len() {
             return Err(format!(
                 "additions shrink the concept list from {} to {}",
@@ -531,8 +616,14 @@ impl PreparedMatcher {
         let mut lists = self.candidates();
         lists.resize(concepts.len(), Vec::new());
 
+        // Without new seed rows no winner can change, and the seed
+        // words' argmax carries over as it is (still pending after a
+        // load).
+        let mut seed_best = self.seed_best.clone();
         let any_adds = added.iter().any(|a| !a.is_empty());
         if self.base.tau < 1.0 && any_adds {
+            let old_best = self.seed_argmax();
+
             // Mini index over the newly added seed rows only — the only
             // vectors that can displace an incumbent best concept.
             // Concepts appear in ascending index order so challenger
@@ -552,25 +643,7 @@ impl PreparedMatcher {
             }
             let mini = mini.build();
 
-            // Full seeds-only index over the new state, for shadowed
-            // words.
-            let mut full = VectorIndexBuilder::new(self.store.dim());
-            for (ci, cluster_seeds) in seeds_new.iter().enumerate() {
-                full.add_concept(
-                    &concepts[ci].0,
-                    cluster_seeds.len(),
-                    cluster_seeds
-                        .iter()
-                        .map(|(w, v)| (w.as_str(), v.as_slice())),
-                );
-            }
-            let full = full.build();
-
-            let shadow: HashSet<&str> = seeds_new
-                .iter()
-                .flatten()
-                .map(|(w, _)| w.as_str())
-                .collect();
+            let is_seed = seed_words(&seeds_new);
             let mut incumbent: HashMap<String, (usize, f64)> = HashMap::new();
             for (ci, list) in lists.iter().enumerate() {
                 for (word, sim) in list {
@@ -578,49 +651,39 @@ impl PreparedMatcher {
                 }
             }
 
+            let mut new_best = SeedArgmax::with_capacity(is_seed.len());
             let mut removals: Vec<(usize, String, f64)> = Vec::new();
             let mut insertions: Vec<(usize, String, f64)> = Vec::new();
             self.store.for_each_row(|word, row| {
                 let orig = incumbent.get(word).copied();
-                let qn = slice_norm(row);
-                let cur = if shadow.contains(word) {
-                    // Full re-score, mirroring `prepare` exactly.
-                    let mut best: Option<(usize, f64)> = None;
-                    for scores in full.scan(row, qn) {
-                        let sim = scores.max.unwrap_or(f64::MIN);
-                        if sim.is_finite() && best.is_none_or(|(_, b)| sim > b) {
-                            best = Some((scores.concept, sim));
-                        }
+                // Challenger pass. A challenger's score is its concept's
+                // max over *added* rows; it wins on a strictly higher
+                // score, or an equal score from an earlier concept (the
+                // fresh scan's first-wins tie-break). Because
+                // similarities never decrease under additions, the
+                // surviving value equals the winning concept's full new
+                // max.
+                let mut best = old_best.get(word).copied().unwrap_or(orig);
+                for scores in mini.scan(row, slice_norm(row)) {
+                    let sim = scores.max.unwrap_or(f64::MIN);
+                    if !sim.is_finite() {
+                        continue;
                     }
-                    best.filter(|&(ci, sim)| {
-                        sim >= self.base.tau && !seeds_new[ci].iter().any(|(s, _)| s == word)
-                    })
+                    let ci = mini_map[scores.concept];
+                    let replace = match best {
+                        None => true,
+                        Some((bc, bs)) => sim > bs || (sim == bs && ci < bc),
+                    };
+                    if replace {
+                        best = Some((ci, sim));
+                    }
+                }
+                let best = best.filter(|&(_, sim)| sim >= self.base.tau);
+                let cur = if is_seed.contains(word) {
+                    new_best.insert(word.to_string(), best);
+                    best.filter(|&(ci, _)| !seeds_contain(&seeds_new[ci], word))
                 } else {
-                    // Challenger pass. A challenger's score is its
-                    // concept's max over *added* rows; it wins on a
-                    // strictly higher score, or an equal score from an
-                    // earlier concept (the fresh scan's first-wins
-                    // tie-break). Because similarities never decrease
-                    // under additions, the surviving value equals the
-                    // winning concept's full new max.
-                    let mut cur = orig;
-                    for scores in mini.scan(row, qn) {
-                        let sim = scores.max.unwrap_or(f64::MIN);
-                        if !sim.is_finite() {
-                            continue;
-                        }
-                        let ci = mini_map[scores.concept];
-                        let replace = match cur {
-                            None => true,
-                            Some((bc, bs)) => sim > bs || (sim == bs && ci < bc),
-                        };
-                        if replace {
-                            cur = Some((ci, sim));
-                        }
-                    }
-                    // Non-shadowed words are never seeds of any concept
-                    // in the new state, so only the τ gate applies.
-                    cur.filter(|&(_, sim)| sim >= self.base.tau)
+                    best
                 };
                 if cur != orig {
                     if let Some((ci, sim)) = orig {
@@ -631,6 +694,7 @@ impl PreparedMatcher {
                     }
                 }
             });
+            seed_best = OnceLock::from(Arc::new(new_best));
 
             // Surgical merge into the sorted lists: binary search on
             // the `(sim desc, word asc)` total order.
@@ -677,6 +741,7 @@ impl PreparedMatcher {
                 seeds: seeds_new,
                 candidates: CandidateBacking::Owned(lists),
                 seed_syntax,
+                seed_best,
                 base: self.base.clone(),
             },
             touched.into_iter().collect(),
@@ -939,6 +1004,161 @@ mod tests {
             .with_additions(&lost)
             .unwrap_err()
             .contains("lost seed instances"));
+    }
+
+    /// A 3-dim space with exact ties: `alpha` and `twin` are parallel,
+    /// so a concept seeded by either scores both at 1.0. Concept `A`
+    /// seeds `twin`, `B` seeds `alpha` and `beta`; `alpha`'s unfiltered
+    /// best is therefore `A` (tie, earlier concept), which it does not
+    /// seed, so it is one of `A`'s candidates.
+    fn tie_space() -> (Arc<VectorStore>, Vec<(String, Vec<String>)>) {
+        let mut store = VectorStore::new(3);
+        for (word, v) in [
+            ("alpha", [1.0, 0.0, 0.0]),
+            ("twin", [2.0, 0.0, 0.0]),
+            ("beta", [0.0, 1.0, 0.0]),
+            ("nearbeta", [0.1, 1.0, 0.0]),
+            ("gamma", [0.0, 0.0, 1.0]),
+            ("mix", [0.6, 0.8, 0.0]),
+            ("other", [0.0, 0.6, 0.8]),
+        ] {
+            store.insert(word, Vector(v.to_vec()));
+        }
+        let concepts = vec![
+            ("A".to_string(), vec!["twin".to_string()]),
+            (
+                "B".to_string(),
+                vec!["alpha".to_string(), "beta".to_string()],
+            ),
+        ];
+        (Arc::new(store), concepts)
+    }
+
+    fn candidate_bits(p: &PreparedMatcher) -> Vec<Vec<(String, u64)>> {
+        p.candidates()
+            .into_iter()
+            .map(|list| list.into_iter().map(|(w, s)| (w, s.to_bits())).collect())
+            .collect()
+    }
+
+    /// The seed words' argmax, similarities as bits, sorted by word.
+    fn argmax_bits(p: &PreparedMatcher) -> Vec<(String, Option<(usize, u64)>)> {
+        let mut bits: Vec<_> = p
+            .seed_argmax()
+            .iter()
+            .map(|(w, best)| (w.clone(), best.map(|(ci, s)| (ci, s.to_bits()))))
+            .collect();
+        bits.sort();
+        bits
+    }
+
+    /// Evolve `prep` to `concepts` and check it bit for bit against a
+    /// fresh preparation of `concepts`: candidates and seed argmax.
+    fn evolve_checked(
+        prep: &PreparedMatcher,
+        concepts: &[(String, Vec<String>)],
+    ) -> PreparedMatcher {
+        let (evolved, _) = prep.with_additions(concepts).expect("additive");
+        let fresh =
+            PreparedMatcher::prepare(concepts, Arc::clone(prep.store()), prep.base().clone());
+        assert_eq!(candidate_bits(&evolved), candidate_bits(&fresh));
+        assert_eq!(argmax_bits(&evolved), argmax_bits(&fresh));
+        evolved
+    }
+
+    fn winner(p: &PreparedMatcher, word: &str) -> Option<(usize, f64)> {
+        p.seed_argmax()[word]
+    }
+
+    fn is_candidate(p: &PreparedMatcher, ci: usize, word: &str) -> bool {
+        p.candidates()[ci].iter().any(|(w, _)| w == word)
+    }
+
+    #[test]
+    fn seed_readded_to_an_earlier_concept_ties_there_and_drops() {
+        let (store, concepts) = tie_space();
+        let prep = PreparedMatcher::prepare(&concepts, store, MatcherConfig::with_tau(0.5));
+        assert_eq!(winner(&prep, "beta"), Some((1, 1.0)));
+        let mut next = concepts.clone();
+        next[0].1.push("beta".to_string());
+        let evolved = evolve_checked(&prep, &next);
+        assert_eq!(winner(&evolved, "beta"), Some((0, 1.0)));
+        assert!(!is_candidate(&evolved, 0, "beta") && !is_candidate(&evolved, 1, "beta"));
+        // Words closest to `beta` follow the tie to the earlier concept.
+        assert!(is_candidate(&prep, 1, "mix") && is_candidate(&evolved, 0, "mix"));
+    }
+
+    #[test]
+    fn seed_readded_to_a_later_concept_keeps_its_incumbent() {
+        let (store, concepts) = tie_space();
+        let prep = PreparedMatcher::prepare(&concepts, store, MatcherConfig::with_tau(0.5));
+        let mut next = concepts.clone();
+        next[1].1.push("twin".to_string());
+        let evolved = evolve_checked(&prep, &next);
+        assert_eq!(winner(&evolved, "twin"), Some((0, 1.0)));
+        assert!(!is_candidate(&evolved, 0, "twin") && !is_candidate(&evolved, 1, "twin"));
+    }
+
+    #[test]
+    fn seed_word_winning_a_concept_it_does_not_seed_stays_its_candidate() {
+        let (store, concepts) = tie_space();
+        let prep = PreparedMatcher::prepare(&concepts, store, MatcherConfig::with_tau(0.5));
+        assert_eq!(winner(&prep, "alpha"), Some((0, 1.0)));
+        assert!(is_candidate(&prep, 0, "alpha"));
+        // An unrelated seed leaves it where it is ...
+        let mut step1 = concepts.clone();
+        step1[1].1.push("gamma".to_string());
+        let after1 = evolve_checked(&prep, &step1);
+        assert!(is_candidate(&after1, 0, "alpha"));
+        // ... until it becomes a seed of its winner too.
+        let mut step2 = step1.clone();
+        step2[0].1.insert(0, "alpha".to_string());
+        let after2 = evolve_checked(&after1, &step2);
+        assert_eq!(winner(&after2, "alpha"), Some((0, 1.0)));
+        assert!(!is_candidate(&after2, 0, "alpha"));
+    }
+
+    #[test]
+    fn new_concept_then_its_seeds_evolve_like_prepare() {
+        let (store, concepts) = tie_space();
+        let prep = PreparedMatcher::prepare(&concepts, store, MatcherConfig::with_tau(0.5));
+        let mut step1 = concepts.clone();
+        step1.push(("C".to_string(), Vec::new()));
+        let after1 = evolve_checked(&prep, &step1);
+        let mut step2 = step1.clone();
+        step2[2].1 = vec!["alpha".to_string(), "gamma".to_string()];
+        let after2 = evolve_checked(&after1, &step2);
+        // `alpha` ties at 1.0 in the new, later concept: it stays put.
+        assert_eq!(winner(&after2, "alpha"), Some((0, 1.0)));
+        assert!(is_candidate(&after2, 0, "alpha"));
+        assert_eq!(winner(&after2, "gamma"), Some((2, 1.0)));
+        assert!(is_candidate(&after1, 1, "other") && is_candidate(&after2, 2, "other"));
+    }
+
+    #[test]
+    fn loaded_preparation_scans_its_seed_words_once() {
+        let (store, concepts) = tie_space();
+        let base = MatcherConfig::with_tau(0.5);
+        let prep = PreparedMatcher::prepare(&concepts, Arc::clone(&store), base.clone());
+        assert!(prep.seed_argmax_ready());
+        let loaded = PreparedMatcher::from_parts(&concepts, store, base, prep.candidates());
+        assert!(!loaded.seed_argmax_ready());
+
+        // No new seed rows: nothing to re-decide, still pending.
+        let mut empty = concepts.clone();
+        empty.push(("C".to_string(), Vec::new()));
+        let (unscanned, _) = loaded.with_additions(&empty).unwrap();
+        assert!(!loaded.seed_argmax_ready() && !unscanned.seed_argmax_ready());
+
+        let mut next = concepts.clone();
+        next[0].1.push("beta".to_string());
+        let evolved = evolve_checked(&loaded, &next);
+        assert!(loaded.seed_argmax_ready() && evolved.seed_argmax_ready());
+        assert_eq!(argmax_bits(&loaded), argmax_bits(&prep));
+        assert_eq!(
+            candidate_bits(&evolved),
+            candidate_bits(&prep.with_additions(&next).unwrap().0)
+        );
     }
 
     #[test]

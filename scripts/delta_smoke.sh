@@ -3,8 +3,10 @@
 #
 # Exercises the delta-artifact chain end to end:
 #   1. build a base engine; stack two seed deltas on it with `thor
-#      delta`; enriching from the chain — mapped and owned — is
-#      byte-identical to a fresh `thor build` of the evolved table;
+#      delta`, the second one cut from both a mapped and an owned load
+#      of the first (byte-identical delta files); enriching from the
+#      chain — mapped and owned — is byte-identical to a fresh `thor
+#      build` of the evolved table;
 #   2. `thor inspect` recognizes the chain: depth 2, the base build's
 #      fingerprint, every checksum verified;
 #   3. a running `thor serve` hot-swaps the chain on SIGHUP, reports
@@ -57,8 +59,13 @@ printf '%s,%s\nOmega Pox,%s\n' "$SUBJECT_COL" "$VALUE_COL" "$W2" >"$WORK/rows2.c
 
 "$THOR" delta --engine "$WORK/base.eng" --add-seeds "$WORK/rows1.csv" \
     --out "$WORK/d1.eng" --note "smoke delta 1" 2>/dev/null
-"$THOR" delta --engine "$WORK/d1.eng" --add-seeds "$WORK/rows2.csv" \
+# A loaded engine computes its seed words' argmax on its first delta:
+# cut d2 from a mapped and from an owned load of d1; the files must agree.
+"$THOR" delta --engine "$WORK/d1.eng" --engine-mmap on --add-seeds "$WORK/rows2.csv" \
     --out "$WORK/d2.eng" --note "smoke delta 2" 2>/dev/null
+"$THOR" delta --engine "$WORK/d1.eng" --engine-mmap off --add-seeds "$WORK/rows2.csv" \
+    --out "$WORK/d2_owned.eng" --note "smoke delta 2" 2>/dev/null
+cmp "$WORK/d2.eng" "$WORK/d2_owned.eng" || fail "mapped and owned loads cut different deltas"
 
 # The same final table, built from scratch: the enrichment table plus
 # the two delta rows (empty cells for the remaining concepts).

@@ -5,7 +5,8 @@
 //! plain table edits fed to `Thor::prepare`; the two must agree on the
 //! fingerprint, the saved artifact bytes, and the enrichment output —
 //! across worker threads {1, 4} × phrase cache {0, 4096} × backing
-//! {owned, mapped}. Corrupt or truncated delta files are rejected with
+//! {owned, mapped}, with the engine optionally reloaded from the chain
+//! (owned or mapped) before any delta. Corrupt or truncated delta files are rejected with
 //! a named error (never a panic) while the base keeps serving, and a
 //! delta whose recorded parent fingerprint does not match the chain
 //! below it is rejected by name.
@@ -126,10 +127,13 @@ proptest! {
 
     /// The tentpole invariant under random addition sequences. Each case
     /// draws its own point of the {threads} × {cache} × {mmap} matrix,
-    /// so the suite as a whole sweeps every combination.
+    /// so the suite as a whole sweeps every combination. Each op also
+    /// draws whether the engine is first reloaded from the chain written
+    /// so far (kept in memory, owned or mapped), so loaded engines
+    /// evolve too.
     #[test]
     fn random_delta_chains_match_fresh_builds(
-        ops in prop::collection::vec((0usize..3, 0usize..5, 0usize..8), 1..5),
+        ops in prop::collection::vec((0usize..3, 0usize..5, 0usize..8, 0usize..3), 1..5),
         threads_pick in 0usize..2,
         cache_pick in 0usize..2,
         mapped_pick in 0usize..2,
@@ -150,8 +154,12 @@ proptest! {
         engine.save(&paths[0]).unwrap();
 
         let mut added: Vec<&'static str> = Vec::new();
-        for (i, &(kind, sub, word)) in ops.iter().enumerate() {
+        for (i, &(kind, sub, word, reload)) in ops.iter().enumerate() {
             let (delta, replay) = interpret_op(kind, sub, word, &mut added);
+            if reload > 0 {
+                let mode = [MapMode::Owned, MapMode::Mapped][reload - 1];
+                engine = PreparedEngine::load_with(paths.last().unwrap(), mode).unwrap();
+            }
             engine = engine.apply_delta(&delta).unwrap();
             replay(&mut mirror);
             let next = dir.join(format!("d{i}-{case}.eng"));
@@ -190,6 +198,57 @@ proptest! {
             std::fs::remove_file(p).ok();
         }
     }
+}
+
+/// A loaded engine, an engine derived from it with `with_tau` before
+/// any delta (so the two share one preparation) and the in-memory
+/// engine evolve through the same deltas to the bytes a fresh build of
+/// the final table saves.
+#[test]
+fn loaded_derived_and_in_memory_engines_evolve_to_fresh_bytes() {
+    let thor = Thor::new(store(), ThorConfig::with_tau(0.6));
+    let mut start = base_table().with_concept("Treatment");
+    start.fill_slot("Acne", "Treatment", "aspirin");
+    let built = thor.prepare(&start);
+    let dir = scratch_dir();
+    let case = case_id();
+    let base = dir.join(format!("evolve-base-{case}.eng"));
+    built.save(&base).unwrap();
+    let loaded = PreparedEngine::load(&base).unwrap();
+    let derived = loaded.with_tau(0.8).with_tau(0.6);
+
+    // First, `insulin` joins Anatomy: it challenges the Treatment seed
+    // `aspirin` across concepts, which must keep its own concept. Then
+    // a concept column is added and seeded, a vocabulary word becomes
+    // a seed, and the Anatomy seed `lungs` is re-added to Treatment.
+    let mut added = vec!["Treatment"];
+    let mut mirror = start.clone();
+    let mut deltas = Vec::new();
+    for (kind, sub, word) in [(1, 1, 7), (0, 0, 0), (1, 2, 1), (1, 1, 0), (1, 0, 2)] {
+        let (delta, replay) = interpret_op(kind, sub, word, &mut added);
+        replay(&mut mirror);
+        deltas.push(delta);
+    }
+    let fresh_path = dir.join(format!("evolve-fresh-{case}.eng"));
+    thor.prepare(&mirror).save(&fresh_path).unwrap();
+    let fresh = std::fs::read(&fresh_path).unwrap();
+
+    for (how, engine) in [
+        ("in-memory", built),
+        ("loaded", loaded),
+        ("with_tau-derived", derived),
+    ] {
+        let evolved = deltas.iter().fold(engine, |e, d| e.apply_delta(d).unwrap());
+        let out = dir.join(format!("evolve-{how}-{case}.eng"));
+        evolved.save(&out).unwrap();
+        assert!(
+            std::fs::read(&out).unwrap() == fresh,
+            "{how} engine diverged"
+        );
+        std::fs::remove_file(&out).ok();
+    }
+    std::fs::remove_file(&base).ok();
+    std::fs::remove_file(&fresh_path).ok();
 }
 
 /// Shared fixture for the corruption properties: a base artifact plus
