@@ -1,6 +1,6 @@
 //! Aho–Corasick automaton: trie construction, failure links, matching.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A single pattern occurrence in the haystack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,21 +42,6 @@ impl AhoCorasickBuilder {
         self
     }
 
-    /// Insert one pattern at position `index`, shifting later patterns
-    /// up — the delta path of dictionary evolution, where new instances
-    /// must land at their canonical position so the rebuilt automaton is
-    /// byte-identical to a from-scratch build over the merged list.
-    /// Empty patterns are ignored; `index` is clamped to the current
-    /// pattern count.
-    pub fn insert_pattern_at(&mut self, index: usize, pattern: impl AsRef<[u8]>) -> &mut Self {
-        let p = pattern.as_ref();
-        if !p.is_empty() {
-            let at = index.min(self.patterns.len());
-            self.patterns.insert(at, p.to_vec());
-        }
-        self
-    }
-
     /// Number of patterns collected so far.
     pub fn pattern_count(&self) -> usize {
         self.patterns.len()
@@ -90,12 +75,12 @@ impl AhoCorasickBuilder {
             let mut state = 0usize;
             for &byte in pat {
                 let b = fold(byte);
-                state = match nodes[state].next.get(&b) {
-                    Some(&s) => s,
-                    None => {
+                state = match nodes[state].edge(b) {
+                    Ok(s) => s,
+                    Err(at) => {
+                        let new = nodes.len();
                         nodes.push(Node::default());
-                        let new = nodes.len() - 1;
-                        nodes[state].next.insert(b, new);
+                        nodes[state].next.insert(at, (b, new));
                         new
                     }
                 };
@@ -104,40 +89,33 @@ impl AhoCorasickBuilder {
         }
 
         // ---- failure links (BFS) ----
-        let mut queue = VecDeque::new();
-        let root_children: Vec<(u8, usize)> = nodes[0].next.iter().map(|(&b, &s)| (b, s)).collect();
-        for (_, s) in root_children {
-            nodes[s].fail = 0;
-            queue.push_back(s);
-        }
+        let mut queue: VecDeque<usize> = nodes[0].next.iter().map(|&(_, s)| s).collect();
         while let Some(state) = queue.pop_front() {
-            let children: Vec<(u8, usize)> =
-                nodes[state].next.iter().map(|(&b, &s)| (b, s)).collect();
-            for (b, child) in children {
+            for i in 0..nodes[state].next.len() {
+                let (b, child) = nodes[state].next[i];
                 // Follow failures of `state` until a node with a `b`
                 // transition (or the root).
                 let mut f = nodes[state].fail;
                 loop {
-                    if let Some(&t) = nodes[f].next.get(&b) {
+                    if let Ok(t) = nodes[f].edge(b) {
                         if t != child {
                             nodes[child].fail = t;
                             break;
                         }
                     }
                     if f == 0 {
-                        nodes[child].fail = nodes[0]
-                            .next
-                            .get(&b)
-                            .copied()
-                            .filter(|&t| t != child)
-                            .unwrap_or(0);
+                        nodes[child].fail =
+                            nodes[0].edge(b).ok().filter(|&t| t != child).unwrap_or(0);
                         break;
                     }
                     f = nodes[f].fail;
                 }
                 // Merge outputs from the failure target.
-                let fail_outputs = nodes[nodes[child].fail].outputs.clone();
-                nodes[child].outputs.extend(fail_outputs);
+                let fail = nodes[child].fail;
+                if !nodes[fail].outputs.is_empty() {
+                    let fail_outputs = nodes[fail].outputs.clone();
+                    nodes[child].outputs.extend(fail_outputs);
+                }
                 queue.push_back(child);
             }
         }
@@ -158,9 +136,7 @@ impl AhoCorasickBuilder {
         edge_start.push(0);
         out_start.push(0);
         for node in &nodes {
-            let mut edges: Vec<(u8, usize)> = node.next.iter().map(|(&b, &s)| (b, s)).collect();
-            edges.sort_unstable();
-            for (b, target) in edges {
+            for &(b, target) in &node.next {
                 edge_bytes.push(b);
                 edge_target.push(target as u32);
             }
@@ -187,9 +163,19 @@ impl AhoCorasickBuilder {
 
 #[derive(Debug, Default, Clone)]
 struct Node {
-    next: HashMap<u8, usize>,
+    /// Goto edges `(byte, target)`, sorted by byte.
+    next: Vec<(u8, usize)>,
     fail: usize,
     outputs: Vec<usize>,
+}
+
+impl Node {
+    /// The target of the edge on `b`, or where to insert it.
+    fn edge(&self, b: u8) -> Result<usize, usize> {
+        self.next
+            .binary_search_by_key(&b, |&(byte, _)| byte)
+            .map(|i| self.next[i].1)
+    }
 }
 
 /// The built automaton in structure-of-arrays (CSR) form: per-node
@@ -445,32 +431,6 @@ mod tests {
         let ac = build(&["aa"]);
         let m = ac.find_all("aaaa");
         assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    fn insert_pattern_at_matches_fresh_build_in_merged_order() {
-        // Start from a builder seeded with the "old" patterns, insert
-        // the additions at their canonical positions, and compare the
-        // flattened arrays against a from-scratch build over the merged
-        // list — the invariant the dictionary delta path relies on.
-        let merged = ["ant", "bee", "cat", "dog", "eel"];
-        let mut incremental = AhoCorasickBuilder::new();
-        incremental.add_patterns(["ant", "cat", "eel"]);
-        incremental.insert_pattern_at(1, "bee");
-        incremental.insert_pattern_at(3, "dog");
-        incremental.insert_pattern_at(2, ""); // ignored
-        assert_eq!(incremental.pattern_count(), merged.len());
-        let mut fresh = AhoCorasickBuilder::new();
-        fresh.add_patterns(merged);
-        assert_eq!(incremental.build().parts(), fresh.build().parts());
-
-        // Clamped insert appends.
-        let mut clamped = AhoCorasickBuilder::new();
-        clamped.add_pattern("ant");
-        clamped.insert_pattern_at(99, "bee");
-        let mut appended = AhoCorasickBuilder::new();
-        appended.add_patterns(["ant", "bee"]);
-        assert_eq!(clamped.build().parts(), appended.build().parts());
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl Thor {
             record_fine_tune(&run, &matcher);
             let dictionary = DictionaryIndex::from_concepts(concepts);
             let table_csv = thor_data::to_csv(table);
-            let store_digest = fnv1a(self.store().to_text().as_bytes());
+            let store_digest = self.store().text_digest();
             let table_digest = fnv1a(table_csv.as_bytes());
             EngineInner {
                 fingerprint: engine_fingerprint(self.config(), table_digest, store_digest),
@@ -763,7 +763,7 @@ impl PreparedEngine {
             // Owned loads pay the O(vocabulary) pass anyway; recompute
             // the digest as defense in depth. Mapped loads trust the
             // meta section's digest (itself checksummed) to stay flat.
-            let recomputed = fnv1a(store.to_text().as_bytes());
+            let recomputed = store.text_digest();
             if recomputed != store_digest {
                 return Err(invalid(format!(
                     "store digest mismatch (stored {store_digest:016x}, recomputed \

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use thor_fault::{FrozenPool, FrozenSlice, ThorError};
+use thor_fault::{Fnv1a, FrozenPool, FrozenSlice, ThorError};
 use thor_text::normalize_phrase;
 
 use crate::vector::{cosine, mean_of_rows, slice_cosine, Vector};
@@ -291,14 +291,32 @@ impl VectorStore {
     /// then one `word<TAB>v1 v2 …` line per word, sorted by word.
     /// Identical output on both backings.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
+        self.write_text(&mut out);
+        out
+    }
+
+    /// FNV-1a of exactly the bytes [`VectorStore::to_text`] renders,
+    /// streamed through the hasher without building the text.
+    pub fn text_digest(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        self.write_text(&mut h);
+        h.finish()
+    }
+
+    /// The one renderer behind [`VectorStore::to_text`] and
+    /// [`VectorStore::text_digest`]; neither sink can fail.
+    fn write_text(&self, out: &mut impl std::fmt::Write) {
         let _ = writeln!(out, "{} {}", self.len(), self.dim);
         self.for_each_sorted(|w, r| {
-            let values: Vec<String> = r.iter().map(|x| format!("{x}")).collect();
-            let _ = writeln!(out, "{w}\t{}", values.join(" "));
+            let _ = write!(out, "{w}\t");
+            let mut sep = "";
+            for x in r {
+                let _ = write!(out, "{sep}{x}");
+                sep = " ";
+            }
+            let _ = writeln!(out);
         });
-        out
     }
 
     /// Load a vector file from disk: [`VectorStore::from_text`] with
@@ -340,6 +358,14 @@ impl VectorStore {
             let values: Result<Vec<f32>, _> =
                 rest.split_whitespace().map(str::parse::<f32>).collect();
             let values = values.map_err(|e| ThorError::parse(format!("line {}: {e}", i + 2)))?;
+            // Pruning bounds and the similarity folds assume finite
+            // similarities, so a NaN or infinity is an input error.
+            if let Some(x) = values.iter().find(|x| !x.is_finite()) {
+                return Err(ThorError::parse(format!(
+                    "line {}: word `{word}` has non-finite value {x}",
+                    i + 2
+                )));
+            }
             if values.len() != dim {
                 return Err(ThorError::parse(format!(
                     "line {}: expected {dim} values, got {}",
@@ -362,6 +388,7 @@ impl VectorStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     fn store() -> VectorStore {
         let mut s = VectorStore::new(3);
@@ -460,6 +487,96 @@ mod tests {
         assert!(
             VectorStore::from_text("1 2\nword 1.0 2.0\n").is_err(),
             "missing tab"
+        );
+    }
+
+    #[test]
+    fn from_text_rejects_non_finite_values_by_name() {
+        for (value, shown) in [("NaN", "NaN"), ("inf", "inf"), ("-inf", "-inf")] {
+            let text = format!("2 3\nbrain\t1 0 0\nnerve\t0.5 {value} 0\n");
+            let err = VectorStore::from_text(&text).unwrap_err();
+            assert_eq!(err.kind(), thor_fault::ErrorKind::Parse);
+            let msg = err.to_string();
+            assert!(msg.contains("line 3"), "{msg}");
+            assert!(msg.contains("`nerve`"), "{msg}");
+            assert!(msg.contains(&format!("non-finite value {shown}")), "{msg}");
+        }
+    }
+
+    /// The pre-streaming renderer: one `String` per float, joined.
+    /// Kept as the byte oracle for `to_text` and `text_digest`.
+    fn to_text_oracle(s: &VectorStore) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "{} {}", s.len(), s.dim());
+        s.for_each_sorted(|w, r| {
+            let values: Vec<String> = r.iter().map(|x| format!("{x}")).collect();
+            let _ = writeln!(out, "{w}\t{}", values.join(" "));
+        });
+        out
+    }
+
+    /// Values whose rendering has an edge: signed zero, subnormals, the
+    /// extremes, integral values (`1.0` renders as `1`).
+    const EDGE_VALUES: [f32; 12] = [
+        -0.0,
+        0.0,
+        1.0,
+        -3.0,
+        1e-45,
+        -1.17e-39,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+        f32::EPSILON,
+        0.1,
+        123456.79,
+    ];
+
+    /// Word stems, non-ASCII among them.
+    const STEMS: [&str; 6] = ["brain", "größe", "naïve", "腫瘍", "ω", "x"];
+
+    proptest::proptest! {
+        #[test]
+        fn streamed_text_equals_the_joined_oracle(
+            rows in proptest::prop::collection::vec(
+                (
+                    (0usize..STEMS.len(), "[a-z]{0,4}"),
+                    proptest::prop::collection::vec((0usize..24, -1e3f32..1e3), 3),
+                ),
+                0..12,
+            ),
+        ) {
+            let mut s = VectorStore::new(3);
+            for ((stem, suffix), values) in rows {
+                let v: Vec<f32> = values
+                    .into_iter()
+                    .map(|(pick, x)| EDGE_VALUES.get(pick).copied().unwrap_or(x))
+                    .collect();
+                s.insert(&format!("{}{suffix}", STEMS[stem]), Vector(v));
+            }
+            let oracle = to_text_oracle(&s);
+            proptest::prop_assert_eq!(s.to_text(), oracle.clone());
+            proptest::prop_assert_eq!(s.freeze().to_text(), oracle.clone());
+            proptest::prop_assert_eq!(s.text_digest(), thor_fault::fnv1a(oracle.as_bytes()));
+            proptest::prop_assert_eq!(s.freeze().text_digest(), s.text_digest());
+        }
+    }
+
+    #[test]
+    fn text_digest_is_the_digest_of_to_text() {
+        let mut dimless = VectorStore::new(0);
+        dimless.insert("brain", Vector(vec![]));
+        assert_eq!(dimless.to_text(), to_text_oracle(&dimless));
+        for s in [store(), VectorStore::new(4), store().freeze(), dimless] {
+            assert_eq!(s.text_digest(), thor_fault::fnv1a(s.to_text().as_bytes()));
+        }
+        let mut edges = VectorStore::new(EDGE_VALUES.len());
+        edges.insert("größe", Vector(EDGE_VALUES.to_vec()));
+        assert_eq!(edges.to_text(), to_text_oracle(&edges));
+        assert!(
+            edges.to_text().contains("\t-0 0 1 -3 "),
+            "{}",
+            edges.to_text()
         );
     }
 

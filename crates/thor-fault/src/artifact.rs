@@ -30,12 +30,49 @@ pub const ARTIFACT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
 /// `state = (state ^ b) * PRIME`, a bijection of the 64-bit state, so
 /// any single-byte change changes the digest.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut state: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Streaming [`fnv1a`]: feeding the same bytes in any number of pieces
+/// gives the same digest as hashing them in one slice. As a
+/// [`std::fmt::Write`] sink it digests formatted text without
+/// rendering it into a buffer first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
     }
-    state
+}
+
+impl Fnv1a {
+    /// The FNV-1a offset basis: the digest of no bytes.
+    pub fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Fold `bytes` into the state.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of every byte fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Append-only little-endian payload encoder, the writing half of
@@ -375,6 +412,22 @@ mod tests {
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn streamed_fnv1a_equals_one_shot() {
+        use std::fmt::Write as _;
+        let bytes = b"vocabulary\t0.25 -1 0.00003\n";
+        for split in 0..=bytes.len() {
+            let mut h = Fnv1a::new();
+            h.update(&bytes[..split]);
+            h.update(&bytes[split..]);
+            assert_eq!(h.finish(), fnv1a(bytes), "split at {split}");
+        }
+        let mut h = Fnv1a::new();
+        writeln!(h, "vocabulary\t{} {} {}", 0.25f32, -1.0f32, 3e-5f32).unwrap();
+        assert_eq!(h.finish(), fnv1a(bytes));
+        assert_eq!(Fnv1a::new().finish(), fnv1a(&[]));
     }
 
     #[test]

@@ -53,45 +53,21 @@ impl DictionaryIndex {
     }
 
     /// Extend the dictionary to cover `concepts` — the **full** new
-    /// `(concept, instances)` list after a delta — without recomputing
-    /// the normalization of existing patterns. The old pattern list
+    /// `(concept, instances)` list after a delta. The old pattern list
     /// must be a subsequence of the new canonical list (deltas only add
-    /// instances); additions are positionally inserted so the rebuilt
-    /// automaton is byte-identical to [`DictionaryIndex::from_concepts`]
-    /// over the merged list.
+    /// instances); the result is byte-identical to
+    /// [`DictionaryIndex::from_concepts`] over the merged list, which is
+    /// exactly what it builds.
     pub fn extend<C, I>(&self, concepts: C) -> Result<Self, String>
     where
         C: IntoIterator<Item = (String, I)>,
         I: IntoIterator<Item = String>,
     {
-        // The canonical merged pattern list, with normalization computed
-        // only where the old list has no matching entry.
-        let mut merged: Vec<(String, String)> = Vec::new();
-        for (concept, instances) in concepts {
-            for instance in instances {
-                if normalize_phrase(&instance).is_empty() {
-                    continue;
-                }
-                merged.push((concept.clone(), instance));
-            }
-        }
-        let mut builder = AhoCorasickBuilder::new().ascii_case_insensitive(true);
-        for (_, display) in &self.patterns {
-            builder.add_pattern(normalize_phrase(display).as_bytes());
-        }
-        // Invariant: after k merged entries, the builder's first k
-        // patterns equal the merged prefix and the rest is the
-        // unconsumed old tail, so the next old match is already at
-        // position k and each addition is inserted at k.
+        let extended = Self::from_concepts(concepts);
         let mut old = self.patterns.iter().peekable();
-        for (at, (concept, display)) in merged.iter().enumerate() {
-            match old.peek() {
-                Some((oc, od)) if oc == concept && od == display => {
-                    old.next();
-                }
-                _ => {
-                    builder.insert_pattern_at(at, normalize_phrase(display).as_bytes());
-                }
+        for pattern in &extended.patterns {
+            if old.peek() == Some(&pattern) {
+                old.next();
             }
         }
         if let Some((oc, od)) = old.next() {
@@ -99,10 +75,7 @@ impl DictionaryIndex {
                 "dictionary extension drops pattern ({oc}, {od}); deltas may only add instances"
             ));
         }
-        Ok(Self {
-            automaton: builder.build(),
-            patterns: merged,
-        })
+        Ok(extended)
     }
 
     /// Reassemble an index from a deserialized automaton and pattern

@@ -329,11 +329,7 @@ impl VectorIndex {
     /// Cosine similarity between `query` (with precomputed norm
     /// `query_norm`) and row `row`; 0.0 when either norm is zero.
     pub(crate) fn row_cosine(&self, row: usize, query: &[f32], query_norm: f64) -> f64 {
-        let rn = self.norms[row];
-        if query_norm == 0.0 || rn == 0.0 {
-            return 0.0;
-        }
-        (dot(query, self.row(row)) / (query_norm * rn)).clamp(-1.0, 1.0)
+        cosine_of_dot(dot(query, self.row(row)), query_norm, self.norms[row])
     }
 
     /// Score `query` against every concept in one fused pass each:
@@ -398,6 +394,19 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f64 {
     a.iter()
         .zip(b)
         .fold(0.0, |acc, (&x, &y)| acc + x as f64 * y as f64)
+}
+
+/// The cosine a row scan reports for a query·row dot: 0.0 when either
+/// norm is zero, otherwise `dot / (query_norm * row_norm)` clamped to
+/// [-1, 1]. Shared by the per-row scans and the lane kernel's callers,
+/// so both turn equal dots into equal bits.
+#[inline]
+pub(crate) fn cosine_of_dot(dot: f64, query_norm: f64, row_norm: f64) -> f64 {
+    if query_norm == 0.0 || row_norm == 0.0 {
+        0.0
+    } else {
+        (dot / (query_norm * row_norm)).clamp(-1.0, 1.0)
+    }
 }
 
 /// L2 norm of a slice (matches `thor_embed::Vector::norm`).

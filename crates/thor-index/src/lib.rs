@@ -9,8 +9,10 @@
 //! * [`VectorIndex`] — a structure-of-arrays snapshot of every concept's
 //!   representative vectors, built once at fine-tune time: contiguous
 //!   `f32` rows grouped by concept with their L2 norms precomputed, so
-//!   scoring a query is one fused dot-product pass over a flat slice
-//!   instead of per-pair `Vector` traffic.
+//!   scoring a query is one dot-product pass over a flat slice
+//!   instead of per-pair `Vector` traffic. The exact pruned scans
+//!   ([`PruneIndex`]) and [`LaneRows`] read interleaved copies of its
+//!   rows through a bit-exact four-lane dot kernel.
 //! * [`PhraseCache`] — an interning, bounded-LRU cache keyed by
 //!   normalized subphrase, shared across an enrichment session so
 //!   repeated phrases in a document stream hit cached candidate sets.
@@ -25,6 +27,7 @@ pub mod cache;
 pub mod dictionary;
 pub mod entity;
 pub mod index;
+mod lanes;
 pub mod prune;
 pub mod source;
 
@@ -32,6 +35,7 @@ pub use cache::{CacheStats, PhraseCache};
 pub use dictionary::DictionaryIndex;
 pub use entity::CandidateEntity;
 pub use index::{ConceptScores, VectorIndex, VectorIndexBuilder};
+pub use lanes::LaneRows;
 pub use prune::{PruneIndex, PruneMode, PruneStats, PruneSummary, QuantQuery};
 pub use source::CandidateSource;
 pub use thor_automata::AhoCorasick;

@@ -11,9 +11,10 @@
 //!    admission threshold (τ or the running argmax floor) is skipped
 //!    whole, O(d) instead of O(rows·d).
 //! 2. **Cluster bounds** — a deterministic k-means (vendored SplitMix64
-//!    seeding, fixed iteration count) over each concept's seed prefix
-//!    and expansion suffix, stored as centroid+radius balls over row
-//!    blocks. Surviving concepts prune at block granularity.
+//!    seeding, fixed iteration count, left early only at a fixed point)
+//!    over each concept's seed prefix and expansion suffix, stored as
+//!    centroid+radius balls over row blocks. Surviving concepts prune at
+//!    block granularity.
 //! 3. **Quantized rescore** (opt-in `approx` mode) — an i8 copy of the
 //!    row matrix with one scale per row (the `thor_embed::quant`
 //!    scheme). The cheap integer dot filters rows; survivors are
@@ -37,16 +38,24 @@
 //! `+0.0`), so equal values are bit-equal and the fold's result does
 //! not depend on traversal order.
 //!
+//! The rows, cluster centroids and concept centroids are read through
+//! the four-lane kernel (`lanes.rs`) from interleaved copies that
+//! `build` and `from_parts` derive and nothing persists. Each lane is
+//! the per-row fold, and the walks consume lanes in stored order, so
+//! every fold, gate and tie rule sees the same values in the same
+//! sequence as a per-row loop.
+//!
 //! The whole structure is a pure deterministic function of the
 //! [`VectorIndex`] bits, which is what lets delta applies rebuild it
 //! and still match a fresh build byte-for-byte.
 
 use std::cmp::Ordering;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 use thor_fault::{ByteReader, ByteWriter, FrozenSlice};
 
-use crate::index::{dot, VectorIndex};
+use crate::index::{cosine_of_dot, dot, VectorIndex};
+use crate::lanes::{dot4, interleave, padded_len, LANES};
 
 /// Additive slack on every stored bound: strictly larger than the
 /// floating-point error of the bound arithmetic (dots of unit-scale
@@ -58,7 +67,9 @@ pub const PRUNE_SLACK: f64 = 1e-7;
 const CLUSTER_TARGET: usize = 16;
 
 /// Fixed k-means iteration count — never data-dependent, so the stored
-/// sections (and with them the artifact bytes) are stable.
+/// sections (and with them the artifact bytes) are stable. (A run that
+/// reaches its fixed point early stops there; every later iteration
+/// would repeat it bit for bit.)
 const KMEANS_ITERS: usize = 8;
 
 /// Base seed for the deterministic k-means initialization.
@@ -164,6 +175,85 @@ pub struct PruneIndex {
     quant_codes: FrozenSlice<u8>,
     /// Per-row quantization scale (`max|x| / 127`).
     quant_scales: FrozenSlice<f32>,
+    /// Derived, never persisted: the interleaved copies the lane kernel
+    /// scans.
+    lanes: ScanLanes,
+}
+
+/// The interleaved copies an exact scan reads, [`LANES`] rows to a
+/// block, derived from the index and the stored sections by `build`
+/// and `from_parts` and never persisted. Every group is padded to whole
+/// blocks and keeps its stored order, so the kernel's lanes come back
+/// in exactly the sequence the per-row loops visited.
+#[derive(Debug, Clone)]
+struct ScanLanes {
+    /// Each cluster's member rows, in member order.
+    members: Vec<f32>,
+    /// First block of each cluster in `members`.
+    member_blocks: Vec<usize>,
+    /// Each concept's cluster centroids, in cluster order.
+    centroids: Vec<f32>,
+    /// First block of each concept in `centroids`.
+    centroid_blocks: Vec<usize>,
+    /// The concept centroids, in concept order.
+    concept_centroids: Vec<f32>,
+}
+
+impl ScanLanes {
+    fn derive(
+        ix: &VectorIndex,
+        concept_clusters: &[(usize, usize, usize)],
+        clusters: &[(usize, usize)],
+        members: &[u32],
+        centroids: &[f32],
+        concept_centroids: &[f32],
+    ) -> Self {
+        let dim = ix.dim();
+        // Exact capacities: these copies live as long as the index.
+        let mut lanes = ScanLanes {
+            members: Vec::with_capacity(padded_len(dim, clusters.iter().map(|&(_, n)| n))),
+            member_blocks: Vec::with_capacity(clusters.len()),
+            centroids: Vec::with_capacity(padded_len(
+                dim,
+                concept_clusters.iter().map(|&(_, n, _)| n),
+            )),
+            centroid_blocks: Vec::with_capacity(concept_clusters.len()),
+            concept_centroids: Vec::with_capacity(padded_len(dim, [concept_clusters.len()])),
+        };
+        let mut next = 0usize;
+        for &(mstart, mlen) in clusters {
+            lanes.member_blocks.push(next);
+            next += interleave(
+                &mut lanes.members,
+                dim,
+                members[mstart..mstart + mlen]
+                    .iter()
+                    .map(|&r| ix.row(r as usize)),
+            );
+        }
+        let mut next = 0usize;
+        for &(first, count, _) in concept_clusters {
+            lanes.centroid_blocks.push(next);
+            next += interleave(
+                &mut lanes.centroids,
+                dim,
+                (first..first + count).map(|k| &centroids[k * dim..(k + 1) * dim]),
+            );
+        }
+        interleave(
+            &mut lanes.concept_centroids,
+            dim,
+            (0..concept_clusters.len()).map(|ci| &concept_centroids[ci * dim..(ci + 1) * dim]),
+        );
+        lanes
+    }
+}
+
+/// The ball bound `dot(q̂, c) + radius + PRUNE_SLACK` from the raw
+/// query·centroid dot.
+#[inline]
+fn ball_bound(dot: f64, query_norm: f64, radius: f64) -> f64 {
+    dot / query_norm + radius + PRUNE_SLACK
 }
 
 impl PruneIndex {
@@ -250,6 +340,14 @@ impl PruneIndex {
             }
         }
 
+        let lanes = ScanLanes::derive(
+            ix,
+            &concept_clusters,
+            &clusters,
+            &members,
+            &centroids,
+            &concept_centroids,
+        );
         Self {
             dim,
             concept_clusters,
@@ -261,6 +359,7 @@ impl PruneIndex {
             concept_radii: concept_radii.into(),
             quant_codes: quant_codes.into(),
             quant_scales: quant_scales.into(),
+            lanes,
         }
     }
 
@@ -458,6 +557,14 @@ impl PruneIndex {
         if seen.iter().any(|&s| !s) {
             return Err("prune clusters do not cover every index row".to_string());
         }
+        let lanes = ScanLanes::derive(
+            ix,
+            &concept_clusters,
+            &clusters,
+            &members,
+            &centroids,
+            &concept_centroids,
+        );
         Ok(Self {
             dim,
             concept_clusters,
@@ -469,6 +576,7 @@ impl PruneIndex {
             concept_radii,
             quant_codes,
             quant_scales,
+            lanes,
         })
     }
 
@@ -505,14 +613,87 @@ impl PruneIndex {
             return f64::MIN;
         }
         let c = &self.concept_centroids[concept * self.dim..(concept + 1) * self.dim];
-        dot(query, c) / query_norm + self.concept_radii[concept] + PRUNE_SLACK
+        ball_bound(dot(query, c), query_norm, self.concept_radii[concept])
     }
 
-    /// Upper bound on `cos(query, row)` over the member rows of cluster
-    /// `k`. `query_norm` must be non-zero.
-    fn cluster_bound(&self, k: usize, query: &[f32], query_norm: f64) -> f64 {
-        let c = &self.centroids[k * self.dim..(k + 1) * self.dim];
-        dot(query, c) / query_norm + self.radii[k] + PRUNE_SLACK
+    /// [`concept_bound`](Self::concept_bound) of every concept, in
+    /// concept order, four centroids per lane-kernel pass.
+    fn concept_bounds(
+        &self,
+        ix: &VectorIndex,
+        query: &[f32],
+        query_norm: f64,
+    ) -> Vec<(f64, usize)> {
+        let concepts = ix.concept_count();
+        let block_len = self.dim * LANES;
+        let mut bounds = Vec::with_capacity(concepts);
+        for (b, first) in (0..concepts).step_by(LANES).enumerate() {
+            let dots = dot4(
+                query,
+                &self.lanes.concept_centroids[b * block_len..(b + 1) * block_len],
+            );
+            for (ci, d) in (first..concepts.min(first + LANES)).zip(dots) {
+                let bound = if ix.concept_rows(ci) == 0 {
+                    f64::MIN
+                } else {
+                    ball_bound(d, query_norm, self.concept_radii[ci])
+                };
+                bounds.push((bound, ci));
+            }
+        }
+        bounds
+    }
+
+    /// The upper bound on `cos(query, row)` over the member rows of each
+    /// of the first `count` clusters of `concept`, handed to `visit` as
+    /// `(cluster, bound)` in cluster order — four centroids per
+    /// lane-kernel pass. `query_norm` must be non-zero. Stops at the
+    /// first `Break` from `visit`.
+    fn cluster_bounds(
+        &self,
+        concept: usize,
+        count: usize,
+        query: &[f32],
+        query_norm: f64,
+        mut visit: impl FnMut(usize, f64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let (first, _, _) = self.concept_clusters[concept];
+        let block_len = self.dim * LANES;
+        let mut at = self.lanes.centroid_blocks[concept] * block_len;
+        for start in (first..first + count).step_by(LANES) {
+            let dots = dot4(query, &self.lanes.centroids[at..at + block_len]);
+            at += block_len;
+            for (k, d) in (start..(first + count).min(start + LANES)).zip(dots) {
+                visit(k, ball_bound(d, query_norm, self.radii[k]))?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The exact cosine of `query` with each member row of cluster `k`,
+    /// handed to `visit` as `(row, sim)` in stored member order — four
+    /// rows per lane-kernel pass, each bit-identical to the index's
+    /// per-row cosine. Stops at the first `Break` from `visit`.
+    fn member_cosines(
+        &self,
+        ix: &VectorIndex,
+        k: usize,
+        query: &[f32],
+        query_norm: f64,
+        mut visit: impl FnMut(usize, f64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let (mstart, mlen) = self.clusters[k];
+        let block_len = self.dim * LANES;
+        let mut at = self.lanes.member_blocks[k] * block_len;
+        for rows in self.members[mstart..mstart + mlen].chunks(LANES) {
+            let dots = dot4(query, &self.lanes.members[at..at + block_len]);
+            at += block_len;
+            for (&row, d) in rows.iter().zip(dots) {
+                let row = row as usize;
+                visit(row, cosine_of_dot(d, query_norm, ix.row_norm(row)))?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Approximate cosine via the i8 matrices; both norms must be
@@ -556,38 +737,39 @@ impl PruneIndex {
             stats.rows += crows as u64;
             return false;
         }
-        let (first, count, _) = self.concept_clusters[concept];
-        for k in first..first + count {
+        let (_, count, _) = self.concept_clusters[concept];
+        let passes = |sim: f64| {
+            if sim + 1e-9 >= tau {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
+        self.cluster_bounds(concept, count, query, query_norm, |k, bound| {
             let (mstart, mlen) = self.clusters[k];
-            if self.cluster_bound(k, query, query_norm) + 1e-9 < tau {
+            if bound + 1e-9 < tau {
                 stats.clusters += 1;
                 stats.rows += mlen as u64;
-                continue;
+                return ControlFlow::Continue(());
             }
+            let Some((qq, margin)) = quant else {
+                return self.member_cosines(ix, k, query, query_norm, |_, sim| passes(sim));
+            };
             for &row in &self.members[mstart..mstart + mlen] {
                 let row = row as usize;
-                let pass = match quant {
-                    None => ix.row_cosine(row, query, query_norm) + 1e-9 >= tau,
-                    Some((qq, margin)) => {
-                        let rn = ix.row_norm(row);
-                        if rn == 0.0 {
-                            0.0 + 1e-9 >= tau
-                        } else if self.approx_cosine(qq, row, query_norm, rn) + margin + 1e-9 < tau
-                        {
-                            stats.rows += 1;
-                            false
-                        } else {
-                            stats.rescored += 1;
-                            ix.row_cosine(row, query, query_norm) + 1e-9 >= tau
-                        }
-                    }
-                };
-                if pass {
-                    return true;
+                let rn = ix.row_norm(row);
+                if rn == 0.0 {
+                    passes(0.0)?;
+                } else if self.approx_cosine(qq, row, query_norm, rn) + margin + 1e-9 < tau {
+                    stats.rows += 1;
+                } else {
+                    stats.rescored += 1;
+                    passes(ix.row_cosine(row, query, query_norm))?;
                 }
             }
-        }
-        false
+            ControlFlow::Continue(())
+        })
+        .is_break()
     }
 
     /// The cross-concept argmax of the fine-tune τ-expansion, pruned:
@@ -625,9 +807,7 @@ impl PruneIndex {
             }
             return best;
         }
-        let mut order: Vec<(f64, usize)> = (0..concepts)
-            .map(|ci| (self.concept_bound(ix, ci, query, query_norm), ci))
-            .collect();
+        let mut order = self.concept_bounds(ix, query, query_norm);
         order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         let mut best: Option<(usize, f64)> = None;
         for (pos, &(bound, ci)) in order.iter().enumerate() {
@@ -694,24 +874,23 @@ impl PruneIndex {
         if crows == 0 {
             return Some(f64::MIN);
         }
-        let (first, count, _) = self.concept_clusters[concept];
+        let (_, count, _) = self.concept_clusters[concept];
         let mut max: Option<f64> = None;
-        for k in first..first + count {
-            let (mstart, mlen) = self.clusters[k];
+        let _ = self.cluster_bounds(concept, count, query, query_norm, |k, bound| {
             let eff = match max {
                 Some(m) if m > floor => m,
                 _ => floor,
             };
-            if self.cluster_bound(k, query, query_norm) < eff {
+            if bound < eff {
                 stats.clusters += 1;
-                stats.rows += mlen as u64;
-                continue;
+                stats.rows += self.clusters[k].1 as u64;
+                return ControlFlow::Continue(());
             }
-            for &row in &self.members[mstart..mstart + mlen] {
-                let sim = ix.row_cosine(row as usize, query, query_norm);
+            self.member_cosines(ix, k, query, query_norm, |_, sim| {
                 max = Some(max.map_or(sim, |a: f64| a.max(sim)));
-            }
-        }
+                ControlFlow::Continue(())
+            })
+        });
         max
     }
 
@@ -730,21 +909,18 @@ impl PruneIndex {
         if query_norm == 0.0 {
             return ix.best_seed(concept, query, query_norm);
         }
-        let (first, _, seed_count) = self.concept_clusters[concept];
+        let (_, _, seed_count) = self.concept_clusters[concept];
         let mut best: Option<(&str, f64)> = None;
-        for k in first..first + seed_count {
-            let (mstart, mlen) = self.clusters[k];
+        let _ = self.cluster_bounds(concept, seed_count, query, query_norm, |k, bound| {
             if let Some((_, bs)) = best {
-                if self.cluster_bound(k, query, query_norm) < bs {
+                if bound < bs {
                     stats.clusters += 1;
-                    stats.rows += mlen as u64;
-                    continue;
+                    stats.rows += self.clusters[k].1 as u64;
+                    return ControlFlow::Continue(());
                 }
             }
-            for &row in &self.members[mstart..mstart + mlen] {
-                let row = row as usize;
+            self.member_cosines(ix, k, query, query_norm, |row, sim| {
                 let word = ix.row_word(row);
-                let sim = ix.row_cosine(row, query, query_norm);
                 let replace = match best {
                     None => true,
                     Some((bw, bs)) => {
@@ -754,8 +930,9 @@ impl PruneIndex {
                 if replace {
                     best = Some((word, sim));
                 }
-            }
-        }
+                ControlFlow::Continue(())
+            })
+        });
         best
     }
 }
@@ -823,10 +1000,34 @@ fn kmeans_groups(unit: &[f64], dim: usize, range: Range<usize>, seed: u64) -> Ve
     for (c, &p) in picks.iter().enumerate() {
         cents[c * dim..(c + 1) * dim].copy_from_slice(&unit[rows[p] * dim..(rows[p] + 1) * dim]);
     }
+    // The rows interleaved four to a block, assigned four per pass.
+    let mut blocks: Vec<f64> = Vec::with_capacity(padded_len(dim, [n]));
+    interleave(
+        &mut blocks,
+        dim,
+        rows.iter().map(|&r| &unit[r * dim..(r + 1) * dim]),
+    );
+    let assign_all = |cents: &[f64], assign: &mut [usize]| {
+        for (chunk, block) in assign
+            .chunks_mut(LANES)
+            .zip(blocks.chunks_exact(dim * LANES))
+        {
+            let nearest = nearest_centroids(block, cents, dim);
+            chunk.copy_from_slice(&nearest[..chunk.len()]);
+        }
+    };
+    // `KMEANS_ITERS` updates, each from the assignment to the current
+    // centroids, then the final assignment. Once an assignment repeats
+    // the previous one, the centroids it yields are bit-identical to the
+    // ones it was made from (non-empty clusters average the same members
+    // in the same order; empty ones keep their centroid), so every later
+    // assignment repeats it too: stop at that fixed point.
     let mut assign = vec![0usize; n];
-    for _ in 0..KMEANS_ITERS {
-        for (i, &r) in rows.iter().enumerate() {
-            assign[i] = nearest_centroid(&unit[r * dim..(r + 1) * dim], &cents, dim);
+    let mut prev = vec![usize::MAX; n];
+    for iter in 0..=KMEANS_ITERS {
+        assign_all(&cents, &mut assign);
+        if iter == KMEANS_ITERS || assign == prev {
+            break;
         }
         let mut acc = vec![0.0f64; k * dim];
         let mut counts = vec![0usize; k];
@@ -848,31 +1049,40 @@ fn kmeans_groups(unit: &[f64], dim: usize, range: Range<usize>, seed: u64) -> Ve
                 }
             }
         }
+        std::mem::swap(&mut assign, &mut prev);
     }
     let mut groups: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for &r in &rows {
-        let c = nearest_centroid(&unit[r * dim..(r + 1) * dim], &cents, dim);
+    for (&r, &c) in rows.iter().zip(&assign) {
         groups[c].push(r as u32);
     }
     groups.retain(|g| !g.is_empty());
     groups
 }
 
-/// Index of the nearest centroid by squared L2 distance; ties keep the
-/// lowest index.
-fn nearest_centroid(v: &[f64], cents: &[f64], dim: usize) -> usize {
+/// Index of the nearest centroid by squared L2 distance, ties keeping
+/// the lowest index, for each of the four rows interleaved in `block`
+/// (`block[i * LANES + k]` is row `k`'s component `i`). Each lane folds
+/// its distance over the components in order and compares centroids in
+/// order, exactly as a one-row scan would.
+fn nearest_centroids(block: &[f64], cents: &[f64], dim: usize) -> [usize; LANES] {
     let k = cents.len() / dim;
-    let mut best = 0usize;
-    let mut best_d2 = f64::INFINITY;
+    let mut best = [0usize; LANES];
+    let mut best_d2 = [f64::INFINITY; LANES];
     for c in 0..k {
-        let d2: f64 = v
+        let mut d2 = [0.0f64; LANES];
+        for (&y, xs) in cents[c * dim..(c + 1) * dim]
             .iter()
-            .zip(&cents[c * dim..(c + 1) * dim])
-            .map(|(&x, &y)| (x - y) * (x - y))
-            .sum();
-        if d2 < best_d2 {
-            best_d2 = d2;
-            best = c;
+            .zip(block.chunks_exact(LANES))
+        {
+            for (acc, &x) in d2.iter_mut().zip(xs) {
+                *acc += (x - y) * (x - y);
+            }
+        }
+        for lane in 0..LANES {
+            if d2[lane] < best_d2[lane] {
+                best_d2[lane] = d2[lane];
+                best[lane] = c;
+            }
         }
     }
     best
@@ -899,6 +1109,8 @@ impl SplitMix64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::index::{slice_norm, VectorIndexBuilder};
 
@@ -1247,5 +1459,312 @@ mod tests {
             pr.best_seed(&ix, 0, &q, 0.0, &mut stats),
             ix.best_seed(0, &q, 0.0)
         );
+    }
+
+    /// The one-row nearest-centroid scan the four-lane assignment
+    /// replaced, kept as its oracle.
+    fn nearest_centroid_oracle(v: &[f64], cents: &[f64], dim: usize) -> usize {
+        let mut best = 0usize;
+        let mut best_d2 = f64::INFINITY;
+        for c in 0..cents.len() / dim {
+            let d2: f64 = v
+                .iter()
+                .zip(&cents[c * dim..(c + 1) * dim])
+                .map(|(&x, &y)| (x - y) * (x - y))
+                .sum();
+            if d2 < best_d2 {
+                best_d2 = d2;
+                best = c;
+            }
+        }
+        best
+    }
+
+    /// The fixed-iteration, one-row-at-a-time k-means the lane
+    /// assignment and the fixed-point stop replaced, kept as their
+    /// oracle.
+    fn kmeans_groups_oracle(
+        unit: &[f64],
+        dim: usize,
+        range: Range<usize>,
+        seed: u64,
+    ) -> Vec<Vec<u32>> {
+        let rows: Vec<usize> = range.collect();
+        let n = rows.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let k = n.div_ceil(CLUSTER_TARGET);
+        let mut rng = SplitMix64::new(seed);
+        let mut picks: Vec<usize> = Vec::with_capacity(k);
+        while picks.len() < k {
+            let p = (rng.next() % n as u64) as usize;
+            if !picks.contains(&p) {
+                picks.push(p);
+            }
+        }
+        let mut cents = vec![0.0f64; k * dim];
+        for (c, &p) in picks.iter().enumerate() {
+            cents[c * dim..(c + 1) * dim]
+                .copy_from_slice(&unit[rows[p] * dim..(rows[p] + 1) * dim]);
+        }
+        let row = |r: usize| &unit[r * dim..(r + 1) * dim];
+        let mut assign = vec![0usize; n];
+        for _ in 0..KMEANS_ITERS {
+            for (i, &r) in rows.iter().enumerate() {
+                assign[i] = nearest_centroid_oracle(row(r), &cents, dim);
+            }
+            let mut acc = vec![0.0f64; k * dim];
+            let mut counts = vec![0usize; k];
+            for (i, &r) in rows.iter().enumerate() {
+                let c = assign[i];
+                counts[c] += 1;
+                for (a, &x) in acc[c * dim..(c + 1) * dim].iter_mut().zip(row(r)) {
+                    *a += x;
+                }
+            }
+            for c in 0..k {
+                if counts[c] > 0 {
+                    for d in 0..dim {
+                        cents[c * dim + d] = acc[c * dim + d] / counts[c] as f64;
+                    }
+                }
+            }
+        }
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); k];
+        for &r in &rows {
+            groups[nearest_centroid_oracle(row(r), &cents, dim)].push(r as u32);
+        }
+        groups.retain(|g| !g.is_empty());
+        groups
+    }
+
+    #[test]
+    fn kmeans_equals_the_fixed_iteration_one_row_oracle() {
+        let mut rng = SplitMix64::new(17);
+        let mut next = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        for dim in [1usize, 2, 3, 7, 16, 48] {
+            for n in [1usize, 2, 5, 16, 17, 33, 70, 150] {
+                // Tight groups converge early; pure noise tends to run
+                // all iterations. Duplicated rows make exact ties.
+                for spread in [0.02, 1.0] {
+                    let mut unit: Vec<f64> = Vec::with_capacity((n + 3) * dim);
+                    for r in 0..n + 3 {
+                        let centre = (r % 4) as f64;
+                        for d in 0..dim {
+                            let v = if r % 9 == 4 && r >= 9 {
+                                unit[(r - 9) * dim + d]
+                            } else if d == r % dim {
+                                centre + spread * next()
+                            } else {
+                                spread * next()
+                            };
+                            unit.push(v);
+                        }
+                    }
+                    for seed in 0..3u64 {
+                        // An offset range, as concepts after the first have.
+                        assert_eq!(
+                            kmeans_groups(&unit, dim, 3..n + 3, seed),
+                            kmeans_groups_oracle(&unit, dim, 3..n + 3, seed),
+                            "dim {dim} n {n} spread {spread} seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_assignment_equals_the_one_row_scan() {
+        let mut rng = SplitMix64::new(5);
+        let mut next = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        for dim in 1..=24usize {
+            for k in 1..=6usize {
+                let mut cents: Vec<f64> = (0..k * dim).map(|_| next()).collect();
+                // A duplicated centroid: ties must keep the lower index.
+                if k > 2 {
+                    let (head, tail) = cents.split_at_mut(2 * dim);
+                    tail[..dim].copy_from_slice(&head[dim..2 * dim]);
+                }
+                for n in 1..=9usize {
+                    let rows: Vec<f64> = (0..n * dim)
+                        .map(|i| {
+                            // Some rows sit exactly on a centroid.
+                            if i / dim == 1 {
+                                cents[(k - 1) * dim + i % dim]
+                            } else {
+                                next()
+                            }
+                        })
+                        .collect();
+                    let mut blocks = Vec::new();
+                    interleave(&mut blocks, dim, rows.chunks_exact(dim));
+                    for (b, block) in blocks.chunks_exact(dim * LANES).enumerate() {
+                        let got = nearest_centroids(block, &cents, dim);
+                        for (lane, row) in rows
+                            .chunks_exact(dim)
+                            .skip(b * LANES)
+                            .take(LANES)
+                            .enumerate()
+                        {
+                            assert_eq!(got[lane], nearest_centroid_oracle(row, &cents, dim));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Concepts whose seed prefix and expansion suffix each form one
+    /// cluster of 1, 2, 3, 5, 6, 7, 9, 10 or 11 rows — every member
+    /// count ≡ 1, 2 or 3 (mod 4), so every cluster ends in a padded
+    /// lane block — plus one concept large enough for several clusters.
+    fn ragged_fixture(dim: usize) -> VectorIndex {
+        let mut rng = SplitMix64::new(23);
+        let mut next = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        let mut b = VectorIndexBuilder::new(dim);
+        for (ci, (seeds, rest)) in [(1, 2), (3, 5), (6, 7), (9, 10), (11, 1), (37, 22)]
+            .into_iter()
+            .enumerate()
+        {
+            let rows: Vec<(String, Vec<f32>)> = (0..seeds + rest)
+                .map(|r| {
+                    let v: Vec<f32> = (0..dim)
+                        .map(|d| (next() * 0.3 + if d % 6 == ci { 1.0 } else { 0.0 }) as f32)
+                        .collect();
+                    (format!("w{ci}-{r}"), v)
+                })
+                .collect();
+            b.add_concept(
+                &format!("C{ci}"),
+                seeds,
+                rows.iter().map(|(w, v)| (w.as_str(), v.as_slice())),
+            );
+        }
+        b.build()
+    }
+
+    fn le<T: Copy, const N: usize>(v: &[T], bytes: impl Fn(T) -> [u8; N]) -> Vec<u8> {
+        v.iter().flat_map(|&x| bytes(x)).collect()
+    }
+
+    #[test]
+    fn loaded_structures_answer_like_build_and_the_exhaustive_scan() {
+        let dim = 13;
+        let ix = ragged_fixture(dim);
+        let built = PruneIndex::build(&ix);
+        let sizes: BTreeSet<usize> = built.clusters.iter().map(|&(_, n)| n % LANES).collect();
+        assert!(
+            [1, 2, 3].iter().all(|r| sizes.contains(r)),
+            "fixture must exercise padded lanes: {sizes:?}"
+        );
+        // The derived copies are allocated once, at their exact size.
+        for copy in [
+            &built.lanes.members,
+            &built.lanes.centroids,
+            &built.lanes.concept_centroids,
+        ] {
+            assert_eq!(copy.len(), copy.capacity());
+        }
+
+        // The index and pruning sections as an artifact stores them,
+        // read back owned and mapped.
+        let mut w = thor_fault::SectionWriter::new();
+        w.add("rows", 1, &le(ix.data(), f32::to_le_bytes));
+        w.add("norms", 1, &le(ix.norms(), f64::to_le_bytes));
+        w.add("sums", 1, &le(ix.rep_sums(), f32::to_le_bytes));
+        w.add("members", 1, &le(built.members(), u32::to_le_bytes));
+        w.add("centroids", 1, &le(built.centroids(), f32::to_le_bytes));
+        w.add("radii", 1, &le(built.radii(), f64::to_le_bytes));
+        w.add(
+            "concept_centroids",
+            1,
+            &le(built.concept_centroids(), f32::to_le_bytes),
+        );
+        w.add(
+            "concept_radii",
+            1,
+            &le(built.concept_radii(), f64::to_le_bytes),
+        );
+        w.add("codes", 1, built.quant_codes());
+        w.add("scales", 1, &le(built.quant_scales(), f32::to_le_bytes));
+        let path = std::env::temp_dir().join(format!("thor-index-lanes-{}", std::process::id()));
+        std::fs::write(&path, w.finish()).unwrap();
+
+        let mut loaded = Vec::new();
+        for mode in [thor_fault::MapMode::Owned, thor_fault::MapMode::Mapped] {
+            let file = thor_fault::SectionFile::open(&path, mode).unwrap();
+            let lix = VectorIndex::from_parts(
+                dim,
+                file.frozen_slice("rows").unwrap(),
+                file.frozen_slice("norms").unwrap(),
+                file.frozen_slice("sums").unwrap(),
+                (0..ix.row_count())
+                    .map(|r| ix.row_word(r).to_string())
+                    .collect(),
+                ix.concept_layout()
+                    .map(|(n, s, r, k)| (n.to_string(), s, r, k))
+                    .collect(),
+            )
+            .unwrap();
+            let lpr = PruneIndex::from_parts(
+                &lix,
+                &built.meta_bytes(),
+                file.frozen_slice("members").unwrap(),
+                file.frozen_slice("centroids").unwrap(),
+                file.frozen_slice("radii").unwrap(),
+                file.frozen_slice("concept_centroids").unwrap(),
+                file.frozen_slice("concept_radii").unwrap(),
+                file.frozen_slice("codes").unwrap(),
+                file.frozen_slice("scales").unwrap(),
+            )
+            .unwrap();
+            assert_eq!(lpr.lanes.members, built.lanes.members);
+            loaded.push((lix, lpr));
+        }
+        std::fs::remove_file(&path).ok();
+
+        // Random queries, the zero query, and every row itself (exact
+        // maxima and ties).
+        let mut qs = queries(dim, 24);
+        qs.extend((0..ix.row_count()).map(|r| ix.row(r).to_vec()));
+        let bits = |r: Option<(usize, f64)>| r.map(|(c, s)| (c, s.to_bits()));
+        let seed_bits = |r: Option<(&str, f64)>| r.map(|(w, s)| (w.to_string(), s.to_bits()));
+        let mut want = PruneStats::default();
+        let mut got = [PruneStats::default(); 2];
+        for q in &qs {
+            let qn = slice_norm(q);
+            let reference = best_concept_reference(&ix, q, qn);
+            for floor in [f64::MIN, 0.3, 0.6] {
+                let b = built.best_concept(&ix, q, qn, floor, &mut want);
+                if floor == f64::MIN {
+                    assert_eq!(bits(b), bits(reference), "best_concept vs exhaustive");
+                }
+                for ((lix, lpr), got) in loaded.iter().zip(&mut got) {
+                    assert_eq!(bits(lpr.best_concept(lix, q, qn, floor, got)), bits(b));
+                }
+            }
+            for ci in 0..ix.concept_count() {
+                let b = seed_bits(built.best_seed(&ix, ci, q, qn, &mut want));
+                assert_eq!(
+                    b,
+                    seed_bits(ix.best_seed(ci, q, qn)),
+                    "best_seed vs exhaustive"
+                );
+                for tau in [0.0, 0.4, 0.8, 0.95] {
+                    let g = built.gate(&ix, ci, q, qn, tau, None, &mut want);
+                    assert_eq!(g, gate_reference(&ix, ci, q, qn, tau), "gate vs exhaustive");
+                    for ((lix, lpr), got) in loaded.iter().zip(&mut got) {
+                        assert_eq!(lpr.gate(lix, ci, q, qn, tau, None, got), g);
+                    }
+                }
+                for ((lix, lpr), got) in loaded.iter().zip(&mut got) {
+                    assert_eq!(seed_bits(lpr.best_seed(lix, ci, q, qn, got)), b);
+                }
+            }
+        }
+        assert!(want.rows > 0, "the fixture never pruned");
+        assert_eq!(got, [want; 2], "loaded structures pruned differently");
     }
 }

@@ -25,7 +25,7 @@ use std::sync::{Arc, OnceLock};
 
 use thor_embed::{slice_norm, Vector, VectorStore};
 use thor_fault::{FrozenPool, FrozenSlice};
-use thor_index::{PruneIndex, PruneStats, VectorIndex, VectorIndexBuilder};
+use thor_index::{LaneRows, PruneIndex, PruneStats, VectorIndex, VectorIndexBuilder};
 use thor_text::SeedSyntax;
 
 use crate::cluster::ConceptCluster;
@@ -627,8 +627,12 @@ impl PreparedMatcher {
             // Mini index over the newly added seed rows only — the only
             // vectors that can displace an incumbent best concept.
             // Concepts appear in ascending index order so challenger
-            // tie-breaks mirror the fresh scan's first-wins rule.
-            let mut mini_map: Vec<usize> = Vec::new();
+            // tie-breaks mirror the fresh scan's first-wins rule. Each
+            // word is scored against all of its rows at once through
+            // one interleaved copy (rows of neighbouring concepts may
+            // share a kernel block), then folded per concept in row
+            // order.
+            let mut mini_map: Vec<(usize, usize)> = Vec::new();
             let mut mini = VectorIndexBuilder::new(self.store.dim());
             for (ci, adds) in added.iter().enumerate() {
                 if adds.is_empty() {
@@ -639,9 +643,10 @@ impl PreparedMatcher {
                     adds.len(),
                     adds.iter().map(|(w, v)| (w.as_str(), v.as_slice())),
                 );
-                mini_map.push(ci);
+                mini_map.push((ci, adds.len()));
             }
-            let mini = mini.build();
+            let mini = LaneRows::of_index(&mini.build());
+            let mut sims: Vec<f64> = Vec::new();
 
             let is_seed = seed_words(&seeds_new);
             let mut incumbent: HashMap<String, (usize, f64)> = HashMap::new();
@@ -664,12 +669,18 @@ impl PreparedMatcher {
                 // surviving value equals the winning concept's full new
                 // max.
                 let mut best = old_best.get(word).copied().unwrap_or(orig);
-                for scores in mini.scan(row, slice_norm(row)) {
-                    let sim = scores.max.unwrap_or(f64::MIN);
-                    if !sim.is_finite() {
+                mini.cosines(row, slice_norm(row), &mut sims);
+                let mut rows = sims.iter();
+                for &(ci, count) in &mini_map {
+                    let max = rows
+                        .by_ref()
+                        .take(count)
+                        .fold(None, |max: Option<f64>, &s| {
+                            Some(max.map_or(s, |a| a.max(s)))
+                        });
+                    let Some(sim) = max.filter(|s| s.is_finite()) else {
                         continue;
-                    }
-                    let ci = mini_map[scores.concept];
+                    };
                     let replace = match best {
                         None => true,
                         Some((bc, bs)) => sim > bs || (sim == bs && ci < bc),

@@ -289,3 +289,85 @@ proptest! {
         prop_assert_eq!(outcome.result.entities, clean.entities);
     }
 }
+
+/// A vector file holding `NaN` or an infinity fails `thor build` and
+/// `thor enrich` with a parse error naming the line, the word and the
+/// value — exit 1, never a panic (101), and no engine or output file.
+#[test]
+fn non_finite_vectors_fail_the_cli_by_name() {
+    let dir = std::env::temp_dir().join(format!("thor-corrupt-nonfinite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let table = dir.join("table.csv");
+    std::fs::write(&table, "Disease,Anatomy\nTuberculosis,lungs\n").unwrap();
+    let doc = dir.join("d0.txt");
+    std::fs::write(&doc, "Tuberculosis damages the lungs.").unwrap();
+    for (value, word) in [("NaN", "lungs"), ("inf", "brain"), ("-inf", "damages")] {
+        let mut store = VectorStore::new(3);
+        for w in ["brain", "damages", "lungs"] {
+            store.insert(w, thor_repro::embed::Vector(vec![0.5, 1.0, -0.25]));
+        }
+        let text = store.to_text().replacen(
+            &format!("{word}\t0.5 1 -0.25"),
+            &format!("{word}\t0.5 {value} -0.25"),
+            1,
+        );
+        assert!(text.contains(value), "fixture did not inject {value}");
+        let line = 1 + text.lines().position(|l| l.starts_with(word)).unwrap();
+        let vectors = dir.join("vectors.txt");
+        std::fs::write(&vectors, &text).unwrap();
+
+        let engine = dir.join("e.thor");
+        let out = dir.join("out.csv");
+        let runs = [
+            vec![
+                "build",
+                "--table",
+                table.to_str().unwrap(),
+                "--vectors",
+                vectors.to_str().unwrap(),
+                "--tau",
+                "0.7",
+                "--engine",
+                engine.to_str().unwrap(),
+            ],
+            vec![
+                "enrich",
+                "--table",
+                table.to_str().unwrap(),
+                "--vectors",
+                vectors.to_str().unwrap(),
+                "--tau",
+                "0.7",
+                "--out",
+                out.to_str().unwrap(),
+                doc.to_str().unwrap(),
+            ],
+        ];
+        for args in runs {
+            let run = std::process::Command::new(env!("CARGO_BIN_EXE_thor"))
+                .args(&args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "`thor {}`: {stderr}", args[0]);
+            for needle in [
+                "error:".to_string(),
+                format!("line {line}"),
+                format!("`{word}`"),
+                format!("non-finite value {value}"),
+            ] {
+                assert!(
+                    stderr.contains(&needle),
+                    "`thor {}` stderr lacks {needle:?}: {stderr}",
+                    args[0]
+                );
+            }
+            assert!(
+                !engine.exists() && !out.exists(),
+                "`thor {}` wrote output",
+                args[0]
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -343,3 +343,200 @@ fn artifacts_without_prune_sections_still_load_and_agree() {
     std::fs::remove_file(&full).ok();
     std::fs::remove_file(&stripped).ok();
 }
+
+// ---------------------------------------------------------------------
+// Lane-kernel coverage: the exact scans read each cluster's rows four
+// to an interleaved block, so clusters whose member counts leave 1, 2
+// or 3 rows in a padded last block, and delta challenger passes whose
+// blocks hold rows of two concepts, must still match the references.
+// ---------------------------------------------------------------------
+
+const ORGANS: [&str; 10] = [
+    "lungs", "brain", "skin", "nerve", "spine", "ear", "liver", "heart", "bone", "eye",
+];
+const DRUGS: [&str; 8] = [
+    "aspirin",
+    "insulin",
+    "statin",
+    "heparin",
+    "codeine",
+    "morphine",
+    "penicillin",
+    "quinine",
+];
+const SIGNS: [&str; 8] = [
+    "fever", "cough", "rash", "nausea", "fatigue", "itch", "cramp", "chill",
+];
+
+fn ragged_store(seed: u64) -> VectorStore {
+    SemanticSpaceBuilder::new(24, seed)
+        .spread(0.5)
+        .topic("anatomy")
+        .words("anatomy", ORGANS)
+        .topic("medicine")
+        .words("medicine", DRUGS)
+        .correlated_topic("symptom", "anatomy", 0.3)
+        .words("symptom", SIGNS)
+        .generic_words(["damages", "grows", "treats", "causes"])
+        .build()
+        .into_store()
+}
+
+/// One concept per seed count 1, 2, 3, 5, 6 and 7: a concept's seed
+/// prefix forms one cluster of exactly that many rows.
+fn ragged_concepts() -> Vec<(String, Vec<String>)> {
+    let take = |words: &[&str], n: usize| words.iter().take(n).map(|w| w.to_string()).collect();
+    vec![
+        ("Organ".to_string(), take(&ORGANS, 1)),
+        ("Drug".to_string(), take(&DRUGS, 2)),
+        ("Sign".to_string(), take(&SIGNS, 3)),
+        ("Tissue".to_string(), take(&ORGANS[3..], 5)),
+        ("Remedy".to_string(), take(&DRUGS[2..], 6)),
+        ("Finding".to_string(), take(&SIGNS[1..], 7)),
+    ]
+}
+
+#[test]
+fn ragged_clusters_match_the_exhaustive_scan_bit_for_bit() {
+    let mut vocab: Vec<&str> = ORGANS.iter().chain(&DRUGS).chain(&SIGNS).copied().collect();
+    vocab.extend(["damages", "grows", "treats", "causes", "zzz"]);
+    let mut phrases: Vec<String> = vocab.iter().map(|w| w.to_string()).collect();
+    phrases.extend(vocab.windows(2).map(|w| w.join(" ")));
+    for seed in 0..4u64 {
+        for tau in [0.3, 0.5, 0.7, 0.9] {
+            let config = MatcherConfig {
+                tau,
+                cache_capacity: 0,
+                ..MatcherConfig::default()
+            };
+            let exact =
+                SimilarityMatcher::fine_tune(&ragged_concepts(), ragged_store(seed), config);
+            let off = exact.with_prune_mode(PruneMode::Off);
+            for phrase in &phrases {
+                let reference = exact.match_phrase_reference(phrase, |_| true);
+                assert_eq!(
+                    exact.match_phrase(phrase),
+                    reference,
+                    "seed {seed} tau {tau}: `{phrase}`"
+                );
+                assert_eq!(off.match_phrase(phrase), reference, "off mode: `{phrase}`");
+            }
+        }
+    }
+}
+
+fn ragged_table() -> Table {
+    let mut table = Table::new(Schema::new(["Disease", "Organ", "Drug", "Sign"], "Disease"));
+    table.fill_slot("Tuberculosis", "Organ", "lungs");
+    table.fill_slot("Tuberculosis", "Drug", "aspirin");
+    table.fill_slot("Acne", "Sign", "rash");
+    table
+}
+
+fn ragged_docs() -> Vec<Document> {
+    vec![
+        Document::new(
+            "d0",
+            "Tuberculosis damages the lungs and the liver with a cough.",
+        ),
+        Document::new(
+            "d1",
+            "Acne grows on the skin, treats nothing and causes an itch.",
+        ),
+        Document::new(
+            "d2",
+            "Statin treats the heart; quinine causes a chill and nausea.",
+        ),
+    ]
+}
+
+/// Apply `adds` as one seed delta, one subject row per addition, and
+/// replay it on `mirror`.
+fn multi_concept_delta(adds: &[(usize, usize)], mirror: &mut Table) -> EngineDelta {
+    const SUBJECTS: [&str; 4] = ["Tuberculosis", "Acne", "Stroke", "Asthma"];
+    const COLUMNS: [&str; 3] = ["Organ", "Drug", "Sign"];
+    let mut rows = Table::new(Schema::new(["Disease", "Organ", "Drug", "Sign"], "Disease"));
+    for (i, &(column, word)) in adds.iter().enumerate() {
+        let value = [&ORGANS[..], &DRUGS[..], &SIGNS[..]][column][word];
+        let subject = SUBJECTS[i % SUBJECTS.len()];
+        rows.fill_slot(subject, COLUMNS[column], value);
+        mirror.row_for_subject(subject);
+        mirror.fill_slot(subject, COLUMNS[column], value);
+    }
+    EngineDelta::Seeds(SeedDelta::new(rows))
+}
+
+/// Evolve through `deltas` and require the bytes a fresh build of the
+/// final table saves, and `Exact` == `Off` enrichment on the evolved
+/// engine and on its owned and mapped reloads.
+fn assert_chain_equals_fresh(seed: u64, deltas: &[Vec<(usize, usize)>]) {
+    let thor = Thor::new(ragged_store(seed), ThorConfig::with_tau(0.5));
+    let mut engine = thor.prepare(&ragged_table());
+    let mut mirror = ragged_table();
+    for adds in deltas {
+        let delta = multi_concept_delta(adds, &mut mirror);
+        engine = engine.apply_delta(&delta).unwrap();
+    }
+    let fresh = thor.prepare(&mirror);
+    let dir = scratch_dir();
+    let case = case_id();
+    let (pa, pb) = (
+        dir.join(format!("ragged-evolved-{case}.eng")),
+        dir.join(format!("ragged-fresh-{case}.eng")),
+    );
+    engine.save(&pa).unwrap();
+    fresh.save(&pb).unwrap();
+    assert_eq!(
+        std::fs::read(&pa).unwrap(),
+        std::fs::read(&pb).unwrap(),
+        "seed {seed}: evolved bytes differ from a fresh build after {deltas:?}"
+    );
+    let docs = ragged_docs();
+    let want = fresh.with_prune(PruneMode::Off).enrich(&docs);
+    for mode in [MapMode::Owned, MapMode::Mapped] {
+        let loaded = PreparedEngine::load_with(&pa, mode).unwrap();
+        for got in [engine.enrich(&docs), loaded.enrich(&docs)] {
+            assert_eq!(got.entities, want.entities);
+            assert_eq!(
+                thor_repro::data::csv::to_csv(&got.table),
+                thor_repro::data::csv::to_csv(&want.table)
+            );
+        }
+    }
+    std::fs::remove_file(&pa).ok();
+    std::fs::remove_file(&pb).ok();
+}
+
+/// Deltas that add 1 + 2, 3 + 2 and 1 + 1 + 1 seeds across concepts:
+/// the challenger pass scores each word against the delta's new seed
+/// rows four to a block, so these blocks hold rows of two or three
+/// concepts, which must still fold per concept in row order.
+#[test]
+fn challenger_blocks_straddling_concepts_evolve_to_fresh_bytes() {
+    let chain = [
+        vec![(0, 1), (1, 1), (1, 2)],
+        vec![(0, 2), (0, 3), (0, 4), (2, 1), (2, 2)],
+        vec![(0, 5), (1, 3), (2, 3)],
+    ];
+    for seed in 0..4u64 {
+        assert_chain_equals_fresh(seed, &chain);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random multi-concept delta chains (every delta adds up to seven
+    /// seeds spread over the three concepts) evolve to the bytes of a
+    /// fresh build, with `Exact` == `Off` enrichment.
+    #[test]
+    fn random_multi_concept_deltas_evolve_to_fresh_bytes(
+        deltas in prop::collection::vec(
+            prop::collection::vec((0usize..3, 0usize..8), 1..8),
+            1..4,
+        ),
+        seed in 0u64..8,
+    ) {
+        assert_chain_equals_fresh(seed, &deltas);
+    }
+}
