@@ -721,14 +721,13 @@ impl PreparedEngine {
 
         // table (always verified against its digest — it is small).
         let table_csv = std::str::from_utf8(file.bytes(SEC_TABLE)?)
-            .map_err(|e| invalid(format!("table section is not UTF-8: {e}")))?
-            .to_string();
+            .map_err(|e| invalid(format!("table section is not UTF-8: {e}")))?;
         if fnv1a(table_csv.as_bytes()) != table_digest {
             return Err(invalid(
                 "table digest mismatch; artifact does not describe its own contents".to_string(),
             ));
         }
-        let table = thor_data::from_csv(&table_csv)
+        let table = thor_data::from_csv(table_csv)
             .map_err(|e| ThorError::parse(format!("{}: embedded table: {e}", path.display())))?;
         let concepts = concept_instances(&table);
         if concepts.len() != concept_count {

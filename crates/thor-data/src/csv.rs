@@ -6,7 +6,11 @@
 //! empty field. A field holding a comma, quote, `\n` or `\r` is quoted,
 //! and the parser reads such quoted fields back verbatim.
 
-use crate::schema::Schema;
+use std::borrow::Cow;
+
+use thor_text::normalize_phrase;
+
+use crate::schema::{Concept, Schema};
 use crate::table::Table;
 
 /// Multi-value separator inside one CSV field.
@@ -80,13 +84,25 @@ pub enum CsvError {
         /// Actual field count.
         got: usize,
     },
-    /// A record's subject field was empty.
+    /// A record's subject field was empty, or held only punctuation and
+    /// whitespace (its normalized key, which rows are indexed by, is
+    /// empty).
     EmptySubject {
         /// 1-based line number of the offending record.
         line: usize,
     },
     /// Unterminated quoted field.
     UnterminatedQuote,
+    /// Two header columns name the same concept (names compare
+    /// case-insensitively).
+    DuplicateConcept {
+        /// 1-based position of the earlier column.
+        first: usize,
+        /// 1-based position of the later column.
+        second: usize,
+        /// The later column's name.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for CsvError {
@@ -102,111 +118,171 @@ impl std::fmt::Display for CsvError {
             }
             CsvError::EmptySubject { line } => write!(f, "record {line}: empty subject"),
             CsvError::UnterminatedQuote => write!(f, "unterminated quoted field"),
+            CsvError::DuplicateConcept {
+                first,
+                second,
+                name,
+            } => write!(
+                f,
+                "header columns {first} and {second} name the same concept `{name}`"
+            ),
         }
     }
 }
 
 impl std::error::Error for CsvError {}
 
-/// Split CSV text into records of fields (RFC-4180 quoting).
-fn parse_records(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut chars = text.chars().peekable();
-    let mut in_quotes = false;
-    let mut any = false;
+/// One field being assembled: nothing yet, a span of the input, or an
+/// owned copy once quoting or a dropped `\r` breaks the span.
+enum Field {
+    Empty,
+    Span(usize, usize),
+    Owned(String),
+}
 
-    while let Some(c) = chars.next() {
-        any = true;
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => field.push(c),
+impl Field {
+    /// Append `text[start..end]`.
+    fn push(&mut self, text: &str, start: usize, end: usize) {
+        if start == end {
+            return;
+        }
+        *self = match std::mem::replace(self, Field::Empty) {
+            Field::Empty => Field::Span(start, end),
+            Field::Span(a, b) if b == start => Field::Span(a, end),
+            Field::Span(a, b) => Field::Owned([&text[a..b], &text[start..end]].concat()),
+            Field::Owned(mut s) => {
+                s.push_str(&text[start..end]);
+                Field::Owned(s)
             }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => {
-                    record.push(std::mem::take(&mut field));
-                }
-                '\r' => {}
-                '\n' => {
-                    record.push(std::mem::take(&mut field));
-                    records.push(std::mem::take(&mut record));
-                }
-                _ => field.push(c),
-            }
+        };
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Field::Empty)
+    }
+
+    fn take<'a>(&mut self, text: &'a str) -> Cow<'a, str> {
+        match std::mem::replace(self, Field::Empty) {
+            Field::Empty => Cow::Borrowed(""),
+            Field::Span(a, b) => Cow::Borrowed(&text[a..b]),
+            Field::Owned(s) => Cow::Owned(s),
         }
     }
-    if in_quotes {
-        return Err(CsvError::UnterminatedQuote);
+}
+
+/// Split CSV text into records of fields (RFC-4180 quoting). A field
+/// borrows `text` unless quoting or a dropped `\r` changed it.
+///
+/// Outside quotes, `"` opens a quoted run, `,` ends the field, `\n`
+/// ends the record and `\r` is dropped; inside, `""` is one quote and
+/// `"` closes the run. Every special byte is ASCII, so each span ends
+/// on a character boundary.
+fn parse_records(text: &str) -> Result<Vec<Vec<Cow<'_, str>>>, CsvError> {
+    if text.is_empty() {
+        return Err(CsvError::MissingHeader);
+    }
+    let bytes = text.as_bytes();
+    let mut records = Vec::new();
+    let mut record = Vec::new();
+    let mut field = Field::Empty;
+    let special = |b: &u8| matches!(b, b'"' | b',' | b'\r' | b'\n');
+    let mut i = 0;
+    while i < bytes.len() {
+        let end = bytes[i..]
+            .iter()
+            .position(special)
+            .map_or(bytes.len(), |k| i + k);
+        field.push(text, i, end);
+        let Some(&b) = bytes.get(end) else { break };
+        i = end + 1;
+        match b {
+            b'"' => loop {
+                let Some(k) = bytes[i..].iter().position(|&b| b == b'"') else {
+                    return Err(CsvError::UnterminatedQuote);
+                };
+                let quote = i + k;
+                field.push(text, i, quote);
+                if bytes.get(quote + 1) == Some(&b'"') {
+                    field.push(text, quote, quote + 1);
+                    i = quote + 2;
+                } else {
+                    i = quote + 1;
+                    break;
+                }
+            },
+            b',' => record.push(field.take(text)),
+            b'\n' => {
+                record.push(field.take(text));
+                records.push(std::mem::take(&mut record));
+            }
+            _ => {} // `\r` outside quotes
+        }
     }
     if !field.is_empty() || !record.is_empty() {
-        record.push(field);
+        record.push(field.take(text));
         records.push(record);
-    }
-    if !any {
-        return Err(CsvError::MissingHeader);
     }
     Ok(records)
 }
 
 /// Validate one body record against the header and insert it into the
 /// table. Shared by the strict and lenient parsers.
-fn insert_record(
-    table: &mut Table,
-    header: &[String],
-    record: &[String],
-    line: usize,
-) -> Result<(), CsvError> {
-    if record.len() != header.len() {
+fn insert_record(table: &mut Table, record: &[Cow<'_, str>], line: usize) -> Result<(), CsvError> {
+    let arity = table.schema().arity();
+    if record.len() != arity {
         return Err(CsvError::ArityMismatch {
             line,
-            expected: header.len(),
+            expected: arity,
             got: record.len(),
         });
     }
     let subject_value = record[0].trim();
-    if subject_value.is_empty() {
+    if normalize_phrase(subject_value).is_empty() {
         return Err(CsvError::EmptySubject { line });
     }
-    table.row_for_subject(subject_value);
+    let row = table.row_for_subject(subject_value);
+    // Header column `ci` is schema concept `ci`: `parse_header` keeps
+    // the column order and rejects names that would alias.
     for (ci, field) in record.iter().enumerate().skip(1) {
         for value in field.split(VALUE_SEPARATOR) {
             let v = value.trim();
             if !v.is_empty() {
-                table.fill_slot(subject_value, header[ci].as_str(), v);
+                table.fill_slot_at(row, ci, v);
             }
         }
     }
     Ok(())
 }
 
-fn parse_header(records: &mut std::vec::IntoIter<Vec<String>>) -> Result<Vec<String>, CsvError> {
-    let header = records.next().ok_or(CsvError::MissingHeader)?;
-    if header.is_empty() || header.iter().all(String::is_empty) {
+/// Take the header record, reject duplicate concepts, and return the
+/// empty table its schema describes (the first column is the subject).
+fn parse_header<'a>(
+    records: &mut impl Iterator<Item = Vec<Cow<'a, str>>>,
+) -> Result<Table, CsvError> {
+    let names = records.next().ok_or(CsvError::MissingHeader)?;
+    if names.iter().all(|n| n.is_empty()) {
         return Err(CsvError::MissingHeader);
     }
-    Ok(header)
+    let concepts: Vec<Concept> = names.iter().map(|n| Concept::new(n.as_ref())).collect();
+    for (second, c) in concepts.iter().enumerate() {
+        if let Some(first) = concepts[..second].iter().position(|p| p == c) {
+            return Err(CsvError::DuplicateConcept {
+                first: first + 1,
+                second: second + 1,
+                name: c.name().to_string(),
+            });
+        }
+    }
+    Ok(Table::new(Schema::new(concepts, &names[0])))
 }
 
 /// Parse CSV text into a table. The first header column is taken as the
 /// subject concept.
 pub fn from_csv(text: &str) -> Result<Table, CsvError> {
-    let mut iter = parse_records(text)?.into_iter();
-    let header = parse_header(&mut iter)?;
-    let schema = Schema::new(header.clone(), &header[0]);
-    let mut table = Table::new(schema);
-    for (i, record) in iter.enumerate() {
-        insert_record(&mut table, &header, &record, i + 2)?;
+    let mut records = parse_records(text)?.into_iter();
+    let mut table = parse_header(&mut records)?;
+    for (i, record) in records.enumerate() {
+        insert_record(&mut table, &record, i + 2)?;
     }
     Ok(table)
 }
@@ -236,14 +312,12 @@ pub struct LenientCsv {
 /// Stream-level problems (no header, unterminated quote — which makes
 /// the rest of the input one indivisible field) remain hard errors.
 pub fn from_csv_lenient(text: &str) -> Result<LenientCsv, CsvError> {
-    let mut iter = parse_records(text)?.into_iter();
-    let header = parse_header(&mut iter)?;
-    let schema = Schema::new(header.clone(), &header[0]);
-    let mut table = Table::new(schema);
+    let mut records = parse_records(text)?.into_iter();
+    let mut table = parse_header(&mut records)?;
     let mut skipped = Vec::new();
-    for (i, record) in iter.enumerate() {
+    for (i, record) in records.enumerate() {
         let line = i + 2;
-        if let Err(error) = insert_record(&mut table, &header, &record, line) {
+        if let Err(error) = insert_record(&mut table, &record, line) {
             skipped.push(SkippedRow { line, error });
         }
     }
@@ -318,6 +392,9 @@ mod tests {
     fn empty_subject_detected() {
         let err = from_csv("A,B\n,v\n").unwrap_err();
         assert!(matches!(err, CsvError::EmptySubject { line: 2 }));
+        // A subject of punctuation normalizes to an empty key.
+        let err = from_csv("A,B\nx,v\n... ,v\n").unwrap_err();
+        assert!(matches!(err, CsvError::EmptySubject { line: 3 }));
     }
 
     #[test]
@@ -371,6 +448,39 @@ mod tests {
         let csv = to_csv(&t);
         assert_eq!(csv, "S,A\nx,\"a\rb\"\n");
         assert_eq!(to_csv(&from_csv(&csv).unwrap()), csv);
+    }
+
+    #[test]
+    fn duplicate_header_concepts_are_a_named_error() {
+        let dup = CsvError::DuplicateConcept {
+            first: 2,
+            second: 3,
+            name: "anatomy".to_string(),
+        };
+        let text = "Disease,Anatomy,anatomy\nflu,lungs,nose\n";
+        assert_eq!(from_csv(text).unwrap_err(), dup);
+        assert_eq!(from_csv_lenient(text).unwrap_err(), dup);
+        assert_eq!(
+            dup.to_string(),
+            "header columns 2 and 3 name the same concept `anatomy`"
+        );
+        // The subject column counts too, and so do empty names.
+        assert!(matches!(
+            from_csv("S,A,s\n").unwrap_err(),
+            CsvError::DuplicateConcept {
+                first: 1,
+                second: 3,
+                ..
+            }
+        ));
+        assert!(matches!(
+            from_csv("S,,\n").unwrap_err(),
+            CsvError::DuplicateConcept {
+                first: 2,
+                second: 3,
+                ..
+            }
+        ));
     }
 
     #[test]

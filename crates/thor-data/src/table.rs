@@ -268,6 +268,12 @@ impl Table {
             "cannot slot-fill the subject concept"
         );
         let ri = self.row_for_subject(subject);
+        self.fill_slot_at(ri, ci, value)
+    }
+
+    /// [`fill_slot`](Self::fill_slot) with the row and the (non-subject)
+    /// concept already resolved to indices.
+    pub(crate) fn fill_slot_at(&mut self, ri: usize, ci: usize, value: &str) -> bool {
         let value = value.trim();
         if value.is_empty() || self.rows[ri].cell(ci).contains(value) {
             return false;

@@ -35,6 +35,78 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// [`fnv1a`] of every slice: output `i` is exactly `fnv1a(inputs[i])`.
+///
+/// Each FNV-1a step depends on the previous one through a 64-bit
+/// multiply, so one chain runs at the multiply's latency. Here four
+/// independent chains advance in lock-step, one byte each per step, and
+/// their multiplies overlap. Slices go to the lanes longest-first, and a
+/// lane takes the next slice as soon as its own ends; once fewer than
+/// four slices are left, each finishes on its own.
+pub fn fnv1a_many(inputs: &[&[u8]]) -> Vec<u64> {
+    const LANES: usize = 4;
+    let mut out = vec![FNV_OFFSET; inputs.len()];
+    let mut order: Vec<usize> = (0..inputs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(inputs[i].len()));
+    let mut queue = order.into_iter();
+    // Lane `k` hashes input `slot[k]`, of which `rest[k]` is unread.
+    let mut slot = [0usize; LANES];
+    let mut rest: [&[u8]; LANES] = [&[]; LANES];
+    let mut h = [FNV_OFFSET; LANES];
+    let mut live = 0;
+    loop {
+        while live < LANES {
+            let Some(i) = queue.next() else { break };
+            slot[live] = i;
+            rest[live] = inputs[i];
+            h[live] = FNV_OFFSET;
+            live += 1;
+        }
+        if live < LANES {
+            break;
+        }
+        let n = rest.iter().map(|r| r.len()).min().unwrap_or(0);
+        let [mut h0, mut h1, mut h2, mut h3] = h;
+        let lanes = rest[0][..n]
+            .iter()
+            .zip(&rest[1][..n])
+            .zip(&rest[2][..n])
+            .zip(&rest[3][..n]);
+        for (((&b0, &b1), &b2), &b3) in lanes {
+            h0 = (h0 ^ u64::from(b0)).wrapping_mul(FNV_PRIME);
+            h1 = (h1 ^ u64::from(b1)).wrapping_mul(FNV_PRIME);
+            h2 = (h2 ^ u64::from(b2)).wrapping_mul(FNV_PRIME);
+            h3 = (h3 ^ u64::from(b3)).wrapping_mul(FNV_PRIME);
+        }
+        h = [h0, h1, h2, h3];
+        // Retire the lanes whose slice ended, compacting the live ones
+        // to the front so the refill above fills the gaps.
+        let mut kept = 0;
+        for k in 0..LANES {
+            rest[k] = &rest[k][n..];
+            if rest[k].is_empty() {
+                out[slot[k]] = h[k];
+            } else {
+                slot[kept] = slot[k];
+                rest[kept] = rest[k];
+                h[kept] = h[k];
+                kept += 1;
+            }
+        }
+        live = kept;
+    }
+    for k in 0..live {
+        let mut tail = Fnv1a(h[k]);
+        tail.update(rest[k]);
+        out[slot[k]] = tail.finish();
+    }
+    out
+}
+
+/// The FNV-1a 64-bit offset basis (the digest of no bytes) and prime.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// Streaming [`fnv1a`]: feeding the same bytes in any number of pieces
 /// gives the same digest as hashing them in one slice. As a
 /// [`std::fmt::Write`] sink it digests formatted text without
@@ -51,14 +123,13 @@ impl Default for Fnv1a {
 impl Fnv1a {
     /// The FNV-1a offset basis: the digest of no bytes.
     pub fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
+        Self(FNV_OFFSET)
     }
 
     /// Fold `bytes` into the state.
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
     }
 
@@ -428,6 +499,55 @@ mod tests {
         writeln!(h, "vocabulary\t{} {} {}", 0.25f32, -1.0f32, 3e-5f32).unwrap();
         assert_eq!(h.finish(), fnv1a(bytes));
         assert_eq!(Fnv1a::new().finish(), fnv1a(&[]));
+    }
+
+    /// SplitMix64, the deterministic case generator of the lane tests.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn random_bytes(state: &mut u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| next(state) as u8).collect()
+    }
+
+    /// `fnv1a_many(s)[i] == fnv1a(s[i])` over 0–9 slices of length
+    /// 0–300, and over the shapes that stress lane hand-off: all-equal
+    /// lengths, one dominant slice, and empty slices among full ones.
+    #[test]
+    fn fnv1a_many_equals_the_one_shot_fold() {
+        let mut state = 7u64;
+        let mut cases: Vec<Vec<Vec<u8>>> = Vec::new();
+        for _ in 0..3000 {
+            let count = (next(&mut state) % 10) as usize;
+            let case = (0..count)
+                .map(|_| {
+                    let len = (next(&mut state) % 301) as usize;
+                    random_bytes(&mut state, len)
+                })
+                .collect();
+            cases.push(case);
+        }
+        for count in 0..=9 {
+            let equal = (0..count).map(|_| random_bytes(&mut state, 64)).collect();
+            let mut dominant: Vec<Vec<u8>> = (0..count)
+                .map(|i| random_bytes(&mut state, i * 3))
+                .collect();
+            dominant.insert(count / 2, random_bytes(&mut state, 5000));
+            let empties = (0..count)
+                .map(|i| random_bytes(&mut state, if i % 2 == 0 { 0 } else { 100 + i }))
+                .collect();
+            cases.extend([equal, dominant, empties, vec![Vec::new(); count]]);
+        }
+        for case in &cases {
+            let slices: Vec<&[u8]> = case.iter().map(Vec::as_slice).collect();
+            let one_shot: Vec<u64> = slices.iter().map(|s| fnv1a(s)).collect();
+            let lens: Vec<usize> = slices.iter().map(|s| s.len()).collect();
+            assert_eq!(fnv1a_many(&slices), one_shot, "slice lengths {lens:?}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::artifact::{ByteReader, ByteWriter};
+use crate::artifact::{fnv1a_many, ByteReader, ByteWriter};
 use crate::error::{ResultExt, ThorError, ThorResult};
 use crate::section::{MapMode, SectionEntry, SectionFile, SectionWriter};
 use crate::view::{FrozenPool, FrozenSlice, Pod};
@@ -283,9 +283,20 @@ impl SectionChain {
     /// Verify every file, skipping sections named in `lazy` in each —
     /// the mapped-load policy. `delta.meta` sections were already
     /// verified during [`open`](Self::open).
+    ///
+    /// The checked sections of all files are hashed in one
+    /// [`fnv1a_many`] call, then compared file by file, base first, in
+    /// the order a file-at-a-time walk would, so the first error is the
+    /// same.
     pub fn verify_except(&self, lazy: &[&str]) -> ThorResult<()> {
+        let payloads: Vec<&[u8]> = self
+            .files
+            .iter()
+            .flat_map(|f| f.checked_payloads(lazy))
+            .collect();
+        let mut sums = fnv1a_many(&payloads).into_iter();
         for (f, p) in self.files.iter().zip(&self.paths) {
-            f.verify_except(lazy)
+            f.verify_sums(lazy, &mut sums)
                 .ctx(|| format!("engine artifact {}", p.display()))?;
         }
         Ok(())

@@ -54,7 +54,9 @@ pub mod section;
 pub mod validate;
 pub mod view;
 
-pub use artifact::{fnv1a, read_artifact, write_artifact, ByteReader, ByteWriter, Fnv1a};
+pub use artifact::{
+    fnv1a, fnv1a_many, read_artifact, write_artifact, ByteReader, ByteWriter, Fnv1a,
+};
 pub use atomic_io::{atomic_write, read_bytes, read_to_string};
 pub use cancel::CancelToken;
 pub use chain::{DeltaMeta, SectionChain, DELTA_META_SECTION, DELTA_META_VERSION, MAX_CHAIN_DEPTH};

@@ -36,6 +36,10 @@
 //! * [`SectionFile::verify_all`] checksums everything plus the
 //!   inter-section zero padding — the owned load policy and what
 //!   `thor inspect --engine` runs.
+//!
+//! Both hash their sections with [`fnv1a_many`], four FNV-1a chains at
+//! a time; the values, and the first mismatch reported, are those of a
+//! section-at-a-time walk.
 
 // `u64::is_multiple_of` would read better but lands in 1.87; the
 // workspace MSRV is 1.82.
@@ -45,7 +49,7 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::artifact::{fnv1a, ByteReader, ByteWriter};
+use crate::artifact::{fnv1a, fnv1a_many, ByteReader, ByteWriter};
 use crate::error::{ResultExt, ThorError, ThorResult};
 use crate::mmap::MappedBuf;
 use crate::view::{FrozenPool, FrozenSlice, Pod};
@@ -126,14 +130,23 @@ impl SectionWriter {
             len: payload.len() as u64,
             align: SECTION_ALIGN as u32,
             version,
-            checksum: fnv1a(payload),
+            // Filled in by `finish`, all sections in one pass.
+            checksum: 0,
         });
         self.buf.extend_from_slice(payload);
     }
 
-    /// Write the directory and header; returns the finished artifact
-    /// bytes.
+    /// Checksum every section, then write the directory and header;
+    /// returns the finished artifact bytes.
     pub fn finish(mut self) -> Vec<u8> {
+        let payloads: Vec<&[u8]> = self
+            .entries
+            .iter()
+            .map(|e| &self.buf[e.offset as usize..(e.offset + e.len) as usize])
+            .collect();
+        for (e, sum) in self.entries.iter_mut().zip(fnv1a_many(&payloads)) {
+            e.checksum = sum;
+        }
         while self.buf.len() % SECTION_ALIGN != 0 {
             self.buf.push(0);
         }
@@ -343,8 +356,11 @@ impl SectionFile {
 
     /// A section's raw payload bytes.
     pub fn bytes(&self, name: &str) -> ThorResult<&[u8]> {
-        let e = self.require(name)?;
-        Ok(&self.buf.as_slice()[e.offset as usize..(e.offset + e.len) as usize])
+        Ok(self.payload(self.require(name)?))
+    }
+
+    fn payload(&self, e: &SectionEntry) -> &[u8] {
+        &self.buf.as_slice()[e.offset as usize..(e.offset + e.len) as usize]
     }
 
     /// A zero-copy typed view of a section. The payload length must
@@ -383,15 +399,7 @@ impl SectionFile {
 
     /// Recompute and compare one section's checksum.
     pub fn verify_section(&self, name: &str) -> ThorResult<()> {
-        let computed = fnv1a(self.bytes(name)?);
-        let e = self.require(name)?;
-        if computed != e.checksum {
-            return Err(ThorError::validation(format!(
-                "section `{name}` checksum mismatch (stored {:#018x}, computed {computed:#018x})",
-                e.checksum
-            )));
-        }
-        Ok(())
+        check_sum(self.require(name)?, fnv1a(self.bytes(name)?))
     }
 
     /// Verify that every inter-section padding byte is zero (a flipped
@@ -427,15 +435,53 @@ impl SectionFile {
     /// loads pass their O(vocabulary) section names here so cold-start
     /// cost stays independent of artifact size.
     pub fn verify_except(&self, lazy: &[&str]) -> ThorResult<()> {
+        let sums = fnv1a_many(&self.checked_payloads(lazy).collect::<Vec<_>>());
+        self.verify_sums(lazy, &mut sums.into_iter())
+    }
+
+    /// The sections [`verify_except`](Self::verify_except) checksums,
+    /// in directory order.
+    fn checked<'a>(&'a self, lazy: &'a [&str]) -> impl Iterator<Item = &'a SectionEntry> + 'a {
+        self.entries
+            .iter()
+            .filter(move |e| !lazy.contains(&e.name.as_str()))
+    }
+
+    /// The payloads of [`checked`](Self::checked), in the same order.
+    pub(crate) fn checked_payloads<'a>(
+        &'a self,
+        lazy: &'a [&str],
+    ) -> impl Iterator<Item = &'a [u8]> + 'a {
+        self.checked(lazy).map(|e| self.payload(e))
+    }
+
+    /// The padding check, then each checked section against the next of
+    /// `sums` (its computed checksum), in directory order: the first
+    /// mismatch is the error, as if each were hashed in turn.
+    pub(crate) fn verify_sums(
+        &self,
+        lazy: &[&str],
+        sums: &mut impl Iterator<Item = u64>,
+    ) -> ThorResult<()> {
         self.verify_padding()?;
-        for e in &self.entries {
-            if lazy.contains(&e.name.as_str()) {
-                continue;
-            }
-            self.verify_section(&e.name)?;
+        for e in self.checked(lazy) {
+            check_sum(
+                e,
+                sums.next().expect("one computed sum per checked section"),
+            )?;
         }
         Ok(())
     }
+}
+
+fn check_sum(e: &SectionEntry, computed: u64) -> ThorResult<()> {
+    if computed != e.checksum {
+        return Err(ThorError::validation(format!(
+            "section `{}` checksum mismatch (stored {:#018x}, computed {computed:#018x})",
+            e.name, e.checksum
+        )));
+    }
+    Ok(())
 }
 
 fn read_u32(d: &[u8], at: usize) -> u32 {
@@ -481,6 +527,75 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("missing section"));
+    }
+
+    /// The writer as it was before checksums moved into `finish`: each
+    /// section is hashed on its own as it is added.
+    fn one_at_a_time_writer(sections: &[(String, u32, Vec<u8>)]) -> Vec<u8> {
+        let mut buf = vec![0u8; HEADER_LEN];
+        let mut dir = ByteWriter::new();
+        for (name, version, payload) in sections {
+            while buf.len() % SECTION_ALIGN != 0 {
+                buf.push(0);
+            }
+            dir.put_str(name);
+            dir.put_u64(buf.len() as u64);
+            dir.put_u64(payload.len() as u64);
+            dir.put_u32(SECTION_ALIGN as u32);
+            dir.put_u32(*version);
+            dir.put_u64(fnv1a(payload));
+            buf.extend_from_slice(payload);
+        }
+        while buf.len() % SECTION_ALIGN != 0 {
+            buf.push(0);
+        }
+        let dir = dir.into_bytes();
+        let dir_offset = buf.len() as u64;
+        buf.extend_from_slice(&dir);
+        let total_len = buf.len() as u64;
+        buf[0..8].copy_from_slice(SECTION_MAGIC);
+        buf[8..12].copy_from_slice(&CONTAINER_VERSION.to_le_bytes());
+        buf[12..16].copy_from_slice(&(sections.len() as u32).to_le_bytes());
+        buf[16..24].copy_from_slice(&dir_offset.to_le_bytes());
+        buf[24..32].copy_from_slice(&(dir.len() as u64).to_le_bytes());
+        buf[32..40].copy_from_slice(&fnv1a(&dir).to_le_bytes());
+        buf[40..48].copy_from_slice(&total_len.to_le_bytes());
+        let header_checksum = fnv1a(&buf[..48]);
+        buf[48..56].copy_from_slice(&header_checksum.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn finish_writes_the_bytes_of_a_writer_that_checksums_in_add() {
+        let mut state = 11u64;
+        for count in 0..12usize {
+            for round in 0..8 {
+                let sections: Vec<(String, u32, Vec<u8>)> = (0..count)
+                    .map(|i| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        let len = match round {
+                            0 => 0,
+                            1 => 64,
+                            2 if i == 0 => 4096,
+                            _ => (state >> 33) as usize % 700,
+                        };
+                        let payload = (0..len).map(|j| (state >> (j % 56)) as u8).collect();
+                        (format!("s{i}"), (i % 3) as u32, payload)
+                    })
+                    .collect();
+                let mut w = SectionWriter::new();
+                for (name, version, payload) in &sections {
+                    w.add(name, *version, payload);
+                }
+                let lens: Vec<usize> = sections.iter().map(|s| s.2.len()).collect();
+                assert!(
+                    w.finish() == one_at_a_time_writer(&sections),
+                    "section lengths {lens:?}"
+                );
+            }
+        }
     }
 
     #[test]

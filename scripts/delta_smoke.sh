@@ -8,7 +8,9 @@
 #      chain — mapped and owned — is byte-identical to a fresh `thor
 #      build` of the evolved table;
 #   2. `thor inspect` recognizes the chain: depth 2, the base build's
-#      fingerprint, every checksum verified;
+#      fingerprint, every checksum verified; a byte flipped in d1's
+#      idx.data (shadowed by d2's) fails a mapped load of the chain by
+#      file and section name;
 #   3. a running `thor serve` hot-swaps the chain on SIGHUP, reports
 #      its depth in /healthz, and serves the fresh build's exact bytes;
 #   4. `thor compact` folds the chain into the very bytes the fresh
@@ -95,6 +97,31 @@ grep -q "$BASE_FP" "$WORK/inspect.txt" || fail "inspect did not name the base fi
 grep -q "smoke delta 2" "$WORK/inspect.txt" || fail "inspect did not echo the delta note"
 grep -q "checksums verified" "$WORK/inspect.txt" || fail "inspect did not verify the chain"
 echo "   chain printed and verified"
+
+echo "-- a flipped byte in a shadowed section fails the mapped chain load by name"
+# d2 patches idx.data again, so d1's copy is shadowed; a mapped load of
+# the chain still checksums it.
+OFF="$("$THOR" inspect --engine "$WORK/d1.eng" \
+    | awk '/^\[delta 1\]/{d=1} d && $1=="idx.data"{print $2; exit}')"
+[[ -n "$OFF" ]] || fail "inspect listed no idx.data section in d1.eng"
+"$THOR" inspect --engine "$WORK/d2.eng" | awk '/^\[delta 2\]/{d=1} d && $1=="idx.data"{f=1} END{exit !f}' \
+    || fail "d2.eng does not shadow d1's idx.data"
+cp "$WORK/d1.eng" "$WORK/d1.good"
+flip_byte() { # args: file offset
+    local byte
+    byte="$(dd if="$1" bs=1 skip="$2" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')"
+    printf "$(printf '\\%03o' $((byte ^ 0x5a)))" | dd of="$1" bs=1 seek="$2" conv=notrunc 2>/dev/null
+}
+flip_byte "$WORK/d1.eng" "$OFF"
+if "$THOR" enrich --engine "$WORK/d2.eng" --engine-mmap on --out "$WORK/flipped.csv" \
+    "${DOCS[@]}" 2>"$WORK/flipped.err"; then
+    fail "mapped chain load accepted a flipped idx.data byte in d1.eng"
+fi
+grep -q "d1.eng" "$WORK/flipped.err" || fail "error does not name d1.eng: $(cat "$WORK/flipped.err")"
+grep -q "idx.data" "$WORK/flipped.err" || fail "error does not name idx.data: $(cat "$WORK/flipped.err")"
+flip_byte "$WORK/d1.eng" "$OFF"
+cmp "$WORK/d1.eng" "$WORK/d1.good" || fail "the flipped byte was not restored"
+echo "   rejected: $(head -1 "$WORK/flipped.err")"
 
 # The documents as a JSON request body (id = file stem, like the CLI).
 json_escape_file() {

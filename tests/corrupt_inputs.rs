@@ -371,3 +371,89 @@ fn non_finite_vectors_fail_the_cli_by_name() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A table whose header names one concept twice (names compare
+/// case-insensitively), or whose subject is only punctuation (an empty
+/// row key), fails `thor sparsity`, `thor build` and `thor delta
+/// --add-seeds` by name — exit 1, never a panic (101) — and writes
+/// nothing.
+#[test]
+fn malformed_tables_fail_the_cli_by_name() {
+    let dir = std::env::temp_dir().join(format!("thor-corrupt-table-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let table = dir.join("table.csv");
+    std::fs::write(&table, "Disease,Anatomy\nTuberculosis,lungs\n").unwrap();
+    let mut store = VectorStore::new(3);
+    for (i, w) in ["brain", "lungs", "nose"].into_iter().enumerate() {
+        store.insert(w, thor_repro::embed::Vector(vec![0.5, 1.0, i as f32]));
+    }
+    let vectors = dir.join("vectors.txt");
+    std::fs::write(&vectors, store.to_text()).unwrap();
+    let base = dir.join("base.thor");
+    let built = std::process::Command::new(env!("CARGO_BIN_EXE_thor"))
+        .args(["build", "--table", table.to_str().unwrap()])
+        .args(["--vectors", vectors.to_str().unwrap()])
+        .args(["--engine", base.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(built.status.success(), "{built:?}");
+
+    let engine = dir.join("e.thor");
+    let cases = [
+        (
+            "dup.csv",
+            "Disease,Anatomy,anatomy\nflu,lungs,nose\n",
+            ["header columns 2 and 3", "`anatomy`"],
+        ),
+        (
+            "dots.csv",
+            "Disease,Anatomy\nflu,lungs\n...,nose\n",
+            ["record 3", "empty subject"],
+        ),
+    ];
+    for (name, text, needles) in cases {
+        let bad = dir.join(name);
+        std::fs::write(&bad, text).unwrap();
+        let bad = bad.to_str().unwrap();
+        let runs = [
+            vec!["sparsity", bad],
+            vec![
+                "build",
+                "--table",
+                bad,
+                "--vectors",
+                vectors.to_str().unwrap(),
+                "--engine",
+                engine.to_str().unwrap(),
+            ],
+            vec![
+                "delta",
+                "--engine",
+                base.to_str().unwrap(),
+                "--add-seeds",
+                bad,
+                "--out",
+                engine.to_str().unwrap(),
+            ],
+        ];
+        for args in runs {
+            let run = std::process::Command::new(env!("CARGO_BIN_EXE_thor"))
+                .args(&args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            let what = format!("`thor {}` on {name}", args[0]);
+            assert_eq!(run.status.code(), Some(1), "{what}: {stderr}");
+            let prefix = format!("error: {bad}");
+            for needle in std::iter::once(prefix.as_str()).chain(needles) {
+                assert!(
+                    stderr.contains(needle),
+                    "{what}: stderr lacks {needle:?}: {stderr}"
+                );
+            }
+            assert!(run.stdout.is_empty(), "{what} wrote to stdout");
+            assert!(!engine.exists(), "{what} wrote an engine");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -16,12 +16,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use thor_repro::core::{
-    ConceptDelta, Document, EngineDelta, MapMode, PreparedEngine, SeedDelta, Thor, ThorConfig,
+    compact_chain, ConceptDelta, Document, EngineDelta, MapMode, PreparedEngine, SeedDelta, Thor,
+    ThorConfig, ENGINE_LAZY_SECTIONS,
 };
 use thor_repro::data::{Schema, Table};
 use thor_repro::embed::{SemanticSpaceBuilder, VectorStore};
 use thor_repro::fault::{
-    atomic_write, DeltaMeta, SectionFile, SectionWriter, DELTA_META_SECTION, DELTA_META_VERSION,
+    atomic_write, DeltaMeta, ResultExt, SectionChain, SectionFile, SectionWriter, ThorResult,
+    DELTA_META_SECTION, DELTA_META_VERSION,
 };
 
 const SUBJECTS: [&str; 5] = ["Tuberculosis", "Acne", "Stroke", "Neuroma", "Asthma"];
@@ -344,4 +346,114 @@ fn stale_fingerprint_link_is_rejected_by_name() {
     assert!(msg.contains(engine.fingerprint()), "{msg}");
     std::fs::remove_file(&base).ok();
     std::fs::remove_file(&delta).ok();
+}
+
+/// The chain verifier as it was before checksums were pooled: file by
+/// file, base first, the padding and then each section hashed on its
+/// own, in directory order.
+fn verify_one_at_a_time(chain: &SectionChain, lazy: &[&str]) -> ThorResult<()> {
+    for (file, path) in chain.files().iter().zip(chain.paths()) {
+        let verify = || -> ThorResult<()> {
+            file.verify_padding()?;
+            for e in file.entries() {
+                if !lazy.contains(&e.name.as_str()) {
+                    file.verify_section(&e.name)?;
+                }
+            }
+            Ok(())
+        };
+        verify().ctx(|| format!("engine artifact {}", path.display()))?;
+    }
+    Ok(())
+}
+
+/// The oracle's verdict on the chain under `top`: the open (which
+/// checks each `delta.meta`), then the one-at-a-time walk.
+fn oracle(top: &std::path::Path, lazy: &[&str]) -> String {
+    SectionChain::open(top, MapMode::Owned)
+        .and_then(|chain| verify_one_at_a_time(&chain, lazy))
+        .expect_err("the oracle accepted a flipped section")
+        .to_string()
+}
+
+/// One byte flipped in each section of each file of a depth-3 chain —
+/// sections a later delta shadows and the base's `idx.data` included —
+/// fails every path that verifies it, with the message the
+/// one-at-a-time verifier gives. Sections a mapped load skips
+/// (`ENGINE_LAZY_SECTIONS`) still fail the owned load and compaction.
+#[test]
+fn a_flip_in_any_checked_section_of_a_chain_fails_every_verifying_path() {
+    let thor = Thor::new(store(), ThorConfig::with_tau(0.6));
+    let dir = scratch_dir();
+    let case = case_id();
+    let mut engine = thor.prepare(&base_table());
+    let mut paths = vec![dir.join(format!("flip-base-{case}.eng"))];
+    engine.save(&paths[0]).unwrap();
+    let mut added = Vec::new();
+    for (i, (kind, sub, word)) in [(1, 2, 3), (0, 0, 0), (1, 3, 6)].into_iter().enumerate() {
+        let (delta, _) = interpret_op(kind, sub, word, &mut added);
+        engine = engine.apply_delta(&delta).unwrap();
+        let next = dir.join(format!("flip-d{}-{case}.eng", i + 1));
+        engine
+            .save_delta(paths.last().unwrap(), &next, "flip")
+            .unwrap();
+        paths.push(next);
+    }
+    let top = paths.last().unwrap().clone();
+    assert_eq!(PreparedEngine::load(&top).unwrap().chain_depth(), 3);
+    let out = dir.join(format!("flip-out-{case}.eng"));
+
+    let files: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    let mut flipped = Vec::new();
+    for (fi, good) in files.iter().enumerate() {
+        let entries = SectionFile::from_bytes(good.clone())
+            .unwrap()
+            .entries()
+            .to_vec();
+        for e in entries.iter().filter(|e| e.len > 0) {
+            let mut bad = good.clone();
+            bad[(e.offset + e.len / 2) as usize] ^= 0x5a;
+            std::fs::write(&paths[fi], &bad).unwrap();
+            let what = format!("`{}` of {}", e.name, paths[fi].display());
+            let lazy = ENGINE_LAZY_SECTIONS.contains(&e.name.as_str());
+
+            let owned = oracle(&top, &[]);
+            let err = PreparedEngine::load_with(&top, MapMode::Owned).unwrap_err();
+            assert_eq!(err.to_string(), owned, "owned load, {what}");
+            let err = compact_chain(&top, &out, None).unwrap_err();
+            assert_eq!(err.to_string(), owned, "compaction, {what}");
+            if !lazy {
+                let mapped = oracle(&top, ENGINE_LAZY_SECTIONS);
+                let err = PreparedEngine::load_with(&top, MapMode::Mapped).unwrap_err();
+                assert_eq!(err.to_string(), mapped, "mapped load, {what}");
+                let err = engine.save_delta(&top, &out, "flip").unwrap_err();
+                assert_eq!(err.to_string(), mapped, "save_delta, {what}");
+            }
+            assert!(!out.exists(), "a failed path wrote {}", out.display());
+            let shadowed = files[fi + 1..].iter().any(|later| {
+                SectionFile::from_bytes(later.clone())
+                    .unwrap()
+                    .entry(&e.name)
+                    .is_some()
+            });
+            flipped.push((fi, e.name.clone(), lazy, shadowed));
+            std::fs::write(&paths[fi], good).unwrap();
+        }
+    }
+    // The sweep reached what it is meant to: every file, the base's
+    // `idx.data`, shadowed sections and lazy ones.
+    for fi in 0..files.len() {
+        assert!(flipped.iter().any(|f| f.0 == fi), "file {fi} never flipped");
+    }
+    assert!(flipped.iter().any(|f| f.0 == 0 && f.1 == "idx.data" && f.3));
+    assert!(flipped.iter().any(|f| f.3 && !f.2 && f.0 > 0));
+    assert!(flipped.iter().any(|f| f.2));
+
+    // Restored, the chain verifies on every path again.
+    PreparedEngine::load_with(&top, MapMode::Mapped).unwrap();
+    PreparedEngine::load_with(&top, MapMode::Owned).unwrap();
+    compact_chain(&top, &out, None).unwrap();
+    for p in paths.iter().chain([&out]) {
+        std::fs::remove_file(p).ok();
+    }
 }
