@@ -86,11 +86,8 @@ pub struct ThorConfig {
     /// Candidate-generation pruning strategy. `Exact` (the default)
     /// skips concepts and row blocks whose cosine upper bound cannot
     /// beat the admission threshold — bit-identical to the exhaustive
-    /// scan, an output-neutral execution knob like `threads`.
-    /// `Approx { margin }` additionally pre-screens rows with the
-    /// i8-quantized copy (survivors are exactly rescored); it trades a
-    /// measured sliver of recall for throughput and is the only mode
-    /// that can change output. `Off` forces the exhaustive scan.
+    /// scan, an output-neutral execution knob like `threads`. `Off`
+    /// forces the exhaustive scan.
     /// Excluded from fingerprints and not persisted in engine
     /// artifacts.
     pub prune: thor_match::PruneMode,

@@ -15,7 +15,7 @@
 //! the evolved engine's sections against the parent chain and write
 //! only what changed.
 //!
-//! On disk a delta artifact is an ordinary v2 sectioned container with
+//! On disk a delta artifact is an ordinary sectioned container with
 //! a `delta.meta` parent link (see `thor_fault::chain`); loading one
 //! resolves the whole chain, and [`compact_chain`] rewrites it as the
 //! single artifact a fresh build would have saved — byte-identical.

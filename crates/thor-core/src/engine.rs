@@ -55,12 +55,14 @@ use crate::segment::SubjectIndex;
 /// Magic bytes opening an engine artifact file (shared with the
 /// sectioned container in `thor_fault::section`).
 pub const ENGINE_MAGIC: &[u8; 8] = b"THORENG\0";
-/// On-disk format version of the engine artifact. Version 2 is the
-/// sectioned, mmap-native layout; version-1 (pre-sectioned) files are
-/// rejected by name with a rebuild hint.
-pub const ENGINE_FORMAT_VERSION: u32 = 2;
+/// On-disk format version of the engine artifact: the version of the
+/// sectioned container it is stored in, which the loader checks. v3
+/// carries the mandatory `prune.*` sections and escapes `|` in table
+/// values; v1 (pre-sectioned) and v2 files are rejected by name with a
+/// rebuild hint.
+pub use thor_fault::CONTAINER_VERSION as ENGINE_FORMAT_VERSION;
 
-// Section names of the v2 engine artifact. Hot arrays are stored in
+// Section names of the v3 engine artifact. Hot arrays are stored in
 // their exact in-memory layout (little-endian, 64-byte aligned) so a
 // mapped load borrows them in place.
 pub(crate) const SEC_META: &str = "meta";
@@ -78,19 +80,15 @@ const SEC_IDX_NORMS: &str = "idx.norms";
 const SEC_IDX_REPSUMS: &str = "idx.repsums";
 const SEC_AUTOMATON: &str = "automaton";
 const SEC_SYNTAX: &str = "syntax.seeds";
-// Candidate-pruning acceleration structures (clustered bound pruning +
-// i8-quantized rows). Pure deterministic functions of the VectorIndex,
-// persisted so cold loads skip the k-means pass; artifacts written
-// before these sections existed still load — the structures are rebuilt
-// on the fly.
+// Candidate-pruning structures (clustered bound pruning). Pure
+// deterministic functions of the VectorIndex, persisted so cold loads
+// skip the k-means pass. Every artifact carries all six.
 const SEC_PRUNE_META: &str = "prune.meta";
 const SEC_PRUNE_MEMBERS: &str = "prune.members";
 const SEC_PRUNE_CENTROIDS: &str = "prune.centroids";
 const SEC_PRUNE_RADII: &str = "prune.radii";
 const SEC_PRUNE_CONCEPT_CENTROIDS: &str = "prune.concept_centroids";
 const SEC_PRUNE_CONCEPT_RADII: &str = "prune.concept_radii";
-const SEC_QUANT_ROWS: &str = "quant.rows";
-const SEC_QUANT_SCALES: &str = "quant.scales";
 
 /// The O(vocabulary) sections a mapped load does **not** checksum, so
 /// cold-start stays flat in artifact size. Everything else — header,
@@ -396,14 +394,9 @@ impl PreparedEngine {
     /// (the default) and `Off` are bit-identical to each other —
     /// bound-based skipping only drops scans that provably cannot win —
     /// so like `threads` they are execution knobs: output and
-    /// fingerprint are unchanged. `Approx { margin }` pre-screens rows
-    /// with the i8-quantized copy and may miss candidates whose exact
-    /// similarity exceeds τ by less than the quantization error the
-    /// margin fails to cover; it shares the fingerprint because the
-    /// artifact bytes are mode-independent, but serve output may
-    /// differ. The matcher's phrase cache and the phrase memo are
-    /// restarted so entries admitted under one mode never serve
-    /// another.
+    /// fingerprint are unchanged. The matcher's phrase cache and the
+    /// phrase memo are restarted, so the pruning counters describe this
+    /// mode's scans only.
     pub fn with_prune(&self, prune: PruneMode) -> PreparedEngine {
         self.derive(|e| {
             e.config.prune = prune;
@@ -588,10 +581,9 @@ impl PreparedEngine {
         }
         sections.push((SEC_SYNTAX, 1, w.into_bytes()));
 
-        // Pruning index + quantized rows. Deterministic given the
-        // VectorIndex (fixed k-means seed and iteration count), so a
-        // delta-rebuilt engine serializes the same bytes as a fresh
-        // build of the same state.
+        // Pruning index. Deterministic given the VectorIndex (fixed
+        // k-means seed and iteration count), so a delta-rebuilt engine
+        // serializes the same bytes as a fresh build of the same state.
         let prune = inner.matcher.prune_index();
         sections.push((SEC_PRUNE_META, 1, prune.meta_bytes()));
         sections.push((SEC_PRUNE_MEMBERS, 1, le_bytes_u32(prune.members())));
@@ -607,8 +599,6 @@ impl PreparedEngine {
             1,
             le_bytes_f64(prune.concept_radii()),
         ));
-        sections.push((SEC_QUANT_ROWS, 1, prune.quant_codes().to_vec()));
-        sections.push((SEC_QUANT_SCALES, 1, le_bytes_f32(prune.quant_scales())));
 
         sections
     }
@@ -815,30 +805,20 @@ impl PreparedEngine {
             idx_layout,
         )
         .map_err(|m| invalid(format!("index sections: {m}")))?;
-        // Pruning sections: present in artifacts written at or after
-        // this format revision — validated and borrowed in place.
-        // Absent in older v2 artifacts — `matcher_with_index` rebuilds
-        // the (deterministic) structures from the index instead, so old
-        // artifacts keep loading with pruning fully enabled.
-        let prune = match file.entry(SEC_PRUNE_META) {
-            Some(_) => Some(Arc::new(
-                thor_index::PruneIndex::from_parts(
-                    &index,
-                    file.bytes(SEC_PRUNE_META)?,
-                    file.frozen_slice::<u32>(SEC_PRUNE_MEMBERS)?,
-                    file.frozen_slice::<f32>(SEC_PRUNE_CENTROIDS)?,
-                    file.frozen_slice::<f64>(SEC_PRUNE_RADII)?,
-                    file.frozen_slice::<f32>(SEC_PRUNE_CONCEPT_CENTROIDS)?,
-                    file.frozen_slice::<f64>(SEC_PRUNE_CONCEPT_RADII)?,
-                    file.frozen_slice::<u8>(SEC_QUANT_ROWS)?,
-                    file.frozen_slice::<f32>(SEC_QUANT_SCALES)?,
-                )
-                .map_err(|m| invalid(format!("prune sections: {m}")))?,
-            )),
-            None => None,
-        };
+        // Pruning sections: validated against the index and borrowed in
+        // place.
+        let prune = thor_index::PruneIndex::from_parts(
+            &index,
+            file.bytes(SEC_PRUNE_META)?,
+            file.frozen_slice::<u32>(SEC_PRUNE_MEMBERS)?,
+            file.frozen_slice::<f32>(SEC_PRUNE_CENTROIDS)?,
+            file.frozen_slice::<f64>(SEC_PRUNE_RADII)?,
+            file.frozen_slice::<f32>(SEC_PRUNE_CONCEPT_CENTROIDS)?,
+            file.frozen_slice::<f64>(SEC_PRUNE_CONCEPT_RADII)?,
+        )
+        .map_err(|m| invalid(format!("prune sections: {m}")))?;
         let matcher = prep
-            .matcher_with_index(config.matcher_config(), index, prune)
+            .matcher_with_index(config.matcher_config(), index, Some(Arc::new(prune)))
             .map_err(|m| invalid(format!("index sections: {m}")))?;
 
         // Dictionary automaton.
@@ -1163,6 +1143,31 @@ mod tests {
         let b = loaded.enrich(&docs);
         assert_eq!(a.entities, b.entities);
         assert_eq!(thor_data::to_csv(&a.table), thor_data::to_csv(&b.table));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn separator_values_survive_save_and_load() {
+        let (thor, mut table, _) = setup();
+        table.fill_slot("Tuberculosis", "Anatomy", "lungs|brain");
+        table.fill_slot("Acne", "Anatomy", "skin\\|nerve\\");
+        let engine = thor.prepare(&table);
+        let dir = std::env::temp_dir().join(format!("thor-engine-sep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("engine.thor");
+        engine.save(&path).unwrap();
+        for mode in [MapMode::Owned, MapMode::Mapped] {
+            let loaded = PreparedEngine::load_with(&path, mode).unwrap();
+            assert_eq!(
+                thor_data::to_csv(loaded.table()),
+                thor_data::to_csv(engine.table()),
+                "{mode:?}"
+            );
+            assert_eq!(loaded.fingerprint(), engine.fingerprint(), "{mode:?}");
+            let values = loaded.table().column_values("Anatomy");
+            assert!(values.iter().any(|v| v == "lungs|brain"), "{values:?}");
+            assert!(values.iter().any(|v| v == "skin\\|nerve\\"), "{values:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -172,8 +172,8 @@ impl SpanTally {
 /// that a resumed run will process again: a strict-mode failure, a
 /// cancelled document, or another worker's document still in flight.
 /// The matcher's counts (`subphrases`, `candidates`, `cache.*`,
-/// `index.pruned.*`, `index.rescored`) are tallied here too: the
-/// matcher returns them and records nothing itself.
+/// `index.pruned.*`) are tallied here too: the matcher returns them and
+/// records nothing itself.
 #[derive(Debug, Default)]
 pub(crate) struct DocTally {
     pub(crate) segments: u64,
@@ -217,7 +217,6 @@ impl DocTally {
         run.pruned_concepts.add(self.prune.concepts);
         run.pruned_clusters.add(self.prune.clusters);
         run.pruned_rows.add(self.prune.rows);
-        run.rescored_rows.add(self.prune.rescored);
         self.segment.commit(&run.segment);
         self.chunk.commit(&run.chunk);
         self.match_phrase.commit(&run.match_phrase);

@@ -368,10 +368,9 @@ fn resumed_metrics_span_the_whole_logical_run() {
         // was not counted before the checkpoint was saved. The
         // matcher's `subphrases` and `candidates` are tallied per
         // document like the core's own counters. Its `cache.*` and
-        // `index.pruned.*` / `index.rescored` counters are left out on
-        // purpose: they count work actually done, and the resumed
-        // engine starts with a cold cache, so they may legitimately
-        // differ.
+        // `index.pruned.*` counters are left out on purpose: they count
+        // work actually done, and the resumed engine starts with a cold
+        // cache, so they may legitimately differ.
         let resumed = metrics.snapshot();
         assert_eq!(resumed.count("docs") as usize, docs.len());
         for name in [

@@ -203,18 +203,3 @@ fn with_threads_shares_the_memo_and_other_derivations_start_empty() {
     // Deriving never touched the source's memo.
     assert_eq!(base.phrase_memo().stats().len, warm.len);
 }
-
-#[test]
-fn approx_engine_from_a_warm_exact_one_matches_a_cold_approx_engine() {
-    let approx = PruneMode::Approx { margin: 0.0 };
-    let exact = engine(config(4096, 1), None);
-    outputs(&exact);
-    assert!(exact.phrase_memo().stats().len > 0);
-    let derived = exact.with_prune(approx);
-
-    let mut cold_config = config(4096, 1);
-    cold_config.prune = approx;
-    let cold = engine(cold_config, None);
-    assert_eq!(extract(&derived), extract(&cold));
-    assert_eq!(outputs(&derived), outputs(&cold));
-}

@@ -2,9 +2,12 @@
 //!
 //! Artifacts (generated tables, enriched outputs) are written as RFC-4180
 //! CSV: the header row is the schema, each body row is one subject, and
-//! multi-valued cells join their values with `|`. A labeled null ⊥ is an
-//! empty field. A field holding a comma, quote, `\n` or `\r` is quoted,
-//! and the parser reads such quoted fields back verbatim.
+//! multi-valued cells join their values with `|`. A `|` or `\` inside a
+//! value is written `\|` or `\\`, so every value reads back whole; a
+//! table whose values hold neither renders as plain joined values. A
+//! labeled null ⊥ is an empty field. A field holding a comma, quote,
+//! `\n` or `\r` is quoted, and the parser reads such quoted fields back
+//! verbatim.
 
 use std::borrow::Cow;
 
@@ -16,8 +19,14 @@ use crate::table::Table;
 /// Multi-value separator inside one CSV field.
 pub const VALUE_SEPARATOR: char = '|';
 
+/// Escape inside a value: it precedes a [`VALUE_SEPARATOR`] or a
+/// `VALUE_ESCAPE` that belongs to the value. Before any other character
+/// it is read as itself.
+pub const VALUE_ESCAPE: char = '\\';
+
 /// Render one CSV record, newline-terminated. Each field is a list of
-/// values joined with [`VALUE_SEPARATOR`]; a field holding a comma,
+/// values joined with [`VALUE_SEPARATOR`], each separator or escape
+/// inside a value preceded by [`VALUE_ESCAPE`]; a field holding a comma,
 /// quote, `\n` or `\r` is quoted, with its quotes doubled.
 pub(crate) fn render_row<'a, V>(fields: impl Iterator<Item = V>) -> String
 where
@@ -36,10 +45,17 @@ where
             if j > 0 {
                 line.push(VALUE_SEPARATOR);
             }
-            if quoted {
-                line.push_str(&value.replace('"', "\"\""));
-            } else {
+            if !value.contains([VALUE_SEPARATOR, VALUE_ESCAPE, '"']) {
                 line.push_str(value);
+                continue;
+            }
+            for c in value.chars() {
+                match c {
+                    VALUE_SEPARATOR | VALUE_ESCAPE => line.push(VALUE_ESCAPE),
+                    '"' if quoted => line.push('"'),
+                    _ => {}
+                }
+                line.push(c);
             }
         }
         if quoted {
@@ -225,6 +241,48 @@ fn parse_records(text: &str) -> Result<Vec<Vec<Cow<'_, str>>>, CsvError> {
     Ok(records)
 }
 
+/// One value with its escapes resolved: `\|` and `\\` stand for the
+/// second character, any other `\` for itself. A value without an
+/// escape is borrowed.
+fn unescape(value: &str) -> Cow<'_, str> {
+    if !value.contains(VALUE_ESCAPE) {
+        return Cow::Borrowed(value);
+    }
+    let mut out = String::with_capacity(value.len());
+    let mut chars = value.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c == VALUE_ESCAPE {
+            if let Some(&next @ (VALUE_SEPARATOR | VALUE_ESCAPE)) = chars.peek() {
+                chars.next();
+                out.push(next);
+                continue;
+            }
+        }
+        out.push(c);
+    }
+    Cow::Owned(out)
+}
+
+/// The values of one multi-valued field: split at each
+/// [`VALUE_SEPARATOR`] that no [`VALUE_ESCAPE`] precedes, escapes
+/// resolved.
+fn split_values(field: &str) -> impl Iterator<Item = Cow<'_, str>> {
+    let mut rest = Some(field);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        // Both marks are ASCII, so no byte of a multi-byte character
+        // matches either.
+        let mut escaped = false;
+        let end = text.bytes().position(|b| {
+            let separator = b == VALUE_SEPARATOR as u8 && !escaped;
+            escaped = b == VALUE_ESCAPE as u8 && !escaped;
+            separator
+        });
+        rest = end.map(|end| &text[end + 1..]);
+        Some(unescape(&text[..end.unwrap_or(text.len())]))
+    })
+}
+
 /// Validate one body record against the header and insert it into the
 /// table. Shared by the strict and lenient parsers.
 fn insert_record(table: &mut Table, record: &[Cow<'_, str>], line: usize) -> Result<(), CsvError> {
@@ -236,7 +294,8 @@ fn insert_record(table: &mut Table, record: &[Cow<'_, str>], line: usize) -> Res
             got: record.len(),
         });
     }
-    let subject_value = record[0].trim();
+    let subject = unescape(&record[0]);
+    let subject_value = subject.trim();
     if normalize_phrase(subject_value).is_empty() {
         return Err(CsvError::EmptySubject { line });
     }
@@ -244,7 +303,7 @@ fn insert_record(table: &mut Table, record: &[Cow<'_, str>], line: usize) -> Res
     // Header column `ci` is schema concept `ci`: `parse_header` keeps
     // the column order and rejects names that would alias.
     for (ci, field) in record.iter().enumerate().skip(1) {
-        for value in field.split(VALUE_SEPARATOR) {
+        for value in split_values(field) {
             let v = value.trim();
             if !v.is_empty() {
                 table.fill_slot_at(row, ci, v);
@@ -263,6 +322,7 @@ fn parse_header<'a>(
     if names.iter().all(|n| n.is_empty()) {
         return Err(CsvError::MissingHeader);
     }
+    let names: Vec<Cow<'_, str>> = names.iter().map(|n| unescape(n)).collect();
     let concepts: Vec<Concept> = names.iter().map(|n| Concept::new(n.as_ref())).collect();
     for (second, c) in concepts.iter().enumerate() {
         if let Some(first) = concepts[..second].iter().position(|p| p == c) {
@@ -448,6 +508,40 @@ mod tests {
         let csv = to_csv(&t);
         assert_eq!(csv, "S,A\nx,\"a\rb\"\n");
         assert_eq!(to_csv(&from_csv(&csv).unwrap()), csv);
+    }
+
+    #[test]
+    fn separator_and_escape_in_values_round_trip() {
+        let mut t = Table::new(Schema::new(["S|x", "A\\"], "S|x"));
+        for value in ["foo|bar", "a\\", "\\|x", "c:\\dir", "\"q|\"", "plain"] {
+            t.fill_slot("s|1\\", "A\\", value);
+        }
+        let csv = to_csv(&t);
+        assert_eq!(
+            csv,
+            concat!(
+                r#"S\|x,A\\"#,
+                "\n",
+                r#"s\|1\\,"""q\|""|\\\|x|a\\|c:\\dir|foo\|bar|plain""#,
+                "\n"
+            )
+        );
+        let back = from_csv(&csv).unwrap();
+        assert_eq!(to_csv(&back), csv);
+        assert_eq!(back.schema().concepts()[0].name(), "S|x");
+        let cell = |ci: usize| back.rows()[0].cell(ci).values().collect::<Vec<_>>();
+        assert_eq!(cell(0), ["s|1\\"]);
+        assert_eq!(
+            cell(1),
+            ["\"q|\"", "\\|x", "a\\", "c:\\dir", "foo|bar", "plain"]
+        );
+    }
+
+    #[test]
+    fn unescaped_separators_split_and_a_lone_escape_is_literal() {
+        let t = from_csv(concat!("S,A\n", r"x,a|b\c|\|d\\|e\", "\n")).unwrap();
+        let values: Vec<&str> = t.rows()[0].cell(1).values().collect();
+        assert_eq!(values, ["a", "b\\c", "e\\", "|d\\"]);
     }
 
     #[test]

@@ -18,17 +18,17 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use thor_data::csv::{from_csv, to_csv, VALUE_SEPARATOR};
+use thor_data::csv::{from_csv, to_csv, VALUE_ESCAPE, VALUE_SEPARATOR};
 use thor_data::{Schema, Table};
 
 const CONCEPTS: &[&str] = &["Disease", "Anatomy", "Complication"];
 
-/// The awkward lowercasing pieces of `properties.rs`, plus every byte
-/// CSV must quote. The multi-value separator is left out: a value
-/// holding it does not survive a round trip.
+/// The awkward lowercasing pieces of `properties.rs`, every byte CSV
+/// must quote, and the multi-value separator and its escape, which a
+/// value escapes.
 const PIECES: &[&str] = &[
     "a", "A", "k", "K", "i", "ss", "SS", " ", "\t", ".", ",", "-", "ΟΔΟΣ", "οδος", "İ", "i\u{307}",
-    "ß", "\u{212A}", "\"", "\n", "\r", "\r\n", "x\"y",
+    "ß", "\u{212A}", "\"", "\n", "\r", "\r\n", "x\"y", "|", "\\",
 ];
 
 fn pieces(idx: &[usize]) -> String {
@@ -38,6 +38,19 @@ fn pieces(idx: &[usize]) -> String {
 /// Subjects get a fixed prefix so no key normalizes to empty.
 fn subject(idx: &[usize]) -> String {
     format!("s{}", pieces(idx))
+}
+
+/// One value as a multi-valued field holds it: each separator or escape
+/// preceded by the escape.
+fn escape_value(value: &str) -> String {
+    let mut out = String::new();
+    for c in value.chars() {
+        if c == VALUE_SEPARATOR || c == VALUE_ESCAPE {
+            out.push(VALUE_ESCAPE);
+        }
+        out.push(c);
+    }
+    out
 }
 
 /// The allocating renderer `to_csv` replaced, with `\r` quoted.
@@ -55,7 +68,7 @@ fn reference_csv(table: &Table) -> String {
         .schema()
         .concepts()
         .iter()
-        .map(|c| escape(c.name()))
+        .map(|c| escape(&escape_value(c.name())))
         .collect();
     out.push_str(&header.join(","));
     out.push('\n');
@@ -64,7 +77,7 @@ fn reference_csv(table: &Table) -> String {
             .cells()
             .iter()
             .map(|cell| {
-                let joined: Vec<&str> = cell.values().collect();
+                let joined: Vec<String> = cell.values().map(escape_value).collect();
                 escape(&joined.join(&VALUE_SEPARATOR.to_string()))
             })
             .collect();

@@ -1,4 +1,4 @@
-//! Delta chains over the v2 sectioned container.
+//! Delta chains over the sectioned container.
 //!
 //! A **delta artifact** is an ordinary [`SectionFile`] that carries a
 //! [`DELTA_META_SECTION`] naming its parent artifact (path, directory

@@ -22,7 +22,7 @@
 //!   format version + FNV-1a checksum header) used by persistable
 //!   engine bundles; rejects corrupt/truncated/mismatched files before
 //!   any payload parsing runs.
-//! - [`section`] — the v2 sectioned artifact container: 64-byte-aligned
+//! - [`section`] — the sectioned artifact container: 64-byte-aligned
 //!   named sections with per-section checksums and a checksummed
 //!   directory, designed so hot arrays can be used in place from a
 //!   memory-mapped file.

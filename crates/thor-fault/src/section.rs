@@ -1,11 +1,11 @@
-//! The v2 sectioned artifact container: mmap-native, alignment-padded,
+//! The sectioned artifact container: mmap-native, alignment-padded,
 //! checksummed.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
 //! [ 0.. 8]  magic            b"THORENG\0"
-//! [ 8..12]  container version u32   (= 2)
+//! [ 8..12]  container version u32   (= 3)
 //! [12..16]  section count     u32
 //! [16..24]  directory offset  u64
 //! [24..32]  directory length  u64
@@ -58,8 +58,10 @@ use crate::view::{FrozenPool, FrozenSlice, Pod};
 /// name-check the other's files.
 pub const SECTION_MAGIC: &[u8; 8] = b"THORENG\0";
 
-/// The sectioned container version this module reads and writes.
-pub const CONTAINER_VERSION: u32 = 2;
+/// The sectioned container version this module reads and writes, which
+/// is also the engine format version. v1 (pre-sectioned) and v2 (the
+/// same layout, older engine sections) are refused by name.
+pub const CONTAINER_VERSION: u32 = 3;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 56;
@@ -96,7 +98,7 @@ pub struct SectionEntry {
     pub checksum: u64,
 }
 
-/// Serializer for the v2 container: append sections, then
+/// Serializer for the sectioned container: append sections, then
 /// [`finish`](Self::finish) writes the directory and header.
 #[derive(Debug, Default)]
 pub struct SectionWriter {
@@ -179,8 +181,8 @@ impl SectionWriter {
     }
 }
 
-/// A structurally-validated v2 artifact, ready to hand out raw bytes
-/// or typed [`FrozenSlice`] views. See the module docs for the
+/// A structurally-validated sectioned artifact, ready to hand out raw
+/// bytes or typed [`FrozenSlice`] views. See the module docs for the
 /// verification policy split.
 #[derive(Debug)]
 pub struct SectionFile {
@@ -228,11 +230,16 @@ impl SectionFile {
             return Err(ThorError::validation("bad magic (not a THORENG artifact)"));
         }
         let version = read_u32(d, 8);
-        if version == 1 {
-            return Err(ThorError::parse(
-                "format version 1 (pre-sectioned THORENG) is not readable by the v2 loader; \
-                 rebuild the artifact with `thor build --engine`",
-            ));
+        let stale = match version {
+            1 => Some("1 (pre-sectioned THORENG)"),
+            2 => Some("2 (optional pruning sections, unescaped `|` in table values)"),
+            _ => None,
+        };
+        if let Some(stale) = stale {
+            return Err(ThorError::parse(format!(
+                "format version {stale} is not readable by the v{CONTAINER_VERSION} loader; \
+                 rebuild the artifact with `thor build --engine`"
+            )));
         }
         if version != CONTAINER_VERSION {
             return Err(ThorError::parse(format!(
@@ -627,12 +634,15 @@ mod tests {
 
     #[test]
     fn stale_and_future_versions_are_named_rejections() {
-        let mut v1 = sample();
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let fixed = fnv1a(&v1[..48]);
-        v1[48..56].copy_from_slice(&fixed.to_le_bytes());
-        let err = SectionFile::from_bytes(v1).unwrap_err();
-        assert!(err.to_string().contains("rebuild"), "{err}");
+        for stale in [1u32, 2] {
+            let mut bytes = sample();
+            bytes[8..12].copy_from_slice(&stale.to_le_bytes());
+            let fixed = fnv1a(&bytes[..48]);
+            bytes[48..56].copy_from_slice(&fixed.to_le_bytes());
+            let err = SectionFile::from_bytes(bytes).unwrap_err().to_string();
+            assert!(err.contains(&format!("format version {stale}")), "{err}");
+            assert!(err.contains("rebuild"), "{err}");
+        }
 
         let mut v9 = sample();
         v9[8..12].copy_from_slice(&9u32.to_le_bytes());

@@ -3,7 +3,7 @@
 //! The zero-copy engine structs (`VectorStore`, `VectorIndex`, the
 //! prepared candidate lists) hold their hot arrays as [`FrozenSlice`]s:
 //! either an owned `Vec<T>` (fresh in-memory builds) or a typed view
-//! into a shared [`MappedBuf`] (engines loaded from a v2 artifact).
+//! into a shared [`MappedBuf`] (engines loaded from a sectioned artifact).
 //! `Deref<Target = [T]>` lets hot loops bind a plain `&[T]` once per
 //! call, so the backing split costs one branch per *call*, not per
 //! *element* — no dynamic dispatch anywhere on the scan paths.
@@ -12,7 +12,7 @@
 //! validated bounds, element-size divisibility and alignment, so the
 //! `unsafe` reinterpret below is confined to invariants checked at load
 //! time. [`Pod`] is sealed to the five scalar types the artifact
-//! format stores; byte layout is little-endian by definition (v2
+//! format stores; byte layout is little-endian by definition (sectioned
 //! artifacts refuse to open on big-endian hosts).
 
 use std::sync::Arc;

@@ -1,10 +1,9 @@
-//! Sub-linear candidate generation: clustered bound-pruned scans plus
-//! an i8-quantized row matrix.
+//! Sub-linear candidate generation: clustered bound-pruned scans.
 //!
 //! The exhaustive [`VectorIndex::scan`] touches every representative
-//! row for every query. This module freezes a three-level triage next
+//! row for every query. This module freezes a two-level triage next
 //! to the index so the hot paths can skip almost all of that work while
-//! staying **bit-identical** to the exhaustive scan in exact mode:
+//! staying **bit-identical** to the exhaustive scan:
 //!
 //! 1. **Concept bounds** — one centroid+radius ball per concept over
 //!    its normalized rows. A concept whose bound cannot beat the
@@ -15,11 +14,6 @@
 //!    over each concept's seed prefix and expansion suffix, stored as
 //!    centroid+radius balls over row blocks. Surviving concepts prune at
 //!    block granularity.
-//! 3. **Quantized rescore** (opt-in `approx` mode) — an i8 copy of the
-//!    row matrix with one scale per row (the `thor_embed::quant`
-//!    scheme). The cheap integer dot filters rows; survivors are
-//!    exactly rescored in f32/f64, so approximation only ever *misses*
-//!    rows, never admits a wrong one.
 //!
 //! ## Why exact mode is bit-identical
 //!
@@ -82,16 +76,7 @@ pub enum PruneMode {
     /// exhaustive path (the default).
     #[default]
     Exact,
-    /// Like `Exact`, but the τ-gate scan first filters rows through the
-    /// i8-quantized matrix: rows whose approximate similarity plus
-    /// `margin` stays below τ are dropped without an exact rescore.
-    /// Larger margins rescore more rows (higher recall, less speedup).
-    Approx {
-        /// Additive slack on the approximate similarity before a row is
-        /// dropped; the recall knob.
-        margin: f64,
-    },
-    /// Exhaustive scans only (the pre-pruning behavior).
+    /// Exhaustive scans only: the reference the pruned scans equal.
     Off,
 }
 
@@ -103,12 +88,8 @@ pub struct PruneStats {
     pub concepts: u64,
     /// Cluster blocks skipped via their centroid+radius bound.
     pub clusters: u64,
-    /// Rows never exactly scored (covered by a skipped concept or
-    /// cluster, or dropped by the quantized filter).
+    /// Rows never scored (covered by a skipped concept or cluster).
     pub rows: u64,
-    /// Rows that survived the quantized filter and were exactly
-    /// rescored in f32/f64.
-    pub rescored: u64,
 }
 
 impl PruneStats {
@@ -117,16 +98,7 @@ impl PruneStats {
         self.concepts += other.concepts;
         self.clusters += other.clusters;
         self.rows += other.rows;
-        self.rescored += other.rescored;
     }
-}
-
-/// A query quantized with the same per-vector scale scheme as the rows,
-/// computed once per subphrase in approx mode.
-#[derive(Debug, Clone)]
-pub struct QuantQuery {
-    codes: Vec<i8>,
-    scale: f64,
 }
 
 /// Structural summary of a frozen [`PruneIndex`], decodable from the
@@ -145,11 +117,10 @@ pub struct PruneSummary {
     pub max_cluster_rows: usize,
 }
 
-/// The frozen pruning structure: concept balls, cluster balls with
-/// their member row lists, and the quantized row matrix. Built once at
-/// prepare time (or rebuilt deterministically on load/delta), immutable
-/// afterwards; the flat arrays may be zero-copy views into a mapped
-/// artifact.
+/// The frozen pruning structure: concept balls and cluster balls with
+/// their member row lists. Built once at prepare time (or rebuilt
+/// deterministically on delta), immutable afterwards; the flat arrays
+/// may be zero-copy views into a mapped artifact.
 #[derive(Debug, Clone)]
 pub struct PruneIndex {
     dim: usize,
@@ -170,11 +141,6 @@ pub struct PruneIndex {
     concept_centroids: FrozenSlice<f32>,
     /// Concept ball radii.
     concept_radii: FrozenSlice<f64>,
-    /// i8 row codes stored as raw `u8` bit patterns, `rows × dim`
-    /// (`thor-fault` sections carry unsigned lanes only).
-    quant_codes: FrozenSlice<u8>,
-    /// Per-row quantization scale (`max|x| / 127`).
-    quant_scales: FrozenSlice<f32>,
     /// Derived, never persisted: the interleaved copies the lane kernel
     /// scans.
     lanes: ScanLanes,
@@ -321,25 +287,6 @@ impl PruneIndex {
             concept_clusters.push((first, clusters.len() - first, seed_clusters));
         }
 
-        // The i8 shadow matrix: symmetric linear, one scale per row.
-        let mut quant_codes: Vec<u8> = Vec::with_capacity(rows * dim);
-        let mut quant_scales: Vec<f32> = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = ix.row(r);
-            let max = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-            if max == 0.0 {
-                quant_scales.push(0.0);
-                quant_codes.extend(std::iter::repeat_n(0u8, dim));
-            } else {
-                let scale = max / 127.0;
-                quant_scales.push(scale);
-                quant_codes.extend(
-                    row.iter()
-                        .map(|&x| ((x / scale).round().clamp(-127.0, 127.0) as i8) as u8),
-                );
-            }
-        }
-
         let lanes = ScanLanes::derive(
             ix,
             &concept_clusters,
@@ -357,8 +304,6 @@ impl PruneIndex {
             radii: radii.into(),
             concept_centroids: concept_centroids.into(),
             concept_radii: concept_radii.into(),
-            quant_codes: quant_codes.into(),
-            quant_scales: quant_scales.into(),
             lanes,
         }
     }
@@ -393,23 +338,12 @@ impl PruneIndex {
         &self.concept_radii
     }
 
-    /// Quantized row codes (`rows × dim` i8 bit patterns), for artifact
-    /// serialization.
-    pub fn quant_codes(&self) -> &[u8] {
-        &self.quant_codes
-    }
-
-    /// Per-row quantization scales, for artifact serialization.
-    pub fn quant_scales(&self) -> &[f32] {
-        &self.quant_scales
-    }
-
     /// Encode the structural layout (everything not carried by the flat
     /// arrays) for the `prune.meta` artifact section.
     pub fn meta_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(self.dim as u64);
-        w.put_u64(self.quant_scales.len() as u64);
+        w.put_u64(self.members.len() as u64);
         w.put_u64(self.concept_clusters.len() as u64);
         w.put_u64(self.clusters.len() as u64);
         for &(_, count, seed_count) in &self.concept_clusters {
@@ -451,7 +385,6 @@ impl PruneIndex {
     /// validating every layout invariant the query loops rely on
     /// against `ix` — corrupt or mismatched sections yield a named
     /// error instead of a panic or a silently different scan.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         ix: &VectorIndex,
         meta: &[u8],
@@ -460,8 +393,6 @@ impl PruneIndex {
         radii: FrozenSlice<f64>,
         concept_centroids: FrozenSlice<f32>,
         concept_radii: FrozenSlice<f64>,
-        quant_codes: FrozenSlice<u8>,
-        quant_scales: FrozenSlice<f32>,
     ) -> Result<Self, String> {
         let mut r = ByteReader::new(meta);
         let e = |err: thor_fault::ThorError| format!("prune.meta: {err}");
@@ -518,8 +449,6 @@ impl PruneIndex {
                 concepts * dim,
             ),
             ("prune.concept_radii", concept_radii.len(), concepts),
-            ("quant.rows", quant_codes.len(), rows * dim),
-            ("quant.scales", quant_scales.len(), rows),
         ] {
             if have != want {
                 return Err(format!("{name} has {have} entries, expected {want}"));
@@ -574,29 +503,8 @@ impl PruneIndex {
             radii,
             concept_centroids,
             concept_radii,
-            quant_codes,
-            quant_scales,
             lanes,
         })
-    }
-
-    /// Quantize `query` with the row scheme, once per subphrase.
-    pub fn quantize_query(&self, query: &[f32]) -> QuantQuery {
-        let max = query.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-        if max == 0.0 {
-            return QuantQuery {
-                codes: vec![0; query.len()],
-                scale: 0.0,
-            };
-        }
-        let scale = max / 127.0;
-        QuantQuery {
-            codes: query
-                .iter()
-                .map(|&x| (x / scale).round().clamp(-127.0, 127.0) as i8)
-                .collect(),
-            scale: scale as f64,
-        }
     }
 
     /// Upper bound on `cos(query, row)` over all rows of `concept`;
@@ -696,24 +604,9 @@ impl PruneIndex {
         ControlFlow::Continue(())
     }
 
-    /// Approximate cosine via the i8 matrices; both norms must be
-    /// non-zero.
-    fn approx_cosine(&self, qq: &QuantQuery, row: usize, query_norm: f64, row_norm: f64) -> f64 {
-        let codes = &self.quant_codes[row * self.dim..(row + 1) * self.dim];
-        let mut acc: i64 = 0;
-        for (&qc, &rc) in qq.codes.iter().zip(codes) {
-            acc += qc as i64 * (rc as i8) as i64;
-        }
-        acc as f64 * qq.scale * self.quant_scales[row] as f64 / (query_norm * row_norm)
-    }
-
     /// The τ-admission gate of `match_phrase`, pruned: does `concept`
-    /// hold any row with `sim + 1e-9 >= tau`? Exact mode (`quant:
-    /// None`) answers identically to folding the exhaustive scan's max;
-    /// approx mode may answer `false` where the exhaustive gate says
-    /// `true` (a recall miss), never the reverse — quantized survivors
-    /// are always exactly rescored.
-    #[allow(clippy::too_many_arguments)]
+    /// hold any row with `sim + 1e-9 >= tau`? Answers identically to
+    /// folding the exhaustive scan's max.
     pub fn gate(
         &self,
         ix: &VectorIndex,
@@ -721,7 +614,6 @@ impl PruneIndex {
         query: &[f32],
         query_norm: f64,
         tau: f64,
-        quant: Option<(&QuantQuery, f64)>,
         stats: &mut PruneStats,
     ) -> bool {
         let (_, crows, _) = ix.concept_range(concept);
@@ -738,36 +630,19 @@ impl PruneIndex {
             return false;
         }
         let (_, count, _) = self.concept_clusters[concept];
-        let passes = |sim: f64| {
-            if sim + 1e-9 >= tau {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
         self.cluster_bounds(concept, count, query, query_norm, |k, bound| {
-            let (mstart, mlen) = self.clusters[k];
             if bound + 1e-9 < tau {
                 stats.clusters += 1;
-                stats.rows += mlen as u64;
+                stats.rows += self.clusters[k].1 as u64;
                 return ControlFlow::Continue(());
             }
-            let Some((qq, margin)) = quant else {
-                return self.member_cosines(ix, k, query, query_norm, |_, sim| passes(sim));
-            };
-            for &row in &self.members[mstart..mstart + mlen] {
-                let row = row as usize;
-                let rn = ix.row_norm(row);
-                if rn == 0.0 {
-                    passes(0.0)?;
-                } else if self.approx_cosine(qq, row, query_norm, rn) + margin + 1e-9 < tau {
-                    stats.rows += 1;
+            self.member_cosines(ix, k, query, query_norm, |_, sim| {
+                if sim + 1e-9 >= tau {
+                    ControlFlow::Break(())
                 } else {
-                    stats.rescored += 1;
-                    passes(ix.row_cosine(row, query, query_norm))?;
+                    ControlFlow::Continue(())
                 }
-            }
-            ControlFlow::Continue(())
+            })
         })
         .is_break()
     }
@@ -1181,7 +1056,7 @@ mod tests {
                 for ci in 0..ix.concept_count() {
                     let mut stats = PruneStats::default();
                     assert_eq!(
-                        pr.gate(&ix, ci, &q, qn, tau, None, &mut stats),
+                        pr.gate(&ix, ci, &q, qn, tau, &mut stats),
                         gate_reference(&ix, ci, &q, qn, tau),
                         "gate diverged at tau {tau} concept {ci}"
                     );
@@ -1251,58 +1126,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wide_margin_approx_gate_equals_exact() {
-        // With a margin of 2.0 every row is rescored exactly, so the
-        // approximate gate must agree with the exact one everywhere.
-        let ix = fixture(16, 4, 32);
-        let pr = PruneIndex::build(&ix);
-        for q in queries(16, 12) {
-            let qn = slice_norm(&q);
-            if qn == 0.0 {
-                continue;
-            }
-            let qq = pr.quantize_query(&q);
-            for tau in [0.0, 0.3, 0.7] {
-                for ci in 0..ix.concept_count() {
-                    let mut a = PruneStats::default();
-                    let mut b = PruneStats::default();
-                    assert_eq!(
-                        pr.gate(&ix, ci, &q, qn, tau, Some((&qq, 2.0)), &mut a),
-                        pr.gate(&ix, ci, &q, qn, tau, None, &mut b),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn approx_gate_never_admits_a_wrong_concept() {
-        // Rows that survive the quantized filter are exactly rescored,
-        // so a passing approx gate implies a passing exact gate.
-        let ix = fixture(16, 4, 32);
-        let pr = PruneIndex::build(&ix);
-        let mut rescored = 0u64;
-        for q in queries(16, 12) {
-            let qn = slice_norm(&q);
-            if qn == 0.0 {
-                continue;
-            }
-            let qq = pr.quantize_query(&q);
-            for tau in [0.1, 0.3, 0.5] {
-                for ci in 0..ix.concept_count() {
-                    let mut stats = PruneStats::default();
-                    if pr.gate(&ix, ci, &q, qn, tau, Some((&qq, 0.02)), &mut stats) {
-                        let mut e = PruneStats::default();
-                        assert!(pr.gate(&ix, ci, &q, qn, tau, None, &mut e));
-                    }
-                    rescored += stats.rescored;
-                }
-            }
-        }
-        assert!(rescored > 0, "the quantized filter never ran");
-    }
-
     /// Concepts as tight balls around distinct directions — the shape
     /// real topic embeddings have, and the one pruning exists for.
     fn clustered_fixture(dim: usize, concepts: usize, rows_per: usize) -> VectorIndex {
@@ -1342,7 +1165,7 @@ mod tests {
             let qn = slice_norm(&q);
             pr.best_concept(&ix, &q, qn, 0.5, &mut stats);
             let mut gs = PruneStats::default();
-            pr.gate(&ix, (ci + 1) % 8, &q, qn, 0.7, None, &mut gs);
+            pr.gate(&ix, (ci + 1) % 8, &q, qn, 0.7, &mut gs);
             stats.absorb(&gs);
         }
         assert!(stats.concepts > 0, "no concepts were ever pruned");
@@ -1367,8 +1190,6 @@ mod tests {
             a.radii().to_vec().into(),
             a.concept_centroids().to_vec().into(),
             a.concept_radii().to_vec().into(),
-            a.quant_codes().to_vec().into(),
-            a.quant_scales().to_vec().into(),
         )
         .expect("valid parts");
         for q in queries(12, 8) {
@@ -1402,8 +1223,6 @@ mod tests {
                 radii.into(),
                 a.concept_centroids().to_vec().into(),
                 a.concept_radii().to_vec().into(),
-                a.quant_codes().to_vec().into(),
-                a.quant_scales().to_vec().into(),
             )
         };
         // Truncated meta.
@@ -1438,8 +1257,6 @@ mod tests {
             a.radii().to_vec().into(),
             a.concept_centroids().to_vec().into(),
             a.concept_radii().to_vec().into(),
-            a.quant_codes().to_vec().into(),
-            a.quant_scales().to_vec().into(),
         )
         .unwrap_err();
         assert!(err.contains("does not match the index"), "{err}");
@@ -1453,8 +1270,8 @@ mod tests {
         let mut stats = PruneStats::default();
         let got = pr.best_concept(&ix, &q, 0.0, f64::MIN, &mut stats);
         assert_eq!(got, best_concept_reference(&ix, &q, 0.0));
-        assert!(pr.gate(&ix, 0, &q, 0.0, 0.0, None, &mut stats));
-        assert!(!pr.gate(&ix, 0, &q, 0.0, 0.5, None, &mut stats));
+        assert!(pr.gate(&ix, 0, &q, 0.0, 0.0, &mut stats));
+        assert!(!pr.gate(&ix, 0, &q, 0.0, 0.5, &mut stats));
         assert_eq!(
             pr.best_seed(&ix, 0, &q, 0.0, &mut stats),
             ix.best_seed(0, &q, 0.0)
@@ -1687,8 +1504,6 @@ mod tests {
             1,
             &le(built.concept_radii(), f64::to_le_bytes),
         );
-        w.add("codes", 1, built.quant_codes());
-        w.add("scales", 1, &le(built.quant_scales(), f32::to_le_bytes));
         let path = std::env::temp_dir().join(format!("thor-index-lanes-{}", std::process::id()));
         std::fs::write(&path, w.finish()).unwrap();
 
@@ -1716,8 +1531,6 @@ mod tests {
                 file.frozen_slice("radii").unwrap(),
                 file.frozen_slice("concept_centroids").unwrap(),
                 file.frozen_slice("concept_radii").unwrap(),
-                file.frozen_slice("codes").unwrap(),
-                file.frozen_slice("scales").unwrap(),
             )
             .unwrap();
             assert_eq!(lpr.lanes.members, built.lanes.members);
@@ -1753,10 +1566,10 @@ mod tests {
                     "best_seed vs exhaustive"
                 );
                 for tau in [0.0, 0.4, 0.8, 0.95] {
-                    let g = built.gate(&ix, ci, q, qn, tau, None, &mut want);
+                    let g = built.gate(&ix, ci, q, qn, tau, &mut want);
                     assert_eq!(g, gate_reference(&ix, ci, q, qn, tau), "gate vs exhaustive");
                     for ((lix, lpr), got) in loaded.iter().zip(&mut got) {
-                        assert_eq!(lpr.gate(lix, ci, q, qn, tau, None, got), g);
+                        assert_eq!(lpr.gate(lix, ci, q, qn, tau, got), g);
                     }
                 }
                 for ((lix, lpr), got) in loaded.iter().zip(&mut got) {

@@ -42,8 +42,7 @@ pub struct MatcherConfig {
     /// function of the subphrase once the matcher is fine-tuned.
     pub cache_capacity: usize,
     /// How `match_phrase` uses the frozen pruning structures. `Exact`
-    /// (the default) is bit-identical to the exhaustive scan; `Approx`
-    /// trades recall for speed through the quantized filter; `Off`
+    /// (the default) is bit-identical to the exhaustive scan; `Off`
     /// scans exhaustively. An execution knob, never part of the
     /// fingerprint or the artifact.
     pub prune: PruneMode,
@@ -246,8 +245,8 @@ impl SimilarityMatcher {
     }
 
     /// A clone of this matcher serving with `prune` instead. The phrase
-    /// cache starts fresh: approx-mode results may differ from exact
-    /// ones, and cached entries must never leak across modes.
+    /// cache starts fresh, so its pruning counters describe this mode's
+    /// scans only.
     pub fn with_prune_mode(&self, prune: PruneMode) -> Self {
         let mut matcher = self.with_fresh_cache();
         matcher.config.prune = prune;
@@ -511,10 +510,6 @@ impl SimilarityMatcher {
         qn: f64,
         stats: &mut PruneStats,
     ) -> Option<(usize, f64)> {
-        let quant = match self.config.prune {
-            PruneMode::Approx { margin } => Some((self.prune.quantize_query(q), margin)),
-            _ => None,
-        };
         let mut order: Vec<(f64, usize)> = (0..self.index.concept_count())
             .filter_map(|ci| self.index.concept_mean(ci, q, qn).map(|m| (m, ci)))
             .collect();
@@ -523,10 +518,9 @@ impl SimilarityMatcher {
         // loop's numeric strict-greater with first-wins ties.
         order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         for &(mean, ci) in &order {
-            let quant_ref = quant.as_ref().map(|(qq, margin)| (qq, *margin));
             if self
                 .prune
-                .gate(&self.index, ci, q, qn, self.config.tau, quant_ref, stats)
+                .gate(&self.index, ci, q, qn, self.config.tau, stats)
             {
                 return Some((ci, mean));
             }

@@ -66,12 +66,9 @@ pub struct PipelineMetrics {
     /// Row clusters skipped by their centroid+radius bound during
     /// candidate generation.
     pub pruned_clusters: Arc<Counter>,
-    /// Index rows never exactly scored (covered by a skipped concept
-    /// or cluster, or dropped by the quantized filter).
+    /// Index rows never scored (covered by a skipped concept or
+    /// cluster).
     pub pruned_rows: Arc<Counter>,
-    /// Rows that survived the quantized approximate filter and were
-    /// exactly rescored in f32/f64.
-    pub rescored_rows: Arc<Counter>,
     /// Slot values newly inserted into the table.
     pub slots_inserted: Arc<Counter>,
     /// Slot values skipped as duplicates.
@@ -125,7 +122,6 @@ impl PipelineMetrics {
             pruned_concepts: registry.counter("index.pruned.concepts"),
             pruned_clusters: registry.counter("index.pruned.clusters"),
             pruned_rows: registry.counter("index.pruned.rows"),
-            rescored_rows: registry.counter("index.rescored"),
             slots_inserted: registry.counter("slots.inserted"),
             slots_duplicate: registry.counter("slots.duplicate"),
             expansion_words: registry.counter("expansion.words"),
@@ -228,7 +224,6 @@ mod tests {
             "index.pruned.concepts",
             "index.pruned.clusters",
             "index.pruned.rows",
-            "index.rescored",
             "slots.inserted",
             "slots.duplicate",
             "expansion.words",
@@ -345,22 +340,18 @@ mod tests {
         metrics.pruned_concepts.add(120);
         metrics.pruned_clusters.add(45);
         metrics.pruned_rows.add(9_000);
-        metrics.rescored_rows.add(17);
 
         let json = metrics.render_json();
         let parsed = crate::registry::MetricsSnapshot::from_json_str(&json).expect("valid json");
         assert_eq!(parsed.count("index.pruned.concepts"), 120);
         assert_eq!(parsed.count("index.pruned.clusters"), 45);
         assert_eq!(parsed.count("index.pruned.rows"), 9_000);
-        assert_eq!(parsed.count("index.rescored"), 17);
 
         let resumed = PipelineMetrics::new();
         resumed.pruned_rows.add(1_000);
-        resumed.rescored_rows.add(3);
         resumed.absorb(&parsed);
         let snap = resumed.snapshot();
         assert_eq!(snap.count("index.pruned.rows"), 10_000);
-        assert_eq!(snap.count("index.rescored"), 20);
         assert_eq!(snap.count("index.pruned.concepts"), 120);
     }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Zero-copy artifact smoke test against the real CLI.
 #
-# Exercises the v2 sectioned engine artifact end to end:
+# Exercises the v3 sectioned engine artifact end to end:
 #   1. `thor inspect --engine` prints the section directory and verifies
 #      every section checksum on a fresh artifact;
 #   2. mapped serving (`--engine-mmap on`, the default) is byte-identical
@@ -49,7 +49,7 @@ echo "mmap smoke: ${#DOCS[@]} documents"
 echo "-- inspect the fresh artifact"
 "$THOR" inspect --engine "$ENGINE" >"$WORK/inspect.log" \
     || fail "thor inspect rejected a fresh artifact: $(cat "$WORK/inspect.log")"
-grep -q "THORENG v2" "$WORK/inspect.log" || fail "inspect did not name the format"
+grep -q "THORENG v3" "$WORK/inspect.log" || fail "inspect did not name the format"
 grep -q "^meta " "$WORK/inspect.log" || fail "inspect directory is missing the meta section"
 grep -q "section checksums verified" "$WORK/inspect.log" \
     || fail "inspect did not verify section checksums"

@@ -4,13 +4,13 @@
 # Exercises the bound-pruned scan end to end:
 #   1. enriching with `--prune exact`, `--prune off`, and the default
 #      (no flag) is byte-identical — pruning is a pure execution knob;
-#   2. `--prune approx --prune-margin 0.1` runs and writes output, and
-#      malformed `--prune` / `--prune-margin` values are rejected by
-#      name;
-#   3. `thor inspect` prints the pruning sections (cluster shape and
-#      i8 quantization) and verifies their checksums;
+#   2. a malformed `--prune` value is rejected by name;
+#   3. `thor inspect` prints the pruning sections (cluster shape) and
+#      verifies their checksums;
 #   4. a flipped byte inside a pruning section is rejected by name —
-#      at inspect time and at load time — never served.
+#      at inspect time and at load time — never served;
+#   5. an artifact stamped with format version 2 fails `thor enrich`
+#      with exit 1 and the rebuild hint.
 #
 # Usage: scripts/prune_smoke.sh  (run from anywhere; builds if needed)
 set -euo pipefail
@@ -49,11 +49,7 @@ cmp "$WORK/default.csv" "$WORK/exact.csv" || fail "--prune exact diverged from t
 cmp "$WORK/default.csv" "$WORK/off.csv" || fail "--prune exact diverged from --prune off"
 echo "   default == exact == off"
 
-echo "-- approx mode runs; malformed knobs are rejected by name"
-"$THOR" enrich --engine "$ENGINE" --prune approx --prune-margin 0.1 \
-    --out "$WORK/approx.csv" "${DOCS[@]}" 2>/dev/null \
-    || fail "--prune approx --prune-margin 0.1 failed"
-[[ -s "$WORK/approx.csv" ]] || fail "approx enrich wrote no output"
+echo "-- a malformed --prune value is rejected by name"
 set +e
 "$THOR" enrich --engine "$ENGINE" --prune sideways \
     --out "$WORK/bad.csv" "${DOCS[@]}" 2>"$WORK/bad.log"
@@ -61,22 +57,12 @@ status=$?
 set -e
 [[ $status -ne 0 ]] || fail "--prune sideways was accepted"
 grep -q 'exact' "$WORK/bad.log" || fail "bad --prune error is unnamed: $(cat "$WORK/bad.log")"
-set +e
-"$THOR" enrich --engine "$ENGINE" --prune off --prune-margin 0.1 \
-    --out "$WORK/bad2.csv" "${DOCS[@]}" 2>"$WORK/bad2.log"
-status=$?
-set -e
-[[ $status -ne 0 ]] || fail "--prune-margin without approx was accepted"
-grep -q 'prune-margin' "$WORK/bad2.log" \
-    || fail "margin misuse error is unnamed: $(cat "$WORK/bad2.log")"
-echo "   approx runs, bad knobs rejected"
+echo "   bad --prune rejected"
 
 echo "-- inspect prints and verifies the pruning sections"
 "$THOR" inspect --engine "$ENGINE" >"$WORK/inspect.txt" || fail "inspect rejected the engine"
 grep -q "candidate pruning:" "$WORK/inspect.txt" \
     || fail "inspect did not summarize candidate pruning"
-grep -q "i8 quantization on" "$WORK/inspect.txt" \
-    || fail "inspect did not report the quantized rows"
 grep -q "prune.centroids" "$WORK/inspect.txt" \
     || fail "inspect did not list the prune.centroids section"
 grep -q "checksums verified" "$WORK/inspect.txt" || fail "inspect did not verify checksums"
@@ -107,5 +93,22 @@ grep -Eq "prune.centroids|checksum" "$WORK/corrupt.log" \
     || fail "load corruption error is unnamed: $(cat "$WORK/corrupt.log")"
 [[ ! -f "$WORK/x.csv" ]] || fail "corrupted run still wrote output"
 echo "   flipped byte rejected at inspect and at load"
+
+echo "-- a format-version-2 artifact is refused with the rebuild hint"
+STALE="$WORK/stale.thorengine"
+cp "$ENGINE" "$STALE"
+# The header's container version is the little-endian u32 at bytes 8..12.
+printf '\x02\x00\x00\x00' | dd of="$STALE" bs=1 seek=8 conv=notrunc 2>/dev/null
+set +e
+"$THOR" enrich --engine "$STALE" --out "$WORK/stale.csv" "${DOCS[@]}" 2>"$WORK/stale.log"
+status=$?
+set -e
+[[ $status -eq 1 ]] || fail "v2 artifact: expected exit 1, got $status: $(cat "$WORK/stale.log")"
+grep -q "format version 2" "$WORK/stale.log" \
+    || fail "v2 artifact error is unnamed: $(cat "$WORK/stale.log")"
+grep -q "thor build --engine" "$WORK/stale.log" \
+    || fail "v2 artifact error lacks the rebuild hint: $(cat "$WORK/stale.log")"
+[[ ! -f "$WORK/stale.csv" ]] || fail "v2 run still wrote output"
+echo "   v2 refused with exit 1 and the rebuild hint"
 
 echo "prune smoke: OK"

@@ -13,11 +13,11 @@
 //!             [--out enriched.csv] [--entities e.tsv]
 //!             <doc.txt | corpus-dir>...              run the pipeline
 //! thor enrich --engine e.thor [--engine-mmap on|off] [--threads N]
-//!             [--prune exact|approx|off [--prune-margin M]] ...
+//!             [--prune exact|off] ...
 //!             <doc.txt | corpus-dir>...              serve from a built engine
 //! thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT]
 //!            [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS]
-//!            [--prune exact|approx|off] [--metrics[=json]]
+//!            [--prune exact|off] [--metrics[=json]]
 //!                                                    HTTP front end (see thor-serve)
 //! thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv]
 //!            --out d1.eng [--note TEXT] [--engine-mmap on|off]
@@ -80,6 +80,7 @@ use std::process::ExitCode;
 use thor_repro::core::{
     compact_chain, entities_tsv, ConceptDelta, Document, EngineDelta, PipelineMetrics,
     PreparedEngine, PruneMode, ResilientOptions, RunMode, SeedDelta, Thor, ThorConfig,
+    ENGINE_FORMAT_VERSION,
 };
 use thor_repro::data::csv::{from_csv, from_csv_lenient, to_csv, SkippedRow};
 use thor_repro::data::CorpusDir;
@@ -172,7 +173,6 @@ const ENRICH: CommandSpec = CommandSpec {
         "context-gate",
         "threads",
         "prune",
-        "prune-margin",
         "out",
         "entities",
         "quarantine",
@@ -198,7 +198,6 @@ const SERVE: CommandSpec = CommandSpec {
         "queue",
         "read-timeout-ms",
         "prune",
-        "prune-margin",
         "watch-engine",
         "deadline-ms",
     ],
@@ -300,7 +299,7 @@ const COMMANDS: &[Command] = &[
                 [--stream [--chunk N]] [--out enriched.csv] [--entities e.tsv] \
                 <doc.txt | corpus-dir>...\n  \
                 thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] \
-                [--prune exact|approx|off [--prune-margin M]] \
+                [--prune exact|off] \
                 ... <doc.txt | corpus-dir>...",
     },
     Command {
@@ -309,7 +308,7 @@ const COMMANDS: &[Command] = &[
         run: cmd_serve,
         usage: "thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT] \
                 [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS] \
-                [--prune exact|approx|off [--prune-margin M]] \
+                [--prune exact|off] \
                 [--watch-engine [MS]] [--deadline-ms MS] [--metrics[=json]]",
     },
     Command {
@@ -485,42 +484,19 @@ fn engine_map_mode(args: &Args) -> ThorResult<MapMode> {
     }
 }
 
-/// `--prune exact|approx|off` (+ `--prune-margin M` for approx):
-/// candidate-generation pruning. `exact` (the default) and `off`
-/// produce bit-identical output — exact pruning only skips scans whose
-/// cosine upper bound provably cannot win — so like `--threads` the
-/// knob stays adjustable when serving from a frozen `--engine`
-/// artifact. `approx` additionally pre-screens rows with the
-/// i8-quantized copy and may trade a measured sliver of recall for
-/// throughput; `--prune-margin` widens the quantization safety margin
-/// (higher = closer to exact, default 0.05).
+/// `--prune exact|off`: candidate-generation pruning. `exact` (the
+/// default) and `off` produce bit-identical output — exact pruning only
+/// skips scans whose cosine upper bound provably cannot win — so like
+/// `--threads` the knob stays adjustable when serving from a frozen
+/// `--engine` artifact.
 fn prune_mode(args: &Args) -> ThorResult<PruneMode> {
-    let margin: Option<f64> = parse_option(args, "prune-margin")?;
-    if let Some(m) = margin {
-        if !m.is_finite() || m < 0.0 {
-            return Err(ThorError::config(format!(
-                "--prune-margin must be a finite value >= 0, got `{m}`"
-            )));
-        }
+    match args.options.get("prune").map(String::as_str) {
+        None | Some("exact") => Ok(PruneMode::Exact),
+        Some("off") => Ok(PruneMode::Off),
+        Some(other) => Err(ThorError::config(format!(
+            "--prune must be `exact` or `off`, got `{other}`"
+        ))),
     }
-    let mode = match args.options.get("prune").map(String::as_str) {
-        None | Some("exact") => PruneMode::Exact,
-        Some("approx") => PruneMode::Approx {
-            margin: margin.unwrap_or(0.05),
-        },
-        Some("off") => PruneMode::Off,
-        Some(other) => {
-            return Err(ThorError::config(format!(
-                "--prune must be `exact`, `approx` or `off`, got `{other}`"
-            )))
-        }
-    };
-    if margin.is_some() && !matches!(mode, PruneMode::Approx { .. }) {
-        return Err(ThorError::config(
-            "--prune-margin requires --prune approx (exact and off take no margin)",
-        ));
-    }
-    Ok(mode)
 }
 
 /// Parse a value-taking option through `parse`, naming the flag and the
@@ -1107,35 +1083,20 @@ fn print_section_table(file: &SectionFile) {
     }
 }
 
-/// One line summarizing the candidate-pruning sections the resolved
-/// chain serves — cluster shape and quantization — or their absence
-/// (artifacts written before the sections existed still load; the
-/// structures are rebuilt deterministically at load time).
+/// One line summarizing the cluster shape of the candidate-pruning
+/// sections the resolved chain serves.
 fn print_prune_summary(chain: &SectionChain) -> ThorResult<()> {
-    if chain.entry("prune.meta").is_none() {
-        println!(
-            "candidate pruning: sections absent (pre-pruning artifact; \
-             structures are rebuilt at load)"
-        );
-        return Ok(());
-    }
     let s = thor_repro::matcher::PruneIndex::summarize_meta(chain.bytes("prune.meta")?)
         .map_err(ThorError::validation)?;
-    let quantized = chain.entry("quant.rows").is_some() && chain.entry("quant.scales").is_some();
     println!(
         "candidate pruning: {} cluster(s) over {} concept(s), {} row(s) \
-         (dim {}, max {} rows/cluster), i8 quantization {}",
-        s.clusters,
-        s.concepts,
-        s.rows,
-        s.dim,
-        s.max_cluster_rows,
-        if quantized { "on" } else { "off" }
+         (dim {}, max {} rows/cluster)",
+        s.clusters, s.concepts, s.rows, s.dim, s.max_cluster_rows
     );
     Ok(())
 }
 
-/// `thor inspect`: print a v2 engine artifact's section directory and
+/// `thor inspect`: print an engine artifact's section directory and
 /// verify **every** checksum — including the big vocabulary sections a
 /// mapped load defers — exiting non-zero on the first mismatch. This is
 /// the offline integrity check backing `--engine-mmap on`'s lazy
@@ -1151,7 +1112,7 @@ fn cmd_inspect(args: &Args) -> ThorResult<()> {
     if chain.depth() == 0 {
         let file = chain.base();
         println!(
-            "{path}: THORENG v2, {} bytes, {} sections{}",
+            "{path}: THORENG v{ENGINE_FORMAT_VERSION}, {} bytes, {} sections{}",
             file.total_len(),
             file.entries().len(),
             if file.is_mapped() { " (mapped)" } else { "" }
@@ -1163,7 +1124,8 @@ fn cmd_inspect(args: &Args) -> ThorResult<()> {
         return Ok(());
     }
     println!(
-        "{path}: THORENG v2 delta chain, {} file(s), depth {}, base fingerprint {}",
+        "{path}: THORENG v{ENGINE_FORMAT_VERSION} delta chain, {} file(s), depth {}, \
+         base fingerprint {}",
         chain.files().len(),
         chain.depth(),
         chain.metas()[0].parent_fingerprint
@@ -1555,58 +1517,12 @@ mod tests {
             ENRICH.flags,
         );
         let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("`exact`, `approx` or `off`"), "{msg}");
-
-        // --prune-margin only makes sense for the approximate mode.
-        let a = parse_args(
-            &argv(&["--table", "t.csv", "--prune-margin", "0.1", "d.txt"]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(
-            msg.contains("--prune-margin requires --prune approx"),
-            "{msg}"
-        );
-        let a = parse_args(
-            &argv(&[
-                "--table",
-                "t.csv",
-                "--prune",
-                "off",
-                "--prune-margin",
-                "0.1",
-                "d.txt",
-            ]),
-            ENRICH.flags,
-        );
-        assert!(cmd_enrich(&a).is_err());
-
-        // Negative or non-finite margins are rejected by name.
-        let a = parse_args(
-            &argv(&[
-                "--table",
-                "t.csv",
-                "--prune",
-                "approx",
-                "--prune-margin",
-                "-0.5",
-                "d.txt",
-            ]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("--prune-margin must be"), "{msg}");
+        assert!(msg.contains("`exact` or `off`, got `fuzzy`"), "{msg}");
 
         // Like --threads, --prune stays adjustable alongside --engine:
         // the error must come from the missing file, not a conflict.
         let a = parse_args(
-            &argv(&[
-                "--engine",
-                "/nonexistent/e.thor",
-                "--prune",
-                "approx",
-                "d.txt",
-            ]),
+            &argv(&["--engine", "/nonexistent/e.thor", "--prune", "off", "d.txt"]),
             ENRICH.flags,
         );
         let msg = cmd_enrich(&a).unwrap_err().to_string();
@@ -1617,14 +1533,8 @@ mod tests {
         assert_eq!(parsed(&[]).unwrap(), PruneMode::Exact);
         assert_eq!(parsed(&["--prune", "exact"]).unwrap(), PruneMode::Exact);
         assert_eq!(parsed(&["--prune", "off"]).unwrap(), PruneMode::Off);
-        assert_eq!(
-            parsed(&["--prune", "approx"]).unwrap(),
-            PruneMode::Approx { margin: 0.05 }
-        );
-        assert_eq!(
-            parsed(&["--prune", "approx", "--prune-margin", "0.2"]).unwrap(),
-            PruneMode::Approx { margin: 0.2 }
-        );
+        let msg = parsed(&["--prune", "approx"]).unwrap_err().to_string();
+        assert!(msg.contains("`exact` or `off`, got `approx`"), "{msg}");
     }
 
     #[test]

@@ -159,9 +159,9 @@ proptest! {
     }
 
     /// Stamping any stale or future container version into the header
-    /// is rejected by name — version 1 gets the explicit
-    /// "pre-sectioned" migration message, everything else the
-    /// "unsupported container version" one. Never a checksum error:
+    /// is rejected by name — versions 1 and 2 get an explicit rebuild
+    /// message, everything else the "unsupported container version"
+    /// one. Never a checksum error:
     /// version is checked *before* the header checksum, so the message
     /// survives cross-version header layout changes.
     #[test]
@@ -180,6 +180,9 @@ proptest! {
         if version == 1 {
             prop_assert!(msg.contains("pre-sectioned"), "v1: `{msg}`");
             prop_assert!(msg.contains("thor build --engine"), "v1: `{msg}`");
+        } else if version == 2 {
+            prop_assert!(msg.contains("format version 2"), "v2: `{msg}`");
+            prop_assert!(msg.contains("thor build --engine"), "v2: `{msg}`");
         } else {
             prop_assert!(
                 msg.contains(&format!("unsupported container version {version}")),

@@ -7,11 +7,8 @@
 //! backing {owned, mapped}, and after delta chains. `PruneMode::Off`
 //! and `Exact` must agree everywhere (pruning is a pure execution
 //! knob), the artifact bytes must not depend on the knob at all, and
-//! pre-pruning artifacts (no `prune.*`/`quant.*` sections) must keep
-//! loading with identical output. The one mode allowed to differ —
-//! `Approx` — may only *miss*, and its measured recall is floored.
+//! an artifact missing any `prune.*` section is refused by name.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -147,58 +144,6 @@ proptest! {
     }
 }
 
-/// `Approx` may only lose candidates, never invent scores: with a
-/// modest margin its measured recall against the exact candidate set
-/// stays above the floor, and every candidate it does emit carries the
-/// same exactly-rescored bits as the exact path's candidate for that
-/// (phrase, concept).
-#[test]
-fn approx_recall_is_floored_and_survivors_are_exactly_rescored() {
-    let mut exact_total = 0usize;
-    let mut approx_hit = 0usize;
-    for seed in 0..10u64 {
-        let exact = matcher(0.6, seed, 0);
-        let approx = exact.with_prune_mode(PruneMode::Approx { margin: 0.1 });
-        let vocab = [
-            "ape", "ant", "asp", "auk", "bee", "bat", "boa", "bug", "gnu", "gar", "goa", "elk",
-            "owl",
-        ];
-        let mut phrases: Vec<String> = vocab.iter().map(|w| w.to_string()).collect();
-        phrases.extend(vocab.windows(2).map(|w| w.join(" ")));
-        for phrase in &phrases {
-            let e = exact.match_phrase(phrase);
-            let a = approx.match_phrase(phrase);
-            let keys: BTreeSet<(String, String)> = a
-                .iter()
-                .map(|c| (c.phrase.clone(), c.concept.clone()))
-                .collect();
-            exact_total += e.len();
-            for c in &e {
-                if keys.contains(&(c.phrase.clone(), c.concept.clone())) {
-                    approx_hit += 1;
-                }
-            }
-            // Survivors are rescored through the exact f32 path: any
-            // candidate approx emits for a (phrase, concept) the exact
-            // path also emits must be bit-identical to it.
-            for ac in &a {
-                if let Some(ec) = e
-                    .iter()
-                    .find(|ec| ec.phrase == ac.phrase && ec.concept == ac.concept)
-                {
-                    assert_eq!(ec, ac, "approx survivor not exactly rescored: {phrase:?}");
-                }
-            }
-        }
-    }
-    assert!(exact_total > 0, "workload produced no exact candidates");
-    let recall = approx_hit as f64 / exact_total as f64;
-    assert!(
-        recall >= 0.9,
-        "approx recall {recall:.3} fell below the 0.9 floor ({approx_hit}/{exact_total})"
-    );
-}
-
 // ---------------------------------------------------------------------
 // Engine-level properties: the knob is invisible to artifacts and to
 // enrichment, including after delta chains and across map modes.
@@ -297,51 +242,45 @@ proptest! {
     }
 }
 
-/// A pre-pruning artifact — every `prune.*`/`quant.*` section stripped,
-/// as a v2-era save would have produced — still loads under both map
-/// modes, keeps its fingerprint, and enriches identically: the load
-/// path rebuilds the pruning structures on the fly.
+/// The six `prune.*` sections are mandatory: an artifact with any one
+/// of them stripped is refused under both map modes, by a named error
+/// that says which section is missing.
 #[test]
-fn artifacts_without_prune_sections_still_load_and_agree() {
+fn artifacts_missing_a_prune_section_are_refused_by_name() {
     let dir = scratch_dir();
     let thor = Thor::new(engine_store(), ThorConfig::with_tau(0.6));
-    let engine = thor.prepare(&base_table());
-    let full = dir.join("compat-full.eng");
-    engine.save(&full).unwrap();
+    let full = dir.join("prune-full.eng");
+    thor.prepare(&base_table()).save(&full).unwrap();
 
     let file = SectionFile::open(&full, MapMode::Owned).unwrap();
-    assert!(
-        file.entry("prune.meta").is_some() && file.entry("quant.rows").is_some(),
-        "fixture artifact should carry the pruning sections"
-    );
-    let mut w = SectionWriter::new();
-    let mut dropped = 0;
-    for e in file.entries() {
-        if e.name.starts_with("prune.") || e.name.starts_with("quant.") {
-            dropped += 1;
-            continue;
+    let prune: Vec<String> = file
+        .entries()
+        .iter()
+        .map(|e| e.name.clone())
+        .filter(|name| name.starts_with("prune."))
+        .collect();
+    assert_eq!(prune.len(), 6, "expected six pruning sections: {prune:?}");
+    for victim in &prune {
+        let mut w = SectionWriter::new();
+        for e in file.entries().iter().filter(|e| &e.name != victim) {
+            w.add(&e.name, e.version, file.bytes(&e.name).unwrap());
         }
-        w.add(&e.name, e.version, file.bytes(&e.name).unwrap());
+        let stripped = dir.join("prune-stripped.eng");
+        atomic_write(&stripped, &w.finish()).unwrap();
+        for mode in [MapMode::Owned, MapMode::Mapped] {
+            let msg = PreparedEngine::load_with(&stripped, mode)
+                .err()
+                .unwrap_or_else(|| panic!("{mode:?}: loaded without `{victim}`"))
+                .to_string();
+            assert!(
+                msg.contains(&format!("missing section `{victim}`")),
+                "{mode:?}: `{msg}`"
+            );
+        }
+        std::fs::remove_file(&stripped).ok();
     }
-    assert_eq!(dropped, 8, "expected all eight pruning sections present");
-    let stripped = dir.join("compat-stripped.eng");
-    atomic_write(&stripped, &w.finish()).unwrap();
     drop(file);
-
-    let docs = docs();
-    let want = engine.enrich(&docs);
-    for mode in [MapMode::Owned, MapMode::Mapped] {
-        let loaded = PreparedEngine::load_with(&stripped, mode).unwrap();
-        assert_eq!(loaded.fingerprint(), engine.fingerprint());
-        let got = loaded.enrich(&docs);
-        assert_eq!(want.entities, got.entities);
-        assert_eq!(
-            thor_repro::data::csv::to_csv(&want.table),
-            thor_repro::data::csv::to_csv(&got.table)
-        );
-    }
     std::fs::remove_file(&full).ok();
-    std::fs::remove_file(&stripped).ok();
 }
 
 // ---------------------------------------------------------------------
