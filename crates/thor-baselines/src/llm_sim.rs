@@ -20,6 +20,7 @@ use rand::{Rng, SeedableRng};
 use thor_core::{Document, ExtractedEntity};
 use thor_data::Table;
 use thor_datagen::AnnotatedDoc;
+use thor_text::normalize_phrase;
 
 use crate::Extractor;
 
@@ -181,19 +182,17 @@ impl Extractor for SimulatedLlm {
             let Some(annotated) = self.gold.get(&doc.id) else {
                 continue; // a document the model never saw
             };
-            // Context-window truncation: entities whose phrase first
-            // occurs past the window are invisible.
-            let visible_text: String = doc
+            // Context-window truncation: an entity is visible only when
+            // its words occur, whole and in order, within the window.
+            let window: Vec<String> = doc
                 .text
                 .split_whitespace()
                 .take(p.context_window)
-                .collect::<Vec<_>>()
-                .join(" ")
-                .to_lowercase();
+                .map(normalize_phrase)
+                .collect();
 
             for g in &annotated.gold {
-                let needle = g.phrase.to_lowercase();
-                if !visible_text.contains(&needle) {
+                if !occurs_in(&window, &g.phrase) {
                     continue;
                 }
                 let recall = p
@@ -262,6 +261,14 @@ impl Extractor for SimulatedLlm {
     }
 }
 
+/// Whether `phrase`'s whitespace words, each normalized like the window's
+/// words, occur as a contiguous run of `window`: a phrase seen only inside
+/// a longer word was not read.
+fn occurs_in(window: &[String], phrase: &str) -> bool {
+    let needle: Vec<String> = phrase.split_whitespace().map(normalize_phrase).collect();
+    !needle.is_empty() && window.windows(needle.len()).any(|run| run == needle)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +334,40 @@ mod tests {
         let llm = SimulatedLlm::new(profile, &corpus);
         let docs: Vec<Document> = corpus.iter().map(|d| d.doc.clone()).collect();
         assert!(llm.extract(&table(), &docs).is_empty());
+    }
+
+    #[test]
+    fn context_window_reads_whole_words_only() {
+        // Inside the window the gold phrase occurs only within longer
+        // words; its first whole-word occurrence is past the window.
+        let text = "precortonosis cortonosisitis, filler filler cortonosis.";
+        let corpus = vec![AnnotatedDoc {
+            doc: Document::new("d1", text),
+            subjects: vec!["S".into()],
+            gold: vec![GoldEntity {
+                subject: "S".into(),
+                concept: "Complication".into(),
+                phrase: "cortonosis".into(),
+            }],
+        }];
+        let docs: Vec<Document> = corpus.iter().map(|d| d.doc.clone()).collect();
+        let read_within = |context_window: usize| {
+            let profile = LlmProfile {
+                name: "Window".into(),
+                recall: HashMap::new(),
+                default_recall: 1.0,
+                boundary_noise: 0.0,
+                confusion: 0.0,
+                hallucination: 0.0,
+                context_window,
+                seed: 1,
+            };
+            SimulatedLlm::new(profile, &corpus).extract(&table(), &docs)
+        };
+        assert!(read_within(4).is_empty(), "read through a substring");
+        let found = read_within(5);
+        assert_eq!(found.len(), 1, "the whole word ends the 5-word window");
+        assert_eq!(found[0].phrase, "cortonosis");
     }
 
     #[test]

@@ -8,10 +8,9 @@ use thor_baselines::{
 use thor_core::{ExtractedEntity, PreparedEngine, Thor, ThorConfig};
 use thor_datagen::{generate, DatasetSpec, GeneratedDataset, Split};
 use thor_eval::{evaluate, Annotation, EvalReport};
-use thor_obs::{Json, PipelineMetrics};
 
-/// Corpus scale from `THOR_SCALE` (default 0.25 — seconds, not minutes;
-/// 1.0 reproduces the paper-sized corpora).
+/// Corpus scale from `THOR_SCALE` for the `bench_*` binaries (default
+/// 0.25 — seconds, not minutes; 1.0 is the paper-sized corpora).
 pub fn scale_from_env() -> f64 {
     std::env::var("THOR_SCALE")
         .ok()
@@ -28,49 +27,12 @@ pub fn tau_sweep() -> impl Iterator<Item = f64> {
     (5..=10).map(|t| t as f64 / 10.0)
 }
 
-/// Seed from `THOR_SEED` (default 42).
+/// Seed from `THOR_SEED` (default 42), for the `bench_*` binaries.
 pub fn seed_from_env() -> u64 {
     std::env::var("THOR_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42)
-}
-
-/// How to emit per-stage pipeline metrics after each THOR run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsEmit {
-    /// Aligned human-readable table.
-    Table,
-    /// Single-line machine-readable JSON.
-    Json,
-}
-
-/// Metrics emission mode from `THOR_METRICS`: `1` or `table` → human
-/// table, `json` → machine-readable JSON; unset or anything else → off.
-pub fn metrics_from_env() -> Option<MetricsEmit> {
-    match std::env::var("THOR_METRICS").ok().as_deref() {
-        Some("1" | "table") => Some(MetricsEmit::Table),
-        Some("json") => Some(MetricsEmit::Json),
-        _ => None,
-    }
-}
-
-/// Print a run's metrics to stderr, labelled with the system name (JSON
-/// mode adds a `"system"` key to the document instead).
-pub fn emit_metrics(label: &str, metrics: &PipelineMetrics, mode: MetricsEmit) {
-    match mode {
-        MetricsEmit::Table => {
-            eprintln!("[metrics] {label}");
-            eprint!("{}", metrics.render_table());
-        }
-        MetricsEmit::Json => {
-            let mut doc = metrics.snapshot().to_json();
-            if let Json::Object(map) = &mut doc {
-                map.insert("system".into(), Json::Str(label.to_string()));
-            }
-            eprintln!("{}", doc.render());
-        }
-    }
 }
 
 /// The Disease A–Z dataset at the given scale.
@@ -172,28 +134,29 @@ pub fn prepare_engine(dataset: &GeneratedDataset, tau: f64) -> PreparedEngine {
 /// derivation cost plus inference — the amortized serving cost the
 /// build/serve split exists for.
 pub fn run_thor_sweep(dataset: &GeneratedDataset, taus: &[f64]) -> Vec<RunOutcome> {
-    let Some(base_tau) = taus.iter().copied().min_by(f64::total_cmp) else {
-        return Vec::new();
-    };
+    match taus.iter().copied().min_by(f64::total_cmp) {
+        Some(base_tau) => sweep_engine(&prepare_engine(dataset, base_tau), dataset, taus),
+        None => Vec::new(),
+    }
+}
+
+/// Run THOR at each of `taus` off `engine`, deriving each point with
+/// [`PreparedEngine::with_tau`]; every τ must be at least the engine's.
+/// Reported `time` per point is the derivation cost plus inference.
+pub fn sweep_engine(
+    engine: &PreparedEngine,
+    dataset: &GeneratedDataset,
+    taus: &[f64],
+) -> Vec<RunOutcome> {
     let docs = dataset.documents(Split::Test);
     let gold = gold_annotations(dataset, Split::Test);
-    let emit = metrics_from_env();
-    let engine = prepare_engine(dataset, base_tau);
     taus.iter()
         .map(|&tau| {
-            let name = System::Thor(tau).name();
-            let metrics = PipelineMetrics::new();
-            let mut served = engine.with_tau(tau);
-            if emit.is_some() {
-                served = served.with_metrics(metrics.clone());
-            }
+            let served = engine.with_tau(tau);
             let (predictions, infer) = served.extract(&docs);
-            if let Some(mode) = emit {
-                emit_metrics(&name, &metrics, mode);
-            }
             let report = evaluate(&to_annotations(&predictions), &gold);
             RunOutcome {
-                system: name,
+                system: System::Thor(tau).name(),
                 report,
                 time: Some(served.prepare_time() + infer),
                 predictions,
@@ -210,17 +173,7 @@ pub fn run_system(system: &System, dataset: &GeneratedDataset) -> RunOutcome {
     let name = system.name();
 
     let run_thor = |thor: Thor| {
-        let emit = metrics_from_env();
-        let metrics = PipelineMetrics::new();
-        let thor = if emit.is_some() {
-            thor.with_metrics(metrics.clone())
-        } else {
-            thor
-        };
         let (entities, prep, infer) = thor.extract(&table, &docs);
-        if let Some(mode) = emit {
-            emit_metrics(&name, &metrics, mode);
-        }
         (entities, Some(prep + infer))
     };
     let (predictions, time) = match system {
@@ -257,11 +210,11 @@ pub fn run_system(system: &System, dataset: &GeneratedDataset) -> RunOutcome {
             (preds, Some(t0.elapsed()))
         }
         System::Gpt4 => {
-            let llm = SimulatedLlm::new(LlmProfile::gpt4(seed_from_env()), &dataset.test);
+            let llm = SimulatedLlm::new(LlmProfile::gpt4(dataset.seed), &dataset.test);
             (llm.extract(&table, &docs), None)
         }
         System::UniNer => {
-            let llm = SimulatedLlm::new(LlmProfile::uniner(seed_from_env()), &dataset.test);
+            let llm = SimulatedLlm::new(LlmProfile::uniner(dataset.seed), &dataset.test);
             (llm.extract(&table, &docs), None)
         }
     };

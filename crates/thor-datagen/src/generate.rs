@@ -35,6 +35,9 @@ pub enum Split {
 pub struct GeneratedDataset {
     /// Dataset name (from the spec).
     pub name: String,
+    /// The seed it was generated from (from the spec); experiments seed
+    /// their own randomness, such as the simulated LLMs', from it.
+    pub seed: u64,
     /// The concept-oriented schema (concept 0 is the subject).
     pub schema: Schema,
     /// The integrated table `R` — full disjunction of the partial
@@ -497,6 +500,7 @@ pub fn generate(spec: &DatasetSpec) -> GeneratedDataset {
 
     GeneratedDataset {
         name: spec.name.clone(),
+        seed: spec.seed,
         schema,
         table,
         sources,

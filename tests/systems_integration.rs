@@ -2,6 +2,7 @@
 //! same generated dataset through the shared harness, and the relations
 //! the paper's evaluation depends on hold.
 
+use thor_baselines::{Extractor, LlmProfile, SimulatedLlm};
 use thor_bench::harness::{disease_dataset, gold_annotations, run_system, System};
 use thor_datagen::Split;
 
@@ -117,6 +118,24 @@ fn simulated_llms_are_seed_stable() {
     let b = run_system(&System::Gpt4, &d);
     assert_eq!(a.report.predicted_total, b.report.predicted_total);
     assert_eq!(a.report.tp, b.report.tp);
+}
+
+#[test]
+fn simulated_llms_take_the_seed_of_their_dataset() {
+    let d7 = disease_dataset(7, 0.1);
+    assert_eq!(d7.seed, 7);
+    let docs = d7.documents(Split::Test);
+    let table = d7.enrichment_table();
+    let expect = |profile| SimulatedLlm::new(profile, &d7.test).extract(&table, &docs);
+    assert_eq!(
+        run_system(&System::Gpt4, &d7).predictions,
+        expect(LlmProfile::gpt4(7))
+    );
+    assert_eq!(
+        run_system(&System::UniNer, &d7).predictions,
+        expect(LlmProfile::uniner(7))
+    );
+    assert_ne!(expect(LlmProfile::gpt4(7)), expect(LlmProfile::gpt4(42)));
 }
 
 #[test]
