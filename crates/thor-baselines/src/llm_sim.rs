@@ -48,7 +48,9 @@ pub struct LlmProfile {
     pub context_window: usize,
     /// Sampling seed — two different seeds give different outputs (the
     /// paper's "commonly produces different results for the same
-    /// input").
+    /// input"). Each gold entity draws from its own stream, keyed by
+    /// this seed, its document id and its index in that document's gold
+    /// list, so what happens to one entity never moves another's draws.
     pub seed: u64,
 }
 
@@ -169,7 +171,6 @@ impl Extractor for SimulatedLlm {
 
     fn extract(&self, table: &Table, docs: &[Document]) -> Vec<ExtractedEntity> {
         let p = &self.profile;
-        let mut rng = StdRng::seed_from_u64(p.seed);
         let concepts: Vec<String> = table
             .schema()
             .concepts()
@@ -191,10 +192,11 @@ impl Extractor for SimulatedLlm {
                 .map(normalize_phrase)
                 .collect();
 
-            for g in &annotated.gold {
+            for (index, g) in annotated.gold.iter().enumerate() {
                 if !occurs_in(&window, &g.phrase) {
                     continue;
                 }
+                let mut rng = StdRng::seed_from_u64(entity_seed(p.seed, &doc.id, index));
                 let recall = p
                     .recall
                     .get(&g.concept.to_lowercase())
@@ -259,6 +261,19 @@ impl Extractor for SimulatedLlm {
         out.dedup_by(|a, b| a.key() == b.key());
         out
     }
+}
+
+/// The seed of one gold entity's draws: FNV-1a over the profile seed,
+/// the document id and the entity's index in the document's gold list.
+fn entity_seed(seed: u64, doc_id: &str, index: usize) -> u64 {
+    let bytes = seed
+        .to_le_bytes()
+        .into_iter()
+        .chain(doc_id.bytes())
+        .chain((index as u64).to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Whether `phrase`'s whitespace words, each normalized like the window's
@@ -444,6 +459,65 @@ mod tests {
             .find(|e| e.phrase.starts_with("halluc"))
             .unwrap();
         assert!(!corpus[0].doc.text.contains(&fabricated.phrase));
+    }
+
+    #[test]
+    fn hiding_one_entity_leaves_every_other_entity_unchanged() {
+        // The first document's second gold entity sits past a 10-word
+        // window; every other entity is inside it.
+        let late = format!("alpha0 {} lateword.", vec!["filler"; 20].join(" "));
+        let mut corpus = vec![AnnotatedDoc {
+            doc: Document::new("d00", late),
+            subjects: vec!["S".into()],
+            gold: ["alpha0", "lateword"]
+                .map(|phrase| GoldEntity {
+                    subject: "S".into(),
+                    concept: "Anatomy".into(),
+                    phrase: phrase.into(),
+                })
+                .to_vec(),
+        }];
+        corpus.extend((1..20).map(|i| {
+            let words = [0, 1, 2].map(|j| format!("ent{i}x{j}"));
+            AnnotatedDoc {
+                doc: Document::new(format!("d{i:02}"), format!("{}.", words.join(" "))),
+                subjects: vec!["S".into()],
+                gold: words
+                    .map(|phrase| GoldEntity {
+                        subject: "S".into(),
+                        concept: "Anatomy".into(),
+                        phrase,
+                    })
+                    .to_vec(),
+            }
+        }));
+        let docs: Vec<Document> = corpus.iter().map(|d| d.doc.clone()).collect();
+        let run = |context_window: usize| {
+            let profile = LlmProfile {
+                name: "Noisy".into(),
+                recall: HashMap::new(),
+                default_recall: 0.6,
+                boundary_noise: 0.3,
+                confusion: 0.3,
+                hallucination: 0.0,
+                context_window,
+                seed: 5,
+            };
+            SimulatedLlm::new(profile, &corpus).extract(&table(), &docs)
+        };
+        let wide = run(usize::MAX);
+        let narrow = run(10);
+        let hidden = |e: &ExtractedEntity| e.phrase == "lateword";
+        let others: Vec<&ExtractedEntity> = wide.iter().filter(|e| !hidden(e)).collect();
+        assert_eq!(narrow.iter().collect::<Vec<_>>(), others);
+        assert!(
+            wide.iter().any(hidden),
+            "the late entity is drawn in: {wide:?}"
+        );
+        assert!(
+            !narrow.iter().any(hidden),
+            "the window hides it: {narrow:?}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::hint::black_box;
 use thor_automata::AhoCorasickBuilder;
 use thor_core::segment::segment;
 use thor_core::slotfill::slot_fill;
-use thor_core::{PruneMode, ResilientOptions, RunMode, SegmentationMode, Thor, ThorConfig};
+use thor_core::{PipelineMetrics, ResilientOptions, RunMode, SegmentationMode, Thor, ThorConfig};
 use thor_data::{full_disjunction, to_csv, Schema, Table};
 use thor_datagen::{generate, DatasetSpec, Split};
 use thor_nlp::{chunk_sentence, noun_phrases, parse_dependencies, RuleTagger, Tagger};
@@ -201,7 +201,7 @@ fn bench_segment(c: &mut Criterion) {
 /// `extract` over every Disease A–Z document at scale 0.1 (the
 /// `batch-narrow` corpus: 186 documents, τ 0.5, one thread). `cold`
 /// gives each iteration a fresh phrase memo and subphrase cache — a
-/// `with_prune` derivation, built outside the timing — so every
+/// `with_metrics` derivation, built outside the timing — so every
 /// distinct noun phrase is matched and refined once per iteration;
 /// `warm` reuses one engine, so after the first iteration every phrase
 /// is a memo hit.
@@ -216,7 +216,7 @@ fn bench_extract(c: &mut Criterion) {
         .collect();
     g.bench_function(BenchmarkId::new("cold", docs.len()), |b| {
         b.iter_batched(
-            || engine.with_prune(PruneMode::Exact),
+            || engine.with_metrics(PipelineMetrics::new()),
             |cold| cold.extract(black_box(&docs)),
             BatchSize::LargeInput,
         )

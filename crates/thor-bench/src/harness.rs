@@ -9,15 +9,6 @@ use thor_core::{ExtractedEntity, PreparedEngine, Thor, ThorConfig};
 use thor_datagen::{generate, DatasetSpec, GeneratedDataset, Split};
 use thor_eval::{evaluate, Annotation, EvalReport};
 
-/// Corpus scale from `THOR_SCALE` for the `bench_*` binaries (default
-/// 0.25 — seconds, not minutes; 1.0 is the paper-sized corpora).
-pub fn scale_from_env() -> f64 {
-    std::env::var("THOR_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25)
-}
-
 /// The paper's τ sweep — 0.5, 0.6, …, 1.0 (Table V, Figs. 5–6). The
 /// single source of the experiment grid: binaries that run THOR across
 /// the full threshold range iterate this instead of hard-coding the
@@ -25,14 +16,6 @@ pub fn scale_from_env() -> f64 {
 /// [`thor_match::TAU_RANGE`].
 pub fn tau_sweep() -> impl Iterator<Item = f64> {
     (5..=10).map(|t| t as f64 / 10.0)
-}
-
-/// Seed from `THOR_SEED` (default 42), for the `bench_*` binaries.
-pub fn seed_from_env() -> u64 {
-    std::env::var("THOR_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
 }
 
 /// The Disease A–Z dataset at the given scale.

@@ -83,14 +83,6 @@ pub struct ThorConfig {
     /// pipeline single-threaded (documents are independent once the
     /// matcher is fine-tuned, so extraction parallelizes trivially).
     pub threads: usize,
-    /// Candidate-generation pruning strategy. `Exact` (the default)
-    /// skips concepts and row blocks whose cosine upper bound cannot
-    /// beat the admission threshold — bit-identical to the exhaustive
-    /// scan, an output-neutral execution knob like `threads`. `Off`
-    /// forces the exhaustive scan.
-    /// Excluded from fingerprints and not persisted in engine
-    /// artifacts.
-    pub prune: thor_match::PruneMode,
 }
 
 impl Default for ThorConfig {
@@ -105,7 +97,6 @@ impl Default for ThorConfig {
             np_chunking: true,
             context_gate: None,
             threads: 1,
-            prune: thor_match::PruneMode::Exact,
         }
     }
 }
@@ -133,15 +124,14 @@ impl ThorConfig {
             max_subphrase_words: self.max_subphrase_words,
             max_expansion: self.max_expansion,
             cache_capacity: self.cache_capacity,
-            prune: self.prune,
         }
     }
 
     /// The fingerprint parts of every field that can change extraction
     /// output (τ, subphrase/expansion caps, context gate, segmentation,
     /// chunking, weights), shared by the engine and checkpoint
-    /// fingerprints. Execution knobs (`threads`, `cache_capacity`,
-    /// `prune`) are deliberately absent.
+    /// fingerprints. Execution knobs (`threads`, `cache_capacity`) are
+    /// deliberately absent.
     pub(crate) fn fingerprint_parts(&self) -> Vec<String> {
         vec![
             format!("tau={:016x}", self.tau.to_bits()),

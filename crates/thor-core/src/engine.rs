@@ -42,7 +42,7 @@ use thor_fault::{
     ThorResult,
 };
 use thor_index::DictionaryIndex;
-use thor_match::{MatcherConfig, PreparedMatcher, PruneMode, SimilarityMatcher, TAU_RANGE};
+use thor_match::{MatcherConfig, PreparedMatcher, SimilarityMatcher, TAU_RANGE};
 use thor_obs::PipelineMetrics;
 
 use crate::config::{ScoreWeights, SegmentationMode, ThorConfig};
@@ -390,21 +390,6 @@ impl PreparedEngine {
         self.derive(|e| e.config.threads = threads)
     }
 
-    /// The same engine with a different candidate-pruning mode. `Exact`
-    /// (the default) and `Off` are bit-identical to each other —
-    /// bound-based skipping only drops scans that provably cannot win —
-    /// so like `threads` they are execution knobs: output and
-    /// fingerprint are unchanged. The matcher's phrase cache and the
-    /// phrase memo are restarted, so the pruning counters describe this
-    /// mode's scans only.
-    pub fn with_prune(&self, prune: PruneMode) -> PreparedEngine {
-        self.derive(|e| {
-            e.config.prune = prune;
-            e.matcher = Arc::new(e.matcher.with_prune_mode(prune));
-            e.restart_memo();
-        })
-    }
-
     /// Attach an observability handle. Nothing is rebuilt: the frozen
     /// index and pruning structures (zero-copy views after a mapped
     /// load) are shared. The handle receives the engine's
@@ -679,8 +664,6 @@ impl PreparedEngine {
                 max_subphrase_words: r.get_u64()? as usize,
                 max_expansion: r.get_u64()? as usize,
                 cache_capacity: r.get_u64()? as usize,
-                // Execution knob, never persisted.
-                prune: PruneMode::Exact,
             };
             let dim = r.get_u64()? as usize;
             let word_count = r.get_u64()? as usize;
@@ -1055,9 +1038,6 @@ fn read_config(r: &mut ByteReader<'_>) -> ThorResult<ThorConfig> {
         np_chunking,
         context_gate,
         threads,
-        // The pruning mode is an execution knob, never persisted: a
-        // loaded engine starts from the default.
-        prune: thor_match::PruneMode::Exact,
     })
 }
 

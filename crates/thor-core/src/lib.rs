@@ -87,5 +87,4 @@ pub use pool::{PoolScope, WorkerPool};
 pub use resilient::{ResilientOptions, ResilientOutcome, RunMode};
 pub use slot::{EngineGeneration, EngineSlot};
 pub use thor_fault::{CancelToken, MapMode};
-pub use thor_match::PruneMode;
 pub use thor_obs::PipelineMetrics;

@@ -6,7 +6,7 @@
 //! configuration must start with an empty memo, so no outcome memoized
 //! under one engine serves another.
 
-use thor_core::{entities_tsv, Document, PipelineMetrics, PreparedEngine, PruneMode, Thor};
+use thor_core::{entities_tsv, Document, PipelineMetrics, PreparedEngine, Thor};
 use thor_core::{ExtractedEntity, ThorConfig};
 use thor_data::csv::to_csv;
 use thor_data::{Schema, Table};
@@ -187,7 +187,6 @@ fn with_threads_shares_the_memo_and_other_derivations_start_empty() {
 
     let derived = [
         ("with_tau", base.with_tau(base.tau())),
-        ("with_prune", base.with_prune(PruneMode::Exact)),
         ("with_metrics", base.with_metrics(PipelineMetrics::new())),
     ];
     for (name, engine) in derived {

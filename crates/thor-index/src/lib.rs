@@ -36,6 +36,6 @@ pub use dictionary::DictionaryIndex;
 pub use entity::CandidateEntity;
 pub use index::{ConceptScores, VectorIndex, VectorIndexBuilder};
 pub use lanes::LaneRows;
-pub use prune::{PruneIndex, PruneMode, PruneStats, PruneSummary};
+pub use prune::{PruneIndex, PruneStats, PruneSummary};
 pub use source::CandidateSource;
 pub use thor_automata::AhoCorasick;

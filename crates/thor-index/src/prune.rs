@@ -15,7 +15,7 @@
 //!    centroid+radius balls over row blocks. Surviving concepts prune at
 //!    block granularity.
 //!
-//! ## Why exact mode is bit-identical
+//! ## Why the pruned scan is bit-identical
 //!
 //! For a normalized query `q̂` and normalized member row `r̂` of a ball
 //! `(c, radius)`: `cos(q, r) = dot(q̂, r̂) ≤ dot(q̂, c) + ‖r̂ − c‖ ≤
@@ -68,17 +68,6 @@ const KMEANS_ITERS: usize = 8;
 
 /// Base seed for the deterministic k-means initialization.
 const KMEANS_SEED: u64 = 0x7468_6f72_2d70_7231;
-
-/// How candidate generation uses the pruning structures.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum PruneMode {
-    /// Bound-pruned scans whose output is bit-identical to the
-    /// exhaustive path (the default).
-    #[default]
-    Exact,
-    /// Exhaustive scans only: the reference the pruned scans equal.
-    Off,
-}
 
 /// Counters accumulated by one pruned operation, flushed into
 /// `PipelineMetrics` by the matcher.

@@ -35,5 +35,5 @@ pub use matcher::{
 };
 pub use prepared::PreparedMatcher;
 pub use thor_index::{
-    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneMode, PruneStats, VectorIndex,
+    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneStats, VectorIndex,
 };

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use thor_embed::VectorStore;
 use thor_index::{
-    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneMode, PruneStats, VectorIndex,
+    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneStats, VectorIndex,
     VectorIndexBuilder,
 };
 use thor_text::{is_stopword, normalize_phrase, SeedSyntax};
@@ -41,11 +41,6 @@ pub struct MatcherConfig {
     /// caching. The cache never changes results — candidates are a pure
     /// function of the subphrase once the matcher is fine-tuned.
     pub cache_capacity: usize,
-    /// How `match_phrase` uses the frozen pruning structures. `Exact`
-    /// (the default) is bit-identical to the exhaustive scan; `Off`
-    /// scans exhaustively. An execution knob, never part of the
-    /// fingerprint or the artifact.
-    pub prune: PruneMode,
 }
 
 impl Default for MatcherConfig {
@@ -55,7 +50,6 @@ impl Default for MatcherConfig {
             max_subphrase_words: 4,
             max_expansion: 200,
             cache_capacity: 4096,
-            prune: PruneMode::Exact,
         }
     }
 }
@@ -133,9 +127,8 @@ pub struct SimilarityMatcher {
     store: Arc<VectorStore>,
     clusters: Arc<[ConceptCluster]>,
     index: VectorIndex,
-    /// The frozen pruning structures (always built — a pure function of
-    /// the index — so saved artifacts are identical whatever the
-    /// serving-time [`PruneMode`]).
+    /// The frozen pruning structures: a pure function of the index,
+    /// saved beside it and read by every candidate scan.
     prune: Arc<PruneIndex>,
     cache: PhraseCache<CachedMatch>,
     seed_syntax: Arc<SeedSyntax>,
@@ -200,9 +193,10 @@ impl SimilarityMatcher {
     /// for the index matching the clusters —
     /// `PreparedMatcher::matcher_with_index` validates the layout. A
     /// `None` prune structure is rebuilt deterministically from the
-    /// index (the pre-pruning-artifact compatibility path). The one
-    /// place a matcher is put together: it measures the fine-tune
-    /// statistics and opens a fresh phrase cache.
+    /// index: delta apply passes `None`, since a changed index needs
+    /// fresh bounds. The one place a matcher is put together: it
+    /// measures the fine-tune statistics and opens a fresh phrase
+    /// cache.
     pub(crate) fn from_clusters_prebuilt(
         store: Arc<VectorStore>,
         clusters: Vec<ConceptCluster>,
@@ -242,15 +236,6 @@ impl SimilarityMatcher {
             cache: PhraseCache::new(self.config.cache_capacity),
             ..self.clone()
         }
-    }
-
-    /// A clone of this matcher serving with `prune` instead. The phrase
-    /// cache starts fresh, so its pruning counters describe this mode's
-    /// scans only.
-    pub fn with_prune_mode(&self, prune: PruneMode) -> Self {
-        let mut matcher = self.with_fresh_cache();
-        matcher.config.prune = prune;
-        matcher
     }
 
     /// Freeze the fine-tuned clusters into the structure-of-arrays
@@ -306,11 +291,6 @@ impl SimilarityMatcher {
     /// serialization.
     pub fn prune_index(&self) -> &PruneIndex {
         &self.prune
-    }
-
-    /// The configured [`PruneMode`].
-    pub fn prune_mode(&self) -> PruneMode {
-        self.config.prune
     }
 
     /// Precomputed refinement syntax (lowercase word sets + char
@@ -451,36 +431,9 @@ impl SimilarityMatcher {
         };
         let qn = query.norm();
         let q = query.as_slice();
-        // Pruned triage needs a usable query direction; zero-norm
-        // queries (all similarities exactly 0.0) take the exhaustive
-        // path, which costs nothing extra at that degenerate point.
-        let pruned = qn != 0.0 && !matches!(self.config.prune, PruneMode::Off);
-        let best: Option<(usize, f64)> = if pruned {
-            self.best_gated_concept_pruned(q, qn, stats)
-        } else {
-            let mut best: Option<(usize, f64)> = None;
-            for scores in self.index.scan(q, qn) {
-                let Some(best_rep) = scores.max else {
-                    continue;
-                };
-                if best_rep + 1e-9 < self.config.tau {
-                    continue;
-                }
-                let cluster_score = scores.mean.unwrap_or(0.0);
-                if best.is_none_or(|(_, s)| cluster_score > s) {
-                    best = Some((scores.concept, cluster_score));
-                }
-            }
-            best
-        };
         let scored = (|| {
-            let (ci, cluster_score) = best?;
-            let seed = if pruned {
-                self.prune.best_seed(&self.index, ci, q, qn, stats)
-            } else {
-                self.index.best_seed(ci, q, qn)
-            };
-            let (seed, seed_sim) = seed?;
+            let (ci, cluster_score) = self.best_gated_concept_pruned(q, qn, stats)?;
+            let (seed, seed_sim) = self.prune.best_seed(&self.index, ci, q, qn, stats)?;
             Some(CandidateEntity {
                 phrase: sub.to_string(),
                 concept: self.index.concept_name(ci).to_string(),
@@ -532,8 +485,9 @@ impl SimilarityMatcher {
     /// [`SimilarityMatcher::match_phrase_anchored`], but scanning the
     /// [`ConceptCluster`]s directly with per-pair `Vector` cosines — no
     /// index, no cache, no counts. Kept off the hot path as ground
-    /// truth for the index/cache equivalence property tests and as the
-    /// baseline that `bench_matcher` measures the engine against.
+    /// truth for the index/cache/pruning equivalence tests and as the
+    /// baseline of the index+cache floor in `thor-bench`'s
+    /// `tests/floors.rs`.
     pub fn match_phrase_reference(
         &self,
         phrase: &str,
@@ -618,7 +572,13 @@ mod tests {
     use thor_embed::SemanticSpaceBuilder;
 
     fn matcher(tau: f64) -> SimilarityMatcher {
-        let store = SemanticSpaceBuilder::new(32, 9)
+        matcher_with(tau, |_| {})
+    }
+
+    /// [`matcher`] over a store that `edit` may extend before the
+    /// fine-tune.
+    fn matcher_with(tau: f64, edit: impl FnOnce(&mut VectorStore)) -> SimilarityMatcher {
+        let mut store = SemanticSpaceBuilder::new(32, 9)
             .topic("anatomy")
             .correlated_topic("complication", "anatomy", 0.3)
             .words(
@@ -635,6 +595,7 @@ mod tests {
             .generic_words(["slow-growing", "walk", "green", "people"])
             .build()
             .into_store();
+        edit(&mut store);
         let concepts = vec![
             (
                 "Anatomy".to_string(),
@@ -768,6 +729,27 @@ mod tests {
                 let via_index = m.match_phrase(phrase);
                 let reference = m.match_phrase_reference(phrase, |_| true);
                 assert_eq!(via_index, reference, "tau {tau}, phrase {phrase:?}");
+            }
+        }
+    }
+
+    /// A phrase whose only in-vocabulary word is the zero vector
+    /// embeds to a zero-norm query: every similarity is exactly 0.0, so
+    /// the pruned scan has no direction to bound. It must still answer
+    /// like the reference — a match only where τ admits 0.0 — and
+    /// count no pruning work.
+    #[test]
+    fn zero_norm_query_matches_the_reference() {
+        for tau in [0.0, 0.5, 1.0] {
+            let m = matcher_with(tau, |store| {
+                store.insert("void", thor_embed::Vector::zeros(32))
+            });
+            for phrase in ["void", "the void", "void void"] {
+                let (via_index, counts) = m.match_phrase_counted(phrase, |_| true);
+                let reference = m.match_phrase_reference(phrase, |_| true);
+                assert_eq!(via_index, reference, "tau {tau}, phrase {phrase:?}");
+                assert_eq!(!via_index.is_empty(), tau == 0.0, "tau {tau}, {phrase:?}");
+                assert_eq!(counts.prune, PruneStats::default(), "tau {tau}");
             }
         }
     }

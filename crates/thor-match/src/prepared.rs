@@ -445,9 +445,10 @@ impl PreparedMatcher {
     /// clusters `config` derives — validated against the derived
     /// layout, since a mismatched index would silently mis-score.
     ///
-    /// `prune` is the persisted pruning index when the artifact carried
-    /// one; `None` rebuilds it from `index` (a pure deterministic
-    /// function of the index, so both paths are indistinguishable).
+    /// `prune` is the persisted pruning index on artifact load; `None`
+    /// rebuilds it from `index`, as delta apply does (a pure
+    /// deterministic function of the index, so both paths are
+    /// indistinguishable).
     pub fn matcher_with_index(
         &self,
         config: MatcherConfig,

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use thor_core::{EngineGeneration, EngineSlot, MapMode, PreparedEngine, PruneMode};
+use thor_core::{EngineGeneration, EngineSlot, MapMode, PreparedEngine};
 use thor_fault::{fail_point, fnv1a, SectionChain, ThorError, ThorResult, SECTION_MAGIC};
 use thor_obs::PipelineMetrics;
 
@@ -35,8 +35,6 @@ pub struct ReloadConfig {
     pub mode: MapMode,
     /// Re-applied `--threads` override, if any.
     pub threads: Option<usize>,
-    /// Re-applied `--prune` override.
-    pub prune: PruneMode,
     /// `--watch-engine` poll interval; `None` reloads on SIGHUP only.
     pub poll: Option<Duration>,
 }
@@ -158,9 +156,6 @@ fn load_candidate(
     }
     if let Some(threads) = cfg.threads {
         engine = engine.with_threads(threads);
-    }
-    if cfg.prune != PruneMode::Exact {
-        engine = engine.with_prune(cfg.prune);
     }
     let engine = engine.with_metrics(metrics.clone());
     Ok((engine, after))

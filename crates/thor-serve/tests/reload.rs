@@ -103,7 +103,6 @@ impl LiveServer {
             path: path.to_path_buf(),
             mode: MapMode::Owned,
             threads: None,
-            prune: thor_core::PruneMode::Exact,
             poll,
         };
         let server = Server::bind_with(engine, "127.0.0.1:0", opts, Some(reload)).expect("bind");

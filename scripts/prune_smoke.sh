@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Sub-linear candidate-generation smoke test against the real CLI.
+# Pruning-section smoke test against the real CLI.
 #
-# Exercises the bound-pruned scan end to end:
-#   1. enriching with `--prune exact`, `--prune off`, and the default
-#      (no flag) is byte-identical — pruning is a pure execution knob;
-#   2. a malformed `--prune` value is rejected by name;
-#   3. `thor inspect` prints the pruning sections (cluster shape) and
+# The bound-pruned scan is the only candidate scan; this checks the
+# sections it reads end to end:
+#   1. `--prune` is an unknown option of `thor enrich`, rejected by
+#      name with exit 1 — there is no scan to pick;
+#   2. `thor inspect` prints the pruning sections (cluster shape) and
 #      verifies their checksums;
-#   4. a flipped byte inside a pruning section is rejected by name —
+#   3. a flipped byte inside a pruning section is rejected by name —
 #      at inspect time and at load time — never served;
-#   5. an artifact stamped with format version 2 fails `thor enrich`
+#   4. an artifact stamped with format version 2 fails `thor enrich`
 #      with exit 1 and the rebuild hint.
 #
 # Usage: scripts/prune_smoke.sh  (run from anywhere; builds if needed)
@@ -39,25 +39,17 @@ echo "prune smoke: ${#DOCS[@]} documents"
 ENGINE="$WORK/engine.thorengine"
 "$THOR" build --table "$TABLE" --vectors "$VECTORS" --engine "$ENGINE" 2>/dev/null
 
-echo "-- exact pruning is byte-identical to the exhaustive scan"
-"$THOR" enrich --engine "$ENGINE" --out "$WORK/default.csv" "${DOCS[@]}" 2>/dev/null
-"$THOR" enrich --engine "$ENGINE" --prune exact \
-    --out "$WORK/exact.csv" "${DOCS[@]}" 2>/dev/null
-"$THOR" enrich --engine "$ENGINE" --prune off \
-    --out "$WORK/off.csv" "${DOCS[@]}" 2>/dev/null
-cmp "$WORK/default.csv" "$WORK/exact.csv" || fail "--prune exact diverged from the default"
-cmp "$WORK/default.csv" "$WORK/off.csv" || fail "--prune exact diverged from --prune off"
-echo "   default == exact == off"
-
-echo "-- a malformed --prune value is rejected by name"
+echo "-- --prune is an unknown option"
 set +e
-"$THOR" enrich --engine "$ENGINE" --prune sideways \
-    --out "$WORK/bad.csv" "${DOCS[@]}" 2>"$WORK/bad.log"
+"$THOR" enrich --engine "$ENGINE" --prune exact \
+    --out "$WORK/prune.csv" "${DOCS[@]}" 2>"$WORK/prune.log"
 status=$?
 set -e
-[[ $status -ne 0 ]] || fail "--prune sideways was accepted"
-grep -q 'exact' "$WORK/bad.log" || fail "bad --prune error is unnamed: $(cat "$WORK/bad.log")"
-echo "   bad --prune rejected"
+[[ $status -eq 1 ]] || fail "--prune exact: expected exit 1, got $status"
+grep -q "unknown option \`--prune\`" "$WORK/prune.log" \
+    || fail "--prune error is unnamed: $(cat "$WORK/prune.log")"
+[[ ! -f "$WORK/prune.csv" ]] || fail "a rejected --prune run still wrote output"
+echo "   --prune exact rejected by name"
 
 echo "-- inspect prints and verifies the pruning sections"
 "$THOR" inspect --engine "$ENGINE" >"$WORK/inspect.txt" || fail "inspect rejected the engine"

@@ -12,12 +12,11 @@
 //!             [--checkpoint DIR [--resume]] [--stream [--chunk N]]
 //!             [--out enriched.csv] [--entities e.tsv]
 //!             <doc.txt | corpus-dir>...              run the pipeline
-//! thor enrich --engine e.thor [--engine-mmap on|off] [--threads N]
-//!             [--prune exact|off] ...
+//! thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] ...
 //!             <doc.txt | corpus-dir>...              serve from a built engine
 //! thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT]
 //!            [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS]
-//!            [--prune exact|off] [--metrics[=json]]
+//!            [--metrics[=json]]
 //!                                                    HTTP front end (see thor-serve)
 //! thor delta --engine base.eng [--add-concept NAME] [--add-seeds rows.csv]
 //!            --out d1.eng [--note TEXT] [--engine-mmap on|off]
@@ -79,8 +78,7 @@ use std::process::ExitCode;
 
 use thor_repro::core::{
     compact_chain, entities_tsv, ConceptDelta, Document, EngineDelta, PipelineMetrics,
-    PreparedEngine, PruneMode, ResilientOptions, RunMode, SeedDelta, Thor, ThorConfig,
-    ENGINE_FORMAT_VERSION,
+    PreparedEngine, ResilientOptions, RunMode, SeedDelta, Thor, ThorConfig, ENGINE_FORMAT_VERSION,
 };
 use thor_repro::data::csv::{from_csv, from_csv_lenient, to_csv, SkippedRow};
 use thor_repro::data::CorpusDir;
@@ -172,7 +170,6 @@ const ENRICH: CommandSpec = CommandSpec {
         "engine-mmap",
         "context-gate",
         "threads",
-        "prune",
         "out",
         "entities",
         "quarantine",
@@ -197,7 +194,6 @@ const SERVE: CommandSpec = CommandSpec {
         "threads",
         "queue",
         "read-timeout-ms",
-        "prune",
         "watch-engine",
         "deadline-ms",
     ],
@@ -299,7 +295,6 @@ const COMMANDS: &[Command] = &[
                 [--stream [--chunk N]] [--out enriched.csv] [--entities e.tsv] \
                 <doc.txt | corpus-dir>...\n  \
                 thor enrich --engine e.thor [--engine-mmap on|off] [--threads N] \
-                [--prune exact|off] \
                 ... <doc.txt | corpus-dir>...",
     },
     Command {
@@ -308,7 +303,6 @@ const COMMANDS: &[Command] = &[
         run: cmd_serve,
         usage: "thor serve --engine e.thor [--engine-mmap on|off] [--addr HOST:PORT] \
                 [--addr-file PATH] [--threads N] [--queue N] [--read-timeout-ms MS] \
-                [--prune exact|off] \
                 [--watch-engine [MS]] [--deadline-ms MS] [--metrics[=json]]",
     },
     Command {
@@ -484,18 +478,17 @@ fn engine_map_mode(args: &Args) -> ThorResult<MapMode> {
     }
 }
 
-/// `--prune exact|off`: candidate-generation pruning. `exact` (the
-/// default) and `off` produce bit-identical output — exact pruning only
-/// skips scans whose cosine upper bound provably cannot win — so like
-/// `--threads` the knob stays adjustable when serving from a frozen
-/// `--engine` artifact.
-fn prune_mode(args: &Args) -> ThorResult<PruneMode> {
-    match args.options.get("prune").map(String::as_str) {
-        None | Some("exact") => Ok(PruneMode::Exact),
-        Some("off") => Ok(PruneMode::Off),
-        Some(other) => Err(ThorError::config(format!(
-            "--prune must be `exact` or `off`, got `{other}`"
+/// `--context-gate G`, which must be finite: a NaN gate would pass
+/// every candidate (no comparison with NaN holds) and an infinite one
+/// would pass none or all, while the fingerprint still records a gate.
+fn context_gate(args: &Args) -> ThorResult<Option<f64>> {
+    let gate: Option<f64> = parse_option(args, "context-gate")?;
+    match gate {
+        Some(g) if !g.is_finite() => Err(ThorError::config(format!(
+            "--context-gate must be finite, got `{}`",
+            args.options["context-gate"]
         ))),
+        gate => Ok(gate),
     }
 }
 
@@ -563,6 +556,7 @@ fn cmd_build(args: &Args) -> ThorResult<()> {
         .get("engine")
         .ok_or_else(|| ThorError::config("build needs --engine PATH"))?;
 
+    let context_gate = context_gate(args)?;
     let table = read_table(table_path)?;
     let store = VectorStore::load_path(Path::new(vectors_path))?;
     let tau: f64 = parse_option(args, "tau")?.unwrap_or(0.7);
@@ -572,9 +566,7 @@ fn cmd_build(args: &Args) -> ThorResult<()> {
         )));
     }
     let mut config = ThorConfig::with_tau(tau);
-    if let Some(g) = parse_option(args, "context-gate")? {
-        config.context_gate = Some(g);
-    }
+    config.context_gate = context_gate;
     if let Some(threads) = parse_option(args, "threads")? {
         if threads == 0 {
             return Err(ThorError::config("--threads must be at least 1"));
@@ -632,7 +624,7 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         }
     }
 
-    let prune = prune_mode(args)?;
+    let context_gate = context_gate(args)?;
 
     if args.positional.is_empty() {
         return Err(ThorError::config(
@@ -715,9 +707,6 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         if let Some(threads) = threads {
             engine = engine.with_threads(threads);
         }
-        if prune != PruneMode::Exact {
-            engine = engine.with_prune(prune);
-        }
         let engine = engine.with_metrics(metrics.clone());
         if stream {
             let reader = corpus
@@ -773,13 +762,10 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         };
 
         let mut config = ThorConfig::with_tau(tau);
-        if let Some(g) = parse_option(args, "context-gate")? {
-            config.context_gate = Some(g);
-        }
+        config.context_gate = context_gate;
         if let Some(threads) = threads {
             config.threads = threads;
         }
-        config.prune = prune;
         let thor = Thor::new(store, config).with_metrics(metrics.clone());
         if stream {
             let reader = corpus
@@ -895,7 +881,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if read_timeout_ms == 0 {
         return Err(ThorError::config("--read-timeout-ms must be at least 1"));
     }
-    let prune = prune_mode(args)?;
     let metrics_mode = metrics_mode(args)?;
     // Bare `--watch-engine` (no value) means "poll at the default
     // cadence"; a value is the poll interval in milliseconds. Without
@@ -933,9 +918,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
     if let Some(threads) = threads {
         engine = engine.with_threads(threads);
     }
-    if prune != PruneMode::Exact {
-        engine = engine.with_prune(prune);
-    }
 
     let opts = ServeOptions {
         queue,
@@ -948,7 +930,6 @@ fn cmd_serve(args: &Args) -> ThorResult<()> {
         path: PathBuf::from(engine_path),
         mode: map_mode,
         threads,
-        prune,
         poll: watch_engine,
     };
     serve_signal::install_handlers();
@@ -1511,30 +1492,66 @@ mod tests {
     }
 
     #[test]
-    fn prune_option_validated() {
+    fn prune_option_is_unknown() {
+        // The bound-pruned scan is the only candidate scan; there is
+        // nothing to pick.
+        for (cmd, spec) in [("enrich", &ENRICH), ("serve", &SERVE)] {
+            let a = parse_args(&argv(&["--prune", "exact", "d.txt"]), spec.flags);
+            let msg = check_options(cmd, &a, spec).unwrap_err().to_string();
+            assert!(msg.contains("unknown option `--prune`"), "{cmd}: {msg}");
+        }
+    }
+
+    #[test]
+    fn context_gate_rejects_non_finite_values_by_name() {
+        // Each value is rejected before any input is read, so the
+        // nonexistent paths are never reached.
+        for gate in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            let build = parse_args(
+                &argv(&[
+                    "--table",
+                    "/nonexistent/t.csv",
+                    "--vectors",
+                    "/nonexistent/v.txt",
+                    "--engine",
+                    "/nonexistent/e.thor",
+                    "--context-gate",
+                    gate,
+                ]),
+                BUILD.flags,
+            );
+            let enrich = parse_args(
+                &argv(&[
+                    "--table",
+                    "/nonexistent/t.csv",
+                    "--context-gate",
+                    gate,
+                    "d.txt",
+                ]),
+                ENRICH.flags,
+            );
+            for err in [cmd_build(&build), cmd_enrich(&enrich)].map(Result::unwrap_err) {
+                assert_eq!(err.kind(), ErrorKind::Config, "{gate}: {err}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("--context-gate must be finite, got `{gate}`")),
+                    "{msg}"
+                );
+            }
+        }
+        // A finite gate passes the check and fails later, on the input.
         let a = parse_args(
-            &argv(&["--table", "t.csv", "--prune", "fuzzy", "d.txt"]),
+            &argv(&[
+                "--table",
+                "/nonexistent/t.csv",
+                "--context-gate",
+                "0.2",
+                "d.txt",
+            ]),
             ENRICH.flags,
         );
         let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(msg.contains("`exact` or `off`, got `fuzzy`"), "{msg}");
-
-        // Like --threads, --prune stays adjustable alongside --engine:
-        // the error must come from the missing file, not a conflict.
-        let a = parse_args(
-            &argv(&["--engine", "/nonexistent/e.thor", "--prune", "off", "d.txt"]),
-            ENRICH.flags,
-        );
-        let msg = cmd_enrich(&a).unwrap_err().to_string();
-        assert!(!msg.contains("conflicts"), "{msg}");
-
-        // Parsed modes map to the engine-level enum.
-        let parsed = |items: &[&str]| prune_mode(&parse_args(&argv(items), ENRICH.flags));
-        assert_eq!(parsed(&[]).unwrap(), PruneMode::Exact);
-        assert_eq!(parsed(&["--prune", "exact"]).unwrap(), PruneMode::Exact);
-        assert_eq!(parsed(&["--prune", "off"]).unwrap(), PruneMode::Off);
-        let msg = parsed(&["--prune", "approx"]).unwrap_err().to_string();
-        assert!(msg.contains("`exact` or `off`, got `approx`"), "{msg}");
+        assert!(!msg.contains("--context-gate"), "{msg}");
     }
 
     #[test]

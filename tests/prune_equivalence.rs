@@ -1,20 +1,18 @@
 //! Property tests for the sub-linear candidate-generation tentpole:
-//! **bound-pruned exact scans are bit-identical to the exhaustive
-//! reference**. The pruned path (`PruneMode::Exact`, the default)
-//! must reproduce `match_phrase_reference` exactly — same candidates,
-//! same order, same score *bits* — across random semantic spaces, the
-//! paper's τ sweep, worker threads {1, 4}, phrase cache {0, 4096},
-//! backing {owned, mapped}, and after delta chains. `PruneMode::Off`
-//! and `Exact` must agree everywhere (pruning is a pure execution
-//! knob), the artifact bytes must not depend on the knob at all, and
-//! an artifact missing any `prune.*` section is refused by name.
+//! **the bound-pruned scan is bit-identical to the exhaustive
+//! reference**. `match_phrase`, whose only candidate scan is the
+//! pruned one, must reproduce `match_phrase_reference` exactly — same
+//! candidates, same order, same score *bits* — across random semantic
+//! spaces, the paper's τ sweep, worker threads {1, 4}, phrase cache
+//! {0, 4096}, backing {owned, mapped}, and after delta chains; and an
+//! artifact missing any `prune.*` section is refused by name.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use thor_repro::core::{
-    Document, EngineDelta, MapMode, PreparedEngine, PruneMode, SeedDelta, Thor, ThorConfig,
+    Document, EngineDelta, MapMode, PreparedEngine, SeedDelta, Thor, ThorConfig,
 };
 use thor_repro::data::{Schema, Table};
 use thor_repro::embed::{SemanticSpaceBuilder, VectorStore};
@@ -107,10 +105,10 @@ fn matched_concurrently(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole invariant: `Exact` pruning reproduces the
-    /// brute-force reference *bit-identically* — and `Off` agrees with
-    /// `Exact` — for random spaces, every τ of the paper's sweep,
-    /// cache {0, 4096} and threads {1, 4} on one shared matcher.
+    /// The tentpole invariant: the pruned scan reproduces the
+    /// brute-force reference *bit-identically* for random spaces, every
+    /// τ of the paper's sweep, cache {0, 4096} and threads {1, 4} on
+    /// one shared matcher.
     #[test]
     fn pruned_exact_equals_exhaustive_bit_identically(
         words in prop::collection::vec(
@@ -125,7 +123,6 @@ proptest! {
         let cache = [0usize, 4096][cache_pick];
         let threads = [1usize, 4][threads_pick];
         let exact = matcher(tau10 as f64 / 10.0, seed, cache);
-        let off = exact.with_prune_mode(PruneMode::Off);
         let phrases: Vec<String> = words.iter().map(|w| w.join(" ")).collect();
 
         let got = matched_concurrently(&exact, &phrases, threads);
@@ -135,18 +132,13 @@ proptest! {
                 &reference, act,
                 "pruned path diverged from reference on `{}`", phrase
             );
-            let unpruned = off.match_phrase(phrase);
-            prop_assert_eq!(
-                &reference, &unpruned,
-                "exhaustive mode diverged from reference on `{}`", phrase
-            );
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Engine-level properties: the knob is invisible to artifacts and to
-// enrichment, including after delta chains and across map modes.
+// Engine-level properties: after delta chains and across map modes,
+// a loaded engine's matcher still equals the reference.
 // ---------------------------------------------------------------------
 
 fn engine_store() -> VectorStore {
@@ -170,6 +162,34 @@ fn base_table() -> Table {
     table
 }
 
+/// Every document word and adjacent word pair, plus an OOV word: the
+/// phrases the engine-level properties match against the reference.
+fn phrases_of(docs: &[Document]) -> Vec<String> {
+    let mut words: Vec<String> = docs
+        .iter()
+        .flat_map(|d| d.text.split(|c: char| !c.is_alphanumeric()))
+        .filter(|w| !w.is_empty())
+        .map(str::to_lowercase)
+        .collect();
+    words.push("zzz".to_string());
+    let pairs: Vec<String> = words.windows(2).map(|w| w.join(" ")).collect();
+    words.extend(pairs);
+    words
+}
+
+/// `engine`'s pruned `match_phrase` equals its brute-force
+/// `match_phrase_reference` on every phrase of `docs`.
+fn assert_matches_reference(engine: &PreparedEngine, docs: &[Document], context: &str) {
+    let matcher = engine.matcher();
+    for phrase in phrases_of(docs) {
+        assert_eq!(
+            matcher.match_phrase(&phrase),
+            matcher.match_phrase_reference(&phrase, |_| true),
+            "{context}: `{phrase}`"
+        );
+    }
+}
+
 fn docs() -> Vec<Document> {
     vec![
         Document::new("d0", "Tuberculosis damages the lungs and the brain."),
@@ -181,13 +201,11 @@ fn docs() -> Vec<Document> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// After a random delta chain, a chain-loaded engine enriches
-    /// identically whether pruning is `Exact` (default) or `Off`, at
-    /// every {cache} × {mmap} point — and the artifact bytes the
-    /// evolved engine saves are byte-identical regardless of the
-    /// execution knob it was running under.
+    /// After a random delta chain, the in-memory and the chain-loaded
+    /// engine match the brute-force reference on every document phrase
+    /// and enrich identically, at every {cache} × {mmap} point.
     #[test]
-    fn prune_modes_agree_after_delta_chains(
+    fn pruned_scans_match_the_reference_after_delta_chains(
         seeds in prop::collection::vec((0usize..3, 0usize..6), 1..4),
         cache_pick in 0usize..2,
         mapped_pick in 0usize..2,
@@ -214,29 +232,20 @@ proptest! {
             paths.push(next);
         }
 
-        // The execution knob never reaches the artifact: the evolved
-        // engine saves the same bytes under `Off` as under the default.
-        let (pa, pb) = (
-            dir.join(format!("exact-{case}.eng")),
-            dir.join(format!("off-{case}.eng")),
-        );
-        engine.save(&pa).unwrap();
-        engine.with_prune(PruneMode::Off).save(&pb).unwrap();
-        prop_assert_eq!(std::fs::read(&pa).unwrap(), std::fs::read(&pb).unwrap());
-
         let loaded = PreparedEngine::load_with(paths.last().unwrap(), mode).unwrap();
         prop_assert_eq!(loaded.fingerprint(), engine.fingerprint());
         let docs = docs();
-        let exact = loaded.enrich(&docs);
-        let off = loaded.with_prune(PruneMode::Off).enrich(&docs);
-        prop_assert_eq!(&exact.entities, &off.entities);
+        assert_matches_reference(&engine, &docs, "evolved");
+        assert_matches_reference(&loaded, &docs, &format!("{mode:?} chain load"));
+        let (want, got) = (engine.enrich(&docs), loaded.enrich(&docs));
+        prop_assert_eq!(&want.entities, &got.entities);
         prop_assert_eq!(
-            thor_repro::data::csv::to_csv(&exact.table),
-            thor_repro::data::csv::to_csv(&off.table)
+            thor_repro::data::csv::to_csv(&want.table),
+            thor_repro::data::csv::to_csv(&got.table)
         );
 
         drop(loaded);
-        for p in paths.iter().chain([&pa, &pb]) {
+        for p in &paths {
             std::fs::remove_file(p).ok();
         }
     }
@@ -350,7 +359,6 @@ fn ragged_clusters_match_the_exhaustive_scan_bit_for_bit() {
             };
             let exact =
                 SimilarityMatcher::fine_tune(&ragged_concepts(), ragged_store(seed), config);
-            let off = exact.with_prune_mode(PruneMode::Off);
             for phrase in &phrases {
                 let reference = exact.match_phrase_reference(phrase, |_| true);
                 assert_eq!(
@@ -358,7 +366,6 @@ fn ragged_clusters_match_the_exhaustive_scan_bit_for_bit() {
                     reference,
                     "seed {seed} tau {tau}: `{phrase}`"
                 );
-                assert_eq!(off.match_phrase(phrase), reference, "off mode: `{phrase}`");
             }
         }
     }
@@ -406,8 +413,9 @@ fn multi_concept_delta(adds: &[(usize, usize)], mirror: &mut Table) -> EngineDel
 }
 
 /// Evolve through `deltas` and require the bytes a fresh build of the
-/// final table saves, and `Exact` == `Off` enrichment on the evolved
-/// engine and on its owned and mapped reloads.
+/// final table saves, the fresh build's enrichment on the evolved
+/// engine and on its owned and mapped reloads, and the brute-force
+/// reference from every one of their matchers.
 fn assert_chain_equals_fresh(seed: u64, deltas: &[Vec<(usize, usize)>]) {
     let thor = Thor::new(ragged_store(seed), ThorConfig::with_tau(0.5));
     let mut engine = thor.prepare(&ragged_table());
@@ -431,9 +439,11 @@ fn assert_chain_equals_fresh(seed: u64, deltas: &[Vec<(usize, usize)>]) {
         "seed {seed}: evolved bytes differ from a fresh build after {deltas:?}"
     );
     let docs = ragged_docs();
-    let want = fresh.with_prune(PruneMode::Off).enrich(&docs);
+    let want = fresh.enrich(&docs);
+    assert_matches_reference(&engine, &docs, &format!("seed {seed}: evolved"));
     for mode in [MapMode::Owned, MapMode::Mapped] {
         let loaded = PreparedEngine::load_with(&pa, mode).unwrap();
+        assert_matches_reference(&loaded, &docs, &format!("seed {seed}: {mode:?} reload"));
         for got in [engine.enrich(&docs), loaded.enrich(&docs)] {
             assert_eq!(got.entities, want.entities);
             assert_eq!(
@@ -467,7 +477,7 @@ proptest! {
 
     /// Random multi-concept delta chains (every delta adds up to seven
     /// seeds spread over the three concepts) evolve to the bytes of a
-    /// fresh build, with `Exact` == `Off` enrichment.
+    /// fresh build, matching the brute-force reference.
     #[test]
     fn random_multi_concept_deltas_evolve_to_fresh_bytes(
         deltas in prop::collection::vec(
