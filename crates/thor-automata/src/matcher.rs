@@ -124,8 +124,7 @@ impl AhoCorasickBuilder {
         // Node indices were assigned in pattern-insertion order and the
         // BFS above finalizes fail/outputs independently of sibling
         // visit order, so this flattening is deterministic: the same
-        // pattern list always yields byte-identical arrays (the
-        // property the artifact round-trip tests assert).
+        // pattern list always yields byte-identical arrays.
         assert!(nodes.len() < u32::MAX as usize, "automaton too large");
         let mut edge_start: Vec<u32> = Vec::with_capacity(nodes.len() + 1);
         let mut edge_bytes: Vec<u8> = Vec::new();
@@ -181,8 +180,7 @@ impl Node {
 /// The built automaton in structure-of-arrays (CSR) form: per-node
 /// edge ranges over sorted byte/target arrays, failure links, and
 /// per-node output-pattern ranges. Flat arrays make the automaton
-/// cache-friendly to traverse and directly serializable into (and
-/// reconstructible from) raw artifact sections.
+/// cache-friendly to traverse.
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
     /// Node `i`'s edges live at `edge_start[i] .. edge_start[i + 1]`.
@@ -206,106 +204,6 @@ impl AhoCorasick {
     /// Number of patterns in the dictionary.
     pub fn pattern_count(&self) -> usize {
         self.pattern_lens.len()
-    }
-
-    /// Number of automaton states.
-    pub fn node_count(&self) -> usize {
-        self.fail.len()
-    }
-
-    /// Reassemble an automaton from its flat arrays (the artifact load
-    /// path). Validates every CSR invariant the matcher relies on, so
-    /// a corrupt (but checksum-valid) input yields a named error here
-    /// and traversal can never index out of bounds.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        edge_start: Vec<u32>,
-        edge_bytes: Vec<u8>,
-        edge_target: Vec<u32>,
-        fail: Vec<u32>,
-        out_start: Vec<u32>,
-        out_pattern: Vec<u32>,
-        pattern_lens: Vec<u32>,
-        case_insensitive: bool,
-    ) -> Result<Self, String> {
-        let nodes = fail.len();
-        if nodes == 0 {
-            return Err("automaton has no states (root required)".into());
-        }
-        if edge_start.len() != nodes + 1 || out_start.len() != nodes + 1 {
-            return Err(format!(
-                "automaton CSR shape mismatch: {nodes} states, {} edge offsets, {} output offsets",
-                edge_start.len(),
-                out_start.len()
-            ));
-        }
-        if edge_bytes.len() != edge_target.len() {
-            return Err(format!(
-                "automaton edge arrays disagree: {} labels, {} targets",
-                edge_bytes.len(),
-                edge_target.len()
-            ));
-        }
-        let monotone_to = |starts: &[u32], total: usize, what: &str| -> Result<(), String> {
-            if starts.windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("automaton {what} offsets are not monotone"));
-            }
-            if starts[0] != 0 || *starts.last().expect("non-empty") as usize != total {
-                return Err(format!("automaton {what} offsets do not cover the array"));
-            }
-            Ok(())
-        };
-        monotone_to(&edge_start, edge_bytes.len(), "edge")?;
-        monotone_to(&out_start, out_pattern.len(), "output")?;
-        if let Some(&t) = edge_target.iter().find(|&&t| t as usize >= nodes) {
-            return Err(format!(
-                "automaton edge target {t} out of range ({nodes} states)"
-            ));
-        }
-        if let Some(&f) = fail.iter().find(|&&f| f as usize >= nodes) {
-            return Err(format!(
-                "automaton failure link {f} out of range ({nodes} states)"
-            ));
-        }
-        if let Some(&p) = out_pattern
-            .iter()
-            .find(|&&p| p as usize >= pattern_lens.len())
-        {
-            return Err(format!(
-                "automaton output pattern {p} out of range ({} patterns)",
-                pattern_lens.len()
-            ));
-        }
-        if pattern_lens.contains(&0) {
-            return Err("automaton has a zero-length pattern".into());
-        }
-        Ok(Self {
-            edge_start,
-            edge_bytes,
-            edge_target,
-            fail,
-            out_start,
-            out_pattern,
-            pattern_lens,
-            case_insensitive,
-        })
-    }
-
-    /// The flat arrays, for artifact serialization: `(edge_start,
-    /// edge_bytes, edge_target, fail, out_start, out_pattern,
-    /// pattern_lens, case_insensitive)`.
-    #[allow(clippy::type_complexity)]
-    pub fn parts(&self) -> (&[u32], &[u8], &[u32], &[u32], &[u32], &[u32], &[u32], bool) {
-        (
-            &self.edge_start,
-            &self.edge_bytes,
-            &self.edge_target,
-            &self.fail,
-            &self.out_start,
-            &self.out_pattern,
-            &self.pattern_lens,
-            self.case_insensitive,
-        )
     }
 
     /// One goto/fail transition from `state` on (already case-folded)
@@ -345,10 +243,7 @@ impl AhoCorasick {
                 let len = self.pattern_lens[pid as usize] as usize;
                 matches.push(Match {
                     pattern: pid as usize,
-                    // A valid automaton only emits patterns that fit
-                    // before `i + 1`; saturate so a corrupt-but-
-                    // validated input still cannot panic.
-                    start: (i + 1).saturating_sub(len),
+                    start: i + 1 - len,
                     end: i + 1,
                 });
             }
@@ -431,63 +326,6 @@ mod tests {
         let ac = build(&["aa"]);
         let m = ac.find_all("aaaa");
         assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    fn parts_round_trip_is_equivalent() {
-        let ac = AhoCorasickBuilder::new()
-            .ascii_case_insensitive(true)
-            .add_patterns(["he", "she", "his", "hers"])
-            .build();
-        let (es, eb, et, f, os, op, pl, ci) = ac.parts();
-        let rebuilt = AhoCorasick::from_parts(
-            es.to_vec(),
-            eb.to_vec(),
-            et.to_vec(),
-            f.to_vec(),
-            os.to_vec(),
-            op.to_vec(),
-            pl.to_vec(),
-            ci,
-        )
-        .expect("valid parts");
-        assert_eq!(rebuilt.find_all(b"uSHeRs"), ac.find_all(b"uSHeRs"));
-        assert_eq!(rebuilt.node_count(), ac.node_count());
-    }
-
-    #[test]
-    fn from_parts_rejects_invalid_arrays() {
-        type Parts = (
-            Vec<u32>,
-            Vec<u8>,
-            Vec<u32>,
-            Vec<u32>,
-            Vec<u32>,
-            Vec<u32>,
-            Vec<u32>,
-        );
-        let ac = AhoCorasickBuilder::new().add_patterns(["ab", "bc"]).build();
-        let (es, eb, et, f, os, op, pl, ci) = ac.parts();
-        let attempt = |mutate: &dyn Fn(&mut Parts)| {
-            let mut p: Parts = (
-                es.to_vec(),
-                eb.to_vec(),
-                et.to_vec(),
-                f.to_vec(),
-                os.to_vec(),
-                op.to_vec(),
-                pl.to_vec(),
-            );
-            mutate(&mut p);
-            AhoCorasick::from_parts(p.0, p.1, p.2, p.3, p.4, p.5, p.6, ci)
-        };
-        assert!(attempt(&|_| ()).is_ok());
-        assert!(attempt(&|p| p.3.clear()).is_err());
-        assert!(attempt(&|p| p.0[1] = 9999).is_err());
-        assert!(attempt(&|p| p.2[0] = 9999).is_err());
-        assert!(attempt(&|p| p.3[1] = 9999).is_err());
-        assert!(attempt(&|p| p.5[0] = 9999).is_err());
-        assert!(attempt(&|p| p.6[0] = 0).is_err());
     }
 
     #[test]

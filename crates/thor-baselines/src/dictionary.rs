@@ -7,8 +7,6 @@
 //! out-of-vocabulary entities, which is why the paper's Baseline shows
 //! high precision and very low recall.
 
-use std::sync::Arc;
-
 use thor_core::{Document, ExtractedEntity};
 use thor_data::Table;
 use thor_index::{CandidateEntity, CandidateSource, DictionaryIndex};
@@ -18,43 +16,33 @@ use crate::Extractor;
 
 /// Dictionary-based exact matcher over the table's instances.
 ///
-/// A thin extraction protocol over [`DictionaryIndex`] — the automaton
-/// itself lives in `thor-index` so a prepared engine can freeze and
-/// share it across serve calls.
+/// A thin extraction protocol over [`DictionaryIndex`], the
+/// candidate-generation layer's Aho–Corasick automaton.
 #[derive(Debug)]
 pub struct DictionaryBaseline {
-    index: Arc<DictionaryIndex>,
+    index: DictionaryIndex,
 }
 
 impl DictionaryBaseline {
     /// Build the dictionary from every (concept, instance) of `table`,
     /// including the subject concept (other subjects mentioned in a
-    /// document are legitimate subject-concept entities).
+    /// document are legitimate subject-concept entities), in schema
+    /// order.
     pub fn from_table(table: &Table) -> Self {
-        Self::from_index(Arc::new(dictionary_index(table)))
-    }
-
-    /// Wrap an already-built (possibly shared) dictionary index.
-    pub fn from_index(index: Arc<DictionaryIndex>) -> Self {
-        Self { index }
+        let concepts = table
+            .schema()
+            .concepts()
+            .iter()
+            .map(|c| (c.name().to_string(), table.column_values(c.name())));
+        Self {
+            index: DictionaryIndex::from_concepts(concepts),
+        }
     }
 
     /// Number of dictionary patterns.
     pub fn pattern_count(&self) -> usize {
         self.index.pattern_count()
     }
-}
-
-/// Build the Aho–Corasick [`DictionaryIndex`] for `table`: every
-/// (concept, instance) pair of the schema, in schema order.
-pub fn dictionary_index(table: &Table) -> DictionaryIndex {
-    DictionaryIndex::from_concepts(
-        table
-            .schema()
-            .concepts()
-            .iter()
-            .map(|c| (c.name().to_string(), table.column_values(c.name()))),
-    )
 }
 
 impl CandidateSource for DictionaryBaseline {

@@ -35,7 +35,7 @@ pub mod llm_sim;
 pub mod subject;
 pub mod tagger;
 
-pub use dictionary::{dictionary_index, DictionaryBaseline};
+pub use dictionary::DictionaryBaseline;
 pub use llm_sim::{LlmProfile, SimulatedLlm};
 pub use tagger::{PerceptronTagger, TaggerConfig};
 

@@ -101,11 +101,11 @@ impl PreparedEngine {
     /// Evolve the engine by an additive delta **without rebuilding**:
     /// the table is extended, new candidates are merge-inserted into
     /// the frozen τ-expansion lists, untouched concepts of the vector
-    /// index are block-copied, the seed syntax and the dictionary
-    /// automaton are extended in place. The result is bit-identical to
-    /// `Thor::prepare` on the evolved table — same extraction output,
-    /// same fingerprint, same saved artifact bytes — at a fraction of
-    /// the cost (no vocabulary re-scan for untouched concepts).
+    /// index are block-copied and the seed syntax is extended in place.
+    /// The result is bit-identical to `Thor::prepare` on the evolved
+    /// table — same extraction output, same fingerprint, same saved
+    /// artifact bytes — at a fraction of the cost (no vocabulary
+    /// re-scan for untouched concepts).
     ///
     /// Non-additive changes (removing instances, renaming or reordering
     /// concepts) are rejected with a named [`ThorError`]; counters
@@ -238,13 +238,7 @@ impl PreparedEngine {
             .matcher_with_index(matcher_config, index, None)
             .map_err(|m| ThorError::validation(format!("delta index extension: {m}")))?;
 
-        // 4. Extend the dictionary automaton with the merged patterns.
-        let dictionary = inner
-            .dictionary
-            .extend(concepts.iter().map(|(n, i)| (n.clone(), i.iter().cloned())))
-            .map_err(|m| ThorError::validation(format!("delta is not additive: {m}")))?;
-
-        // 5. Re-fingerprint: the store is unchanged, the table is not.
+        // 4. Re-fingerprint: the store is unchanged, the table is not.
         let table_digest = fnv1a(thor_data::to_csv(&table).as_bytes());
         Ok(EngineInner {
             fingerprint: engine_fingerprint(&inner.config, table_digest, inner.store_digest),
@@ -255,7 +249,6 @@ impl PreparedEngine {
             prep: Arc::new(prep),
             matcher: Arc::new(matcher),
             memo: PhraseMemo::new(inner.config.cache_capacity),
-            dictionary: Arc::new(dictionary),
             store_digest: inner.store_digest,
             table_digest,
             chain_depth: inner.chain_depth + 1,

@@ -11,9 +11,12 @@
 //! * the [`PreparedMatcher`] it was derived from (the untruncated
 //!   τ-expansion candidates, so any τ′ ≥ the build τ derives in
 //!   microseconds instead of re-scanning the vocabulary),
-//! * the dictionary baseline's Aho–Corasick [`DictionaryIndex`],
 //! * the [`SubjectIndex`] segmentation looks subjects up in, the
 //!   table, and the `Arc<VectorStore>`.
+//!
+//! Nothing else: the Aho–Corasick dictionary belongs to the paper's
+//! comparison Baseline (`thor_baselines::DictionaryBaseline`, which
+//! builds its own from the table), not to THOR.
 //!
 //! Every serve entry point — [`PreparedEngine::extract`],
 //! [`PreparedEngine::enrich`], [`PreparedEngine::session`],
@@ -24,12 +27,14 @@
 //! wrappers.
 //!
 //! The engine also persists: [`PreparedEngine::save`] writes a
-//! versioned binary artifact (magic + format version + FNV-1a checksum,
-//! via `thor_fault::atomic_io`) and [`PreparedEngine::load`] rebuilds an
-//! engine that produces **byte-identical** output — derived structures
-//! (seeds, clusters, indexes, automaton) are reconstructed through the
-//! exact constructor path the in-memory build uses, and a semantic
-//! fingerprint of store/table/config is verified on load.
+//! sectioned artifact (`thor_fault::SectionWriter`: magic, container
+//! version, a checksummed directory and one FNV-1a checksum per
+//! section, written atomically) and [`PreparedEngine::load`] rebuilds an
+//! engine that produces **byte-identical** output. The hot arrays
+//! (store, candidates, index, pruning) are borrowed from their
+//! sections; the seeds, clusters and subject index are re-derived
+//! through the exact constructor path the in-memory build uses; and a
+//! semantic fingerprint of store/table/config is verified on load.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -41,7 +46,6 @@ use thor_fault::{
     atomic_write, fnv1a, ByteReader, ByteWriter, MapMode, SectionChain, SectionWriter, ThorError,
     ThorResult,
 };
-use thor_index::DictionaryIndex;
 use thor_match::{MatcherConfig, PreparedMatcher, SimilarityMatcher, TAU_RANGE};
 use thor_obs::PipelineMetrics;
 
@@ -56,13 +60,13 @@ use crate::segment::SubjectIndex;
 /// sectioned container in `thor_fault::section`).
 pub const ENGINE_MAGIC: &[u8; 8] = b"THORENG\0";
 /// On-disk format version of the engine artifact: the version of the
-/// sectioned container it is stored in, which the loader checks. v3
-/// carries the mandatory `prune.*` sections and escapes `|` in table
-/// values; v1 (pre-sectioned) and v2 files are rejected by name with a
-/// rebuild hint.
+/// sectioned container it is stored in, which the loader checks. v4
+/// carries exactly the sections THOR's pipeline reads (v3 also carried
+/// the dictionary Baseline's `automaton`); v1 (pre-sectioned), v2 and
+/// v3 files are rejected by name with a rebuild hint.
 pub use thor_fault::CONTAINER_VERSION as ENGINE_FORMAT_VERSION;
 
-// Section names of the v3 engine artifact. Hot arrays are stored in
+// Section names of the v4 engine artifact. Hot arrays are stored in
 // their exact in-memory layout (little-endian, 64-byte aligned) so a
 // mapped load borrows them in place.
 pub(crate) const SEC_META: &str = "meta";
@@ -78,7 +82,6 @@ const SEC_IDX_META: &str = "idx.meta";
 const SEC_IDX_DATA: &str = "idx.data";
 const SEC_IDX_NORMS: &str = "idx.norms";
 const SEC_IDX_REPSUMS: &str = "idx.repsums";
-const SEC_AUTOMATON: &str = "automaton";
 const SEC_SYNTAX: &str = "syntax.seeds";
 // Candidate-pruning structures (clustered bound pruning). Pure
 // deterministic functions of the VectorIndex, persisted so cold loads
@@ -115,7 +118,6 @@ pub(crate) struct EngineInner {
     /// Refined winners per noun phrase, for this matcher and config;
     /// never persisted. See [`PreparedEngine::phrase_memo`].
     pub(crate) memo: PhraseMemo,
-    pub(crate) dictionary: Arc<DictionaryIndex>,
     /// FNV-1a digests of the store text and table CSV, computed once at
     /// build time and reused by cheap derivations (`with_tau`).
     pub(crate) store_digest: u64,
@@ -204,9 +206,9 @@ pub(crate) fn engine_fingerprint(
 
 impl Thor {
     /// **Build** the prepared engine for `table`: run Preparation once
-    /// (fine-tune the semantic matcher, freeze the expansion
-    /// candidates, compile the dictionary automaton) and return the
-    /// immutable bundle every serve call borrows.
+    /// (fine-tune the semantic matcher and freeze the expansion
+    /// candidates) and return the immutable bundle every serve call
+    /// borrows.
     ///
     /// Records one `pipeline.prepare` span into the attached metrics,
     /// exactly like the one-shot entry points used to.
@@ -222,7 +224,6 @@ impl Thor {
             );
             let matcher = prep.matcher_at(matcher_config);
             record_fine_tune(&run, &matcher);
-            let dictionary = DictionaryIndex::from_concepts(concepts);
             let table_csv = thor_data::to_csv(table);
             let store_digest = self.store().text_digest();
             let table_digest = fnv1a(table_csv.as_bytes());
@@ -235,7 +236,6 @@ impl Thor {
                 prep: Arc::new(prep),
                 matcher: Arc::new(matcher),
                 memo: PhraseMemo::new(self.config().cache_capacity),
-                dictionary: Arc::new(dictionary),
                 store_digest,
                 table_digest,
                 chain_depth: 0,
@@ -281,12 +281,6 @@ impl PreparedEngine {
     /// The frozen Preparation output the matcher was derived from.
     pub fn prepared_matcher(&self) -> &PreparedMatcher {
         &self.inner.prep
-    }
-
-    /// The dictionary baseline's Aho–Corasick automaton over the
-    /// table's instances.
-    pub fn dictionary(&self) -> &Arc<DictionaryIndex> {
-        &self.inner.dictionary
     }
 
     /// The integrated table the engine was built from.
@@ -443,16 +437,17 @@ impl PreparedEngine {
         EnrichmentSession::new(self.clone())
     }
 
-    /// Persist the engine to `path` as a versioned binary artifact
-    /// (atomic write; magic + format version + FNV-1a checksum header).
+    /// Persist the engine to `path` as a sectioned artifact (atomic
+    /// write; one checksummed section per stored structure).
     ///
-    /// The payload stores the *inputs plus the expensive intermediate*:
-    /// configuration, vector store (exact `f32` bit patterns), table
-    /// CSV, and the untruncated τ-expansion candidate lists (exact
-    /// `f64` bit patterns). Derived structures — seeds, clusters,
-    /// vector index, automaton, phrase cache — are rebuilt at load
-    /// through the same constructors, which is what makes the loaded
-    /// engine byte-identical.
+    /// The artifact stores the *inputs plus the expensive
+    /// intermediates*: configuration, vector store (exact `f32` bit
+    /// patterns), table CSV, the untruncated τ-expansion candidate
+    /// lists (exact `f64` bit patterns), the fine-tuned vector index and
+    /// its pruning structures, and the seed-syntax instances the load
+    /// cross-checks. Seeds, clusters, the subject index and the caches
+    /// are rebuilt at load through the same constructors, which is what
+    /// makes the loaded engine byte-identical.
     pub fn save(&self, path: &Path) -> ThorResult<()> {
         let mut sections = SectionWriter::new();
         for (name, version, bytes) in self.engine_sections() {
@@ -468,7 +463,7 @@ impl PreparedEngine {
     /// state produce identical triples.
     pub(crate) fn engine_sections(&self) -> Vec<(&'static str, u32, Vec<u8>)> {
         let inner = &*self.inner;
-        let mut sections: Vec<(&'static str, u32, Vec<u8>)> = Vec::with_capacity(16);
+        let mut sections: Vec<(&'static str, u32, Vec<u8>)> = Vec::with_capacity(20);
 
         // meta: config + preparation base + shape + digests + fingerprint.
         let mut w = ByteWriter::new();
@@ -531,30 +526,6 @@ impl PreparedEngine {
         sections.push((SEC_IDX_DATA, 1, le_bytes_f32(ix.data())));
         sections.push((SEC_IDX_NORMS, 1, le_bytes_f64(ix.norms())));
         sections.push((SEC_IDX_REPSUMS, 1, le_bytes_f32(ix.rep_sums())));
-
-        // Dictionary automaton: the flat CSR arrays plus the pattern
-        // table, reassembled through validating from_parts on load.
-        let mut w = ByteWriter::new();
-        let (edge_start, edge_bytes, edge_target, fail, out_start, out_pattern, pattern_lens, ci) =
-            inner.dictionary.automaton().parts();
-        w.put_u8(u8::from(ci));
-        put_u32s(&mut w, edge_start);
-        w.put_u64(edge_bytes.len() as u64);
-        for &b in edge_bytes {
-            w.put_u8(b);
-        }
-        put_u32s(&mut w, edge_target);
-        put_u32s(&mut w, fail);
-        put_u32s(&mut w, out_start);
-        put_u32s(&mut w, out_pattern);
-        put_u32s(&mut w, pattern_lens);
-        let patterns = inner.dictionary.patterns();
-        w.put_u64(patterns.len() as u64);
-        for (concept, display) in patterns {
-            w.put_str(concept);
-            w.put_str(display);
-        }
-        sections.push((SEC_AUTOMATON, 1, w.into_bytes()));
 
         // Seed-syntax instances (sorted): the table is derived, this
         // section lets the load cross-check the derivation.
@@ -804,52 +775,6 @@ impl PreparedEngine {
             .matcher_with_index(config.matcher_config(), index, Some(Arc::new(prune)))
             .map_err(|m| invalid(format!("index sections: {m}")))?;
 
-        // Dictionary automaton.
-        let mut r = ByteReader::new(file.bytes(SEC_AUTOMATON)?);
-        let automaton = (|| -> ThorResult<_> {
-            let case_insensitive = match r.get_u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(ThorError::parse(format!(
-                        "bad case-insensitivity flag {other}"
-                    )))
-                }
-            };
-            let edge_start = get_u32s(&mut r)?;
-            let n = r.get_u64()? as usize;
-            let mut edge_bytes = Vec::with_capacity(n.min(total_len));
-            for _ in 0..n {
-                edge_bytes.push(r.get_u8()?);
-            }
-            let edge_target = get_u32s(&mut r)?;
-            let fail = get_u32s(&mut r)?;
-            let out_start = get_u32s(&mut r)?;
-            let out_pattern = get_u32s(&mut r)?;
-            let pattern_lens = get_u32s(&mut r)?;
-            let n = r.get_u64()? as usize;
-            let mut patterns = Vec::with_capacity(n.min(total_len));
-            for _ in 0..n {
-                let concept = r.get_str()?;
-                let display = r.get_str()?;
-                patterns.push((concept, display));
-            }
-            r.finish("engine automaton section")?;
-            let automaton = thor_index::AhoCorasick::from_parts(
-                edge_start,
-                edge_bytes,
-                edge_target,
-                fail,
-                out_start,
-                out_pattern,
-                pattern_lens,
-                case_insensitive,
-            )
-            .map_err(ThorError::validation)?;
-            DictionaryIndex::from_parts(automaton, patterns).map_err(ThorError::validation)
-        })()
-        .map_err(ctx("automaton section"))?;
-
         // Seed-syntax cross-check: the table is derived from the seeds;
         // the stored instance list pins the derivation.
         let mut r = ByteReader::new(file.bytes(SEC_SYNTAX)?);
@@ -887,7 +812,6 @@ impl PreparedEngine {
                 store,
                 prep: Arc::new(prep),
                 matcher: Arc::new(matcher),
-                dictionary: Arc::new(automaton),
                 store_digest,
                 table_digest,
                 fingerprint,
@@ -952,22 +876,6 @@ fn le_bytes_u32(v: &[u32]) -> Vec<u8> {
     out
 }
 
-fn put_u32s(w: &mut ByteWriter, v: &[u32]) {
-    w.put_u64(v.len() as u64);
-    for &x in v {
-        w.put_u32(x);
-    }
-}
-
-fn get_u32s(r: &mut ByteReader<'_>) -> ThorResult<Vec<u32>> {
-    let n = r.get_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(r.get_u32()?);
-    }
-    Ok(out)
-}
-
 fn write_config(w: &mut ByteWriter, c: &ThorConfig) {
     w.put_f64(c.tau);
     w.put_f64(c.weights.semantic);
@@ -1026,6 +934,11 @@ fn read_config(r: &mut ByteReader<'_>) -> ThorResult<ThorConfig> {
     if !TAU_RANGE.contains(&tau) {
         return Err(ThorError::validation(format!(
             "stored tau {tau} outside [0, 1]"
+        )));
+    }
+    if let Some(gate) = context_gate.filter(|g| !g.is_finite()) {
+        return Err(ThorError::validation(format!(
+            "stored context_gate {gate} is not finite"
         )));
     }
     Ok(ThorConfig {
@@ -1199,6 +1112,64 @@ mod tests {
                 "ad854185e517e066",
             ]
         );
+    }
+
+    #[test]
+    fn engine_sections_are_pinned() {
+        // The v4 section set, in save order: a section silently added
+        // to or dropped from the artifact fails here first.
+        let (thor, table, _) = setup();
+        let names: Vec<&str> = thor
+            .prepare(&table)
+            .engine_sections()
+            .into_iter()
+            .map(|(name, _, _)| name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "meta",
+                "table",
+                "store.offsets",
+                "store.words",
+                "store.rows",
+                "cand.starts",
+                "cand.sims",
+                "cand.word_offs",
+                "cand.words",
+                "idx.meta",
+                "idx.data",
+                "idx.norms",
+                "idx.repsums",
+                "syntax.seeds",
+                "prune.meta",
+                "prune.members",
+                "prune.centroids",
+                "prune.radii",
+                "prune.concept_centroids",
+                "prune.concept_radii",
+            ]
+        );
+    }
+
+    #[test]
+    fn non_finite_stored_context_gate_is_rejected() {
+        for gate in [f64::NAN, f64::INFINITY] {
+            let mut config = ThorConfig::with_tau(0.7);
+            config.context_gate = Some(gate);
+            let mut w = ByteWriter::new();
+            write_config(&mut w, &config);
+            let bytes = w.into_bytes();
+            let err = read_config(&mut ByteReader::new(&bytes)).unwrap_err();
+            assert!(err.to_string().contains("context_gate"), "{err}");
+        }
+        let mut config = ThorConfig::with_tau(0.7);
+        config.context_gate = Some(0.25);
+        let mut w = ByteWriter::new();
+        write_config(&mut w, &config);
+        let bytes = w.into_bytes();
+        let back = read_config(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back.context_gate, Some(0.25));
     }
 
     #[test]

@@ -80,7 +80,15 @@ impl Thor {
     /// Create a THOR instance over a vector table. Accepts either a
     /// `VectorStore` by value or an already-shared `Arc<VectorStore>`;
     /// the store is never deep-copied after this point.
+    ///
+    /// Panics when `config.context_gate` is NaN or infinite: no
+    /// similarity is ever below NaN, so such a gate would pass every
+    /// candidate while the fingerprint records a gate.
     pub fn new(store: impl Into<Arc<VectorStore>>, config: ThorConfig) -> Self {
+        assert!(
+            config.context_gate.is_none_or(f64::is_finite),
+            "context_gate must be finite"
+        );
         Self {
             store: store.into(),
             config,
@@ -363,6 +371,15 @@ mod tests {
         let low = thor_low.enrich(&table, &docs).entities.len();
         let high = thor_high.enrich(&table, &docs).entities.len();
         assert!(high <= low, "tau 0.95 produced {high} > tau 0.6 {low}");
+    }
+
+    #[test]
+    #[should_panic(expected = "context_gate must be finite")]
+    fn non_finite_context_gate_is_rejected() {
+        let (thor, _, _) = setup();
+        let mut config = ThorConfig::with_tau(0.6);
+        config.context_gate = Some(f64::NAN);
+        Thor::new(Arc::clone(thor.store_arc()), config);
     }
 
     #[test]

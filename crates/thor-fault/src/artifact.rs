@@ -1,29 +1,18 @@
-//! Versioned binary artifact container: magic + format version +
-//! length + FNV-1a checksum header around an opaque payload, written
-//! atomically via [`crate::atomic_write`].
+//! The byte-level primitives under every persisted artifact: FNV-1a
+//! digests and a little-endian payload encoder/decoder.
 //!
-//! The container is deliberately dumb — it knows nothing about what is
-//! inside the payload. Higher layers (the `PreparedEngine` in
-//! `thor-core`) serialize their state into a payload with
-//! [`ByteWriter`], hand it to [`write_artifact`], and get back exactly
-//! those bytes from [`read_artifact`] after the header has been
-//! validated. Corruption anywhere in the file — flipped magic bytes, a
-//! bumped version, a truncated tail, a flipped payload bit — is
-//! rejected with a named [`ThorError`] before any payload parsing runs.
+//! * [`fnv1a`], [`fnv1a_many`] and the streaming [`Fnv1a`] hash section
+//!   payloads, the container header and directory, and the semantic
+//!   fingerprints of engines and run checkpoints.
+//! * [`ByteWriter`] and [`ByteReader`] encode and decode the small
+//!   structured sections (an engine's `meta`, its index labels, a delta
+//!   link) and checkpoint payloads. Every read is bounds-checked, so a
+//!   truncated or corrupt payload is a named [`ThorError`] carrying its
+//!   byte offset, never a panic.
 //!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! [ magic: 8 bytes ][ version: u32 ][ payload_len: u64 ][ fnv1a(payload): u64 ][ payload ]
-//! ```
+//! The container these payloads live in is [`crate::section`].
 
-use std::path::Path;
-
-use crate::atomic_io::{atomic_write, read_bytes};
 use crate::error::{ThorError, ThorResult};
-
-/// Size of the fixed header preceding the payload.
-pub const ARTIFACT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
 /// 64-bit FNV-1a over `bytes` — the same hash family the checkpoint
 /// fingerprint uses. Every input byte goes through
@@ -306,94 +295,9 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Write `payload` to `path` wrapped in a `magic`/`version`/checksum
-/// header, atomically (temp file + fsync + rename).
-pub fn write_artifact(
-    path: &Path,
-    magic: &[u8; 8],
-    version: u32,
-    payload: &[u8],
-) -> ThorResult<()> {
-    let mut bytes = Vec::with_capacity(ARTIFACT_HEADER_LEN + payload.len());
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(&version.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    atomic_write(path, &bytes)
-}
-
-/// Read an artifact from `path`, validating magic, format version,
-/// declared length and FNV-1a checksum; returns the raw payload.
-///
-/// Every rejection is a named [`ThorError`]:
-/// - wrong magic → [`ErrorKind::Parse`] "not a ... artifact"
-/// - wrong version → [`ErrorKind::Parse`] "unsupported ... format version"
-/// - short file / length mismatch → [`ErrorKind::Parse`] "truncated"
-/// - payload corruption → [`ErrorKind::Validation`] "checksum mismatch"
-///
-/// [`ErrorKind::Parse`]: crate::ErrorKind::Parse
-/// [`ErrorKind::Validation`]: crate::ErrorKind::Validation
-pub fn read_artifact(path: &Path, magic: &[u8; 8], version: u32) -> ThorResult<Vec<u8>> {
-    let name = String::from_utf8_lossy(magic)
-        .trim_end_matches('\0')
-        .to_string();
-    let bytes = read_bytes(path)?;
-    if bytes.len() < ARTIFACT_HEADER_LEN {
-        return Err(ThorError::parse(format!(
-            "{}: truncated {name} artifact: {} bytes is shorter than the {ARTIFACT_HEADER_LEN}-byte header",
-            path.display(),
-            bytes.len()
-        )));
-    }
-    if &bytes[..8] != magic {
-        return Err(ThorError::parse(format!(
-            "{}: not a {name} artifact (bad magic)",
-            path.display()
-        )));
-    }
-    let got_version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if got_version != version {
-        return Err(ThorError::parse(format!(
-            "{}: unsupported {name} format version {got_version} (expected {version})",
-            path.display()
-        )));
-    }
-    let declared_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let payload = &bytes[ARTIFACT_HEADER_LEN..];
-    if declared_len != payload.len() as u64 {
-        return Err(ThorError::parse(format!(
-            "{}: truncated {name} artifact: header declares {declared_len} payload bytes, found {}",
-            path.display(),
-            payload.len()
-        )));
-    }
-    let declared_sum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let actual_sum = fnv1a(payload);
-    if declared_sum != actual_sum {
-        return Err(ThorError::validation(format!(
-            "{}: {name} artifact checksum mismatch (expected {declared_sum:016x}, computed {actual_sum:016x})",
-            path.display()
-        )));
-    }
-    Ok(payload.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const MAGIC: &[u8; 8] = b"THORTST\0";
-
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "thor-artifact-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     #[test]
     fn writer_reader_round_trip() {
@@ -435,54 +339,6 @@ mod tests {
         let bytes = w.into_bytes();
         let err = ByteReader::new(&bytes).get_str().unwrap_err();
         assert!(err.to_string().contains("exceeds"));
-    }
-
-    #[test]
-    fn artifact_round_trip() {
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join("a.bin");
-        let payload = b"hello artifact payload".to_vec();
-        write_artifact(&path, MAGIC, 3, &payload).unwrap();
-        assert_eq!(read_artifact(&path, MAGIC, 3).unwrap(), payload);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bad_magic_version_truncation_and_checksum_are_named() {
-        let dir = tmp_dir("named");
-        let path = dir.join("a.bin");
-        write_artifact(&path, MAGIC, 1, b"payload bytes here").unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] ^= 0xff;
-        std::fs::write(&path, &bad).unwrap();
-        let err = read_artifact(&path, MAGIC, 1).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
-
-        // Version mismatch.
-        let err = {
-            std::fs::write(&path, &good).unwrap();
-            read_artifact(&path, MAGIC, 2).unwrap_err()
-        };
-        assert!(err.to_string().contains("unsupported"), "{err}");
-
-        // Truncation.
-        std::fs::write(&path, &good[..good.len() - 3]).unwrap();
-        let err = read_artifact(&path, MAGIC, 1).unwrap_err();
-        assert!(err.to_string().contains("truncated"), "{err}");
-
-        // Payload flip → checksum mismatch.
-        let mut flipped = good.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        std::fs::write(&path, &flipped).unwrap();
-        let err = read_artifact(&path, MAGIC, 1).unwrap_err();
-        assert_eq!(err.kind(), crate::ErrorKind::Validation);
-        assert!(err.to_string().contains("checksum mismatch"), "{err}");
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -176,16 +176,6 @@ impl SectionChain {
         Ok(chain)
     }
 
-    /// A chain consisting of a single (non-delta) file that is already
-    /// open — lets callers treat plain artifacts and chains uniformly.
-    pub fn from_base(file: SectionFile, path: &Path) -> Self {
-        Self {
-            files: vec![file],
-            paths: vec![path.to_path_buf()],
-            metas: Vec::new(),
-        }
-    }
-
     /// Number of deltas stacked on the base (0 for a plain artifact).
     pub fn depth(&self) -> usize {
         self.files.len() - 1

@@ -5,7 +5,7 @@
 //! the pipeline needs to *tunnel through* dirty inputs and survive
 //! crashes instead of aborting on the first malformed byte.
 //!
-//! Five pieces, all std-only (no registry deps, matching the vendored
+//! Its pieces, all std-only (no registry deps, matching the vendored
 //! shim convention):
 //!
 //! - [`error`] — the workspace-wide [`ThorError`] taxonomy with
@@ -18,14 +18,16 @@
 //!   behind and a completed rename survives power loss.
 //! - [`cancel`] — the cooperative [`CancelToken`] checked between
 //!   pipeline stages, backing per-request deadline budgets.
-//! - [`artifact`] — the versioned binary artifact container (magic +
-//!   format version + FNV-1a checksum header) used by persistable
-//!   engine bundles; rejects corrupt/truncated/mismatched files before
-//!   any payload parsing runs.
-//! - [`section`] — the sectioned artifact container: 64-byte-aligned
-//!   named sections with per-section checksums and a checksummed
-//!   directory, designed so hot arrays can be used in place from a
-//!   memory-mapped file.
+//! - [`artifact`] — the byte-level primitives under every persisted
+//!   artifact: FNV-1a digests ([`fnv1a`], [`fnv1a_many`]) and the
+//!   bounds-checked little-endian payload codec ([`ByteWriter`],
+//!   [`ByteReader`]).
+//! - [`section`] — the sectioned artifact container engine bundles are
+//!   stored in: 64-byte-aligned named sections with per-section
+//!   checksums and a checksummed directory, designed so hot arrays can
+//!   be used in place from a memory-mapped file; rejects corrupt,
+//!   truncated and stale-version files by name before any payload
+//!   parsing runs.
 //! - [`chain`] — delta chains over the sectioned container: a base
 //!   artifact plus stacked per-section patches ([`DeltaMeta`] parent
 //!   links), resolved topmost-wins on open and foldable back into a
@@ -54,9 +56,7 @@ pub mod section;
 pub mod validate;
 pub mod view;
 
-pub use artifact::{
-    fnv1a, fnv1a_many, read_artifact, write_artifact, ByteReader, ByteWriter, Fnv1a,
-};
+pub use artifact::{fnv1a, fnv1a_many, ByteReader, ByteWriter, Fnv1a};
 pub use atomic_io::{atomic_write, read_bytes, read_to_string};
 pub use cancel::CancelToken;
 pub use chain::{DeltaMeta, SectionChain, DELTA_META_SECTION, DELTA_META_VERSION, MAX_CHAIN_DEPTH};

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! [ 0.. 8]  magic            b"THORENG\0"
-//! [ 8..12]  container version u32   (= 3)
+//! [ 8..12]  container version u32   (= 4)
 //! [12..16]  section count     u32
 //! [16..24]  directory offset  u64
 //! [24..32]  directory length  u64
@@ -54,14 +54,14 @@ use crate::error::{ResultExt, ThorError, ThorResult};
 use crate::mmap::MappedBuf;
 use crate::view::{FrozenPool, FrozenSlice, Pod};
 
-/// Shared magic with the v1 artifact header, so either reader can
-/// name-check the other's files.
+/// Magic opening every engine artifact, shared with the pre-sectioned
+/// v1 format so its files are still recognized and refused by name.
 pub const SECTION_MAGIC: &[u8; 8] = b"THORENG\0";
 
 /// The sectioned container version this module reads and writes, which
-/// is also the engine format version. v1 (pre-sectioned) and v2 (the
-/// same layout, older engine sections) are refused by name.
-pub const CONTAINER_VERSION: u32 = 3;
+/// is also the engine format version. v1 (pre-sectioned), v2 and v3
+/// (the same layout, older engine sections) are refused by name.
+pub const CONTAINER_VERSION: u32 = 4;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 56;
@@ -233,6 +233,7 @@ impl SectionFile {
         let stale = match version {
             1 => Some("1 (pre-sectioned THORENG)"),
             2 => Some("2 (optional pruning sections, unescaped `|` in table values)"),
+            3 => Some("3 (dictionary Baseline automaton section)"),
             _ => None,
         };
         if let Some(stale) = stale {
@@ -634,7 +635,7 @@ mod tests {
 
     #[test]
     fn stale_and_future_versions_are_named_rejections() {
-        for stale in [1u32, 2] {
+        for stale in [1u32, 2, 3] {
             let mut bytes = sample();
             bytes[8..12].copy_from_slice(&stale.to_le_bytes());
             let fixed = fnv1a(&bytes[..48]);

@@ -1,14 +1,14 @@
-//! Exact-match dictionary index: the Aho–Corasick half of a prepared
-//! engine bundle.
+//! Exact-match dictionary index: the Aho–Corasick automaton behind the
+//! paper's comparison Baseline.
 //!
-//! The paper's Baseline matches table instances against document text
-//! with substring search. That automaton is pure build-time state — it
-//! depends only on the (concept, instance) pairs of the integrated
-//! table — so it belongs next to [`VectorIndex`](crate::VectorIndex)
-//! in the candidate-generation layer, where the prepared engine can
-//! freeze it once and share it across every serve call. The
-//! `DictionaryBaseline` in `thor-baselines` wraps this index and adds
-//! the table-driven extraction protocol on top.
+//! The Baseline matches table instances against document text with
+//! substring search. The automaton depends only on the (concept,
+//! instance) pairs of the integrated table, and it produces
+//! [`CandidateEntity`]s through the same [`CandidateSource`] surface as
+//! the semantic matcher. The `DictionaryBaseline` in `thor-baselines`
+//! builds one per table and adds the table-driven extraction protocol on
+//! top. It is not part of THOR's prepared engine, which never builds or
+//! persists it.
 
 use thor_automata::{AhoCorasick, AhoCorasickBuilder};
 use thor_text::normalize_phrase;
@@ -50,57 +50,6 @@ impl DictionaryIndex {
             automaton: builder.build(),
             patterns,
         }
-    }
-
-    /// Extend the dictionary to cover `concepts` — the **full** new
-    /// `(concept, instances)` list after a delta. The old pattern list
-    /// must be a subsequence of the new canonical list (deltas only add
-    /// instances); the result is byte-identical to
-    /// [`DictionaryIndex::from_concepts`] over the merged list, which is
-    /// exactly what it builds.
-    pub fn extend<C, I>(&self, concepts: C) -> Result<Self, String>
-    where
-        C: IntoIterator<Item = (String, I)>,
-        I: IntoIterator<Item = String>,
-    {
-        let extended = Self::from_concepts(concepts);
-        let mut old = self.patterns.iter().peekable();
-        for pattern in &extended.patterns {
-            if old.peek() == Some(&pattern) {
-                old.next();
-            }
-        }
-        if let Some((oc, od)) = old.next() {
-            return Err(format!(
-                "dictionary extension drops pattern ({oc}, {od}); deltas may only add instances"
-            ));
-        }
-        Ok(extended)
-    }
-
-    /// Reassemble an index from a deserialized automaton and pattern
-    /// table (the artifact load path). The automaton's pattern count
-    /// must match the table.
-    pub fn from_parts(
-        automaton: AhoCorasick,
-        patterns: Vec<(String, String)>,
-    ) -> Result<Self, String> {
-        if automaton.pattern_count() != patterns.len() {
-            return Err(format!(
-                "dictionary automaton has {} patterns but the table lists {}",
-                automaton.pattern_count(),
-                patterns.len()
-            ));
-        }
-        Ok(Self {
-            automaton,
-            patterns,
-        })
-    }
-
-    /// The underlying automaton, for artifact serialization.
-    pub fn automaton(&self) -> &AhoCorasick {
-        &self.automaton
     }
 
     /// Number of dictionary patterns.
@@ -184,50 +133,6 @@ mod tests {
         assert!(!anchored.iter().any(|c| c.phrase == "lungs"));
         assert!(anchored.iter().any(|c| c.phrase == "tuberculosis"));
         assert_eq!(idx.source_name(), "dictionary");
-    }
-
-    #[test]
-    fn extend_matches_fresh_build_over_merged_concepts() {
-        // Base: one concept with instances, one concept still empty.
-        let base = DictionaryIndex::from_concepts([
-            (
-                "Disease".to_string(),
-                vec!["Tuberculosis".to_string(), "Acne".to_string()],
-            ),
-            ("Anatomy".to_string(), vec![]),
-        ]);
-        assert_eq!(base.pattern_count(), 2);
-        // Merged state: an instance inserted mid-run, the empty concept
-        // gains its first instance, and a brand-new concept is appended.
-        let merged = [
-            (
-                "Disease".to_string(),
-                vec![
-                    "Tuberculosis".to_string(),
-                    "  ".to_string(),
-                    "Measles".to_string(),
-                    "Acne".to_string(),
-                ],
-            ),
-            ("Anatomy".to_string(), vec!["lungs".to_string()]),
-            ("Drug".to_string(), vec!["Aspirin".to_string()]),
-        ];
-        let extended = base.extend(merged.clone()).expect("additive extension");
-        let fresh = DictionaryIndex::from_concepts(merged);
-        assert_eq!(extended.patterns(), fresh.patterns());
-        assert_eq!(extended.automaton().parts(), fresh.automaton().parts());
-    }
-
-    #[test]
-    fn extend_rejects_dropped_patterns() {
-        let base = index();
-        let err = base
-            .extend([(
-                "Disease".to_string(),
-                vec!["Tuberculosis".to_string(), "Acne".to_string()],
-            )])
-            .unwrap_err();
-        assert!(err.contains("drops pattern"), "unexpected error: {err}");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The shared candidate-generation engine behind THOR's Entity
 //! Extraction phase. Every component that turns a phrase into candidate
-//! entities — the fine-tuned semantic matcher, the dictionary baseline,
-//! the tagger baseline — drives the same three pieces:
+//! entities — the fine-tuned semantic matcher, the dictionary baseline
+//! ([`DictionaryIndex`]), the tagger baseline — drives the same three
+//! pieces:
 //!
 //! * [`VectorIndex`] — a structure-of-arrays snapshot of every concept's
 //!   representative vectors, built once at fine-tune time: contiguous
@@ -38,4 +39,3 @@ pub use index::{ConceptScores, VectorIndex, VectorIndexBuilder};
 pub use lanes::LaneRows;
 pub use prune::{PruneIndex, PruneStats, PruneSummary};
 pub use source::CandidateSource;
-pub use thor_automata::AhoCorasick;

@@ -31,11 +31,6 @@ impl RuleTagger {
     pub fn new(lexicon: Lexicon) -> Self {
         Self { lexicon }
     }
-
-    /// Access the underlying lexicon (e.g., to add domain words).
-    pub fn lexicon_mut(&mut self) -> &mut Lexicon {
-        &mut self.lexicon
-    }
 }
 
 impl Tagger for RuleTagger {

@@ -135,15 +135,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     prev[cb.len()]
 }
 
-/// Normalized Levenshtein similarity: `1 - dist / max(|a|, |b|)`.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
-}
-
 /// Character n-gram (Dice-coefficient) similarity over multiset n-grams.
 /// Strings shorter than `n` are compared as whole strings.
 pub fn ngram_similarity(a: &str, b: &str, n: usize) -> f64 {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Zero-copy artifact smoke test against the real CLI.
 #
-# Exercises the v3 sectioned engine artifact end to end:
+# Exercises the v4 sectioned engine artifact end to end:
 #   1. `thor inspect --engine` prints the section directory and verifies
 #      every section checksum on a fresh artifact;
 #   2. mapped serving (`--engine-mmap on`, the default) is byte-identical
@@ -49,8 +49,11 @@ echo "mmap smoke: ${#DOCS[@]} documents"
 echo "-- inspect the fresh artifact"
 "$THOR" inspect --engine "$ENGINE" >"$WORK/inspect.log" \
     || fail "thor inspect rejected a fresh artifact: $(cat "$WORK/inspect.log")"
-grep -q "THORENG v3" "$WORK/inspect.log" || fail "inspect did not name the format"
+grep -q "THORENG v4" "$WORK/inspect.log" || fail "inspect did not name the format"
 grep -q "^meta " "$WORK/inspect.log" || fail "inspect directory is missing the meta section"
+if grep -q "^automaton " "$WORK/inspect.log"; then
+    fail "a v4 artifact still carries the dictionary Baseline's automaton section"
+fi
 grep -q "section checksums verified" "$WORK/inspect.log" \
     || fail "inspect did not verify section checksums"
 echo "   directory printed, all checksums verified"

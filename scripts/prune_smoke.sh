@@ -9,8 +9,8 @@
 #      verifies their checksums;
 #   3. a flipped byte inside a pruning section is rejected by name —
 #      at inspect time and at load time — never served;
-#   4. an artifact stamped with format version 2 fails `thor enrich`
-#      with exit 1 and the rebuild hint.
+#   4. an artifact stamped with format version 2 or 3 fails
+#      `thor enrich` with exit 1 and the rebuild hint.
 #
 # Usage: scripts/prune_smoke.sh  (run from anywhere; builds if needed)
 set -euo pipefail
@@ -86,21 +86,24 @@ grep -Eq "prune.centroids|checksum" "$WORK/corrupt.log" \
 [[ ! -f "$WORK/x.csv" ]] || fail "corrupted run still wrote output"
 echo "   flipped byte rejected at inspect and at load"
 
-echo "-- a format-version-2 artifact is refused with the rebuild hint"
-STALE="$WORK/stale.thorengine"
-cp "$ENGINE" "$STALE"
-# The header's container version is the little-endian u32 at bytes 8..12.
-printf '\x02\x00\x00\x00' | dd of="$STALE" bs=1 seek=8 conv=notrunc 2>/dev/null
-set +e
-"$THOR" enrich --engine "$STALE" --out "$WORK/stale.csv" "${DOCS[@]}" 2>"$WORK/stale.log"
-status=$?
-set -e
-[[ $status -eq 1 ]] || fail "v2 artifact: expected exit 1, got $status: $(cat "$WORK/stale.log")"
-grep -q "format version 2" "$WORK/stale.log" \
-    || fail "v2 artifact error is unnamed: $(cat "$WORK/stale.log")"
-grep -q "thor build --engine" "$WORK/stale.log" \
-    || fail "v2 artifact error lacks the rebuild hint: $(cat "$WORK/stale.log")"
-[[ ! -f "$WORK/stale.csv" ]] || fail "v2 run still wrote output"
-echo "   v2 refused with exit 1 and the rebuild hint"
+for V in 2 3; do
+    echo "-- a format-version-$V artifact is refused with the rebuild hint"
+    STALE="$WORK/stale$V.thorengine"
+    cp "$ENGINE" "$STALE"
+    # The header's container version is the little-endian u32 at bytes 8..12.
+    # shellcheck disable=SC2059
+    printf "\\x0$V\\x00\\x00\\x00" | dd of="$STALE" bs=1 seek=8 conv=notrunc 2>/dev/null
+    set +e
+    "$THOR" enrich --engine "$STALE" --out "$WORK/stale$V.csv" "${DOCS[@]}" 2>"$WORK/stale$V.log"
+    status=$?
+    set -e
+    [[ $status -eq 1 ]] || fail "v$V artifact: expected exit 1, got $status: $(cat "$WORK/stale$V.log")"
+    grep -q "format version $V" "$WORK/stale$V.log" \
+        || fail "v$V artifact error is unnamed: $(cat "$WORK/stale$V.log")"
+    grep -q "thor build --engine" "$WORK/stale$V.log" \
+        || fail "v$V artifact error lacks the rebuild hint: $(cat "$WORK/stale$V.log")"
+    [[ ! -f "$WORK/stale$V.csv" ]] || fail "v$V run still wrote output"
+    echo "   v$V refused with exit 1 and the rebuild hint"
+done
 
 echo "prune smoke: OK"

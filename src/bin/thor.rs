@@ -538,10 +538,9 @@ fn read_corpus_document(id: &str, path: &Path, policy: &DocumentPolicy) -> ThorR
         .map(|text| Document::new(id, text))
 }
 
-/// `thor build`: run the Preparation phase once (fine-tune the matcher,
-/// freeze the τ-expansion, compile the dictionary automaton) and
-/// persist the resulting engine as a versioned, checksummed binary
-/// artifact for `thor enrich --engine`.
+/// `thor build`: run the Preparation phase once (fine-tune the matcher
+/// and freeze the τ-expansion) and persist the resulting engine as a
+/// versioned, checksummed binary artifact for `thor enrich --engine`.
 fn cmd_build(args: &Args) -> ThorResult<()> {
     let table_path = args
         .options

@@ -159,11 +159,11 @@ proptest! {
     }
 
     /// Stamping any stale or future container version into the header
-    /// is rejected by name — versions 1 and 2 get an explicit rebuild
-    /// message, everything else the "unsupported container version"
-    /// one. Never a checksum error:
-    /// version is checked *before* the header checksum, so the message
-    /// survives cross-version header layout changes.
+    /// is rejected by name — versions 1, 2 and 3 get an explicit
+    /// rebuild message, everything else the "unsupported container
+    /// version" one. Never a checksum error: version is checked
+    /// *before* the header checksum, so the message survives
+    /// cross-version header layout changes.
     #[test]
     fn stale_engine_version_rejected_by_name(version in 0u32..1024) {
         let bytes = engine_artifact_bytes();
@@ -183,6 +183,9 @@ proptest! {
         } else if version == 2 {
             prop_assert!(msg.contains("format version 2"), "v2: `{msg}`");
             prop_assert!(msg.contains("thor build --engine"), "v2: `{msg}`");
+        } else if version == 3 {
+            prop_assert!(msg.contains("format version 3"), "v3: `{msg}`");
+            prop_assert!(msg.contains("thor build --engine"), "v3: `{msg}`");
         } else {
             prop_assert!(
                 msg.contains(&format!("unsupported container version {version}")),
