@@ -7,13 +7,18 @@
 //! subject rows, or a new (empty) concept column appended to the
 //! schema. Additivity is what makes incrementality exact — the frozen
 //! τ-expansion candidates are untruncated and sorted, so new seeds can
-//! be merge-inserted ([`PreparedMatcher::with_additions`]) and the
-//! vector index extended by block-copying untouched concepts, producing
-//! an engine **bit-identical** to `Thor::prepare` on the final table:
-//! same extraction output, same fingerprint, same saved bytes. That
-//! invariant is also why [`PreparedEngine::save_delta`] can byte-diff
-//! the evolved engine's sections against the parent chain and write
-//! only what changed.
+//! be merge-inserted ([`PreparedMatcher::with_additions`]) — and THOR
+//! fine-tunes each concept on its own seeds and candidates, so an apply
+//! works concept by concept. A concept the delta does not touch is
+//! shared with the parent engine: its instances, seeds and cluster are
+//! the same `Arc`s, its index rows and pruning balls are copied, and
+//! its seed-syntax entries are shared. Only touched concepts embed
+//! their new instances, derive a cluster and cluster their index rows.
+//! The result is an engine **bit-identical** to `Thor::prepare` on the
+//! final table: same extraction output, same fingerprint, same saved
+//! bytes. That invariant is also why [`PreparedEngine::save_delta`] can
+//! byte-diff the evolved engine's sections against the parent chain and
+//! write only what changed.
 //!
 //! On disk a delta artifact is an ordinary sectioned container with
 //! a `delta.meta` parent link (see `thor_fault::chain`); loading one
@@ -22,7 +27,7 @@
 //!
 //! [`PreparedMatcher::with_additions`]: thor_match::PreparedMatcher::with_additions
 
-use std::collections::HashSet;
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -31,12 +36,11 @@ use thor_fault::{
     atomic_write, fnv1a, DeltaMeta, MapMode, SectionChain, SectionWriter, ThorError, ThorResult,
     DELTA_META_SECTION, DELTA_META_VERSION, MAX_CHAIN_DEPTH,
 };
-use thor_index::VectorIndexBuilder;
 use thor_obs::PipelineMetrics;
 
 use crate::engine::{
-    concept_instances, engine_fingerprint, meta_fingerprint, record_fine_tune, EngineInner,
-    ENGINE_LAZY_SECTIONS, SEC_META,
+    engine_fingerprint, meta_fingerprint, record_fine_tune, EngineInner, ENGINE_LAZY_SECTIONS,
+    SEC_META,
 };
 use crate::extract::PhraseMemo;
 use crate::segment::SubjectIndex;
@@ -98,33 +102,46 @@ pub enum EngineDelta {
 }
 
 impl PreparedEngine {
-    /// Evolve the engine by an additive delta **without rebuilding**:
-    /// the table is extended, new candidates are merge-inserted into
-    /// the frozen τ-expansion lists, untouched concepts of the vector
-    /// index are block-copied and the seed syntax is extended in place.
-    /// The result is bit-identical to `Thor::prepare` on the evolved
-    /// table — same extraction output, same fingerprint, same saved
-    /// artifact bytes — at a fraction of the cost (no vocabulary
-    /// re-scan for untouched concepts).
+    /// Evolve the engine by an additive delta **without rebuilding**,
+    /// concept by concept. The table is extended; each concept's
+    /// instance list is its parent list merged with the values the
+    /// delta added, and the new candidates are merge-inserted into the
+    /// frozen τ-expansion lists
+    /// ([`PreparedMatcher::with_additions`]). A concept the delta
+    /// touches — it gained seeds, its candidate list changed, or it is
+    /// new — gets its new instances embedded, its cluster derived, its
+    /// index block built and its pruning balls clustered. Every other
+    /// concept is shared with this engine: its seeds and cluster are
+    /// the same `Arc`s, its index block and pruning balls are copied
+    /// (row ids rebased), and the seed syntax shares every entry. The
+    /// subject index is shared unless the delta added subjects, and
+    /// then rebuilt from the evolved table. The result is
+    /// bit-identical to `Thor::prepare` on the evolved table — same
+    /// extraction output, same fingerprint, same saved artifact bytes.
     ///
     /// Non-additive changes (removing instances, renaming or reordering
     /// concepts) are rejected with a named [`ThorError`]; counters
-    /// `delta.applied` / `delta.rejected` and the `engine.chain_depth`
-    /// gauge are recorded on the engine's metrics handle, and
-    /// `delta.seed_scans` counts the applies that first had to compute
-    /// the seed words' competitive argmax (once per loaded engine; see
+    /// `delta.applied` / `delta.rejected`, `delta.concepts_rebuilt`
+    /// (the touched concepts) and the `engine.chain_depth` gauge are
+    /// recorded on the engine's metrics handle, and `delta.seed_scans`
+    /// counts the applies that first had to compute the seed words'
+    /// competitive argmax (once per loaded engine; see
     /// [`PreparedMatcher::seed_argmax_ready`]).
     ///
+    /// [`PreparedMatcher::with_additions`]: thor_match::PreparedMatcher::with_additions
     /// [`PreparedMatcher::seed_argmax_ready`]: thor_match::PreparedMatcher::seed_argmax_ready
     pub fn apply_delta(&self, delta: &EngineDelta) -> ThorResult<PreparedEngine> {
         let run = self.run_metrics();
         let pending = !self.inner.prep.seed_argmax_ready();
         let (result, elapsed) = run.prepare.time(|| self.apply_delta_inner(delta));
         match result {
-            Ok(mut inner) => {
+            Ok((mut inner, rebuilt)) => {
                 inner.prepare_time = elapsed;
                 record_fine_tune(&run, &inner.matcher);
                 run.registry().counter("delta.applied").inc();
+                run.registry()
+                    .counter("delta.concepts_rebuilt")
+                    .add(rebuilt as u64);
                 let scanned = pending && self.inner.prep.seed_argmax_ready();
                 run.registry()
                     .counter("delta.seed_scans")
@@ -143,22 +160,26 @@ impl PreparedEngine {
         }
     }
 
-    fn apply_delta_inner(&self, delta: &EngineDelta) -> ThorResult<EngineInner> {
+    /// The evolved engine and the number of concepts it rebuilt.
+    fn apply_delta_inner(&self, delta: &EngineDelta) -> ThorResult<(EngineInner, usize)> {
         let inner = &*self.inner;
+        let schema = inner.table.schema();
 
-        // 1. The evolved table.
+        // 1. The evolved table, and per engine concept the values the
+        // delta added to its column.
+        let mut gained: Vec<Vec<&str>> = vec![Vec::new(); schema.concepts().len()];
         let table = match delta {
             EngineDelta::Concept(c) => {
-                if inner.table.schema().index_of(c.name()).is_some() {
+                if schema.index_of(c.name()).is_some() {
                     return Err(ThorError::validation(format!(
                         "delta adds concept `{}` which the engine already has",
                         c.name()
                     )));
                 }
+                gained.push(Vec::new());
                 inner.table.with_concept(c.name())
             }
             EngineDelta::Seeds(s) => {
-                let schema = inner.table.schema();
                 let dschema = s.rows().schema();
                 if dschema.subject() != schema.subject() {
                     return Err(ThorError::validation(format!(
@@ -167,8 +188,11 @@ impl PreparedEngine {
                         schema.subject().name()
                     )));
                 }
+                // Delta column → engine concept, `None` for the subject.
+                let mut columns = Vec::with_capacity(dschema.concepts().len());
                 for (ci, concept) in dschema.concepts().iter().enumerate() {
                     if ci == dschema.subject_index() {
+                        columns.push(None);
                         continue;
                     }
                     match schema.index_of(concept.name()) {
@@ -185,66 +209,71 @@ impl PreparedEngine {
                                 concept.name()
                             )))
                         }
-                        Some(_) => {}
+                        Some(i) => columns.push(Some((i, concept.name()))),
                     }
                 }
                 let mut table = (*inner.table).clone();
                 for (ri, row) in s.rows().rows().iter().enumerate() {
                     let subject = s.rows().subject_of(ri);
                     table.row_for_subject(subject);
-                    for (ci, concept) in dschema.concepts().iter().enumerate() {
-                        if ci == dschema.subject_index() {
-                            continue;
-                        }
-                        for value in row.cell(ci).values() {
-                            table.fill_slot(subject, concept.name(), value);
+                    for (di, column) in columns.iter().enumerate() {
+                        let Some((ci, name)) = *column else { continue };
+                        for value in row.cell(di).values() {
+                            if table.fill_slot(subject, name, value) {
+                                gained[ci].push(value.trim());
+                            }
                         }
                     }
                 }
                 table
             }
         };
+        let new_subjects: Vec<&str> = (inner.table.len()..table.len())
+            .map(|ri| table.subject_of(ri))
+            .collect();
+        gained[schema.subject_index()].extend(&new_subjects);
 
         // 2. Merge-insert the new seeds into the frozen candidates.
-        let concepts = concept_instances(&table);
+        let concepts: Vec<(String, Cow<'_, [String]>)> = table
+            .schema()
+            .concepts()
+            .iter()
+            .enumerate()
+            .map(|(ci, concept)| {
+                let parent: &[String] = if ci < inner.prep.concept_names().len() {
+                    inner.prep.concept_seeds(ci).instances()
+                } else {
+                    &[]
+                };
+                (
+                    concept.name().to_string(),
+                    Table::merge_column_values(parent, &gained[ci]),
+                )
+            })
+            .collect();
         let (prep, touched) = inner
             .prep
             .with_additions(&concepts)
             .map_err(|m| ThorError::validation(format!("delta is not additive: {m}")))?;
 
-        // 3. Extend the vector index: untouched concepts are
-        // block-copied bit-for-bit from the current index; touched and
-        // new ones are rebuilt from their (re-derived) clusters.
-        let matcher_config = inner.config.matcher_config();
-        let clusters = prep.clusters_at(&matcher_config);
-        let old_index = inner.matcher.index();
-        let touched: HashSet<usize> = touched.into_iter().collect();
-        let mut builder = VectorIndexBuilder::new(inner.store.dim());
-        for (ci, cluster) in clusters.iter().enumerate() {
-            if ci < old_index.concept_count() && !touched.contains(&ci) {
-                builder.add_concept_from(old_index, ci);
-            } else {
-                builder.add_concept(
-                    &cluster.concept,
-                    cluster.seed_count(),
-                    cluster
-                        .representative_vectors()
-                        .map(|(w, v)| (w, v.as_slice())),
-                );
-            }
-        }
-        let index = builder.build();
-        let matcher = prep
-            .matcher_with_index(matcher_config, index, None)
-            .map_err(|m| ThorError::validation(format!("delta index extension: {m}")))?;
+        // 3. Evolve the matcher: untouched concepts keep their cluster,
+        // index block and pruning balls.
+        let matcher = prep.evolve_matcher(&inner.matcher, &touched);
 
-        // 4. Re-fingerprint: the store is unchanged, the table is not.
+        // 4. The subject index is shared unless the delta added subjects.
+        let subjects = if new_subjects.is_empty() {
+            Arc::clone(&inner.subjects)
+        } else {
+            Arc::new(SubjectIndex::new(table.subjects(), &inner.store))
+        };
+
+        // 5. Re-fingerprint: the store is unchanged, the table is not.
         let table_digest = fnv1a(thor_data::to_csv(&table).as_bytes());
-        Ok(EngineInner {
+        let evolved = EngineInner {
             fingerprint: engine_fingerprint(&inner.config, table_digest, inner.store_digest),
             config: inner.config.clone(),
             store: Arc::clone(&inner.store),
-            subjects: Arc::new(SubjectIndex::new(table.subjects(), &inner.store)),
+            subjects,
             table: Arc::new(table),
             prep: Arc::new(prep),
             matcher: Arc::new(matcher),
@@ -254,7 +283,8 @@ impl PreparedEngine {
             chain_depth: inner.chain_depth + 1,
             prepare_time: std::time::Duration::ZERO,
             metrics: inner.metrics.clone(),
-        })
+        };
+        Ok((evolved, touched.len()))
     }
 
     /// Persist this engine as a **delta artifact** on `parent` (a plain
@@ -418,6 +448,13 @@ mod tests {
             thor_data::to_csv(evolved.table()),
             thor_data::to_csv(fresh.table())
         );
+        // The merged instance lists are the ones a rescan of the table
+        // gives.
+        let rescanned = crate::engine::concept_instances(evolved.table());
+        for (ci, (_, instances)) in rescanned.iter().enumerate() {
+            let merged = evolved.prepared_matcher().concept_seeds(ci).instances();
+            assert_eq!(merged, instances.as_slice());
+        }
         let a = evolved.enrich(&docs());
         let b = fresh.enrich(&docs());
         assert_eq!(a.entities, b.entities);
@@ -556,6 +593,73 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.count("delta.applied"), 1);
         assert_eq!(snap.count("engine.chain_depth"), 1);
+    }
+
+    /// A base with two seeded concepts, `Anatomy` and `Treatment`, and
+    /// the engine evolved from it by one new `Anatomy` seed, with the
+    /// metrics handle the apply recorded into.
+    fn one_concept_delta() -> (PreparedEngine, PreparedEngine, PipelineMetrics) {
+        let thor = Thor::new(space(), ThorConfig::with_tau(0.6));
+        let mut table = Table::new(Schema::new(["Disease", "Anatomy", "Treatment"], "Disease"));
+        table.fill_slot("Tuberculosis", "Anatomy", "lungs");
+        table.fill_slot("Tuberculosis", "Treatment", "aspirin");
+        let metrics = PipelineMetrics::new();
+        let base = thor.prepare(&table).with_metrics(metrics.clone());
+        let evolved = base
+            .apply_delta(&seed_delta("Disease,Anatomy\nTuberculosis,brain\n"))
+            .unwrap();
+        (base, evolved, metrics)
+    }
+
+    /// The sharing mechanism: after a delta, every concept it did not
+    /// touch holds its parent's very seeds, cluster and seed-syntax
+    /// entries; the touched concept holds new ones.
+    #[test]
+    fn untouched_concepts_share_their_parents_state() {
+        let (base, evolved, _) = one_concept_delta();
+        let (subject, anatomy, treatment) = (0, 1, 2);
+        let (bp, ep) = (base.prepared_matcher(), evolved.prepared_matcher());
+        let (bc, ec) = (base.matcher().clusters(), evolved.matcher().clusters());
+        for ci in [subject, treatment] {
+            assert!(Arc::ptr_eq(bp.concept_seeds(ci), ep.concept_seeds(ci)));
+            assert!(Arc::ptr_eq(&bc[ci], &ec[ci]));
+        }
+        assert!(!Arc::ptr_eq(
+            bp.concept_seeds(anatomy),
+            ep.concept_seeds(anatomy)
+        ));
+        assert!(!Arc::ptr_eq(&bc[anatomy], &ec[anatomy]));
+
+        // Seed syntax is keyed by instance: every entry the parent has
+        // is shared, and only the new seed's entry is new.
+        let (bs, es) = (bp.seed_syntax(), ep.seed_syntax());
+        for instance in bs.instances() {
+            assert!(std::ptr::eq(
+                bs.get(instance).unwrap(),
+                es.get(instance).unwrap()
+            ));
+        }
+        assert!(bs.get("brain").is_none() && es.get("brain").is_some());
+
+        // No subject was added: the subject index is the parent's.
+        assert!(Arc::ptr_eq(&base.inner.subjects, &evolved.inner.subjects));
+    }
+
+    /// `delta.concepts_rebuilt` counts the touched concepts: a seed
+    /// delta for one concept that moves no other concept's candidate
+    /// rebuilds exactly that concept.
+    #[test]
+    fn a_one_concept_delta_rebuilds_one_concept() {
+        let (base, evolved, metrics) = one_concept_delta();
+        let (before, after) = (
+            base.prepared_matcher().candidates(),
+            evolved.prepared_matcher().candidates(),
+        );
+        assert_eq!(before[0], after[0], "no subject candidate moved");
+        assert_eq!(before[2], after[2], "no Treatment candidate moved");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.count("delta.applied"), 1);
+        assert_eq!(snap.count("delta.concepts_rebuilt"), 1);
     }
 
     /// The seed words' argmax is computed once per loaded engine, on

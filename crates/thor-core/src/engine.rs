@@ -772,7 +772,7 @@ impl PreparedEngine {
         )
         .map_err(|m| invalid(format!("prune sections: {m}")))?;
         let matcher = prep
-            .matcher_with_index(config.matcher_config(), index, Some(Arc::new(prune)))
+            .matcher_with_index(config.matcher_config(), index, Arc::new(prune))
             .map_err(|m| invalid(format!("index sections: {m}")))?;
 
         // Seed-syntax cross-check: the table is derived from the seeds;

@@ -34,9 +34,10 @@ pub struct SegmentedSentence {
 
 /// The table's subject instances, frozen for segmentation.
 ///
-/// Built once per engine (prepare, artifact load, delta apply) and
-/// shared by every derivation; it is derived state, so it is never
-/// persisted and plays no part in the fingerprint.
+/// Built once per engine (prepare, artifact load, a delta apply that
+/// adds subjects) and shared by every derivation, including a delta
+/// apply that adds none; it is derived state, so it is never persisted
+/// and plays no part in the fingerprint.
 ///
 /// * **Mentions.** Each normalized subject key maps to its subject. A
 ///   sentence mentions a subject when the key's words occur

@@ -4,6 +4,7 @@
 //! multi-valued for the other concepts." A missing value (⊥) is an empty
 //! cell — the thing THOR's slot-filling phase fills.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -297,6 +298,25 @@ impl Table {
         set.into_iter().collect()
     }
 
+    /// A column's value list after values went into it: `values`, the
+    /// list [`column_values`](Self::column_values) gave for the column,
+    /// with `added` — the trimmed values that [`fill_slot`](Self::fill_slot)
+    /// reported as new, or new rows' subjects — merged in at their
+    /// sorted places. Equals `column_values` of the grown table without
+    /// rescanning its rows; borrowed when nothing was added.
+    pub fn merge_column_values<'a>(values: &'a [String], added: &[&str]) -> Cow<'a, [String]> {
+        if added.is_empty() {
+            return Cow::Borrowed(values);
+        }
+        let mut list = values.to_vec();
+        for &value in added {
+            if let Err(at) = list.binary_search_by(|v| v.as_str().cmp(value)) {
+                list.insert(at, value.to_string());
+            }
+        }
+        Cow::Owned(list)
+    }
+
     /// Total number of concept instances stored (counting the subject).
     pub fn instance_count(&self) -> usize {
         self.rows
@@ -389,6 +409,46 @@ mod tests {
         assert_eq!(t.subject_of(i), "Tuberculosis");
         assert!(t.get_row("Tuberculosis").is_some());
         assert!(t.get_row("Acne").is_none());
+    }
+
+    #[test]
+    fn merged_column_values_equal_a_rescan() {
+        let mut t = Table::new(schema());
+        t.fill_slot("Tuberculosis", "Anatomy", "lungs");
+        t.fill_slot("Tuberculosis", "Anatomy", "skin");
+        let before: Vec<Vec<String>> = ["Disease", "Anatomy"]
+            .iter()
+            .map(|c| t.column_values(c))
+            .collect();
+        let mut added: Vec<Vec<String>> = vec![Vec::new(); 2];
+        let len = t.len();
+        // New, repeated in another row, already in the cell, normalized
+        // duplicate of a stored value, and blank.
+        for (subject, value) in [
+            ("Acne", " brain "),
+            ("Acne", "lungs"),
+            ("Tuberculosis", "skin"),
+            ("Tuberculosis", "Lungs"),
+            ("Tuberculosis", "  "),
+            ("Asthma", "airway"),
+        ] {
+            if t.fill_slot(subject, "Anatomy", value) {
+                added[1].push(value.trim().to_string());
+            }
+        }
+        added[0].extend((len..t.len()).map(|ri| t.subject_of(ri).to_string()));
+        for (ci, concept) in ["Disease", "Anatomy"].iter().enumerate() {
+            let added: Vec<&str> = added[ci].iter().map(String::as_str).collect();
+            assert_eq!(
+                Table::merge_column_values(&before[ci], &added).as_ref(),
+                t.column_values(concept).as_slice(),
+                "{concept}"
+            );
+        }
+        assert!(matches!(
+            Table::merge_column_values(&before[1], &[]),
+            Cow::Borrowed(_)
+        ));
     }
 
     #[test]

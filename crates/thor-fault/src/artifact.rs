@@ -168,11 +168,6 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Append an `f32` as its IEEE-754 bit pattern (exact round-trip).
-    pub fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u64(s.len() as u64);
@@ -210,11 +205,6 @@ impl<'a> ByteReader<'a> {
     /// A reader over `buf`, starting at offset 0.
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
-    }
-
-    /// Current offset into the payload.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Bytes left unread.
@@ -255,12 +245,6 @@ impl<'a> ByteReader<'a> {
     /// Read an `f64` bit pattern.
     pub fn get_f64(&mut self) -> ThorResult<f64> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Read an `f32` bit pattern.
-    pub fn get_f32(&mut self) -> ThorResult<f32> {
-        let b = self.take(4, "f32")?;
-        Ok(f32::from_bits(u32::from_le_bytes(b.try_into().unwrap())))
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -306,7 +290,6 @@ mod tests {
         w.put_u32(42);
         w.put_u64(u64::MAX);
         w.put_f64(0.7);
-        w.put_f32(-1.25);
         w.put_str("naïve phrase");
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
@@ -314,7 +297,6 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 42);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_f64().unwrap().to_bits(), 0.7f64.to_bits());
-        assert_eq!(r.get_f32().unwrap(), -1.25);
         assert_eq!(r.get_str().unwrap(), "naïve phrase");
         r.finish("test payload").unwrap();
     }

@@ -56,12 +56,6 @@ impl DictionaryIndex {
     pub fn pattern_count(&self) -> usize {
         self.patterns.len()
     }
-
-    /// The (concept, display instance) pairs backing the automaton, in
-    /// pattern order.
-    pub fn patterns(&self) -> &[(String, String)] {
-        &self.patterns
-    }
 }
 
 impl CandidateSource for DictionaryIndex {
@@ -142,6 +136,9 @@ mod tests {
             vec!["  ".to_string(), "ear".to_string()],
         )]);
         assert_eq!(idx.pattern_count(), 1);
-        assert_eq!(idx.patterns()[0].1, "ear");
+        let found = idx.candidates_anchored("pain in the ear", &|_| true);
+        assert!(found
+            .iter()
+            .any(|c| c.concept == "Anatomy" && c.matched_instance == "ear"));
     }
 }

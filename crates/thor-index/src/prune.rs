@@ -40,7 +40,9 @@
 //! sequence as a per-row loop.
 //!
 //! The whole structure is a pure deterministic function of the
-//! [`VectorIndex`] bits, which is what lets delta applies rebuild it
+//! [`VectorIndex`] bits, and each concept's part of it a function of
+//! that concept's rows and position alone. That is what lets a delta
+//! apply copy every untouched concept's balls ([`PruneIndex::evolve`])
 //! and still match a fresh build byte-for-byte.
 
 use std::cmp::Ordering;
@@ -211,90 +213,175 @@ fn ball_bound(dot: f64, query_norm: f64, radius: f64) -> f64 {
     dot / query_norm + radius + PRUNE_SLACK
 }
 
-impl PruneIndex {
-    /// Build the pruning structure for `ix`. Pure and deterministic:
-    /// the same index bits always produce the same structure, so a
-    /// delta-rebuilt instance is byte-identical to a fresh one.
-    pub fn build(ix: &VectorIndex) -> Self {
-        let dim = ix.dim();
-        let rows = ix.row_count();
-        assert!(rows <= u32::MAX as usize, "row ids must fit in u32");
+/// The flat arrays of a [`PruneIndex`] under construction, appended
+/// concept by concept — by k-means over the concept's rows, or copied
+/// from a parent structure — in the order the index lists them.
+#[derive(Default)]
+struct PruneParts {
+    concept_clusters: Vec<(usize, usize, usize)>,
+    clusters: Vec<(usize, usize)>,
+    members: Vec<u32>,
+    centroids: Vec<f32>,
+    radii: Vec<f64>,
+    concept_centroids: Vec<f32>,
+    concept_radii: Vec<f64>,
+}
 
-        // Normalized f64 copies of every row, zero-norm rows as the
-        // zero vector (which every ball then contains, keeping the
-        // bound valid for their defined similarity of 0.0).
-        let mut unit = vec![0.0f64; rows * dim];
-        for r in 0..rows {
-            let rn = ix.row_norm(r);
+impl PruneParts {
+    /// Cluster concept `ci` of `ix`: its concept ball, then k-means
+    /// over its seed prefix and its expansion suffix, seeded per
+    /// (concept, group). Reads only the concept's own rows, normalized
+    /// to f64 (zero-norm rows as the zero vector, which every ball then
+    /// contains, keeping the bound valid for their defined similarity
+    /// of 0.0).
+    fn add_concept(&mut self, ix: &VectorIndex, ci: usize) {
+        let dim = ix.dim();
+        let (start, crows, seed_rows) = ix.concept_range(ci);
+        let mut unit = vec![0.0f64; crows * dim];
+        for local in 0..crows {
+            let rn = ix.row_norm(start + local);
             if rn != 0.0 {
-                for (u, &x) in unit[r * dim..(r + 1) * dim].iter_mut().zip(ix.row(r)) {
+                let u = &mut unit[local * dim..(local + 1) * dim];
+                for (u, &x) in u.iter_mut().zip(ix.row(start + local)) {
                     *u = x as f64 / rn;
                 }
             }
         }
+        let centroid = mean_centroid(&unit, dim, 0..crows);
+        self.concept_radii
+            .push(ball_radius(&unit, dim, 0..crows, &centroid));
+        self.concept_centroids.extend_from_slice(&centroid);
 
-        let mut concept_clusters = Vec::with_capacity(ix.concept_count());
-        let mut clusters = Vec::new();
-        let mut members: Vec<u32> = Vec::with_capacity(rows);
-        let mut centroids: Vec<f32> = Vec::new();
-        let mut radii: Vec<f64> = Vec::new();
-        let mut concept_centroids: Vec<f32> = Vec::with_capacity(ix.concept_count() * dim);
-        let mut concept_radii: Vec<f64> = Vec::with_capacity(ix.concept_count());
-
-        for ci in 0..ix.concept_count() {
-            let (start, crows, seed_rows) = ix.concept_range(ci);
-            let all = start..start + crows;
-            let centroid = mean_centroid(&unit, dim, all.clone());
-            concept_radii.push(ball_radius(&unit, dim, all, &centroid));
-            concept_centroids.extend_from_slice(&centroid);
-
-            let first = clusters.len();
-            let mut seed_clusters = 0usize;
-            for (group, range) in [
-                (0u64, start..start + seed_rows),
-                (1u64, start + seed_rows..start + crows),
-            ] {
-                let seed = KMEANS_SEED ^ (((ci as u64) << 1) | group);
-                for group_members in kmeans_groups(&unit, dim, range, seed) {
-                    let centroid =
-                        mean_centroid(&unit, dim, group_members.iter().map(|&r| r as usize));
-                    let radius = ball_radius(
-                        &unit,
-                        dim,
-                        group_members.iter().map(|&r| r as usize),
-                        &centroid,
-                    );
-                    clusters.push((members.len(), group_members.len()));
-                    members.extend_from_slice(&group_members);
-                    centroids.extend_from_slice(&centroid);
-                    radii.push(radius);
-                    if group == 0 {
-                        seed_clusters += 1;
-                    }
+        let first = self.clusters.len();
+        let mut seed_clusters = 0usize;
+        for (group, range) in [(0u64, 0..seed_rows), (1u64, seed_rows..crows)] {
+            let seed = KMEANS_SEED ^ (((ci as u64) << 1) | group);
+            for group_members in kmeans_groups(&unit, dim, range, seed) {
+                let rows = group_members.iter().map(|&r| r as usize);
+                let centroid = mean_centroid(&unit, dim, rows.clone());
+                self.radii.push(ball_radius(&unit, dim, rows, &centroid));
+                self.clusters
+                    .push((self.members.len(), group_members.len()));
+                self.members
+                    .extend(group_members.iter().map(|&r| (start + r as usize) as u32));
+                self.centroids.extend_from_slice(&centroid);
+                if group == 0 {
+                    seed_clusters += 1;
                 }
             }
-            concept_clusters.push((first, clusters.len() - first, seed_clusters));
         }
+        self.concept_clusters
+            .push((first, self.clusters.len() - first, seed_clusters));
+    }
 
+    /// Append concept `ci` of `src` (built for `src_ix`) verbatim, its
+    /// member row ids rebased from the concept's start in `src_ix` to
+    /// `start`. Bit-identical to clustering the same rows afresh:
+    /// k-means reads only the concept's rows and is seeded by the
+    /// concept's position, not by where its rows sit.
+    fn add_concept_from(
+        &mut self,
+        src: &PruneIndex,
+        src_ix: &VectorIndex,
+        ci: usize,
+        start: usize,
+    ) {
+        let dim = src.dim;
+        let (src_start, _, _) = src_ix.concept_range(ci);
+        let (first, count, seed_clusters) = src.concept_clusters[ci];
+        self.concept_centroids
+            .extend_from_slice(&src.concept_centroids[ci * dim..(ci + 1) * dim]);
+        self.concept_radii.push(src.concept_radii[ci]);
+        let new_first = self.clusters.len();
+        for k in first..first + count {
+            let (mstart, mlen) = src.clusters[k];
+            self.clusters.push((self.members.len(), mlen));
+            self.members.extend(
+                src.members[mstart..mstart + mlen]
+                    .iter()
+                    .map(|&r| (r as usize - src_start + start) as u32),
+            );
+        }
+        self.centroids
+            .extend_from_slice(&src.centroids[first * dim..(first + count) * dim]);
+        self.radii
+            .extend_from_slice(&src.radii[first..first + count]);
+        self.concept_clusters
+            .push((new_first, count, seed_clusters));
+    }
+
+    /// Freeze the parts for `ix`, deriving the scan lanes.
+    fn finish(self, ix: &VectorIndex) -> PruneIndex {
         let lanes = ScanLanes::derive(
             ix,
-            &concept_clusters,
-            &clusters,
-            &members,
-            &centroids,
-            &concept_centroids,
+            &self.concept_clusters,
+            &self.clusters,
+            &self.members,
+            &self.centroids,
+            &self.concept_centroids,
         );
-        Self {
-            dim,
-            concept_clusters,
-            clusters,
-            members: members.into(),
-            centroids: centroids.into(),
-            radii: radii.into(),
-            concept_centroids: concept_centroids.into(),
-            concept_radii: concept_radii.into(),
+        PruneIndex {
+            dim: ix.dim(),
+            concept_clusters: self.concept_clusters,
+            clusters: self.clusters,
+            members: self.members.into(),
+            centroids: self.centroids.into(),
+            radii: self.radii.into(),
+            concept_centroids: self.concept_centroids.into(),
+            concept_radii: self.concept_radii.into(),
             lanes,
         }
+    }
+}
+
+impl PruneIndex {
+    /// Build the pruning structure for `ix`. Pure and deterministic:
+    /// the same index bits always produce the same structure.
+    pub fn build(ix: &VectorIndex) -> Self {
+        assert!(
+            ix.row_count() <= u32::MAX as usize,
+            "row ids must fit in u32"
+        );
+        let mut parts = PruneParts::default();
+        for ci in 0..ix.concept_count() {
+            parts.add_concept(ix, ci);
+        }
+        parts.finish(ix)
+    }
+
+    /// The structure [`PruneIndex::build`] makes for `ix`, an index
+    /// evolved from `parent_ix` (this structure's index) by a delta:
+    /// the concepts marked in `kept` (one flag per concept of `ix`) are
+    /// copied with their member row ids rebased, and only the others
+    /// are normalized and clustered. Bit-identical to `build(ix)` as
+    /// long as every kept concept's rows are the same in both indices,
+    /// which is what `VectorIndexBuilder::add_concept_from` produces.
+    ///
+    /// Panics if `kept` does not have one flag per concept of `ix`, or
+    /// marks a concept that `parent_ix` lacks or whose row layout
+    /// differs between the two indices.
+    pub fn evolve(&self, parent_ix: &VectorIndex, ix: &VectorIndex, kept: &[bool]) -> Self {
+        assert!(
+            ix.row_count() <= u32::MAX as usize,
+            "row ids must fit in u32"
+        );
+        assert_eq!(kept.len(), ix.concept_count(), "one flag per concept");
+        let mut parts = PruneParts::default();
+        for (ci, &keep) in kept.iter().enumerate() {
+            if keep {
+                let (start, rows, seed_rows) = ix.concept_range(ci);
+                let (_, parent_rows, parent_seed_rows) = parent_ix.concept_range(ci);
+                assert_eq!(
+                    (rows, seed_rows),
+                    (parent_rows, parent_seed_rows),
+                    "kept concept {ci} changed its rows"
+                );
+                parts.add_concept_from(self, parent_ix, ci, start);
+            } else {
+                parts.add_concept(ix, ci);
+            }
+        }
+        parts.finish(ix)
     }
 
     /// Total clusters across all concepts.
@@ -1159,6 +1246,108 @@ mod tests {
         }
         assert!(stats.concepts > 0, "no concepts were ever pruned");
         assert!(stats.rows > 0, "no rows were ever pruned");
+    }
+
+    /// `n` deterministic rows labelled `{tag}-{r}`; row `zero` (if
+    /// any) is the zero vector.
+    fn rows(tag: &str, dim: usize, n: usize, zero: Option<usize>) -> Vec<(String, Vec<f32>)> {
+        let seed = tag
+            .bytes()
+            .fold(5u64, |h, b| h.wrapping_mul(31) ^ u64::from(b));
+        let mut rng = SplitMix64::new(seed);
+        let mut next = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        (0..n)
+            .map(|r| {
+                let v = if zero == Some(r) {
+                    vec![0.0; dim]
+                } else {
+                    (0..dim).map(|_| next() as f32).collect()
+                };
+                (format!("{tag}-{r}"), v)
+            })
+            .collect()
+    }
+
+    fn add(b: &mut VectorIndexBuilder, name: &str, seed_rows: usize, rows: &[(String, Vec<f32>)]) {
+        b.add_concept(
+            name,
+            seed_rows,
+            rows.iter().map(|(w, v)| (w.as_str(), v.as_slice())),
+        );
+    }
+
+    #[test]
+    fn evolve_equals_a_fresh_build_bit_for_bit() {
+        let dim = 12;
+        // Parent: a concept with no expansion rows (C1) and one holding
+        // a zero-norm row (C3), both left untouched by the delta.
+        let c0 = rows("c0", dim, 30, None);
+        let c2 = rows("c2", dim, 40, None);
+        let mut b = VectorIndexBuilder::new(dim);
+        add(&mut b, "C0", 10, &c0);
+        add(&mut b, "C1", 20, &rows("c1", dim, 20, None));
+        add(&mut b, "C2", 12, &c2);
+        add(&mut b, "C3", 5, &rows("c3", dim, 17, Some(4)));
+        let parent_ix = b.build();
+        let parent = PruneIndex::build(&parent_ix);
+
+        // Child: C0 grows, C2 loses two expansion rows and gains a seed,
+        // C1 and C3 are block-copied at shifted starts, C4 is appended.
+        let mut c0_grown = c0.clone();
+        c0_grown.splice(3..3, rows("c0-new", dim, 4, None));
+        let mut c2_edited = c2[..38].to_vec();
+        c2_edited.insert(0, rows("c2-new", dim, 1, None).remove(0));
+        let mut b = VectorIndexBuilder::new(dim);
+        add(&mut b, "C0", 14, &c0_grown);
+        b.add_concept_from(&parent_ix, 1);
+        add(&mut b, "C2", 13, &c2_edited);
+        b.add_concept_from(&parent_ix, 3);
+        add(&mut b, "C4", 9, &rows("c4", dim, 25, None));
+        let ix = b.build();
+
+        let evolved = parent.evolve(&parent_ix, &ix, &[false, true, false, true, false]);
+        let fresh = PruneIndex::build(&ix);
+        assert_eq!(evolved.meta_bytes(), fresh.meta_bytes());
+        assert_eq!(evolved.members(), fresh.members());
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits32(evolved.centroids()), bits32(fresh.centroids()));
+        assert_eq!(bits64(evolved.radii()), bits64(fresh.radii()));
+        assert_eq!(
+            bits32(evolved.concept_centroids()),
+            bits32(fresh.concept_centroids())
+        );
+        assert_eq!(
+            bits64(evolved.concept_radii()),
+            bits64(fresh.concept_radii())
+        );
+
+        let concept_bits = |r: Option<(usize, f64)>| r.map(|(c, s)| (c, s.to_bits()));
+        let seed_bits = |r: Option<(&str, f64)>| r.map(|(w, s)| (w.to_string(), s.to_bits()));
+        for q in queries(dim, 24) {
+            let qn = slice_norm(&q);
+            let (mut se, mut sf) = (PruneStats::default(), PruneStats::default());
+            for floor in [f64::MIN, 0.0, 0.3] {
+                assert_eq!(
+                    concept_bits(evolved.best_concept(&ix, &q, qn, floor, &mut se)),
+                    concept_bits(fresh.best_concept(&ix, &q, qn, floor, &mut sf))
+                );
+            }
+            for ci in 0..ix.concept_count() {
+                for tau in [0.0, 0.2, 0.5, 0.9] {
+                    assert_eq!(
+                        evolved.gate(&ix, ci, &q, qn, tau, &mut se),
+                        fresh.gate(&ix, ci, &q, qn, tau, &mut sf),
+                        "gate, concept {ci}, tau {tau}"
+                    );
+                }
+                assert_eq!(
+                    seed_bits(evolved.best_seed(&ix, ci, &q, qn, &mut se)),
+                    seed_bits(fresh.best_seed(&ix, ci, &q, qn, &mut sf))
+                );
+            }
+            assert_eq!(se, sf, "the same work was pruned");
+        }
     }
 
     #[test]

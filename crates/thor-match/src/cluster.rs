@@ -1,6 +1,7 @@
 //! Per-concept clusters of representative vectors.
 
 use thor_embed::{cosine, slice_cosine, Vector, VectorStore};
+use thor_index::VectorIndexBuilder;
 use thor_text::normalize_phrase;
 
 /// Both similarity views of a cluster against one query, computed in a
@@ -36,18 +37,23 @@ impl ConceptCluster {
     /// Embed a concept's known instances as seeds (instances with no
     /// in-vocabulary word are skipped).
     pub fn embed_seeds(instances: &[String], store: &VectorStore) -> Vec<(String, Vector)> {
-        let mut seeds: Vec<(String, Vector)> = Vec::new();
-        for instance in instances {
-            let norm = normalize_phrase(instance);
-            if norm.is_empty() {
-                continue;
-            }
-            if let Some(mut v) = store.embed_phrase(&norm) {
-                v.normalize();
-                seeds.push((norm, v));
-            }
+        instances
+            .iter()
+            .filter_map(|instance| Self::embed_seed(instance, store))
+            .collect()
+    }
+
+    /// Embed one instance as a seed: its normalized form and unit
+    /// phrase vector, or `None` when it normalizes to nothing or has no
+    /// in-vocabulary word.
+    pub(crate) fn embed_seed(instance: &str, store: &VectorStore) -> Option<(String, Vector)> {
+        let norm = normalize_phrase(instance);
+        if norm.is_empty() {
+            return None;
         }
-        seeds
+        let mut v = store.embed_phrase(&norm)?;
+        v.normalize();
+        Some((norm, v))
     }
 
     /// Assemble a cluster from seeds plus expanded representative words
@@ -137,6 +143,17 @@ impl ConceptCluster {
     /// `thor_index::VectorIndex`.
     pub fn representative_vectors(&self) -> impl Iterator<Item = (&str, &Vector)> {
         self.representatives.iter().map(|(w, v)| (w.as_str(), v))
+    }
+
+    /// Append the cluster to `builder` as one concept, seeds first: its
+    /// block of the matcher's [`thor_index::VectorIndex`].
+    pub(crate) fn add_to(&self, builder: &mut VectorIndexBuilder) {
+        builder.add_concept(
+            &self.concept,
+            self.seed_count(),
+            self.representative_vectors()
+                .map(|(w, v)| (w, v.as_slice())),
+        );
     }
 
     /// Max and mean similarity between `query` and the cluster in one

@@ -33,7 +33,7 @@ pub use cluster::{ClusterScore, ConceptCluster};
 pub use matcher::{
     CandidateEntity, FineTuneStats, MatchCounts, MatcherConfig, SimilarityMatcher, TAU_RANGE,
 };
-pub use prepared::PreparedMatcher;
+pub use prepared::{ConceptSeeds, PreparedMatcher};
 pub use thor_index::{
     CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneStats, VectorIndex,
 };

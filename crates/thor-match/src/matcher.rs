@@ -125,7 +125,9 @@ pub struct MatchCounts {
 #[derive(Debug, Clone)]
 pub struct SimilarityMatcher {
     store: Arc<VectorStore>,
-    clusters: Arc<[ConceptCluster]>,
+    /// One cluster per concept, each behind an `Arc` so a matcher
+    /// evolved by a delta shares every cluster the delta left alone.
+    clusters: Arc<[Arc<ConceptCluster>]>,
     index: VectorIndex,
     /// The frozen pruning structures: a pure function of the index,
     /// saved beside it and read by every candidate scan.
@@ -173,7 +175,7 @@ impl SimilarityMatcher {
     /// [`PreparedMatcher::matcher_at`] and (through it) fine-tuning.
     pub(crate) fn from_clusters(
         store: Arc<VectorStore>,
-        clusters: Vec<ConceptCluster>,
+        clusters: Vec<Arc<ConceptCluster>>,
         seed_syntax: Arc<SeedSyntax>,
         config: MatcherConfig,
     ) -> Self {
@@ -182,30 +184,27 @@ impl SimilarityMatcher {
         let prune = Arc::new(PruneIndex::build(&index));
         let built = t0.elapsed();
         let mut matcher =
-            Self::from_clusters_prebuilt(store, clusters, index, Some(prune), seed_syntax, config);
+            Self::from_clusters_prebuilt(store, clusters, index, prune, seed_syntax, config);
         matcher.stats.index_build = Some(built);
         matcher
     }
 
     /// [`SimilarityMatcher::from_clusters`] with an already-built
-    /// index (the artifact load path, where the index arrays may be
-    /// zero-copy views into a mapped file). The caller is responsible
-    /// for the index matching the clusters —
-    /// `PreparedMatcher::matcher_with_index` validates the layout. A
-    /// `None` prune structure is rebuilt deterministically from the
-    /// index: delta apply passes `None`, since a changed index needs
-    /// fresh bounds. The one place a matcher is put together: it
-    /// measures the fine-tune statistics and opens a fresh phrase
-    /// cache.
+    /// index and pruning structure: the artifact load path, where the
+    /// arrays may be zero-copy views into a mapped file, and delta
+    /// apply, which evolves them from its parent's. The caller is
+    /// responsible for them matching the clusters —
+    /// `PreparedMatcher::matcher_with_index` validates the layout. The
+    /// one place a matcher is put together: it measures the fine-tune
+    /// statistics and opens a fresh phrase cache.
     pub(crate) fn from_clusters_prebuilt(
         store: Arc<VectorStore>,
-        clusters: Vec<ConceptCluster>,
+        clusters: Vec<Arc<ConceptCluster>>,
         index: VectorIndex,
-        prune: Option<Arc<PruneIndex>>,
+        prune: Arc<PruneIndex>,
         seed_syntax: Arc<SeedSyntax>,
         config: MatcherConfig,
     ) -> Self {
-        let prune = prune.unwrap_or_else(|| Arc::new(PruneIndex::build(&index)));
         let sum = |count: fn(&ConceptCluster) -> usize| -> u64 {
             clusters.iter().map(|c| count(c) as u64).sum()
         };
@@ -241,16 +240,10 @@ impl SimilarityMatcher {
     /// Freeze the fine-tuned clusters into the structure-of-arrays
     /// index: seeds first per concept (so `c_m` search is a prefix
     /// scan), identical `f32` bits, norms precomputed.
-    fn build_index(clusters: &[ConceptCluster], dim: usize) -> VectorIndex {
+    fn build_index(clusters: &[Arc<ConceptCluster>], dim: usize) -> VectorIndex {
         let mut builder = VectorIndexBuilder::new(dim);
         for cluster in clusters {
-            builder.add_concept(
-                &cluster.concept,
-                cluster.seed_count(),
-                cluster
-                    .representative_vectors()
-                    .map(|(w, v)| (w, v.as_slice())),
-            );
+            cluster.add_to(&mut builder);
         }
         builder.build()
     }
@@ -267,8 +260,13 @@ impl SimilarityMatcher {
     }
 
     /// The concept clusters.
-    pub fn clusters(&self) -> &[ConceptCluster] {
+    pub fn clusters(&self) -> &[Arc<ConceptCluster>] {
         &self.clusters
+    }
+
+    /// The configuration the matcher was derived at.
+    pub(crate) fn config(&self) -> &MatcherConfig {
+        &self.config
     }
 
     /// The underlying vector table.

@@ -37,7 +37,9 @@ use crate::matcher::{MatcherConfig, SimilarityMatcher, TAU_RANGE};
 pub struct PreparedMatcher {
     store: Arc<VectorStore>,
     names: Vec<String>,
-    seeds: Vec<Vec<(String, Vector)>>,
+    /// Per concept, behind an `Arc`: a preparation evolved by a delta
+    /// that leaves a concept's instances alone shares them.
+    seeds: Vec<Arc<ConceptSeeds>>,
     /// Per concept: candidate expansion words with their best-concept
     /// similarity, every entry ≥ `base.tau`, sorted by
     /// `(sim desc, word asc)`, **not** truncated to `max_expansion`.
@@ -79,18 +81,78 @@ enum CandidateBacking {
     },
 }
 
+/// One concept's Preparation input: its instance list (the table
+/// column `R.C`) and the seeds embedded from it.
+#[derive(Debug)]
+pub struct ConceptSeeds {
+    instances: Vec<String>,
+    /// Per instance, whether it embedded. The seeds are the embedded
+    /// instances, in instance order.
+    embedded: Vec<bool>,
+    seeds: Vec<(String, Vector)>,
+}
+
+impl ConceptSeeds {
+    /// Embed `instances` ([`ConceptCluster::embed_seed`] each).
+    fn embed(instances: &[String], store: &VectorStore) -> Self {
+        let mut out = Self {
+            instances: instances.to_vec(),
+            embedded: Vec::with_capacity(instances.len()),
+            seeds: Vec::new(),
+        };
+        for instance in instances {
+            out.push_embedded(ConceptCluster::embed_seed(instance, store));
+        }
+        out
+    }
+
+    fn push_embedded(&mut self, seed: Option<(String, Vector)>) {
+        self.embedded.push(seed.is_some());
+        self.seeds.extend(seed);
+    }
+
+    /// The instance list the concept was prepared from.
+    pub fn instances(&self) -> &[String] {
+        &self.instances
+    }
+
+    /// The embedded seeds `(normalized instance, unit vector)`, in
+    /// instance order.
+    pub(crate) fn seeds(&self) -> &[(String, Vector)] {
+        &self.seeds
+    }
+}
+
 /// The per-seed refinement syntax table for a preparation's embedded
 /// seeds — every string a derived matcher can emit as
 /// `matched_instance`.
-fn build_seed_syntax(seeds: &[Vec<(String, Vector)>]) -> Arc<SeedSyntax> {
+fn build_seed_syntax(seeds: &[Arc<ConceptSeeds>]) -> Arc<SeedSyntax> {
     Arc::new(SeedSyntax::build(
-        seeds.iter().flatten().map(|(word, _)| word.as_str()),
+        seeds
+            .iter()
+            .flat_map(|c| c.seeds())
+            .map(|(word, _)| word.as_str()),
     ))
 }
 
 /// Every seed instance string of every concept.
-fn seed_words(seeds: &[Vec<(String, Vector)>]) -> HashSet<&str> {
-    seeds.iter().flatten().map(|(w, _)| w.as_str()).collect()
+fn seed_words(seeds: &[Arc<ConceptSeeds>]) -> HashSet<&str> {
+    seeds
+        .iter()
+        .flat_map(|c| c.seeds())
+        .map(|(w, _)| w.as_str())
+        .collect()
+}
+
+/// Embed every concept's instances.
+fn embed_concepts(
+    concepts: &[(String, Vec<String>)],
+    store: &VectorStore,
+) -> Vec<Arc<ConceptSeeds>> {
+    concepts
+        .iter()
+        .map(|(_, instances)| Arc::new(ConceptSeeds::embed(instances, store)))
+        .collect()
 }
 
 /// Whether `word` is a seed instance of the concept with these seeds.
@@ -109,14 +171,15 @@ fn seeds_contain(seeds: &[(String, Vector)], word: &str) -> bool {
 /// `best_concept` is bit-identical to the exhaustive fold.
 fn competitive_scan(
     names: &[String],
-    seeds: &[Vec<(String, Vector)>],
+    seeds: &[Arc<ConceptSeeds>],
     store: &VectorStore,
     tau: f64,
     wanted: impl Fn(&str) -> bool,
     mut visit: impl FnMut(&str, Option<(usize, f64)>),
 ) {
     let mut builder = VectorIndexBuilder::new(store.dim());
-    for (name, cluster_seeds) in names.iter().zip(seeds) {
+    for (name, concept) in names.iter().zip(seeds) {
+        let cluster_seeds = concept.seeds();
         builder.add_concept(
             name,
             cluster_seeds.len(),
@@ -149,10 +212,7 @@ impl PreparedMatcher {
         base: MatcherConfig,
     ) -> Self {
         let store = store.into();
-        let seeds: Vec<Vec<(String, Vector)>> = concepts
-            .iter()
-            .map(|(_, instances)| ConceptCluster::embed_seeds(instances, &store))
-            .collect();
+        let seeds = embed_concepts(concepts, &store);
 
         let names: Vec<String> = concepts.iter().map(|(name, _)| name.clone()).collect();
 
@@ -174,7 +234,7 @@ impl PreparedMatcher {
                         seed_best.insert(word.to_string(), best);
                     }
                     if let Some((ci, sim)) = best {
-                        if !seeds_contain(&seeds[ci], word) {
+                        if !seeds_contain(seeds[ci].seeds(), word) {
                             candidates[ci].push((word.to_string(), sim));
                         }
                     }
@@ -218,10 +278,7 @@ impl PreparedMatcher {
             "one candidate list per concept"
         );
         let store = store.into();
-        let seeds: Vec<Vec<(String, Vector)>> = concepts
-            .iter()
-            .map(|(_, instances)| ConceptCluster::embed_seeds(instances, &store))
-            .collect();
+        let seeds = embed_concepts(concepts, &store);
         Self {
             seed_syntax: build_seed_syntax(&seeds),
             store,
@@ -264,10 +321,7 @@ impl PreparedMatcher {
             ));
         }
         let store = store.into();
-        let seeds: Vec<Vec<(String, Vector)>> = concepts
-            .iter()
-            .map(|(_, instances)| ConceptCluster::embed_seeds(instances, &store))
-            .collect();
+        let seeds = embed_concepts(concepts, &store);
         Ok(Self {
             seed_syntax: build_seed_syntax(&seeds),
             store,
@@ -340,14 +394,8 @@ impl PreparedMatcher {
 
     /// The fine-tuned concept clusters `config` derives — the shared
     /// first half of [`PreparedMatcher::matcher_at`] and
-    /// [`PreparedMatcher::matcher_with_index`], exposed so callers
-    /// that already hold a frozen index (the artifact load and
-    /// delta-apply paths) can derive clusters without freezing a
-    /// second, redundant index.
-    ///
-    /// Panics if `config.tau` is outside [`TAU_RANGE`] or below the τ
-    /// this preparation was run at.
-    pub fn clusters_at(&self, config: &MatcherConfig) -> Vec<ConceptCluster> {
+    /// [`PreparedMatcher::matcher_with_index`].
+    fn clusters_at(&self, config: &MatcherConfig) -> Vec<Arc<ConceptCluster>> {
         assert!(
             TAU_RANGE.contains(&config.tau),
             "tau must be in [0, 1] (TAU_RANGE)"
@@ -358,26 +406,37 @@ impl PreparedMatcher {
             config.tau,
             self.base.tau
         );
-        self.names
-            .iter()
-            .zip(&self.seeds)
-            .enumerate()
-            .map(|(ci, (name, seeds))| {
-                // At τ ≥ 1 fine-tuning skips the vocabulary scan
-                // entirely, so the expansion is empty by definition.
-                let words: Vec<String> = if config.tau >= 1.0 {
-                    Vec::new()
-                } else {
-                    self.filtered_words(ci, config.tau, config.max_expansion)
-                };
-                ConceptCluster::from_parts(name, seeds.clone(), &words, &self.store)
-            })
+        (0..self.names.len())
+            .map(|ci| Arc::new(self.cluster_at(ci, config)))
             .collect()
+    }
+
+    /// Concept `ci`'s fine-tuned cluster at `config` (already checked
+    /// against the base τ).
+    fn cluster_at(&self, ci: usize, config: &MatcherConfig) -> ConceptCluster {
+        // At τ ≥ 1 fine-tuning skips the vocabulary scan entirely, so
+        // the expansion is empty by definition.
+        let words: Vec<String> = if config.tau >= 1.0 {
+            Vec::new()
+        } else {
+            self.filtered_words(ci, config.tau, config.max_expansion)
+        };
+        ConceptCluster::from_parts(
+            &self.names[ci],
+            self.seeds[ci].seeds().to_vec(),
+            &words,
+            &self.store,
+        )
     }
 
     /// The frozen refinement syntax of the embedded seed instances.
     pub fn seed_syntax(&self) -> &Arc<SeedSyntax> {
         &self.seed_syntax
+    }
+
+    /// Concept `ci`'s instances and embedded seeds.
+    pub fn concept_seeds(&self, ci: usize) -> &Arc<ConceptSeeds> {
+        &self.seeds[ci]
     }
 
     /// The config the preparation ran with; its `tau` is the lowest τ
@@ -440,20 +499,16 @@ impl PreparedMatcher {
     }
 
     /// [`PreparedMatcher::matcher_at`] with a prebuilt [`VectorIndex`]
-    /// (deserialized from an artifact) instead of re-freezing one from
-    /// the derived clusters. The index must describe exactly the
-    /// clusters `config` derives — validated against the derived
-    /// layout, since a mismatched index would silently mis-score.
-    ///
-    /// `prune` is the persisted pruning index on artifact load; `None`
-    /// rebuilds it from `index`, as delta apply does (a pure
-    /// deterministic function of the index, so both paths are
-    /// indistinguishable).
+    /// and [`PruneIndex`] (deserialized from an artifact) instead of
+    /// re-freezing them from the derived clusters. The index must
+    /// describe exactly the clusters `config` derives — validated
+    /// against the derived layout, since a mismatched index would
+    /// silently mis-score.
     pub fn matcher_with_index(
         &self,
         config: MatcherConfig,
         index: VectorIndex,
-        prune: Option<Arc<PruneIndex>>,
+        prune: Arc<PruneIndex>,
     ) -> Result<SimilarityMatcher, String> {
         let clusters = self.clusters_at(&config);
         if index.dim() != self.store.dim() {
@@ -497,6 +552,59 @@ impl PreparedMatcher {
             Arc::clone(&self.seed_syntax),
             config,
         ))
+    }
+
+    /// The matcher [`PreparedMatcher::matcher_at`] derives at
+    /// `parent`'s configuration, built concept by concept from
+    /// `parent`: this preparation must be the one
+    /// [`PreparedMatcher::with_additions`] evolved from `parent`'s, and
+    /// `touched` the concepts it returned. Every other concept keeps
+    /// `parent`'s cluster (a refcount bump), its index block (copied)
+    /// and its pruning balls (copied, row ids rebased); only touched
+    /// and appended concepts are derived, indexed and clustered.
+    /// Bit-identical to `matcher_at`, because an untouched concept has
+    /// the same seeds and candidates in both preparations.
+    pub fn evolve_matcher(
+        &self,
+        parent: &SimilarityMatcher,
+        touched: &[usize],
+    ) -> SimilarityMatcher {
+        let config = parent.config().clone();
+        let parent_index = parent.index();
+        // Per concept, whether it is the parent's: neither touched nor
+        // appended.
+        let mut kept = vec![false; self.names.len()];
+        kept[..parent.clusters().len()].fill(true);
+        for &ci in touched {
+            kept[ci] = false;
+        }
+        let clusters: Vec<Arc<ConceptCluster>> = (0..self.names.len())
+            .map(|ci| {
+                if kept[ci] {
+                    Arc::clone(&parent.clusters()[ci])
+                } else {
+                    Arc::new(self.cluster_at(ci, &config))
+                }
+            })
+            .collect();
+        let mut builder = VectorIndexBuilder::new(self.store.dim());
+        for (ci, cluster) in clusters.iter().enumerate() {
+            if kept[ci] {
+                builder.add_concept_from(parent_index, ci);
+            } else {
+                cluster.add_to(&mut builder);
+            }
+        }
+        let index = builder.build();
+        let prune = parent.prune_index().evolve(parent_index, &index, &kept);
+        SimilarityMatcher::from_clusters_prebuilt(
+            Arc::clone(&self.store),
+            clusters,
+            index,
+            Arc::new(prune),
+            Arc::clone(&self.seed_syntax),
+            config,
+        )
     }
 
     /// Whether the seed words' competitive argmax is in memory: always
@@ -552,9 +660,9 @@ impl PreparedMatcher {
     /// a concept's own seeds), so an old seed word starts from its
     /// retained unfiltered argmax instead, and the seed-membership
     /// filter is applied after the challengers.
-    pub fn with_additions(
+    pub fn with_additions<I: AsRef<[String]>>(
         &self,
-        concepts: &[(String, Vec<String>)],
+        concepts: &[(String, I)],
     ) -> Result<(Self, Vec<usize>), String> {
         if concepts.len() < self.names.len() {
             return Err(format!(
@@ -572,38 +680,54 @@ impl PreparedMatcher {
             }
         }
 
-        let seeds_new: Vec<Vec<(String, Vector)>> = concepts
-            .iter()
-            .map(|(_, instances)| ConceptCluster::embed_seeds(instances, &self.store))
-            .collect();
-
-        // Per concept, the embedded seed rows added relative to the
-        // current preparation. Existing seed lists must be
-        // order-preserving subsequences of the new ones (instance lists
-        // come from sorted column values, so pure additions always are).
+        // Per concept, its instances with their seeds, and the seed
+        // rows added relative to the current preparation. The current
+        // instance list must be an order-preserving subsequence of the
+        // new one (instance lists come from sorted column values, so
+        // pure additions always are). An unchanged concept shares its
+        // `ConceptSeeds`; a grown one keeps its old seeds and embeds
+        // only its new instances, in the order `embed_seeds` would.
+        let mut seeds_new: Vec<Arc<ConceptSeeds>> = Vec::with_capacity(concepts.len());
         let mut added: Vec<Vec<(String, Vector)>> = Vec::with_capacity(concepts.len());
-        for (ci, new_seeds) in seeds_new.iter().enumerate() {
-            let old_seeds: &[(String, Vector)] = if ci < self.seeds.len() {
-                &self.seeds[ci]
-            } else {
-                &[]
+        for (ci, (name, instances)) in concepts.iter().enumerate() {
+            let instances = instances.as_ref();
+            let old = self.seeds.get(ci);
+            if let Some(old) = old.filter(|old| old.instances() == instances) {
+                seeds_new.push(Arc::clone(old));
+                added.push(Vec::new());
+                continue;
+            }
+            let (old_instances, old_embedded, old_seeds) = match old {
+                Some(o) => (&o.instances[..], &o.embedded[..], &o.seeds[..]),
+                None => (&[][..], &[][..], &[][..]),
             };
-            let mut old = old_seeds.iter().peekable();
+            let mut grown = ConceptSeeds {
+                instances: instances.to_vec(),
+                embedded: Vec::with_capacity(instances.len()),
+                seeds: Vec::new(),
+            };
             let mut adds = Vec::new();
-            for (word, vector) in new_seeds {
-                match old.peek() {
-                    Some((ow, _)) if ow == word => {
-                        old.next();
-                    }
-                    _ => adds.push((word.clone(), vector.clone())),
+            let (mut next_old, mut next_seed) = (0usize, 0usize);
+            for instance in instances {
+                if old_instances.get(next_old) == Some(instance) {
+                    let seed = old_embedded[next_old].then(|| {
+                        next_seed += 1;
+                        old_seeds[next_seed - 1].clone()
+                    });
+                    next_old += 1;
+                    grown.push_embedded(seed);
+                } else {
+                    let seed = ConceptCluster::embed_seed(instance, &self.store);
+                    adds.extend(seed.clone());
+                    grown.push_embedded(seed);
                 }
             }
-            if old.next().is_some() {
+            if next_old < old_instances.len() {
                 return Err(format!(
-                    "concept `{}` lost seed instances; deltas may only add",
-                    concepts[ci].0
+                    "concept `{name}` lost seed instances; deltas may only add"
                 ));
             }
+            seeds_new.push(Arc::new(grown));
             added.push(adds);
         }
 
@@ -650,10 +774,10 @@ impl PreparedMatcher {
             let mut sims: Vec<f64> = Vec::new();
 
             let is_seed = seed_words(&seeds_new);
-            let mut incumbent: HashMap<String, (usize, f64)> = HashMap::new();
+            let mut incumbent: HashMap<&str, (usize, f64)> = HashMap::new();
             for (ci, list) in lists.iter().enumerate() {
                 for (word, sim) in list {
-                    incumbent.insert(word.clone(), (ci, *sim));
+                    incumbent.insert(word.as_str(), (ci, *sim));
                 }
             }
 
@@ -693,7 +817,7 @@ impl PreparedMatcher {
                 let best = best.filter(|&(_, sim)| sim >= self.base.tau);
                 let cur = if is_seed.contains(word) {
                     new_best.insert(word.to_string(), best);
-                    best.filter(|&(ci, _)| !seeds_contain(&seeds_new[ci], word))
+                    best.filter(|&(ci, _)| !seeds_contain(seeds_new[ci].seeds(), word))
                 } else {
                     best
                 };
@@ -914,8 +1038,9 @@ mod tests {
                 .collect(),
         )
         .expect("valid index parts");
+        let prune = Arc::new(PruneIndex::build(&rebuilt_ix));
         let via_prebuilt = prep
-            .matcher_with_index(cfg.clone(), rebuilt_ix, None)
+            .matcher_with_index(cfg.clone(), rebuilt_ix, prune)
             .expect("layout matches");
         for phrase in ["brain tumor", "the ear"] {
             assert_eq!(
@@ -926,7 +1051,8 @@ mod tests {
         // An index derived at a different tau has a different layout.
         let other = prep.matcher_at(MatcherConfig::with_tau(1.0));
         let other_ix = other.index().clone();
-        assert!(prep.matcher_with_index(cfg, other_ix, None).is_err());
+        let other_prune = Arc::new(PruneIndex::build(&other_ix));
+        assert!(prep.matcher_with_index(cfg, other_ix, other_prune).is_err());
     }
 
     #[test]
@@ -965,6 +1091,48 @@ mod tests {
                         "base {base_tau}, tau {tau}, phrase {phrase:?}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The matcher evolved from its parent's, concept by concept, is
+    /// the matcher a fresh preparation derives: same index and pruning
+    /// bytes, and every untouched concept's cluster is the parent's.
+    #[test]
+    fn evolved_matcher_equals_the_derived_one() {
+        let (store, concepts) = space();
+        let store = Arc::new(store);
+        for tau in [0.4, 0.7, 1.0] {
+            let config = MatcherConfig::with_tau(tau);
+            let prep = PreparedMatcher::prepare(&concepts, Arc::clone(&store), config.clone());
+            let parent = prep.matcher_at(config.clone());
+            let mut merged = concepts.clone();
+            merged[1].1.push("tumor".to_string());
+            merged.push(("Generic".to_string(), vec!["people".to_string()]));
+            let (evolved_prep, touched) = prep.with_additions(&merged).unwrap();
+            let evolved = evolved_prep.evolve_matcher(&parent, &touched);
+            let fresh = PreparedMatcher::prepare(&merged, Arc::clone(&store), config.clone())
+                .matcher_at(config);
+
+            let (a, b) = (evolved.index(), fresh.index());
+            assert_eq!(a.data(), b.data(), "tau {tau}");
+            assert_eq!(a.norms(), b.norms());
+            assert_eq!(a.rep_sums(), b.rep_sums());
+            assert!(a.concept_layout().eq(b.concept_layout()));
+            assert!((0..a.row_count()).all(|r| a.row_word(r) == b.row_word(r)));
+            let (p, q) = (evolved.prune_index(), fresh.prune_index());
+            assert_eq!(p.meta_bytes(), q.meta_bytes());
+            assert_eq!(p.members(), q.members());
+            assert_eq!(p.centroids(), q.centroids());
+            assert_eq!(p.radii(), q.radii());
+            assert_eq!(p.concept_centroids(), q.concept_centroids());
+            assert_eq!(p.concept_radii(), q.concept_radii());
+            for ci in 0..parent.clusters().len() {
+                let shared = Arc::ptr_eq(&parent.clusters()[ci], &evolved.clusters()[ci]);
+                assert_eq!(shared, !touched.contains(&ci), "tau {tau}, concept {ci}");
+            }
+            for phrase in ["brain tumor", "the ear", "green walk", "stroke risk"] {
+                assert_eq!(evolved.match_phrase(phrase), fresh.match_phrase(phrase));
             }
         }
     }

@@ -34,6 +34,7 @@
 //! containing `'Σ'` take a cold path through `str::to_lowercase`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Reusable scratch buffers for the refinement kernels. One per worker
 /// thread; after the first few calls the buffers stop growing and the
@@ -147,38 +148,33 @@ impl PhraseSyntax {
 /// matcher, keyed by the exact instance string candidates carry in
 /// `matched_instance`. Built once at preparation time and frozen into
 /// the engine, so the seed side of every refinement score is computed
-/// once per build instead of once per candidate.
+/// once per build instead of once per candidate. Entries are shared:
+/// a table [`extend`](SeedSyntax::extend)ed from another holds the
+/// very same syntax for every instance the two have in common.
 #[derive(Debug, Clone, Default)]
 pub struct SeedSyntax {
-    table: HashMap<String, PhraseSyntax>,
+    table: HashMap<Arc<str>, Arc<PhraseSyntax>>,
 }
 
 impl SeedSyntax {
     /// Build the table from seed-instance strings (duplicates are
     /// computed once).
     pub fn build<'a>(seeds: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut table = HashMap::new();
-        for seed in seeds {
-            table
-                .entry(seed.to_string())
-                .or_insert_with(|| PhraseSyntax::new(seed));
-        }
-        Self { table }
+        Self::default().extend(seeds)
     }
 
-    /// Incrementally re-freeze the table with additional seed-instance
-    /// strings: instances already present keep their precomputed syntax,
-    /// new ones are computed now. Because `PhraseSyntax::new` is
-    /// deterministic, the result is indistinguishable from
-    /// [`SeedSyntax::build`] over the union — this is the delta path of
-    /// engine evolution, where a seed addition must not recompute the
-    /// syntax of every existing instance.
+    /// This table plus the syntax of additional seed-instance strings:
+    /// instances already present share this table's entries (a
+    /// refcount bump each, never a copy), and only new ones are
+    /// computed. Because `PhraseSyntax::new` is deterministic, the
+    /// result is indistinguishable from [`SeedSyntax::build`] over the
+    /// union — the delta path of engine evolution.
     pub fn extend<'a>(&self, seeds: impl IntoIterator<Item = &'a str>) -> Self {
         let mut table = self.table.clone();
         for seed in seeds {
-            table
-                .entry(seed.to_string())
-                .or_insert_with(|| PhraseSyntax::new(seed));
+            if !table.contains_key(seed) {
+                table.insert(Arc::from(seed), Arc::new(PhraseSyntax::new(seed)));
+            }
         }
         Self { table }
     }
@@ -188,14 +184,14 @@ impl SeedSyntax {
     /// the table exactly (`PhraseSyntax::new` is deterministic), so a
     /// load rebuilds rather than persisting the derived arrays.
     pub fn instances(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.table.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.table.keys().map(|k| &**k).collect();
         v.sort_unstable();
         v
     }
 
     /// The precomputed syntax of `instance`, if it was a seed.
     pub fn get(&self, instance: &str) -> Option<&PhraseSyntax> {
-        self.table.get(instance)
+        self.table.get(instance).map(|syntax| &**syntax)
     }
 
     /// Number of distinct seed instances in the table.
@@ -586,8 +582,15 @@ mod tests {
             assert_eq!(a.word_count(), b.word_count());
             assert_eq!(a.char_count(), b.char_count());
         }
-        // The original table is untouched.
+        // The original table is untouched, and its entries are shared,
+        // not copied.
         assert_eq!(base.len(), 2);
+        for inst in base.instances() {
+            assert!(std::ptr::eq(
+                base.get(inst).unwrap(),
+                extended.get(inst).unwrap()
+            ));
+        }
     }
 
     proptest! {

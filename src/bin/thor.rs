@@ -88,8 +88,8 @@ use thor_repro::embed::{SgnsConfig, SgnsTrainer, VectorStore};
 use thor_repro::eval::{evaluate, schema_scores, Annotation};
 use thor_repro::fault::{
     atomic_write, decode_document, fail_point, install_from_env, read_bytes, read_to_string,
-    DocumentPolicy, MapMode, QuarantineEntry, QuarantineReport, SectionChain, SectionFile,
-    ThorError, ThorResult,
+    DocumentPolicy, MapMode, QuarantineEntry, QuarantineReport, SectionChain, SectionEntry,
+    SectionFile, ThorError, ThorResult,
 };
 use thor_repro::serve::signal as serve_signal;
 use thor_repro::serve::{ReloadConfig, ServeOptions, Server};
@@ -996,7 +996,9 @@ fn cmd_delta(args: &Args) -> ThorResult<()> {
     }
 
     let map_mode = engine_map_mode(args)?;
-    let mut engine = PreparedEngine::load_with(Path::new(engine_path), map_mode)?;
+    let metrics = PipelineMetrics::new();
+    let mut engine =
+        PreparedEngine::load_with(Path::new(engine_path), map_mode)?.with_metrics(metrics.clone());
     let base_fingerprint = engine.fingerprint().to_string();
     let mut applied = Vec::new();
     // The column first, then the rows: `--add-concept Treatment
@@ -1016,10 +1018,14 @@ fn cmd_delta(args: &Args) -> ThorResult<()> {
         None => format!("thor delta {}", applied.join(" ")),
     };
     engine.save_delta(Path::new(engine_path), Path::new(out), &note)?;
+    // Summed over the applied deltas: a concept both rebuild counts twice.
+    let rebuilt = metrics.snapshot().count("delta.concepts_rebuilt");
     eprintln!(
-        "delta applied in {:?}: fingerprint {base_fingerprint} -> {}\nwritten to {out} (on {engine_path})",
+        "delta applied in {:?}: fingerprint {base_fingerprint} -> {}\n\
+         {rebuilt} of {} concepts rebuilt\nwritten to {out} (on {engine_path})",
         engine.prepare_time(),
-        engine.fingerprint()
+        engine.fingerprint(),
+        engine.prepared_matcher().concept_names().len()
     );
     Ok(())
 }
@@ -1051,16 +1057,31 @@ fn cmd_compact(args: &Args) -> ThorResult<()> {
 /// One artifact's section directory (name, offset, length, alignment,
 /// format version, checksum) as an aligned table.
 fn print_section_table(file: &SectionFile) {
-    println!(
-        "{:<16} {:>10} {:>10} {:>6} {:>4}  {:<18}",
-        "section", "offset", "length", "align", "ver", "checksum"
-    );
-    for e in file.entries() {
-        println!(
-            "{:<16} {:>10} {:>10} {:>6} {:>4}  {:#018x}",
-            e.name, e.offset, e.len, e.align, e.version, e.checksum
-        );
+    for line in section_table(file.entries()) {
+        println!("{line}");
     }
+}
+
+/// The lines of [`print_section_table`]: a header, then one row per
+/// section, the name column as wide as the longest name.
+fn section_table(entries: &[SectionEntry]) -> Vec<String> {
+    let width = entries
+        .iter()
+        .map(|e| e.name.len())
+        .chain(["section".len()])
+        .max()
+        .unwrap_or_default();
+    let mut lines = vec![format!(
+        "{:<width$} {:>10} {:>10} {:>6} {:>4}  {:<18}",
+        "section", "offset", "length", "align", "ver", "checksum"
+    )];
+    lines.extend(entries.iter().map(|e| {
+        format!(
+            "{:<width$} {:>10} {:>10} {:>6} {:>4}  {:#018x}",
+            e.name, e.offset, e.len, e.align, e.version, e.checksum
+        )
+    }));
+    lines
 }
 
 /// One line summarizing the cluster shape of the candidate-pruning
@@ -1325,6 +1346,35 @@ mod tests {
         let a = parse_args(&argv(&["--gate", "--out", "x"]), &[]);
         assert_eq!(a.options.get("gate").unwrap(), "");
         assert_eq!(a.options.get("out").unwrap(), "x");
+    }
+
+    #[test]
+    fn section_table_aligns_names_longer_than_sixteen_characters() {
+        let entry = |name: &str, offset: u64| SectionEntry {
+            name: name.to_string(),
+            offset,
+            len: 1234,
+            align: 64,
+            version: 1,
+            checksum: 0xdead_beef,
+        };
+        let lines = section_table(&[
+            entry("meta", 64),
+            entry("prune.concept_centroids", 128),
+            entry("prune.concept_radii", 4096),
+        ]);
+        assert_eq!(lines.len(), 4);
+        // Every column after the name starts at the same offset, so
+        // every line is as long as the header ...
+        let width = lines[0].len();
+        assert!(lines.iter().all(|l| l.len() == width), "{lines:#?}");
+        let at = lines[0].find("offset").unwrap() + "offset".len();
+        assert!(lines[1..].iter().all(|l| l.as_bytes()[at - 1] != b' '));
+        // ... and whitespace-splitting readers still see six fields.
+        for line in &lines {
+            assert_eq!(line.split_whitespace().count(), 6, "{line}");
+        }
+        assert!(lines[2].starts_with("prune.concept_centroids "));
     }
 
     #[test]
