@@ -9,53 +9,74 @@
 
 use thor_core::{Document, ExtractedEntity};
 use thor_data::Table;
-use thor_index::{CandidateEntity, CandidateSource, DictionaryIndex};
+use thor_index::CandidateEntity;
+use thor_text::normalize_phrase;
 
+use crate::automata::{AhoCorasick, AhoCorasickBuilder};
 use crate::subject::attribute_sentences;
 use crate::Extractor;
 
-/// Dictionary-based exact matcher over the table's instances.
-///
-/// A thin extraction protocol over [`DictionaryIndex`], the
-/// candidate-generation layer's Aho–Corasick automaton.
+/// Dictionary-based exact matcher over the table's instances: an
+/// Aho–Corasick automaton over the normalized (concept, instance)
+/// patterns. It depends only on the table, which it is built from per
+/// run; THOR's prepared engine never builds or persists it.
 #[derive(Debug)]
 pub struct DictionaryBaseline {
-    index: DictionaryIndex,
+    automaton: AhoCorasick,
+    /// pattern index → (concept, normalized instance).
+    patterns: Vec<(String, String)>,
 }
 
 impl DictionaryBaseline {
     /// Build the dictionary from every (concept, instance) of `table`,
     /// including the subject concept (other subjects mentioned in a
     /// document are legitimate subject-concept entities), in schema
-    /// order.
+    /// order. Instances are normalized before insertion, and those
+    /// empty after normalization are skipped, so identical tables yield
+    /// identical automata.
     pub fn from_table(table: &Table) -> Self {
-        let concepts = table
-            .schema()
-            .concepts()
-            .iter()
-            .map(|c| (c.name().to_string(), table.column_values(c.name())));
+        let mut builder = AhoCorasickBuilder::new().ascii_case_insensitive(true);
+        let mut patterns = Vec::new();
+        for concept in table.schema().concepts() {
+            for instance in table.column_values(concept.name()) {
+                let norm = normalize_phrase(&instance);
+                if norm.is_empty() {
+                    continue;
+                }
+                builder.add_pattern(norm.as_bytes());
+                patterns.push((concept.name().to_string(), norm));
+            }
+        }
         Self {
-            index: DictionaryIndex::from_concepts(concepts),
+            automaton: builder.build(),
+            patterns,
         }
     }
 
     /// Number of dictionary patterns.
     pub fn pattern_count(&self) -> usize {
-        self.index.pattern_count()
-    }
-}
-
-impl CandidateSource for DictionaryBaseline {
-    fn source_name(&self) -> &str {
-        self.index.source_name()
+        self.patterns.len()
     }
 
-    fn candidates_anchored(
-        &self,
-        phrase: &str,
-        anchor: &dyn Fn(&str) -> bool,
-    ) -> Vec<CandidateEntity> {
-        self.index.candidates_anchored(phrase, anchor)
+    /// Exact dictionary occurrences in `phrase`: every word-aligned
+    /// automaton match becomes a candidate with score 1.0 (exact
+    /// matching is all-or-nothing). The phrase is normalized first, so
+    /// case and punctuation differences do not break exactness.
+    pub fn candidates(&self, phrase: &str) -> Vec<CandidateEntity> {
+        self.automaton
+            .find_words(&normalize_phrase(phrase))
+            .into_iter()
+            .map(|m| {
+                let (concept, instance) = &self.patterns[m.pattern];
+                CandidateEntity {
+                    phrase: instance.clone(),
+                    concept: concept.clone(),
+                    matched_instance: instance.clone(),
+                    semantic_score: 1.0,
+                    cluster_score: 1.0,
+                }
+            })
+            .collect()
     }
 }
 
@@ -158,15 +179,26 @@ mod tests {
     }
 
     #[test]
-    fn candidate_source_respects_anchor() {
+    fn exact_candidates_found_case_insensitively() {
         let b = DictionaryBaseline::from_table(&table());
-        let all = b.candidates("tuberculosis damages the lungs");
-        assert!(all.iter().any(|c| c.phrase == "lungs"));
-        assert!(all.iter().all(|c| c.semantic_score == 1.0));
-        let anchored = b.candidates_anchored("tuberculosis damages the lungs", &|w| w != "lungs");
-        assert!(!anchored.iter().any(|c| c.phrase == "lungs"));
-        assert!(anchored.iter().any(|c| c.phrase == "tuberculosis"));
-        assert_eq!(CandidateSource::source_name(&b), "dictionary");
+        assert_eq!(b.pattern_count(), 5);
+        let found = b.candidates("TUBERCULOSIS affects the LUNGS");
+        assert!(found.iter().any(|c| c.phrase == "tuberculosis"));
+        assert!(found.iter().any(|c| c.phrase == "lungs"));
+        assert!(found.iter().all(|c| c.semantic_score == 1.0));
+    }
+
+    #[test]
+    fn empty_normalized_instances_skipped() {
+        let mut t = Table::new(Schema::new(["Disease", "Anatomy"], "Disease"));
+        t.fill_slot("X", "Anatomy", "?!");
+        t.fill_slot("X", "Anatomy", "ear");
+        let b = DictionaryBaseline::from_table(&t);
+        assert_eq!(b.pattern_count(), 2, "the subject `X` and `ear`, not `?!`");
+        let found = b.candidates("pain in the ear");
+        assert!(found
+            .iter()
+            .any(|c| c.concept == "Anatomy" && c.matched_instance == "ear"));
     }
 
     #[test]

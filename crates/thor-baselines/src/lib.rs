@@ -5,7 +5,7 @@
 //! or simulated so the full harness runs offline:
 //!
 //! * [`dictionary`] — **Baseline**: exact syntactic matching with the
-//!   Aho–Corasick automaton (`thor-automata`), dictionary built from the
+//!   Aho–Corasick automaton ([`automata`]), dictionary built from the
 //!   structured table;
 //! * [`tagger`] — **LM-SD / LM-Human**: a from-scratch averaged-
 //!   perceptron BIO sequence tagger. *LM-Human* trains on gold-annotated
@@ -25,11 +25,14 @@
 //!   reference*, not a measurement of any real model.
 //!
 //! All systems implement [`Extractor`], the harness's common interface.
-//! The dictionary and tagger additionally implement
-//! `thor_index::CandidateSource` — the same per-phrase candidate
-//! engine surface the semantic matcher exposes — and their `extract`
-//! implementations are thin document/subject loops over it.
+//! The dictionary and the tagger also answer per-phrase `candidates`
+//! queries, and their `extract` implementations are thin
+//! document/subject loops over them.
+//!
+//! The automaton lives here, not in THOR's crates: THOR's pipeline
+//! never runs it, so nothing on its path links it.
 
+pub mod automata;
 pub mod dictionary;
 pub mod llm_sim;
 pub mod subject;

@@ -23,15 +23,15 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use thor_automata::AhoCorasickBuilder;
 use thor_core::{Document, ExtractedEntity};
 use thor_data::Table;
 use thor_datagen::annotate::GoldEntity;
 use thor_datagen::{bio_tags, AnnotatedDoc, Bio};
-use thor_index::{CandidateEntity, CandidateSource};
+use thor_index::CandidateEntity;
 use thor_text::shape::{prefix, suffix, word_shape};
 use thor_text::{normalize_phrase, tokenize};
 
+use crate::automata::AhoCorasickBuilder;
 use crate::subject::attribute_sentences;
 use crate::Extractor;
 
@@ -287,9 +287,30 @@ impl PerceptronTagger {
         spans
     }
 
-    /// Number of learned features (model size diagnostics).
-    pub fn feature_count(&self) -> usize {
-        self.weights.len()
+    /// Tag `phrase` and decode the BIO spans into candidates. The
+    /// tagger has no seed instance to report (`matched_instance` stays
+    /// empty) and no graded score — every decoded span counts 1.0.
+    pub fn candidates(&self, phrase: &str) -> Vec<CandidateEntity> {
+        let words: Vec<String> = tokenize(phrase).into_iter().map(|t| t.text).collect();
+        if words.is_empty() {
+            return Vec::new();
+        }
+        let labels = self.tag(&words);
+        let mut out = Vec::new();
+        for (concept, span) in Self::decode_spans(&words, &labels) {
+            let span = normalize_phrase(&span);
+            if span.is_empty() {
+                continue;
+            }
+            out.push(CandidateEntity {
+                phrase: span,
+                concept,
+                matched_instance: String::new(),
+                semantic_score: 1.0,
+                cluster_score: 1.0,
+            });
+        }
+        out
     }
 }
 
@@ -348,43 +369,6 @@ pub fn project_weak_labels(table: &Table, doc: &Document) -> Vec<GoldEntity> {
         }
     }
     out
-}
-
-impl CandidateSource for PerceptronTagger {
-    fn source_name(&self) -> &str {
-        "tagger"
-    }
-
-    /// Tag `phrase` and decode the BIO spans into candidates. Spans
-    /// whose words all fail `anchor` are dropped. The tagger has no
-    /// seed instance to report (`matched_instance` stays empty) and no
-    /// graded score — every decoded span counts 1.0.
-    fn candidates_anchored(
-        &self,
-        phrase: &str,
-        anchor: &dyn Fn(&str) -> bool,
-    ) -> Vec<CandidateEntity> {
-        let words: Vec<String> = tokenize(phrase).into_iter().map(|t| t.text).collect();
-        if words.is_empty() {
-            return Vec::new();
-        }
-        let labels = self.tag(&words);
-        let mut out = Vec::new();
-        for (concept, span) in Self::decode_spans(&words, &labels) {
-            let span = normalize_phrase(&span);
-            if span.is_empty() || !span.split_whitespace().any(anchor) {
-                continue;
-            }
-            out.push(CandidateEntity {
-                phrase: span,
-                concept,
-                matched_instance: String::new(),
-                semantic_score: 1.0,
-                cluster_score: 1.0,
-            });
-        }
-        out
-    }
 }
 
 impl Extractor for PerceptronTagger {
@@ -473,7 +457,6 @@ mod tests {
     fn learns_training_vocabulary() {
         let tagger =
             PerceptronTagger::train_gold("LM-Test", &training_docs(), &TaggerConfig::default());
-        assert!(tagger.feature_count() > 0);
         let table = Table::new(Schema::new(
             ["Disease", "Anatomy", "Complication"],
             "Disease",
@@ -579,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn candidate_source_decodes_spans() {
+    fn candidates_decode_spans() {
         let tagger =
             PerceptronTagger::train_gold("LM-Test", &training_docs(), &TaggerConfig::default());
         let candidates = tagger.candidates("The brainex shows cortonosis.");
@@ -589,11 +572,6 @@ mod tests {
                 .any(|c| c.phrase == "brainex" && c.concept.eq_ignore_ascii_case("anatomy")),
             "{candidates:?}"
         );
-        // Anchoring away every word yields nothing.
-        assert!(tagger
-            .candidates_anchored("The brainex shows cortonosis.", &|_| false)
-            .is_empty());
-        assert_eq!(CandidateSource::source_name(&tagger), "tagger");
     }
 
     #[test]

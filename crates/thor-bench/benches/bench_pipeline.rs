@@ -48,7 +48,7 @@ fn bench_thor_tau(c: &mut Criterion) {
     for tau in [0.5f64, 0.6, 0.7, 0.8, 0.9, 1.0] {
         g.bench_with_input(BenchmarkId::from_parameter(tau), &tau, |b, &tau| {
             let thor = Thor::new(dataset.store.clone(), ThorConfig::with_tau(tau));
-            b.iter(|| thor.extract(black_box(&table), black_box(&docs)))
+            b.iter(|| thor.prepare(black_box(&table)).extract(black_box(&docs)))
         });
     }
     g.finish();

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use thor_automata::AhoCorasickBuilder;
+use thor_baselines::automata::AhoCorasickBuilder;
 use thor_core::segment::segment;
 use thor_core::slotfill::slot_fill;
 use thor_core::{PipelineMetrics, ResilientOptions, RunMode, SegmentationMode, Thor, ThorConfig};

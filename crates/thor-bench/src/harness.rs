@@ -7,7 +7,7 @@ use thor_baselines::{
 };
 use thor_core::{ExtractedEntity, PreparedEngine, Thor, ThorConfig};
 use thor_datagen::{generate, DatasetSpec, GeneratedDataset, Split};
-use thor_eval::{evaluate, Annotation, EvalReport};
+use thor_eval::{dedup_annotations, evaluate, Annotation, EvalReport};
 
 /// The paper's τ sweep — 0.5, 0.6, …, 1.0 (Table V, Figs. 5–6). The
 /// single source of the experiment grid: binaries that run THOR across
@@ -80,20 +80,17 @@ pub struct RunOutcome {
 
 /// Gold annotations of a split at evaluation granularity.
 pub fn gold_annotations(dataset: &GeneratedDataset, split: Split) -> Vec<Annotation> {
-    let mut gold: Vec<Annotation> = dataset
-        .docs(split)
-        .iter()
-        .flat_map(|d| {
-            d.gold
-                .iter()
-                .map(|g| Annotation::new(d.doc.id.clone(), &g.concept, &g.phrase))
-        })
-        .collect();
-    gold.sort_by(|a, b| {
-        (&a.doc_id, &a.concept, &a.phrase).cmp(&(&b.doc_id, &b.concept, &b.phrase))
-    });
-    gold.dedup();
-    gold
+    dedup_annotations(
+        dataset
+            .docs(split)
+            .iter()
+            .flat_map(|d| {
+                d.gold
+                    .iter()
+                    .map(|g| Annotation::new(d.doc.id.clone(), &g.concept, &g.phrase))
+            })
+            .collect(),
+    )
 }
 
 /// Convert predictions to evaluation annotations.
@@ -156,8 +153,9 @@ pub fn run_system(system: &System, dataset: &GeneratedDataset) -> RunOutcome {
     let name = system.name();
 
     let run_thor = |thor: Thor| {
-        let (entities, prep, infer) = thor.extract(&table, &docs);
-        (entities, Some(prep + infer))
+        let engine = thor.prepare(&table);
+        let (entities, infer) = engine.extract(&docs);
+        (entities, Some(engine.prepare_time() + infer))
     };
     let (predictions, time) = match system {
         System::Thor(tau) => run_thor(Thor::new(dataset.store.clone(), ThorConfig::with_tau(*tau))),

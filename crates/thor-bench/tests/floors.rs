@@ -580,7 +580,8 @@ fn refine_kernel_beats_the_reference_3x() {
         config.threads = threads;
         to_csv(
             &Thor::new(dataset.store.clone(), config)
-                .enrich(&table, &docs)
+                .prepare(&table)
+                .enrich(&docs)
                 .table,
         )
     };

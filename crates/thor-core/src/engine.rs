@@ -23,8 +23,7 @@
 //! [`PreparedEngine::enrich_resilient`] — borrows this immutable bundle
 //! and drives its documents through the one execution core in
 //! [`crate::resilient`]; none re-runs `fine_tune` or deep-copies the
-//! store. [`Thor::extract`] and friends are thin prepare-then-serve
-//! wrappers.
+//! store. [`Thor`] only builds: serving and metrics attach here.
 //!
 //! The engine also persists: [`PreparedEngine::save`] writes a
 //! sectioned artifact (`thor_fault::SectionWriter`: magic, container
@@ -38,7 +37,7 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use thor_data::Table;
 use thor_embed::VectorStore;
@@ -210,41 +209,39 @@ impl Thor {
     /// candidates) and return the immutable bundle every serve call
     /// borrows.
     ///
-    /// Records one `pipeline.prepare` span into the attached metrics,
-    /// exactly like the one-shot entry points used to.
+    /// The engine records nothing until a handle is attached with
+    /// [`PreparedEngine::with_metrics`], which replays this build as one
+    /// `pipeline.prepare` span plus the fine-tune statistics.
     pub fn prepare(&self, table: &Table) -> PreparedEngine {
-        let run = self.run_metrics();
-        let (inner, prepare_time) = run.prepare.time(|| {
-            let concepts = concept_instances(table);
-            let matcher_config = self.config().matcher_config();
-            let prep = PreparedMatcher::prepare(
-                &concepts,
-                Arc::clone(self.store_arc()),
-                matcher_config.clone(),
-            );
-            let matcher = prep.matcher_at(matcher_config);
-            record_fine_tune(&run, &matcher);
-            let table_csv = thor_data::to_csv(table);
-            let store_digest = self.store().text_digest();
-            let table_digest = fnv1a(table_csv.as_bytes());
-            EngineInner {
-                fingerprint: engine_fingerprint(self.config(), table_digest, store_digest),
-                config: self.config().clone(),
-                store: Arc::clone(self.store_arc()),
-                table: Arc::new(table.clone()),
-                subjects: Arc::new(SubjectIndex::new(table.subjects(), self.store())),
-                prep: Arc::new(prep),
-                matcher: Arc::new(matcher),
-                memo: PhraseMemo::new(self.config().cache_capacity),
-                store_digest,
-                table_digest,
-                chain_depth: 0,
-                prepare_time: Duration::ZERO,
-                metrics: self.metrics().cloned(),
-            }
-        });
-        let mut inner = inner;
-        inner.prepare_time = prepare_time;
+        let start = Instant::now();
+        let concepts = concept_instances(table);
+        let matcher_config = self.config().matcher_config();
+        let prep = PreparedMatcher::prepare(
+            &concepts,
+            Arc::clone(self.store_arc()),
+            matcher_config.clone(),
+        );
+        let matcher = prep.matcher_at(matcher_config);
+        let table_csv = thor_data::to_csv(table);
+        let store_digest = self.store().text_digest();
+        let table_digest = fnv1a(table_csv.as_bytes());
+        // Fields initialize in the order written, so the clock stops
+        // after the subject index and the table copy are built.
+        let inner = EngineInner {
+            fingerprint: engine_fingerprint(self.config(), table_digest, store_digest),
+            config: self.config().clone(),
+            store: Arc::clone(self.store_arc()),
+            table: Arc::new(table.clone()),
+            subjects: Arc::new(SubjectIndex::new(table.subjects(), self.store())),
+            prep: Arc::new(prep),
+            matcher: Arc::new(matcher),
+            memo: PhraseMemo::new(self.config().cache_capacity),
+            store_digest,
+            table_digest,
+            chain_depth: 0,
+            prepare_time: start.elapsed(),
+            metrics: None,
+        };
         PreparedEngine {
             inner: Arc::new(inner),
         }
@@ -343,12 +340,12 @@ impl PreparedEngine {
         config.tau = tau;
         if tau < self.inner.prep.base().tau {
             // Below the prepared base: the expansion must be re-scanned.
-            let thor = Thor::new(Arc::clone(&self.inner.store), config);
-            let thor = match &self.inner.metrics {
-                Some(m) => thor.with_metrics(m.clone()),
-                None => thor,
+            let engine =
+                Thor::new(Arc::clone(&self.inner.store), config).prepare(&self.inner.table);
+            return match &self.inner.metrics {
+                Some(m) => engine.with_metrics(m.clone()),
+                None => engine,
             };
-            return thor.prepare(&self.inner.table);
         }
         let run = self.run_metrics();
         let (matcher, prepare_time) = run
@@ -980,7 +977,7 @@ mod tests {
     #[test]
     fn prepared_engine_matches_one_shot_enrich() {
         let (thor, table, docs) = setup();
-        let one_shot = thor.enrich(&table, &docs);
+        let one_shot = thor.prepare(&table).enrich(&docs);
         let engine = thor.prepare(&table);
         let served = engine.enrich(&docs);
         assert_eq!(served.entities, one_shot.entities);
@@ -1000,7 +997,7 @@ mod tests {
         for tau in [0.6, 0.7, 0.85, 1.0] {
             let derived = engine.with_tau(tau);
             let fresh = Thor::new(Arc::clone(engine.store()), ThorConfig::with_tau(tau));
-            let expected = fresh.enrich(&table, &docs);
+            let expected = fresh.prepare(&table).enrich(&docs);
             let got = derived.enrich(&docs);
             assert_eq!(got.entities, expected.entities, "tau {tau}");
             assert_eq!(
@@ -1017,7 +1014,7 @@ mod tests {
         let high = Thor::new(Arc::clone(thor.store_arc()), ThorConfig::with_tau(0.9));
         let engine = high.prepare(&table);
         let lowered = engine.with_tau(0.6);
-        let expected = thor.enrich(&table, &docs);
+        let expected = thor.prepare(&table).enrich(&docs);
         assert_eq!(lowered.enrich(&docs).entities, expected.entities);
     }
 
@@ -1175,7 +1172,7 @@ mod tests {
     #[test]
     fn engine_session_streams_like_batch() {
         let (thor, table, docs) = setup();
-        let batch = thor.enrich(&table, &docs);
+        let batch = thor.prepare(&table).enrich(&docs);
         let engine = thor.prepare(&table);
         let mut session = engine.session();
         for d in &docs {

@@ -22,7 +22,6 @@ use std::time::Instant;
 use thor_index::{CacheStats, PhraseCache};
 use thor_match::{CandidateEntity, SimilarityMatcher};
 use thor_nlp::{chunk_sentence, Lexicon, RuleTagger};
-use thor_obs::PipelineMetrics;
 use thor_text::{
     gestalt_bound, gestalt_prepared, gestalt_similarity, jaccard_prepared, jaccard_words,
     token_spans, trim_stopwords, PhraseSyntax, ScoreScratch,
@@ -34,7 +33,7 @@ use crate::resilient::DocTally;
 use crate::segment::SegmentedSentence;
 
 /// The process-wide POS tagger. `RuleTagger::default()` builds lexicon
-/// and suffix tables; constructing it per `extract_entities` call was
+/// and suffix tables; constructing it per `extract_tallied` call was
 /// measurable, and the tagger is immutable after construction.
 pub(crate) fn shared_tagger() -> &'static RuleTagger {
     static TAGGER: OnceLock<RuleTagger> = OnceLock::new();
@@ -351,27 +350,10 @@ fn sentence_phrases(
 }
 
 /// Run entity extraction over one document's segmented sentences
-/// (lines 3–15), metered into `run` once the document is done. Returns
-/// one best entity per (sentence, noun phrase) — `e_best` — tagged with
-/// the sentence's subject instance. See [`extract_tallied`] for what
-/// is metered; the execution core calls that directly and commits the
-/// document's metrics only when it marks the document processed.
-pub fn extract_entities(
-    segments: &[SegmentedSentence],
-    matcher: &SimilarityMatcher,
-    memo: &PhraseMemo,
-    config: &ThorConfig,
-    doc_id: &str,
-    run: &PipelineMetrics,
-    scratch: &mut ScoreScratch,
-) -> Vec<ExtractedEntity> {
-    let mut tally = DocTally::default();
-    let entities = extract_tallied(segments, matcher, memo, config, doc_id, &mut tally, scratch);
-    tally.commit(run);
-    entities
-}
-
-/// [`extract_entities`], metering one document into `tally`.
+/// (lines 3–15), metering the document into `tally`. Returns one best
+/// entity per (sentence, noun phrase) — `e_best` — tagged with the
+/// sentence's subject instance. The execution core commits `tally` to
+/// the run's metrics only when it marks the document processed.
 ///
 /// Each phrase is matched and refined once per `memo`: repeats take the
 /// memoized winner. Metered: chunking per sentence (see
@@ -463,24 +445,39 @@ mod tests {
     use crate::segment::{segment, SegmentedSentence, SubjectIndex};
     use thor_embed::SemanticSpaceBuilder;
     use thor_match::MatcherConfig;
+    use thor_obs::PipelineMetrics;
     use thor_text::{tokenize, Sentence};
 
-    /// Extraction with a throwaway metrics handle and scratch.
+    /// Extraction with a throwaway tally and scratch.
     fn extract_entities(
         segments: &[SegmentedSentence],
         matcher: &SimilarityMatcher,
         config: &ThorConfig,
         doc_id: &str,
     ) -> Vec<ExtractedEntity> {
-        super::extract_entities(
+        extract_metered(segments, matcher, config, doc_id, &PipelineMetrics::new())
+    }
+
+    /// Extraction with an empty memo, its document metered into `run`.
+    fn extract_metered(
+        segments: &[SegmentedSentence],
+        matcher: &SimilarityMatcher,
+        config: &ThorConfig,
+        doc_id: &str,
+        run: &PipelineMetrics,
+    ) -> Vec<ExtractedEntity> {
+        let mut tally = DocTally::default();
+        let entities = extract_tallied(
             segments,
             matcher,
             &PhraseMemo::new(config.cache_capacity),
             config,
             doc_id,
-            &PipelineMetrics::new(),
+            &mut tally,
             &mut ScoreScratch::new(),
-        )
+        );
+        tally.commit(run);
+        entities
     }
 
     fn matcher(tau: f64) -> SimilarityMatcher {
@@ -620,14 +617,12 @@ mod tests {
         let m = matcher(0.5);
         let text = "the brain tumor causes severe deafness";
         let run = PipelineMetrics::new();
-        super::extract_entities(
+        extract_metered(
             &[seg("X", text, 0)],
             &m,
-            &PhraseMemo::new(0),
             &ThorConfig::with_tau(0.5),
             "d",
             &run,
-            &mut ScoreScratch::new(),
         );
         let tokens = tokenize(text);
         let words: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
@@ -642,14 +637,12 @@ mod tests {
     fn empty_sentences_are_not_chunked() {
         let m = matcher(0.5);
         let run = PipelineMetrics::new();
-        let entities = super::extract_entities(
+        let entities = extract_metered(
             &[seg("X", "", 0)],
             &m,
-            &PhraseMemo::new(0),
             &ThorConfig::with_tau(0.5),
             "d",
             &run,
-            &mut ScoreScratch::new(),
         );
         assert!(entities.is_empty());
         let snap = run.snapshot();

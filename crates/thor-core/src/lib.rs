@@ -23,7 +23,9 @@
 //! 3. **Slot filling** ([`slotfill`]) — append every extracted entity to
 //!    the multi-valued cell (row = subject, column = concept).
 //!
-//! The top-level API is [`Thor`]:
+//! The API has two steps: [`Thor`] builds a [`PreparedEngine`] for a
+//! table (Preparation, once), and the engine serves documents
+//! (Entity Extraction and Slot Filling):
 //!
 //! ```
 //! use thor_core::{Document, Thor, ThorConfig};
@@ -44,8 +46,8 @@
 //! // ...and an external document.
 //! let doc = Document::new("d1", "Tuberculosis damages the heart.");
 //!
-//! let thor = Thor::new(store, ThorConfig::with_tau(0.8));
-//! let result = thor.enrich(&table, &[doc]);
+//! let engine = Thor::new(store, ThorConfig::with_tau(0.8)).prepare(&table);
+//! let result = engine.enrich(&[doc]);
 //! assert!(result.table.get_row("Tuberculosis").is_some());
 //! ```
 //!
@@ -56,8 +58,9 @@
 //! an immutable, `Arc`-shared [`PreparedEngine`]. Every serve call
 //! ([`PreparedEngine::extract`], [`PreparedEngine::enrich`],
 //! [`PreparedEngine::session`], [`PreparedEngine::enrich_resilient`])
-//! reuses the engine; [`PreparedEngine::with_tau`] derives sibling
-//! engines for a τ sweep from one Preparation pass; and
+//! reuses the engine, and [`PreparedEngine::with_metrics`] is the one
+//! place an observability handle attaches; [`PreparedEngine::with_tau`]
+//! derives sibling engines for a τ sweep from one Preparation pass; and
 //! [`PreparedEngine::save`]/[`PreparedEngine::load`] persist the engine
 //! as a versioned, checksummed binary artifact that reproduces
 //! byte-identical output. Parallel serve paths share one persistent

@@ -2,9 +2,10 @@
 //!
 //! [`Thor`] holds the inputs (vector store + configuration); the heavy
 //! per-table state lives in a [`PreparedEngine`] built by
-//! [`Thor::prepare`]. Every one-shot entry point here is a thin
-//! prepare-then-serve wrapper — callers that run more than one call,
-//! τ value, or document batch should hold the engine themselves.
+//! [`Thor::prepare`], which is where every serve call lives:
+//! `thor.prepare(&table).enrich(&docs)` is the one-shot run, and callers
+//! that run more than one call, τ value, or document batch hold the
+//! engine.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,7 +17,7 @@ use thor_obs::PipelineMetrics;
 
 use crate::config::ThorConfig;
 use crate::document::Document;
-use crate::engine::{concept_instances, record_fine_tune, PreparedEngine};
+use crate::engine::{concept_instances, PreparedEngine};
 use crate::entity::ExtractedEntity;
 use crate::slotfill::SlotFillStats;
 
@@ -63,17 +64,18 @@ pub(crate) fn dedup_entities(entities: &mut Vec<ExtractedEntity>) {
     entities.dedup_by(|next, first| next.cmp_key(first).is_eq());
 }
 
-/// The THOR system: word vectors + configuration. One instance can
-/// enrich any number of (table, corpus) pairs; fine-tuning happens per
-/// table because it depends on the table's instances ("it easily adapts
-/// when the reference data integration schema evolves") — but within a
-/// table it happens *once*, inside [`Thor::prepare`], and the resulting
-/// [`PreparedEngine`] is shared by every serve call.
+/// The THOR system: word vectors + configuration — the builder of
+/// [`PreparedEngine`]s. One instance can prepare any number of tables;
+/// fine-tuning happens per table because it depends on the table's
+/// instances ("it easily adapts when the reference data integration
+/// schema evolves") — but within a table it happens *once*, inside
+/// [`Thor::prepare`], and every serve call (extract, enrich, session,
+/// resilient runs) and the metrics attach point live on the resulting
+/// engine.
 #[derive(Debug, Clone)]
 pub struct Thor {
     store: Arc<VectorStore>,
     config: ThorConfig,
-    metrics: Option<PipelineMetrics>,
 }
 
 impl Thor {
@@ -92,21 +94,7 @@ impl Thor {
         Self {
             store: store.into(),
             config,
-            metrics: None,
         }
-    }
-
-    /// Attach an observability handle: every subsequent run records
-    /// per-stage counters and timers into `metrics` (shared with any
-    /// clones of the handle the caller kept).
-    pub fn with_metrics(mut self, metrics: PipelineMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The attached observability handle, if any.
-    pub fn metrics(&self) -> Option<&PipelineMetrics> {
-        self.metrics.as_ref()
     }
 
     /// The configuration.
@@ -125,60 +113,19 @@ impl Thor {
         &self.store
     }
 
-    /// The metrics handle runs record into: the attached one, or an
-    /// ephemeral throwaway so stage timing (which feeds the public
-    /// [`EnrichmentResult`] fields) always has somewhere to go.
-    pub(crate) fn run_metrics(&self) -> PipelineMetrics {
-        self.metrics.clone().unwrap_or_default()
-    }
-
     /// Phase ① fine-tuning: build the semantic matcher from the table's
     /// concepts and instances (weak supervision — no annotated text).
     ///
-    /// Serve paths never call this per call any more — they go through
-    /// [`Thor::prepare`] and reuse the engine's matcher; this remains
-    /// for callers that want the matcher alone.
-    /// Fine-tune statistics are recorded into the attached handle; the
-    /// matcher itself records nothing.
+    /// Serve paths never call this — they go through [`Thor::prepare`]
+    /// and reuse the engine's matcher; this remains for callers that
+    /// want the matcher alone. Nothing is recorded: the matcher's
+    /// [`SimilarityMatcher::fine_tune_stats`] carry what it built.
     pub fn fine_tune(&self, table: &Table) -> SimilarityMatcher {
-        let matcher = SimilarityMatcher::fine_tune(
+        SimilarityMatcher::fine_tune(
             &concept_instances(table),
             Arc::clone(&self.store),
             self.config.matcher_config(),
-        );
-        record_fine_tune(&self.run_metrics(), &matcher);
-        matcher
-    }
-
-    /// Extract entities from `docs` against `table`'s schema and
-    /// instances, without modifying the table. Entities are deduplicated
-    /// per (document, concept, phrase), keeping the highest score.
-    ///
-    /// With `config.threads > 1`, documents are processed in parallel on
-    /// the shared [`crate::WorkerPool`] (they are independent once the
-    /// matcher is fine-tuned); the output is identical to the
-    /// single-threaded run.
-    pub fn extract(
-        &self,
-        table: &Table,
-        docs: &[Document],
-    ) -> (Vec<ExtractedEntity>, Duration, Duration) {
-        let engine = self.prepare(table);
-        let (entities, inference_time) = engine.extract(docs);
-        (entities, engine.prepare_time(), inference_time)
-    }
-
-    /// Start a streaming enrichment session over `table`: the matcher is
-    /// fine-tuned once and documents are then processed incrementally —
-    /// the deployment shape for feeds of incoming text.
-    pub fn session(&self, table: &Table) -> EnrichmentSession {
-        self.prepare(table).session()
-    }
-
-    /// Run the full pipeline: Preparation, Entity Extraction, Slot
-    /// Filling. Returns the enriched copy of `table`.
-    pub fn enrich(&self, table: &Table, docs: &[Document]) -> EnrichmentResult {
-        self.prepare(table).enrich(docs)
+        )
     }
 }
 
@@ -193,7 +140,7 @@ impl Thor {
 /// # use thor_embed::VectorStore;
 /// # let thor = Thor::new(VectorStore::new(8), ThorConfig::default());
 /// # let table = Table::new(Schema::new(["S", "C"], "S"));
-/// let mut session = thor.session(&table);
+/// let mut session = thor.prepare(&table).session();
 /// for doc in incoming_documents() {
 ///     let new = session.process(&doc);
 ///     println!("{new} new values");
@@ -231,8 +178,8 @@ impl EnrichmentSession {
         out.slot_stats.inserted
     }
 
-    /// The session's observability handle (the [`Thor`] instance's
-    /// attached handle, or an ephemeral one scoped to this session).
+    /// The session's observability handle (the engine's attached
+    /// handle, or an ephemeral one scoped to this session).
     pub fn metrics(&self) -> &PipelineMetrics {
         &self.metrics
     }
@@ -317,7 +264,7 @@ mod tests {
     fn enrichment_reduces_sparsity() {
         let (thor, table, docs) = setup();
         let before = sparsity(&table).ratio;
-        let result = thor.enrich(&table, &docs);
+        let result = thor.prepare(&table).enrich(&docs);
         let after = sparsity(&result.table).ratio;
         assert!(after < before, "sparsity {before} -> {after} should drop");
         assert!(result.slot_stats.inserted > 0);
@@ -326,7 +273,7 @@ mod tests {
     #[test]
     fn entities_attributed_to_correct_subjects() {
         let (thor, table, docs) = setup();
-        let result = thor.enrich(&table, &docs);
+        let result = thor.prepare(&table).enrich(&docs);
         // Entities from the third sentence belong to Tuberculosis.
         let tb: Vec<&ExtractedEntity> = result
             .entities
@@ -348,7 +295,7 @@ mod tests {
         docs[0]
             .text
             .push_str(" Tuberculosis generally damages the lungs.");
-        let result = thor.enrich(&table, &docs);
+        let result = thor.prepare(&table).enrich(&docs);
         let mut keys: Vec<_> = result.entities.iter().map(|e| e.key()).collect();
         let before = keys.len();
         keys.dedup();
@@ -359,7 +306,7 @@ mod tests {
     fn original_table_not_mutated() {
         let (thor, table, docs) = setup();
         let before = table.instance_count();
-        let _ = thor.enrich(&table, &docs);
+        let _ = thor.prepare(&table).enrich(&docs);
         assert_eq!(table.instance_count(), before);
     }
 
@@ -368,8 +315,8 @@ mod tests {
         let (thor_low, table, docs) = setup();
         let store = Arc::clone(thor_low.store_arc());
         let thor_high = Thor::new(store, ThorConfig::with_tau(0.95));
-        let low = thor_low.enrich(&table, &docs).entities.len();
-        let high = thor_high.enrich(&table, &docs).entities.len();
+        let low = thor_low.prepare(&table).enrich(&docs).entities.len();
+        let high = thor_high.prepare(&table).enrich(&docs).entities.len();
         assert!(high <= low, "tau 0.95 produced {high} > tau 0.6 {low}");
     }
 
@@ -385,7 +332,7 @@ mod tests {
     #[test]
     fn empty_corpus_is_noop() {
         let (thor, table, _) = setup();
-        let result = thor.enrich(&table, &[]);
+        let result = thor.prepare(&table).enrich(&[]);
         assert!(result.entities.is_empty());
         assert_eq!(result.table.instance_count(), table.instance_count());
     }
@@ -400,11 +347,11 @@ mod tests {
                     .map(move |d| Document::new(format!("{}-{i}", d.id), d.text.clone()))
             })
             .collect();
-        let sequential = thor.extract(&table, &docs).0;
+        let sequential = thor.prepare(&table).extract(&docs).0;
         let mut config = thor.config().clone();
         config.threads = 4;
         let parallel_thor = Thor::new(Arc::clone(thor.store_arc()), config);
-        let parallel = parallel_thor.extract(&table, &docs).0;
+        let parallel = parallel_thor.prepare(&table).extract(&docs).0;
         assert_eq!(sequential.len(), parallel.len());
         let keys = |v: &[ExtractedEntity]| {
             let mut k: Vec<_> = v.iter().map(ExtractedEntity::key).collect();
@@ -417,8 +364,8 @@ mod tests {
     #[test]
     fn streaming_session_matches_batch() {
         let (thor, table, docs) = setup();
-        let batch = thor.enrich(&table, &docs);
-        let mut session = thor.session(&table);
+        let batch = thor.prepare(&table).enrich(&docs);
+        let mut session = thor.prepare(&table).session();
         for d in &docs {
             session.process(d);
         }
@@ -430,7 +377,7 @@ mod tests {
     #[test]
     fn session_processes_incrementally() {
         let (thor, table, docs) = setup();
-        let mut session = thor.session(&table);
+        let mut session = thor.prepare(&table).session();
         let before = sparsity(session.table()).ratio;
         let inserted = session.process(&docs[0]);
         assert!(inserted > 0);
@@ -440,7 +387,7 @@ mod tests {
     #[test]
     fn timings_reported() {
         let (thor, table, docs) = setup();
-        let result = thor.enrich(&table, &docs);
+        let result = thor.prepare(&table).enrich(&docs);
         assert!(result.total_time() >= result.prepare_time);
     }
 
@@ -448,8 +395,10 @@ mod tests {
     fn attached_metrics_record_every_stage() {
         let (thor, table, docs) = setup();
         let metrics = PipelineMetrics::new();
-        let thor = thor.with_metrics(metrics.clone());
-        let result = thor.enrich(&table, &docs);
+        let result = thor
+            .prepare(&table)
+            .with_metrics(metrics.clone())
+            .enrich(&docs);
         let snap = metrics.snapshot();
         assert_eq!(snap.count("docs"), 1);
         assert!(snap.count("sentences") >= 3, "{}", snap.render_table());
@@ -484,8 +433,7 @@ mod tests {
         // Without an attached handle the public timing fields still
         // come from real span measurements.
         let (thor, table, docs) = setup();
-        assert!(thor.metrics().is_none());
-        let result = thor.enrich(&table, &docs);
+        let result = thor.prepare(&table).enrich(&docs);
         assert!(result.inference_time > Duration::ZERO);
     }
 
@@ -493,8 +441,7 @@ mod tests {
     fn session_metrics_accumulate_across_documents() {
         let (thor, table, docs) = setup();
         let metrics = PipelineMetrics::new();
-        let thor = thor.with_metrics(metrics.clone());
-        let mut session = thor.session(&table);
+        let mut session = thor.prepare(&table).with_metrics(metrics.clone()).session();
         session.process(&docs[0]);
         session.process(&docs[0]);
         assert_eq!(session.metrics().snapshot().count("docs"), 2);

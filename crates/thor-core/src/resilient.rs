@@ -14,8 +14,8 @@
 //! worker tallies a document's metrics locally, and the recorder commits
 //! them to the run handle when it marks the document processed.
 //!
-//! [`Thor::enrich_resilient`] is the production entry point for messy
-//! corpora: every document passes admission control
+//! [`PreparedEngine::enrich_resilient`] is the production entry point
+//! for messy corpora: every document passes admission control
 //! ([`thor_fault::validate_text`]), so a malformed or even
 //! panic-inducing document costs *one document*, not the run. Failures
 //! land in a [`QuarantineReport`] (doc id, stage, error, byte offset) and
@@ -60,7 +60,7 @@ use crate::document::Document;
 use crate::engine::PreparedEngine;
 use crate::entity::ExtractedEntity;
 use crate::extract::extract_tallied;
-use crate::pipeline::{dedup_entities, EnrichmentResult, Thor};
+use crate::pipeline::{dedup_entities, EnrichmentResult};
 use crate::pool::WorkerPool;
 use crate::segment::segment;
 use crate::slotfill::{slot_fill, SlotFillStats};
@@ -77,7 +77,7 @@ pub enum RunMode {
     Lenient,
 }
 
-/// Options for [`Thor::enrich_resilient`].
+/// Options for [`PreparedEngine::enrich_resilient`].
 #[derive(Debug, Clone)]
 pub struct ResilientOptions {
     /// Strict (fail fast) or lenient (quarantine and continue).
@@ -465,30 +465,13 @@ fn require_unique_ids<'a>(ids: impl IntoIterator<Item = &'a str>) -> ThorResult<
     Ok(())
 }
 
-impl Thor {
-    /// Run the full pipeline with per-document fault isolation,
-    /// quarantine, and (optionally) checkpoint/resume. See the module
-    /// docs for semantics; [`Thor::enrich`] remains the fast path for
-    /// trusted input.
-    ///
-    /// This is a prepare-then-serve wrapper over
-    /// [`PreparedEngine::enrich_resilient`] — hold the engine yourself
-    /// to amortize Preparation across runs.
-    pub fn enrich_resilient(
-        &self,
-        table: &Table,
-        docs: &[Document],
-        opts: &ResilientOptions,
-    ) -> ThorResult<ResilientOutcome> {
-        self.prepare(table).enrich_resilient(docs, opts)
-    }
-}
-
 impl PreparedEngine {
-    /// Resilient enrichment served from this engine: admission control,
-    /// per-document panic isolation, quarantine, checkpoint/resume —
-    /// without re-running Preparation. Workers come from the shared
-    /// [`WorkerPool`].
+    /// Run the serve side of the pipeline with per-document fault
+    /// isolation: admission control, per-document panic isolation,
+    /// quarantine, checkpoint/resume — without re-running Preparation.
+    /// See the module docs for semantics; [`PreparedEngine::enrich`]
+    /// remains the fast path for trusted input. Workers come from the
+    /// shared [`WorkerPool`].
     pub fn enrich_resilient(
         &self,
         docs: &[Document],
@@ -862,6 +845,7 @@ impl PreparedEngine {
 mod tests {
     use super::*;
     use crate::config::ThorConfig;
+    use crate::pipeline::Thor;
     use thor_data::{Schema, Table};
     use thor_embed::SemanticSpaceBuilder;
 
@@ -886,9 +870,10 @@ mod tests {
     #[test]
     fn clean_resilient_run_matches_enrich() {
         let (thor, table, docs) = setup();
-        let plain = thor.enrich(&table, &docs);
+        let plain = thor.prepare(&table).enrich(&docs);
         let resilient = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap();
         assert!(resilient.quarantine.is_empty());
         assert_eq!(resilient.resumed_docs, 0);
@@ -908,12 +893,12 @@ mod tests {
             mode: RunMode::Lenient,
             ..Default::default()
         };
-        let outcome = thor.enrich_resilient(&table, &docs, &opts).unwrap();
+        let outcome = thor.prepare(&table).enrich_resilient(&docs, &opts).unwrap();
         assert_eq!(outcome.quarantine.len(), 1);
         assert_eq!(outcome.quarantine.entries()[0].doc_id, "empty");
         assert_eq!(outcome.quarantine.entries()[0].stage, "validate");
         // The clean docs still enriched the table.
-        let clean = thor.enrich(&table, &docs[..3]);
+        let clean = thor.prepare(&table).enrich(&docs[..3]);
         assert_eq!(outcome.result.entities, clean.entities);
     }
 
@@ -922,7 +907,8 @@ mod tests {
         let (thor, table, mut docs) = setup();
         docs.insert(0, Document::new("empty", ""));
         let err = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap_err();
         assert!(err.to_string().contains("empty"), "{err}");
     }
@@ -932,7 +918,8 @@ mod tests {
         let (thor, table, mut docs) = setup();
         docs.push(docs[0].clone());
         let err = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap_err();
         assert!(err.to_string().contains("duplicate document id"), "{err}");
     }
@@ -943,12 +930,15 @@ mod tests {
         docs.push(Document::new("junk", "\u{FFFD}\u{1}\u{FFFD}\u{2}"));
         docs.push(Document::new("blank", "\n\n"));
         let metrics = PipelineMetrics::new();
-        let thor = thor.with_metrics(metrics.clone());
         let opts = ResilientOptions {
             mode: RunMode::Lenient,
             ..Default::default()
         };
-        let outcome = thor.enrich_resilient(&table, &docs, &opts).unwrap();
+        let outcome = thor
+            .prepare(&table)
+            .with_metrics(metrics.clone())
+            .enrich_resilient(&docs, &opts)
+            .unwrap();
         assert_eq!(outcome.quarantine.len(), 2);
         assert_eq!(metrics.snapshot().count("quarantine.docs"), 2);
         assert_eq!(metrics.snapshot().count("docs"), 3);
@@ -1089,7 +1079,10 @@ mod tests {
                 cancel: thor_fault::CancelToken::with_deadline(std::time::Duration::ZERO),
                 ..Default::default()
             };
-            let err = thor.enrich_resilient(&table, &docs, &opts).unwrap_err();
+            let err = thor
+                .prepare(&table)
+                .enrich_resilient(&docs, &opts)
+                .unwrap_err();
             assert_eq!(err.kind(), thor_fault::ErrorKind::Deadline, "{mode:?}");
             assert!(err.to_string().contains("deadline exceeded"), "{err}");
         }
@@ -1112,13 +1105,14 @@ mod tests {
     fn unexpired_deadline_changes_nothing() {
         let (thor, table, docs) = setup();
         let plain = thor
-            .enrich_resilient(&table, &docs, &ResilientOptions::default())
+            .prepare(&table)
+            .enrich_resilient(&docs, &ResilientOptions::default())
             .unwrap();
         let opts = ResilientOptions {
             cancel: thor_fault::CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
             ..Default::default()
         };
-        let budgeted = thor.enrich_resilient(&table, &docs, &opts).unwrap();
+        let budgeted = thor.prepare(&table).enrich_resilient(&docs, &opts).unwrap();
         assert_eq!(budgeted.result.entities, plain.result.entities);
         assert_eq!(
             thor_data::to_csv(&budgeted.result.table),

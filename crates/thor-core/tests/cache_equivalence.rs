@@ -86,7 +86,7 @@ fn enrich(tau: f64, cache_capacity: usize, threads: usize) -> (String, Vec<Extra
     config.cache_capacity = cache_capacity;
     config.threads = threads;
     let thor = Thor::new(store(), config);
-    let result = thor.enrich(&table(), &docs());
+    let result = thor.prepare(&table()).enrich(&docs());
     (to_csv(&result.table), result.entities)
 }
 
@@ -116,7 +116,7 @@ fn enriched_table_is_byte_identical_across_cache_and_threads() {
 #[test]
 fn session_reports_cache_traffic() {
     let thor = Thor::new(store(), ThorConfig::with_tau(0.6));
-    let mut session = thor.session(&table());
+    let mut session = thor.prepare(&table()).session();
     for doc in docs() {
         session.process(&doc);
     }

@@ -118,7 +118,8 @@ fn every_per_doc_site_quarantines_exactly_one_doc() {
         let _guard = scoped_failpoints(&format!("{site}:err@2"));
         let (thor, table, docs) = setup(4096, 1);
         let outcome = thor
-            .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(RunMode::Lenient, None, false))
             .unwrap();
         assert_eq!(outcome.quarantine.len(), 1, "site {site}");
         let entry = &outcome.quarantine.entries()[0];
@@ -137,7 +138,8 @@ fn quarantine_count_matches_multiple_injected_faults() {
     let _guard = scoped_failpoints("validate:err@1,extract:err@3");
     let (thor, table, docs) = setup(4096, 1);
     let outcome = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, None, false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Lenient, None, false))
         .unwrap();
     assert_eq!(outcome.quarantine.len(), 2);
     assert_eq!(outcome.quarantine.stage_count("validate"), 1);
@@ -155,7 +157,7 @@ fn quarantine_count_matches_multiple_injected_faults() {
         .filter(|d| !ids.contains(&d.id.as_str()))
         .cloned()
         .collect();
-    let clean = thor.enrich(&table, &clean_docs);
+    let clean = thor.prepare(&table).enrich(&clean_docs);
     assert_eq!(outcome.result.entities, clean.entities);
 }
 
@@ -165,13 +167,14 @@ fn injected_panics_cost_one_document_not_the_run() {
         let _guard = scoped_failpoints(&format!("{site}:panic@1"));
         let (thor, table, docs) = setup(4096, 1);
         let outcome = thor
-            .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(RunMode::Lenient, None, false))
             .unwrap();
         assert_eq!(outcome.quarantine.len(), 1, "site {site}");
         let entry = &outcome.quarantine.entries()[0];
         assert_eq!(entry.kind, ErrorKind::Panic);
         assert!(entry.error.contains("injected panic"), "{}", entry.error);
-        let clean = thor.enrich(&table, &docs[1..]);
+        let clean = thor.prepare(&table).enrich(&docs[1..]);
         assert_eq!(outcome.result.entities, clean.entities);
     }
 }
@@ -182,7 +185,8 @@ fn strict_mode_aborts_on_injected_fault() {
         let _guard = scoped_failpoints(spec);
         let (thor, table, docs) = setup(4096, 1);
         let err = thor
-            .enrich_resilient(&table, &docs, &opts(RunMode::Strict, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(RunMode::Strict, None, false))
             .unwrap_err();
         assert!(
             err.kind() == ErrorKind::Injected || err.kind() == ErrorKind::Panic,
@@ -197,7 +201,8 @@ fn run_level_slot_fill_fault_fails_both_modes() {
         let _guard = scoped_failpoints("slot_fill:err@1");
         let (thor, table, docs) = setup(4096, 1);
         let err = thor
-            .enrich_resilient(&table, &docs, &opts(mode, None, false))
+            .prepare(&table)
+            .enrich_resilient(&docs, &opts(mode, None, false))
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Injected, "{mode:?}");
     }
@@ -209,7 +214,8 @@ fn checkpoint_save_fault_is_skipped_in_lenient_mode() {
     let _guard = scoped_failpoints("checkpoint_save:err@1");
     let (thor, table, docs) = setup(4096, 1);
     let outcome = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Lenient, Some(&dir), false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Lenient, Some(&dir), false))
         .unwrap();
     assert_eq!(outcome.checkpoints_skipped, 1);
     assert!(outcome.quarantine.is_empty());
@@ -225,7 +231,8 @@ fn checkpoint_save_fault_is_fatal_in_strict_mode() {
     let _guard = scoped_failpoints("checkpoint_save:err@1");
     let (thor, table, docs) = setup(4096, 1);
     let err = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Injected);
     let _ = std::fs::remove_dir_all(&dir);
@@ -240,7 +247,8 @@ fn interrupted_run_resumes_byte_identical() {
         let clean = {
             let _guard = scoped_failpoints("");
             let (thor, table, docs) = setup(cache, threads);
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, None, false))
+            thor.prepare(&table)
+                .enrich_resilient(&docs, &opts(RunMode::Strict, None, false))
                 .unwrap()
         };
 
@@ -250,7 +258,8 @@ fn interrupted_run_resumes_byte_identical() {
         {
             let _guard = scoped_failpoints("extract:err@3");
             let (thor, table, docs) = setup(cache, threads);
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+            thor.prepare(&table)
+                .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
                 .expect_err("injected fault must abort the strict run");
         }
         let cp = thor_fault::Checkpoint::load(&dir).unwrap().unwrap();
@@ -264,7 +273,8 @@ fn interrupted_run_resumes_byte_identical() {
         let resumed = {
             let _guard = scoped_failpoints("");
             let (thor, table, docs) = setup(cache, threads);
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+            thor.prepare(&table)
+                .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
                 .unwrap()
         };
         assert_eq!(resumed.resumed_docs, cp.processed.len(), "{tag}");
@@ -289,10 +299,12 @@ fn resume_after_completion_is_a_fast_noop_with_identical_output() {
     let _guard = scoped_failpoints("");
     let (thor, table, docs) = setup(4096, 1);
     let first = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
         .unwrap();
     let second = thor
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
         .unwrap();
     assert_eq!(second.resumed_docs, docs.len());
     assert_eq!(second.processed_docs, 0);
@@ -306,12 +318,14 @@ fn resume_refuses_checkpoint_from_different_run() {
     let dir = temp_dir("fingerprint");
     let _guard = scoped_failpoints("");
     let (thor, table, docs) = setup(4096, 1);
-    thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+    thor.prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
         .unwrap();
     // Same checkpoint, different τ — a different run; refuse to mix.
     let other = Thor::new(thor.store().clone(), ThorConfig::with_tau(0.8));
     let err = other
-        .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+        .prepare(&table)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Checkpoint);
     assert!(err.to_string().contains("refusing to resume"), "{err}");
@@ -319,7 +333,8 @@ fn resume_refuses_checkpoint_from_different_run() {
     let mut edited = table.clone();
     assert!(edited.fill_slot("Tuberculosis", "Anatomy", "pleura"));
     let err = thor
-        .enrich_resilient(&edited, &docs, &opts(RunMode::Strict, Some(&dir), true))
+        .prepare(&edited)
+        .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
         .unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Checkpoint);
     assert!(err.to_string().contains("refusing to resume"), "{err}");
@@ -341,8 +356,9 @@ fn resumed_metrics_span_the_whole_logical_run() {
             let _guard = scoped_failpoints("");
             let metrics = PipelineMetrics::new();
             let (thor, table, docs) = setup(4096, threads);
-            let thor = thor.with_metrics(metrics.clone());
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, None, false))
+            thor.prepare(&table)
+                .with_metrics(metrics.clone())
+                .enrich_resilient(&docs, &opts(RunMode::Strict, None, false))
                 .unwrap();
             metrics.snapshot()
         };
@@ -351,16 +367,18 @@ fn resumed_metrics_span_the_whole_logical_run() {
             let _guard = scoped_failpoints("extract:err@3");
             let metrics = PipelineMetrics::new();
             let (thor, table, docs) = setup(4096, threads);
-            let thor = thor.with_metrics(metrics);
-            thor.enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), false))
+            thor.prepare(&table)
+                .with_metrics(metrics)
+                .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), false))
                 .expect_err("injected fault");
         }
         let _guard = scoped_failpoints("");
         let metrics = PipelineMetrics::new();
         let (thor, table, docs) = setup(4096, threads);
-        let thor = thor.with_metrics(metrics.clone());
         let outcome = thor
-            .enrich_resilient(&table, &docs, &opts(RunMode::Strict, Some(&dir), true))
+            .prepare(&table)
+            .with_metrics(metrics.clone())
+            .enrich_resilient(&docs, &opts(RunMode::Strict, Some(&dir), true))
             .unwrap();
         assert!(outcome.resumed_docs > 0, "threads={threads}");
         // Counters absorbed from the checkpoint + this invocation's work

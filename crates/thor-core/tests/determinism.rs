@@ -1,6 +1,6 @@
-//! Thread-count determinism: `Thor::extract` must produce *identical*
-//! output — every field of every entity, in the same order — no matter
-//! how many worker threads process the corpus.
+//! Thread-count determinism: `PreparedEngine::extract` must produce
+//! *identical* output — every field of every entity, in the same order
+//! — no matter how many worker threads process the corpus.
 
 use thor_core::{Document, Thor, ThorConfig};
 use thor_data::{Schema, Table};
@@ -94,7 +94,7 @@ fn extract_is_identical_across_thread_counts() {
     let table = table();
     let docs = corpus();
     let baseline = thor(0.6);
-    let (sequential, _, _) = baseline.extract(&table, &docs);
+    let (sequential, _) = baseline.prepare(&table).extract(&docs);
     assert!(
         sequential.len() >= 10,
         "corpus too weak to exercise determinism: {} entities",
@@ -105,7 +105,7 @@ fn extract_is_identical_across_thread_counts() {
         let mut config = baseline.config().clone();
         config.threads = threads;
         let parallel = Thor::new(baseline.store().clone(), config);
-        let (entities, _, _) = parallel.extract(&table, &docs);
+        let (entities, _) = parallel.prepare(&table).extract(&docs);
         assert_eq!(
             sequential, entities,
             "threads=1 and threads={threads} must produce identical entities"
@@ -121,9 +121,9 @@ fn extract_is_stable_across_repeated_runs() {
     config.threads = 4;
     let t = thor(0.6);
     let parallel = Thor::new(t.store().clone(), config);
-    let (first, _, _) = parallel.extract(&table, &docs);
+    let (first, _) = parallel.prepare(&table).extract(&docs);
     for _ in 0..3 {
-        let (again, _, _) = parallel.extract(&table, &docs);
+        let (again, _) = parallel.prepare(&table).extract(&docs);
         assert_eq!(first, again, "repeated parallel runs must be bit-stable");
     }
 }
@@ -133,10 +133,12 @@ fn enrich_tables_identical_across_thread_counts() {
     let table = table();
     let docs = corpus();
     let sequential = thor(0.6);
-    let batch = sequential.enrich(&table, &docs);
+    let batch = sequential.prepare(&table).enrich(&docs);
     let mut config = sequential.config().clone();
     config.threads = 4;
-    let parallel = Thor::new(sequential.store().clone(), config).enrich(&table, &docs);
+    let parallel = Thor::new(sequential.store().clone(), config)
+        .prepare(&table)
+        .enrich(&docs);
     assert_eq!(batch.entities, parallel.entities);
     assert_eq!(batch.slot_stats, parallel.slot_stats);
     assert_eq!(

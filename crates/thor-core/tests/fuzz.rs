@@ -33,7 +33,7 @@ proptest! {
     fn arbitrary_documents_never_panic(text in "\\PC{0,300}") {
         let thor = Thor::new(small_store(), ThorConfig::with_tau(0.5));
         let table = small_table();
-        let result = thor.enrich(&table, &[Document::new("d", text)]);
+        let result = thor.prepare(&table).enrich(&[Document::new("d", text)]);
         for e in &result.entities {
             prop_assert!(result.table.schema().index_of(&e.concept).is_some());
             prop_assert!(result.table.get_row(&e.subject).is_some());
@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn punctuation_soup(text in "[ .,;:!?\\-()\\[\\]{}\"'\n\t]{0,200}") {
         let thor = Thor::new(small_store(), ThorConfig::with_tau(0.5));
-        let _ = thor.enrich(&small_table(), &[Document::new("d", text)]);
+        let _ = thor.prepare(&small_table()).enrich(&[Document::new("d", text)]);
     }
 
     /// Any tau in [0,1] works, and prediction counts stay finite.
@@ -53,7 +53,7 @@ proptest! {
     fn any_tau_is_safe(tau in 0.0f64..=1.0) {
         let thor = Thor::new(small_store(), ThorConfig::with_tau(tau));
         let doc = Document::new("d", "alpha relates to beta and gamma.");
-        let result = thor.enrich(&small_table(), &[doc]);
+        let result = thor.prepare(&small_table()).enrich(&[doc]);
         prop_assert!(result.entities.len() < 100);
     }
 }
@@ -65,7 +65,7 @@ fn degenerate_tables() {
 
     // Empty table: nothing to anchor on.
     let empty = Table::new(Schema::new(["Subject", "Concept"], "Subject"));
-    let result = thor.enrich(&empty, std::slice::from_ref(&doc));
+    let result = thor.prepare(&empty).enrich(std::slice::from_ref(&doc));
     assert!(result.entities.is_empty());
 
     // Single-concept schema (subject only): nothing to fill.
@@ -74,7 +74,7 @@ fn degenerate_tables() {
         t.row_for_subject("alpha");
         t
     };
-    let result = thor.enrich(&solo, std::slice::from_ref(&doc));
+    let result = thor.prepare(&solo).enrich(std::slice::from_ref(&doc));
     assert_eq!(result.slot_stats.inserted, 0);
 
     // Table whose instances are all out-of-vocabulary.
@@ -83,13 +83,15 @@ fn degenerate_tables() {
         t.fill_slot("alpha", "Concept", "zzyzx");
         t
     };
-    let _ = thor.enrich(&oov, &[doc]);
+    let _ = thor.prepare(&oov).enrich(&[doc]);
 }
 
 #[test]
 fn empty_vector_store() {
     let thor = Thor::new(VectorStore::new(8), ThorConfig::with_tau(0.5));
-    let result = thor.enrich(&small_table(), &[Document::new("d", "alpha beta gamma.")]);
+    let result = thor
+        .prepare(&small_table())
+        .enrich(&[Document::new("d", "alpha beta gamma.")]);
     assert!(
         result.entities.is_empty(),
         "no vectors, no semantic matches"
@@ -100,7 +102,9 @@ fn empty_vector_store() {
 fn huge_single_token_document() {
     let thor = Thor::new(small_store(), ThorConfig::with_tau(0.5));
     let text = "a".repeat(100_000);
-    let _ = thor.enrich(&small_table(), &[Document::new("d", text)]);
+    let _ = thor
+        .prepare(&small_table())
+        .enrich(&[Document::new("d", text)]);
 }
 
 #[test]
@@ -109,7 +113,7 @@ fn many_tiny_documents() {
     let docs: Vec<Document> = (0..500)
         .map(|i| Document::new(format!("d{i}"), "alpha beta."))
         .collect();
-    let result = thor.enrich(&small_table(), &docs);
+    let result = thor.prepare(&small_table()).enrich(&docs);
     // Dedup is per document, so counts scale with the corpus.
     assert!(result.entities.len() <= 500 * 2);
 }

@@ -88,10 +88,10 @@ fn config(cache_capacity: usize, threads: usize) -> ThorConfig {
 }
 
 fn engine(config: ThorConfig, metrics: Option<&PipelineMetrics>) -> PreparedEngine {
-    let thor = Thor::new(store(), config);
+    let engine = Thor::new(store(), config).prepare(&table());
     match metrics {
-        Some(m) => thor.with_metrics(m.clone()).prepare(&table()),
-        None => thor.prepare(&table()),
+        Some(m) => engine.with_metrics(m.clone()),
+        None => engine,
     }
 }
 

@@ -91,7 +91,7 @@ fn enrich(tau: f64, threads: usize, cache_capacity: usize) -> (String, Vec<Extra
     config.threads = threads;
     config.cache_capacity = cache_capacity;
     let thor = Thor::new(store(), config);
-    let result = thor.enrich(&table(), &docs());
+    let result = thor.prepare(&table()).enrich(&docs());
     (to_csv(&result.table), result.entities)
 }
 
@@ -191,8 +191,10 @@ fn pipeline_output_is_identical_across_threads_and_cache() {
 #[test]
 fn refine_counters_account_for_every_candidate() {
     let metrics = PipelineMetrics::new();
-    let thor = Thor::new(store(), ThorConfig::with_tau(0.6)).with_metrics(metrics.clone());
-    let result = thor.enrich(&table(), &docs());
+    let result = Thor::new(store(), ThorConfig::with_tau(0.6))
+        .prepare(&table())
+        .with_metrics(metrics.clone())
+        .enrich(&docs());
     let snap = metrics.snapshot();
     let (scored, pruned) = (snap.count("refine.scored"), snap.count("refine.pruned"));
     assert!(scored > 0, "the corpus must exercise refinement");

@@ -1,7 +1,7 @@
 //! Property: a streaming [`thor_core::EnrichmentSession`] fed the same
-//! documents as a batch [`thor_core::Thor::enrich`] — in *any* order —
-//! converges to the same slot-filled table and the same set of entity
-//! predictions. Slot filling is a set-semantic idempotent insert and
+//! documents as a batch [`thor_core::PreparedEngine::enrich`] — in
+//! *any* order — converges to the same slot-filled table and the same
+//! set of entity predictions. Slot filling is a set-semantic idempotent insert and
 //! entity keys carry the document id, so stream order must be
 //! unobservable in the fixed point.
 
@@ -117,7 +117,7 @@ proptest! {
         let thor = thor();
         let table = table();
         let docs = docs_from(&picks);
-        let batch = thor.enrich(&table, &docs);
+        let batch = thor.prepare(&table).enrich(&docs);
 
         // Re-order the stream: rotate, optionally reverse.
         let mut stream: Vec<&Document> = docs.iter().collect();
@@ -127,7 +127,7 @@ proptest! {
             stream.reverse();
         }
 
-        let mut session = thor.session(&table);
+        let mut session = thor.prepare(&table).session();
         for doc in stream {
             session.process(doc);
         }
@@ -151,7 +151,7 @@ proptest! {
         let thor = thor();
         let table = table();
         let docs = docs_from(&picks);
-        let mut session = thor.session(&table);
+        let mut session = thor.prepare(&table).session();
         for doc in &docs {
             session.process(doc);
         }

@@ -132,14 +132,6 @@ impl Schema {
         self.concepts.iter().position(|c| c.matches(concept))
     }
 
-    /// The non-subject concepts (the slots THOR can fill).
-    pub fn slot_concepts(&self) -> impl Iterator<Item = &Concept> {
-        self.concepts
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, c)| (i != self.subject).then_some(c))
-    }
-
     /// Merge two schemas (union of concepts, preserving `self`'s order
     /// then appending new ones). Subjects must agree.
     ///
@@ -182,13 +174,6 @@ mod tests {
         assert_eq!(s.index_of("anatomy"), Some(1));
         assert_eq!(s.index_of("Anatomy"), Some(1));
         assert_eq!(s.index_of("nope"), None);
-    }
-
-    #[test]
-    fn slot_concepts_excludes_subject() {
-        let s = disease_schema();
-        let slots: Vec<&str> = s.slot_concepts().map(Concept::name).collect();
-        assert_eq!(slots, ["Anatomy", "Complication", "Medicine"]);
     }
 
     #[test]

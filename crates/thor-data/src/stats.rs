@@ -21,13 +21,6 @@ pub struct SparsityReport {
     pub per_concept: Vec<(String, usize, usize)>,
 }
 
-impl SparsityReport {
-    /// Number of filled (non-null) slots.
-    pub fn filled_slots(&self) -> usize {
-        self.total_slots - self.missing_slots
-    }
-}
-
 /// Measure the sparsity of `table`.
 pub fn sparsity(table: &Table) -> SparsityReport {
     let subject_idx = table.schema().subject_index();
@@ -80,7 +73,6 @@ mod tests {
         assert_eq!(r.total_slots, 4);
         assert_eq!(r.missing_slots, 3);
         assert!((r.ratio - 0.75).abs() < 1e-12);
-        assert_eq!(r.filled_slots(), 1);
         assert_eq!(
             r.per_concept,
             vec![("A".to_string(), 1, 2), ("C".to_string(), 2, 2)]

@@ -101,11 +101,6 @@ impl VectorStore {
             .expect("freeze of a consistent store cannot fail")
     }
 
-    /// Whether this store is a frozen (immutable, possibly mapped) view.
-    pub fn is_frozen(&self) -> bool {
-        matches!(self.backing, Backing::Frozen { .. })
-    }
-
     /// Dimensionality of the stored vectors.
     pub fn dim(&self) -> usize {
         self.dim
@@ -622,7 +617,6 @@ mod tests {
     fn frozen_matches_owned_bit_for_bit() {
         let s = store();
         let f = s.freeze();
-        assert!(f.is_frozen() && !s.is_frozen());
         assert_eq!(f.len(), s.len());
         assert_eq!(f.dim(), s.dim());
 

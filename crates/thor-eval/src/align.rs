@@ -25,6 +25,18 @@ impl Annotation {
     }
 }
 
+/// Sort `annotations` by (document, concept, phrase) and keep each
+/// once: the evaluation granularity, at which a document either
+/// mentions a conceptualized phrase or does not, however often a gold
+/// file lists it. Gold annotations go through here before scoring.
+pub fn dedup_annotations(mut annotations: Vec<Annotation>) -> Vec<Annotation> {
+    annotations.sort_by(|a, b| {
+        (&a.doc_id, &a.concept, &a.phrase).cmp(&(&b.doc_id, &b.concept, &b.phrase))
+    });
+    annotations.dedup();
+    annotations
+}
+
 /// SemEval match classes for one prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchClass {

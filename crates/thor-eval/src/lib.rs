@@ -26,7 +26,7 @@ pub mod curve;
 pub mod metrics;
 pub mod schemas;
 
-pub use align::{Annotation, MatchClass};
+pub use align::{dedup_annotations, Annotation, MatchClass};
 pub use curve::{PrCurve, PrPoint};
 pub use metrics::{evaluate, ConceptReport, EvalReport};
 pub use schemas::{schema_scores, Prf, SchemaScores};

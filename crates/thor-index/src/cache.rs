@@ -34,18 +34,6 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of all lookups; 0.0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A thread-safe, bounded, interning LRU cache from normalized phrase
 /// to an arbitrary cloneable value. Clones share the same underlying
 /// storage and statistics.
@@ -247,7 +235,6 @@ mod tests {
         assert_eq!(cache.get("brain"), Some(7));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The candidate-entity record shared by every [`crate::CandidateSource`].
+//! The candidate-entity record every candidate engine produces: the
+//! semantic matcher, and the dictionary and tagger baselines.
 
 /// A candidate entity produced by candidate generation: a subphrase of
 /// the input noun phrase, the concept it matched, and the best-matching

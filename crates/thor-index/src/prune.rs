@@ -384,11 +384,6 @@ impl PruneIndex {
         parts.finish(ix)
     }
 
-    /// Total clusters across all concepts.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// Global row ids, cluster-major, for artifact serialization.
     pub fn members(&self) -> &[u32] {
         &self.members
@@ -1384,7 +1379,7 @@ mod tests {
         assert_eq!(summary.dim, 12);
         assert_eq!(summary.rows, ix.row_count());
         assert_eq!(summary.concepts, ix.concept_count());
-        assert_eq!(summary.clusters, a.cluster_count());
+        assert_eq!(summary.clusters, a.clusters.len());
         assert!(summary.max_cluster_rows > 0);
     }
 

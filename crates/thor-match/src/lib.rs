@@ -28,12 +28,12 @@
 pub mod cluster;
 pub mod matcher;
 pub mod prepared;
+pub mod source;
 
 pub use cluster::{ClusterScore, ConceptCluster};
 pub use matcher::{
     CandidateEntity, FineTuneStats, MatchCounts, MatcherConfig, SimilarityMatcher, TAU_RANGE,
 };
 pub use prepared::{ConceptSeeds, PreparedMatcher};
-pub use thor_index::{
-    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneStats, VectorIndex,
-};
+pub use source::CandidateSource;
+pub use thor_index::{CacheStats, PhraseCache, PruneIndex, PruneStats, VectorIndex};

@@ -6,13 +6,13 @@ use std::time::{Duration, Instant};
 
 use thor_embed::VectorStore;
 use thor_index::{
-    CacheStats, CandidateSource, PhraseCache, PruneIndex, PruneStats, VectorIndex,
-    VectorIndexBuilder,
+    CacheStats, PhraseCache, PruneIndex, PruneStats, VectorIndex, VectorIndexBuilder,
 };
 use thor_text::{is_stopword, normalize_phrase, SeedSyntax};
 
 use crate::cluster::ConceptCluster;
 use crate::prepared::PreparedMatcher;
+use crate::source::CandidateSource;
 
 pub use thor_index::CandidateEntity;
 
@@ -551,10 +551,6 @@ impl SimilarityMatcher {
 }
 
 impl CandidateSource for SimilarityMatcher {
-    fn source_name(&self) -> &str {
-        "semantic"
-    }
-
     fn candidates_anchored(
         &self,
         phrase: &str,
@@ -830,7 +826,6 @@ mod tests {
     fn candidate_source_trait_drives_the_matcher() {
         let m = matcher(0.6);
         let source: &dyn CandidateSource = &m;
-        assert_eq!(source.source_name(), "semantic");
         assert_eq!(
             source.candidates("brain tumor"),
             m.match_phrase("brain tumor")

@@ -61,15 +61,6 @@ impl Pos {
     pub fn is_nominal(self) -> bool {
         matches!(self, Pos::Noun | Pos::Propn | Pos::Pron)
     }
-
-    /// Can this tag modify a noun inside an NP? (ADJ, DET, NUM, NOUN
-    /// compounds, PROPN compounds.)
-    pub fn is_np_modifier(self) -> bool {
-        matches!(
-            self,
-            Pos::Adj | Pos::Det | Pos::Num | Pos::Noun | Pos::Propn
-        )
-    }
 }
 
 impl fmt::Display for Pos {
@@ -104,15 +95,6 @@ mod tests {
         assert!(Pos::Pron.is_nominal());
         assert!(!Pos::Verb.is_nominal());
         assert!(!Pos::Adj.is_nominal());
-    }
-
-    #[test]
-    fn modifier_classes() {
-        assert!(Pos::Adj.is_np_modifier());
-        assert!(Pos::Det.is_np_modifier());
-        assert!(Pos::Noun.is_np_modifier());
-        assert!(!Pos::Verb.is_np_modifier());
-        assert!(!Pos::Punct.is_np_modifier());
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raise the value to `v` if it is higher than the current one.
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -310,14 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_max() {
+    fn gauge_set_overwrites() {
         let g = Gauge::new();
         g.set(10);
         assert_eq!(g.get(), 10);
-        g.set_max(7);
-        assert_eq!(g.get(), 10);
-        g.set_max(12);
-        assert_eq!(g.get(), 12);
         g.set(3);
         assert_eq!(g.get(), 3);
     }

@@ -38,51 +38,6 @@ pub fn word_shape(word: &str) -> String {
     out
 }
 
-/// Orthographic flags summarizing a token for the tagger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OrthFlags {
-    /// First character uppercase.
-    pub initial_cap: bool,
-    /// Every alphabetic character uppercase.
-    pub all_caps: bool,
-    /// Contains at least one digit.
-    pub has_digit: bool,
-    /// Contains a hyphen.
-    pub has_hyphen: bool,
-    /// Every character is a digit.
-    pub all_digits: bool,
-}
-
-/// Compute [`OrthFlags`] for a token.
-pub fn orth_flags(word: &str) -> OrthFlags {
-    let mut flags = OrthFlags::default();
-    let mut any_alpha = false;
-    let mut all_upper = true;
-    let mut all_digit = !word.is_empty();
-    for (i, c) in word.chars().enumerate() {
-        if i == 0 && c.is_uppercase() {
-            flags.initial_cap = true;
-        }
-        if c.is_alphabetic() {
-            any_alpha = true;
-            if !c.is_uppercase() {
-                all_upper = false;
-            }
-        }
-        if c.is_ascii_digit() {
-            flags.has_digit = true;
-        } else {
-            all_digit = false;
-        }
-        if c == '-' {
-            flags.has_hyphen = true;
-        }
-    }
-    flags.all_caps = any_alpha && all_upper;
-    flags.all_digits = all_digit;
-    flags
-}
-
 /// Prefix of up to `n` characters (for suffix/prefix feature templates).
 pub fn prefix(word: &str, n: usize) -> &str {
     match word.char_indices().nth(n) {
@@ -116,20 +71,6 @@ mod tests {
         assert_eq!(word_shape("12.5"), "d.d");
         assert_eq!(word_shape(""), "");
         assert_eq!(word_shape("McDonald"), "XxXx");
-    }
-
-    #[test]
-    fn flags() {
-        let f = orth_flags("Acoustic");
-        assert!(f.initial_cap && !f.all_caps && !f.has_digit);
-        let f = orth_flags("WHO");
-        assert!(f.all_caps && f.initial_cap);
-        let f = orth_flags("x-ray");
-        assert!(f.has_hyphen);
-        let f = orth_flags("2024");
-        assert!(f.all_digits && f.has_digit);
-        let f = orth_flags("");
-        assert!(!f.all_digits && !f.all_caps);
     }
 
     #[test]

@@ -35,19 +35,6 @@ impl Token {
     pub fn is_punctuation(&self) -> bool {
         !self.text.is_empty() && self.text.chars().all(|c| c.is_ascii_punctuation())
     }
-
-    /// True if the token is entirely numeric (digits, optional `.`/`,`).
-    pub fn is_numeric(&self) -> bool {
-        let mut saw_digit = false;
-        for c in self.text.chars() {
-            match c {
-                '0'..='9' => saw_digit = true,
-                '.' | ',' | '%' | '+' | '-' => {}
-                _ => return false,
-            }
-        }
-        saw_digit
-    }
 }
 
 /// Characters that may stay inside a word (not split off).
@@ -232,14 +219,6 @@ mod tests {
         let w: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
         assert!(w.contains(&"café"));
         assert!(w.contains(&"naïve"));
-    }
-
-    #[test]
-    fn numeric_detection() {
-        assert!(Token::new("12.5", 0, 4).is_numeric());
-        assert!(Token::new("3,000", 0, 5).is_numeric());
-        assert!(!Token::new("x86", 0, 3).is_numeric());
-        assert!(!Token::new("-", 0, 1).is_numeric());
     }
 
     #[test]

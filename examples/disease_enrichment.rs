@@ -22,7 +22,7 @@ fn main() {
     let before = sparsity(&table);
 
     let thor = Thor::new(dataset.store.clone(), ThorConfig::with_tau(0.7));
-    let result = thor.enrich(&table, &dataset.documents(Split::Test));
+    let result = thor.prepare(&table).enrich(&dataset.documents(Split::Test));
 
     // ── Evaluation against gold ─────────────────────────────────────
     let gold: Vec<Annotation> = dataset

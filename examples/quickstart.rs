@@ -67,7 +67,7 @@ fn main() {
 
     // ── THOR: conceptualize and slot-fill ────────────────────────────
     let thor = Thor::new(store, ThorConfig::with_tau(0.6));
-    let result = thor.enrich(&integrated, &[doc]);
+    let result = thor.prepare(&integrated).enrich(&[doc]);
 
     println!("extracted entities:");
     for e in &result.entities {

@@ -23,7 +23,7 @@ fn main() {
 
     let table = dataset.enrichment_table();
     let thor = Thor::new(dataset.store.clone(), ThorConfig::with_tau(0.8));
-    let result = thor.enrich(&table, &docs);
+    let result = thor.prepare(&table).enrich(&docs);
 
     // Group extracted entities per subject (CV) for the first document.
     if let Some(first) = dataset.docs(Split::Test).first() {

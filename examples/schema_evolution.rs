@@ -38,7 +38,7 @@ fn main() {
     v1.fill_slot("Tuberculosis", "Anatomy", "brain");
 
     let thor = Thor::new(store, ThorConfig::with_tau(0.6));
-    let r1 = thor.enrich(&v1, &docs);
+    let r1 = thor.prepare(&v1).enrich(&docs);
     println!("schema v1 (Disease, Anatomy):");
     for e in &r1.entities {
         println!("  {:<10} ← {}", e.concept, e.phrase);
@@ -53,7 +53,7 @@ fn main() {
 
     // Same THOR instance, same documents — just re-run. Fine-tuning is
     // per-call and takes milliseconds; no corpus re-annotation.
-    let r2 = thor.enrich(&v2, &docs);
+    let r2 = thor.prepare(&v2).enrich(&docs);
     println!("schema v2 (Disease, Anatomy, + Symptom) — same documents, re-run only:");
     for e in &r2.entities {
         println!("  {:<10} ← {} (score {:.2})", e.concept, e.phrase, e.score);

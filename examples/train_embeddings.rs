@@ -56,12 +56,12 @@ fn main() {
         ("learned (SGNS)", learned),
         ("oracle space", dataset.store.clone()),
     ] {
-        let thor = Thor::new(store, ThorConfig::with_tau(0.7));
-        let (entities, prep, infer) = thor.extract(&table, &docs);
+        let engine = Thor::new(store, ThorConfig::with_tau(0.7)).prepare(&table);
+        let (entities, infer) = engine.extract(&docs);
         println!(
             "{label:<16}: {} entities extracted (fine-tune {:?}, inference {:?})",
             entities.len(),
-            prep,
+            engine.prepare_time(),
             infer
         );
     }

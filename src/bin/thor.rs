@@ -57,7 +57,9 @@
 //! covers configuration + table + corpus, so a checkpoint taken with an
 //! engine resumes under the same engine (or an identically-built one).
 //!
-//! Annotation TSV format: `doc_id<TAB>concept<TAB>phrase`, one per line.
+//! Annotation TSV format: `doc_id<TAB>concept<TAB>phrase`, one per line;
+//! further columns are ignored, so `enrich --entities` output scores
+//! as `--pred` directly. Repeated gold lines count once.
 //! Vector file format: word2vec-style text (`thor generate` writes one).
 //! When `enrich` gets no `--vectors`, vectors are trained on the input
 //! documents with the built-in SGNS trainer.
@@ -85,7 +87,7 @@ use thor_repro::data::CorpusDir;
 use thor_repro::data::{full_disjunction, sparsity, Table};
 use thor_repro::datagen::{corpus_stats, generate, DatasetSpec, Split};
 use thor_repro::embed::{SgnsConfig, SgnsTrainer, VectorStore};
-use thor_repro::eval::{evaluate, schema_scores, Annotation};
+use thor_repro::eval::{dedup_annotations, evaluate, schema_scores, Annotation};
 use thor_repro::fault::{
     atomic_write, decode_document, fail_point, install_from_env, read_bytes, read_to_string,
     DocumentPolicy, MapMode, QuarantineEntry, QuarantineReport, SectionChain, SectionEntry,
@@ -377,6 +379,9 @@ fn read_table_lenient(path: &str) -> ThorResult<(Table, Vec<SkippedRow>)> {
     Ok((lenient.table, lenient.skipped))
 }
 
+/// Read an annotation TSV: the first three columns of each line, so
+/// the five-column `enrich --entities` file (subject and score follow
+/// the phrase) reads as predictions unchanged.
 fn read_annotations(path: &str) -> ThorResult<Vec<Annotation>> {
     let text = read_to_string(Path::new(path))?;
     let mut out = Vec::new();
@@ -384,7 +389,7 @@ fn read_annotations(path: &str) -> ThorResult<Vec<Annotation>> {
         if line.trim().is_empty() {
             continue;
         }
-        let mut parts = line.splitn(3, '\t');
+        let mut parts = line.split('\t');
         let (Some(doc), Some(concept), Some(phrase)) = (parts.next(), parts.next(), parts.next())
         else {
             return Err(ThorError::parse(format!(
@@ -690,9 +695,12 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
         ..ResilientOptions::default()
     };
 
+    // The two sources differ only in how they produce the engine; the
+    // execution knobs, the metrics and the stream-or-batch choice below
+    // are shared.
     let mut skipped_rows: Vec<SkippedRow> = Vec::new();
-    let outcome = if let Some(engine_path) = &engine_path {
-        let mut engine = PreparedEngine::load_with(Path::new(engine_path), map_mode)?;
+    let engine = if let Some(engine_path) = &engine_path {
+        let engine = PreparedEngine::load_with(Path::new(engine_path), map_mode)?;
         eprintln!(
             "engine {engine_path}: {} concepts, tau {}, loaded in {:?} ({})",
             engine.prepared_matcher().concept_names().len(),
@@ -703,18 +711,7 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
                 MapMode::Owned => "owned",
             }
         );
-        if let Some(threads) = threads {
-            engine = engine.with_threads(threads);
-        }
-        let engine = engine.with_metrics(metrics.clone());
-        if stream {
-            let reader = corpus
-                .iter()
-                .map(|(id, path)| (id.clone(), read_corpus_document(id, path, &policy)));
-            engine.enrich_resilient_stream(&stream_ids, reader, &opts, chunk)?
-        } else {
-            engine.enrich_resilient(&docs, &opts)?
-        }
+        engine
     } else {
         let table_path = args
             .options
@@ -762,19 +759,20 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
 
         let mut config = ThorConfig::with_tau(tau);
         config.context_gate = context_gate;
-        if let Some(threads) = threads {
-            config.threads = threads;
-        }
-        let thor = Thor::new(store, config).with_metrics(metrics.clone());
-        if stream {
-            let reader = corpus
-                .iter()
-                .map(|(id, path)| (id.clone(), read_corpus_document(id, path, &policy)));
-            thor.prepare(&table)
-                .enrich_resilient_stream(&stream_ids, reader, &opts, chunk)?
-        } else {
-            thor.enrich_resilient(&table, &docs, &opts)?
-        }
+        Thor::new(store, config).prepare(&table)
+    };
+    let engine = match threads {
+        Some(threads) => engine.with_threads(threads),
+        None => engine,
+    };
+    let engine = engine.with_metrics(metrics.clone());
+    let outcome = if stream {
+        let reader = corpus
+            .iter()
+            .map(|(id, path)| (id.clone(), read_corpus_document(id, path, &policy)));
+        engine.enrich_resilient_stream(&stream_ids, reader, &opts, chunk)?
+    } else {
+        engine.enrich_resilient(&docs, &opts)?
     };
     let result = &outcome.result;
 
@@ -1170,11 +1168,11 @@ fn cmd_inspect(args: &Args) -> ThorResult<()> {
 }
 
 fn cmd_evaluate(args: &Args) -> ThorResult<()> {
-    let gold = read_annotations(
+    let gold = dedup_annotations(read_annotations(
         args.options
             .get("gold")
             .ok_or_else(|| ThorError::config("evaluate needs --gold"))?,
-    )?;
+    )?);
     let pred = read_annotations(
         args.options
             .get("pred")

@@ -19,8 +19,8 @@
 //!     .words("anatomy", ["lung", "heart"])
 //!     .build()
 //!     .into_store();
-//! let thor = Thor::new(store, ThorConfig::with_tau(0.8));
-//! let enriched = thor.enrich(&table, &[Document::new("d", "Tuberculosis damages the heart.")]);
+//! let engine = Thor::new(store, ThorConfig::with_tau(0.8)).prepare(&table);
+//! let enriched = engine.enrich(&[Document::new("d", "Tuberculosis damages the heart.")]);
 //! assert!(enriched.table.get_row("Tuberculosis").is_some());
 //! ```
 
@@ -38,9 +38,6 @@ pub use thor_nlp as nlp;
 
 /// Text utilities: tokenization, sentences, string similarity.
 pub use thor_text as text;
-
-/// Aho–Corasick multi-pattern matching.
-pub use thor_automata as automata;
 
 /// The fine-tunable semantic similarity matcher.
 pub use thor_match as matcher;

@@ -284,14 +284,14 @@ proptest! {
             mode: RunMode::Lenient,
             ..ResilientOptions::default()
         };
-        let outcome = thor.enrich_resilient(&table, &docs, &opts).unwrap();
+        let outcome = thor.prepare(&table).enrich_resilient(&docs, &opts).unwrap();
         prop_assert_eq!(outcome.quarantine.len(), n_bad);
         prop_assert_eq!(outcome.processed_docs, docs.len());
         for (i, entry) in outcome.quarantine.entries().iter().enumerate() {
             prop_assert_eq!(entry.doc_id.clone(), format!("gb{i}"));
             prop_assert_eq!(entry.stage.as_str(), "validate");
         }
-        let clean = thor.enrich(&table, &clean_docs);
+        let clean = thor.prepare(&table).enrich(&clean_docs);
         prop_assert_eq!(outcome.result.entities, clean.entities);
     }
 }

@@ -58,7 +58,7 @@ fn fig1_to_fig4_end_to_end() {
     assert!(before.ratio > 0.0, "integration must create sparsity");
 
     let thor = Thor::new(fig1_store(), ThorConfig::with_tau(0.6));
-    let result = thor.enrich(&table, &[fig1_doc()]);
+    let result = thor.prepare(&table).enrich(&[fig1_doc()]);
 
     // Fig. 4: Complication slots filled for both subjects.
     let an = result.table.get_row("Acoustic Neuroma").expect("row");
@@ -92,8 +92,8 @@ fn fig1_to_fig4_end_to_end() {
 fn enrichment_is_idempotent() {
     let thor = Thor::new(fig1_store(), ThorConfig::with_tau(0.6));
     let table = fig1_table();
-    let once = thor.enrich(&table, &[fig1_doc()]);
-    let twice = thor.enrich(&once.table, &[fig1_doc()]);
+    let once = thor.prepare(&table).enrich(&[fig1_doc()]);
+    let twice = thor.prepare(&once.table).enrich(&[fig1_doc()]);
     assert_eq!(
         once.table.instance_count(),
         twice.table.instance_count(),
@@ -124,13 +124,13 @@ fn schema_evolution_without_retraining() {
 
     let mut v1 = Table::new(Schema::new(["Disease", "Anatomy"], "Disease"));
     v1.fill_slot("Tuberculosis", "Anatomy", "brain");
-    let r1 = thor.enrich(&v1, &docs);
+    let r1 = thor.prepare(&v1).enrich(&docs);
     assert!(r1.entities.iter().all(|e| e.concept != "Symptom"));
 
     let mut v2 = Table::new(Schema::new(["Disease", "Anatomy", "Symptom"], "Disease"));
     v2.fill_slot("Tuberculosis", "Anatomy", "brain");
     v2.fill_slot("Tuberculosis", "Symptom", "dizziness");
-    let r2 = thor.enrich(&v2, &docs);
+    let r2 = thor.prepare(&v2).enrich(&docs);
     let symptoms: Vec<&str> = r2
         .entities
         .iter()
@@ -148,14 +148,14 @@ fn original_table_is_never_mutated() {
     let thor = Thor::new(fig1_store(), ThorConfig::with_tau(0.5));
     let table = fig1_table();
     let before = thor_data::csv::to_csv(&table);
-    let _ = thor.enrich(&table, &[fig1_doc()]);
+    let _ = thor.prepare(&table).enrich(&[fig1_doc()]);
     assert_eq!(before, thor_data::csv::to_csv(&table));
 }
 
 #[test]
 fn tau_one_restricts_to_known_vocabulary() {
     let thor = Thor::new(fig1_store(), ThorConfig::with_tau(1.0));
-    let result = thor.enrich(&fig1_table(), &[fig1_doc()]);
+    let result = thor.prepare(&fig1_table()).enrich(&[fig1_doc()]);
     // Every matched instance must be a table value (exact similarity can
     // only hit seed vectors).
     for e in &result.entities {
@@ -169,7 +169,7 @@ fn tau_one_restricts_to_known_vocabulary() {
 #[test]
 fn csv_round_trip_of_enriched_table() {
     let thor = Thor::new(fig1_store(), ThorConfig::with_tau(0.6));
-    let result = thor.enrich(&fig1_table(), &[fig1_doc()]);
+    let result = thor.prepare(&fig1_table()).enrich(&[fig1_doc()]);
     let csv = thor_data::csv::to_csv(&result.table);
     let back = thor_data::csv::from_csv(&csv).expect("parse");
     assert_eq!(back.len(), result.table.len());
