@@ -115,7 +115,9 @@ fn index_and_cache_beat_the_reference_3x() {
     let dataset = dataset();
     let phrases = test_sentences(&dataset);
     let matcher = Thor::new(dataset.store.clone(), ThorConfig::with_tau(TAU))
-        .fine_tune(&dataset.enrichment_table());
+        .prepare(&dataset.enrichment_table())
+        .matcher()
+        .clone();
     // Correctness before speed. This pass also warms the cache, exactly
     // as a document stream would.
     for p in &phrases {
@@ -549,7 +551,10 @@ fn refine_kernel_beats_the_reference_3x() {
     let dataset = dataset();
     let table = dataset.enrichment_table();
     let config = ThorConfig::with_tau(TAU);
-    let matcher = Thor::new(dataset.store.clone(), config.clone()).fine_tune(&table);
+    let matcher = Thor::new(dataset.store.clone(), config.clone())
+        .prepare(&table)
+        .matcher()
+        .clone();
     // Generation runs once up front so the timed loops measure
     // refinement alone.
     let lists: Vec<Vec<CandidateEntity>> = test_sentences(&dataset)

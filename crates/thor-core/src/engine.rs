@@ -19,9 +19,9 @@
 //! builds its own from the table), not to THOR.
 //!
 //! Every serve entry point — [`PreparedEngine::extract`],
-//! [`PreparedEngine::enrich`], [`PreparedEngine::session`],
-//! [`PreparedEngine::enrich_resilient`] — borrows this immutable bundle
-//! and drives its documents through the one execution core in
+//! [`PreparedEngine::enrich`], [`PreparedEngine::enrich_resilient`],
+//! [`PreparedEngine::enrich_resilient_stream`] — borrows this immutable
+//! bundle and drives its documents through the one execution core in
 //! [`crate::resilient`]; none re-runs `fine_tune` or deep-copies the
 //! store. [`Thor`] only builds: serving and metrics attach here.
 //!
@@ -52,7 +52,7 @@ use crate::config::{ScoreWeights, SegmentationMode, ThorConfig};
 use crate::document::Document;
 use crate::entity::ExtractedEntity;
 use crate::extract::PhraseMemo;
-use crate::pipeline::{EnrichmentResult, EnrichmentSession, Thor};
+use crate::pipeline::{EnrichmentResult, Thor};
 use crate::segment::SubjectIndex;
 
 /// Magic bytes opening an engine artifact file (shared with the
@@ -424,14 +424,6 @@ impl PreparedEngine {
             prepare_time: self.inner.prepare_time,
             inference_time: out.inference_time,
         }
-    }
-
-    /// Start a streaming enrichment session backed by this engine: the
-    /// already-fine-tuned matcher is shared, documents are processed
-    /// incrementally, and the session's working table starts as a copy
-    /// of the engine's.
-    pub fn session(&self) -> EnrichmentSession {
-        EnrichmentSession::new(self.clone())
     }
 
     /// Persist the engine to `path` as a sectioned artifact (atomic
@@ -1167,21 +1159,5 @@ mod tests {
         let bytes = w.into_bytes();
         let back = read_config(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(back.context_gate, Some(0.25));
-    }
-
-    #[test]
-    fn engine_session_streams_like_batch() {
-        let (thor, table, docs) = setup();
-        let batch = thor.prepare(&table).enrich(&docs);
-        let engine = thor.prepare(&table);
-        let mut session = engine.session();
-        for d in &docs {
-            session.process(d);
-        }
-        assert_eq!(session.entities().len(), batch.entities.len());
-        assert_eq!(
-            session.finish().instance_count(),
-            batch.table.instance_count()
-        );
     }
 }

@@ -57,8 +57,8 @@
 //! configuration — so it is performed once, by [`Thor::prepare`], into
 //! an immutable, `Arc`-shared [`PreparedEngine`]. Every serve call
 //! ([`PreparedEngine::extract`], [`PreparedEngine::enrich`],
-//! [`PreparedEngine::session`], [`PreparedEngine::enrich_resilient`])
-//! reuses the engine, and [`PreparedEngine::with_metrics`] is the one
+//! [`PreparedEngine::enrich_resilient`] and its streaming form) reuses
+//! the engine, and [`PreparedEngine::with_metrics`] is the one
 //! place an observability handle attaches; [`PreparedEngine::with_tau`]
 //! derives sibling engines for a τ sweep from one Preparation pass; and
 //! [`PreparedEngine::save`]/[`PreparedEngine::load`] persist the engine
@@ -85,7 +85,7 @@ pub use document::Document;
 pub use engine::{PreparedEngine, ENGINE_FORMAT_VERSION, ENGINE_LAZY_SECTIONS, ENGINE_MAGIC};
 pub use entity::{entities_tsv, ExtractedEntity};
 pub use extract::{refine_candidates, refine_candidates_reference, PhraseMemo, RefineOutcome};
-pub use pipeline::{EnrichmentResult, EnrichmentSession, Thor};
+pub use pipeline::{EnrichmentResult, Thor};
 pub use pool::{PoolScope, WorkerPool};
 pub use resilient::{ResilientOptions, ResilientOutcome, RunMode};
 pub use slot::{EngineGeneration, EngineSlot};

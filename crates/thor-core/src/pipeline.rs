@@ -1,8 +1,8 @@
 //! The end-to-end THOR pipeline.
 //!
 //! [`Thor`] holds the inputs (vector store + configuration); the heavy
-//! per-table state lives in a [`PreparedEngine`] built by
-//! [`Thor::prepare`], which is where every serve call lives:
+//! per-table state lives in a [`PreparedEngine`](crate::PreparedEngine)
+//! built by [`Thor::prepare`], which is where every serve call lives:
 //! `thor.prepare(&table).enrich(&docs)` is the one-shot run, and callers
 //! that run more than one call, τ value, or document batch hold the
 //! engine.
@@ -12,12 +12,8 @@ use std::time::Duration;
 
 use thor_data::Table;
 use thor_embed::VectorStore;
-use thor_match::SimilarityMatcher;
-use thor_obs::PipelineMetrics;
 
 use crate::config::ThorConfig;
-use crate::document::Document;
-use crate::engine::{concept_instances, PreparedEngine};
 use crate::entity::ExtractedEntity;
 use crate::slotfill::SlotFillStats;
 
@@ -65,13 +61,12 @@ pub(crate) fn dedup_entities(entities: &mut Vec<ExtractedEntity>) {
 }
 
 /// The THOR system: word vectors + configuration — the builder of
-/// [`PreparedEngine`]s. One instance can prepare any number of tables;
-/// fine-tuning happens per table because it depends on the table's
-/// instances ("it easily adapts when the reference data integration
+/// [`PreparedEngine`](crate::PreparedEngine)s. One instance can prepare
+/// any number of tables; fine-tuning happens per table because it
+/// depends on the table's instances ("it easily adapts when the reference data integration
 /// schema evolves") — but within a table it happens *once*, inside
-/// [`Thor::prepare`], and every serve call (extract, enrich, session,
-/// resilient runs) and the metrics attach point live on the resulting
-/// engine.
+/// [`Thor::prepare`], and every serve call (extract, enrich, resilient
+/// runs) and the metrics attach point live on the resulting engine.
 #[derive(Debug, Clone)]
 pub struct Thor {
     store: Arc<VectorStore>,
@@ -112,106 +107,15 @@ impl Thor {
     pub fn store_arc(&self) -> &Arc<VectorStore> {
         &self.store
     }
-
-    /// Phase ① fine-tuning: build the semantic matcher from the table's
-    /// concepts and instances (weak supervision — no annotated text).
-    ///
-    /// Serve paths never call this — they go through [`Thor::prepare`]
-    /// and reuse the engine's matcher; this remains for callers that
-    /// want the matcher alone. Nothing is recorded: the matcher's
-    /// [`SimilarityMatcher::fine_tune_stats`] carry what it built.
-    pub fn fine_tune(&self, table: &Table) -> SimilarityMatcher {
-        SimilarityMatcher::fine_tune(
-            &concept_instances(table),
-            Arc::clone(&self.store),
-            self.config.matcher_config(),
-        )
-    }
-}
-
-/// A streaming enrichment session: fine-tuned once, fed documents one at
-/// a time, slot-filling as it goes. Backed by a [`PreparedEngine`] (the
-/// session holds a shared handle, not a copy); each document runs
-/// through the engine's one execution core, exactly as a batch of one.
-///
-/// ```no_run
-/// # use thor_core::{Document, Thor, ThorConfig};
-/// # use thor_data::{Schema, Table};
-/// # use thor_embed::VectorStore;
-/// # let thor = Thor::new(VectorStore::new(8), ThorConfig::default());
-/// # let table = Table::new(Schema::new(["S", "C"], "S"));
-/// let mut session = thor.prepare(&table).session();
-/// for doc in incoming_documents() {
-///     let new = session.process(&doc);
-///     println!("{new} new values");
-/// }
-/// let enriched = session.finish();
-/// # fn incoming_documents() -> Vec<Document> { vec![] }
-/// ```
-pub struct EnrichmentSession {
-    engine: PreparedEngine,
-    table: Table,
-    entities: Vec<ExtractedEntity>,
-    metrics: PipelineMetrics,
-}
-
-impl EnrichmentSession {
-    pub(crate) fn new(engine: PreparedEngine) -> Self {
-        Self {
-            metrics: engine.run_metrics(),
-            table: engine.table().clone(),
-            entities: Vec::new(),
-            engine,
-        }
-    }
-
-    /// Process one document: extract its entities and slot-fill the
-    /// session table immediately. Returns the number of newly inserted
-    /// values.
-    pub fn process(&mut self, doc: &Document) -> usize {
-        // Deduplicated per document, matching the batch pipeline's
-        // granularity.
-        let out = self
-            .engine
-            .run_plain(&[doc], &self.metrics, Some(&mut self.table));
-        self.entities.extend(out.entities);
-        out.slot_stats.inserted
-    }
-
-    /// The session's observability handle (the engine's attached
-    /// handle, or an ephemeral one scoped to this session).
-    pub fn metrics(&self) -> &PipelineMetrics {
-        &self.metrics
-    }
-
-    /// Statistics of the phrase cache backing this session's matcher
-    /// (one cache per fine-tune, shared across all documents the
-    /// session processes).
-    pub fn cache_stats(&self) -> thor_match::CacheStats {
-        self.engine.matcher().cache_stats()
-    }
-
-    /// Current state of the enriched table.
-    pub fn table(&self) -> &Table {
-        &self.table
-    }
-
-    /// All entities extracted so far.
-    pub fn entities(&self) -> &[ExtractedEntity] {
-        &self.entities
-    }
-
-    /// Consume the session, returning the enriched table.
-    pub fn finish(self) -> Table {
-        self.table
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document::Document;
     use thor_data::{sparsity, Schema};
     use thor_embed::SemanticSpaceBuilder;
+    use thor_obs::PipelineMetrics;
 
     /// The complete Fig. 1 scenario.
     fn setup() -> (Thor, Table, Vec<Document>) {
@@ -362,29 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_session_matches_batch() {
-        let (thor, table, docs) = setup();
-        let batch = thor.prepare(&table).enrich(&docs);
-        let mut session = thor.prepare(&table).session();
-        for d in &docs {
-            session.process(d);
-        }
-        assert_eq!(session.entities().len(), batch.entities.len());
-        let streamed = session.finish();
-        assert_eq!(streamed.instance_count(), batch.table.instance_count());
-    }
-
-    #[test]
-    fn session_processes_incrementally() {
-        let (thor, table, docs) = setup();
-        let mut session = thor.prepare(&table).session();
-        let before = sparsity(session.table()).ratio;
-        let inserted = session.process(&docs[0]);
-        assert!(inserted > 0);
-        assert!(sparsity(session.table()).ratio < before);
-    }
-
-    #[test]
     fn timings_reported() {
         let (thor, table, docs) = setup();
         let result = thor.prepare(&table).enrich(&docs);
@@ -438,13 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn session_metrics_accumulate_across_documents() {
+    fn attached_metrics_accumulate_across_runs() {
         let (thor, table, docs) = setup();
         let metrics = PipelineMetrics::new();
-        let mut session = thor.prepare(&table).with_metrics(metrics.clone()).session();
-        session.process(&docs[0]);
-        session.process(&docs[0]);
-        assert_eq!(session.metrics().snapshot().count("docs"), 2);
+        let engine = thor.prepare(&table).with_metrics(metrics.clone());
+        engine.enrich(&docs);
+        engine.enrich(&docs);
         assert_eq!(metrics.snapshot().count("docs"), 2);
+        assert_eq!(engine.run_metrics().snapshot().count("docs"), 2);
     }
 }

@@ -3,8 +3,10 @@
 //!
 //! Every entry point runs documents through this module: the plain
 //! [`PreparedEngine::extract`] / [`PreparedEngine::enrich`], the
-//! streaming [`crate::EnrichmentSession`], the resilient batch and
-//! streaming entry points, and (through them) the CLI and `thor-serve`.
+//! resilient batch and streaming entry points, and (through them) the
+//! CLI and `thor-serve`. The two resilient entry points share one run
+//! loop: a batch run is the streaming run over documents already in
+//! memory, as a single chunk of borrowed bodies.
 //! One document is one call of `process_doc` — admission control, then
 //! Algorithm 1's SEGMENT and EXTRACT under `catch_unwind` — scheduled by
 //! `process_pending` on the shared [`crate::WorkerPool`]; `finalize_run`
@@ -40,6 +42,7 @@
 //! plus `checkpoint_save`/`atomic_write` inside thor-fault) are compiled
 //! in via [`thor_fault::fail_point`]; see `thor_fault::failpoint::SITES`.
 
+use std::borrow::Borrow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -472,33 +475,17 @@ impl PreparedEngine {
     /// See the module docs for semantics; [`PreparedEngine::enrich`]
     /// remains the fast path for trusted input. Workers come from the
     /// shared [`WorkerPool`].
+    ///
+    /// This is the streaming run over documents already in memory, as
+    /// one chunk of borrowed bodies: nothing is cloned.
     pub fn enrich_resilient(
         &self,
         docs: &[Document],
         opts: &ResilientOptions,
     ) -> ThorResult<ResilientOutcome> {
-        require_unique_ids(docs.iter().map(|d| d.id.as_str()))?;
-        let run = self.run_metrics();
-        let run_fp = self.checkpoint_fingerprint(opts, docs.iter().map(|d| d.id.as_str()));
-        let mut state = self.open_run_state(opts, run_fp, &run)?;
-
-        let pending: Vec<&Document> = docs
-            .iter()
-            .filter(|d| !state.checkpoint.processed.contains(&d.id))
-            .collect();
-        let resumed_docs = docs.len() - pending.len();
-        let processed_docs = pending.len();
-
-        let inference_t0 = Instant::now();
-        self.process_pending(&pending, opts, &run, &mut state)?;
-        self.resilient_outcome(
-            state,
-            opts,
-            &run,
-            resumed_docs,
-            processed_docs,
-            inference_t0,
-        )
+        let ids: Vec<&str> = docs.iter().map(|d| d.id.as_str()).collect();
+        let items = docs.iter().map(|d| (d.id.as_str(), Ok(d)));
+        self.run_resilient(&ids, items, opts, docs.len())
     }
 
     /// Out-of-core resilient enrichment: documents arrive from a lazy
@@ -516,10 +503,10 @@ impl PreparedEngine {
     /// computed from it, so a streaming run resumes a batch run's
     /// checkpoint and vice versa. `docs` must yield one `(id, body)`
     /// pair per entry of `doc_ids`, in order — a mismatch aborts the
-    /// run. A failed read (`Err` body) is a strict-mode error; in
-    /// lenient mode it is quarantined at stage `read_doc` and the run
-    /// continues.
-    pub fn enrich_resilient_stream<I>(
+    /// run. A body is an owned [`Document`] or a borrowed one. A failed
+    /// read (`Err` body) is a strict-mode error; in lenient mode it is
+    /// quarantined at stage `read_doc` and the run continues.
+    pub fn enrich_resilient_stream<I, D>(
         &self,
         doc_ids: &[String],
         docs: I,
@@ -527,14 +514,35 @@ impl PreparedEngine {
         chunk_size: usize,
     ) -> ThorResult<ResilientOutcome>
     where
-        I: IntoIterator<Item = (String, ThorResult<Document>)>,
+        I: IntoIterator<Item = (String, ThorResult<D>)>,
+        D: Borrow<Document>,
     {
-        require_unique_ids(doc_ids.iter().map(String::as_str))?;
+        self.run_resilient(doc_ids, docs, opts, chunk_size)
+    }
+
+    /// The one resilient run loop behind both entry points: check ids,
+    /// open (or resume) the run state, then fill bounded chunks from
+    /// `docs` — skipping checkpoint-completed ids without touching
+    /// their bodies — and run each chunk through `process_pending`;
+    /// finally dedup and slot-fill a copy of the engine's table.
+    fn run_resilient<S, K, D>(
+        &self,
+        doc_ids: &[S],
+        docs: impl IntoIterator<Item = (K, ThorResult<D>)>,
+        opts: &ResilientOptions,
+        chunk_size: usize,
+    ) -> ThorResult<ResilientOutcome>
+    where
+        S: AsRef<str>,
+        K: AsRef<str>,
+        D: Borrow<Document>,
+    {
+        require_unique_ids(doc_ids.iter().map(AsRef::as_ref))?;
         let run = self.run_metrics();
-        let run_fp = self.checkpoint_fingerprint(opts, doc_ids.iter().map(String::as_str));
+        let run_fp = self.checkpoint_fingerprint(opts, doc_ids.iter().map(AsRef::as_ref));
         let mut state = self.open_run_state(opts, run_fp, &run)?;
 
-        let chunk_size = chunk_size.max(1);
+        let chunk_size = chunk_size.clamp(1, doc_ids.len().max(1));
         let mut resumed_docs = 0usize;
         let mut processed_docs = 0usize;
         let inference_t0 = Instant::now();
@@ -542,13 +550,12 @@ impl PreparedEngine {
         let mut docs = docs.into_iter();
         let mut stream_len = 0usize;
         loop {
-            // Fill one bounded chunk, skipping checkpoint-completed ids
-            // without materializing their bodies.
-            let mut chunk: Vec<Document> = Vec::with_capacity(chunk_size);
+            let mut chunk: Vec<D> = Vec::with_capacity(chunk_size);
             for (id, body) in docs.by_ref() {
+                let id = id.as_ref();
                 stream_len += 1;
-                match expected.next() {
-                    Some(want) if *want == id => {}
+                match expected.next().map(AsRef::as_ref) {
+                    Some(want) if want == id => {}
                     Some(want) => {
                         return Err(ThorError::config(format!(
                             "document stream out of order: got `{id}`, expected `{want}`"
@@ -561,16 +568,16 @@ impl PreparedEngine {
                         )))
                     }
                 }
-                if state.checkpoint.processed.contains(&id) {
+                if state.checkpoint.processed.contains(id) {
                     resumed_docs += 1;
                     continue;
                 }
                 match body {
                     Ok(doc) => {
-                        if doc.id != id {
+                        if doc.borrow().id != id {
                             return Err(ThorError::config(format!(
                                 "document stream yielded body `{}` under id `{id}`",
-                                doc.id
+                                doc.borrow().id
                             )));
                         }
                         chunk.push(doc);
@@ -587,10 +594,8 @@ impl PreparedEngine {
                     Err(e) => {
                         processed_docs += 1;
                         state.record(
-                            id.clone(),
-                            DocStatus::Quarantined(QuarantineEntry::from_error(
-                                &id, "read_doc", &e,
-                            )),
+                            id.to_string(),
+                            DocStatus::Quarantined(QuarantineEntry::from_error(id, "read_doc", &e)),
                             &DocTally::default(),
                             &run,
                         )?;
@@ -601,7 +606,7 @@ impl PreparedEngine {
                 break;
             }
             processed_docs += chunk.len();
-            let pending: Vec<&Document> = chunk.iter().collect();
+            let pending: Vec<&Document> = chunk.iter().map(Borrow::borrow).collect();
             self.process_pending(&pending, opts, &run, &mut state)?;
         }
         if stream_len != doc_ids.len() {
@@ -610,22 +615,36 @@ impl PreparedEngine {
                 doc_ids.len()
             )));
         }
-        self.resilient_outcome(
-            state,
-            opts,
+
+        let mut enriched = self.table().clone();
+        let out = self.finalize_run(
+            &mut state,
+            &opts.cancel,
             &run,
+            Some(&mut enriched),
+            inference_t0,
+        )?;
+        Ok(ResilientOutcome {
+            result: EnrichmentResult {
+                table: enriched,
+                entities: out.entities,
+                slot_stats: out.slot_stats,
+                prepare_time: self.prepare_time(),
+                inference_time: out.inference_time,
+            },
+            quarantine: state.checkpoint.quarantine,
             resumed_docs,
             processed_docs,
-            inference_t0,
-        )
+            checkpoints_skipped: state.checkpoints_skipped,
+        })
     }
 
-    /// The plain entry points' run — [`PreparedEngine::extract`],
-    /// [`PreparedEngine::enrich`] and [`crate::EnrichmentSession`]: the
-    /// core in strict mode under [`ADMIT_ALL`], with no checkpoint and
-    /// no uniqueness check. Slot-fills `table` when one is given. A
-    /// strict run admitting everything can only fail on a panic caught
-    /// inside a stage; it reaches the caller as a panic.
+    /// The plain entry points' run — [`PreparedEngine::extract`] and
+    /// [`PreparedEngine::enrich`]: the core in strict mode under
+    /// [`ADMIT_ALL`], with no checkpoint and no uniqueness check.
+    /// Slot-fills `table` when one is given. A strict run admitting
+    /// everything can only fail on a panic caught inside a stage; it
+    /// reaches the caller as a panic.
     pub(crate) fn run_plain(
         &self,
         docs: &[&Document],
@@ -713,7 +732,7 @@ impl PreparedEngine {
 
     /// Run `pending` through `process_doc` on the shared
     /// [`WorkerPool`], recording every outcome into `state`. Used once
-    /// by the batch entry points and once per chunk by the streaming path.
+    /// by the plain entry points and once per chunk by the resilient run.
     fn process_pending(
         &self,
         pending: &[&Document],
@@ -809,34 +828,6 @@ impl PreparedEngine {
             entities,
             slot_stats,
             inference_time,
-        })
-    }
-
-    /// Finalize a resilient run into the enriched copy of the engine's
-    /// table plus the run's quarantine and resume accounting.
-    fn resilient_outcome(
-        &self,
-        mut state: RunState,
-        opts: &ResilientOptions,
-        run: &PipelineMetrics,
-        resumed_docs: usize,
-        processed_docs: usize,
-        t0: Instant,
-    ) -> ThorResult<ResilientOutcome> {
-        let mut enriched = self.table().clone();
-        let out = self.finalize_run(&mut state, &opts.cancel, run, Some(&mut enriched), t0)?;
-        Ok(ResilientOutcome {
-            result: EnrichmentResult {
-                table: enriched,
-                entities: out.entities,
-                slot_stats: out.slot_stats,
-                prepare_time: self.prepare_time(),
-                inference_time: out.inference_time,
-            },
-            quarantine: state.checkpoint.quarantine,
-            resumed_docs,
-            processed_docs,
-            checkpoints_skipped: state.checkpoints_skipped,
         })
     }
 }
@@ -975,6 +966,19 @@ mod tests {
                 assert_eq!(streamed.resumed_docs, 0);
             }
         }
+    }
+
+    #[test]
+    fn a_chunk_size_beyond_the_corpus_reserves_only_the_corpus() {
+        let (thor, table, docs) = setup();
+        let engine = thor.prepare(&table);
+        let ids: Vec<String> = docs.iter().map(|d| d.id.clone()).collect();
+        let opts = ResilientOptions::default();
+        let batch = engine.enrich_resilient(&docs, &opts).unwrap();
+        let streamed = engine
+            .enrich_resilient_stream(&ids, stream_of(&docs), &opts, usize::MAX)
+            .unwrap();
+        assert_eq!(streamed.result.entities, batch.result.entities);
     }
 
     #[test]

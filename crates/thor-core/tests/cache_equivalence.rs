@@ -6,7 +6,7 @@
 //! whether extraction runs on one thread or four sharing one matcher
 //! (and therefore one cache).
 
-use thor_core::{Document, ExtractedEntity, Thor, ThorConfig};
+use thor_core::{Document, ExtractedEntity, PipelineMetrics, Thor, ThorConfig};
 use thor_data::csv::to_csv;
 use thor_data::{Schema, Table};
 use thor_embed::{SemanticSpaceBuilder, VectorStore};
@@ -114,16 +114,20 @@ fn enriched_table_is_byte_identical_across_cache_and_threads() {
 }
 
 #[test]
-fn session_reports_cache_traffic() {
+fn attached_metrics_report_cache_traffic() {
     let thor = Thor::new(store(), ThorConfig::with_tau(0.6));
-    let mut session = thor.prepare(&table()).session();
-    for doc in docs() {
-        session.process(&doc);
-    }
-    let stats = session.cache_stats();
+    let metrics = PipelineMetrics::new();
+    let engine = thor.prepare(&table()).with_metrics(metrics.clone());
+    engine.enrich(&docs());
+    let snap = metrics.snapshot();
+    let (hits, misses) = (snap.count("cache.hit"), snap.count("cache.miss"));
     assert!(
-        stats.hits + stats.misses > 0,
+        hits + misses > 0,
         "enrichment should consult the phrase cache"
     );
-    assert!(stats.hits > 0, "repeated phrases should hit the cache");
+    assert!(hits > 0, "repeated phrases should hit the cache");
+    // The counters are the attached engine's own cache traffic: it
+    // starts with a fresh cache, so they agree with the cache's stats.
+    let stats = engine.matcher().cache_stats();
+    assert_eq!((hits, misses), (stats.hits, stats.misses));
 }

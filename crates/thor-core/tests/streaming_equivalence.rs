@@ -1,12 +1,13 @@
-//! Property: a streaming [`thor_core::EnrichmentSession`] fed the same
-//! documents as a batch [`thor_core::PreparedEngine::enrich`] — in
-//! *any* order — converges to the same slot-filled table and the same
-//! set of entity predictions. Slot filling is a set-semantic idempotent insert and
-//! entity keys carry the document id, so stream order must be
-//! unobservable in the fixed point.
+//! Property: [`thor_core::PreparedEngine::enrich`] fed the same
+//! documents in *any* order — and the resilient streaming run fed them
+//! one per chunk — converges to the same slot-filled table and the
+//! same set of entity predictions. Slot filling is a set-semantic
+//! idempotent insert and entity keys carry the document id, so
+//! document order must be unobservable in the fixed point.
 
 use proptest::prelude::*;
-use thor_core::{Document, Thor, ThorConfig};
+use thor_core::slotfill::slot_fill;
+use thor_core::{Document, ResilientOptions, Thor, ThorConfig};
 use thor_data::{Schema, Table};
 use thor_embed::SemanticSpaceBuilder;
 
@@ -119,29 +120,32 @@ proptest! {
         let docs = docs_from(&picks);
         let batch = thor.prepare(&table).enrich(&docs);
 
-        // Re-order the stream: rotate, optionally reverse.
-        let mut stream: Vec<&Document> = docs.iter().collect();
-        let n = stream.len();
-        stream.rotate_left(rotation % n);
+        // Re-order the documents: rotate, optionally reverse.
+        let mut shuffled = docs.clone();
+        let n = shuffled.len();
+        shuffled.rotate_left(rotation % n);
         if reverse {
-            stream.reverse();
+            shuffled.reverse();
         }
-
-        let mut session = thor.prepare(&table).session();
-        for doc in stream {
-            session.process(doc);
-        }
+        let engine = thor.prepare(&table);
+        let reordered = engine.enrich(&shuffled);
+        let ids: Vec<String> = shuffled.iter().map(|d| d.id.clone()).collect();
+        let stream = shuffled.iter().map(|d| (d.id.clone(), Ok(d)));
+        let streamed = engine
+            .enrich_resilient_stream(&ids, stream, &ResilientOptions::default(), 1)
+            .unwrap()
+            .result;
 
         // Same predictions (order-insensitive: keys carry the doc id)...
         let mut batch_keys: Vec<_> = batch.entities.iter().map(|e| e.key()).collect();
-        let mut stream_keys: Vec<_> = session.entities().iter().map(|e| e.key()).collect();
         batch_keys.sort();
-        stream_keys.sort();
-        prop_assert_eq!(batch_keys, stream_keys);
-
-        // ...and the identical slot-filled table.
-        let streamed = session.finish();
-        prop_assert_eq!(fingerprint(&batch.table), fingerprint(&streamed));
+        for run in [&reordered, &streamed] {
+            let mut keys: Vec<_> = run.entities.iter().map(|e| e.key()).collect();
+            keys.sort();
+            prop_assert_eq!(&batch_keys, &keys);
+            // ...and the identical slot-filled table.
+            prop_assert_eq!(fingerprint(&batch.table), fingerprint(&run.table));
+        }
     }
 
     #[test]
@@ -151,15 +155,10 @@ proptest! {
         let thor = thor();
         let table = table();
         let docs = docs_from(&picks);
-        let mut session = thor.prepare(&table).session();
-        for doc in &docs {
-            session.process(doc);
-        }
-        let once = fingerprint(session.table());
-        for doc in &docs {
-            let inserted = session.process(doc);
-            prop_assert_eq!(inserted, 0, "re-processing must not insert");
-        }
-        prop_assert_eq!(once, fingerprint(session.table()));
+        let mut enriched = thor.prepare(&table).enrich(&docs);
+        let once = fingerprint(&enriched.table);
+        let stats = slot_fill(&mut enriched.table, &enriched.entities);
+        prop_assert_eq!(stats.inserted, 0, "re-filling must not insert");
+        prop_assert_eq!(once, fingerprint(&enriched.table));
     }
 }

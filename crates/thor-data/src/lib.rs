@@ -25,7 +25,6 @@
 pub mod corpus;
 pub mod csv;
 pub mod integrate;
-pub mod ops;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -33,9 +32,6 @@ pub mod table;
 pub use corpus::CorpusDir;
 pub use csv::{from_csv, from_csv_lenient, to_csv, CsvError, LenientCsv, SkippedRow};
 pub use integrate::{full_disjunction, outer_join};
-pub use ops::{
-    added_values, check_fd, project, rename_concept, select, FdViolation, FunctionalDependency,
-};
 pub use schema::{Concept, Schema};
 pub use stats::{sparsity, SparsityReport};
 pub use table::{Cell, Row, Table};

@@ -9,9 +9,10 @@
 //! is ever killed, workers observe the flag and wind down.
 //!
 //! Cancellation is a *run-level* outcome, not a per-document one: an
-//! expired token aborts the run with [`ErrorKind::Deadline`] even in
-//! lenient mode (the request is dead either way; quarantining the
-//! remaining documents would misreport them as malformed).
+//! expired token aborts the run with
+//! [`ErrorKind::Deadline`](crate::ErrorKind::Deadline) even in lenient
+//! mode (the request is dead either way; quarantining the remaining
+//! documents would misreport them as malformed).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -13,7 +13,8 @@
 //! Each entry is `name:action[@n]` — on the `n`-th evaluation (1-based,
 //! default 1) of `fail_point(name)` the action fires **once**:
 //!
-//! - `err`   — the seam returns an [`ErrorKind::Injected`] `ThorError`,
+//! - `err`   — the seam returns an
+//!   [`ErrorKind::Injected`](crate::ErrorKind::Injected) `ThorError`,
 //! - `panic` — the seam panics (exercising `catch_unwind` isolation),
 //! - `abort` — the process dies via `std::process::abort()`, the
 //!   deterministic stand-in for `kill -9` in crash/resume tests.

@@ -277,7 +277,7 @@ impl SectionFile {
         let computed_dir = fnv1a(dir_bytes);
         if computed_dir != dir_checksum {
             return Err(ThorError::validation(format!(
-                "section directory checksum mismatch (stored {dir_checksum:#018x}, computed {computed_dir:#018x})"
+                "section-directory checksum mismatch (stored {dir_checksum:#018x}, computed {computed_dir:#018x})"
             )));
         }
 

@@ -16,7 +16,7 @@
 //!   ([`PruneIndex`]) and [`LaneRows`] read interleaved copies of its
 //!   rows through a bit-exact four-lane dot kernel.
 //! * [`PhraseCache`] — an interning, bounded-LRU cache keyed by
-//!   normalized subphrase, shared across an enrichment session so
+//!   normalized subphrase, shared across an engine's enrichment runs so
 //!   repeated phrases in a document stream hit cached candidate sets.
 //!
 //! The crate is std-only and layout-focused; embedding construction and

@@ -42,5 +42,5 @@ pub mod server;
 pub mod signal;
 
 pub use http::{HttpError, HttpLimits, RequestHead, RequestReader, Response};
-pub use reload::{artifact_stamp, try_reload, ArtifactStamp, ReloadConfig};
+pub use reload::{try_reload, ReloadConfig};
 pub use server::{ServeOptions, Server, ShutdownHandle};

@@ -4,10 +4,10 @@
 //!
 //! The invariant is **never swap-to-broken**: every step that can fail
 //! happens *before* the swap, and the swap itself is the last,
-//! injectable step. The load is bracketed by two reads of the
-//! artifact's *stamp* (header + re-verified section-directory
-//! checksum): if the file changed between them — an in-place rewrite
-//! racing the load — the candidate is rejected even though each
+//! injectable step. The load is bracketed by two reads of the artifact
+//! chain's *stamps* (each file's re-verified section-directory checksum
+//! and its length): if a file changed between them — an in-place
+//! rewrite racing the load — the candidate is rejected even though each
 //! individual read looked sound. Artifacts produced by
 //! `thor_fault::atomic_write` (temp + fsync + rename + parent fsync)
 //! never trip this; it exists to catch non-atomic rewrites and
@@ -16,13 +16,12 @@
 //! Failpoints `reload_open`, `reload_validate` and `swap` make each
 //! step of the machine injectable for the reload chaos suite.
 
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use thor_core::{EngineGeneration, EngineSlot, MapMode, PreparedEngine};
-use thor_fault::{fail_point, fnv1a, SectionChain, ThorError, ThorResult, SECTION_MAGIC};
+use thor_fault::{fail_point, SectionChain, ThorError, ThorResult};
 use thor_obs::PipelineMetrics;
 
 /// How a serving process reloads its engine.
@@ -39,96 +38,29 @@ pub struct ReloadConfig {
     pub poll: Option<Duration>,
 }
 
-/// A cheap identity of the artifact bytes on disk: the header fields
-/// plus the section-directory checksum, *recomputed* from the directory
-/// bytes (not trusted from the header). Two stamps compare equal only
-/// if the header and directory were identical at both reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArtifactStamp {
-    /// Recomputed FNV-1a of the section directory bytes.
-    pub dir_checksum: u64,
-    /// Header checksum field (covers bytes 0..48 of the header).
-    pub header_checksum: u64,
-    /// Total file length the header declares.
-    pub total_len: u64,
-}
+/// The stamps of every file in a delta chain, base first: each file's
+/// path, its section-directory checksum and its total length. The
+/// directory checksum covers every section's name, layout and payload
+/// checksum, and the chain open that reads it has re-verified it over
+/// the directory bytes, so two stamp vectors compare equal only if
+/// every file of the chain was identical at both reads.
+pub type ChainStamps = Vec<(PathBuf, u64, usize)>;
 
-/// Read and structurally validate the artifact stamp of `path`: magic,
-/// header checksum, and the section-directory checksum recomputed over
-/// the directory bytes. This is the reload path's re-verification of
-/// the directory before any swap, and it is cheap — the directory is a
-/// few hundred bytes regardless of artifact size.
-pub fn artifact_stamp(path: &Path) -> ThorResult<ArtifactStamp> {
-    let mut f = std::fs::File::open(path).map_err(|e| ThorError::io(path.display(), e))?;
-    let mut header = [0u8; 56];
-    f.read_exact(&mut header).map_err(|e| {
-        ThorError::validation(format!(
-            "{}: truncated engine artifact header: {e}",
-            path.display()
-        ))
-    })?;
-    if &header[0..8] != SECTION_MAGIC {
-        return Err(ThorError::validation(format!(
-            "{}: bad magic (not a THORENG artifact)",
-            path.display()
-        )));
-    }
-    let u64_at = |off: usize| u64::from_le_bytes(header[off..off + 8].try_into().expect("8 bytes"));
-    let header_checksum = u64_at(48);
-    if fnv1a(&header[..48]) != header_checksum {
-        return Err(ThorError::validation(format!(
-            "{}: engine artifact header checksum mismatch",
-            path.display()
-        )));
-    }
-    let dir_offset = u64_at(16);
-    let dir_len = u64_at(24);
-    let dir_checksum = u64_at(32);
-    let total_len = u64_at(40);
-    if dir_offset.checked_add(dir_len) != Some(total_len) {
-        return Err(ThorError::validation(format!(
-            "{}: engine artifact directory bounds are inconsistent",
-            path.display()
-        )));
-    }
-    f.seek(SeekFrom::Start(dir_offset))
-        .map_err(|e| ThorError::io(path.display(), e))?;
-    let mut dir = vec![0u8; dir_len as usize];
-    f.read_exact(&mut dir).map_err(|e| {
-        ThorError::validation(format!(
-            "{}: truncated engine artifact directory: {e}",
-            path.display()
-        ))
-    })?;
-    if fnv1a(&dir) != dir_checksum {
-        return Err(ThorError::validation(format!(
-            "{}: engine artifact section-directory checksum mismatch",
-            path.display()
-        )));
-    }
-    Ok(ArtifactStamp {
-        dir_checksum,
-        header_checksum,
-        total_len,
-    })
-}
-
-/// The stamps of every file in a delta chain, base first.
-pub type ChainStamps = Vec<(PathBuf, ArtifactStamp)>;
-
-/// Stamp every file of the delta chain under `path`, base first. For a
-/// plain artifact this is a one-element vector equivalent to
-/// [`artifact_stamp`]; for a delta artifact the parent links are walked
-/// (and link-checked) first, so a chain whose base was swapped
-/// underneath is already rejected here. Two stamp vectors compare equal
-/// only if every file of the chain was identical at both reads.
+/// Stamp every file of the delta chain under `path`, base first: the
+/// reload path's re-verification of the artifact before any swap.
+/// Opening the chain validates each file's magic, header checksum and
+/// recomputed directory checksum, and walks (and link-checks) a delta's
+/// parents, so a chain whose base was swapped underneath is already
+/// rejected here. It is cheap: the files are mapped, and only their
+/// headers and directories are read.
 pub fn chain_stamps(path: &Path) -> ThorResult<ChainStamps> {
     let chain = SectionChain::open(path, MapMode::Mapped)?;
-    chain
+    Ok(chain
         .paths()
         .iter()
-        .map(|p| Ok((p.clone(), artifact_stamp(p)?)))
-        .collect()
+        .zip(chain.files())
+        .map(|(p, f)| (p.clone(), f.dir_checksum(), f.total_len()))
+        .collect())
 }
 
 /// Load and validate a candidate engine from `cfg.path`, re-applying
@@ -196,14 +128,14 @@ mod tests {
     fn stamp_round_trips_and_detects_change() {
         let path = tmp("stamp");
         atomic_write(&path, &tiny_artifact()).unwrap();
-        let a = artifact_stamp(&path).unwrap();
-        let b = artifact_stamp(&path).unwrap();
+        let a = chain_stamps(&path).unwrap();
+        let b = chain_stamps(&path).unwrap();
         assert_eq!(a, b);
 
         let mut w = thor_fault::SectionWriter::new();
         w.add("meta", 1, b"other bytes");
         atomic_write(&path, &w.finish()).unwrap();
-        let c = artifact_stamp(&path).unwrap();
+        let c = chain_stamps(&path).unwrap();
         assert_ne!(a, c);
         std::fs::remove_file(&path).ok();
     }
@@ -214,20 +146,20 @@ mod tests {
         let bytes = tiny_artifact();
 
         atomic_write(&path, &bytes[..40]).unwrap();
-        let e = artifact_stamp(&path).unwrap_err();
+        let e = chain_stamps(&path).unwrap_err();
         assert!(e.to_string().contains("truncated"), "{e}");
 
         let mut flipped = bytes.clone();
         flipped[50] ^= 0xFF; // header checksum field
         atomic_write(&path, &flipped).unwrap();
-        let e = artifact_stamp(&path).unwrap_err();
+        let e = chain_stamps(&path).unwrap_err();
         assert!(e.to_string().contains("header checksum"), "{e}");
 
         let mut dir_flip = bytes.clone();
         let n = dir_flip.len();
         dir_flip[n - 1] ^= 0xFF; // last directory byte
         atomic_write(&path, &dir_flip).unwrap();
-        let e = artifact_stamp(&path).unwrap_err();
+        let e = chain_stamps(&path).unwrap_err();
         assert!(e.to_string().contains("section-directory"), "{e}");
 
         atomic_write(
@@ -235,13 +167,13 @@ mod tests {
             b"not an artifact at all, far too short pad pad pad pad pad",
         )
         .unwrap();
-        assert!(artifact_stamp(&path).is_err());
+        assert!(chain_stamps(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn stamp_rejects_missing_file() {
-        assert!(artifact_stamp(Path::new("/nonexistent/engine.thor")).is_err());
+        assert!(chain_stamps(Path::new("/nonexistent/engine.thor")).is_err());
     }
 
     #[test]
@@ -255,7 +187,7 @@ mod tests {
         // A plain artifact stamps as a one-element chain.
         let plain = chain_stamps(&base).unwrap();
         assert_eq!(plain.len(), 1);
-        assert_eq!(plain[0].1, artifact_stamp(&base).unwrap());
+        assert_eq!(plain[0].0, base);
 
         let parent = SectionFile::open(&base, MapMode::Owned).unwrap();
         let meta = DeltaMeta {

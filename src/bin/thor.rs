@@ -29,7 +29,10 @@
 //! ```
 //!
 //! `thor --help` prints every command's usage, `thor <cmd> --help` (or
-//! `-h`) one command's; both go to stdout and exit 0.
+//! `-h`) one command's; both go to stdout and exit 0. A reader that
+//! closes stdout early (`thor evaluate … | head -1`) ends any printing
+//! command quietly, with exit status 141 (128 + SIGPIPE), as a writer
+//! stopped by the signal would.
 //!
 //! Build/serve split: `thor build` runs the Preparation phase once and
 //! persists the result as a versioned, checksummed binary artifact
@@ -75,6 +78,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -96,6 +100,34 @@ use thor_repro::fault::{
 use thor_repro::serve::signal as serve_signal;
 use thor_repro::serve::{ReloadConfig, ServeOptions, Server};
 use thor_repro::text::{levenshtein, normalize_phrase, split_sentences};
+
+/// Write to stdout, returning a failed write instead of panicking as
+/// `print!` does. A reader that closed the pipe early (`thor evaluate …
+/// | head -1`) then ends the command quietly through `main`, with exit
+/// status 141.
+fn write_stdout(text: std::fmt::Arguments) -> ThorResult<()> {
+    std::io::stdout()
+        .lock()
+        .write_fmt(text)
+        .map_err(|e| ThorError::io("stdout", e))
+}
+
+/// `println!` over [`write_stdout`]: evaluates to a `ThorResult<()>`.
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Whether `e` is a write into a pipe whose reader has gone.
+fn is_broken_pipe(e: &ThorError) -> bool {
+    std::error::Error::source(e)
+        .and_then(|s| s.downcast_ref::<std::io::Error>())
+        .is_some_and(|io| io.kind() == std::io::ErrorKind::BrokenPipe)
+}
 
 /// Parsed command line: positional args plus `--key value` / `--key=value`
 /// options. Keys listed in `flags` are boolean switches: they never
@@ -421,7 +453,7 @@ fn cmd_integrate(args: &Args) -> ThorResult<()> {
     let csv = to_csv(&integrated);
     match args.options.get("out") {
         Some(path) => atomic_write(Path::new(path), csv.as_bytes())?,
-        None => print!("{csv}"),
+        None => write_stdout(format_args!("{csv}"))?,
     }
     Ok(())
 }
@@ -433,16 +465,16 @@ fn cmd_sparsity(args: &Args) -> ThorResult<()> {
         .ok_or_else(|| ThorError::config("sparsity needs a table CSV"))?;
     let table = read_table(path)?;
     let report = sparsity(&table);
-    println!(
+    outln!(
         "rows: {}  instances: {}  slots: {}  missing: {} ({:.1}%)",
         table.len(),
         table.instance_count(),
         report.total_slots,
         report.missing_slots,
         report.ratio * 100.0
-    );
+    )?;
     for (concept, missing, total) in &report.per_concept {
-        println!("  {concept:<24} {missing:>5} / {total} missing");
+        outln!("  {concept:<24} {missing:>5} / {total} missing")?;
     }
     Ok(())
 }
@@ -845,7 +877,7 @@ fn cmd_enrich(args: &Args) -> ThorResult<()> {
     let csv = to_csv(&result.table);
     match args.options.get("out") {
         Some(path) => atomic_write(Path::new(path), csv.as_bytes())?,
-        None => print!("{csv}"),
+        None => write_stdout(format_args!("{csv}"))?,
     }
     Ok(())
 }
@@ -1054,10 +1086,11 @@ fn cmd_compact(args: &Args) -> ThorResult<()> {
 
 /// One artifact's section directory (name, offset, length, alignment,
 /// format version, checksum) as an aligned table.
-fn print_section_table(file: &SectionFile) {
+fn print_section_table(file: &SectionFile) -> ThorResult<()> {
     for line in section_table(file.entries()) {
-        println!("{line}");
+        outln!("{line}")?;
     }
+    Ok(())
 }
 
 /// The lines of [`print_section_table`]: a header, then one row per
@@ -1087,11 +1120,15 @@ fn section_table(entries: &[SectionEntry]) -> Vec<String> {
 fn print_prune_summary(chain: &SectionChain) -> ThorResult<()> {
     let s = thor_repro::matcher::PruneIndex::summarize_meta(chain.bytes("prune.meta")?)
         .map_err(ThorError::validation)?;
-    println!(
+    outln!(
         "candidate pruning: {} cluster(s) over {} concept(s), {} row(s) \
          (dim {}, max {} rows/cluster)",
-        s.clusters, s.concepts, s.rows, s.dim, s.max_cluster_rows
-    );
+        s.clusters,
+        s.concepts,
+        s.rows,
+        s.dim,
+        s.max_cluster_rows
+    )?;
     Ok(())
 }
 
@@ -1110,38 +1147,38 @@ fn cmd_inspect(args: &Args) -> ThorResult<()> {
     let chain = SectionChain::open(Path::new(path), MapMode::Mapped)?;
     if chain.depth() == 0 {
         let file = chain.base();
-        println!(
+        outln!(
             "{path}: THORENG v{ENGINE_FORMAT_VERSION}, {} bytes, {} sections{}",
             file.total_len(),
             file.entries().len(),
             if file.is_mapped() { " (mapped)" } else { "" }
-        );
-        print_section_table(file);
+        )?;
+        print_section_table(file)?;
         print_prune_summary(&chain)?;
         chain.verify_all()?;
-        println!("all {} section checksums verified", file.entries().len());
+        outln!("all {} section checksums verified", file.entries().len())?;
         return Ok(());
     }
-    println!(
+    outln!(
         "{path}: THORENG v{ENGINE_FORMAT_VERSION} delta chain, {} file(s), depth {}, \
          base fingerprint {}",
         chain.files().len(),
         chain.depth(),
         chain.metas()[0].parent_fingerprint
-    );
+    )?;
     for (i, file) in chain.files().iter().enumerate() {
         let fpath = &chain.paths()[i];
         if i == 0 {
-            println!(
+            outln!(
                 "\n[base] {}: {} bytes, {} sections{}",
                 fpath.display(),
                 file.total_len(),
                 file.entries().len(),
                 if file.is_mapped() { " (mapped)" } else { "" }
-            );
+            )?;
         } else {
             let meta = &chain.metas()[i - 1];
-            println!(
+            outln!(
                 "\n[delta {}] {}: {} bytes, {} patched section(s) on fingerprint {}{}",
                 meta.depth,
                 fpath.display(),
@@ -1153,17 +1190,17 @@ fn cmd_inspect(args: &Args) -> ThorResult<()> {
                 } else {
                     format!("\n        note: {}", meta.note)
                 }
-            );
+            )?;
         }
-        print_section_table(file);
+        print_section_table(file)?;
     }
-    println!();
+    outln!()?;
     print_prune_summary(&chain)?;
     chain.verify_all()?;
-    println!(
+    outln!(
         "\nall section checksums verified across {} chain file(s)",
         chain.files().len()
-    );
+    )?;
     Ok(())
 }
 
@@ -1179,24 +1216,34 @@ fn cmd_evaluate(args: &Args) -> ThorResult<()> {
             .ok_or_else(|| ThorError::config("evaluate needs --pred"))?,
     )?;
     let r = evaluate(&pred, &gold);
-    println!(
+    outln!(
         "gold: {}  predicted: {}\ncorrect: {}  partial: {}  incorrect: {}  spurious: {}  missing: {}",
         r.gold_total, r.predicted_total, r.correct, r.partial, r.incorrect, r.spurious, r.missing
-    );
-    println!(
+    )?;
+    outln!(
         "P: {:.3}  R: {:.3}  F1: {:.3}  sensitivity: {:.3}",
-        r.precision, r.recall, r.f1, r.sensitivity
-    );
+        r.precision,
+        r.recall,
+        r.f1,
+        r.sensitivity
+    )?;
     let s = schema_scores(&pred, &gold);
-    println!(
+    outln!(
         "schemas  strict {:.3}  exact {:.3}  partial {:.3}  ent_type {:.3}  (F1)",
-        s.strict.f1, s.exact.f1, s.partial.f1, s.ent_type.f1
-    );
+        s.strict.f1,
+        s.exact.f1,
+        s.partial.f1,
+        s.ent_type.f1
+    )?;
     for c in &r.per_concept {
-        println!(
+        outln!(
             "  {:<24} gold {:>4}  pred {:>4}  tp {:>4}  F1 {:.3}",
-            c.concept, c.gold, c.predicted, c.tp, c.f1
-        );
+            c.concept,
+            c.gold,
+            c.predicted,
+            c.tp,
+            c.f1
+        )?;
     }
     Ok(())
 }
@@ -1301,20 +1348,32 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(text) = help_request(&argv) {
-        print!("{text}");
-        return ExitCode::SUCCESS;
-    }
-    let command = argv
-        .split_first()
-        .and_then(|(name, rest)| Some((COMMANDS.iter().find(|c| c.name == name)?, rest)));
-    let Some((command, rest)) = command else {
-        eprint!("{}", usage_text());
-        return ExitCode::FAILURE;
+    let outcome = match help_request(&argv) {
+        Some(text) => write_stdout(format_args!("{text}")),
+        None => {
+            let command = argv
+                .split_first()
+                .and_then(|(name, rest)| Some((COMMANDS.iter().find(|c| c.name == name)?, rest)));
+            let Some((command, rest)) = command else {
+                eprint!("{}", usage_text());
+                return ExitCode::FAILURE;
+            };
+            let args = parse_args(rest, command.spec.flags);
+            check_options(command.name, &args, command.spec).and_then(|()| (command.run)(&args))
+        }
     };
-    let args = parse_args(rest, command.spec.flags);
-    match check_options(command.name, &args, command.spec).and_then(|()| (command.run)(&args)) {
+    let outcome = outcome.and_then(|()| {
+        std::io::stdout()
+            .flush()
+            .map_err(|e| ThorError::io("stdout", e))
+    });
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader of stdout has gone (`thor … | head`): nothing is
+        // left to tell it, so stop quietly, with the status of a writer
+        // a SIGPIPE ended (128 + 13) — the command did not finish, and
+        // `thor inspect` in particular did not verify every checksum.
+        Err(e) if is_broken_pipe(&e) => ExitCode::from(141),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -2,10 +2,11 @@
 //! scores `thor evaluate` gives the CLI's own `enrich --entities` output
 //! equal the experiment harness's for the same dataset and τ, and an
 //! engine built with `thor build` reports the same metrics as the
-//! direct `--table` run.
+//! direct `--table` run, and a reader that closes stdout early ends a
+//! printing command quietly.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use thor_bench::harness::{disease_dataset, run_system, System};
 use thor_obs::Json;
@@ -179,4 +180,55 @@ fn built_engine_reports_the_metrics_of_the_direct_run() {
             }
         }
     }
+}
+
+/// Run `thor args` with stdout a pipe whose reader closes at once, as
+/// `thor … | head -0` leaves it.
+fn thor_into_closed_pipe(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_thor"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run thor");
+    drop(child.stdout.take());
+    child.wait_with_output().expect("wait for thor")
+}
+
+#[test]
+fn a_closed_stdout_ends_every_printing_command_quietly() {
+    let data = Generated::new("pipe");
+    let engine = data.0.join("e.thor");
+    let mut build = vec!["build"];
+    let source = data.table_source();
+    build.extend(source.iter().map(String::as_str));
+    build.extend_from_slice(&["--engine", arg(&engine)]);
+    thor(&build);
+    let gold = data.0.join("gold").join("test.tsv");
+    let table = data.0.join("enrichment_table.csv");
+    let docs = data.0.join("docs").join("test");
+    let source_csv = data.0.join("sources").join("source_00.csv");
+    let commands = [
+        vec!["enrich", "--engine", arg(&engine), arg(&docs)],
+        vec!["evaluate", "--gold", arg(&gold), "--pred", arg(&gold)],
+        vec!["sparsity", arg(&table)],
+        vec!["inspect", "--engine", arg(&engine)],
+        vec!["integrate", arg(&source_csv)],
+        vec!["--help"],
+        vec!["evaluate", "--help"],
+    ];
+    let mut stopped = 0;
+    for args in &commands {
+        let out = thor_into_closed_pipe(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "thor {args:?}:\n{stderr}");
+        // 141 is 128 + SIGPIPE: stopped early, but quietly. A command
+        // that wrote everything before the reader closed exits 0.
+        match out.status.code() {
+            Some(141) => stopped += 1,
+            Some(0) => {}
+            other => panic!("thor {args:?} exited {other:?}:\n{stderr}"),
+        }
+    }
+    assert!(stopped > 0, "no command met the closed pipe");
 }
