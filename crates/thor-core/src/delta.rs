@@ -268,13 +268,16 @@ impl PreparedEngine {
         };
 
         // 5. Re-fingerprint: the store is unchanged, the table is not.
-        let table_digest = fnv1a(thor_data::to_csv(&table).as_bytes());
+        // This rendering is also the `table` section a save writes.
+        let table_csv = thor_data::to_csv(&table);
+        let table_digest = fnv1a(table_csv.as_bytes());
         let evolved = EngineInner {
             fingerprint: engine_fingerprint(&inner.config, table_digest, inner.store_digest),
             config: inner.config.clone(),
             store: Arc::clone(&inner.store),
             subjects,
             table: Arc::new(table),
+            table_csv: table_csv.into(),
             prep: Arc::new(prep),
             matcher: Arc::new(matcher),
             memo: PhraseMemo::new(inner.config.cache_capacity),

@@ -110,6 +110,11 @@ pub(crate) struct EngineInner {
     pub(crate) config: ThorConfig,
     pub(crate) store: Arc<VectorStore>,
     pub(crate) table: Arc<Table>,
+    /// The table rendered as CSV once per engine state (by
+    /// [`Thor::prepare`] or a delta apply, or the verified section text
+    /// of a load): what `table_digest` digests and what the `table`
+    /// section writes.
+    pub(crate) table_csv: Arc<str>,
     /// Derived from the table and the store; never persisted.
     pub(crate) subjects: Arc<SubjectIndex>,
     pub(crate) prep: Arc<PreparedMatcher>,
@@ -232,6 +237,7 @@ impl Thor {
             config: self.config().clone(),
             store: Arc::clone(self.store_arc()),
             table: Arc::new(table.clone()),
+            table_csv: table_csv.into(),
             subjects: Arc::new(SubjectIndex::new(table.subjects(), self.store())),
             prep: Arc::new(prep),
             matcher: Arc::new(matcher),
@@ -470,7 +476,7 @@ impl PreparedEngine {
         w.put_str(&inner.fingerprint);
         sections.push((SEC_META, 1, w.into_bytes()));
 
-        sections.push((SEC_TABLE, 1, thor_data::to_csv(&inner.table).into_bytes()));
+        sections.push((SEC_TABLE, 1, inner.table_csv.as_bytes().to_vec()));
 
         // Vector store: sorted word pool + raw f32 rows, the exact
         // layout `VectorStore::from_frozen` borrows in place.
@@ -798,6 +804,7 @@ impl PreparedEngine {
                 config,
                 subjects: Arc::new(SubjectIndex::new(table.subjects(), &store)),
                 table: Arc::new(table),
+                table_csv: table_csv.into(),
                 store,
                 prep: Arc::new(prep),
                 matcher: Arc::new(matcher),

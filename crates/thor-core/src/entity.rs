@@ -148,6 +148,54 @@ mod tests {
             crate::pipeline::dedup_entities(&mut got);
             prop_assert_eq!(got, expected);
         }
+
+        /// The run's merge of per-document batches is the global dedup
+        /// of everything the batches held: batches finishing in any
+        /// order, empty ones, several batches of one id (plain runs
+        /// allow duplicate ids) and a resumed checkpoint's multi-document
+        /// batch, which goes first, as it does in a run.
+        #[test]
+        fn merged_doc_batches_equal_the_global_dedup(
+            batches in prop::collection::vec(
+                (
+                    0usize..4,
+                    0u32..1000,
+                    prop::collection::vec((entity_strategy(), 0usize..3), 0..6),
+                ),
+                0..8,
+            ),
+            resumed in prop::collection::vec((0usize..4, entity_strategy(), 0usize..3), 0..10),
+        ) {
+            const IDS: [&str; 4] = ["d0", "d1", "D0", "d2"];
+            let place = |doc: usize, e: ExtractedEntity, s: usize| ExtractedEntity {
+                doc_id: IDS[doc].to_string(),
+                score: s as f64 / 2.0,
+                ..e
+            };
+            let resumed: Vec<ExtractedEntity> =
+                resumed.into_iter().map(|(doc, e, s)| place(doc, e, s)).collect();
+            // Completion order: the batches sorted by a random key.
+            let mut batches: Vec<(u32, Vec<ExtractedEntity>)> = batches
+                .into_iter()
+                .map(|(doc, order, es)| {
+                    (order, es.into_iter().map(|(e, s)| place(doc, e, s)).collect())
+                })
+                .collect();
+            batches.sort_by_key(|(order, _)| *order);
+
+            let mut expected = resumed.clone();
+            for (_, batch) in &batches {
+                expected.extend(batch.iter().cloned());
+            }
+            crate::pipeline::dedup_entities(&mut expected);
+
+            let mut run = crate::pipeline::doc_batches(resumed);
+            for (_, mut batch) in batches {
+                crate::pipeline::dedup_entities(&mut batch);
+                run.push(batch);
+            }
+            prop_assert_eq!(crate::pipeline::merge_doc_batches(run), expected);
+        }
     }
 
     #[test]

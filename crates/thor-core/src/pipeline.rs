@@ -60,6 +60,53 @@ pub(crate) fn dedup_entities(entities: &mut Vec<ExtractedEntity>) {
     entities.dedup_by(|next, first| next.cmp_key(first).is_eq());
 }
 
+/// Split `entities` into runs sharing a document id, in order, each
+/// run passed through [`dedup_entities`]: the per-document batches
+/// [`merge_doc_batches`] takes, made from a resumed checkpoint's
+/// entities.
+pub(crate) fn doc_batches(entities: Vec<ExtractedEntity>) -> Vec<Vec<ExtractedEntity>> {
+    let mut batches: Vec<Vec<ExtractedEntity>> = Vec::new();
+    for e in entities {
+        match batches.last_mut() {
+            Some(batch) if batch[0].doc_id == e.doc_id => batch.push(e),
+            _ => batches.push(vec![e]),
+        }
+    }
+    for batch in &mut batches {
+        dedup_entities(batch);
+    }
+    batches
+}
+
+/// Merge per-document batches, each one document's entities already
+/// through [`dedup_entities`], into exactly what `dedup_entities` makes
+/// of their concatenation.
+///
+/// [`dedup_order`] compares the document id first, so the batches only
+/// need ordering by id (a stable sort, so batches sharing an id keep
+/// their order) and concatenating. Batches that share an id (a plain
+/// run may repeat ids, and a resumed checkpoint may split a document)
+/// are deduplicated again as one group; every other batch is already
+/// its document's sorted, deduplicated run.
+pub(crate) fn merge_doc_batches(mut batches: Vec<Vec<ExtractedEntity>>) -> Vec<ExtractedEntity> {
+    batches.retain(|batch| !batch.is_empty());
+    batches.sort_by(|a, b| a[0].doc_id.cmp(&b[0].doc_id));
+    let mut out = Vec::with_capacity(batches.iter().map(Vec::len).sum());
+    let mut batches = batches.into_iter().peekable();
+    while let Some(mut group) = batches.next() {
+        let mut shared = false;
+        while let Some(next) = batches.next_if(|next| next[0].doc_id == group[0].doc_id) {
+            group.extend(next);
+            shared = true;
+        }
+        if shared {
+            dedup_entities(&mut group);
+        }
+        out.append(&mut group);
+    }
+    out
+}
+
 /// The THOR system: word vectors + configuration — the builder of
 /// [`PreparedEngine`](crate::PreparedEngine)s. One instance can prepare
 /// any number of tables; fine-tuning happens per table because it
@@ -294,8 +341,8 @@ mod tests {
         );
         assert!(snap.count("vocab.words") > 0);
         assert!(snap.count("cluster.representatives") > 0);
-        // Span counts: one prepare/inference pair, one segment span per
-        // doc, one slot-fill pass.
+        // Span counts: one prepare/inference pair, one segment and one
+        // dedup span per doc, one slot-fill pass.
         use thor_obs::MetricValue;
         let spans = |name: &str| match snap.get(name) {
             Some(MetricValue::Timer { spans, .. }) => *spans,
@@ -304,6 +351,7 @@ mod tests {
         assert_eq!(spans("pipeline.prepare"), 1);
         assert_eq!(spans("pipeline.inference"), 1);
         assert_eq!(spans("stage.segment"), 1);
+        assert_eq!(spans("stage.dedup"), 1);
         assert_eq!(spans("stage.slot_fill"), 1);
         assert!(spans("stage.chunk") >= 3);
         assert!(spans("stage.match") > 0);

@@ -8,13 +8,15 @@
 //! loop: a batch run is the streaming run over documents already in
 //! memory, as a single chunk of borrowed bodies.
 //! One document is one call of `process_doc` — admission control, then
-//! Algorithm 1's SEGMENT and EXTRACT under `catch_unwind` — scheduled by
+//! Algorithm 1's SEGMENT and EXTRACT under `catch_unwind`, then the
+//! deduplication of the document's own entities — scheduled by
 //! `process_pending` on the shared [`crate::WorkerPool`]; `finalize_run`
-//! then deduplicates and slot-fills. Stage metering (spans and counters)
-//! lives here too, around the plain layer functions
-//! ([`crate::segment::segment`], [`crate::slotfill::slot_fill`]): each
-//! worker tallies a document's metrics locally, and the recorder commits
-//! them to the run handle when it marks the document processed.
+//! then merges the per-document batches by document id and slot-fills.
+//! Stage metering (spans and counters) lives here too, around the plain
+//! layer functions ([`crate::segment::segment`],
+//! [`crate::slotfill::slot_fill`]): each worker tallies a document's
+//! metrics locally, and the recorder commits them to the run handle
+//! when it marks the document processed.
 //!
 //! [`PreparedEngine::enrich_resilient`] is the production entry point
 //! for messy corpora: every document passes admission control
@@ -34,9 +36,10 @@
 //! patterns), the quarantine ledger, and a metrics snapshot are
 //! persisted atomically every `checkpoint_interval` documents. A killed
 //! run resumed with [`ResilientOptions::resume`] skips completed
-//! documents and — because final deduplication imposes a total order —
-//! produces **byte-identical** output to an uninterrupted run, for any
-//! thread count and cache configuration.
+//! documents and — because deduplication imposes a total order whose
+//! first key is the document id, so per-document batches merge by id in
+//! any arrival order — produces **byte-identical** output to an
+//! uninterrupted run, for any thread count and cache configuration.
 //!
 //! Fault-injection seams (`validate`, `segment`, `extract`, `slot_fill`,
 //! plus `checkpoint_save`/`atomic_write` inside thor-fault) are compiled
@@ -63,7 +66,7 @@ use crate::document::Document;
 use crate::engine::PreparedEngine;
 use crate::entity::ExtractedEntity;
 use crate::extract::extract_tallied;
-use crate::pipeline::{dedup_entities, EnrichmentResult};
+use crate::pipeline::{dedup_entities, doc_batches, merge_doc_batches, EnrichmentResult};
 use crate::pool::WorkerPool;
 use crate::segment::segment;
 use crate::slotfill::{slot_fill, SlotFillStats};
@@ -200,6 +203,8 @@ pub(crate) struct DocTally {
     pub(crate) match_phrase: SpanTally,
     /// `stage.refine`: one span per phrase refined afresh.
     pub(crate) refine: SpanTally,
+    /// `stage.dedup`: one span per extracted document.
+    pub(crate) dedup: SpanTally,
 }
 
 impl DocTally {
@@ -224,12 +229,13 @@ impl DocTally {
         self.chunk.commit(&run.chunk);
         self.match_phrase.commit(&run.match_phrase);
         self.refine.commit(&run.refine);
+        self.dedup.commit(&run.dedup);
     }
 }
 
 /// What a finished run hands its caller.
 pub(crate) struct RunOutput {
-    /// Deduplicated entities (see `dedup_entities`).
+    /// Deduplicated entities (see `merge_doc_batches`).
     pub(crate) entities: Vec<ExtractedEntity>,
     /// Slot-fill counts; zero when the run filled no table.
     pub(crate) slot_stats: SlotFillStats,
@@ -266,9 +272,10 @@ fn from_record(r: &EntityRecord) -> ExtractedEntity {
 struct RunState {
     checkpoint: Checkpoint,
     /// Entities of every completed document, one batch per document,
-    /// resumed ones first. Batches are kept as the workers produced
-    /// them — no shared vector regrows across threads — flattened once
-    /// at finalize, and converted to checkpoint records only on save.
+    /// resumed ones first: each batch is its document's sorted,
+    /// deduplicated run, as the worker produced it — no shared vector
+    /// regrows across threads. Merged by document id once at finalize,
+    /// and converted to checkpoint records only on save.
     entities: Vec<Vec<ExtractedEntity>>,
     dir: Option<PathBuf>,
     interval: usize,
@@ -362,9 +369,10 @@ impl RunState {
 }
 
 /// Process one document through admission control, segmentation, and
-/// extraction, isolating panics to the document. This is the only
-/// place a document meets the pipeline stages. The document's metrics
-/// come back in its [`DocTally`], for the recorder to commit.
+/// extraction, isolating panics to the document, then deduplicate its
+/// entities. This is the only place a document meets the pipeline
+/// stages. The document's metrics come back in its [`DocTally`], for
+/// the recorder to commit.
 fn process_doc(
     engine: &PreparedEngine,
     doc: &Document,
@@ -425,7 +433,12 @@ fn process_doc(
             scratch,
         ))
     })) {
-        Ok(Ok(entities)) => DocStatus::Done(entities),
+        Ok(Ok(mut entities)) => {
+            let t0 = Instant::now();
+            dedup_entities(&mut entities);
+            tally.dedup.record(t0.elapsed());
+            DocStatus::Done(entities)
+        }
         Ok(Err(e)) => quarantined("extract", e),
         Err(payload) => quarantined("extract", ThorError::panic("extract", payload.as_ref())),
     };
@@ -494,8 +507,9 @@ impl PreparedEngine {
     /// batch path. Output is **byte-identical** to
     /// [`enrich_resilient`](Self::enrich_resilient) over the same
     /// corpus, for any chunk size, thread count, and cache setting:
-    /// entities accumulate in completion order and final deduplication
-    /// imposes a total order, so the chunk boundaries are unobservable.
+    /// each document's deduplicated entities arrive as one batch in
+    /// completion order and the final merge orders the batches by
+    /// document id, so the chunk boundaries are unobservable.
     ///
     /// `doc_ids` is the complete, ordered id list (known before any
     /// body is read — e.g. file stems from
@@ -524,7 +538,8 @@ impl PreparedEngine {
     /// open (or resume) the run state, then fill bounded chunks from
     /// `docs` — skipping checkpoint-completed ids without touching
     /// their bodies — and run each chunk through `process_pending`;
-    /// finally dedup and slot-fill a copy of the engine's table.
+    /// finally merge the batches and slot-fill a copy of the engine's
+    /// table.
     fn run_resilient<S, K, D>(
         &self,
         doc_ids: &[S],
@@ -681,7 +696,8 @@ impl PreparedEngine {
     }
 
     /// Build this run's [`RunState`], absorbing a resumable checkpoint
-    /// (and its metrics snapshot) when `opts.resume` asks for it.
+    /// (and its metrics snapshot) when `opts.resume` asks for it. The
+    /// checkpoint's entities become per-document batches again.
     fn open_run_state(
         &self,
         opts: &ResilientOptions,
@@ -721,7 +737,7 @@ impl PreparedEngine {
                         }
                     }
                 }
-                state.entities = vec![previous.entities.iter().map(from_record).collect()];
+                state.entities = doc_batches(previous.entities.iter().map(from_record).collect());
                 state.checkpoint = previous;
                 state.checkpoint.fingerprint = run_fp;
                 state.checkpoint.metrics_json = None;
@@ -790,10 +806,10 @@ impl PreparedEngine {
         }
     }
 
-    /// Final checkpoint save, deduplication, and — given a table — slot
-    /// fill: the tail every entry point shares, so their outputs are
-    /// identical by construction. Records the run's one
-    /// `pipeline.inference` span, measured from `t0`.
+    /// Final checkpoint save, the merge of the per-document batches,
+    /// and — given a table — slot fill: the tail every entry point
+    /// shares, so their outputs are identical by construction. Records
+    /// the run's one `pipeline.inference` span, measured from `t0`.
     fn finalize_run(
         &self,
         state: &mut RunState,
@@ -809,12 +825,7 @@ impl PreparedEngine {
         // seam turns that into the run-level deadline error (and stops
         // an expired request from paying for slot fill).
         cancel.check("slot_fill")?;
-        let batches = std::mem::take(&mut state.entities);
-        let mut entities = Vec::with_capacity(batches.iter().map(Vec::len).sum());
-        for batch in batches {
-            entities.extend(batch);
-        }
-        dedup_entities(&mut entities);
+        let entities = merge_doc_batches(std::mem::take(&mut state.entities));
         let mut slot_stats = SlotFillStats::default();
         if let Some(table) = table {
             fail_point("slot_fill")?;

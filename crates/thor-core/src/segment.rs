@@ -8,11 +8,13 @@
 //! last anchor (carry-forward); when nothing anchors a sentence we fall
 //! back to semantic matching against the subject instances.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use thor_embed::{cosine, Vector, VectorStore};
+use thor_embed::{Vector, VectorStore};
 use thor_match::SimilarityMatcher;
-use thor_text::{normalize_phrase, split_sentences, Sentence};
+use thor_text::{normalize_phrase, normalize_phrase_into, split_sentences, Sentence};
 
 use crate::config::SegmentationMode;
 use crate::document::Document;
@@ -42,25 +44,80 @@ pub struct SegmentedSentence {
 /// * **Mentions.** Each normalized subject key maps to its subject. A
 ///   sentence mentions a subject when the key's words occur
 ///   contiguously among the sentence's normalized words, so a sentence
-///   is normalized once and each of its word n-grams up to the longest
-///   key's word count is one hash lookup. When several subjects are
-///   mentioned, the longest normalized key in bytes wins (so
-///   `acoustic neuroma` beats `neuroma`); equal lengths go to the later
-///   subject in table order; a key shared by several subjects maps to
-///   the last of them. A key that normalizes to nothing (`"***"`) is
-///   never mentioned.
-/// * **Semantic fallback.** Each subject's mean word vector, frozen
-///   at build time; out-of-vocabulary subjects have none and are
-///   skipped.
+///   is normalized once and its word n-grams are hash lookups. The map
+///   also holds every key's leading words (`acoustic` for `acoustic
+///   neuroma`), so the n-grams from one start word grow only while
+///   they can still become a key: most words cost one lookup. When
+///   several subjects are mentioned, the longest normalized key in
+///   bytes wins (so `acoustic neuroma` beats `neuroma`); equal lengths
+///   go to the later subject in table order; a key shared by several
+///   subjects maps to the last of them. A key that normalizes to
+///   nothing (`"***"`) is never mentioned.
+/// * **Semantic fallback.** Each subject's mean word vector and its
+///   norm, frozen at build time; out-of-vocabulary subjects have none
+///   and are skipped.
 #[derive(Debug)]
 pub struct SubjectIndex {
     names: Vec<String>,
-    keys: HashMap<Box<str>, usize>,
-    /// Word count of the longest key.
-    max_words: usize,
-    /// `(subject, mean vector)` for every in-vocabulary subject, in
-    /// table order.
-    vectors: Vec<(usize, Vector)>,
+    grams: HashMap<Box<str>, Gram, BuildHasherDefault<GramHasher>>,
+    /// `(subject, mean vector, its norm)` for every in-vocabulary
+    /// subject, in table order.
+    vectors: Vec<(usize, Vector, f64)>,
+}
+
+/// What a normalized word n-gram is to the mention map.
+#[derive(Debug, Default, Clone, Copy)]
+struct Gram {
+    /// The subject whose key this n-gram is: the last in table order
+    /// when several subjects share the key.
+    subject: Option<usize>,
+    /// Whether a longer key starts with this n-gram's words.
+    extends: bool,
+}
+
+/// Word-at-a-time multiply–rotate hasher (the FxHash scheme) for the
+/// mention map, which is probed once per sentence n-gram. The keys are
+/// short text from the engine's own table; documents only probe, and a
+/// probe cannot lengthen the map's chains, so the per-map random seed
+/// of the default hasher buys nothing here. `finish` rotates the
+/// well-mixed high bits down to where the table takes its bucket index.
+#[derive(Debug, Default, Clone, Copy)]
+struct GramHasher(u64);
+
+impl GramHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for GramHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+thread_local! {
+    /// [`SubjectIndex::mentioned`]'s per-thread scratch, reused across
+    /// sentences: the normalized sentence and its word start offsets.
+    static MENTION_SCRATCH: RefCell<(String, Vec<usize>)> =
+        const { RefCell::new((String::new(), Vec::new())) };
 }
 
 impl SubjectIndex {
@@ -69,19 +126,21 @@ impl SubjectIndex {
     pub fn new<S: AsRef<str>>(subjects: impl IntoIterator<Item = S>, store: &VectorStore) -> Self {
         let mut index = SubjectIndex {
             names: Vec::new(),
-            keys: HashMap::new(),
-            max_words: 0,
+            grams: HashMap::default(),
             vectors: Vec::new(),
         };
         for (i, name) in subjects.into_iter().enumerate() {
             let name = name.as_ref();
             let key = normalize_phrase(name);
             if let Some(v) = store.embed_phrase(&key) {
-                index.vectors.push((i, v));
+                let norm = v.norm();
+                index.vectors.push((i, v, norm));
             }
             if !key.is_empty() {
-                index.max_words = index.max_words.max(key.split(' ').count());
-                index.keys.insert(key.into_boxed_str(), i);
+                for (at, _) in key.match_indices(' ') {
+                    index.grams.entry(key[..at].into()).or_default().extends = true;
+                }
+                index.grams.entry(key.into_boxed_str()).or_default().subject = Some(i);
             }
             index.names.push(name.to_string());
         }
@@ -94,32 +153,52 @@ impl SubjectIndex {
     }
 
     /// The subject mentioned in `sentence`, if any, under the tie rule
-    /// documented on the type.
+    /// documented on the type. The sentence is normalized into this
+    /// thread's reused buffer.
     fn mentioned(&self, sentence: &str) -> Option<usize> {
-        let norm = normalize_phrase(sentence);
-        let mut starts = vec![0];
-        starts.extend(norm.match_indices(' ').map(|(at, _)| at + 1));
-        let word_end = |w: usize| starts.get(w + 1).map_or(norm.len(), |&s| s - 1);
-        let mut best: Option<(usize, usize)> = None;
-        for (first, &from) in starts.iter().enumerate() {
-            for last in first..starts.len().min(first + self.max_words) {
-                let gram = &norm[from..word_end(last)];
-                if let Some(&subject) = self.keys.get(gram) {
-                    best = best.max(Some((gram.len(), subject)));
+        MENTION_SCRATCH.with_borrow_mut(|(norm, starts)| {
+            normalize_phrase_into(sentence, norm);
+            starts.clear();
+            starts.push(0);
+            starts.extend(norm.match_indices(' ').map(|(at, _)| at + 1));
+            let word_end = |w: usize| starts.get(w + 1).map_or(norm.len(), |&s| s - 1);
+            let mut best: Option<(usize, usize)> = None;
+            for (first, &from) in starts.iter().enumerate() {
+                for last in first..starts.len() {
+                    let text = &norm[from..word_end(last)];
+                    let Some(gram) = self.grams.get(text) else {
+                        break;
+                    };
+                    if let Some(subject) = gram.subject {
+                        best = best.max(Some((text.len(), subject)));
+                    }
+                    if !gram.extends {
+                        break;
+                    }
                 }
             }
-        }
-        best.map(|(_, subject)| subject)
+            best.map(|(_, subject)| subject)
+        })
     }
 
     /// Semantic fallback: the subject whose mean vector is most similar
     /// to the sentence's, if that similarity is meaningful at all. An
-    /// out-of-vocabulary sentence carries no evidence.
+    /// out-of-vocabulary sentence carries no evidence. Each similarity
+    /// is `thor_embed::cosine`'s arithmetic on the stored norms, so the
+    /// scores are bit-identical to it.
     fn nearest(&self, sentence: &str, store: &VectorStore) -> Option<usize> {
         let query = store.embed_phrase(sentence)?;
+        let query_norm = query.norm();
         self.vectors
             .iter()
-            .map(|(subject, v)| (*subject, cosine(&query, v)))
+            .map(|(subject, v, norm)| {
+                let sim = if query_norm == 0.0 || *norm == 0.0 {
+                    0.0
+                } else {
+                    (query.dot(v) / (query_norm * norm)).clamp(-1.0, 1.0)
+                };
+                (*subject, sim)
+            })
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .filter(|(_, sim)| *sim >= MIN_SIM)
             .map(|(subject, _)| subject)

@@ -35,6 +35,9 @@ pub struct PipelineMetrics {
     pub match_phrase: Arc<StageTimer>,
     /// Wall-clock of candidate refinement (lexical-similarity scoring).
     pub refine: Arc<StageTimer>,
+    /// Wall-clock of deduplicating a document's entities, one span per
+    /// extracted document.
+    pub dedup: Arc<StageTimer>,
     /// Wall-clock of slot filling into the integrated table.
     pub slot_fill: Arc<StageTimer>,
     /// Wall-clock of building the structure-of-arrays vector index at
@@ -108,6 +111,7 @@ impl PipelineMetrics {
             chunk: registry.timer("stage.chunk"),
             match_phrase: registry.timer("stage.match"),
             refine: registry.timer("stage.refine"),
+            dedup: registry.timer("stage.dedup"),
             slot_fill: registry.timer("stage.slot_fill"),
             index_build: registry.timer("index.build"),
             docs: registry.counter("docs"),
@@ -210,6 +214,7 @@ mod tests {
             "stage.chunk",
             "stage.match",
             "stage.refine",
+            "stage.dedup",
             "stage.slot_fill",
             "index.build",
             "docs",

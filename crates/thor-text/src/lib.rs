@@ -44,7 +44,9 @@ pub use inflect::{same_lemma, singularize, singularize_phrase};
 pub use kernels::{
     gestalt_bound, gestalt_prepared, jaccard_prepared, PhraseSyntax, ScoreScratch, SeedSyntax,
 };
-pub use normalize::{fold_token, normalize_phrase, normalized_eq, with_lowercase};
+pub use normalize::{
+    fold_token, normalize_phrase, normalize_phrase_into, normalized_eq, with_lowercase,
+};
 pub use sentence::{split_sentences, Sentence};
 pub use similarity::{gestalt_similarity, jaccard_words, levenshtein, ngram_similarity};
 pub use stopwords::{is_stopword, strip_stopwords, trim_stopwords};

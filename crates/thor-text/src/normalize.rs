@@ -69,17 +69,38 @@ fn kept_tokens(s: &str) -> impl Iterator<Item = &str> {
 /// ```
 pub fn normalize_phrase(phrase: &str) -> String {
     let mut out = String::with_capacity(phrase.len());
-    for tok in phrase.split_whitespace() {
-        let folded = fold_token(tok);
-        if folded.is_empty() {
-            continue;
-        }
+    normalize_phrase_into(phrase, &mut out);
+    out
+}
+
+/// [`normalize_phrase`] into `out`, replacing its contents: the form a
+/// hot loop uses with one buffer reused across calls.
+///
+/// Each token [`fold_token`] keeps is appended in place: an ASCII token
+/// is lowercased where it lands, so no token allocates; a non-ASCII one
+/// goes through `str::to_lowercase` for its exact Unicode rules (a
+/// token-final `Σ` becomes `ς`).
+///
+/// ```
+/// use thor_text::normalize_phrase_into;
+/// let mut buf = String::from("stale");
+/// normalize_phrase_into("  The Nervous  SYSTEM. ", &mut buf);
+/// assert_eq!(buf, "the nervous system");
+/// ```
+pub fn normalize_phrase_into(phrase: &str, out: &mut String) {
+    out.clear();
+    for tok in kept_tokens(phrase) {
         if !out.is_empty() {
             out.push(' ');
         }
-        out.push_str(&folded);
+        if tok.is_ascii() {
+            let start = out.len();
+            out.push_str(tok);
+            out[start..].make_ascii_lowercase();
+        } else {
+            out.push_str(&tok.to_lowercase());
+        }
     }
-    out
 }
 
 /// `normalize_phrase(a) == normalize_phrase(b)`, without allocating

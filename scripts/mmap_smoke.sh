@@ -7,7 +7,8 @@
 #   2. mapped serving (`--engine-mmap on`, the default) is byte-identical
 #      to owned serving (`--engine-mmap off`) on the same documents;
 #   3. streaming ingestion over a corpus directory (`--stream --chunk`)
-#      is byte-identical to the all-in-memory batch run;
+#      is byte-identical to the all-in-memory batch run, also with four
+#      workers, whose per-document entity batches arrive out of order;
 #   4. two `thor serve` processes mmap the same artifact concurrently and
 #      both answer byte-identically to the batch CLI;
 #   5. a corrupted section is rejected by name by both `thor inspect`
@@ -72,7 +73,11 @@ echo "-- streaming corpus-directory ingestion: byte-identical to batch"
     --out "$WORK/stream.csv" --entities "$WORK/stream.tsv" "$CORPUS" 2>/dev/null
 cmp "$WORK/owned.csv" "$WORK/stream.csv" || fail "streaming CSV differs from batch"
 cmp "$WORK/owned.tsv" "$WORK/stream.tsv" || fail "streaming entities differ from batch"
-echo "   identical output streamed in chunks of 3"
+"$THOR" enrich --engine "$ENGINE" --stream --chunk 3 --threads 4 \
+    --out "$WORK/stream4.csv" --entities "$WORK/stream4.tsv" "$CORPUS" 2>/dev/null
+cmp "$WORK/owned.csv" "$WORK/stream4.csv" || fail "4-thread streaming CSV differs from batch"
+cmp "$WORK/owned.tsv" "$WORK/stream4.tsv" || fail "4-thread streaming entities differ from batch"
+echo "   identical output streamed in chunks of 3, on 1 and 4 threads"
 
 echo "-- two concurrent serve processes share one artifact"
 json_escape_file() {
