@@ -39,20 +39,96 @@ impl ExtractedEntity {
     pub(crate) fn cmp_key(&self, other: &Self) -> Ordering {
         self.doc_id
             .cmp(&other.doc_id)
-            .then_with(|| cmp_lowercase(&self.concept, &other.concept))
-            .then_with(|| cmp_lowercase(&self.phrase, &other.phrase))
+            .then_with(|| self.view().cmp_key(&other.view()))
+    }
+
+    /// The fields the dedup order reads after the document id.
+    pub(crate) fn view(&self) -> DedupView<'_> {
+        DedupView {
+            concept: &self.concept,
+            phrase: &self.phrase,
+            score: self.score,
+            matched_instance: &self.matched_instance,
+            subject: &self.subject,
+            sentence_index: self.sentence_index,
+        }
     }
 }
 
-/// `a.to_lowercase().cmp(&b.to_lowercase())`, allocating only when a
-/// side is not ASCII. Non-ASCII text goes through `str::to_lowercase`
-/// because its context rules (a word-final `Σ` lowercases to `ς`) make
-/// per-character lowercasing inexact.
+/// An entity's fields the dedup order reads after the document id,
+/// borrowed: the one definition of that order, shared by
+/// `dedup_entities` and extraction's dedup of a document's accepted
+/// phrases, which builds entities only for the survivors.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DedupView<'a> {
+    pub(crate) concept: &'a str,
+    pub(crate) phrase: &'a str,
+    pub(crate) score: f64,
+    pub(crate) matched_instance: &'a str,
+    pub(crate) subject: &'a str,
+    pub(crate) sentence_index: usize,
+}
+
+impl DedupView<'_> {
+    /// The dedup key within one document: concept, then phrase, each
+    /// compared case-insensitively.
+    pub(crate) fn cmp_key(&self, other: &Self) -> Ordering {
+        cmp_lowercase(self.concept, other.concept)
+            .then_with(|| cmp_lowercase(self.phrase, other.phrase))
+    }
+
+    /// Everything the winning candidate fixes: the key, then the best
+    /// score first, then the exact phrase and the matched instance.
+    pub(crate) fn cmp_outcome(&self, other: &Self) -> Ordering {
+        self.cmp_key(other)
+            .then_with(|| other.score.total_cmp(&self.score))
+            .then_with(|| self.phrase.cmp(other.phrase))
+            .then_with(|| self.matched_instance.cmp(other.matched_instance))
+    }
+
+    /// Where the entity was found: its subject, then its sentence.
+    pub(crate) fn cmp_place(&self, other: &Self) -> Ordering {
+        self.subject
+            .cmp(other.subject)
+            .then_with(|| self.sentence_index.cmp(&other.sentence_index))
+    }
+
+    /// The dedup order within one document: [`Self::cmp_outcome`], then
+    /// [`Self::cmp_place`]. Every field takes part, so the survivor of
+    /// a key does not depend on the order the entities came in.
+    pub(crate) fn cmp(&self, other: &Self) -> Ordering {
+        self.cmp_outcome(other).then_with(|| self.cmp_place(other))
+    }
+}
+
+/// `a.to_lowercase().cmp(&b.to_lowercase())`, allocating only when
+/// the comparison reaches a byte that is not ASCII. Byte-equal strings
+/// (most concept pairs) are equal without lowercasing either. Otherwise
+/// the common prefix is walked once, byte pair by byte pair: ASCII
+/// lowercases one byte to one byte whatever surrounds it, so the first
+/// ASCII pair that differs after lowercasing decides. Non-ASCII text
+/// goes through `str::to_lowercase`, because its context rules (a
+/// word-final `Σ` lowercases to `ς`) make per-character lowercasing
+/// inexact.
 fn cmp_lowercase(a: &str, b: &str) -> Ordering {
-    if a.is_ascii() && b.is_ascii() {
-        a.bytes()
-            .map(|c| c.to_ascii_lowercase())
-            .cmp(b.bytes().map(|c| c.to_ascii_lowercase()))
+    if a == b {
+        return Ordering::Equal;
+    }
+    let (x, y) = (a.as_bytes(), b.as_bytes());
+    for (&p, &q) in x.iter().zip(y) {
+        if !(p.is_ascii() && q.is_ascii()) {
+            return a.to_lowercase().cmp(&b.to_lowercase());
+        }
+        let (p, q) = (p.to_ascii_lowercase(), q.to_ascii_lowercase());
+        if p != q {
+            return p.cmp(&q);
+        }
+    }
+    // One is a case-insensitive prefix of the other: the longer sorts
+    // last, unless its tail needs Unicode lowercasing.
+    let common = x.len().min(y.len());
+    if x[common..].is_ascii() && y[common..].is_ascii() {
+        x.len().cmp(&y.len())
     } else {
         a.to_lowercase().cmp(&b.to_lowercase())
     }
@@ -77,7 +153,7 @@ pub fn entities_tsv(entities: &[ExtractedEntity]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -109,7 +185,8 @@ mod tests {
     /// final sigma (`ΟΔΟΣ` → `οδος`), dotted capital I (`İ` → `i̇`, two
     /// chars), `ß` (lowercase already, uppercases to two chars) and
     /// titlecase `ǅ`.
-    const TEXT: &str = "(a|A|b|B|z|Z|ab|AB|ΟΔΟΣ|οδος|οδοσ|Σ|σ|ς|İ|i|I|ß|SS|ǅ|ǆ|Ǆ|é|É| |-){0,4}";
+    pub(crate) const TEXT: &str =
+        "(a|A|b|B|z|Z|ab|AB|ΟΔΟΣ|οδος|οδοσ|Σ|σ|ς|İ|i|I|ß|SS|ǅ|ǆ|Ǆ|é|É| |-){0,4}";
 
     fn entity_strategy() -> impl Strategy<Value = ExtractedEntity> {
         ("(d0|d1|D0)", TEXT, TEXT).prop_map(|(doc, concept, phrase)| ExtractedEntity {
@@ -126,6 +203,29 @@ mod tests {
             prop_assert_eq!(a.cmp_key(&b), a.key().cmp(&b.key()), "{:?} vs {:?}", a, b);
             prop_assert_eq!(b.cmp_key(&a), b.key().cmp(&a.key()));
             prop_assert_eq!(a.cmp_key(&a), Ordering::Equal);
+        }
+
+        /// Equal and case-differing pairs, which the byte-equal and
+        /// ASCII fast paths answer, compare as their lowercased forms.
+        #[test]
+        fn cmp_lowercase_orders_equal_and_case_differing_pairs_like_lowercase(
+            a in TEXT,
+            ascii in "[a-cA-C -]{0,8}",
+            twin in 0usize..5,
+            tail in TEXT,
+        ) {
+            for a in [a, ascii] {
+                let b = match twin {
+                    0 => a.clone(),
+                    1 => a.to_uppercase(),
+                    2 => a.to_lowercase(),
+                    3 => a.to_ascii_uppercase(),
+                    _ => format!("{a}{tail}"),
+                };
+                let expected = a.to_lowercase().cmp(&b.to_lowercase());
+                prop_assert_eq!(cmp_lowercase(&a, &b), expected, "{:?} vs {:?}", a, b);
+                prop_assert_eq!(cmp_lowercase(&b, &a), expected.reverse(), "{:?} vs {:?}", b, a);
+            }
         }
 
         #[test]

@@ -16,19 +16,20 @@
 //! refined winners: a phrase seen before skips both steps.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use thor_index::{CacheStats, PhraseCache};
 use thor_match::{CandidateEntity, SimilarityMatcher};
-use thor_nlp::{chunk_sentence, Lexicon, RuleTagger};
+use thor_nlp::{ChunkScratch, Lexicon, PhraseSpan, RuleTagger};
 use thor_text::{
     gestalt_bound, gestalt_prepared, gestalt_similarity, jaccard_prepared, jaccard_words,
-    token_spans, trim_stopwords, PhraseSyntax, ScoreScratch,
+    token_spans, trimmed_range, PhraseSyntax, ScoreScratch,
 };
 
 use crate::config::{ScoreWeights, ThorConfig};
-use crate::entity::ExtractedEntity;
+use crate::entity::{DedupView, ExtractedEntity};
 use crate::resilient::DocTally;
 use crate::segment::SegmentedSentence;
 
@@ -307,64 +308,113 @@ pub fn refine_candidates_reference(
         .map(|(c, score)| (c.clone(), score))
 }
 
-/// Extract the phrases of one sentence: dependency-parse noun phrases
-/// (the paper's design) or naive n-grams (`abl_np` ablation). A
-/// non-empty sentence is tokenized and chunked under one `stage.chunk`
-/// span and counted in `sentences`, its phrases in `noun_phrases`.
-fn sentence_phrases(
-    text: &str,
+/// One worker's reusable extraction buffers: refinement's scoring
+/// scratch, the chunker's, the sentence's phrases as word ranges, the
+/// text of the phrase being looked up, and the document's accepted
+/// phrases awaiting dedup. The execution core keeps one per worker
+/// across every document it drains, so once they have grown a phrase
+/// allocates only on a memo miss.
+#[derive(Debug, Default)]
+pub(crate) struct ExtractScratch {
+    score: ScoreScratch,
+    chunk: ChunkScratch,
+    ranges: Vec<Range<usize>>,
+    phrase: String,
+    accepted: Vec<Accepted>,
+}
+
+/// A phrase whose winner was accepted: its outcome, and the index of
+/// its sentence among the document's segments.
+#[derive(Debug, Clone)]
+struct Accepted {
+    outcome: Arc<PhraseOutcome>,
+    segment: usize,
+}
+
+/// The entity `accepted` stands for, as the dedup order sees it.
+fn accepted_view<'a>(accepted: &'a Accepted, segments: &'a [SegmentedSentence]) -> DedupView<'a> {
+    let (candidate, score) = accepted
+        .outcome
+        .refined
+        .best
+        .as_ref()
+        .expect("an accepted phrase has a winner");
+    let seg = &segments[accepted.segment];
+    DedupView {
+        concept: &candidate.concept,
+        phrase: &candidate.phrase,
+        score: *score,
+        matched_instance: &candidate.matched_instance,
+        subject: &seg.subject,
+        sentence_index: seg.index,
+    }
+}
+
+/// Extract the phrases of one sentence into `ranges`, as ranges of its
+/// `words`: dependency-parse noun phrases (the paper's design) or naive
+/// n-grams (`abl_np` ablation). A non-empty sentence is tokenized and
+/// chunked under one `stage.chunk` span and counted in `sentences`, its
+/// phrases in `noun_phrases`.
+fn sentence_phrases<'t>(
+    text: &'t str,
     config: &ThorConfig,
     tagger: &RuleTagger,
+    words: &mut Vec<&'t str>,
+    chunk: &mut ChunkScratch,
+    ranges: &mut Vec<Range<usize>>,
     tally: &mut DocTally,
-) -> Vec<String> {
+) {
+    ranges.clear();
     // A sentence has a token exactly when it has a non-whitespace char.
     if text.trim_start().is_empty() {
-        return Vec::new();
+        return;
     }
     let t0 = Instant::now();
-    let words: Vec<&str> = token_spans(text).map(|r| &text[r]).collect();
-    let phrases: Vec<String> = if config.np_chunking {
-        chunk_sentence(&words, tagger)
-            .into_iter()
-            .map(|np| np.text)
-            .collect()
+    words.clear();
+    words.extend(token_spans(text).map(|r| &text[r]));
+    if config.np_chunking {
+        ranges.extend(chunk.chunk(words, tagger).iter().map(PhraseSpan::words));
     } else {
-        // Ablation: every contiguous window up to the subphrase cap.
+        // Ablation: every contiguous window up to the subphrase cap,
+        // trimmed, with repeats of the previous phrase dropped.
         let max = config.max_subphrase_words.min(words.len());
-        let mut out = Vec::new();
         for len in 1..=max {
             for start in 0..=(words.len() - len) {
-                let phrase = trim_stopwords(&words[start..start + len]).join(" ");
-                if !phrase.is_empty() {
-                    out.push(phrase);
+                let trimmed = trimmed_range(&words[start..start + len]);
+                if !trimmed.is_empty() {
+                    ranges.push(start + trimmed.start..start + trimmed.end);
                 }
             }
         }
-        out.dedup();
-        out
-    };
+        ranges.dedup_by(|next, prev| words[next.clone()] == words[prev.clone()]);
+    }
     tally.chunk.record(t0.elapsed());
     tally.sentences += 1;
-    tally.noun_phrases += phrases.len() as u64;
-    phrases
+    tally.noun_phrases += ranges.len() as u64;
 }
 
 /// Run entity extraction over one document's segmented sentences
-/// (lines 3–15), metering the document into `tally`. Returns one best
-/// entity per (sentence, noun phrase) — `e_best` — tagged with the
-/// sentence's subject instance. The execution core commits `tally` to
-/// the run's metrics only when it marks the document processed.
+/// (lines 3–15), metering the document into `tally`. Returns the
+/// document's entities deduplicated: one best entity per (concept,
+/// phrase) key over every (sentence, noun phrase) winner — `e_best` —
+/// tagged with its sentence's subject instance, sorted and chosen as
+/// `dedup_entities` sorts and chooses. The execution core commits
+/// `tally` to the run's metrics only when it marks the document
+/// processed.
 ///
-/// Each phrase is matched and refined once per `memo`: repeats take the
-/// memoized winner. Metered: chunking per sentence (see
-/// `sentence_phrases`), one `phrase_memo.hit` or `phrase_memo.miss` per
-/// phrase, one `stage.match` and one `stage.refine` span per miss with
-/// the matcher's cache and prune counts, the `subphrases` /
-/// `candidates` / `refine.scored` / `refine.pruned` counts per phrase,
-/// and one `entities` count per accepted entity. `scratch` is
-/// caller-owned so the execution core's workers reuse one across every
-/// document they drain and refinement allocates nothing in steady
-/// state.
+/// Each phrase's words are joined into one reused buffer and looked up
+/// in `memo` by that borrowed text: repeats take the memoized winner,
+/// and only a miss allocates (the memo interns the key). Accepted
+/// phrases are kept as their shared outcome and sentence; entities are
+/// built only for the dedup survivors. Metered: chunking per sentence
+/// (see `sentence_phrases`), one `phrase_memo.hit` or
+/// `phrase_memo.miss` per phrase, one `stage.match` and one
+/// `stage.refine` span per miss with the matcher's cache and prune
+/// counts, the `subphrases` / `candidates` / `refine.scored` /
+/// `refine.pruned` counts per phrase, one `entities` count per accepted
+/// phrase, and one `stage.dedup` span over the dedup and the building.
+/// `scratch` is caller-owned so the execution core's workers reuse one
+/// across every document they drain.
 pub(crate) fn extract_tallied(
     segments: &[SegmentedSentence],
     matcher: &SimilarityMatcher,
@@ -372,38 +422,98 @@ pub(crate) fn extract_tallied(
     config: &ThorConfig,
     doc_id: &str,
     tally: &mut DocTally,
-    scratch: &mut ScoreScratch,
+    scratch: &mut ExtractScratch,
 ) -> Vec<ExtractedEntity> {
     let tagger = shared_tagger();
-    let mut out = Vec::new();
+    let ExtractScratch {
+        score,
+        chunk,
+        ranges,
+        phrase,
+        accepted,
+    } = scratch;
+    // A document whose extraction panicked may have left records.
+    accepted.clear();
+    let mut words = Vec::new();
 
-    for seg in segments {
-        for phrase in sentence_phrases(&seg.sentence.text, config, tagger, tally) {
-            let outcome = memo.outcome(&phrase, matcher, config, tally, scratch);
-            if let Some((candidate, score)) = &outcome.refined.best {
-                // Optional contextual gate (the paper's future work):
-                // the sentence minus the entity phrase must itself be
-                // compatible with the assigned concept.
-                if let Some(min_context) = config.context_gate {
-                    let ctx = context_similarity(&seg.sentence.text, candidate, matcher);
-                    if ctx < min_context {
-                        continue;
-                    }
+    for (segment, seg) in segments.iter().enumerate() {
+        let text = seg.sentence.text.as_str();
+        sentence_phrases(text, config, tagger, &mut words, chunk, ranges, tally);
+        for range in ranges.iter() {
+            phrase.clear();
+            for (i, word) in words[range.clone()].iter().enumerate() {
+                if i > 0 {
+                    phrase.push(' ');
                 }
-                tally.entities += 1;
-                out.push(ExtractedEntity {
-                    subject: seg.subject.clone(),
-                    concept: candidate.concept.clone(),
-                    phrase: candidate.phrase.clone(),
-                    score: *score,
-                    matched_instance: candidate.matched_instance.clone(),
-                    doc_id: doc_id.to_string(),
-                    sentence_index: seg.index,
-                });
+                phrase.push_str(word);
             }
+            let outcome = memo.outcome(phrase, matcher, config, tally, score);
+            let Some((candidate, _)) = &outcome.refined.best else {
+                continue;
+            };
+            // Optional contextual gate (the paper's future work): the
+            // sentence minus the entity phrase must itself be
+            // compatible with the assigned concept.
+            if let Some(min_context) = config.context_gate {
+                if context_similarity(text, candidate, matcher) < min_context {
+                    continue;
+                }
+            }
+            tally.entities += 1;
+            accepted.push(Accepted { outcome, segment });
         }
     }
-    out
+
+    let t0 = Instant::now();
+    let entities = build_survivors(accepted, segments, doc_id);
+    tally.dedup.record(t0.elapsed());
+    entities
+}
+
+/// Deduplicate a document's accepted phrases and build an entity for
+/// each survivor only: what `dedup_entities` makes of the entities of
+/// all of them, in the same order. Drains `accepted`.
+///
+/// The records sort stably under the [`DedupView`] order, as
+/// `dedup_entities` sorts, so even records that order ties (concepts
+/// differing only in case) keep their extraction order. Two records
+/// sharing one memoized outcome differ at most in where they were
+/// found, so only that part is compared.
+fn build_survivors(
+    accepted: &mut Vec<Accepted>,
+    segments: &[SegmentedSentence],
+    doc_id: &str,
+) -> Vec<ExtractedEntity> {
+    accepted.sort_by(|a, b| {
+        let (va, vb) = (accepted_view(a, segments), accepted_view(b, segments));
+        let outcome = if Arc::ptr_eq(&a.outcome, &b.outcome) {
+            Ordering::Equal
+        } else {
+            va.cmp_outcome(&vb)
+        };
+        outcome.then_with(|| va.cmp_place(&vb))
+    });
+    accepted.dedup_by(|next, first| {
+        Arc::ptr_eq(&next.outcome, &first.outcome)
+            || accepted_view(next, segments)
+                .cmp_key(&accepted_view(first, segments))
+                .is_eq()
+    });
+    accepted
+        .drain(..)
+        .map(|a| {
+            let v = accepted_view(&a, segments);
+            ExtractedEntity {
+                subject: v.subject.to_string(),
+                concept: v.concept.to_string(),
+                phrase: v.phrase.to_string(),
+                score: v.score,
+                matched_instance: v.matched_instance.to_string(),
+                doc_id: doc_id.to_string(),
+                sentence_index: v.sentence_index,
+            }
+        })
+        .collect()
 }
 
 /// Mean similarity between the sentence context (every content word of
@@ -443,8 +553,10 @@ mod tests {
     use crate::config::ThorConfig;
     use crate::document::Document;
     use crate::segment::{segment, SegmentedSentence, SubjectIndex};
+    use proptest::prelude::*;
     use thor_embed::SemanticSpaceBuilder;
     use thor_match::MatcherConfig;
+    use thor_nlp::chunk_sentence;
     use thor_obs::PipelineMetrics;
     use thor_text::{tokenize, Sentence};
 
@@ -474,7 +586,7 @@ mod tests {
             config,
             doc_id,
             &mut tally,
-            &mut ScoreScratch::new(),
+            &mut ExtractScratch::default(),
         );
         tally.commit(run);
         entities
@@ -662,5 +774,90 @@ mod tests {
         let entities = extract_entities(&segs, &m, &ThorConfig::with_tau(0.55), &doc.id);
         assert!(entities.iter().all(|e| e.subject == "Acoustic Neuroma"));
         assert!(!entities.is_empty());
+    }
+
+    /// A memoized outcome whose winner is `(concept, phrase, instance)`
+    /// at `score`.
+    fn outcome(concept: &str, phrase: &str, instance: &str, score: f64) -> Arc<PhraseOutcome> {
+        let candidate = CandidateEntity {
+            phrase: phrase.to_string(),
+            concept: concept.to_string(),
+            matched_instance: instance.to_string(),
+            semantic_score: score,
+            cluster_score: score,
+        };
+        Arc::new(PhraseOutcome {
+            refined: RefineOutcome {
+                best: Some((candidate, score)),
+                scored: 1,
+                pruned: 0,
+            },
+            subphrases: 1,
+            candidates: 1,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// Building entities for the dedup survivors only gives what
+        /// `dedup_entities` makes of an entity per accepted phrase:
+        /// outcomes shared by several phrases (one `Arc`), twins whose
+        /// concept or phrase differs only in case, equal scores, and
+        /// sentences whose subjects and indices come in any order.
+        #[test]
+        fn survivors_equal_the_dedup_of_every_accepted_phrase(
+            bases in prop::collection::vec(
+                (crate::entity::tests::TEXT, crate::entity::tests::TEXT, 0usize..3, 0usize..3, 0usize..3),
+                1..6,
+            ),
+            places in prop::collection::vec((0usize..4, 0usize..4), 1..5),
+            picks in prop::collection::vec((0usize..12, 0usize..5), 0..24),
+        ) {
+            const INSTANCES: [&str; 3] = ["seed", "Seed", "séed"];
+            const SUBJECTS: [&str; 4] = ["B", "A", "a", "Ä"];
+            let mut pool = Vec::new();
+            for (concept, phrase, instance, score, twin) in bases {
+                let (twin_concept, twin_phrase) = match twin {
+                    0 => (concept.to_uppercase(), phrase.clone()),
+                    1 => (concept.clone(), phrase.to_uppercase()),
+                    _ => (concept.to_lowercase(), phrase.to_lowercase()),
+                };
+                let score = score as f64 / 2.0;
+                pool.push(outcome(&concept, &phrase, INSTANCES[instance], score));
+                pool.push(outcome(&twin_concept, &twin_phrase, INSTANCES[instance], score));
+            }
+            let segments: Vec<SegmentedSentence> = places
+                .iter()
+                .map(|&(subject, index)| seg(SUBJECTS[subject], "", index))
+                .collect();
+            let accepted: Vec<Accepted> = picks
+                .iter()
+                .map(|&(o, s)| Accepted {
+                    outcome: Arc::clone(&pool[o % pool.len()]),
+                    segment: s % segments.len(),
+                })
+                .collect();
+
+            let mut expected: Vec<ExtractedEntity> = accepted
+                .iter()
+                .map(|a| {
+                    let (candidate, score) = a.outcome.refined.best.clone().unwrap();
+                    let seg = &segments[a.segment];
+                    ExtractedEntity {
+                        subject: seg.subject.clone(),
+                        concept: candidate.concept,
+                        phrase: candidate.phrase,
+                        score,
+                        matched_instance: candidate.matched_instance,
+                        doc_id: "d".to_string(),
+                        sentence_index: seg.index,
+                    }
+                })
+                .collect();
+            crate::pipeline::dedup_entities(&mut expected);
+            let got = build_survivors(&mut accepted.clone(), &segments, "d");
+            prop_assert_eq!(got, expected);
+        }
     }
 }

@@ -41,17 +41,16 @@ impl EnrichmentResult {
     }
 }
 
-/// Total order used for deduplication: entities sharing a key are
-/// ranked best-score-first, with every remaining field as a tie-break
-/// so the survivor — and therefore the pipeline output — is identical
-/// no matter how the input was partitioned across worker threads.
+/// Total order used for deduplication: by document id, then the
+/// [`DedupView`](crate::entity::DedupView) order — entities sharing a
+/// key are ranked best-score-first, with every remaining field as a
+/// tie-break so the survivor — and therefore the pipeline output — is
+/// identical no matter how the input was partitioned across worker
+/// threads.
 fn dedup_order(a: &ExtractedEntity, b: &ExtractedEntity) -> std::cmp::Ordering {
-    a.cmp_key(b)
-        .then_with(|| b.score.total_cmp(&a.score))
-        .then_with(|| a.phrase.cmp(&b.phrase))
-        .then_with(|| a.matched_instance.cmp(&b.matched_instance))
-        .then_with(|| a.subject.cmp(&b.subject))
-        .then_with(|| a.sentence_index.cmp(&b.sentence_index))
+    a.doc_id
+        .cmp(&b.doc_id)
+        .then_with(|| a.view().cmp(&b.view()))
 }
 
 /// Sort by [`dedup_order`] and keep the first (best) entity per key.

@@ -59,14 +59,13 @@ use thor_fault::{
 };
 use thor_match::PruneStats;
 use thor_obs::{PipelineMetrics, StageTimer};
-use thor_text::ScoreScratch;
 
 use crate::config::ThorConfig;
 use crate::document::Document;
 use crate::engine::PreparedEngine;
 use crate::entity::ExtractedEntity;
-use crate::extract::extract_tallied;
-use crate::pipeline::{dedup_entities, doc_batches, merge_doc_batches, EnrichmentResult};
+use crate::extract::{extract_tallied, ExtractScratch};
+use crate::pipeline::{doc_batches, merge_doc_batches, EnrichmentResult};
 use crate::pool::WorkerPool;
 use crate::segment::segment;
 use crate::slotfill::{slot_fill, SlotFillStats};
@@ -369,15 +368,15 @@ impl RunState {
 }
 
 /// Process one document through admission control, segmentation, and
-/// extraction, isolating panics to the document, then deduplicate its
-/// entities. This is the only place a document meets the pipeline
-/// stages. The document's metrics come back in its [`DocTally`], for
-/// the recorder to commit.
+/// extraction (which deduplicates the document's entities), isolating
+/// panics to the document. This is the only place a document meets the
+/// pipeline stages. The document's metrics come back in its
+/// [`DocTally`], for the recorder to commit.
 fn process_doc(
     engine: &PreparedEngine,
     doc: &Document,
     opts: &ResilientOptions,
-    scratch: &mut ScoreScratch,
+    scratch: &mut ExtractScratch,
 ) -> (DocStatus, DocTally) {
     let mut tally = DocTally::default();
     let quarantined = |stage: &str, err: ThorError| {
@@ -433,12 +432,7 @@ fn process_doc(
             scratch,
         ))
     })) {
-        Ok(Ok(mut entities)) => {
-            let t0 = Instant::now();
-            dedup_entities(&mut entities);
-            tally.dedup.record(t0.elapsed());
-            DocStatus::Done(entities)
-        }
+        Ok(Ok(entities)) => DocStatus::Done(entities),
         Ok(Err(e)) => quarantined("extract", e),
         Err(payload) => quarantined("extract", ThorError::panic("extract", payload.as_ref())),
     };
@@ -758,7 +752,7 @@ impl PreparedEngine {
     ) -> ThorResult<()> {
         let workers = self.config().threads.min(pending.len().max(1));
         if workers <= 1 {
-            let mut scratch = ScoreScratch::new();
+            let mut scratch = ExtractScratch::default();
             for doc in pending.iter().copied() {
                 let (status, tally) = process_doc(self, doc, opts, &mut scratch);
                 state.record(doc.id.clone(), status, &tally, run)?;
@@ -774,10 +768,10 @@ impl PreparedEngine {
             WorkerPool::global().scope(workers, |scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
-                        // One scratch per worker: refinement's DP
-                        // buffers are reused across every document the
-                        // worker drains.
-                        let mut scratch = ScoreScratch::new();
+                        // One scratch per worker: the chunker's and
+                        // refinement's buffers are reused across every
+                        // document the worker drains.
+                        let mut scratch = ExtractScratch::default();
                         while !stop.load(Ordering::Relaxed) && !opts.cancel.is_cancelled() {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(doc) = pending.get(i).copied() else {

@@ -10,11 +10,12 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use thor_embed::{Vector, VectorStore};
 use thor_match::SimilarityMatcher;
-use thor_text::{normalize_phrase, normalize_phrase_into, split_sentences, Sentence};
+use thor_text::{
+    normalize_phrase, normalize_phrase_into, split_sentences, GramBuildHasher, Sentence,
+};
 
 use crate::config::SegmentationMode;
 use crate::document::Document;
@@ -59,7 +60,9 @@ pub struct SegmentedSentence {
 #[derive(Debug)]
 pub struct SubjectIndex {
     names: Vec<String>,
-    grams: HashMap<Box<str>, Gram, BuildHasherDefault<GramHasher>>,
+    /// Keyed through [`thor_text::GramHasher`], as it is probed once
+    /// per sentence n-gram and documents never insert into it.
+    grams: HashMap<Box<str>, Gram, GramBuildHasher>,
     /// `(subject, mean vector, its norm)` for every in-vocabulary
     /// subject, in table order.
     vectors: Vec<(usize, Vector, f64)>,
@@ -73,44 +76,6 @@ struct Gram {
     subject: Option<usize>,
     /// Whether a longer key starts with this n-gram's words.
     extends: bool,
-}
-
-/// Word-at-a-time multiply–rotate hasher (the FxHash scheme) for the
-/// mention map, which is probed once per sentence n-gram. The keys are
-/// short text from the engine's own table; documents only probe, and a
-/// probe cannot lengthen the map's chains, so the per-map random seed
-/// of the default hasher buys nothing here. `finish` rotates the
-/// well-mixed high bits down to where the table takes its bucket index.
-#[derive(Debug, Default, Clone, Copy)]
-struct GramHasher(u64);
-
-impl GramHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for GramHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(last));
-        }
-    }
-
-    fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
 }
 
 thread_local! {

@@ -1,16 +1,54 @@
 //! Sentence analysis: the tag → parse → chunk pipeline as one call.
 //!
-//! The extraction pipeline runs this per segmented sentence; thor-core's
-//! execution core meters each call (`sentences` / `noun_phrases`
-//! counters, `stage.chunk` span) around it.
+//! The extraction pipeline runs this per segmented sentence through a
+//! [`ChunkScratch`] it keeps per worker; thor-core's execution core
+//! meters each call (`sentences` / `noun_phrases` counters,
+//! `stage.chunk` span) around it.
 
-use crate::chunker::{noun_phrases, NounPhrase};
-use crate::dep::parse_dependencies;
+use crate::chunker::{phrase_spans_into, NounPhrase, PhraseSpan};
+use crate::dep::{parse_dependencies_into, DepTree};
+use crate::pos::Pos;
 use crate::tagger::Tagger;
 
 /// Tag, dependency-parse, and chunk one tokenized sentence.
 pub fn chunk_sentence(words: &[&str], tagger: &impl Tagger) -> Vec<NounPhrase> {
-    let tags = tagger.tag(words);
-    let tree = parse_dependencies(words, &tags);
-    noun_phrases(words, &tags, &tree)
+    let mut scratch = ChunkScratch::new();
+    let phrases = scratch.chunk(words, tagger);
+    phrases.iter().map(|p| p.to_noun_phrase(words)).collect()
+}
+
+/// The reusable buffers of [`chunk_sentence`]: the tags, the dependency
+/// tree, the NP-head list, the per-token span table and the phrases.
+/// One per worker, reused for every sentence it chunks: once they have
+/// grown to the longest sentence seen, chunking allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ChunkScratch {
+    tags: Vec<Pos>,
+    tree: DepTree,
+    np_heads: Vec<usize>,
+    spans: Vec<(usize, usize)>,
+    phrases: Vec<PhraseSpan>,
+}
+
+impl ChunkScratch {
+    /// Empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Tag, dependency-parse and chunk `words` into these buffers: the
+    /// noun phrases [`chunk_sentence`] returns, in the same order, as
+    /// word positions.
+    pub fn chunk(&mut self, words: &[&str], tagger: &impl Tagger) -> &[PhraseSpan] {
+        tagger.tag_into(words, &mut self.tags);
+        parse_dependencies_into(words, &self.tags, &mut self.tree, &mut self.np_heads);
+        phrase_spans_into(
+            words,
+            &self.tags,
+            &self.tree,
+            &mut self.spans,
+            &mut self.phrases,
+        );
+        &self.phrases
+    }
 }

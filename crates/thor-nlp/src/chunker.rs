@@ -9,8 +9,13 @@
 //!
 //! A [`NounPhrase`] records both the stop-word-stripped surface text and
 //! its token span, so downstream spans can be mapped back to the source.
+//! A [`PhraseSpan`] is the same phrase as word positions only, which is
+//! what a [`ChunkScratch`](crate::ChunkScratch) produces without
+//! allocating.
 
-use thor_text::trim_stopwords;
+use std::ops::Range;
+
+use thor_text::trimmed_range;
 
 use crate::dep::{DepLabel, DepTree};
 use crate::pos::Pos;
@@ -28,6 +33,39 @@ pub struct NounPhrase {
     pub end: usize,
 }
 
+/// A noun phrase as word positions: a [`NounPhrase`] whose text is the
+/// words `lo..hi` joined by single spaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhraseSpan {
+    /// Index of the head token.
+    pub head: usize,
+    /// First token index of the (untrimmed) span.
+    pub start: usize,
+    /// One past the last token index of the span.
+    pub end: usize,
+    /// First word of the stop-word-trimmed phrase.
+    pub lo: usize,
+    /// One past its last word: `start <= lo < hi <= end`.
+    pub hi: usize,
+}
+
+impl PhraseSpan {
+    /// The trimmed phrase's words, `lo..hi`.
+    pub fn words(&self) -> Range<usize> {
+        self.lo..self.hi
+    }
+
+    /// The [`NounPhrase`] this span is over `words`.
+    pub fn to_noun_phrase(&self, words: &[&str]) -> NounPhrase {
+        NounPhrase {
+            text: words[self.words()].join(" "),
+            head: self.head,
+            start: self.start,
+            end: self.end,
+        }
+    }
+}
+
 /// Extract noun phrases from a parsed sentence.
 ///
 /// For every NP head (a nominal token not attached via `compound` to
@@ -39,13 +77,27 @@ pub struct NounPhrase {
 ///
 /// `words` are tokens as [`thor_text::tokenize`] produces them: non-empty
 /// and free of whitespace. Spans are found by walking head pointers
-/// once per token and trimmed on the word slice ([`trim_stopwords`]), so
-/// a phrase allocates only its text.
+/// once per token and trimmed on the word slice
+/// ([`thor_text::trim_stopwords`]), so a phrase allocates only its text.
 pub fn noun_phrases(words: &[&str], tags: &[Pos], tree: &DepTree) -> Vec<NounPhrase> {
+    let mut phrases = Vec::new();
+    phrase_spans_into(words, tags, tree, &mut Vec::new(), &mut phrases);
+    phrases.iter().map(|p| p.to_noun_phrase(words)).collect()
+}
+
+/// [`noun_phrases`] as word positions, in the same order, written into
+/// `phrases`; `span` is the reused buffer of the per-token span table.
+pub(crate) fn phrase_spans_into(
+    words: &[&str],
+    tags: &[Pos],
+    tree: &DepTree,
+    span: &mut Vec<(usize, usize)>,
+    phrases: &mut Vec<PhraseSpan>,
+) {
     assert_eq!(words.len(), tags.len());
     assert_eq!(words.len(), tree.len());
     let n = words.len();
-    let mut phrases = Vec::new();
+    phrases.clear();
 
     let np_internal = |label: DepLabel| {
         matches!(
@@ -57,7 +109,8 @@ pub fn noun_phrases(words: &[&str], tags: &[Pos], tree: &DepTree) -> Vec<NounPhr
     // `x` through NP-internal relations only: `x`'s phrase if `x` heads
     // one. Each token walks its chain once. A chain in a tree has fewer
     // than `n` hops, which also stops the walk on a malformed, cyclic one.
-    let mut span: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+    span.clear();
+    span.extend((0..n).map(|i| (i, i)));
     for d in 0..n {
         let mut cur = d;
         for _ in 0..n {
@@ -82,19 +135,21 @@ pub fn noun_phrases(words: &[&str], tags: &[Pos], tree: &DepTree) -> Vec<NounPhr
         }
         let (start, last) = span[head];
         let end = last + 1;
-        let text = trim_stopwords(&words[start..end]).join(" ");
-        if text.is_empty() {
+        let trimmed = trimmed_range(&words[start..end]);
+        if trimmed.is_empty() {
             continue;
         }
-        phrases.push(NounPhrase {
-            text,
+        phrases.push(PhraseSpan {
             head,
             start,
             end,
+            lo: start + trimmed.start,
+            hi: start + trimmed.end,
         });
     }
-    phrases.sort_by_key(|p| p.start);
-    phrases
+    // By start; heads are distinct and were pushed in order, so this is
+    // the stable sort by start.
+    phrases.sort_unstable_by_key(|p| (p.start, p.head));
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub enum DepLabel {
 }
 
 /// A dependency tree over one sentence.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepTree {
     /// `heads[i]` is the index of token `i`'s head; `None` for the root.
     pub heads: Vec<Option<usize>>,
@@ -137,13 +137,30 @@ fn np_head_right(tags: &[Pos], from: usize) -> Option<usize> {
 /// * ADV attaches to the nearest verb (`advmod`), CONJ to the following
 ///   NP (`cc`), punctuation and the rest to the root.
 pub fn parse_dependencies(words: &[&str], tags: &[Pos]) -> DepTree {
+    let mut tree = DepTree::default();
+    parse_dependencies_into(words, tags, &mut tree, &mut Vec::new());
+    tree
+}
+
+/// [`parse_dependencies`] into a reused `tree`, with `np_heads` the
+/// reused buffer of the sentence's NP heads: what a
+/// [`ChunkScratch`](crate::ChunkScratch) parses with.
+pub(crate) fn parse_dependencies_into(
+    words: &[&str],
+    tags: &[Pos],
+    tree: &mut DepTree,
+    np_heads: &mut Vec<usize>,
+) {
     assert_eq!(words.len(), tags.len(), "words/tags length mismatch");
     let n = words.len();
-    let mut heads: Vec<Option<usize>> = vec![None; n];
-    let mut labels: Vec<DepLabel> = vec![DepLabel::Dep; n];
+    tree.heads.clear();
+    tree.heads.resize(n, None);
+    tree.labels.clear();
+    tree.labels.resize(n, DepLabel::Dep);
     if n == 0 {
-        return DepTree { heads, labels };
+        return;
     }
+    let DepTree { heads, labels } = &mut *tree;
 
     // ---- root selection ----
     // Verbless sentences root at the *head* of the first nominal run
@@ -164,8 +181,9 @@ pub fn parse_dependencies(words: &[&str], tags: &[Pos]) -> DepTree {
     labels[root] = DepLabel::Root;
 
     // Identify NP heads: last token of each maximal nominal run (PRON is
-    // always its own NP).
-    let mut np_heads: Vec<usize> = Vec::new();
+    // always its own NP). They are found left to right, so the list is
+    // sorted.
+    np_heads.clear();
     {
         let mut i = 0;
         while i < n {
@@ -206,7 +224,7 @@ pub fn parse_dependencies(words: &[&str], tags: &[Pos]) -> DepTree {
                 }
             }
             Pos::Noun | Pos::Propn | Pos::Pron => {
-                if np_heads.contains(&i) {
+                if np_heads.binary_search(&i).is_ok() {
                     // An NP head: find its governor.
                     let preceded_by_adp = {
                         // Look left past NP-internal material for an ADP.
@@ -232,7 +250,7 @@ pub fn parse_dependencies(words: &[&str], tags: &[Pos]) -> DepTree {
                             .rev()
                             .find(|&j| {
                                 tags[j] == Pos::Verb
-                                    || (tags[j].is_nominal() && np_heads.contains(&j))
+                                    || (tags[j].is_nominal() && np_heads.binary_search(&j).is_ok())
                             })
                             .filter(|&j| j != i)
                             .unwrap_or(root);
@@ -317,7 +335,6 @@ pub fn parse_dependencies(words: &[&str], tags: &[Pos]) -> DepTree {
         }
     }
 
-    let mut tree = DepTree { heads, labels };
     // Break any residual cycle conservatively by re-rooting offenders.
     if !tree.is_forest_rooted() {
         for i in 0..n {
@@ -336,7 +353,6 @@ pub fn parse_dependencies(words: &[&str], tags: &[Pos]) -> DepTree {
             }
         }
     }
-    tree
 }
 
 #[cfg(test)]

@@ -8,14 +8,16 @@
 
 use std::collections::HashMap;
 
-use thor_text::with_lowercase;
+use thor_text::{with_lowercase, GramBuildHasher};
 
 use crate::pos::Pos;
 
-/// Word → tag lexicon with a morphological guesser.
+/// Word → tag lexicon with a morphological guesser. Its table is keyed
+/// through [`thor_text::GramHasher`]: it is fixed once built, and
+/// documents only probe it.
 #[derive(Debug, Clone, Default)]
 pub struct Lexicon {
-    entries: HashMap<String, Pos>,
+    entries: HashMap<String, Pos, GramBuildHasher>,
 }
 
 const DETERMINERS: &[&str] = &[
@@ -194,7 +196,7 @@ const COMMON_VERBS: &[&str] = &[
 impl Lexicon {
     /// Build the default English closed-class lexicon.
     pub fn english() -> Self {
-        let mut entries = HashMap::new();
+        let mut entries = HashMap::default();
         let mut add = |words: &[&str], pos: Pos| {
             for &w in words {
                 entries.insert(w.to_string(), pos);

@@ -16,7 +16,10 @@
 //! * [`dep`] — a rule-based dependency parser producing the head/label
 //!   tree of Fig. 3 (nsubj/obj/det/amod/compound/...);
 //! * [`chunker`] — noun-phrase extraction over the parse, the direct
-//!   input of THOR's semantic matching.
+//!   input of THOR's semantic matching;
+//! * [`analyze`] — the three as one call ([`chunk_sentence`]), or into a
+//!   reused per-worker [`ChunkScratch`] that allocates nothing per
+//!   sentence.
 
 pub mod analyze;
 pub mod chunker;
@@ -25,8 +28,8 @@ pub mod lexicon;
 pub mod pos;
 pub mod tagger;
 
-pub use analyze::chunk_sentence;
-pub use chunker::{noun_phrases, NounPhrase};
+pub use analyze::{chunk_sentence, ChunkScratch};
+pub use chunker::{noun_phrases, NounPhrase, PhraseSpan};
 pub use dep::{parse_dependencies, DepLabel, DepTree};
 pub use lexicon::Lexicon;
 pub use pos::Pos;

@@ -10,8 +10,16 @@ use crate::pos::Pos;
 
 /// Assigns a POS tag to every token of a sentence.
 pub trait Tagger {
+    /// Tag the words of one sentence into `tags`, replacing what it
+    /// held: the allocation-free form a reused buffer takes.
+    fn tag_into(&self, words: &[&str], tags: &mut Vec<Pos>);
+
     /// Tag the words of one sentence.
-    fn tag(&self, words: &[&str]) -> Vec<Pos>;
+    fn tag(&self, words: &[&str]) -> Vec<Pos> {
+        let mut tags = Vec::with_capacity(words.len());
+        self.tag_into(words, &mut tags);
+        tags
+    }
 }
 
 /// Deterministic lexicon/morphology tagger with one context repair pass.
@@ -34,12 +42,14 @@ impl RuleTagger {
 }
 
 impl Tagger for RuleTagger {
-    fn tag(&self, words: &[&str]) -> Vec<Pos> {
-        let mut tags: Vec<Pos> = words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| self.lexicon.tag_of(w, i == 0))
-            .collect();
+    fn tag_into(&self, words: &[&str], tags: &mut Vec<Pos>) {
+        tags.clear();
+        tags.extend(
+            words
+                .iter()
+                .enumerate()
+                .map(|(i, w)| self.lexicon.tag_of(w, i == 0)),
+        );
         // Context repairs (Brill-style):
         for i in 0..tags.len() {
             // DET _ : a noun-guessed word directly after a determiner
@@ -72,7 +82,6 @@ impl Tagger for RuleTagger {
                 }
             }
         }
-        tags
     }
 }
 

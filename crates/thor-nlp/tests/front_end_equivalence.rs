@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 
 use thor_nlp::{
-    chunk_sentence, noun_phrases, parse_dependencies, DepLabel, DepTree, Lexicon, NounPhrase, Pos,
-    RuleTagger, Tagger,
+    chunk_sentence, noun_phrases, parse_dependencies, ChunkScratch, DepLabel, DepTree, Lexicon,
+    NounPhrase, Pos, RuleTagger, Tagger,
 };
 use thor_text::{
     is_stopword, strip_stopwords, token_spans, tokenize, trim_stopwords, with_lowercase,
@@ -522,4 +522,120 @@ fn membership_follows_np_internal_labels_only() {
     assert_eq!(got, reference::noun_phrases(&words, &tags, &tree));
     assert_eq!(got[0].text, "old lungs");
     assert_eq!((got[0].start, got[0].end), (0, 3));
+}
+
+/// Pieces of text that switch between ASCII and non-ASCII inside one
+/// whitespace-delimited chunk, and the whitespace the tokenizer's ASCII
+/// path must agree with `char::is_whitespace` on.
+const MIXED_PIECES: &[&str] = &[
+    "a",
+    "b",
+    "Lungs",
+    "x",
+    "12.5",
+    "slow-growing",
+    "é",
+    "’s",
+    "ß",
+    "ΟΔΟΣ",
+    "a\u{a0}b",
+    "x’s",
+    "(é).",
+    "(",
+    ")",
+    ".",
+    ",",
+    "...",
+    "?!",
+    "—",
+    "«",
+    "…",
+];
+
+/// Separators between pieces: the empty one glues two pieces into one
+/// chunk; the rest are ASCII and non-ASCII whitespace.
+const MIXED_SEPARATORS: &[&str] = &[
+    "", "", "", " ", "\t", "\n", "\r", "\u{0b}", "\u{0c}", "\u{85}", "\u{2028}", "\u{a0}",
+    "\u{3000}",
+];
+
+/// Text glued from `MIXED_PIECES` and `MIXED_SEPARATORS`.
+fn mixed_text() -> impl Strategy<Value = String> {
+    prop::collection::vec((0..MIXED_PIECES.len(), 0..MIXED_SEPARATORS.len()), 0..24).prop_map(
+        |picks| {
+            let mut text = String::new();
+            for (p, s) in picks {
+                text.push_str(MIXED_PIECES[p]);
+                text.push_str(MIXED_SEPARATORS[s]);
+            }
+            text
+        },
+    )
+}
+
+/// A sentence for the reused-scratch test: every word-producing
+/// strategy above, the empty sentence and punctuation-only ones.
+fn any_sentence() -> impl Strategy<Value = String> {
+    (0..6usize, glued_text(), templated_sentence(), mixed_text()).prop_map(
+        |(kind, glued, templated, mixed)| match kind {
+            0 => glued,
+            1 => templated,
+            2 => mixed,
+            3 => String::new(),
+            4 => ". , ( ) ... ?!".to_string(),
+            _ => "— « » …".to_string(),
+        },
+    )
+}
+
+/// The words of `text`, borrowed.
+fn words_of(text: &str) -> Vec<&str> {
+    token_spans(text).map(|r| &text[r]).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The tokenizer's byte-wise ASCII path hands a chunk to the `char`
+    /// path at its first non-ASCII byte; either way the spans are the
+    /// reference's.
+    #[test]
+    fn token_spans_match_the_reference_across_ascii_switches(text in mixed_text()) {
+        let spans: Vec<(usize, usize)> = token_spans(&text).map(|r| (r.start, r.end)).collect();
+        let expected: Vec<(usize, usize)> =
+            reference::tokenize(&text).iter().map(|t| (t.1, t.2)).collect();
+        prop_assert_eq!(spans, expected, "token_spans({:?})", text);
+    }
+
+    /// One `ChunkScratch` reused across a run of sentences — a long
+    /// one, a short one, an empty one, a punctuation-only one, a
+    /// templated one, then any — gives, sentence by sentence, what
+    /// `chunk_sentence` and the reference give.
+    #[test]
+    fn a_reused_chunk_scratch_matches_chunk_sentence(
+        long in (templated_sentence(), glued_text(), templated_sentence()),
+        short in templated_sentence(),
+        short_len in 1usize..4,
+        templated in templated_sentence(),
+        rest in prop::collection::vec(any_sentence(), 0..8),
+    ) {
+        let long = format!("{} {} {}", long.0, long.1, long.2);
+        let short = words_of(&short)[..short_len].join(" ");
+        let mut sentences = vec![long, short, String::new(), "( ... ) ?!".to_string(), templated];
+        sentences.extend(rest);
+
+        let lex = Lexicon::english();
+        let tagger = RuleTagger::default();
+        let mut scratch = ChunkScratch::new();
+        for text in &sentences {
+            let words = words_of(text);
+            let got: Vec<NounPhrase> = scratch
+                .chunk(&words, &tagger)
+                .iter()
+                .map(|p| p.to_noun_phrase(&words))
+                .collect();
+            prop_assert_eq!(&got, &chunk_sentence(&words, &tagger), "sentence {:?}", text);
+            prop_assert_eq!(&got, &reference::chunk_sentence(&lex, &words), "sentence {:?}", text);
+        }
+    }
 }

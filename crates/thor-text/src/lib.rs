@@ -17,6 +17,8 @@
 //!   stack-buffered lowercase key of case-insensitive lookups
 //!   ([`with_lowercase`]),
 //! * [`stopwords`] — the stop-word list used when trimming noun phrases,
+//! * [`hash`] — [`GramHasher`], the one word hasher of the lookup tables
+//!   fixed at engine build (stop-words, lexicon, subject mentions),
 //! * [`similarity`] — the syntactic similarity measures of Algorithm 1:
 //!   word-level Jaccard and character-level gestalt (Ratcliff–Obershelp)
 //!   pattern matching, plus Levenshtein and n-gram measures used by tests
@@ -31,6 +33,7 @@
 //! All functions are pure and allocation-conscious; the pipeline calls
 //! them once per candidate subphrase, which is the hot loop of the system.
 
+pub mod hash;
 pub mod inflect;
 pub mod kernels;
 pub mod normalize;
@@ -40,6 +43,7 @@ pub mod similarity;
 pub mod stopwords;
 pub mod token;
 
+pub use hash::{GramBuildHasher, GramHasher};
 pub use inflect::{same_lemma, singularize, singularize_phrase};
 pub use kernels::{
     gestalt_bound, gestalt_prepared, jaccard_prepared, PhraseSyntax, ScoreScratch, SeedSyntax,
@@ -49,5 +53,5 @@ pub use normalize::{
 };
 pub use sentence::{split_sentences, Sentence};
 pub use similarity::{gestalt_similarity, jaccard_words, levenshtein, ngram_similarity};
-pub use stopwords::{is_stopword, strip_stopwords, trim_stopwords};
+pub use stopwords::{is_stopword, strip_stopwords, trim_stopwords, trimmed_range};
 pub use token::{token_spans, tokenize, tokenize_words, Token, TokenSpans};

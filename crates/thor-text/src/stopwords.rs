@@ -7,8 +7,10 @@
 //! since they may be part of an entity phrase.
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::OnceLock;
 
+use crate::hash::GramBuildHasher;
 use crate::normalize::with_lowercase;
 
 const STOPWORDS: &[&str] = &[
@@ -182,8 +184,8 @@ const STOPWORDS: &[&str] = &[
     "once",
 ];
 
-fn set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
+fn set() -> &'static HashSet<&'static str, GramBuildHasher> {
+    static SET: OnceLock<HashSet<&'static str, GramBuildHasher>> = OnceLock::new();
     SET.get_or_init(|| STOPWORDS.iter().copied().collect())
 }
 
@@ -201,6 +203,17 @@ pub fn is_stopword(word: &str) -> bool {
 /// assert_eq!(trim_stopwords(&["the", "loss", "of", "balance", "."]), ["loss", "of", "balance"]);
 /// ```
 pub fn trim_stopwords<'w, 'a>(words: &'w [&'a str]) -> &'w [&'a str] {
+    &words[trimmed_range(words)]
+}
+
+/// The range of `words` that [`trim_stopwords`] keeps; empty (at
+/// `words.len()`) when it keeps nothing.
+///
+/// ```
+/// use thor_text::trimmed_range;
+/// assert_eq!(trimmed_range(&["the", "loss", "of", "balance", "."]), 1..4);
+/// ```
+pub fn trimmed_range(words: &[&str]) -> Range<usize> {
     let is_strippable = |t: &str| is_stopword(t) || t.chars().all(|c| c.is_ascii_punctuation());
     let lo = words
         .iter()
@@ -210,7 +223,7 @@ pub fn trim_stopwords<'w, 'a>(words: &'w [&'a str]) -> &'w [&'a str] {
         .iter()
         .rposition(|w| !is_strippable(w))
         .map_or(lo, |i| lo + i + 1);
-    &words[lo..hi]
+    lo..hi
 }
 
 /// Strip leading and trailing stop-words (and punctuation-only tokens)

@@ -42,10 +42,26 @@ fn is_inner(c: char) -> bool {
     c.is_alphanumeric() || c == '-' || c == '\'' || c == '’' || c == '_'
 }
 
+/// [`is_inner`] for an ASCII byte.
+fn is_inner_ascii(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'-' | b'\'' | b'_')
+}
+
+/// `char::is_whitespace` for an ASCII byte: space and `\t` through
+/// `\r`, so unlike `u8::is_ascii_whitespace` it includes the vertical
+/// tab `\x0B`.
+fn is_space_ascii(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
 /// The byte ranges of the tokens of `text`, in source order — the one
 /// tokenizer core. [`tokenize`] builds owned [`Token`]s from it; a caller
 /// that only needs the words slices `&text[range]` and allocates nothing
 /// per token.
+///
+/// ASCII text is scanned byte by byte; a chunk is re-read by `char`
+/// from its first byte on as soon as a non-ASCII byte shows up in it
+/// or in the whitespace before it, so the split is the same either way.
 ///
 /// ```
 /// use thor_text::token_spans;
@@ -79,8 +95,41 @@ pub struct TokenSpans<'a> {
 
 impl TokenSpans<'_> {
     /// Move to the next whitespace-delimited chunk and locate its core;
-    /// false when the text is exhausted.
+    /// false when the text is exhausted. Reads bytes while they are
+    /// ASCII and hands the rest of the chunk to [`Self::next_chunk_chars`]
+    /// at the first byte that is not.
     fn next_chunk(&mut self) -> bool {
+        let bytes = self.text.as_bytes();
+        let mut at = self.pos;
+        while at < bytes.len() && is_space_ascii(bytes[at]) {
+            at += 1;
+        }
+        // Everything before `at` is ASCII, so `at` is a char boundary.
+        self.pos = at;
+        let mut core = None::<(usize, usize)>;
+        while at < bytes.len() {
+            let b = bytes[at];
+            if !b.is_ascii() {
+                return self.next_chunk_chars();
+            }
+            if is_space_ascii(b) {
+                break;
+            }
+            if is_inner_ascii(b) {
+                core = Some((core.map_or(at, |(first, _)| first), at + 1));
+            }
+            at += 1;
+        }
+        self.chunk_end = at;
+        if at == self.pos {
+            return false;
+        }
+        (self.core_start, self.core_end) = core.unwrap_or((at, at));
+        true
+    }
+
+    /// [`Self::next_chunk`] by `char`, from `pos` on: exact for any text.
+    fn next_chunk_chars(&mut self) -> bool {
         let rest = &self.text[self.pos..];
         let Some(skip) = rest.find(|c: char| !c.is_whitespace()) else {
             self.pos = self.text.len();
@@ -116,6 +165,8 @@ impl Iterator for TokenSpans<'_> {
         let start = self.pos;
         self.pos = if start == self.core_start && self.core_start < self.core_end {
             self.core_end
+        } else if self.text.as_bytes()[start].is_ascii() {
+            start + 1
         } else {
             let c = self.text[start..].chars().next().expect("inside a chunk");
             start + c.len_utf8()
