@@ -209,17 +209,19 @@ impl PreparedEngine {
                                 concept.name()
                             )))
                         }
-                        Some(i) => columns.push(Some((i, concept.name()))),
+                        Some(i) => columns.push(Some(i)),
                     }
                 }
                 let mut table = (*inner.table).clone();
-                for (ri, row) in s.rows().rows().iter().enumerate() {
-                    let subject = s.rows().subject_of(ri);
-                    table.row_for_subject(subject);
+                let rows: Vec<usize> = (0..s.rows().len())
+                    .map(|ri| table.row_for_subject(s.rows().subject_of(ri)))
+                    .collect();
+                let mut writer = table.slot_writer();
+                for (row, ti) in s.rows().rows().iter().zip(rows) {
                     for (di, column) in columns.iter().enumerate() {
-                        let Some((ci, name)) = *column else { continue };
+                        let Some(ci) = *column else { continue };
                         for value in row.cell(di).values() {
-                            if table.fill_slot(subject, name, value) {
+                            if writer.fill(ti, ci, value) {
                                 gained[ci].push(value.trim());
                             }
                         }

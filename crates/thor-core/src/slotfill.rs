@@ -5,7 +5,7 @@
 //! e related to subject c*, THOR fills in the slot that corresponds to
 //! row r and column e.C with the extracted phrase e.p."
 
-use thor_data::Table;
+use thor_data::{Schema, Table};
 
 use crate::entity::ExtractedEntity;
 
@@ -23,24 +23,85 @@ pub struct SlotFillStats {
     pub unknown_concept_skipped: usize,
 }
 
+/// Where an entity's concept sends it.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// The subject concept: never slot-filled.
+    Subject,
+    /// Not in the schema.
+    Unknown,
+    /// The column at this concept index.
+    Column(usize),
+}
+
+impl Target {
+    fn of(schema: &Schema, concept: &str) -> Self {
+        if schema.subject().matches(concept) {
+            return Target::Subject;
+        }
+        schema
+            .index_of(concept)
+            .map_or(Target::Unknown, Target::Column)
+    }
+}
+
 /// Fill `table` with `entities`, returning the outcome counts. The
 /// table is mutated in place; rows are created for unseen subjects
 /// (entities always originate from known subjects, but the enriched
 /// test tables start stripped). Unmetered: the execution core wraps the
 /// pass in the `stage.slot_fill` span and feeds the counts to
 /// `slots.inserted` / `slots.duplicate`.
+///
+/// Each answer equals [`Table::fill_slot`]'s on the same entity in the
+/// same order. A first pass, in entity order, resolves each entity's
+/// concept and row (once per run of equal strings, which the merged
+/// order makes long) and creates missing rows in the order the
+/// one-off inserts would. The fills are then sorted stably by cell and
+/// go through one [`SlotWriter`](thor_data::SlotWriter), so each
+/// touched cell's key set is seeded once and every value is a lookup,
+/// not a scan. A cell's values keep their entity order, so its first
+/// display form still wins.
 pub fn slot_fill(table: &mut Table, entities: &[ExtractedEntity]) -> SlotFillStats {
     let mut stats = SlotFillStats::default();
-    for e in entities {
-        if table.schema().subject().matches(&e.concept) {
-            stats.subject_concept_skipped += 1;
-            continue;
-        }
-        if table.schema().index_of(&e.concept).is_none() {
-            stats.unknown_concept_skipped += 1;
-            continue;
-        }
-        if table.fill_slot(&e.subject, &e.concept, &e.phrase) {
+    // (row, concept index, entity index) per entity to fill.
+    let mut fills: Vec<(usize, usize, usize)> = Vec::with_capacity(entities.len());
+    let mut concept: Option<(&str, Target)> = None;
+    let mut subject: Option<(&str, usize)> = None;
+    for (i, e) in entities.iter().enumerate() {
+        let target = match concept {
+            Some((name, target)) if name == e.concept => target,
+            _ => {
+                let target = Target::of(table.schema(), &e.concept);
+                concept = Some((&e.concept, target));
+                target
+            }
+        };
+        let ci = match target {
+            Target::Subject => {
+                stats.subject_concept_skipped += 1;
+                continue;
+            }
+            Target::Unknown => {
+                stats.unknown_concept_skipped += 1;
+                continue;
+            }
+            Target::Column(ci) => ci,
+        };
+        let ri = match subject {
+            Some((name, ri)) if name == e.subject => ri,
+            _ => {
+                let ri = table.row_for_subject(&e.subject);
+                subject = Some((&e.subject, ri));
+                ri
+            }
+        };
+        fills.push((ri, ci, i));
+    }
+    // Entity indices are distinct, so this is the stable sort by cell.
+    fills.sort_unstable();
+    let mut writer = table.slot_writer();
+    for (ri, ci, i) in fills {
+        if writer.fill(ri, ci, &entities[i].phrase) {
             stats.inserted += 1;
         } else {
             stats.duplicates += 1;

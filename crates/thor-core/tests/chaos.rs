@@ -12,7 +12,9 @@
 
 use std::path::{Path, PathBuf};
 
-use thor_core::{Document, PipelineMetrics, ResilientOptions, RunMode, Thor, ThorConfig};
+use thor_core::{
+    entities_tsv, Document, PipelineMetrics, ResilientOptions, RunMode, Thor, ThorConfig,
+};
 use thor_data::{to_csv, Schema, Table};
 use thor_embed::SemanticSpaceBuilder;
 use thor_fault::{scoped_failpoints, DocumentPolicy, ErrorKind};
@@ -91,19 +93,6 @@ fn opts(mode: RunMode, dir: Option<&Path>, resume: bool) -> ResilientOptions {
         policy: DocumentPolicy::default(),
         ..ResilientOptions::default()
     }
-}
-
-/// The CLI's entities TSV rendering — the byte-identical-resume claim
-/// covers this artifact.
-fn entities_tsv(entities: &[thor_core::ExtractedEntity]) -> String {
-    let mut tsv = String::new();
-    for e in entities {
-        tsv.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{:.3}\n",
-            e.doc_id, e.concept, e.phrase, e.subject, e.score
-        ));
-    }
-    tsv
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

@@ -34,4 +34,4 @@ pub use csv::{from_csv, from_csv_lenient, to_csv, CsvError, LenientCsv, SkippedR
 pub use integrate::{full_disjunction, outer_join};
 pub use schema::{Concept, Schema};
 pub use stats::{sparsity, SparsityReport};
-pub use table::{Cell, Row, Table};
+pub use table::{Cell, Row, SlotWriter, Table};

@@ -6,10 +6,10 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use thor_text::{normalize_phrase, normalized_eq};
+use thor_text::{normalize_phrase, normalize_phrase_into, normalized_eq};
 
 use crate::schema::{Concept, Schema};
 
@@ -256,6 +256,10 @@ impl Table {
     /// row if needed. Returns `true` when the value is new; a duplicate
     /// leaves a shared row shared.
     ///
+    /// The one-off insert: it scans the cell with [`normalized_eq`]. A
+    /// pass that inserts many values goes through
+    /// [`slot_writer`](Self::slot_writer), which gives the same answers.
+    ///
     /// # Panics
     /// If `concept` is not in the schema, or is the subject concept.
     pub fn fill_slot(&mut self, subject: &str, concept: &str, value: &str) -> bool {
@@ -281,6 +285,18 @@ impl Table {
         }
         self.row_mut(ri).cell_mut(ci).insert_new(value);
         true
+    }
+
+    /// A bulk inserter over this table's cells: the insert a pass of
+    /// many values uses (slot filling a run's entities, a delta's table
+    /// edit). See [`SlotWriter`].
+    pub fn slot_writer(&mut self) -> SlotWriter<'_> {
+        SlotWriter {
+            table: self,
+            cell: None,
+            keys: HashSet::new(),
+            norm: String::new(),
+        }
     }
 
     /// All values appearing in column `concept` (`R.C`), deduplicated,
@@ -368,6 +384,64 @@ impl Table {
             out.row_for_subject(&subject);
         }
         out
+    }
+}
+
+/// Inserts many values into a table's cells, each answering as
+/// [`Table::fill_slot`] would: a trimmed, non-empty value goes in when
+/// no value of its cell is [`normalized_eq`] to it, so the first display
+/// form inserted wins.
+///
+/// Instead of scanning the cell per value, the writer keeps the
+/// [`normalize_phrase`] keys of the cell it last filled, seeded from
+/// that cell's values when a fill moves to another cell. This is exact
+/// in any call order, because `normalized_eq` is equality of those keys
+/// and a reseeded set sees every value inserted before. It is fast when
+/// a cell's values come together: a pass that sorts its values by cell
+/// seeds each touched cell once and costs nothing per untouched cell.
+/// The key set uses std's keyed hasher: document text flows into it.
+#[derive(Debug)]
+pub struct SlotWriter<'t> {
+    table: &'t mut Table,
+    /// The `(row, concept)` cell `keys` describes.
+    cell: Option<(usize, usize)>,
+    /// Normalized keys of that cell's values.
+    keys: HashSet<String>,
+    /// Reused normalization buffer.
+    norm: String,
+}
+
+impl SlotWriter<'_> {
+    /// Insert `value` into the cell at row `ri` (from
+    /// [`Table::row_for_subject`]), concept index `ci`. Returns `true`
+    /// when the value is new, like [`Table::fill_slot`]; a duplicate
+    /// leaves a shared row shared.
+    ///
+    /// # Panics
+    /// If `ci` is the subject concept, or either index is out of range.
+    pub fn fill(&mut self, ri: usize, ci: usize, value: &str) -> bool {
+        assert_ne!(
+            ci,
+            self.table.schema.subject_index(),
+            "cannot slot-fill the subject concept"
+        );
+        let value = value.trim();
+        if value.is_empty() {
+            return false;
+        }
+        if self.cell != Some((ri, ci)) {
+            self.keys.clear();
+            let cell = self.table.rows[ri].cell(ci);
+            self.keys.extend(cell.values().map(normalize_phrase));
+            self.cell = Some((ri, ci));
+        }
+        normalize_phrase_into(value, &mut self.norm);
+        if self.keys.contains(self.norm.as_str()) {
+            return false;
+        }
+        self.keys.insert(self.norm.clone());
+        self.table.row_mut(ri).cell_mut(ci).insert_new(value);
+        true
     }
 }
 

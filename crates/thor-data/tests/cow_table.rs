@@ -10,9 +10,12 @@
 //!   same table;
 //! - editing a clone never changes the original's bytes, and the edited
 //!   clone equals a table built from scratch with the same edits;
-//! - a duplicate fill copies nothing.
+//! - a duplicate fill copies nothing;
+//! - a [`thor_data::SlotWriter`] pass makes the same edits, answers and
+//!   copies as `fill_slot` one value at a time.
 //!
-//! Row edits reach `row_mut` through `fill_slot`, its only public caller.
+//! Row edits reach `row_mut` through `fill_slot` and `SlotWriter::fill`,
+//! its only public callers.
 
 use std::sync::Arc;
 
@@ -117,6 +120,24 @@ fn apply(table: &mut Table, edits: &[Edit]) {
     }
 }
 
+/// [`apply`] through one [`thor_data::SlotWriter`], in edit order,
+/// returning each fill's answer. Fills create no rows, so resolving
+/// every edit's row first creates them in the same order.
+fn apply_with_writer(table: &mut Table, edits: &[Edit]) -> Vec<bool> {
+    let rows: Vec<usize> = edits
+        .iter()
+        .map(|(_, s, ..)| table.row_for_subject(&subject(s)))
+        .collect();
+    let mut writer = table.slot_writer();
+    let mut answers = Vec::new();
+    for ((kind, _, c, v), ri) in edits.iter().zip(rows) {
+        if *kind == 0 {
+            answers.push(writer.fill(ri, *c, &pieces(v)));
+        }
+    }
+    answers
+}
+
 fn build(edits: &[Edit]) -> Table {
     let mut t = Table::new(Schema::new(CONCEPTS.iter().copied(), CONCEPTS[0]));
     apply(&mut t, edits);
@@ -143,7 +164,8 @@ proptest! {
     }
 
     /// (b) Editing a clone leaves the original's bytes alone, copies
-    /// only rows it changes, and matches a from-scratch rebuild.
+    /// only rows it changes, and matches a from-scratch rebuild, one-off
+    /// or through a writer.
     #[test]
     fn edits_to_a_clone_stay_in_the_clone(
         base in arb_edits(24),
@@ -169,10 +191,28 @@ proptest! {
         for (mine, shared) in b.rows().iter().zip(a.rows()) {
             prop_assert!(Arc::ptr_eq(mine, shared) || mine != shared, "row copied unchanged");
         }
+
+        // The same edits through one writer pass: same answers, bytes
+        // and copies.
+        let mut w = a.clone();
+        let answers = apply_with_writer(&mut w, &edits);
+        let mut one_off = a.clone();
+        let expected: Vec<bool> = edits
+            .iter()
+            .filter(|(kind, ..)| *kind == 0)
+            .map(|(_, s, c, v)| one_off.fill_slot(&subject(s), CONCEPTS[*c], &pieces(v)))
+            .collect();
+        prop_assert_eq!(answers, expected);
+        prop_assert_eq!(to_csv(&w), to_csv(&b));
+        prop_assert_eq!(&to_csv(&a), &before);
+        for (mine, shared) in w.rows().iter().zip(a.rows()) {
+            prop_assert!(Arc::ptr_eq(mine, shared) || mine != shared, "row copied unchanged");
+        }
     }
 
     /// (c) Re-filling a value a cell already holds — ASCII-uppercased
-    /// and padded — or a blank value copies no row.
+    /// and padded — or a blank value copies no row, one-off or through
+    /// a writer.
     #[test]
     fn a_duplicate_fill_copies_nothing(base in arb_edits(24), pick in 0usize..64) {
         let a = build(&base);
@@ -188,6 +228,10 @@ proptest! {
             let padded = format!(" {}\t", value.to_ascii_uppercase());
             prop_assert!(!b.fill_slot(&subject, CONCEPTS[ci], &padded));
             prop_assert!(!b.fill_slot(a.subject_of(i), CONCEPTS[ci], "  "));
+            let ri = b.row_for_subject(&subject);
+            let mut writer = b.slot_writer();
+            prop_assert!(!writer.fill(ri, ci, &padded));
+            prop_assert!(!writer.fill(ri, ci, "  "));
             for (mine, shared) in b.rows().iter().zip(a.rows()) {
                 prop_assert!(Arc::ptr_eq(mine, shared));
             }
