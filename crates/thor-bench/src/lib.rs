@@ -3,8 +3,8 @@
 //! The experiment harness: the datasets, systems and runs shared by the
 //! `reproduce` binary, which regenerates every table and figure of the
 //! paper's evaluation from one registry (`src/bin/reproduce/`), by
-//! bench_thor, by the release performance floors (`tests/floors.rs`)
-//! and by Criterion micro-benches for the substrates.
+//! bench_thor and by the release performance floors
+//! (`tests/floors.rs`).
 //!
 //! `reproduce [--seed N] [--out DIR]` runs each experiment at the scale
 //! it declares (1.0 for the paper's artifacts, 0.25 for the ablations;

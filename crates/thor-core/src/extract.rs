@@ -25,13 +25,14 @@ use thor_match::{CandidateEntity, SimilarityMatcher};
 use thor_nlp::{ChunkScratch, Lexicon, PhraseSpan, RuleTagger};
 use thor_text::{
     gestalt_bound, gestalt_prepared, gestalt_similarity, jaccard_prepared, jaccard_words,
-    token_spans, trimmed_range, PhraseSyntax, ScoreScratch,
+    trimmed_range, PhraseSyntax, ScoreScratch, WordWalk,
 };
 
 use crate::config::{ScoreWeights, ThorConfig};
+use crate::document::Document;
 use crate::entity::{DedupView, ExtractedEntity};
 use crate::resilient::DocTally;
-use crate::segment::SegmentedSentence;
+use crate::segment::SegmentScratch;
 
 /// The process-wide POS tagger. `RuleTagger::default()` builds lexicon
 /// and suffix tables; constructing it per `extract_tallied` call was
@@ -308,72 +309,96 @@ pub fn refine_candidates_reference(
         .map(|(c, score)| (c.clone(), score))
 }
 
-/// One worker's reusable extraction buffers: refinement's scoring
-/// scratch, the chunker's, the sentence's phrases as word ranges, the
-/// text of the phrase being looked up, and the document's accepted
-/// phrases awaiting dedup. The execution core keeps one per worker
-/// across every document it drains, so once they have grown a phrase
-/// allocates only on a memo miss.
+/// One worker's reusable buffers for a document: segmentation's (the
+/// word walk and the attributed sentences), refinement's scoring
+/// scratch, the chunker's, a sentence's words and their lowercase
+/// forms, its phrases as word ranges, the text of the phrase being
+/// looked up, and the document's accepted phrases awaiting dedup. The
+/// execution core keeps one per worker across every document it
+/// drains, so once they have grown a phrase allocates only on a memo
+/// miss.
 #[derive(Debug, Default)]
 pub(crate) struct ExtractScratch {
+    pub(crate) segment: SegmentScratch,
     score: ScoreScratch,
     chunk: ChunkScratch,
+    words: Vec<&'static str>,
+    lower: Vec<&'static str>,
     ranges: Vec<Range<usize>>,
     phrase: String,
     accepted: Vec<Accepted>,
 }
 
-/// A phrase whose winner was accepted: its outcome, and the index of
-/// its sentence among the document's segments.
+/// `v` emptied, for borrows of another lifetime: how a scratch keeps a
+/// `Vec<&str>` across documents. The element layout is unchanged, so
+/// the collect reuses the allocation.
+fn recycle<'b>(mut v: Vec<&str>) -> Vec<&'b str> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+/// A phrase whose winner was accepted: its outcome, and its sentence's
+/// subject (an index into the subject names) and index.
 #[derive(Debug, Clone)]
 struct Accepted {
     outcome: Arc<PhraseOutcome>,
-    segment: usize,
+    subject: usize,
+    sentence_index: usize,
 }
 
 /// The entity `accepted` stands for, as the dedup order sees it.
-fn accepted_view<'a>(accepted: &'a Accepted, segments: &'a [SegmentedSentence]) -> DedupView<'a> {
+fn accepted_view<'a>(accepted: &'a Accepted, names: &'a [String]) -> DedupView<'a> {
     let (candidate, score) = accepted
         .outcome
         .refined
         .best
         .as_ref()
         .expect("an accepted phrase has a winner");
-    let seg = &segments[accepted.segment];
     DedupView {
         concept: &candidate.concept,
         phrase: &candidate.phrase,
         score: *score,
         matched_instance: &candidate.matched_instance,
-        subject: &seg.subject,
-        sentence_index: seg.index,
+        subject: &names[accepted.subject],
+        sentence_index: accepted.sentence_index,
     }
 }
 
-/// Extract the phrases of one sentence into `ranges`, as ranges of its
-/// `words`: dependency-parse noun phrases (the paper's design) or naive
-/// n-grams (`abl_np` ablation). A non-empty sentence is tokenized and
-/// chunked under one `stage.chunk` span and counted in `sentences`, its
-/// phrases in `noun_phrases`.
+/// Extract the phrases of one sentence, its `tokens` in `walk` over
+/// `text`, into `ranges`, as ranges of its `words`: dependency-parse
+/// noun phrases (the paper's design) or naive n-grams (`abl_np`
+/// ablation). A sentence with tokens is tagged from the walk's
+/// lowercase forms and chunked under one `stage.chunk` span and counted
+/// in `sentences`, its phrases in `noun_phrases`.
+#[allow(clippy::too_many_arguments)] // scratch split into its parts
 fn sentence_phrases<'t>(
     text: &'t str,
+    walk: &'t WordWalk,
+    tokens: Range<usize>,
     config: &ThorConfig,
     tagger: &RuleTagger,
     words: &mut Vec<&'t str>,
+    lower: &mut Vec<&'t str>,
     chunk: &mut ChunkScratch,
     ranges: &mut Vec<Range<usize>>,
     tally: &mut DocTally,
 ) {
     ranges.clear();
-    // A sentence has a token exactly when it has a non-whitespace char.
-    if text.trim_start().is_empty() {
+    if tokens.is_empty() {
         return;
     }
     let t0 = Instant::now();
     words.clear();
-    words.extend(token_spans(text).map(|r| &text[r]));
+    words.extend(tokens.clone().map(|t| &text[walk.span(t)]));
     if config.np_chunking {
-        ranges.extend(chunk.chunk(words, tagger).iter().map(PhraseSpan::words));
+        lower.clear();
+        lower.extend(tokens.map(|t| walk.lower(t)));
+        ranges.extend(
+            chunk
+                .chunk_lowered(words, lower, tagger)
+                .iter()
+                .map(PhraseSpan::words),
+        );
     } else {
         // Ablation: every contiguous window up to the subphrase cap,
         // trimmed, with repeats of the previous phrase dropped.
@@ -393,11 +418,13 @@ fn sentence_phrases<'t>(
     tally.noun_phrases += ranges.len() as u64;
 }
 
-/// Run entity extraction over one document's segmented sentences
-/// (lines 3–15), metering the document into `tally`. Returns the
-/// document's entities deduplicated: one best entity per (concept,
-/// phrase) key over every (sentence, noun phrase) winner — `e_best` —
-/// tagged with its sentence's subject instance, sorted and chosen as
+/// Run entity extraction over the sentences of `doc` that segmentation
+/// attributed and walked into `scratch` (lines 3–15), metering the
+/// document into `tally`; `names` are the subject instances the
+/// sentences' subject indices point into. Returns the document's
+/// entities deduplicated: one best entity per (concept, phrase) key
+/// over every (sentence, noun phrase) winner — `e_best` — tagged with
+/// its sentence's subject instance, sorted and chosen as
 /// `dedup_entities` sorts and chooses. The execution core commits
 /// `tally` to the run's metrics only when it marks the document
 /// processed.
@@ -416,32 +443,51 @@ fn sentence_phrases<'t>(
 /// `scratch` is caller-owned so the execution core's workers reuse one
 /// across every document they drain.
 pub(crate) fn extract_tallied(
-    segments: &[SegmentedSentence],
+    doc: &Document,
+    names: &[String],
     matcher: &SimilarityMatcher,
     memo: &PhraseMemo,
     config: &ThorConfig,
-    doc_id: &str,
     tally: &mut DocTally,
     scratch: &mut ExtractScratch,
 ) -> Vec<ExtractedEntity> {
     let tagger = shared_tagger();
+    let text = doc.text.as_str();
     let ExtractScratch {
+        segment: SegmentScratch {
+            walk, sentences, ..
+        },
         score,
         chunk,
+        words,
+        lower,
         ranges,
         phrase,
         accepted,
     } = scratch;
     // A document whose extraction panicked may have left records.
     accepted.clear();
-    let mut words = Vec::new();
+    let (mut sentence_words, mut sentence_lower) = (
+        recycle(std::mem::take(words)),
+        recycle(std::mem::take(lower)),
+    );
 
-    for (segment, seg) in segments.iter().enumerate() {
-        let text = seg.sentence.text.as_str();
-        sentence_phrases(text, config, tagger, &mut words, chunk, ranges, tally);
+    for sentence in sentences.iter() {
+        sentence_phrases(
+            text,
+            walk,
+            sentence.tokens.clone(),
+            config,
+            tagger,
+            &mut sentence_words,
+            &mut sentence_lower,
+            chunk,
+            ranges,
+            tally,
+        );
         for range in ranges.iter() {
             phrase.clear();
-            for (i, word) in words[range.clone()].iter().enumerate() {
+            for (i, word) in sentence_words[range.clone()].iter().enumerate() {
                 if i > 0 {
                     phrase.push(' ');
                 }
@@ -455,24 +501,31 @@ pub(crate) fn extract_tallied(
             // sentence minus the entity phrase must itself be
             // compatible with the assigned concept.
             if let Some(min_context) = config.context_gate {
-                if context_similarity(text, candidate, matcher) < min_context {
+                let sentence_text = &text[sentence.range.clone()];
+                if context_similarity(sentence_text, candidate, matcher) < min_context {
                     continue;
                 }
             }
             tally.entities += 1;
-            accepted.push(Accepted { outcome, segment });
+            accepted.push(Accepted {
+                outcome,
+                subject: sentence.subject,
+                sentence_index: sentence.index,
+            });
         }
     }
+    (*words, *lower) = (recycle(sentence_words), recycle(sentence_lower));
 
     let t0 = Instant::now();
-    let entities = build_survivors(accepted, segments, doc_id);
+    let entities = build_survivors(accepted, names, &doc.id);
     tally.dedup.record(t0.elapsed());
     entities
 }
 
 /// Deduplicate a document's accepted phrases and build an entity for
 /// each survivor only: what `dedup_entities` makes of the entities of
-/// all of them, in the same order. Drains `accepted`.
+/// all of them, in the same order. Drains `accepted`. An entity's
+/// subject is copied out of `names` here, for survivors only.
 ///
 /// The records sort stably under the [`DedupView`] order, as
 /// `dedup_entities` sorts, so even records that order ties (concepts
@@ -481,11 +534,11 @@ pub(crate) fn extract_tallied(
 /// found, so only that part is compared.
 fn build_survivors(
     accepted: &mut Vec<Accepted>,
-    segments: &[SegmentedSentence],
+    names: &[String],
     doc_id: &str,
 ) -> Vec<ExtractedEntity> {
     accepted.sort_by(|a, b| {
-        let (va, vb) = (accepted_view(a, segments), accepted_view(b, segments));
+        let (va, vb) = (accepted_view(a, names), accepted_view(b, names));
         let outcome = if Arc::ptr_eq(&a.outcome, &b.outcome) {
             Ordering::Equal
         } else {
@@ -495,14 +548,14 @@ fn build_survivors(
     });
     accepted.dedup_by(|next, first| {
         Arc::ptr_eq(&next.outcome, &first.outcome)
-            || accepted_view(next, segments)
-                .cmp_key(&accepted_view(first, segments))
+            || accepted_view(next, names)
+                .cmp_key(&accepted_view(first, names))
                 .is_eq()
     });
     accepted
         .drain(..)
         .map(|a| {
-            let v = accepted_view(&a, segments);
+            let v = accepted_view(&a, names);
             ExtractedEntity {
                 subject: v.subject.to_string(),
                 concept: v.concept.to_string(),
@@ -551,8 +604,7 @@ fn context_similarity(
 mod tests {
     use super::*;
     use crate::config::ThorConfig;
-    use crate::document::Document;
-    use crate::segment::{segment, SegmentedSentence, SubjectIndex};
+    use crate::segment::{segment, Attributed, SegmentedSentence, SubjectIndex};
     use proptest::prelude::*;
     use thor_embed::SemanticSpaceBuilder;
     use thor_match::MatcherConfig;
@@ -571,6 +623,9 @@ mod tests {
     }
 
     /// Extraction with an empty memo, its document metered into `run`.
+    /// The segments' texts are laid out as one document, one per line,
+    /// and walked as segmentation walks them; each segment's subject is
+    /// its own name.
     fn extract_metered(
         segments: &[SegmentedSentence],
         matcher: &SimilarityMatcher,
@@ -578,15 +633,32 @@ mod tests {
         doc_id: &str,
         run: &PipelineMetrics,
     ) -> Vec<ExtractedEntity> {
+        let texts: Vec<&str> = segments.iter().map(|s| s.sentence.text.as_str()).collect();
+        let doc = Document::new(doc_id, texts.join("\n"));
+        let names: Vec<String> = segments.iter().map(|s| s.subject.clone()).collect();
+        let mut scratch = ExtractScratch::default();
+        scratch.segment.walk.start(&doc.text);
+        let mut at = 0;
+        for (subject, (seg, sentence)) in segments.iter().zip(&texts).enumerate() {
+            let range = at..at + sentence.len();
+            at = range.end + 1;
+            let walked = scratch.segment.walk.walk(&doc.text, range.clone());
+            scratch.segment.sentences.push(Attributed {
+                range,
+                subject,
+                index: seg.index,
+                tokens: walked.tokens,
+            });
+        }
         let mut tally = DocTally::default();
         let entities = extract_tallied(
-            segments,
+            &doc,
+            &names,
             matcher,
             &PhraseMemo::new(config.cache_capacity),
             config,
-            doc_id,
             &mut tally,
-            &mut ExtractScratch::default(),
+            &mut scratch,
         );
         tally.commit(run);
         entities
@@ -827,15 +899,13 @@ mod tests {
                 pool.push(outcome(&concept, &phrase, INSTANCES[instance], score));
                 pool.push(outcome(&twin_concept, &twin_phrase, INSTANCES[instance], score));
             }
-            let segments: Vec<SegmentedSentence> = places
-                .iter()
-                .map(|&(subject, index)| seg(SUBJECTS[subject], "", index))
-                .collect();
+            let names: Vec<String> = SUBJECTS.iter().map(|s| s.to_string()).collect();
             let accepted: Vec<Accepted> = picks
                 .iter()
                 .map(|&(o, s)| Accepted {
                     outcome: Arc::clone(&pool[o % pool.len()]),
-                    segment: s % segments.len(),
+                    subject: places[s % places.len()].0,
+                    sentence_index: places[s % places.len()].1,
                 })
                 .collect();
 
@@ -843,20 +913,19 @@ mod tests {
                 .iter()
                 .map(|a| {
                     let (candidate, score) = a.outcome.refined.best.clone().unwrap();
-                    let seg = &segments[a.segment];
                     ExtractedEntity {
-                        subject: seg.subject.clone(),
+                        subject: names[a.subject].clone(),
                         concept: candidate.concept,
                         phrase: candidate.phrase,
                         score,
                         matched_instance: candidate.matched_instance,
                         doc_id: "d".to_string(),
-                        sentence_index: seg.index,
+                        sentence_index: a.sentence_index,
                     }
                 })
                 .collect();
             crate::pipeline::dedup_entities(&mut expected);
-            let got = build_survivors(&mut accepted.clone(), &segments, "d");
+            let got = build_survivors(&mut accepted.clone(), &names, "d");
             prop_assert_eq!(got, expected);
         }
     }

@@ -13,7 +13,7 @@
 //! `process_pending` on the shared [`crate::WorkerPool`]; `finalize_run`
 //! then merges the per-document batches by document id and slot-fills.
 //! Stage metering (spans and counters) lives here too, around the plain
-//! layer functions ([`crate::segment::segment`],
+//! layer functions (the in-place form of [`crate::segment::segment`],
 //! [`crate::slotfill::slot_fill`]): each worker tallies a document's
 //! metrics locally, and the recorder commits them to the run handle
 //! when it marks the document processed.
@@ -67,7 +67,7 @@ use crate::entity::ExtractedEntity;
 use crate::extract::{extract_tallied, ExtractScratch};
 use crate::pipeline::{doc_batches, merge_doc_batches, EnrichmentResult};
 use crate::pool::WorkerPool;
-use crate::segment::segment;
+use crate::segment::segment_into;
 use crate::slotfill::{slot_fill, SlotFillStats};
 
 /// Failure policy of a resilient run.
@@ -194,9 +194,12 @@ pub(crate) struct DocTally {
     pub(crate) cache_hits: u64,
     pub(crate) cache_misses: u64,
     pub(crate) prune: PruneStats,
-    /// `stage.segment`: one span per segmented document.
+    /// `stage.segment`: one span per segmented document, over the
+    /// sentence split, the word walk of every sentence and the subject
+    /// probe.
     pub(crate) segment: SpanTally,
-    /// `stage.chunk`: one span per non-empty sentence.
+    /// `stage.chunk`: one span per attributed sentence with a token,
+    /// over tagging, parsing and phrase spans of the walked tokens.
     pub(crate) chunk: SpanTally,
     /// `stage.match`: one span per phrase matched afresh.
     pub(crate) match_phrase: SpanTally,
@@ -396,20 +399,21 @@ fn process_doc(
     if let Err(e) = opts.cancel.check("segment") {
         return (DocStatus::Cancelled(e), tally);
     }
-    let segments = match catch_unwind(AssertUnwindSafe(|| {
+    match catch_unwind(AssertUnwindSafe(|| {
         fail_point("segment")?;
         let t0 = Instant::now();
-        let segments = segment(
-            doc,
+        segment_into(
+            &doc.text,
             engine.subjects(),
             engine.matcher(),
             config.segmentation,
+            &mut scratch.segment,
         );
         tally.segment.record(t0.elapsed());
-        tally.segments += segments.len() as u64;
-        Ok(segments)
+        tally.segments += scratch.segment.sentences.len() as u64;
+        Ok(())
     })) {
-        Ok(Ok(segments)) => segments,
+        Ok(Ok(())) => {}
         Ok(Err(e)) => return (quarantined("segment", e), tally),
         Err(payload) => {
             let err = ThorError::panic("segment", payload.as_ref());
@@ -423,11 +427,11 @@ fn process_doc(
     let status = match catch_unwind(AssertUnwindSafe(|| {
         fail_point("extract")?;
         Ok(extract_tallied(
-            &segments,
+            doc,
+            engine.subjects().names(),
             engine.matcher(),
             engine.phrase_memo(),
             config,
-            &doc.id,
             &mut tally,
             scratch,
         ))

@@ -7,15 +7,18 @@
 //! talk about one subject at a time, subsequent sentences inherit the
 //! last anchor (carry-forward); when nothing anchors a sentence we fall
 //! back to semantic matching against the subject instances.
+//!
+//! Each sentence is read once: one [`WordWalk`] pass yields its
+//! normalized words, which the mention probe looks up and the semantic
+//! fallback embeds, and its tokens with their lowercase forms, which
+//! extraction tags and chunks.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
-use thor_embed::{Vector, VectorStore};
+use thor_embed::{mean_of_rows, Vector, VectorStore};
 use thor_match::SimilarityMatcher;
-use thor_text::{
-    normalize_phrase, normalize_phrase_into, split_sentences, GramBuildHasher, Sentence,
-};
+use thor_text::{normalize_phrase, sentence_spans, GramBuildHasher, Sentence, WordWalk};
 
 use crate::config::SegmentationMode;
 use crate::document::Document;
@@ -45,10 +48,12 @@ pub struct SegmentedSentence {
 /// * **Mentions.** Each normalized subject key maps to its subject. A
 ///   sentence mentions a subject when the key's words occur
 ///   contiguously among the sentence's normalized words, so a sentence
-///   is normalized once and its word n-grams are hash lookups. The map
-///   also holds every key's leading words (`acoustic` for `acoustic
-///   neuroma`), so the n-grams from one start word grow only while
-///   they can still become a key: most words cost one lookup. When
+///   is normalized once, by the segmentation walk, and its word n-grams
+///   are hash lookups. The map also holds every key's leading words
+///   (`acoustic` for `acoustic neuroma`), so the n-grams from one start
+///   word grow only while they can still become a key: most words cost
+///   one lookup of the word as the walk holds it, and only a growing
+///   n-gram is joined into a key buffer. When
 ///   several subjects are mentioned, the longest normalized key in
 ///   bytes wins (so `acoustic neuroma` beats `neuroma`); equal lengths
 ///   go to the later subject in table order; a key shared by several
@@ -78,11 +83,29 @@ struct Gram {
     extends: bool,
 }
 
-thread_local! {
-    /// [`SubjectIndex::mentioned`]'s per-thread scratch, reused across
-    /// sentences: the normalized sentence and its word start offsets.
-    static MENTION_SCRATCH: RefCell<(String, Vec<usize>)> =
-        const { RefCell::new((String::new(), Vec::new())) };
+/// A sentence attributed to a subject instance, as the execution core
+/// keeps it: where it is, whose it is, which it is, and where its
+/// walked tokens are.
+#[derive(Debug, Clone)]
+pub(crate) struct Attributed {
+    /// The sentence's trimmed byte range in the document text.
+    pub(crate) range: Range<usize>,
+    /// Its subject instance, an index into [`SubjectIndex::names`].
+    pub(crate) subject: usize,
+    /// Index of the sentence within its document.
+    pub(crate) index: usize,
+    /// Its tokens' indices in the document's [`WordWalk`].
+    pub(crate) tokens: Range<usize>,
+}
+
+/// One worker's segmentation buffers, reused across the documents it
+/// segments: the document's word walk, its attributed sentences, and
+/// the joined n-gram key of the mention probe.
+#[derive(Debug, Default)]
+pub(crate) struct SegmentScratch {
+    pub(crate) walk: WordWalk,
+    pub(crate) sentences: Vec<Attributed>,
+    key: String,
 }
 
 impl SubjectIndex {
@@ -117,42 +140,52 @@ impl SubjectIndex {
         &self.names
     }
 
-    /// The subject mentioned in `sentence`, if any, under the tie rule
-    /// documented on the type. The sentence is normalized into this
-    /// thread's reused buffer.
-    fn mentioned(&self, sentence: &str) -> Option<usize> {
-        MENTION_SCRATCH.with_borrow_mut(|(norm, starts)| {
-            normalize_phrase_into(sentence, norm);
-            starts.clear();
-            starts.push(0);
-            starts.extend(norm.match_indices(' ').map(|(at, _)| at + 1));
-            let word_end = |w: usize| starts.get(w + 1).map_or(norm.len(), |&s| s - 1);
-            let mut best: Option<(usize, usize)> = None;
-            for (first, &from) in starts.iter().enumerate() {
-                for last in first..starts.len() {
-                    let text = &norm[from..word_end(last)];
-                    let Some(gram) = self.grams.get(text) else {
-                        break;
-                    };
-                    if let Some(subject) = gram.subject {
-                        best = best.max(Some((text.len(), subject)));
-                    }
-                    if !gram.extends {
-                        break;
-                    }
+    /// The subject mentioned by the normalized words `words` of `walk`,
+    /// if any, under the tie rule documented on the type. An n-gram of
+    /// two or more words is joined into `key`.
+    fn mentioned(&self, walk: &WordWalk, words: Range<usize>, key: &mut String) -> Option<usize> {
+        let mut best: Option<(usize, usize)> = None;
+        let mut consider = |gram: &Gram, len: usize| {
+            if let Some(subject) = gram.subject {
+                best = best.max(Some((len, subject)));
+            }
+        };
+        for first in words.clone() {
+            let word = walk.word(first);
+            let Some(gram) = self.grams.get(word) else {
+                continue;
+            };
+            consider(gram, word.len());
+            if !gram.extends {
+                continue;
+            }
+            key.clear();
+            key.push_str(word);
+            for last in first + 1..words.end {
+                key.push(' ');
+                key.push_str(walk.word(last));
+                let Some(gram) = self.grams.get(key.as_str()) else {
+                    break;
+                };
+                consider(gram, key.len());
+                if !gram.extends {
+                    break;
                 }
             }
-            best.map(|(_, subject)| subject)
-        })
+        }
+        best.map(|(_, subject)| subject)
     }
 
     /// Semantic fallback: the subject whose mean vector is most similar
     /// to the sentence's, if that similarity is meaningful at all. An
-    /// out-of-vocabulary sentence carries no evidence. Each similarity
-    /// is `thor_embed::cosine`'s arithmetic on the stored norms, so the
-    /// scores are bit-identical to it.
-    fn nearest(&self, sentence: &str, store: &VectorStore) -> Option<usize> {
-        let query = store.embed_phrase(sentence)?;
+    /// out-of-vocabulary sentence carries no evidence. The sentence's
+    /// vector is the mean over its normalized words `words` of `walk`,
+    /// which are the words `VectorStore::embed_phrase` would normalize
+    /// it into, in order, so the mean is bit-identical to it. Each
+    /// similarity is `thor_embed::cosine`'s arithmetic on the stored
+    /// norms, so the scores are bit-identical to it too.
+    fn nearest(&self, walk: &WordWalk, words: Range<usize>, store: &VectorStore) -> Option<usize> {
+        let query = mean_of_rows(words.filter_map(|w| store.row_raw(walk.word(w))))?;
         let query_norm = query.norm();
         self.vectors
             .iter()
@@ -176,40 +209,78 @@ impl SubjectIndex {
 /// `subjects` are the table's subject instances, frozen into a
 /// [`SubjectIndex`] over `matcher`'s vector store, which powers the
 /// semantic fallback. Sentences that cannot be attributed to any
-/// subject are dropped. Unmetered: the execution core wraps each call
-/// in the `stage.segment` span and counts the returned sentences as
-/// `segments`.
+/// subject are dropped. The owned form of what the execution core
+/// segments in place: the same walk, each attributed sentence then
+/// copied out with its subject's name.
 pub fn segment(
     doc: &Document,
     subjects: &SubjectIndex,
     matcher: &SimilarityMatcher,
     mode: SegmentationMode,
 ) -> Vec<SegmentedSentence> {
-    let semantic = |text: &str| subjects.nearest(text, matcher.store());
-    let mut out = Vec::new();
+    let mut scratch = SegmentScratch::default();
+    segment_into(&doc.text, subjects, matcher, mode, &mut scratch);
+    scratch
+        .sentences
+        .iter()
+        .map(|s| SegmentedSentence {
+            subject: subjects.names[s.subject].clone(),
+            sentence: Sentence {
+                text: doc.text[s.range.clone()].to_string(),
+                start: s.range.start,
+                end: s.range.end,
+            },
+            index: s.index,
+        })
+        .collect()
+}
+
+/// [`segment`] into `scratch`, replacing what it held: each sentence of
+/// `text` is split off by [`sentence_spans`] and walked once, its
+/// normalized words probe the mention map and feed the semantic
+/// fallback, and an attributed sentence
+/// keeps its walked tokens for extraction. Unmetered: the execution
+/// core wraps each call in the `stage.segment` span and counts the
+/// attributed sentences as `segments`.
+pub(crate) fn segment_into(
+    text: &str,
+    subjects: &SubjectIndex,
+    matcher: &SimilarityMatcher,
+    mode: SegmentationMode,
+    scratch: &mut SegmentScratch,
+) {
+    let SegmentScratch {
+        walk,
+        sentences,
+        key,
+    } = scratch;
+    walk.start(text);
+    sentences.clear();
+    let store = matcher.store();
     let mut current: Option<usize> = None;
 
-    for (index, sentence) in split_sentences(&doc.text).into_iter().enumerate() {
+    for (index, range) in sentence_spans(text).enumerate() {
+        let walked = walk.walk(text, range.clone());
         let subject = match mode {
-            SegmentationMode::SemanticOnly => semantic(&sentence.text),
-            SegmentationMode::MentionOnly => subjects.mentioned(&sentence.text),
+            SegmentationMode::SemanticOnly => subjects.nearest(walk, walked.words, store),
+            SegmentationMode::MentionOnly => subjects.mentioned(walk, walked.words, key),
             SegmentationMode::MentionCarryForward => {
-                if let Some(s) = subjects.mentioned(&sentence.text) {
+                if let Some(s) = subjects.mentioned(walk, walked.words.clone(), key) {
                     current = Some(s);
                 }
-                current.or_else(|| semantic(&sentence.text))
+                current.or_else(|| subjects.nearest(walk, walked.words, store))
             }
         };
 
         if let Some(subject) = subject {
-            out.push(SegmentedSentence {
-                subject: subjects.names[subject].clone(),
-                sentence,
+            sentences.push(Attributed {
+                range,
+                subject,
                 index,
+                tokens: walked.tokens,
             });
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -1,14 +1,17 @@
 //! Sentence analysis: the tag → parse → chunk pipeline as one call.
 //!
-//! The extraction pipeline runs this per segmented sentence through a
-//! [`ChunkScratch`] it keeps per worker; thor-core's execution core
-//! meters each call (`sentences` / `noun_phrases` counters,
-//! `stage.chunk` span) around it.
+//! The extraction pipeline runs this per attributed sentence through a
+//! [`ChunkScratch`] it keeps per worker, with the words and their
+//! lowercase forms segmentation's `thor_text::WordWalk` already read
+//! ([`ChunkScratch::chunk_lowered`]); thor-core's execution core meters
+//! each call (`sentences` / `noun_phrases` counters, `stage.chunk`
+//! span: tagging, parsing and phrase spans) around it. Tokenizing,
+//! normalizing and lowercasing fall under `stage.segment`.
 
 use crate::chunker::{phrase_spans_into, NounPhrase, PhraseSpan};
 use crate::dep::{parse_dependencies_into, DepTree};
 use crate::pos::Pos;
-use crate::tagger::Tagger;
+use crate::tagger::{RuleTagger, Tagger};
 
 /// Tag, dependency-parse, and chunk one tokenized sentence.
 pub fn chunk_sentence(words: &[&str], tagger: &impl Tagger) -> Vec<NounPhrase> {
@@ -41,6 +44,24 @@ impl ChunkScratch {
     /// word positions.
     pub fn chunk(&mut self, words: &[&str], tagger: &impl Tagger) -> &[PhraseSpan] {
         tagger.tag_into(words, &mut self.tags);
+        self.parse_and_chunk(words)
+    }
+
+    /// [`ChunkScratch::chunk`] through [`RuleTagger::tag_lowered_into`],
+    /// given `lower`, the `str::to_lowercase` of each word. The phrases
+    /// are the same.
+    pub fn chunk_lowered(
+        &mut self,
+        words: &[&str],
+        lower: &[&str],
+        tagger: &RuleTagger,
+    ) -> &[PhraseSpan] {
+        tagger.tag_lowered_into(words, lower, &mut self.tags);
+        self.parse_and_chunk(words)
+    }
+
+    /// Parse and chunk `words` under the tags in `self.tags`.
+    fn parse_and_chunk(&mut self, words: &[&str]) -> &[PhraseSpan] {
         parse_dependencies_into(words, &self.tags, &mut self.tree, &mut self.np_heads);
         phrase_spans_into(
             words,

@@ -295,11 +295,17 @@ impl Lexicon {
     /// Lookup, falling back to the guesser; lowercases `word` once for both.
     pub fn tag_of(&self, word: &str, sentence_initial: bool) -> Pos {
         with_lowercase(word, |lower| {
-            self.entries
-                .get(lower)
-                .copied()
-                .unwrap_or_else(|| Self::guess_lowered(word, lower, sentence_initial))
+            self.tag_of_lowered(word, lower, sentence_initial)
         })
+    }
+
+    /// [`Lexicon::tag_of`], given `lower`, the `str::to_lowercase` of
+    /// `word`: for a caller that has lowercased the word already.
+    pub fn tag_of_lowered(&self, word: &str, lower: &str, sentence_initial: bool) -> Pos {
+        self.entries
+            .get(lower)
+            .copied()
+            .unwrap_or_else(|| Self::guess_lowered(word, lower, sentence_initial))
     }
 }
 

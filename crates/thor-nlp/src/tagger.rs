@@ -39,6 +39,22 @@ impl RuleTagger {
     pub fn new(lexicon: Lexicon) -> Self {
         Self { lexicon }
     }
+
+    /// [`Tagger::tag_into`], given `lower`, the `str::to_lowercase` of
+    /// each word: for a caller that has lowercased the sentence's words
+    /// already, as [`thor_text::WordWalk`] does. The tags are the same.
+    pub fn tag_lowered_into(&self, words: &[&str], lower: &[&str], tags: &mut Vec<Pos>) {
+        assert_eq!(words.len(), lower.len());
+        tags.clear();
+        tags.extend(
+            words
+                .iter()
+                .zip(lower)
+                .enumerate()
+                .map(|(i, (w, l))| self.lexicon.tag_of_lowered(w, l, i == 0)),
+        );
+        repair(tags, |i| lower[i].ends_with('s'));
+    }
 }
 
 impl Tagger for RuleTagger {
@@ -50,36 +66,44 @@ impl Tagger for RuleTagger {
                 .enumerate()
                 .map(|(i, w)| self.lexicon.tag_of(w, i == 0)),
         );
-        // Context repairs (Brill-style):
-        for i in 0..tags.len() {
-            // DET _ : a noun-guessed word directly after a determiner
-            // sitting before another noun is more likely an ADJ...
-            // but only if it's not the last nominal of the run; keep
-            // simple: "that"/"as" ambiguity — after a DET, a CONJ-tagged
-            // "that" is a DET complementizer; leave as-is.
-            //
-            // NOUN followed by sentence-initial guess: the first word was
-            // conservatively tagged NOUN; if it is followed by a verb and
-            // capitalized, it is acting as the subject name — PROPN
-            // improves downstream subject matching but NOUN is fine too.
-            //
-            // Repair: word tagged NOUN that ends in "s" directly after a
-            // nominal and followed by a DET is almost surely a verb
-            // ("Tuberculosis damages the lungs").
-            if tags[i] == Pos::Noun
-                && i + 1 < tags.len()
-                && matches!(tags[i + 1], Pos::Det | Pos::Pron)
-                && with_lowercase(words[i], |lower| lower.ends_with('s'))
-            {
-                // Previous non-adverb tag must be nominal.
-                let prev_nominal = (0..i)
-                    .rev()
-                    .map(|j| tags[j])
-                    .find(|t| *t != Pos::Adv)
-                    .is_some_and(Pos::is_nominal);
-                if prev_nominal {
-                    tags[i] = Pos::Verb;
-                }
+        repair(tags, |i| {
+            with_lowercase(words[i], |lower| lower.ends_with('s'))
+        });
+    }
+}
+
+/// The context repair pass over lexicon tags; `ends_in_s(i)` is whether
+/// word `i`, lowercased, ends in `s`.
+fn repair(tags: &mut [Pos], ends_in_s: impl Fn(usize) -> bool) {
+    // Context repairs (Brill-style):
+    for i in 0..tags.len() {
+        // DET _ : a noun-guessed word directly after a determiner
+        // sitting before another noun is more likely an ADJ...
+        // but only if it's not the last nominal of the run; keep
+        // simple: "that"/"as" ambiguity — after a DET, a CONJ-tagged
+        // "that" is a DET complementizer; leave as-is.
+        //
+        // NOUN followed by sentence-initial guess: the first word was
+        // conservatively tagged NOUN; if it is followed by a verb and
+        // capitalized, it is acting as the subject name — PROPN
+        // improves downstream subject matching but NOUN is fine too.
+        //
+        // Repair: word tagged NOUN that ends in "s" directly after a
+        // nominal and followed by a DET is almost surely a verb
+        // ("Tuberculosis damages the lungs").
+        if tags[i] == Pos::Noun
+            && i + 1 < tags.len()
+            && matches!(tags[i + 1], Pos::Det | Pos::Pron)
+            && ends_in_s(i)
+        {
+            // Previous non-adverb tag must be nominal.
+            let prev_nominal = (0..i)
+                .rev()
+                .map(|j| tags[j])
+                .find(|t| *t != Pos::Adv)
+                .is_some_and(Pos::is_nominal);
+            if prev_nominal {
+                tags[i] = Pos::Verb;
             }
         }
     }

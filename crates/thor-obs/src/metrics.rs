@@ -158,8 +158,9 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// bound*, which makes them conservative (never under-reported) and
 /// monotone in the requested rank: `p50 <= p95 <= p99` by construction.
 ///
-/// Values are unit-agnostic `u64`s; the serve layer records nanoseconds
-/// via [`Histogram::record_duration`].
+/// Values are unit-agnostic `u64`s; the serve layer records each
+/// request's latency in microseconds via [`Histogram::record`], and
+/// [`Histogram::record_duration`] records a `Duration` in nanoseconds.
 #[derive(Debug)]
 pub struct Histogram {
     count: AtomicU64,

@@ -26,10 +26,13 @@ pub struct PipelineMetrics {
     pub prepare: Arc<StageTimer>,
     /// Wall-clock of the inference phase (per-document extraction).
     pub inference: Arc<StageTimer>,
-    /// Wall-clock of text segmentation, one span per document.
+    /// Wall-clock of text segmentation, one span per document: the
+    /// sentence split, the word walk that tokenizes, lowercases and
+    /// normalizes each sentence once, and the subject probe.
     pub segment: Arc<StageTimer>,
-    /// Wall-clock of the text front end: tokenizing, tagging, parsing
-    /// and noun-phrase chunking, one span per non-empty sentence.
+    /// Wall-clock of the rest of the text front end: tagging, parsing
+    /// and noun-phrase chunking of the walked tokens, one span per
+    /// attributed sentence with a token.
     pub chunk: Arc<StageTimer>,
     /// Wall-clock of anchored phrase matching against the concept store.
     pub match_phrase: Arc<StageTimer>,

@@ -10,7 +10,10 @@
 //!
 //! * [`token`] — word tokenization with byte-offset spans: one
 //!   span-based core ([`token_spans`]) that borrows words from the text,
-//! * [`sentence`] — sentence segmentation of documents,
+//!   and the [`WordWalk`] that reads a sentence once for its tokens,
+//!   their lowercase forms and its normalized words,
+//! * [`sentence`] — sentence segmentation of documents, as borrowed
+//!   byte ranges ([`sentence_spans`]) or owned [`Sentence`]s,
 //! * [`inflect`] — rule-based English singularization (seeds are
 //!   lemma-like, mentions inflect),
 //! * [`normalize`] — case folding, punctuation stripping, and the
@@ -51,7 +54,7 @@ pub use kernels::{
 pub use normalize::{
     fold_token, normalize_phrase, normalize_phrase_into, normalized_eq, with_lowercase,
 };
-pub use sentence::{split_sentences, Sentence};
+pub use sentence::{sentence_spans, split_sentences, Sentence, SentenceSpans};
 pub use similarity::{gestalt_similarity, jaccard_words, levenshtein, ngram_similarity};
 pub use stopwords::{is_stopword, strip_stopwords, trim_stopwords, trimmed_range};
-pub use token::{token_spans, tokenize, tokenize_words, Token, TokenSpans};
+pub use token::{token_spans, tokenize, tokenize_words, Token, TokenSpans, Walked, WordWalk};

@@ -13,8 +13,14 @@ pub fn fold_token(token: &str) -> String {
     trim_outer_punctuation(token).to_lowercase()
 }
 
+/// Whether [`fold_token`] strips `c` from a token's edges: ASCII
+/// punctuation other than `-` and `'`.
+pub(crate) fn is_outer_punctuation(c: char) -> bool {
+    c.is_ascii_punctuation() && c != '-' && c != '\''
+}
+
 fn trim_outer_punctuation(token: &str) -> &str {
-    token.trim_matches(|c: char| c.is_ascii_punctuation() && c != '-' && c != '\'')
+    token.trim_matches(is_outer_punctuation)
 }
 
 /// Longest ASCII word [`with_lowercase`] lowercases on the stack.

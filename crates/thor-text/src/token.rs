@@ -10,6 +10,8 @@
 
 use std::ops::Range;
 
+use crate::normalize::is_outer_punctuation;
+
 /// A single token with its byte span in the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
@@ -76,6 +78,9 @@ pub fn token_spans(text: &str) -> TokenSpans<'_> {
         chunk_end: 0,
         core_start: 0,
         core_end: 0,
+        kept_start: 0,
+        kept_end: 0,
+        ascii: true,
     }
 }
 
@@ -91,13 +96,20 @@ pub struct TokenSpans<'a> {
     /// last; empty when the chunk has no inner character.
     core_start: usize,
     core_end: usize,
+    /// The chunk as the phrase normalizer keeps it, outer punctuation
+    /// trimmed; empty when nothing is left. Not the core: `_` and
+    /// control characters are inner to one and not to the other.
+    kept_start: usize,
+    kept_end: usize,
+    /// Whether the chunk was read byte by byte, so is all ASCII.
+    ascii: bool,
 }
 
 impl TokenSpans<'_> {
-    /// Move to the next whitespace-delimited chunk and locate its core;
-    /// false when the text is exhausted. Reads bytes while they are
-    /// ASCII and hands the rest of the chunk to [`Self::next_chunk_chars`]
-    /// at the first byte that is not.
+    /// Move to the next whitespace-delimited chunk and locate its core
+    /// and its kept part; false when the text is exhausted. Reads bytes
+    /// while they are ASCII and hands the rest of the chunk to
+    /// [`Self::next_chunk_chars`] at the first byte that is not.
     fn next_chunk(&mut self) -> bool {
         let bytes = self.text.as_bytes();
         let mut at = self.pos;
@@ -107,6 +119,7 @@ impl TokenSpans<'_> {
         // Everything before `at` is ASCII, so `at` is a char boundary.
         self.pos = at;
         let mut core = None::<(usize, usize)>;
+        let mut kept = None::<(usize, usize)>;
         while at < bytes.len() {
             let b = bytes[at];
             if !b.is_ascii() {
@@ -118,6 +131,9 @@ impl TokenSpans<'_> {
             if is_inner_ascii(b) {
                 core = Some((core.map_or(at, |(first, _)| first), at + 1));
             }
+            if !is_outer_punctuation(b as char) {
+                kept = Some((kept.map_or(at, |(first, _)| first), at + 1));
+            }
             at += 1;
         }
         self.chunk_end = at;
@@ -125,6 +141,8 @@ impl TokenSpans<'_> {
             return false;
         }
         (self.core_start, self.core_end) = core.unwrap_or((at, at));
+        (self.kept_start, self.kept_end) = kept.unwrap_or((at, at));
+        self.ascii = true;
         true
     }
 
@@ -151,7 +169,29 @@ impl TokenSpans<'_> {
             }
             None => (self.chunk_end, self.chunk_end),
         };
+        let lead = chunk.len() - chunk.trim_start_matches(is_outer_punctuation).len();
+        (self.kept_start, self.kept_end) = if lead == chunk.len() {
+            (self.chunk_end, self.chunk_end)
+        } else {
+            let kept = chunk.trim_end_matches(is_outer_punctuation).len();
+            (self.pos + lead, self.pos + kept)
+        };
+        self.ascii = false;
         true
+    }
+
+    /// The next token of the current chunk, which has one left.
+    fn next_token(&mut self) -> Range<usize> {
+        let start = self.pos;
+        self.pos = if start == self.core_start && self.core_start < self.core_end {
+            self.core_end
+        } else if self.text.as_bytes()[start].is_ascii() {
+            start + 1
+        } else {
+            let c = self.text[start..].chars().next().expect("inside a chunk");
+            start + c.len_utf8()
+        };
+        start..self.pos
     }
 }
 
@@ -162,16 +202,136 @@ impl Iterator for TokenSpans<'_> {
         if self.pos == self.chunk_end && !self.next_chunk() {
             return None;
         }
-        let start = self.pos;
-        self.pos = if start == self.core_start && self.core_start < self.core_end {
-            self.core_end
-        } else if self.text.as_bytes()[start].is_ascii() {
-            start + 1
-        } else {
-            let c = self.text[start..].chars().next().expect("inside a chunk");
-            start + c.len_utf8()
-        };
-        Some(start..self.pos)
+        Some(self.next_token())
+    }
+}
+
+/// One sentence read once: the buffers of a word walk, reused across
+/// the sentences of a text and across texts.
+///
+/// [`WordWalk::walk`] makes one [`token_spans`] pass over a range of
+/// the text and records, per whitespace-delimited chunk, its tokens —
+/// each with its lowercase form, the `str::to_lowercase` of its text —
+/// and the word [`normalize_phrase`](crate::normalize_phrase) makes of
+/// the chunk, if any; joined by single spaces, a range's words are
+/// `normalize_phrase` of its text. So whoever probes a sentence's
+/// normalized words and whoever tags its tokens read the same walk.
+///
+/// [`WordWalk::start`] lowercases the text's ASCII letters into the
+/// walk's buffer in place, so the lowercase form of an ASCII token or
+/// word is the slice of that buffer at its own range. A non-ASCII token
+/// or word is lowercased by `str::to_lowercase` on its own and
+/// appended: lowercasing a longer stretch would not be the same, as a
+/// word-final `Σ` becomes `ς` only at the end of a word.
+///
+/// ```
+/// use thor_text::WordWalk;
+/// let text = "The Nervous SYSTEM (CNS).";
+/// let mut walk = WordWalk::new();
+/// walk.start(text);
+/// let walked = walk.walk(text, 0..text.len());
+/// let tokens: Vec<&str> = walked.tokens.clone().map(|t| &text[walk.span(t)]).collect();
+/// let lower: Vec<&str> = walked.tokens.clone().map(|t| walk.lower(t)).collect();
+/// let words: Vec<&str> = walked.words.map(|w| walk.word(w)).collect();
+/// assert_eq!(tokens, ["The", "Nervous", "SYSTEM", "(", "CNS", ")", "."]);
+/// assert_eq!(lower, ["the", "nervous", "system", "(", "cns", ")", "."]);
+/// assert_eq!(words, ["the", "nervous", "system", "cns"]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct WordWalk {
+    /// The started text with its ASCII letters lowercased, byte for
+    /// byte, then the lowercase forms of the non-ASCII slices walked.
+    lower: String,
+    /// Length of the started text.
+    text_len: usize,
+    /// Per token: its range in the text, its lowercase form's in `lower`.
+    tokens: Vec<(Range<usize>, Range<usize>)>,
+    /// Per normalized word: its range in `lower`.
+    words: Vec<Range<usize>>,
+}
+
+/// What one [`WordWalk::walk`] recorded: the indices of its tokens and
+/// of its normalized words in the walk.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Walked {
+    /// Token indices, for [`WordWalk::span`] and [`WordWalk::lower`].
+    pub tokens: Range<usize>,
+    /// Normalized-word indices, for [`WordWalk::word`].
+    pub words: Range<usize>,
+}
+
+impl WordWalk {
+    /// Empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Take `text` as the text to walk, forgetting everything walked
+    /// before: its ASCII letters are lowercased into the buffer.
+    pub fn start(&mut self, text: &str) {
+        self.lower.clear();
+        self.lower.push_str(text);
+        self.lower.make_ascii_lowercase();
+        self.text_len = text.len();
+        self.tokens.clear();
+        self.words.clear();
+    }
+
+    /// Walk `text[range]`, where `text` is the text last passed to
+    /// [`WordWalk::start`]: record its tokens, as [`token_spans`] splits
+    /// them but with ranges in `text`, their lowercase forms, and its
+    /// normalized words. Returns where they went.
+    pub fn walk(&mut self, text: &str, range: Range<usize>) -> Walked {
+        assert_eq!(text.len(), self.text_len, "walk the started text");
+        let (tokens, words) = (self.tokens.len(), self.words.len());
+        let base = range.start;
+        let mut spans = token_spans(&text[range]);
+        while spans.next_chunk() {
+            if spans.kept_start < spans.kept_end {
+                let kept = base + spans.kept_start..base + spans.kept_end;
+                let lower = self.lowered(text, kept, spans.ascii);
+                self.words.push(lower);
+            }
+            while spans.pos < spans.chunk_end {
+                let token = spans.next_token();
+                let token = base + token.start..base + token.end;
+                let lower = self.lowered(text, token.clone(), spans.ascii);
+                self.tokens.push((token, lower));
+            }
+        }
+        Walked {
+            tokens: tokens..self.tokens.len(),
+            words: words..self.words.len(),
+        }
+    }
+
+    /// Where the lowercase form of `text[range]` is in the buffer: the
+    /// range itself when the slice is ASCII (`ascii` says the whole
+    /// chunk is), else its `str::to_lowercase`, appended.
+    fn lowered(&mut self, text: &str, range: Range<usize>, ascii: bool) -> Range<usize> {
+        let slice = &text[range.clone()];
+        if ascii || slice.is_ascii() {
+            return range;
+        }
+        let at = self.lower.len();
+        self.lower.push_str(&slice.to_lowercase());
+        at..self.lower.len()
+    }
+
+    /// The range of token `token` in the walked text.
+    pub fn span(&self, token: usize) -> Range<usize> {
+        self.tokens[token].0.clone()
+    }
+
+    /// The lowercase form of token `token`.
+    pub fn lower(&self, token: usize) -> &str {
+        &self.lower[self.tokens[token].1.clone()]
+    }
+
+    /// Normalized word `word`: a chunk with its outer punctuation
+    /// trimmed, lowercased.
+    pub fn word(&self, word: usize) -> &str {
+        &self.lower[self.words[word].clone()]
     }
 }
 
