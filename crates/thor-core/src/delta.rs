@@ -10,10 +10,10 @@
 //! be merge-inserted ([`PreparedMatcher::with_additions`]) — and THOR
 //! fine-tunes each concept on its own seeds and candidates, so an apply
 //! works concept by concept. A concept the delta does not touch is
-//! shared with the parent engine: its instances, seeds and cluster are
-//! the same `Arc`s, its index rows and pruning balls are copied, and
-//! its seed-syntax entries are shared. Only touched concepts embed
-//! their new instances, derive a cluster and cluster their index rows.
+//! shared with the parent engine: its instances and seeds are the same
+//! `Arc`s, its index block and pruning balls are copied, and its
+//! seed-syntax entries are shared. Only touched concepts embed their
+//! new instances, build their index block and cluster its rows.
 //! The result is an engine **bit-identical** to `Thor::prepare` on the
 //! final table: same extraction output, same fingerprint, same saved
 //! bytes. That invariant is also why [`PreparedEngine::save_delta`] can
@@ -109,11 +109,11 @@ impl PreparedEngine {
     /// frozen τ-expansion lists
     /// ([`PreparedMatcher::with_additions`]). A concept the delta
     /// touches — it gained seeds, its candidate list changed, or it is
-    /// new — gets its new instances embedded, its cluster derived, its
-    /// index block built and its pruning balls clustered. Every other
-    /// concept is shared with this engine: its seeds and cluster are
-    /// the same `Arc`s, its index block and pruning balls are copied
-    /// (row ids rebased), and the seed syntax shares every entry. The
+    /// new — gets its new instances embedded, its index block built and
+    /// its pruning balls clustered. Every other concept is shared with
+    /// this engine: its seeds are the same `Arc`s, its index block and
+    /// pruning balls are copied (row ids rebased), and the seed syntax
+    /// shares every entry. The
     /// subject index is shared unless the delta added subjects, and
     /// then rebuilt from the evolved table. The result is
     /// bit-identical to `Thor::prepare` on the evolved table — same
@@ -258,8 +258,8 @@ impl PreparedEngine {
             .with_additions(&concepts)
             .map_err(|m| ThorError::validation(format!("delta is not additive: {m}")))?;
 
-        // 3. Evolve the matcher: untouched concepts keep their cluster,
-        // index block and pruning balls.
+        // 3. Evolve the matcher: untouched concepts keep their index
+        // block and pruning balls.
         let matcher = prep.evolve_matcher(&inner.matcher, &touched);
 
         // 4. The subject index is shared unless the delta added subjects.
@@ -616,24 +616,42 @@ mod tests {
         (base, evolved, metrics)
     }
 
+    /// Concept `ci`'s block of `ix`: its seed-row count, row words, row
+    /// bits and row-sum bits.
+    fn index_block(
+        ix: &thor_index::VectorIndex,
+        ci: usize,
+    ) -> (usize, Vec<&str>, Vec<u32>, Vec<u32>) {
+        let (_, start, rows, seed_rows) = ix.concept_layout().nth(ci).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            seed_rows,
+            (start..start + rows).map(|r| ix.row_word(r)).collect(),
+            (start..start + rows)
+                .flat_map(|r| bits(ix.row(r)))
+                .collect(),
+            bits(ix.rep_sum(ci)),
+        )
+    }
+
     /// The sharing mechanism: after a delta, every concept it did not
-    /// touch holds its parent's very seeds, cluster and seed-syntax
-    /// entries; the touched concept holds new ones.
+    /// touch holds its parent's very seeds and seed-syntax entries and
+    /// its parent's index block; the touched concept holds new ones.
     #[test]
     fn untouched_concepts_share_their_parents_state() {
         let (base, evolved, _) = one_concept_delta();
         let (subject, anatomy, treatment) = (0, 1, 2);
         let (bp, ep) = (base.prepared_matcher(), evolved.prepared_matcher());
-        let (bc, ec) = (base.matcher().clusters(), evolved.matcher().clusters());
+        let (bi, ei) = (base.matcher().index(), evolved.matcher().index());
         for ci in [subject, treatment] {
             assert!(Arc::ptr_eq(bp.concept_seeds(ci), ep.concept_seeds(ci)));
-            assert!(Arc::ptr_eq(&bc[ci], &ec[ci]));
+            assert_eq!(index_block(bi, ci), index_block(ei, ci));
         }
         assert!(!Arc::ptr_eq(
             bp.concept_seeds(anatomy),
             ep.concept_seeds(anatomy)
         ));
-        assert!(!Arc::ptr_eq(&bc[anatomy], &ec[anatomy]));
+        assert_ne!(index_block(bi, anatomy), index_block(ei, anatomy));
 
         // Seed syntax is keyed by instance: every entry the parent has
         // is shared, and only the new seed's entry is new.

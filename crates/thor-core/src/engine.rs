@@ -6,7 +6,7 @@
 //! the configuration — not on the documents being served. The engine
 //! freezes that output once, behind [`Thor::prepare`]:
 //!
-//! * the fine-tuned [`SimilarityMatcher`] (concept clusters + expanded
+//! * the fine-tuned [`SimilarityMatcher`] (the concept clusters as one
 //!   `VectorIndex` + interning phrase cache),
 //! * the [`PreparedMatcher`] it was derived from (the untruncated
 //!   τ-expansion candidates, so any τ′ ≥ the build τ derives in
@@ -31,9 +31,11 @@
 //! section, written atomically) and [`PreparedEngine::load`] rebuilds an
 //! engine that produces **byte-identical** output. The hot arrays
 //! (store, candidates, index, pruning) are borrowed from their
-//! sections; the seeds, clusters and subject index are re-derived
-//! through the exact constructor path the in-memory build uses; and a
-//! semantic fingerprint of store/table/config is verified on load.
+//! sections, and the index is the matcher's only copy of the concept
+//! clusters; the seeds and subject index are re-derived through the
+//! exact constructor path the in-memory build uses, the seed syntax is
+//! keyed at load and computed per seed on first use; and a semantic
+//! fingerprint of store/table/config is verified on load.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -166,13 +168,25 @@ pub struct PreparedEngine {
 }
 
 /// The `(concept, instances)` pairs fine-tuning runs on, in schema
-/// order.
+/// order: each concept's `Table::column_values`, collected borrowed in
+/// one pass over the rows and copied once.
 pub(crate) fn concept_instances(table: &Table) -> Vec<(String, Vec<String>)> {
-    table
-        .schema()
-        .concepts()
+    let concepts = table.schema().concepts();
+    let mut columns: Vec<Vec<&str>> = vec![Vec::new(); concepts.len()];
+    for row in table.rows() {
+        for (column, cell) in columns.iter_mut().zip(row.cells()) {
+            column.extend(cell.values());
+        }
+    }
+    concepts
         .iter()
-        .map(|c| (c.name().to_string(), table.column_values(c.name())))
+        .zip(columns)
+        .map(|(concept, mut values)| {
+            values.sort_unstable();
+            values.dedup();
+            let values = values.into_iter().map(str::to_string).collect();
+            (concept.name().to_string(), values)
+        })
         .collect()
 }
 
@@ -219,10 +233,9 @@ impl Thor {
     /// `pipeline.prepare` span plus the fine-tune statistics.
     pub fn prepare(&self, table: &Table) -> PreparedEngine {
         let start = Instant::now();
-        let concepts = concept_instances(table);
         let matcher_config = self.config().matcher_config();
         let prep = PreparedMatcher::prepare(
-            &concepts,
+            concept_instances(table),
             Arc::clone(self.store_arc()),
             matcher_config.clone(),
         );
@@ -440,9 +453,9 @@ impl PreparedEngine {
     /// patterns), table CSV, the untruncated τ-expansion candidate
     /// lists (exact `f64` bit patterns), the fine-tuned vector index and
     /// its pruning structures, and the seed-syntax instances the load
-    /// cross-checks. Seeds, clusters, the subject index and the caches
-    /// are rebuilt at load through the same constructors, which is what
-    /// makes the loaded engine byte-identical.
+    /// cross-checks. Seeds, the seed-syntax keys, the subject index and
+    /// the caches are rebuilt at load through the same constructors,
+    /// which is what makes the loaded engine byte-identical.
     pub fn save(&self, path: &Path) -> ThorResult<()> {
         let mut sections = SectionWriter::new();
         for (name, version, bytes) in self.engine_sections() {
@@ -712,7 +725,7 @@ impl PreparedEngine {
 
         // Candidate lists.
         let prep = PreparedMatcher::from_frozen_candidates(
-            &concepts,
+            concepts,
             Arc::clone(&store),
             base,
             file.frozen_slice::<u64>(SEC_CAND_STARTS)?,
@@ -783,12 +796,7 @@ impl PreparedEngine {
             Ok(out)
         })()
         .map_err(ctx("seed-syntax section"))?;
-        let derived_instances: Vec<String> = prep
-            .seed_syntax()
-            .instances()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
+        let derived_instances = prep.seed_syntax().instances();
         if stored_instances != derived_instances {
             return Err(invalid(format!(
                 "seed-syntax section lists {} instances but the derivation produced {}; \

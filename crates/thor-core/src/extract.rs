@@ -571,8 +571,9 @@ fn build_survivors(
 
 /// Mean similarity between the sentence context (every content word of
 /// the sentence except the candidate phrase's own words) and the
-/// candidate's concept cluster. Returns 1.0 when the context is empty
-/// or fully out-of-vocabulary (no evidence against the candidate).
+/// candidate's concept cluster, its block of the matcher's index.
+/// Returns 1.0 when the context is empty or fully out-of-vocabulary (no
+/// evidence against the candidate).
 fn context_similarity(
     sentence: &str,
     candidate: &CandidateEntity,
@@ -592,11 +593,10 @@ fn context_similarity(
     let Some(query) = matcher.store().embed_phrase(&context.join(" ")) else {
         return 1.0;
     };
-    matcher
-        .clusters()
-        .iter()
-        .find(|c| c.concept == candidate.concept)
-        .and_then(|c| c.mean_similarity(&query))
+    let index = matcher.index();
+    (0..index.concept_count())
+        .find(|&ci| index.concept_name(ci) == candidate.concept)
+        .and_then(|ci| index.concept_mean(ci, query.as_slice(), query.norm()))
         .unwrap_or(1.0)
 }
 

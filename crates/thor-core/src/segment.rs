@@ -13,10 +13,12 @@
 //! fallback embeds, and its tokens with their lowercase forms, which
 //! extraction tags and chunks.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
-use thor_embed::{mean_of_rows, Vector, VectorStore};
+use thor_embed::{mean_of_rows, VectorStore};
+use thor_index::LaneRows;
 use thor_match::SimilarityMatcher;
 use thor_text::{normalize_phrase, sentence_spans, GramBuildHasher, Sentence, WordWalk};
 
@@ -60,17 +62,19 @@ pub struct SegmentedSentence {
 ///   subjects maps to the last of them. A key that normalizes to
 ///   nothing (`"***"`) is never mentioned.
 /// * **Semantic fallback.** Each subject's mean word vector and its
-///   norm, frozen at build time; out-of-vocabulary subjects have none
-///   and are skipped.
+///   norm, frozen at build time into one interleaved copy, so a
+///   sentence is scored against every subject four at a time by the
+///   lane kernel; out-of-vocabulary subjects have none and are skipped.
 #[derive(Debug)]
 pub struct SubjectIndex {
     names: Vec<String>,
     /// Keyed through [`thor_text::GramHasher`], as it is probed once
     /// per sentence n-gram and documents never insert into it.
     grams: HashMap<Box<str>, Gram, GramBuildHasher>,
-    /// `(subject, mean vector, its norm)` for every in-vocabulary
-    /// subject, in table order.
-    vectors: Vec<(usize, Vector, f64)>,
+    /// The mean vectors of the in-vocabulary subjects, in table order.
+    vectors: LaneRows,
+    /// Per row of `vectors`, its subject.
+    vector_subjects: Vec<usize>,
 }
 
 /// What a normalized word n-gram is to the mention map.
@@ -99,40 +103,46 @@ pub(crate) struct Attributed {
 }
 
 /// One worker's segmentation buffers, reused across the documents it
-/// segments: the document's word walk, its attributed sentences, and
-/// the joined n-gram key of the mention probe.
+/// segments: the document's word walk, its attributed sentences, the
+/// joined n-gram key of the mention probe and the semantic fallback's
+/// per-subject similarities.
 #[derive(Debug, Default)]
 pub(crate) struct SegmentScratch {
     pub(crate) walk: WordWalk,
     pub(crate) sentences: Vec<Attributed>,
     key: String,
+    sims: Vec<f64>,
 }
 
 impl SubjectIndex {
     /// Freeze `subjects` (display form, table order) against `store`,
     /// the vector store the segmenting matcher embeds sentences with.
     pub fn new<S: AsRef<str>>(subjects: impl IntoIterator<Item = S>, store: &VectorStore) -> Self {
-        let mut index = SubjectIndex {
-            names: Vec::new(),
-            grams: HashMap::default(),
-            vectors: Vec::new(),
-        };
+        let mut names = Vec::new();
+        let mut grams: HashMap<Box<str>, Gram, GramBuildHasher> = HashMap::default();
+        let mut vectors = Vec::new();
+        let mut vector_subjects = Vec::new();
         for (i, name) in subjects.into_iter().enumerate() {
             let name = name.as_ref();
             let key = normalize_phrase(name);
             if let Some(v) = store.embed_phrase(&key) {
-                let norm = v.norm();
-                index.vectors.push((i, v, norm));
+                vectors.push(v);
+                vector_subjects.push(i);
             }
             if !key.is_empty() {
                 for (at, _) in key.match_indices(' ') {
-                    index.grams.entry(key[..at].into()).or_default().extends = true;
+                    grams.entry(key[..at].into()).or_default().extends = true;
                 }
-                index.grams.entry(key.into_boxed_str()).or_default().subject = Some(i);
+                grams.entry(key.into_boxed_str()).or_default().subject = Some(i);
             }
-            index.names.push(name.to_string());
+            names.push(name.to_string());
         }
-        index
+        SubjectIndex {
+            names,
+            grams,
+            vectors: LaneRows::from_rows(store.dim(), vectors.iter().map(|v| v.as_slice())),
+            vector_subjects,
+        }
     }
 
     /// The subject instances, in table order.
@@ -177,28 +187,31 @@ impl SubjectIndex {
     }
 
     /// Semantic fallback: the subject whose mean vector is most similar
-    /// to the sentence's, if that similarity is meaningful at all. An
-    /// out-of-vocabulary sentence carries no evidence. The sentence's
-    /// vector is the mean over its normalized words `words` of `walk`,
-    /// which are the words `VectorStore::embed_phrase` would normalize
-    /// it into, in order, so the mean is bit-identical to it. Each
-    /// similarity is `thor_embed::cosine`'s arithmetic on the stored
-    /// norms, so the scores are bit-identical to it too.
-    fn nearest(&self, walk: &WordWalk, words: Range<usize>, store: &VectorStore) -> Option<usize> {
+    /// to the sentence's, if that similarity is meaningful at all; ties
+    /// go to the later subject. An out-of-vocabulary sentence carries no
+    /// evidence. The sentence's vector is the mean over its normalized
+    /// words `words` of `walk`, which are the words
+    /// `VectorStore::embed_phrase` would normalize it into, in order, so
+    /// the mean is bit-identical to it. Every subject is scored in one
+    /// pass of the lane kernel into `sims`; each score is
+    /// `thor_embed::cosine`'s arithmetic on the stored norms, so the
+    /// scores are bit-identical to it too.
+    fn nearest(
+        &self,
+        walk: &WordWalk,
+        words: Range<usize>,
+        store: &VectorStore,
+        sims: &mut Vec<f64>,
+    ) -> Option<usize> {
         let query = mean_of_rows(words.filter_map(|w| store.row_raw(walk.word(w))))?;
-        let query_norm = query.norm();
-        self.vectors
-            .iter()
-            .map(|(subject, v, norm)| {
-                let sim = if query_norm == 0.0 || *norm == 0.0 {
-                    0.0
-                } else {
-                    (query.dot(v) / (query_norm * norm)).clamp(-1.0, 1.0)
-                };
-                (*subject, sim)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .filter(|(_, sim)| *sim >= MIN_SIM)
+        self.vectors.cosines(query.as_slice(), query.norm(), sims);
+        let mut best: Option<(usize, f64)> = None;
+        for (&subject, &sim) in self.vector_subjects.iter().zip(sims.iter()) {
+            if best.is_none_or(|(_, b)| sim.total_cmp(&b) != Ordering::Less) {
+                best = Some((subject, sim));
+            }
+        }
+        best.filter(|(_, sim)| *sim >= MIN_SIM)
             .map(|(subject, _)| subject)
     }
 }
@@ -253,6 +266,7 @@ pub(crate) fn segment_into(
         walk,
         sentences,
         key,
+        sims,
     } = scratch;
     walk.start(text);
     sentences.clear();
@@ -262,13 +276,13 @@ pub(crate) fn segment_into(
     for (index, range) in sentence_spans(text).enumerate() {
         let walked = walk.walk(text, range.clone());
         let subject = match mode {
-            SegmentationMode::SemanticOnly => subjects.nearest(walk, walked.words, store),
+            SegmentationMode::SemanticOnly => subjects.nearest(walk, walked.words, store, sims),
             SegmentationMode::MentionOnly => subjects.mentioned(walk, walked.words, key),
             SegmentationMode::MentionCarryForward => {
                 if let Some(s) = subjects.mentioned(walk, walked.words.clone(), key) {
                     current = Some(s);
                 }
-                current.or_else(|| subjects.nearest(walk, walked.words, store))
+                current.or_else(|| subjects.nearest(walk, walked.words, store, sims))
             }
         };
 
@@ -397,6 +411,102 @@ mod tests {
         let doc = Document::new("d", "Acne is common.");
         let segs = segment(&doc, &subjects, &m, SegmentationMode::MentionOnly);
         assert_eq!(segs[0].subject, "ACNE.");
+    }
+
+    /// The semantic fallback's answer and scores as the per-subject
+    /// fold computes them: each subject's `cosine` against the
+    /// sentence's embedding, the last maximum, the similarity floor.
+    fn fold_nearest(
+        subjects: &[&str],
+        store: &VectorStore,
+        sentence: &str,
+    ) -> (Option<usize>, Vec<u64>) {
+        let Some(query) = store.embed_phrase(sentence) else {
+            return (None, Vec::new());
+        };
+        let qn = query.norm();
+        let scored: Vec<(usize, f64)> = subjects
+            .iter()
+            .enumerate()
+            .filter_map(|(i, subject)| {
+                let v = store.embed_phrase(&normalize_phrase(subject))?;
+                let n = v.norm();
+                let sim = if qn == 0.0 || n == 0.0 {
+                    0.0
+                } else {
+                    (query.dot(&v) / (qn * n)).clamp(-1.0, 1.0)
+                };
+                Some((i, sim))
+            })
+            .collect();
+        let best = scored
+            .iter()
+            .copied()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .filter(|(_, sim)| *sim >= MIN_SIM)
+            .map(|(subject, _)| subject);
+        (best, scored.iter().map(|(_, s)| s.to_bits()).collect())
+    }
+
+    /// The lane-kernel fallback equals the per-subject fold bit for
+    /// bit: exact ties (parallel vectors, a repeated subject) go to the
+    /// last subject, zero-norm subjects and sentences score 0.0, and an
+    /// out-of-vocabulary sentence or subject takes no part.
+    #[test]
+    fn nearest_equals_the_per_subject_fold() {
+        let mut store = VectorStore::new(3);
+        for (word, v) in [
+            ("alpha", [1.0, 0.0, 0.0]),
+            ("twin", [2.0, 0.0, 0.0]),
+            ("beta", [0.0, 1.0, 0.0]),
+            ("mix", [0.6, 0.8, 0.0]),
+            ("void", [0.0, 0.0, 0.0]),
+            ("gamma", [0.0, 0.3, -1.0]),
+        ] {
+            store.insert(word, thor_embed::Vector(v.to_vec()));
+        }
+        let subjects = [
+            "Alpha",
+            "Twin",
+            "Void",
+            "Beta",
+            "Mix",
+            "Unknown",
+            "Alpha beta",
+            "Gamma",
+            "twin",
+        ];
+        let index = SubjectIndex::new(subjects, &store);
+        let mut sims = Vec::new();
+        for sentence in [
+            "alpha",
+            "twin twin",
+            "beta",
+            "beta mix",
+            "void",
+            "void void unknown",
+            "gamma",
+            "gamma alpha",
+            "unknown words",
+            "alpha void mix gamma beta",
+            "",
+        ] {
+            let (want, want_sims) = fold_nearest(&subjects, &store, sentence);
+            let mut walk = WordWalk::default();
+            walk.start(sentence);
+            let walked = walk.walk(sentence, 0..sentence.len());
+            let got = index.nearest(&walk, walked.words, &store, &mut sims);
+            assert_eq!(got, want, "{sentence:?}");
+            if !want_sims.is_empty() {
+                let bits: Vec<u64> = sims.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(bits, want_sims, "{sentence:?}");
+            }
+        }
+        assert_eq!(
+            fold_nearest(&subjects, &store, "alpha").0,
+            Some(8),
+            "the last tie"
+        );
     }
 
     #[test]

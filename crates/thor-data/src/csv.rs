@@ -186,19 +186,24 @@ impl Field {
     }
 }
 
-/// Split CSV text into records of fields (RFC-4180 quoting). A field
-/// borrows `text` unless quoting or a dropped `\r` changed it.
+/// Split CSV text into records of fields (RFC-4180 quoting), handing
+/// each record to `visit` as it ends, in one reused buffer. A field
+/// borrows `text` unless quoting or a dropped `\r` changed it. An
+/// unterminated quote is an error once every record before it has been
+/// visited.
 ///
 /// Outside quotes, `"` opens a quoted run, `,` ends the field, `\n`
 /// ends the record and `\r` is dropped; inside, `""` is one quote and
 /// `"` closes the run. Every special byte is ASCII, so each span ends
 /// on a character boundary.
-fn parse_records(text: &str) -> Result<Vec<Vec<Cow<'_, str>>>, CsvError> {
+fn for_each_record<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(&[Cow<'a, str>]),
+) -> Result<(), CsvError> {
     if text.is_empty() {
         return Err(CsvError::MissingHeader);
     }
     let bytes = text.as_bytes();
-    let mut records = Vec::new();
     let mut record = Vec::new();
     let mut field = Field::Empty;
     let special = |b: &u8| matches!(b, b'"' | b',' | b'\r' | b'\n');
@@ -229,16 +234,17 @@ fn parse_records(text: &str) -> Result<Vec<Vec<Cow<'_, str>>>, CsvError> {
             b',' => record.push(field.take(text)),
             b'\n' => {
                 record.push(field.take(text));
-                records.push(std::mem::take(&mut record));
+                visit(&record);
+                record.clear();
             }
             _ => {} // `\r` outside quotes
         }
     }
     if !field.is_empty() || !record.is_empty() {
         record.push(field.take(text));
-        records.push(record);
+        visit(&record);
     }
-    Ok(records)
+    Ok(())
 }
 
 /// One value with its escapes resolved: `\|` and `\\` stand for the
@@ -296,29 +302,31 @@ fn insert_record(table: &mut Table, record: &[Cow<'_, str>], line: usize) -> Res
     }
     let subject = unescape(&record[0]);
     let subject_value = subject.trim();
-    if normalize_phrase(subject_value).is_empty() {
+    let key = normalize_phrase(subject_value);
+    if key.is_empty() {
         return Err(CsvError::EmptySubject { line });
     }
-    let row = table.row_for_subject(subject_value);
+    let ri = table.row_for_key(subject_value, key);
     // Header column `ci` is schema concept `ci`: `parse_header` keeps
-    // the column order and rejects names that would alias.
+    // the column order and rejects names that would alias. Each value
+    // goes in as `Table::fill_slot` would put it; the parsed table
+    // shares no row, so the row is borrowed once per record.
+    let row = table.row_mut(ri);
     for (ci, field) in record.iter().enumerate().skip(1) {
+        let cell = row.cell_mut(ci);
         for value in split_values(field) {
             let v = value.trim();
-            if !v.is_empty() {
-                table.fill_slot_at(row, ci, v);
+            if !v.is_empty() && !cell.contains(v) {
+                cell.insert_new(v);
             }
         }
     }
     Ok(())
 }
 
-/// Take the header record, reject duplicate concepts, and return the
-/// empty table its schema describes (the first column is the subject).
-fn parse_header<'a>(
-    records: &mut impl Iterator<Item = Vec<Cow<'a, str>>>,
-) -> Result<Table, CsvError> {
-    let names = records.next().ok_or(CsvError::MissingHeader)?;
+/// Reject duplicate concepts in the header record and return the empty
+/// table its schema describes (the first column is the subject).
+fn parse_header(names: &[Cow<'_, str>]) -> Result<Table, CsvError> {
     if names.iter().all(|n| n.is_empty()) {
         return Err(CsvError::MissingHeader);
     }
@@ -336,15 +344,38 @@ fn parse_header<'a>(
     Ok(Table::new(Schema::new(concepts, &names[0])))
 }
 
+/// Build the table `text` describes, record by record: the header
+/// record makes the table and each body record goes in as it is split
+/// off. A malformed body row goes to `rejected` with its 1-based record
+/// number, which ends the parse by returning an error or lets it carry
+/// on. Stream-level errors (no header, an unterminated quote) win over
+/// any row's, as they did when the records were split before any was
+/// inserted.
+fn parse_table(
+    text: &str,
+    mut rejected: impl FnMut(usize, CsvError) -> Result<(), CsvError>,
+) -> Result<Table, CsvError> {
+    let mut table: Result<Option<Table>, CsvError> = Ok(None);
+    let mut line = 0;
+    for_each_record(text, |record| {
+        line += 1;
+        match &mut table {
+            Err(_) => {}
+            Ok(None) => table = parse_header(record).map(Some),
+            Ok(Some(t)) => {
+                if let Err(e) = insert_record(t, record, line).or_else(|e| rejected(line, e)) {
+                    table = Err(e);
+                }
+            }
+        }
+    })?;
+    table?.ok_or(CsvError::MissingHeader)
+}
+
 /// Parse CSV text into a table. The first header column is taken as the
 /// subject concept.
 pub fn from_csv(text: &str) -> Result<Table, CsvError> {
-    let mut records = parse_records(text)?.into_iter();
-    let mut table = parse_header(&mut records)?;
-    for (i, record) in records.enumerate() {
-        insert_record(&mut table, &record, i + 2)?;
-    }
-    Ok(table)
+    parse_table(text, |_, error| Err(error))
 }
 
 /// A body row the lenient parser skipped, with its reason.
@@ -372,15 +403,11 @@ pub struct LenientCsv {
 /// Stream-level problems (no header, unterminated quote — which makes
 /// the rest of the input one indivisible field) remain hard errors.
 pub fn from_csv_lenient(text: &str) -> Result<LenientCsv, CsvError> {
-    let mut records = parse_records(text)?.into_iter();
-    let mut table = parse_header(&mut records)?;
     let mut skipped = Vec::new();
-    for (i, record) in records.enumerate() {
-        let line = i + 2;
-        if let Err(error) = insert_record(&mut table, &record, line) {
-            skipped.push(SkippedRow { line, error });
-        }
-    }
+    let table = parse_table(text, |line, error| {
+        skipped.push(SkippedRow { line, error });
+        Ok(())
+    })?;
     Ok(LenientCsv { table, skipped })
 }
 

@@ -18,7 +18,10 @@ use crate::schema::{Concept, Schema};
 /// with [`normalized_eq`], which equates equal [`normalize_phrase`] forms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cell {
-    values: BTreeSet<String>,
+    /// Sorted ascending and distinct. A cell holds a handful of values,
+    /// so a sorted `Vec` is one allocation where a tree is one per
+    /// value.
+    values: Vec<String>,
 }
 
 impl Cell {
@@ -38,20 +41,22 @@ impl Cell {
     /// whether the cell changed (duplicates, compared case-insensitively
     /// after normalization, are not re-added).
     pub fn insert(&mut self, value: impl Into<String>) -> bool {
-        let v = value.into().trim().to_string();
-        if v.is_empty() {
+        let value = value.into();
+        let v = value.trim();
+        if v.is_empty() || self.contains(v) {
             return false;
         }
-        if self.contains(&v) {
-            return false;
-        }
-        self.values.insert(v)
+        self.insert_new(v);
+        true
     }
 
     /// Insert `value`, which the caller has checked is trimmed,
-    /// non-empty and not [`contained`](Cell::contains).
-    fn insert_new(&mut self, value: &str) {
-        self.values.insert(value.to_string());
+    /// non-empty and not [`contained`](Cell::contains), at its sorted
+    /// place.
+    pub(crate) fn insert_new(&mut self, value: &str) {
+        if let Err(at) = self.values.binary_search_by(|v| v.as_str().cmp(value)) {
+            self.values.insert(at, value.to_string());
+        }
     }
 
     /// Is this cell a labeled null?
@@ -218,7 +223,12 @@ impl Table {
     /// Get (creating if necessary) the row for subject instance
     /// `subject`, returning its index.
     pub fn row_for_subject(&mut self, subject: &str) -> usize {
-        let key = normalize_phrase(subject);
+        self.row_for_key(subject, normalize_phrase(subject))
+    }
+
+    /// [`row_for_subject`](Self::row_for_subject) with the subject's
+    /// [`normalize_phrase`] key already computed.
+    pub(crate) fn row_for_key(&mut self, subject: &str, key: String) -> usize {
         assert!(!key.is_empty(), "subject instance must be non-empty");
         if let Some(&i) = self.index.get(&key) {
             return i;
@@ -273,12 +283,6 @@ impl Table {
             "cannot slot-fill the subject concept"
         );
         let ri = self.row_for_subject(subject);
-        self.fill_slot_at(ri, ci, value)
-    }
-
-    /// [`fill_slot`](Self::fill_slot) with the row and the (non-subject)
-    /// concept already resolved to indices.
-    pub(crate) fn fill_slot_at(&mut self, ri: usize, ci: usize, value: &str) -> bool {
         let value = value.trim();
         if value.is_empty() || self.rows[ri].cell(ci).contains(value) {
             return false;

@@ -232,11 +232,11 @@ impl VectorStore {
     /// phrase is in the vocabulary.
     pub fn embed_phrase(&self, phrase: &str) -> Option<Vector> {
         let normalized = normalize_phrase(phrase);
-        let rows: Vec<&[f32]> = normalized
-            .split_whitespace()
-            .filter_map(|w| self.row_raw(w))
-            .collect();
-        mean_of_rows(rows)
+        mean_of_rows(
+            normalized
+                .split_whitespace()
+                .filter_map(|w| self.row_raw(w)),
+        )
     }
 
     /// Cosine similarity between two phrases' mean vectors; `None` if

@@ -303,11 +303,14 @@ impl VectorIndex {
         self.norms[row]
     }
 
-    pub(crate) fn rep_sum(&self, concept: usize) -> &[f32] {
+    /// Concept `concept`'s cached row sum (`dim` long): its rows added
+    /// element-wise in `f32`, in row order.
+    pub fn rep_sum(&self, concept: usize) -> &[f32] {
         &self.rep_sums[concept * self.dim..(concept + 1) * self.dim]
     }
 
-    pub(crate) fn row(&self, row: usize) -> &[f32] {
+    /// Row `row` (`dim` long).
+    pub fn row(&self, row: usize) -> &[f32] {
         &self.data[row * self.dim..(row + 1) * self.dim]
     }
 

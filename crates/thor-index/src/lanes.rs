@@ -18,7 +18,7 @@
 //! members and centroids, and [`LaneRows`] serves callers that score a
 //! query against every row of a small index.
 
-use crate::index::{cosine_of_dot, VectorIndex};
+use crate::index::{cosine_of_dot, slice_norm, VectorIndex};
 
 /// Rows per interleaved block.
 pub(crate) const LANES: usize = 4;
@@ -88,14 +88,21 @@ pub struct LaneRows {
 impl LaneRows {
     /// The interleaved copy of `ix`'s rows.
     pub fn of_index(ix: &VectorIndex) -> Self {
-        let dim = ix.dim();
-        let mut blocks = Vec::with_capacity(padded_len(dim, [ix.row_count()]));
-        interleave(&mut blocks, dim, (0..ix.row_count()).map(|r| ix.row(r)));
-        Self {
-            dim,
-            blocks,
-            norms: ix.norms().to_vec(),
-        }
+        Self::from_rows(ix.dim(), (0..ix.row_count()).map(|r| ix.row(r)))
+    }
+
+    /// The interleaved copy of `rows`, in order, each with its L2 norm
+    /// (`thor_embed::Vector::norm`'s arithmetic). Panics when a row is
+    /// not `dim` long.
+    pub fn from_rows<'a>(dim: usize, rows: impl IntoIterator<Item = &'a [f32]>) -> Self {
+        let mut blocks = Vec::new();
+        let mut norms = Vec::new();
+        let rows = rows.into_iter().inspect(|row| {
+            assert_eq!(row.len(), dim, "row dimension mismatch");
+            norms.push(slice_norm(row));
+        });
+        interleave(&mut blocks, dim, rows);
+        Self { dim, blocks, norms }
     }
 
     /// Replace `out` with the cosine of `query` (L2 norm `query_norm`)
@@ -121,7 +128,7 @@ impl LaneRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{dot, slice_norm, VectorIndexBuilder};
+    use crate::index::{dot, VectorIndexBuilder};
 
     /// SplitMix64 over raw bit patterns: random signs, exponents and
     /// mantissas, so the folds see every rounding situation.

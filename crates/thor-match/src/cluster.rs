@@ -1,7 +1,6 @@
 //! Per-concept clusters of representative vectors.
 
 use thor_embed::{cosine, slice_cosine, Vector, VectorStore};
-use thor_index::VectorIndexBuilder;
 use thor_text::normalize_phrase;
 
 /// Both similarity views of a cluster against one query, computed in a
@@ -143,17 +142,6 @@ impl ConceptCluster {
     /// `thor_index::VectorIndex`.
     pub fn representative_vectors(&self) -> impl Iterator<Item = (&str, &Vector)> {
         self.representatives.iter().map(|(w, v)| (w.as_str(), v))
-    }
-
-    /// Append the cluster to `builder` as one concept, seeds first: its
-    /// block of the matcher's [`thor_index::VectorIndex`].
-    pub(crate) fn add_to(&self, builder: &mut VectorIndexBuilder) {
-        builder.add_concept(
-            &self.concept,
-            self.seed_count(),
-            self.representative_vectors()
-                .map(|(w, v)| (w, v.as_slice())),
-        );
     }
 
     /// Max and mean similarity between `query` and the cluster in one

@@ -12,6 +12,9 @@
 //! whose similarity to a seed exceeds the user threshold τ. Together they
 //! form a cluster that "semantically covers the domain of C". Raising τ
 //! makes the system precision-oriented; lowering it recall-oriented.
+//! The matcher keeps every cluster as one block of its [`VectorIndex`];
+//! [`ConceptCluster`] is the standalone form of one concept's cluster,
+//! fine-tuned in isolation.
 //!
 //! **Matching** (Phase ②): given a noun phrase, the matcher enumerates
 //! its subphrases, embeds each as a mean-pooled query vector, assigns the
@@ -20,7 +23,7 @@
 //! by the syntactic refinement.
 //!
 //! **Preparation reuse**: [`PreparedMatcher`] freezes the fine-tuning
-//! output (seed clusters + the untruncated τ-expansion candidate lists)
+//! output (embedded seeds + the untruncated τ-expansion candidate lists)
 //! so one Preparation pass at the lowest τ can derive the matcher for
 //! any τ′ ≥ τ — bit-identically to a fresh `fine_tune(τ′)`, because
 //! both share the same construction path.

@@ -2,15 +2,12 @@
 //! `thor-index` candidate-generation engine.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use thor_embed::VectorStore;
-use thor_index::{
-    CacheStats, PhraseCache, PruneIndex, PruneStats, VectorIndex, VectorIndexBuilder,
-};
+use thor_embed::{slice_cosine, slice_norm, VectorStore};
+use thor_index::{CacheStats, PhraseCache, PruneIndex, PruneStats, VectorIndex};
 use thor_text::{is_stopword, normalize_phrase, SeedSyntax};
 
-use crate::cluster::ConceptCluster;
 use crate::prepared::PreparedMatcher;
 use crate::source::CandidateSource;
 
@@ -122,12 +119,13 @@ pub struct MatchCounts {
 /// The vector store is `Arc`-shared end to end: fine-tuning, the
 /// prepared-engine layer and every matcher clone reference one
 /// immutable store — no serve-path API deep-copies the vectors.
+///
+/// The [`VectorIndex`] is the matcher's one copy of the fine-tuned
+/// concept clusters: per concept, its seed rows then its expansion
+/// rows, their norms and the cached row sum.
 #[derive(Debug, Clone)]
 pub struct SimilarityMatcher {
     store: Arc<VectorStore>,
-    /// One cluster per concept, each behind an `Arc` so a matcher
-    /// evolved by a delta shares every cluster the delta left alone.
-    clusters: Arc<[Arc<ConceptCluster>]>,
     index: VectorIndex,
     /// The frozen pruning structures: a pure function of the index,
     /// saved beside it and read by every candidate scan.
@@ -150,8 +148,8 @@ impl SimilarityMatcher {
     /// other's vocabulary at low τ and concept assignment would degrade
     /// exactly when the user asks for recall.
     ///
-    /// Fine-tuning also builds the structure-of-arrays [`VectorIndex`]
-    /// the matcher scans at query time, and a fresh [`PhraseCache`] —
+    /// Fine-tuning builds the structure-of-arrays [`VectorIndex`] the
+    /// matcher scans at query time, and a fresh [`PhraseCache`] —
     /// re-fine-tuning therefore invalidates all cached candidates by
     /// construction.
     ///
@@ -168,56 +166,35 @@ impl SimilarityMatcher {
         PreparedMatcher::prepare(concepts, store, config.clone()).matcher_at(config)
     }
 
-    /// Assemble a matcher from already-derived clusters: freeze the
-    /// index and its pruning structures (timed into
-    /// [`FineTuneStats::index_build`]) and open a fresh phrase cache.
-    /// Crate-internal — the only callers are
-    /// [`PreparedMatcher::matcher_at`] and (through it) fine-tuning.
-    pub(crate) fn from_clusters(
+    /// Put a matcher together from its frozen index and pruning
+    /// structures: the one place a matcher is assembled. It measures
+    /// the fine-tune statistics from the index and opens a fresh phrase
+    /// cache. `index_build` is the time spent freezing the index when
+    /// the caller froze it ([`PreparedMatcher::matcher_at`]), `None`
+    /// when the index was loaded or evolved. The caller is responsible
+    /// for the index describing the derivation —
+    /// `PreparedMatcher::matcher_with_index` validates a persisted one.
+    pub(crate) fn from_index(
         store: Arc<VectorStore>,
-        clusters: Vec<Arc<ConceptCluster>>,
-        seed_syntax: Arc<SeedSyntax>,
-        config: MatcherConfig,
-    ) -> Self {
-        let t0 = Instant::now();
-        let index = Self::build_index(&clusters, store.dim());
-        let prune = Arc::new(PruneIndex::build(&index));
-        let built = t0.elapsed();
-        let mut matcher =
-            Self::from_clusters_prebuilt(store, clusters, index, prune, seed_syntax, config);
-        matcher.stats.index_build = Some(built);
-        matcher
-    }
-
-    /// [`SimilarityMatcher::from_clusters`] with an already-built
-    /// index and pruning structure: the artifact load path, where the
-    /// arrays may be zero-copy views into a mapped file, and delta
-    /// apply, which evolves them from its parent's. The caller is
-    /// responsible for them matching the clusters —
-    /// `PreparedMatcher::matcher_with_index` validates the layout. The
-    /// one place a matcher is put together: it measures the fine-tune
-    /// statistics and opens a fresh phrase cache.
-    pub(crate) fn from_clusters_prebuilt(
-        store: Arc<VectorStore>,
-        clusters: Vec<Arc<ConceptCluster>>,
         index: VectorIndex,
         prune: Arc<PruneIndex>,
         seed_syntax: Arc<SeedSyntax>,
         config: MatcherConfig,
+        index_build: Option<Duration>,
     ) -> Self {
-        let sum = |count: fn(&ConceptCluster) -> usize| -> u64 {
-            clusters.iter().map(|c| count(c) as u64).sum()
-        };
+        let rows = index.row_count() as u64;
+        let seed_rows: u64 = (0..index.concept_count())
+            .map(|ci| index.seed_rows(ci) as u64)
+            .sum();
         let stats = FineTuneStats {
-            expansion_words: sum(|c| c.representative_count() - c.seed_count()),
+            expansion_words: rows - seed_rows,
             vocab_words: store.len() as u64,
-            cluster_representatives: sum(ConceptCluster::representative_count),
-            index_rows: index.row_count() as u64,
-            index_build: None,
+            cluster_representatives: rows,
+            index_rows: rows,
+            index_build,
         };
         Self {
             store,
-            clusters: clusters.into(),
             index,
             prune,
             cache: PhraseCache::new(config.cache_capacity),
@@ -228,24 +205,13 @@ impl SimilarityMatcher {
     }
 
     /// A clone of this matcher with an empty phrase cache of its own.
-    /// Every frozen structure (clusters, index, pruning) is shared, not
-    /// rebuilt.
+    /// Every frozen structure (index, pruning, seed syntax) is shared,
+    /// not rebuilt.
     pub fn with_fresh_cache(&self) -> Self {
         Self {
             cache: PhraseCache::new(self.config.cache_capacity),
             ..self.clone()
         }
-    }
-
-    /// Freeze the fine-tuned clusters into the structure-of-arrays
-    /// index: seeds first per concept (so `c_m` search is a prefix
-    /// scan), identical `f32` bits, norms precomputed.
-    fn build_index(clusters: &[Arc<ConceptCluster>], dim: usize) -> VectorIndex {
-        let mut builder = VectorIndexBuilder::new(dim);
-        for cluster in clusters {
-            cluster.add_to(&mut builder);
-        }
-        builder.build()
     }
 
     /// What fine-tuning produced, measured when this matcher was
@@ -257,11 +223,6 @@ impl SimilarityMatcher {
     /// The configured τ.
     pub fn tau(&self) -> f64 {
         self.config.tau
-    }
-
-    /// The concept clusters.
-    pub fn clusters(&self) -> &[Arc<ConceptCluster>] {
-        &self.clusters
     }
 
     /// The configuration the matcher was derived at.
@@ -280,7 +241,8 @@ impl SimilarityMatcher {
         &self.store
     }
 
-    /// The structure-of-arrays index frozen at fine-tune time.
+    /// The structure-of-arrays index frozen at fine-tune time: the
+    /// concept clusters, one block of rows per concept, seeds first.
     pub fn index(&self) -> &VectorIndex {
         &self.index
     }
@@ -480,9 +442,10 @@ impl SimilarityMatcher {
     }
 
     /// The retained brute-force reference path: identical semantics to
-    /// [`SimilarityMatcher::match_phrase_anchored`], but scanning the
-    /// [`ConceptCluster`]s directly with per-pair `Vector` cosines — no
-    /// index, no cache, no counts. Kept off the hot path as ground
+    /// [`SimilarityMatcher::match_phrase_anchored`], but scoring every
+    /// row of every concept block with `thor_embed`'s per-pair cosine
+    /// and every mean from the block's row sum — no fused scan, no
+    /// pruning, no cache, no counts. Kept off the hot path as ground
     /// truth for the index/cache/pruning equivalence tests and as the
     /// baseline of the index+cache floor in `thor-bench`'s
     /// `tests/floors.rs`.
@@ -497,6 +460,7 @@ impl SimilarityMatcher {
             return Vec::new();
         }
         let max_len = self.config.max_subphrase_words.min(words.len());
+        let ix = &self.index;
         let mut out = Vec::new();
 
         for len in 1..=max_len {
@@ -512,28 +476,46 @@ impl SimilarityMatcher {
                 let Some(query) = self.store.embed_phrase(&sub) else {
                     continue;
                 };
-                // Pick the single best-fitting accepted cluster.
-                let mut best: Option<(&ConceptCluster, f64)> = None;
-                for cluster in self.clusters.iter() {
-                    let Some(score) = cluster.score(&query) else {
-                        continue;
-                    };
-                    if score.max + 1e-9 < self.config.tau {
+                let q = query.as_slice();
+                let qn = slice_norm(q);
+                // Pick the single best-fitting accepted concept.
+                let mut best: Option<(usize, f64)> = None;
+                for (ci, (_, first, rows, _)) in ix.concept_layout().enumerate() {
+                    if rows == 0 {
                         continue;
                     }
-                    if best.is_none_or(|(_, s)| score.mean > s) {
-                        best = Some((cluster, score.mean));
+                    let max = (first..first + rows)
+                        .map(|r| slice_cosine(q, ix.row(r)))
+                        .fold(f64::MIN, f64::max);
+                    if max + 1e-9 < self.config.tau {
+                        continue;
+                    }
+                    let mean = if qn == 0.0 {
+                        0.0
+                    } else {
+                        let dot = q
+                            .iter()
+                            .zip(ix.rep_sum(ci))
+                            .fold(0.0, |acc, (&a, &b)| acc + a as f64 * b as f64);
+                        dot / (qn * rows as f64)
+                    };
+                    if best.is_none_or(|(_, s)| mean > s) {
+                        best = Some((ci, mean));
                     }
                 }
-                let Some((cluster, cluster_score)) = best else {
+                let Some((ci, cluster_score)) = best else {
                     continue;
                 };
-                let Some((seed, seed_sim)) = cluster.best_seed(&query) else {
+                let (_, first, _, seed_rows) = ix.concept_layout().nth(ci).expect("scanned");
+                let Some((seed, seed_sim)) = (first..first + seed_rows)
+                    .map(|r| (ix.row_word(r), slice_cosine(q, ix.row(r))))
+                    .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(a.0)))
+                else {
                     continue;
                 };
                 out.push(CandidateEntity {
                     phrase: sub.clone(),
-                    concept: cluster.concept.clone(),
+                    concept: ix.concept_name(ci).to_string(),
                     matched_instance: seed.to_string(),
                     semantic_score: seed_sim.clamp(0.0, 1.0),
                     cluster_score,
@@ -832,11 +814,30 @@ mod tests {
         );
     }
 
+    /// The index holds the clusters: one block per concept, in concept
+    /// order, tiling the rows; each block's seed rows are the concept's
+    /// embedded instances, and the fine-tune statistics count its rows.
     #[test]
     fn index_reflects_clusters() {
         let m = matcher(0.6);
-        let total: usize = m.clusters().iter().map(|c| c.representative_count()).sum();
-        assert_eq!(m.index().row_count(), total);
-        assert_eq!(m.index().concept_count(), m.clusters().len());
+        let ix = m.index();
+        assert_eq!(ix.concept_count(), 2);
+        let mut next = 0;
+        for (ci, (name, start, rows, seed_rows)) in ix.concept_layout().enumerate() {
+            assert_eq!(name, ["Anatomy", "Complication"][ci]);
+            assert_eq!(start, next);
+            let seeds: Vec<&str> = (start..start + seed_rows).map(|r| ix.row_word(r)).collect();
+            assert_eq!(
+                seeds,
+                [["nervous system", "ear"], ["skin cancer", "stroke"]][ci]
+            );
+            assert!(rows > seed_rows, "tau 0.6 expands {name}");
+            next += rows;
+        }
+        assert_eq!(ix.row_count(), next);
+        let stats = m.fine_tune_stats();
+        assert_eq!(stats.index_rows, next as u64);
+        assert_eq!(stats.cluster_representatives, next as u64);
+        assert_eq!(stats.expansion_words, next as u64 - 4);
     }
 }

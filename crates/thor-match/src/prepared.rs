@@ -2,7 +2,7 @@
 //!
 //! [`PreparedMatcher`] holds everything `fine_tune` computes that does
 //! *not* depend on which τ the serve path finally asks for: the
-//! embedded seed clusters and the **untruncated** competitive-expansion
+//! embedded seeds and the **untruncated** competitive-expansion
 //! candidate list per concept, scored at the lowest τ the preparation
 //! was run with. Deriving a [`SimilarityMatcher`] at any τ′ ≥ τ_base is
 //! then a filter-and-truncate over the candidate lists — no vocabulary
@@ -20,8 +20,10 @@
 //! on: representative sets at higher τ are similarity-filtered subsets
 //! of the sets at lower τ.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use thor_embed::{slice_norm, Vector, VectorStore};
 use thor_fault::{FrozenPool, FrozenSlice};
@@ -93,16 +95,18 @@ pub struct ConceptSeeds {
 }
 
 impl ConceptSeeds {
-    /// Embed `instances` ([`ConceptCluster::embed_seed`] each).
-    fn embed(instances: &[String], store: &VectorStore) -> Self {
+    /// Embed `instances` ([`ConceptCluster::embed_seed`] each), keeping
+    /// the list.
+    fn embed(instances: Vec<String>, store: &VectorStore) -> Self {
         let mut out = Self {
-            instances: instances.to_vec(),
+            instances: Vec::new(),
             embedded: Vec::with_capacity(instances.len()),
             seeds: Vec::new(),
         };
-        for instance in instances {
+        for instance in &instances {
             out.push_embedded(ConceptCluster::embed_seed(instance, store));
         }
+        out.instances = instances;
         out
     }
 
@@ -144,15 +148,21 @@ fn seed_words(seeds: &[Arc<ConceptSeeds>]) -> HashSet<&str> {
         .collect()
 }
 
-/// Embed every concept's instances.
+/// The Preparation input of a constructor: `(concept, instances)`
+/// pairs, taken over when the caller hands them over and copied when
+/// it lends them.
+type ConceptList<'a> = Cow<'a, [(String, Vec<String>)]>;
+
+/// Every concept's name, and its instances with their embedded seeds.
 fn embed_concepts(
-    concepts: &[(String, Vec<String>)],
+    concepts: ConceptList<'_>,
     store: &VectorStore,
-) -> Vec<Arc<ConceptSeeds>> {
+) -> (Vec<String>, Vec<Arc<ConceptSeeds>>) {
     concepts
-        .iter()
-        .map(|(_, instances)| Arc::new(ConceptSeeds::embed(instances, store)))
-        .collect()
+        .into_owned()
+        .into_iter()
+        .map(|(name, instances)| (name, Arc::new(ConceptSeeds::embed(instances, store))))
+        .unzip()
 }
 
 /// Whether `word` is a seed instance of the concept with these seeds.
@@ -206,20 +216,21 @@ impl PreparedMatcher {
     /// Run the Preparation phase once: embed each concept's seeds and
     /// collect the full competitive τ-expansion candidate lists at
     /// `base.tau`. The result serves every τ′ ∈ [`base.tau`, 1].
-    pub fn prepare(
-        concepts: &[(String, Vec<String>)],
+    ///
+    /// `concepts` are the `(concept, instances)` pairs; an owned list
+    /// is kept as it is, a borrowed one copied.
+    pub fn prepare<'a>(
+        concepts: impl Into<ConceptList<'a>>,
         store: impl Into<Arc<VectorStore>>,
         base: MatcherConfig,
     ) -> Self {
         let store = store.into();
-        let seeds = embed_concepts(concepts, &store);
-
-        let names: Vec<String> = concepts.iter().map(|(name, _)| name.clone()).collect();
+        let (names, seeds) = embed_concepts(concepts.into(), &store);
 
         // Competitive expansion: word → its best concept. A word joins
         // that concept's candidates unless it is one of its seeds; seed
         // words keep their unfiltered winner for later deltas.
-        let mut candidates: Vec<Vec<(String, f64)>> = vec![Vec::new(); concepts.len()];
+        let mut candidates: Vec<Vec<(String, f64)>> = vec![Vec::new(); names.len()];
         let mut seed_best = SeedArgmax::new();
         if base.tau < 1.0 {
             let is_seed = seed_words(&seeds);
@@ -266,23 +277,23 @@ impl PreparedMatcher {
     ///
     /// `candidates` must be one list per concept, in concept order,
     /// exactly as [`PreparedMatcher::candidates`] returned them.
-    pub fn from_parts(
-        concepts: &[(String, Vec<String>)],
+    pub fn from_parts<'a>(
+        concepts: impl Into<ConceptList<'a>>,
         store: impl Into<Arc<VectorStore>>,
         base: MatcherConfig,
         candidates: Vec<Vec<(String, f64)>>,
     ) -> Self {
+        let store = store.into();
+        let (names, seeds) = embed_concepts(concepts.into(), &store);
         assert_eq!(
             candidates.len(),
-            concepts.len(),
+            names.len(),
             "one candidate list per concept"
         );
-        let store = store.into();
-        let seeds = embed_concepts(concepts, &store);
         Self {
             seed_syntax: build_seed_syntax(&seeds),
             store,
-            names: concepts.iter().map(|(name, _)| name.clone()).collect(),
+            names,
             seeds,
             candidates: CandidateBacking::Owned(candidates),
             seed_best: OnceLock::new(),
@@ -294,14 +305,15 @@ impl PreparedMatcher {
     /// the artifact load path, where the arrays may be zero-copy views
     /// into a mapped file. Layout invariants are validated up front so
     /// corrupt metadata yields a named error, never a panic.
-    pub fn from_frozen_candidates(
-        concepts: &[(String, Vec<String>)],
+    pub fn from_frozen_candidates<'a>(
+        concepts: impl Into<ConceptList<'a>>,
         store: impl Into<Arc<VectorStore>>,
         base: MatcherConfig,
         starts: FrozenSlice<u64>,
         words: FrozenPool,
         sims: FrozenSlice<f64>,
     ) -> Result<Self, String> {
+        let concepts = concepts.into();
         if starts.len() != concepts.len() + 1 {
             return Err(format!(
                 "candidate CSR has {} offsets for {} concepts",
@@ -321,11 +333,11 @@ impl PreparedMatcher {
             ));
         }
         let store = store.into();
-        let seeds = embed_concepts(concepts, &store);
+        let (names, seeds) = embed_concepts(concepts, &store);
         Ok(Self {
             seed_syntax: build_seed_syntax(&seeds),
             store,
-            names: concepts.iter().map(|(name, _)| name.clone()).collect(),
+            names,
             seeds,
             candidates: CandidateBacking::Frozen {
                 starts,
@@ -337,65 +349,76 @@ impl PreparedMatcher {
         })
     }
 
-    /// Concept `ci`'s expansion words at `tau`, best first, capped at
-    /// `cap` — the filter-and-truncate step of τ-derivation, on either
-    /// candidate backing.
-    fn filtered_words(&self, ci: usize, tau: f64, cap: usize) -> Vec<String> {
+    /// Concept `ci`'s expansion words at `config`, best first: the
+    /// filter-and-truncate step of τ-derivation, on either candidate
+    /// backing. At τ ≥ 1 fine-tuning skips the vocabulary scan
+    /// entirely, so the expansion is empty by definition.
+    fn expansion_words(&self, ci: usize, config: &MatcherConfig) -> Vec<&str> {
+        let (tau, cap) = (config.tau, config.max_expansion);
+        if tau >= 1.0 {
+            return Vec::new();
+        }
         match &self.candidates {
             CandidateBacking::Owned(lists) => lists[ci]
                 .iter()
                 .filter(|(_, sim)| *sim >= tau)
                 .take(cap)
-                .map(|(w, _)| w.clone())
+                .map(|(w, _)| w.as_str())
                 .collect(),
             CandidateBacking::Frozen {
                 starts,
                 words,
                 sims,
-            } => {
-                let lo = starts[ci] as usize;
-                let hi = starts[ci + 1] as usize;
-                let sims = &sims[lo..hi];
-                let mut out = Vec::new();
-                for (k, sim) in sims.iter().enumerate() {
-                    if out.len() >= cap {
-                        break;
-                    }
-                    if *sim >= tau {
-                        // Invalid UTF-8 only appears in corrupt lazily
-                        // verified artifacts; skip defensively.
-                        if let Some(w) = words.get_str(lo + k) {
-                            out.push(w.to_string());
-                        }
-                    }
-                }
-                out
-            }
+            } => (starts[ci] as usize..starts[ci + 1] as usize)
+                .filter(|&k| sims[k] >= tau)
+                // Invalid UTF-8 only appears in corrupt lazily verified
+                // artifacts; skip defensively.
+                .filter_map(|k| words.get_str(k))
+                .take(cap)
+                .collect(),
         }
     }
 
-    /// Derive the fine-tuned matcher for `config`. This is the single
-    /// construction path for every `SimilarityMatcher` in the workspace
-    /// — `fine_tune` itself is `prepare(τ)` + `matcher_at(τ)` — which is
-    /// what makes engine-reuse sweeps bit-identical to per-τ rebuilds.
-    ///
-    /// Panics if `config.tau` is outside [`TAU_RANGE`] or below the τ
-    /// this preparation was run at (candidates below the base τ were
-    /// never collected).
-    pub fn matcher_at(&self, config: MatcherConfig) -> SimilarityMatcher {
-        let clusters = self.clusters_at(&config);
-        SimilarityMatcher::from_clusters(
-            Arc::clone(&self.store),
-            clusters,
-            Arc::clone(&self.seed_syntax),
-            config,
-        )
+    /// Concept `ci`'s expansion rows at `config`: each expansion word
+    /// with its raw store row. Expansion words are exact store keys
+    /// (they came from a store scan), so they are looked up raw on
+    /// either backing; a word the store lacks makes no row.
+    fn expansion_rows(
+        &self,
+        ci: usize,
+        config: &MatcherConfig,
+    ) -> impl Iterator<Item = (&str, &[f32])> {
+        self.expansion_words(ci, config)
+            .into_iter()
+            .filter_map(|word| Some((word, self.store.row_raw(word)?)))
     }
 
-    /// The fine-tuned concept clusters `config` derives — the shared
-    /// first half of [`PreparedMatcher::matcher_at`] and
-    /// [`PreparedMatcher::matcher_with_index`].
-    fn clusters_at(&self, config: &MatcherConfig) -> Vec<Arc<ConceptCluster>> {
+    /// Append concept `ci`'s fine-tuned cluster at `config` to
+    /// `builder` as one block: its seeds, then its expansion rows
+    /// normalized to unit length.
+    fn add_block(&self, ci: usize, config: &MatcherConfig, builder: &mut VectorIndexBuilder) {
+        let seeds = self.seeds[ci].seeds();
+        let expansion: Vec<(&str, Vector)> = self
+            .expansion_rows(ci, config)
+            .map(|(word, row)| {
+                let mut v = Vector(row.to_vec());
+                v.normalize();
+                (word, v)
+            })
+            .collect();
+        builder.add_concept(
+            &self.names[ci],
+            seeds.len(),
+            seeds
+                .iter()
+                .map(|(w, v)| (w.as_str(), v.as_slice()))
+                .chain(expansion.iter().map(|(w, v)| (*w, v.as_slice()))),
+        );
+    }
+
+    /// Panic unless `config.tau` is in [`TAU_RANGE`] and at or above
+    /// the base τ (candidates below it were never collected).
+    fn check_tau(&self, config: &MatcherConfig) {
         assert!(
             TAU_RANGE.contains(&config.tau),
             "tau must be in [0, 1] (TAU_RANGE)"
@@ -406,26 +429,36 @@ impl PreparedMatcher {
             config.tau,
             self.base.tau
         );
-        (0..self.names.len())
-            .map(|ci| Arc::new(self.cluster_at(ci, config)))
-            .collect()
     }
 
-    /// Concept `ci`'s fine-tuned cluster at `config` (already checked
-    /// against the base τ).
-    fn cluster_at(&self, ci: usize, config: &MatcherConfig) -> ConceptCluster {
-        // At τ ≥ 1 fine-tuning skips the vocabulary scan entirely, so
-        // the expansion is empty by definition.
-        let words: Vec<String> = if config.tau >= 1.0 {
-            Vec::new()
-        } else {
-            self.filtered_words(ci, config.tau, config.max_expansion)
-        };
-        ConceptCluster::from_parts(
-            &self.names[ci],
-            self.seeds[ci].seeds().to_vec(),
-            &words,
-            &self.store,
+    /// Derive the fine-tuned matcher for `config`. This is the single
+    /// construction path for every `SimilarityMatcher` in the workspace
+    /// — `fine_tune` itself is `prepare(τ)` + `matcher_at(τ)` — which is
+    /// what makes engine-reuse sweeps bit-identical to per-τ rebuilds.
+    /// It freezes every concept's block into the index and the pruning
+    /// structures over it, timed into the matcher's
+    /// [`FineTuneStats::index_build`](crate::FineTuneStats::index_build).
+    ///
+    /// Panics if `config.tau` is outside [`TAU_RANGE`] or below the τ
+    /// this preparation was run at (candidates below the base τ were
+    /// never collected).
+    pub fn matcher_at(&self, config: MatcherConfig) -> SimilarityMatcher {
+        self.check_tau(&config);
+        let t0 = Instant::now();
+        let mut builder = VectorIndexBuilder::new(self.store.dim());
+        for ci in 0..self.names.len() {
+            self.add_block(ci, &config, &mut builder);
+        }
+        let index = builder.build();
+        let prune = Arc::new(PruneIndex::build(&index));
+        let built = t0.elapsed();
+        SimilarityMatcher::from_index(
+            Arc::clone(&self.store),
+            index,
+            prune,
+            Arc::clone(&self.seed_syntax),
+            config,
+            Some(built),
         )
     }
 
@@ -500,17 +533,18 @@ impl PreparedMatcher {
 
     /// [`PreparedMatcher::matcher_at`] with a prebuilt [`VectorIndex`]
     /// and [`PruneIndex`] (deserialized from an artifact) instead of
-    /// re-freezing them from the derived clusters. The index must
-    /// describe exactly the clusters `config` derives — validated
-    /// against the derived layout, since a mismatched index would
-    /// silently mis-score.
+    /// freezing them from the derivation. The index must have exactly
+    /// the layout `config` derives — each concept's name, first row,
+    /// row count and seed-row count, checked against the seeds and the
+    /// expansion rows without building a block — since a mismatched
+    /// index would silently mis-score.
     pub fn matcher_with_index(
         &self,
         config: MatcherConfig,
         index: VectorIndex,
         prune: Arc<PruneIndex>,
     ) -> Result<SimilarityMatcher, String> {
-        let clusters = self.clusters_at(&config);
+        self.check_tau(&config);
         if index.dim() != self.store.dim() {
             return Err(format!(
                 "persisted index dim {} != store dim {}",
@@ -518,39 +552,37 @@ impl PreparedMatcher {
                 self.store.dim()
             ));
         }
-        if index.concept_count() != clusters.len() {
+        if index.concept_count() != self.names.len() {
             return Err(format!(
                 "persisted index has {} concepts, derivation produced {}",
                 index.concept_count(),
-                clusters.len()
+                self.names.len()
             ));
         }
         let mut expect_start = 0usize;
-        for (ci, cluster) in clusters.iter().enumerate() {
-            let (name, start, rows, seed_rows) = index
-                .concept_layout()
-                .nth(ci)
-                .expect("concept_count checked");
-            if name != cluster.concept
+        for (ci, (name, start, rows, seed_rows)) in index.concept_layout().enumerate() {
+            let seeds = self.seeds[ci].seeds().len();
+            let derived = seeds + self.expansion_rows(ci, &config).count();
+            if name != self.names[ci]
                 || start != expect_start
-                || rows != cluster.representative_count()
-                || seed_rows != cluster.seed_count()
+                || rows != derived
+                || seed_rows != seeds
             {
                 return Err(format!(
                     "persisted index concept `{name}` layout ({start}, {rows}, {seed_rows}) \
-                     disagrees with the derived cluster `{}`",
-                    cluster.concept
+                     disagrees with the derived cluster `{}` ({expect_start}, {derived}, {seeds})",
+                    self.names[ci]
                 ));
             }
             expect_start += rows;
         }
-        Ok(SimilarityMatcher::from_clusters_prebuilt(
+        Ok(SimilarityMatcher::from_index(
             Arc::clone(&self.store),
-            clusters,
             index,
             prune,
             Arc::clone(&self.seed_syntax),
             config,
+            None,
         ))
     }
 
@@ -559,11 +591,11 @@ impl PreparedMatcher {
     /// `parent`: this preparation must be the one
     /// [`PreparedMatcher::with_additions`] evolved from `parent`'s, and
     /// `touched` the concepts it returned. Every other concept keeps
-    /// `parent`'s cluster (a refcount bump), its index block (copied)
-    /// and its pruning balls (copied, row ids rebased); only touched
-    /// and appended concepts are derived, indexed and clustered.
-    /// Bit-identical to `matcher_at`, because an untouched concept has
-    /// the same seeds and candidates in both preparations.
+    /// `parent`'s index block and pruning balls (copied, row ids
+    /// rebased); only touched and appended concepts get a block built
+    /// and clustered. Bit-identical to `matcher_at`, because an
+    /// untouched concept has the same seeds and candidates in both
+    /// preparations.
     pub fn evolve_matcher(
         &self,
         parent: &SimilarityMatcher,
@@ -574,36 +606,27 @@ impl PreparedMatcher {
         // Per concept, whether it is the parent's: neither touched nor
         // appended.
         let mut kept = vec![false; self.names.len()];
-        kept[..parent.clusters().len()].fill(true);
+        kept[..parent_index.concept_count()].fill(true);
         for &ci in touched {
             kept[ci] = false;
         }
-        let clusters: Vec<Arc<ConceptCluster>> = (0..self.names.len())
-            .map(|ci| {
-                if kept[ci] {
-                    Arc::clone(&parent.clusters()[ci])
-                } else {
-                    Arc::new(self.cluster_at(ci, &config))
-                }
-            })
-            .collect();
         let mut builder = VectorIndexBuilder::new(self.store.dim());
-        for (ci, cluster) in clusters.iter().enumerate() {
-            if kept[ci] {
+        for (ci, &keep) in kept.iter().enumerate() {
+            if keep {
                 builder.add_concept_from(parent_index, ci);
             } else {
-                cluster.add_to(&mut builder);
+                self.add_block(ci, &config, &mut builder);
             }
         }
         let index = builder.build();
         let prune = parent.prune_index().evolve(parent_index, &index, &kept);
-        SimilarityMatcher::from_clusters_prebuilt(
+        SimilarityMatcher::from_index(
             Arc::clone(&self.store),
-            clusters,
             index,
             Arc::new(prune),
             Arc::clone(&self.seed_syntax),
             config,
+            None,
         )
     }
 
@@ -923,13 +946,12 @@ mod tests {
                 store.clone(),
                 MatcherConfig::with_tau(tau),
             );
-            for (d, f) in derived.clusters().iter().zip(fresh.clusters()) {
-                assert_eq!(
-                    d.representative_words().collect::<Vec<_>>(),
-                    f.representative_words().collect::<Vec<_>>(),
-                    "tau {tau}"
-                );
-            }
+            let (d, f) = (derived.index(), fresh.index());
+            assert!(d.concept_layout().eq(f.concept_layout()), "tau {tau}");
+            assert!(
+                (0..d.row_count()).all(|r| d.row_word(r) == f.row_word(r)),
+                "tau {tau}"
+            );
             for phrase in ["brain tumor", "the ear", "green walk", "stroke risk"] {
                 assert_eq!(
                     derived.match_phrase(phrase),
@@ -1095,9 +1117,25 @@ mod tests {
         }
     }
 
+    /// Concept `ci`'s block of `ix`: its name, seed-row count, row
+    /// words, row bits and row-sum bits.
+    fn block(ix: &VectorIndex, ci: usize) -> (&str, usize, Vec<&str>, Vec<u32>, Vec<u32>) {
+        let (name, start, rows, seed_rows) = ix.concept_layout().nth(ci).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            name,
+            seed_rows,
+            (start..start + rows).map(|r| ix.row_word(r)).collect(),
+            (start..start + rows)
+                .flat_map(|r| bits(ix.row(r)))
+                .collect(),
+            bits(ix.rep_sum(ci)),
+        )
+    }
+
     /// The matcher evolved from its parent's, concept by concept, is
     /// the matcher a fresh preparation derives: same index and pruning
-    /// bytes, and every untouched concept's cluster is the parent's.
+    /// bytes, and every untouched concept's block is the parent's.
     #[test]
     fn evolved_matcher_equals_the_derived_one() {
         let (store, concepts) = space();
@@ -1127,9 +1165,9 @@ mod tests {
             assert_eq!(p.radii(), q.radii());
             assert_eq!(p.concept_centroids(), q.concept_centroids());
             assert_eq!(p.concept_radii(), q.concept_radii());
-            for ci in 0..parent.clusters().len() {
-                let shared = Arc::ptr_eq(&parent.clusters()[ci], &evolved.clusters()[ci]);
-                assert_eq!(shared, !touched.contains(&ci), "tau {tau}, concept {ci}");
+            let (pix, eix) = (parent.index(), evolved.index());
+            for ci in (0..pix.concept_count()).filter(|ci| !touched.contains(ci)) {
+                assert_eq!(block(pix, ci), block(eix, ci), "tau {tau}, concept {ci}");
             }
             for phrase in ["brain tumor", "the ear", "green walk", "stroke risk"] {
                 assert_eq!(evolved.match_phrase(phrase), fresh.match_phrase(phrase));

@@ -2,8 +2,8 @@
 //! For every random semantic space and every τ_base ≤ τ pair,
 //! `PreparedMatcher::prepare(τ_base).matcher_at(τ)` is observationally
 //! identical to a fresh `SimilarityMatcher::fine_tune(τ)` — the same
-//! representative words per concept, the same vector bits, and the same
-//! candidate lists for every phrase. This is the τ-monotonicity
+//! index layout, representative words per concept and vector bits, and
+//! the same candidate lists for every phrase. This is the τ-monotonicity
 //! contract the engine's sweep serving rests on: candidates collected
 //! at the lowest τ, kept sorted by `(sim desc, word asc)`, filter +
 //! truncate to exactly what a per-τ vocabulary rescan would find.
@@ -42,17 +42,30 @@ fn concepts() -> Vec<(String, Vec<String>)> {
 }
 
 /// Exact (bit-level) equality of two fine-tuned matchers, observed
-/// through clusters and phrase matching.
+/// through their indexes and phrase matching: per concept the same
+/// layout (name, first row, rows, seed rows), the same representative
+/// words and vector bits, and the same row-sum bits.
 fn assert_matchers_identical(derived: &SimilarityMatcher, fresh: &SimilarityMatcher, ctx: &str) {
-    assert_eq!(derived.clusters().len(), fresh.clusters().len(), "{ctx}");
-    for (d, f) in derived.clusters().iter().zip(fresh.clusters()) {
-        assert_eq!(d.representative_count(), f.representative_count(), "{ctx}");
-        for ((dw, dv), (fw, fv)) in d.representative_vectors().zip(f.representative_vectors()) {
-            assert_eq!(dw, fw, "{ctx}: representative words");
-            let d_bits: Vec<u32> = dv.as_slice().iter().map(|x| x.to_bits()).collect();
-            let f_bits: Vec<u32> = fv.as_slice().iter().map(|x| x.to_bits()).collect();
-            assert_eq!(d_bits, f_bits, "{ctx}: vector bits for {dw}");
-        }
+    let (d, f) = (derived.index(), fresh.index());
+    assert_eq!(d.concept_count(), f.concept_count(), "{ctx}");
+    assert!(d.concept_layout().eq(f.concept_layout()), "{ctx}: layout");
+    assert_eq!(d.row_count(), f.row_count(), "{ctx}");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for r in 0..d.row_count() {
+        let (dw, fw) = (d.row_word(r), f.row_word(r));
+        assert_eq!(dw, fw, "{ctx}: representative words");
+        assert_eq!(
+            bits(d.row(r)),
+            bits(f.row(r)),
+            "{ctx}: vector bits for {dw}"
+        );
+    }
+    for ci in 0..d.concept_count() {
+        assert_eq!(
+            bits(d.rep_sum(ci)),
+            bits(f.rep_sum(ci)),
+            "{ctx}: row sum {ci}"
+        );
     }
     for phrase in [
         "ape",
@@ -92,7 +105,7 @@ proptest! {
         let base = MatcherConfig { tau: tau_base, max_expansion, ..MatcherConfig::default() };
         let at = MatcherConfig { tau, max_expansion, ..MatcherConfig::default() };
 
-        let prep = PreparedMatcher::prepare(&concepts(), std::sync::Arc::clone(&store), base);
+        let prep = PreparedMatcher::prepare(concepts(), std::sync::Arc::clone(&store), base);
         let derived = prep.matcher_at(at.clone());
         let fresh = SimilarityMatcher::fine_tune(&concepts(), store, at);
         assert_matchers_identical(
@@ -108,7 +121,7 @@ proptest! {
     fn one_preparation_serves_the_whole_sweep(seed in 0u64..100) {
         let store = std::sync::Arc::new(space(seed, 0.5));
         let prep = PreparedMatcher::prepare(
-            &concepts(),
+            concepts(),
             std::sync::Arc::clone(&store),
             MatcherConfig::with_tau(0.5),
         );
@@ -133,12 +146,12 @@ proptest! {
         let tau = t as f64 / 10.0;
         let store = std::sync::Arc::new(space(seed, 0.5));
         let prep = PreparedMatcher::prepare(
-            &concepts(),
+            concepts(),
             std::sync::Arc::clone(&store),
             MatcherConfig::with_tau(0.5),
         );
         let rebuilt = PreparedMatcher::from_parts(
-            &concepts(),
+            concepts(),
             std::sync::Arc::clone(&store),
             prep.base().clone(),
             prep.candidates().to_vec(),
@@ -155,6 +168,6 @@ proptest! {
 #[should_panic(expected = "below prepared base tau")]
 fn matcher_at_below_base_tau_panics() {
     let store = space(1, 0.5);
-    let prep = PreparedMatcher::prepare(&concepts(), store, MatcherConfig::with_tau(0.7));
+    let prep = PreparedMatcher::prepare(concepts(), store, MatcherConfig::with_tau(0.7));
     let _ = prep.matcher_at(MatcherConfig::with_tau(0.5));
 }

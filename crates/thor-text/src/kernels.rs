@@ -13,8 +13,8 @@
 //! allocations:
 //!
 //! * [`PhraseSyntax`] — the per-phrase precomputation (sorted distinct
-//!   lowercase words + raw `char` array). For seed instances it is
-//!   computed once per build and frozen into a [`SeedSyntax`] table, so
+//!   lowercase words + raw `char` array). For seed instances it is kept
+//!   in a [`SeedSyntax`] table, computed on a seed's first lookup, so
 //!   the seed side of every similarity costs a hash lookup instead of a
 //!   re-tokenization.
 //! * [`ScoreScratch`] — reusable per-worker buffers (lowercase fold,
@@ -34,7 +34,7 @@
 //! containing `'Σ'` take a cold path through `str::to_lowercase`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Reusable scratch buffers for the refinement kernels. One per worker
 /// thread; after the first few calls the buffers stop growing and the
@@ -71,7 +71,7 @@ impl ScoreScratch {
 /// words (sorted, for linear-merge intersection) and its raw character
 /// sequence (case-sensitive, exactly what
 /// [`gestalt_similarity`](crate::gestalt_similarity) compares).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhraseSyntax {
     /// Distinct lowercase words, sorted ascending by byte order.
     words: Vec<String>,
@@ -144,36 +144,37 @@ impl PhraseSyntax {
     }
 }
 
-/// Precomputed [`PhraseSyntax`] for every seed instance of a prepared
-/// matcher, keyed by the exact instance string candidates carry in
-/// `matched_instance`. Built once at preparation time and frozen into
-/// the engine, so the seed side of every refinement score is computed
-/// once per build instead of once per candidate. Entries are shared:
-/// a table [`extend`](SeedSyntax::extend)ed from another holds the
-/// very same syntax for every instance the two have in common.
+/// The [`PhraseSyntax`] of every seed instance of a prepared matcher,
+/// keyed by the exact instance string candidates carry in
+/// `matched_instance`. The keys are fixed when the table is built; each
+/// entry's syntax is computed on its first [`get`](SeedSyntax::get) and
+/// kept, so an engine pays only for the seeds its reads look up, once
+/// per entry, whichever thread asks first. Entries are shared: a table
+/// [`extend`](SeedSyntax::extend)ed from another holds the very same
+/// entry for every instance the two have in common, computed or not.
 #[derive(Debug, Clone, Default)]
 pub struct SeedSyntax {
-    table: HashMap<Arc<str>, Arc<PhraseSyntax>>,
+    table: HashMap<Arc<str>, Arc<OnceLock<PhraseSyntax>>>,
 }
 
 impl SeedSyntax {
     /// Build the table from seed-instance strings (duplicates are
-    /// computed once).
+    /// entered once).
     pub fn build<'a>(seeds: impl IntoIterator<Item = &'a str>) -> Self {
         Self::default().extend(seeds)
     }
 
-    /// This table plus the syntax of additional seed-instance strings:
+    /// This table plus entries for additional seed-instance strings:
     /// instances already present share this table's entries (a
-    /// refcount bump each, never a copy), and only new ones are
-    /// computed. Because `PhraseSyntax::new` is deterministic, the
-    /// result is indistinguishable from [`SeedSyntax::build`] over the
-    /// union — the delta path of engine evolution.
+    /// refcount bump each, never a copy). Because `PhraseSyntax::new`
+    /// is deterministic, the result is indistinguishable from
+    /// [`SeedSyntax::build`] over the union — the delta path of engine
+    /// evolution.
     pub fn extend<'a>(&self, seeds: impl IntoIterator<Item = &'a str>) -> Self {
         let mut table = self.table.clone();
         for seed in seeds {
             if !table.contains_key(seed) {
-                table.insert(Arc::from(seed), Arc::new(PhraseSyntax::new(seed)));
+                table.insert(Arc::from(seed), Arc::default());
             }
         }
         Self { table }
@@ -181,17 +182,19 @@ impl SeedSyntax {
 
     /// The distinct seed instances in sorted order, for artifact
     /// serialization. [`SeedSyntax::build`] over this list reproduces
-    /// the table exactly (`PhraseSyntax::new` is deterministic), so a
-    /// load rebuilds rather than persisting the derived arrays.
+    /// the table exactly, so a load rebuilds rather than persisting the
+    /// derived arrays.
     pub fn instances(&self) -> Vec<&str> {
         let mut v: Vec<&str> = self.table.keys().map(|k| &**k).collect();
         v.sort_unstable();
         v
     }
 
-    /// The precomputed syntax of `instance`, if it was a seed.
+    /// The syntax of `instance`, if it was a seed: computed on the
+    /// entry's first lookup, then shared.
     pub fn get(&self, instance: &str) -> Option<&PhraseSyntax> {
-        self.table.get(instance).map(|syntax| &**syntax)
+        let entry = self.table.get(instance)?;
+        Some(entry.get_or_init(|| PhraseSyntax::new(instance)))
     }
 
     /// Number of distinct seed instances in the table.
