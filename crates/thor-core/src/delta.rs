@@ -13,7 +13,12 @@
 //! shared with the parent engine: its instances and seeds are the same
 //! `Arc`s, its index block and pruning balls are copied, and its
 //! seed-syntax entries are shared. Only touched concepts embed their
-//! new instances, build their index block and cluster its rows.
+//! new instances and build their index block. A touched concept's
+//! pruning ball covers all its rows, but k-means runs only on its
+//! groups (seed prefix, expansion suffix) whose rows changed: an
+//! unchanged group's clusters are copied from the parent with their
+//! row ids rebased, since k-means reads only the group's rows and is
+//! seeded per (concept, group).
 //! The result is an engine **bit-identical** to `Thor::prepare` on the
 //! final table: same extraction output, same fingerprint, same saved
 //! bytes. That invariant is also why [`PreparedEngine::save_delta`] can
@@ -110,7 +115,10 @@ impl PreparedEngine {
     /// ([`PreparedMatcher::with_additions`]). A concept the delta
     /// touches — it gained seeds, its candidate list changed, or it is
     /// new — gets its new instances embedded, its index block built and
-    /// its pruning balls clustered. Every other concept is shared with
+    /// a fresh concept ball; of its two k-means groups (seed prefix,
+    /// expansion suffix), only one whose rows changed is re-clustered,
+    /// and an unchanged one is copied with its row ids rebased
+    /// ([`PruneIndex::evolve`]). Every other concept is shared with
     /// this engine: its seeds are the same `Arc`s, its index block and
     /// pruning balls are copied (row ids rebased), and the seed syntax
     /// shares every entry. The
@@ -129,6 +137,7 @@ impl PreparedEngine {
     /// [`PreparedMatcher::seed_argmax_ready`]).
     ///
     /// [`PreparedMatcher::with_additions`]: thor_match::PreparedMatcher::with_additions
+    /// [`PruneIndex::evolve`]: thor_match::PruneIndex::evolve
     /// [`PreparedMatcher::seed_argmax_ready`]: thor_match::PreparedMatcher::seed_argmax_ready
     pub fn apply_delta(&self, delta: &EngineDelta) -> ThorResult<PreparedEngine> {
         let run = self.run_metrics();
@@ -329,9 +338,12 @@ impl PreparedEngine {
             depth: depth as u64,
             note: note.to_string(),
         };
+        // A delta never changes the vector store: check it against the
+        // parent's copy in place, and encode it only if that differs.
+        let store_kept = self.store_image_in(&chain);
         let mut w = SectionWriter::new();
         w.add(DELTA_META_SECTION, DELTA_META_VERSION, &meta.encode());
-        for (name, version, bytes) in self.engine_sections() {
+        for (name, version, bytes) in self.engine_sections(!store_kept) {
             if chain.bytes(name).ok() != Some(bytes.as_slice()) {
                 w.add(name, version, &bytes);
             }

@@ -458,7 +458,7 @@ impl PreparedEngine {
     /// which is what makes the loaded engine byte-identical.
     pub fn save(&self, path: &Path) -> ThorResult<()> {
         let mut sections = SectionWriter::new();
-        for (name, version, bytes) in self.engine_sections() {
+        for (name, version, bytes) in self.engine_sections(true) {
             sections.add(name, version, &bytes);
         }
         atomic_write(path, &sections.finish())
@@ -468,8 +468,12 @@ impl PreparedEngine {
     /// triples in canonical save order — what [`PreparedEngine::save`]
     /// writes and what [`PreparedEngine::save_delta`] byte-diffs
     /// against a parent chain. Deterministic: two engines in the same
-    /// state produce identical triples.
-    pub(crate) fn engine_sections(&self) -> Vec<(&'static str, u32, Vec<u8>)> {
+    /// state produce identical triples. The three vector store
+    /// sections are left out unless `with_store`: a delta never
+    /// changes the store, and `save_delta` checks it against the
+    /// parent's copy in place ([`PreparedEngine::store_image_in`])
+    /// instead of encoding it.
+    pub(crate) fn engine_sections(&self, with_store: bool) -> Vec<(&'static str, u32, Vec<u8>)> {
         let inner = &*self.inner;
         let mut sections: Vec<(&'static str, u32, Vec<u8>)> = Vec::with_capacity(20);
 
@@ -491,27 +495,22 @@ impl PreparedEngine {
 
         sections.push((SEC_TABLE, 1, inner.table_csv.as_bytes().to_vec()));
 
-        // Vector store: sorted word pool + raw f32 rows, the exact
-        // layout `VectorStore::from_frozen` borrows in place.
-        let mut word_offs: Vec<u64> = vec![0];
-        let mut word_bytes: Vec<u8> = Vec::new();
-        let mut row_bytes: Vec<u8> = Vec::new();
-        inner.store.for_each_sorted(|word, row| {
-            word_bytes.extend_from_slice(word.as_bytes());
-            word_offs.push(word_bytes.len() as u64);
-            for &x in row {
-                row_bytes.extend_from_slice(&x.to_le_bytes());
-            }
-        });
-        sections.push((SEC_STORE_OFFS, 1, le_bytes_u64(&word_offs)));
-        sections.push((SEC_STORE_WORDS, 1, word_bytes));
-        sections.push((SEC_STORE_ROWS, 1, row_bytes));
+        if with_store {
+            let [offs, words, rows] = store_image(&inner.store);
+            sections.push((SEC_STORE_OFFS, 1, offs));
+            sections.push((SEC_STORE_WORDS, 1, words));
+            sections.push((SEC_STORE_ROWS, 1, rows));
+        }
 
         // Untruncated τ-expansion candidates, CSR across concepts.
         let (starts, sims, pool) = inner.prep.candidate_parts();
-        sections.push((SEC_CAND_STARTS, 1, le_bytes_u64(&starts)));
-        sections.push((SEC_CAND_SIMS, 1, le_bytes_f64(&sims)));
-        sections.push((SEC_CAND_WORD_OFFS, 1, le_bytes_u64(pool.offsets())));
+        sections.push((SEC_CAND_STARTS, 1, le_bytes(&starts, u64::to_le_bytes)));
+        sections.push((SEC_CAND_SIMS, 1, le_bytes(&sims, f64::to_le_bytes)));
+        sections.push((
+            SEC_CAND_WORD_OFFS,
+            1,
+            le_bytes(pool.offsets(), u64::to_le_bytes),
+        ));
         sections.push((SEC_CAND_WORDS, 1, pool.bytes().to_vec()));
 
         // The fine-tuned VectorIndex at the engine's τ: row labels and
@@ -531,9 +530,13 @@ impl PreparedEngine {
             w.put_u64(seed_rows as u64);
         }
         sections.push((SEC_IDX_META, 1, w.into_bytes()));
-        sections.push((SEC_IDX_DATA, 1, le_bytes_f32(ix.data())));
-        sections.push((SEC_IDX_NORMS, 1, le_bytes_f64(ix.norms())));
-        sections.push((SEC_IDX_REPSUMS, 1, le_bytes_f32(ix.rep_sums())));
+        sections.push((SEC_IDX_DATA, 1, le_bytes(ix.data(), f32::to_le_bytes)));
+        sections.push((SEC_IDX_NORMS, 1, le_bytes(ix.norms(), f64::to_le_bytes)));
+        sections.push((
+            SEC_IDX_REPSUMS,
+            1,
+            le_bytes(ix.rep_sums(), f32::to_le_bytes),
+        ));
 
         // Seed-syntax instances (sorted): the table is derived, this
         // section lets the load cross-check the derivation.
@@ -550,21 +553,45 @@ impl PreparedEngine {
         // serializes the same bytes as a fresh build of the same state.
         let prune = inner.matcher.prune_index();
         sections.push((SEC_PRUNE_META, 1, prune.meta_bytes()));
-        sections.push((SEC_PRUNE_MEMBERS, 1, le_bytes_u32(prune.members())));
-        sections.push((SEC_PRUNE_CENTROIDS, 1, le_bytes_f32(prune.centroids())));
-        sections.push((SEC_PRUNE_RADII, 1, le_bytes_f64(prune.radii())));
+        sections.push((
+            SEC_PRUNE_MEMBERS,
+            1,
+            le_bytes(prune.members(), u32::to_le_bytes),
+        ));
+        sections.push((
+            SEC_PRUNE_CENTROIDS,
+            1,
+            le_bytes(prune.centroids(), f32::to_le_bytes),
+        ));
+        sections.push((
+            SEC_PRUNE_RADII,
+            1,
+            le_bytes(prune.radii(), f64::to_le_bytes),
+        ));
         sections.push((
             SEC_PRUNE_CONCEPT_CENTROIDS,
             1,
-            le_bytes_f32(prune.concept_centroids()),
+            le_bytes(prune.concept_centroids(), f32::to_le_bytes),
         ));
         sections.push((
             SEC_PRUNE_CONCEPT_RADII,
             1,
-            le_bytes_f64(prune.concept_radii()),
+            le_bytes(prune.concept_radii(), f64::to_le_bytes),
         ));
 
         sections
+    }
+
+    /// Whether `chain` holds exactly this engine's three vector store
+    /// sections, compared in place ([`store_image_is`]).
+    pub(crate) fn store_image_in(&self, chain: &SectionChain) -> bool {
+        let get = |name| chain.bytes(name).unwrap_or_default();
+        store_image_is(
+            &self.inner.store,
+            get(SEC_STORE_OFFS),
+            get(SEC_STORE_WORDS),
+            get(SEC_STORE_ROWS),
+        )
     }
 
     /// Load an engine artifact written by [`PreparedEngine::save`],
@@ -845,39 +872,76 @@ pub(crate) fn meta_fingerprint(bytes: &[u8]) -> ThorResult<String> {
     Ok(fingerprint)
 }
 
-/// Little-endian byte images of numeric arrays — the exact layout the
-/// frozen views reinterpret in place (the loader rejects big-endian
-/// hosts up front).
-fn le_bytes_u64(v: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+/// The little-endian byte image of a numeric array — the exact layout
+/// the frozen views reinterpret in place (the loader rejects big-endian
+/// hosts up front), written into a buffer sized once.
+fn le_bytes<T: Copy, const N: usize>(v: &[T], to_le: fn(T) -> [u8; N]) -> Vec<u8> {
+    let mut out = vec![0u8; v.len() * N];
+    write_le(&mut out, v, to_le);
     out
 }
 
-fn le_bytes_f64(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+/// Write the little-endian image of `v` into `out`, one element-sized
+/// chunk at a time (`out` holds `v.len() * N` bytes).
+fn write_le<T: Copy, const N: usize>(out: &mut [u8], v: &[T], to_le: fn(T) -> [u8; N]) {
+    for (chunk, &x) in out.chunks_exact_mut(N).zip(v) {
+        chunk.copy_from_slice(&to_le(x));
     }
-    out
 }
 
-fn le_bytes_f32(v: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
+/// The vector store's three sections — word offsets, word pool, raw
+/// `f32` rows, in ascending word order — the exact layout
+/// `VectorStore::from_frozen` borrows in place.
+fn store_image(store: &VectorStore) -> [Vec<u8>; 3] {
+    let row_len = store.dim() * 4;
+    let mut word_offs: Vec<u64> = Vec::with_capacity(store.len() + 1);
+    word_offs.push(0);
+    let mut word_bytes: Vec<u8> = Vec::new();
+    let mut row_bytes = vec![0u8; store.len() * row_len];
+    let mut at = 0usize;
+    store.for_each_sorted(|word, row| {
+        word_bytes.extend_from_slice(word.as_bytes());
+        word_offs.push(word_bytes.len() as u64);
+        write_le(&mut row_bytes[at..at + row_len], row, f32::to_le_bytes);
+        at += row_len;
+    });
+    // A corrupt mapped store visits fewer rows than it counts.
+    row_bytes.truncate(at);
+    [
+        le_bytes(&word_offs, u64::to_le_bytes),
+        word_bytes,
+        row_bytes,
+    ]
 }
 
-fn le_bytes_u32(v: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+/// Whether [`store_image`] of `store` is exactly `offs`, `words` and
+/// `rows` — compared in place, as the image is walked, without
+/// encoding it.
+fn store_image_is(store: &VectorStore, offs: &[u8], words: &[u8], rows: &[u8]) -> bool {
+    let row_len = store.dim() * 4;
+    if offs.len() != (store.len() + 1) * 8 || rows.len() != store.len() * row_len {
+        return false;
     }
-    out
+    let mut offs = offs
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+    let mut same = offs.next() == Some(0);
+    let (mut word_at, mut row_at) = (0usize, 0usize);
+    store.for_each_sorted(|word, row| {
+        let word_end = word_at + word.len();
+        let row_end = row_at + row_len;
+        same = same
+            && words.get(word_at..word_end) == Some(word.as_bytes())
+            && offs.next() == Some(word_end as u64)
+            && rows.get(row_at..row_end).is_some_and(|image| {
+                image
+                    .chunks_exact(4)
+                    .zip(row)
+                    .all(|(b, x)| b == x.to_le_bytes())
+            });
+        (word_at, row_at) = (word_end, row_end);
+    });
+    same && offs.next().is_none() && word_at == words.len() && row_at == rows.len()
 }
 
 fn write_config(w: &mut ByteWriter, c: &ThorConfig) {
@@ -1125,7 +1189,7 @@ mod tests {
         let (thor, table, _) = setup();
         let names: Vec<&str> = thor
             .prepare(&table)
-            .engine_sections()
+            .engine_sections(true)
             .into_iter()
             .map(|(name, _, _)| name)
             .collect();
@@ -1154,6 +1218,118 @@ mod tests {
                 "prune.concept_radii",
             ]
         );
+    }
+
+    /// The element-at-a-time encoding the chunked one replaced.
+    fn per_element<T: Copy, const N: usize>(v: &[T], to_le: fn(T) -> [u8; N]) -> Vec<u8> {
+        v.iter().flat_map(|&x| to_le(x)).collect()
+    }
+
+    #[test]
+    fn chunked_encoders_equal_per_element_to_le_bytes() {
+        let f32s = [
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234), // quiet NaN, payload
+            f32::from_bits(0xff80_0001), // signalling NaN, sign set
+            -0.0,
+            0.0,
+            f32::from_bits(1),        // least subnormal
+            -f32::MIN_POSITIVE / 2.0, // negative subnormal
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -1.5,
+        ];
+        let f64s = [
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN,
+        ];
+        let u64s = [0, 1, 0x0102_0304_0506_0708, u64::MAX];
+        let u32s = [0, 1, 0x0102_0304, u32::MAX];
+        for n in 0..=f32s.len() {
+            assert_eq!(
+                le_bytes(&f32s[..n], f32::to_le_bytes),
+                per_element(&f32s[..n], f32::to_le_bytes)
+            );
+        }
+        assert_eq!(
+            le_bytes(&f64s, f64::to_le_bytes),
+            per_element(&f64s, f64::to_le_bytes)
+        );
+        assert_eq!(
+            le_bytes(&u64s, u64::to_le_bytes),
+            per_element(&u64s, u64::to_le_bytes)
+        );
+        assert_eq!(
+            le_bytes(&u32s, u32::to_le_bytes),
+            per_element(&u32s, u32::to_le_bytes)
+        );
+
+        // The store image: rows in ascending word order, each row's
+        // values as `to_le_bytes` writes them, on either backing.
+        let mut store = VectorStore::new(3);
+        store.insert("zeta", thor_embed::Vector(f32s[..3].to_vec()));
+        store.insert("alpha", thor_embed::Vector(f32s[3..6].to_vec()));
+        store.insert("mid", thor_embed::Vector(f32s[6..9].to_vec()));
+        let [offs, words, rows] = store_image(&store);
+        assert_eq!(offs, per_element(&[0u64, 5, 8, 12], u64::to_le_bytes));
+        assert_eq!(words, b"alphamidzeta");
+        let sorted: Vec<f32> = [&f32s[3..6], &f32s[6..9], &f32s[..3]].concat();
+        assert_eq!(rows, per_element(&sorted, f32::to_le_bytes));
+        assert_eq!(
+            store_image(&store.freeze()),
+            [offs.clone(), words.clone(), rows.clone()]
+        );
+    }
+
+    #[test]
+    fn store_image_is_compares_every_byte() {
+        let mut store = VectorStore::new(2);
+        store.insert("lungs", thor_embed::Vector(vec![0.5, -0.0]));
+        store.insert("brain", thor_embed::Vector(vec![f32::from_bits(1), 2.0]));
+        let image = store_image(&store);
+        for backing in [store.clone(), store.freeze()] {
+            assert!(store_image_is(&backing, &image[0], &image[1], &image[2]));
+            for part in 0..3 {
+                for at in 0..image[part].len() {
+                    let mut bad = image.clone();
+                    bad[part][at] ^= 0x01;
+                    assert!(
+                        !store_image_is(&backing, &bad[0], &bad[1], &bad[2]),
+                        "section {part}, byte {at} flipped"
+                    );
+                }
+                let mut short = image.clone();
+                short[part].pop();
+                assert!(!store_image_is(&backing, &short[0], &short[1], &short[2]));
+                let mut long = image.clone();
+                long[part].push(0);
+                assert!(!store_image_is(&backing, &long[0], &long[1], &long[2]));
+            }
+        }
+        // The same pool and rows split into other words: only the
+        // offsets differ.
+        let mut other = VectorStore::new(2);
+        other.insert("brainl", thor_embed::Vector(vec![f32::from_bits(1), 2.0]));
+        other.insert("ungs", thor_embed::Vector(vec![0.5, -0.0]));
+        let split = store_image(&other);
+        assert_eq!((&split[1], &split[2]), (&image[1], &image[2]));
+        assert!(!store_image_is(&other, &image[0], &image[1], &image[2]));
+        let empty = store_image(&VectorStore::new(2));
+        assert!(store_image_is(
+            &VectorStore::new(2),
+            &empty[0],
+            &empty[1],
+            &empty[2]
+        ));
+        assert!(!store_image_is(&store, &empty[0], &empty[1], &empty[2]));
     }
 
     #[test]

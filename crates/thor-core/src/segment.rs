@@ -125,7 +125,7 @@ impl SubjectIndex {
         for (i, name) in subjects.into_iter().enumerate() {
             let name = name.as_ref();
             let key = normalize_phrase(name);
-            if let Some(v) = store.embed_phrase(&key) {
+            if let Some(v) = store.embed_normalized(&key) {
                 vectors.push(v);
                 vector_subjects.push(i);
             }

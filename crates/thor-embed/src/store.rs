@@ -217,10 +217,13 @@ impl VectorStore {
     pub fn for_each_sorted<'a>(&'a self, mut f: impl FnMut(&'a str, &'a [f32])) {
         match &self.backing {
             Backing::Owned(m) => {
-                let mut words: Vec<&String> = m.keys().collect();
-                words.sort();
-                for w in words {
-                    f(w.as_str(), m[w].as_slice());
+                // Sort the pairs once; the keys are distinct, so an
+                // unstable sort gives the one ascending order.
+                let mut pairs: Vec<(&str, &[f32])> =
+                    m.iter().map(|(w, v)| (w.as_str(), v.as_slice())).collect();
+                pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                for (w, row) in pairs {
+                    f(w, row);
                 }
             }
             Backing::Frozen { .. } => self.for_each_row(f),
@@ -231,7 +234,13 @@ impl VectorStore {
     /// (spaCy span semantics). Returns `None` when *no* word of the
     /// phrase is in the vocabulary.
     pub fn embed_phrase(&self, phrase: &str) -> Option<Vector> {
-        let normalized = normalize_phrase(phrase);
+        self.embed_normalized(&normalize_phrase(phrase))
+    }
+
+    /// [`embed_phrase`](Self::embed_phrase) of a phrase already in
+    /// `normalize_phrase` form: normalizing is idempotent, so the
+    /// phrase is split as it is, without a second pass.
+    pub fn embed_normalized(&self, normalized: &str) -> Option<Vector> {
         mean_of_rows(
             normalized
                 .split_whitespace()

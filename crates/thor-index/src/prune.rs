@@ -234,7 +234,20 @@ impl PruneParts {
     /// to f64 (zero-norm rows as the zero vector, which every ball then
     /// contains, keeping the bound valid for their defined similarity
     /// of 0.0).
-    fn add_concept(&mut self, ix: &VectorIndex, ci: usize) {
+    ///
+    /// With a `parent` structure (and the index it was built for), a
+    /// group whose rows and norms are bit-identical to the same group
+    /// of the parent's concept `ci` is copied from it, member row ids
+    /// rebased from the group's start there to its start here: k-means
+    /// reads only the group's rows and is seeded by (concept, group),
+    /// so it would find the same clusters. The concept ball still
+    /// covers all of the concept's rows.
+    fn add_concept(
+        &mut self,
+        ix: &VectorIndex,
+        ci: usize,
+        parent: Option<(&PruneIndex, &VectorIndex)>,
+    ) {
         let dim = ix.dim();
         let (start, crows, seed_rows) = ix.concept_range(ci);
         let mut unit = vec![0.0f64; crows * dim];
@@ -255,19 +268,28 @@ impl PruneParts {
         let first = self.clusters.len();
         let mut seed_clusters = 0usize;
         for (group, range) in [(0u64, 0..seed_rows), (1u64, seed_rows..crows)] {
-            let seed = KMEANS_SEED ^ (((ci as u64) << 1) | group);
-            for group_members in kmeans_groups(&unit, dim, range, seed) {
-                let rows = group_members.iter().map(|&r| r as usize);
-                let centroid = mean_centroid(&unit, dim, rows.clone());
-                self.radii.push(ball_radius(&unit, dim, rows, &centroid));
-                self.clusters
-                    .push((self.members.len(), group_members.len()));
-                self.members
-                    .extend(group_members.iter().map(|&r| (start + r as usize) as u32));
-                self.centroids.extend_from_slice(&centroid);
-                if group == 0 {
-                    seed_clusters += 1;
+            let to = start + range.start;
+            let same = parent.and_then(|(src, src_ix)| {
+                src.same_group(src_ix, ix, ci, group, to..start + range.end)
+                    .map(|(clusters, from)| (src, clusters, from))
+            });
+            if let Some((src, clusters, from)) = same {
+                self.copy_clusters(src, clusters, from, to);
+            } else {
+                let seed = KMEANS_SEED ^ (((ci as u64) << 1) | group);
+                for group_members in kmeans_groups(&unit, dim, range, seed) {
+                    let rows = group_members.iter().map(|&r| r as usize);
+                    let centroid = mean_centroid(&unit, dim, rows.clone());
+                    self.radii.push(ball_radius(&unit, dim, rows, &centroid));
+                    self.clusters
+                        .push((self.members.len(), group_members.len()));
+                    self.members
+                        .extend(group_members.iter().map(|&r| (start + r as usize) as u32));
+                    self.centroids.extend_from_slice(&centroid);
                 }
+            }
+            if group == 0 {
+                seed_clusters = self.clusters.len() - first;
             }
         }
         self.concept_clusters
@@ -293,21 +315,26 @@ impl PruneParts {
             .extend_from_slice(&src.concept_centroids[ci * dim..(ci + 1) * dim]);
         self.concept_radii.push(src.concept_radii[ci]);
         let new_first = self.clusters.len();
-        for k in first..first + count {
-            let (mstart, mlen) = src.clusters[k];
+        self.copy_clusters(src, first..first + count, src_start, start);
+        self.concept_clusters
+            .push((new_first, count, seed_clusters));
+    }
+
+    /// Append clusters `clusters` of `src` verbatim, each member row id
+    /// `r` rebased to `r - from + to`.
+    fn copy_clusters(&mut self, src: &PruneIndex, clusters: Range<usize>, from: usize, to: usize) {
+        let dim = src.dim;
+        for &(mstart, mlen) in &src.clusters[clusters.clone()] {
             self.clusters.push((self.members.len(), mlen));
             self.members.extend(
                 src.members[mstart..mstart + mlen]
                     .iter()
-                    .map(|&r| (r as usize - src_start + start) as u32),
+                    .map(|&r| (r as usize - from + to) as u32),
             );
         }
         self.centroids
-            .extend_from_slice(&src.centroids[first * dim..(first + count) * dim]);
-        self.radii
-            .extend_from_slice(&src.radii[first..first + count]);
-        self.concept_clusters
-            .push((new_first, count, seed_clusters));
+            .extend_from_slice(&src.centroids[clusters.start * dim..clusters.end * dim]);
+        self.radii.extend_from_slice(&src.radii[clusters]);
     }
 
     /// Freeze the parts for `ix`, deriving the scan lanes.
@@ -344,7 +371,7 @@ impl PruneIndex {
         );
         let mut parts = PruneParts::default();
         for ci in 0..ix.concept_count() {
-            parts.add_concept(ix, ci);
+            parts.add_concept(ix, ci, None);
         }
         parts.finish(ix)
     }
@@ -352,10 +379,16 @@ impl PruneIndex {
     /// The structure [`PruneIndex::build`] makes for `ix`, an index
     /// evolved from `parent_ix` (this structure's index) by a delta:
     /// the concepts marked in `kept` (one flag per concept of `ix`) are
-    /// copied with their member row ids rebased, and only the others
-    /// are normalized and clustered. Bit-identical to `build(ix)` as
-    /// long as every kept concept's rows are the same in both indices,
-    /// which is what `VectorIndexBuilder::add_concept_from` produces.
+    /// copied with their member row ids rebased. Every other concept
+    /// gets a fresh concept ball over all its rows, but k-means runs
+    /// only on the groups (seed prefix, expansion suffix) whose rows
+    /// changed: a group whose rows and norms are bit-identical to the
+    /// same group of the parent's concept is copied, its member row ids
+    /// rebased from the group's start in `parent_ix` to its start in
+    /// `ix`. Bit-identical to `build(ix)` as long as every kept
+    /// concept's rows are the same in both indices, which is what
+    /// `VectorIndexBuilder::add_concept_from` produces, and concepts
+    /// keep their positions (k-means is seeded by concept and group).
     ///
     /// Panics if `kept` does not have one flag per concept of `ix`, or
     /// marks a concept that `parent_ix` lacks or whose row layout
@@ -378,10 +411,49 @@ impl PruneIndex {
                 );
                 parts.add_concept_from(self, parent_ix, ci, start);
             } else {
-                parts.add_concept(ix, ci);
+                parts.add_concept(ix, ci, Some((self, parent_ix)));
             }
         }
         parts.finish(ix)
+    }
+
+    /// The clusters this structure (built for `ix_self`) holds for
+    /// group `group` (0 the seed prefix, 1 the expansion suffix) of
+    /// concept `ci`, with the group's first row in `ix_self` — if the
+    /// concept exists there and that group's rows and norms are
+    /// bit-identical to rows `rows` of `ix`.
+    fn same_group(
+        &self,
+        ix_self: &VectorIndex,
+        ix: &VectorIndex,
+        ci: usize,
+        group: u64,
+        rows: Range<usize>,
+    ) -> Option<(Range<usize>, usize)> {
+        if ci >= ix_self.concept_count() {
+            return None;
+        }
+        let (start, crows, seed_rows) = ix_self.concept_range(ci);
+        let (first, count, seed_clusters) = self.concept_clusters[ci];
+        let (own, clusters) = if group == 0 {
+            (start..start + seed_rows, first..first + seed_clusters)
+        } else {
+            (
+                start + seed_rows..start + crows,
+                first + seed_clusters..first + count,
+            )
+        };
+        let dim = ix.dim();
+        let same = own.len() == rows.len()
+            && same_bits(
+                &ix_self.data()[own.start * dim..own.end * dim],
+                &ix.data()[rows.start * dim..rows.end * dim],
+            )
+            && ix_self.norms()[own.clone()]
+                .iter()
+                .zip(&ix.norms()[rows])
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        same.then_some((clusters, own.start))
     }
 
     /// Global row ids, cluster-major, for artifact serialization.
@@ -923,6 +995,11 @@ fn ball_radius(
         worst = worst.max(d2.sqrt());
     }
     worst
+}
+
+/// Whether two row slices hold the same `f32` bit patterns.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Deterministic fixed-iteration k-means over the rows of `range`,

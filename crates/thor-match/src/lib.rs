@@ -12,9 +12,7 @@
 //! whose similarity to a seed exceeds the user threshold τ. Together they
 //! form a cluster that "semantically covers the domain of C". Raising τ
 //! makes the system precision-oriented; lowering it recall-oriented.
-//! The matcher keeps every cluster as one block of its [`VectorIndex`];
-//! [`ConceptCluster`] is the standalone form of one concept's cluster,
-//! fine-tuned in isolation.
+//! The matcher keeps every cluster as one block of its [`VectorIndex`].
 //!
 //! **Matching** (Phase ②): given a noun phrase, the matcher enumerates
 //! its subphrases, embeds each as a mean-pooled query vector, assigns the
@@ -28,12 +26,10 @@
 //! any τ′ ≥ τ — bit-identically to a fresh `fine_tune(τ′)`, because
 //! both share the same construction path.
 
-pub mod cluster;
 pub mod matcher;
 pub mod prepared;
 pub mod source;
 
-pub use cluster::{ClusterScore, ConceptCluster};
 pub use matcher::{
     CandidateEntity, FineTuneStats, MatchCounts, MatcherConfig, SimilarityMatcher, TAU_RANGE,
 };

@@ -28,9 +28,8 @@ use std::time::Instant;
 use thor_embed::{slice_norm, Vector, VectorStore};
 use thor_fault::{FrozenPool, FrozenSlice};
 use thor_index::{LaneRows, PruneIndex, PruneStats, VectorIndex, VectorIndexBuilder};
-use thor_text::SeedSyntax;
+use thor_text::{normalize_phrase, GramBuildHasher, SeedSyntax};
 
-use crate::cluster::ConceptCluster;
 use crate::matcher::{MatcherConfig, SimilarityMatcher, TAU_RANGE};
 
 /// Frozen fine-tuning state: seeds + untruncated τ-expansion
@@ -66,7 +65,9 @@ pub struct PreparedMatcher {
 /// base τ, `None` when the best similarity is below τ. Unlike the
 /// candidate lists it is *not* filtered by seed membership, so it is
 /// exactly the incumbent an additive delta's challengers compete with.
-type SeedArgmax = HashMap<String, Option<(usize, f64)>>;
+/// Keyed by vocabulary words only, so it uses the engine-fixed
+/// [`GramBuildHasher`] (no document text is ever inserted).
+type SeedArgmax = HashMap<String, Option<(usize, f64)>, GramBuildHasher>;
 
 /// Candidate-list storage: per-concept `Vec`s after a fresh
 /// preparation, or flat artifact views after a (possibly mapped)
@@ -94,9 +95,22 @@ pub struct ConceptSeeds {
     seeds: Vec<(String, Vector)>,
 }
 
+/// Embed one instance as a seed: its normalized form and unit phrase
+/// vector, or `None` when it normalizes to nothing or has no
+/// in-vocabulary word. The normalized form is embedded as it is
+/// (normalizing is idempotent).
+fn embed_seed(instance: &str, store: &VectorStore) -> Option<(String, Vector)> {
+    let norm = normalize_phrase(instance);
+    if norm.is_empty() {
+        return None;
+    }
+    let mut v = store.embed_normalized(&norm)?;
+    v.normalize();
+    Some((norm, v))
+}
+
 impl ConceptSeeds {
-    /// Embed `instances` ([`ConceptCluster::embed_seed`] each), keeping
-    /// the list.
+    /// Embed `instances` ([`embed_seed`] each), keeping the list.
     fn embed(instances: Vec<String>, store: &VectorStore) -> Self {
         let mut out = Self {
             instances: Vec::new(),
@@ -104,7 +118,7 @@ impl ConceptSeeds {
             seeds: Vec::new(),
         };
         for instance in &instances {
-            out.push_embedded(ConceptCluster::embed_seed(instance, store));
+            out.push_embedded(embed_seed(instance, store));
         }
         out.instances = instances;
         out
@@ -140,7 +154,7 @@ fn build_seed_syntax(seeds: &[Arc<ConceptSeeds>]) -> Arc<SeedSyntax> {
 }
 
 /// Every seed instance string of every concept.
-fn seed_words(seeds: &[Arc<ConceptSeeds>]) -> HashSet<&str> {
+fn seed_words(seeds: &[Arc<ConceptSeeds>]) -> HashSet<&str, GramBuildHasher> {
     seeds
         .iter()
         .flat_map(|c| c.seeds())
@@ -231,7 +245,7 @@ impl PreparedMatcher {
         // that concept's candidates unless it is one of its seeds; seed
         // words keep their unfiltered winner for later deltas.
         let mut candidates: Vec<Vec<(String, f64)>> = vec![Vec::new(); names.len()];
-        let mut seed_best = SeedArgmax::new();
+        let mut seed_best = SeedArgmax::default();
         if base.tau < 1.0 {
             let is_seed = seed_words(&seeds);
             competitive_scan(
@@ -644,7 +658,7 @@ impl PreparedMatcher {
     fn seed_argmax(&self) -> &SeedArgmax {
         self.seed_best.get_or_init(|| {
             let is_seed = seed_words(&self.seeds);
-            let mut best = SeedArgmax::with_capacity(is_seed.len());
+            let mut best = SeedArgmax::with_capacity_and_hasher(is_seed.len(), Default::default());
             competitive_scan(
                 &self.names,
                 &self.seeds,
@@ -709,7 +723,7 @@ impl PreparedMatcher {
         // new one (instance lists come from sorted column values, so
         // pure additions always are). An unchanged concept shares its
         // `ConceptSeeds`; a grown one keeps its old seeds and embeds
-        // only its new instances, in the order `embed_seeds` would.
+        // only its new instances, in the order `ConceptSeeds::embed` would.
         let mut seeds_new: Vec<Arc<ConceptSeeds>> = Vec::with_capacity(concepts.len());
         let mut added: Vec<Vec<(String, Vector)>> = Vec::with_capacity(concepts.len());
         for (ci, (name, instances)) in concepts.iter().enumerate() {
@@ -740,7 +754,7 @@ impl PreparedMatcher {
                     next_old += 1;
                     grown.push_embedded(seed);
                 } else {
-                    let seed = ConceptCluster::embed_seed(instance, &self.store);
+                    let seed = embed_seed(instance, &self.store);
                     adds.extend(seed.clone());
                     grown.push_embedded(seed);
                 }
@@ -797,14 +811,19 @@ impl PreparedMatcher {
             let mut sims: Vec<f64> = Vec::new();
 
             let is_seed = seed_words(&seeds_new);
-            let mut incumbent: HashMap<&str, (usize, f64)> = HashMap::new();
+            let mut incumbent: HashMap<&str, (usize, f64), GramBuildHasher> =
+                HashMap::with_capacity_and_hasher(
+                    lists.iter().map(Vec::len).sum(),
+                    Default::default(),
+                );
             for (ci, list) in lists.iter().enumerate() {
                 for (word, sim) in list {
                     incumbent.insert(word.as_str(), (ci, *sim));
                 }
             }
 
-            let mut new_best = SeedArgmax::with_capacity(is_seed.len());
+            let mut new_best =
+                SeedArgmax::with_capacity_and_hasher(is_seed.len(), Default::default());
             let mut removals: Vec<(usize, String, f64)> = Vec::new();
             let mut insertions: Vec<(usize, String, f64)> = Vec::new();
             self.store.for_each_row(|word, row| {
@@ -933,6 +952,36 @@ mod tests {
             ),
         ];
         (store, concepts)
+    }
+
+    fn instances(words: &[&str]) -> Vec<String> {
+        words.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn seeds_from_known_instances() {
+        let (store, _) = space();
+        let c = ConceptSeeds::embed(instances(&["Brain", "(Lung EAR)"]), &store);
+        let words: Vec<&str> = c.seeds().iter().map(|(w, _)| w.as_str()).collect();
+        assert_eq!(words, ["brain", "lung ear"]);
+        assert_eq!(c.embedded, [true, true]);
+        for (word, v) in c.seeds() {
+            assert!((v.norm() - 1.0).abs() < 1e-6, "{word} is not unit length");
+            let mut want = store.embed_phrase(word).unwrap();
+            want.normalize();
+            assert_eq!(v.as_slice(), want.as_slice(), "{word}");
+        }
+    }
+
+    #[test]
+    fn oov_instances_skipped() {
+        let (store, _) = space();
+        let list = instances(&["brain", "xyzzy", "***", "ear"]);
+        let c = ConceptSeeds::embed(list.clone(), &store);
+        assert_eq!(c.instances(), list);
+        assert_eq!(c.embedded, [true, false, false, true]);
+        let words: Vec<&str> = c.seeds().iter().map(|(w, _)| w.as_str()).collect();
+        assert_eq!(words, ["brain", "ear"]);
     }
 
     #[test]

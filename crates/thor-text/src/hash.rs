@@ -1,13 +1,15 @@
 //! The word hasher of the lookup tables that are fixed when an engine
-//! is built: the stop-word set, the tagger's lexicon and segmentation's
-//! subject-mention map.
+//! is built: the stop-word set, the tagger's lexicon, segmentation's
+//! subject-mention map, and the vocabulary-word maps of a delta apply's
+//! seed scan.
 //!
-//! Each of them is probed once or more per word of every document, and
-//! their keys are short words or word n-grams. Documents only probe
-//! them: no document text is ever inserted, so a probe cannot lengthen
-//! a table's chains, and the per-table random seed of std's keyed
-//! hasher buys nothing there. A table that documents insert into (the
-//! phrase memo's `PhraseCache`) keeps std's keyed hasher.
+//! The first three are probed once or more per word of every document,
+//! the seed scan's maps once per vocabulary word, and their keys are
+//! short words or word n-grams. No document text is ever inserted into
+//! any of them, so a probe cannot lengthen a table's chains, and the
+//! per-table random seed of std's keyed hasher buys nothing there. A
+//! table that documents insert into (the phrase memo's `PhraseCache`)
+//! keeps std's keyed hasher.
 //!
 //! The methods are `#[inline]` because every probe runs them from
 //! another crate's monomorphized map code.
